@@ -38,8 +38,10 @@ see into but the laws still constrain.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .events import (
@@ -121,9 +123,15 @@ def _tget(pairs: tuple, key, default=None):
     return default
 
 
+_key = itemgetter(0)
+
+
 def _tset(pairs: tuple, key, value) -> tuple:
-    rest = tuple((k, v) for k, v in pairs if k != key)
-    return tuple(sorted(rest + ((key, value),)))
+    """`pairs` (sorted, unique keys) with `key` bound to `value`: the
+    binding is replaced in place or inserted at its sorted position."""
+    i = bisect_left(pairs, key, key=_key)
+    j = i + 1 if i < len(pairs) and pairs[i][0] == key else i
+    return pairs[:i] + ((key, value),) + pairs[j:]
 
 
 def _norm_frames(frames: tuple) -> tuple:
@@ -584,9 +592,13 @@ class TraceSet:
     """Prefix-closed set of traces, represented by the exploration graph.
 
     Traces are exactly: every prefix of every event sequence along every
-    path from the root, including cuts inside a single action's burst."""
-    root: EngineState
-    graph: Dict[EngineState, tuple]
+    path from the root, including cuts inside a single action's burst.
+
+    States are int ids, numbered 0..n-1 in the order the build first
+    generated them: `root` is 0 and `graph` maps each id to its edges,
+    a tuple of (burst, successor id)."""
+    root: int
+    graph: Dict[int, tuple]
     universe: frozenset
     _topo: Optional[list] = field(default=None, repr=False)
     _obs: Optional[frozenset] = field(default=None, repr=False)
@@ -599,19 +611,17 @@ class TraceSet:
         """States in a root-first topological order."""
         if self._topo is not None:
             return self._topo
-        order, seen = [], set()
-        stack = [(self.root, iter([s2 for _, s2 in self.graph[self.root]]))]
-        seen.add(self.root)
+        graph = self.graph
+        order, seen = [], {self.root}
+        stack = [(self.root, iter(graph[self.root]))]
         while stack:
             node, it = stack[-1]
-            advanced = False
-            for nxt in it:
+            for _, nxt in it:
                 if nxt not in seen:
                     seen.add(nxt)
-                    stack.append((nxt, iter([s2 for _, s2 in self.graph[nxt]])))
-                    advanced = True
+                    stack.append((nxt, iter(graph[nxt])))
                     break
-            if not advanced:
+            else:
                 order.append(node)
                 stack.pop()
         order.reverse()
@@ -619,42 +629,31 @@ class TraceSet:
         return order
 
     def __contains__(self, trace) -> bool:
+        """Reachability in the product of the graph with trace positions;
+        a burst longer than the rest of the trace accepts on a prefix."""
         trace = tuple(trace)
-        memo = {}
-
-        def match(s, k):
-            if k == len(trace):
+        end = len(trace)
+        seen = {(self.root, 0)}
+        stack = [(self.root, 0)]
+        while stack:
+            s, k = stack.pop()
+            if k == end:
                 return True
-            if (s, k) in memo:
-                return memo[(s, k)]
-            memo[(s, k)] = False  # cycles cannot help: graph is a dag
-            ok = False
             for burst, s2 in self.graph[s]:
                 n = len(burst)
-                if n == 0:
-                    if match(s2, k):
-                        ok = True
-                        break
-                    continue
                 if trace[k:k + n] == burst:
-                    if match(s2, k + n):
-                        ok = True
-                        break
-                elif k + len(trace[k:]) < k + n:
-                    rest = trace[k:]
-                    if burst[:len(rest)] == rest:
-                        ok = True
-                        break
-            memo[(s, k)] = ok
-            return ok
-
-        return match(self.root, 0)
+                    if (s2, k + n) not in seen:
+                        seen.add((s2, k + n))
+                        stack.append((s2, k + n))
+                elif end - k < n and burst[:end - k] == trace[k:]:
+                    return True
+        return False
 
     def observables(self) -> frozenset:
         """All observable behaviours (sequences of program observations)."""
         if self._obs is not None:
             return self._obs
-        suffix: Dict[EngineState, frozenset] = {}
+        suffix: Dict[int, frozenset] = {}
         for s in reversed(self.topo()):
             acc = {()}
             for burst, s2 in self.graph[s]:
@@ -670,7 +669,7 @@ class TraceSet:
 
     def materialize(self, max_traces: int = 200_000) -> frozenset:
         """The explicit trace set; refuses to build oversized ones."""
-        suffix: Dict[EngineState, frozenset] = {}
+        suffix: Dict[int, frozenset] = {}
         for s in reversed(self.topo()):
             acc = {()}
             for burst, s2 in self.graph[s]:
@@ -702,24 +701,42 @@ class TraceSet:
 
     def empirical_pairs(self) -> frozenset:
         """(a, b) iff b occurs and a precedes b in every trace where b
-        occurs; computed as a meet over paths through the graph."""
-        before: Dict[Event, frozenset] = {}
-        reach: Dict[EngineState, frozenset] = {self.root: frozenset()}
+        occurs; computed as a meet over paths through the graph.
+
+        Event sets are int bitmasks: bit k stands for the k-th distinct
+        event met, `reach[s]` holds the events on every path to state s
+        and `before[k]` those before event k on every path reaching it."""
+        events: List[Event] = []
+        index: Dict[Event, int] = {}
+        coded: Dict[tuple, tuple] = {}  # burst -> its events' bit numbers
+        before: Dict[int, int] = {}
+        reach: Dict[int, int] = {self.root: 0}
         for s in self.topo():
             base = reach[s]
             for burst, s2 in self.graph[s]:
-                here = set(base)
-                for e in burst:
-                    prior = frozenset(here)
-                    before[e] = prior if e not in before else (before[e] & prior)
-                    here.add(e)
-                f = frozenset(here)
-                reach[s2] = f if s2 not in reach else (reach[s2] & f)
+                here = base
+                if burst:
+                    bits = coded.get(burst)
+                    if bits is None:
+                        for e in burst:
+                            if e not in index:
+                                index[e] = len(events)
+                                events.append(e)
+                        bits = coded[burst] = tuple(index[e] for e in burst)
+                    for k in bits:
+                        prior = before.get(k)
+                        before[k] = here if prior is None else prior & here
+                        here |= 1 << k
+                prior = reach.get(s2)
+                reach[s2] = here if prior is None else prior & here
         pairs = set()
-        for b, pre in before.items():
-            for a in pre:
-                if a != b:
-                    pairs.add((a, b))
+        for k, mask in before.items():
+            b = events[k]
+            mask &= ~(1 << k)
+            while mask:
+                low = mask & -mask
+                pairs.add((events[low.bit_length() - 1], b))
+                mask ^= low
         return frozenset(pairs)
 
 
@@ -731,19 +748,23 @@ def _build(p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig,
     if errors:
         raise ValueError("; ".join(errors))
     eng = _Engine(p, obj, cfg, mode)
+    # Each state is hashed once per edge that reaches it, here; the graph
+    # and every pass over it work on the int ids.
     root = eng.root()
-    graph: Dict[EngineState, tuple] = {}
-    stack = [root]
+    ids: Dict[EngineState, int] = {root: 0}
+    graph: Dict[int, tuple] = {}
+    stack = [(0, root)]
     while stack:
-        s = stack.pop()
-        if s in graph:
-            continue
-        acts = tuple(eng.actions(s))
-        graph[s] = acts
-        for _, s2 in acts:
-            if s2 not in graph:
-                stack.append(s2)
-    return TraceSet(root, graph, eng.universe)
+        i, s = stack.pop()
+        edges = []
+        for burst, s2 in eng.actions(s):
+            n = len(ids)
+            j = ids.setdefault(s2, n)
+            if j == n:
+                stack.append((j, s2))
+            edges.append((burst, j))
+        graph[i] = tuple(edges)
+    return TraceSet(0, graph, eng.universe)
 
 
 def explore(p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig) -> TraceSet:
@@ -756,8 +777,12 @@ def enforced_order(p: ClientProgram, obj: ObjectDef,
                    cfg: ExploreConfig) -> EnforcedOrder:
     """Empirical enforced order of the program: pairs that hold in every
     trace of the object-free exploration, over the program's universe."""
-    ts = _build(p, obj, cfg, "chaos")
-    universe = events_of_program(p, obj, cfg.unroll, cfg.values)
+    return enforced_order_of(_build(p, obj, cfg, "chaos"))
+
+
+def enforced_order_of(ts: TraceSet) -> EnforcedOrder:
+    """Enforced order of an object-free ("chaos") exploration."""
+    universe = ts.universe
     pairs = frozenset((a, b) for a, b in ts.empirical_pairs()
                       if a in universe and b in universe)
     po = EnforcedOrder(universe, pairs)

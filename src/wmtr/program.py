@@ -705,30 +705,37 @@ def events_of_program(p: ClientProgram, obj: ObjectDef,
     invocations = []
 
     for th in sorted(p.threads):
-        seen = set()
+        # depth-first over (frames, labels, calls) on an explicit stack,
+        # so that long thread bodies do not hit the recursion limit
+        start = ((("s", p.threads[th], 0),), (), 0)
+        seen = {start}
+        stack = [start]
 
-        def walk(frames, labels, calls, th=th, seen=seen):
+        def visit(frames, labels, calls):
             key = (frames, labels, calls)
-            if key in seen:
-                return
-            seen.add(key)
+            if key not in seen:
+                seen.add(key)
+                stack.append(key)
+
+        while stack:
+            frames, labels, calls = stack.pop()
             if not frames:
-                return
+                continue
             top, rest = frames[-1], frames[:-1]
             if top[0] == "l":
                 _, w, k = top
                 if k == 0:
-                    return  # loop budget exhausted: the thread is stuck
+                    continue  # loop budget exhausted: the thread is stuck
                 lab = label_of(w)
                 inst, labels2 = _bump(labels, lab)
                 events.add(ProgStep(StepId(th, lab, inst)))
-                walk(rest + (("l", w, k - 1), ("s", w.body, 0)), labels2, calls)
-                walk(rest, labels2, calls)
-                return
+                visit(rest + (("l", w, k - 1), ("s", w.body, 0)), labels2, calls)
+                visit(rest, labels2, calls)
+                continue
             _, stmts, i = top
             if i == len(stmts):
-                walk(rest, labels, calls)
-                return
+                visit(rest, labels, calls)
+                continue
             s = stmts[i]
             nxt = rest + (("s", stmts, i + 1),)
             if isinstance(s, Assign):
@@ -743,20 +750,20 @@ def events_of_program(p: ClientProgram, obj: ObjectDef,
                         events.add(ProgObs(sid, s.target, v))
                 else:
                     events.add(ProgStep(sid))
-                walk(nxt, labels2, calls)
+                visit(nxt, labels2, calls)
             elif isinstance(s, (Await, Fence)):
                 lab = label_of(s)
                 inst, labels2 = _bump(labels, lab)
                 events.add(ProgStep(StepId(th, lab, inst)))
-                walk(nxt, labels2, calls)
+                visit(nxt, labels2, calls)
             elif isinstance(s, If):
                 lab = label_of(s)
                 inst, labels2 = _bump(labels, lab)
                 events.add(ProgStep(StepId(th, lab, inst)))
-                walk(rest + (("s", stmts, i + 1), ("s", s.then, 0)), labels2, calls)
-                walk(rest + (("s", stmts, i + 1), ("s", s.orelse, 0)), labels2, calls)
+                visit(rest + (("s", stmts, i + 1), ("s", s.then, 0)), labels2, calls)
+                visit(rest + (("s", stmts, i + 1), ("s", s.orelse, 0)), labels2, calls)
             elif isinstance(s, While):
-                walk(rest + (("s", stmts, i + 1), ("l", s, bound)), labels, calls)
+                visit(rest + (("s", stmts, i + 1), ("l", s, bound)), labels, calls)
             elif isinstance(s, Call):
                 if s.op not in obj.ops:
                     raise ValueError(f"unknown operation {s.op!r}")
@@ -764,11 +771,9 @@ def events_of_program(p: ClientProgram, obj: ObjectDef,
                 opid = OpId(th, s.op, calls)
                 events.add(Inv(opid, arg))
                 invocations.append((opid, s.op))
-                walk(nxt, labels, calls + 1)
+                visit(nxt, labels, calls + 1)
             else:
                 raise TypeError(f"unexpected client statement: {s}")
-
-        walk((("s", p.threads[th], 0),), (), 0)
 
     for opid, name in invocations:
         for out in op_outputs(obj.ops[name], values):

@@ -19,6 +19,12 @@ def corpus_text(name: str) -> str:
     return (CORPUS / name).read_text()
 
 
+def writes_client(n: int) -> str:
+    """One thread making `n` global writes, `x := i % 3;` for i < n."""
+    body = " ".join(f"x := {i % 3};" for i in range(n))
+    return f"global x = 0;\nthread T {{ {body} }}"
+
+
 @st.composite
 def wellformed_traces(draw):
     """Random wellformed traces: the component events of each operation

@@ -11,13 +11,16 @@ from wmtr.events import (
     Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId, check_wellformed,
 )
 from wmtr.memmodel import (
-    ExploreConfig, Model, TraceSet, _build, chaos_outputs, covert_ops,
-    enforced_order, explore, oracle_sc,
+    ExploreConfig, Model, TraceSet, _build, _tset, chaos_outputs, covert_ops,
+    enforced_order, enforced_order_of, explore, oracle_sc,
 )
 from wmtr.porder import check_axioms, check_lemma1, from_traces
-from wmtr.program import empty_object, parse
+from wmtr.program import empty_object, events_of_program, parse
 
-from conftest import corpus_text, relaxed_counter_witness, tso_spinlock_witness
+from conftest import (
+    corpus_text, relaxed_counter_witness, tso_spinlock_witness, writes_client,
+)
+from oracles import empirical_pairs_oracle
 
 
 def cfg(model, **kw):
@@ -46,6 +49,32 @@ global r = 0;
 thread P { d := 1; f := 1; }
 thread C { await (f = 1); rc := d; r := rc; }
 """
+
+
+# client/object pairs whose enforced orders the ordering laws are checked on
+ORDER_PAIRS = [
+    ("fig2_client.wm", "fig2_object.wm"),
+    ("fig4_client.wm", "spinlock_impl.wm"),
+    ("fig5_client.wm", "spinlock_impl.wm"),
+    ("fig5_notry_client.wm", "spinlock_impl_notry.wm"),
+    ("fig6_client.wm", "spinlock_impl.wm"),
+]
+
+
+@pytest.fixture(scope="module")
+def chaos_graph():
+    """Chaos-mode graphs at values=1, each built once per module: the
+    fig5 x spinlock_impl graph under RELAXED alone takes seconds."""
+    built = {}
+
+    def get(client, obj, model):
+        key = (client, obj, model)
+        if key not in built:
+            p, o = load(client, obj)
+            built[key] = _build(p, o, cfg(model, values=1), "chaos")
+        return built[key]
+
+    return get
 
 
 def final_pairs(ts, k1, k2):
@@ -287,12 +316,91 @@ class TestEnforcedOrder:
         ("fig5_client.wm", "spinlock_impl.wm"),
         ("fig6_client.wm", "spinlock_spec.wm"),
     ])
-    def test_axioms_across_corpus(self, model, client, obj):
-        p, o = load(client, obj)
-        po = enforced_order(p, o, cfg(model, values=1))
+    def test_axioms_across_corpus(self, model, client, obj, chaos_graph):
+        po = enforced_order_of(chaos_graph(client, obj, model))
         rep = check_axioms(po)
         assert rep.all_hold, [c.name for c in rep.checks if not c.holds]
         assert check_lemma1(po)
+
+    def test_universe_enumerated_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return events_of_program(*args)
+
+        monkeypatch.setattr("wmtr.memmodel.events_of_program", counted)
+        self.fig2(Model.TSO)
+        assert len(calls) == 1
+
+
+class TestStateIds:
+    def test_fig5_relaxed_chaos_anchor(self, chaos_graph):
+        """The largest graph of the corpus; if these counts drift, the
+        engine explores a different program."""
+        ts = chaos_graph("fig5_client.wm", "spinlock_impl.wm", Model.RELAXED)
+        edges = [burst for acts in ts.graph.values() for burst, _ in acts]
+        assert (ts.states, len(edges), sum(1 for b in edges if not b)) == \
+            (46979, 258573, 180501)
+        assert ts.root == 0
+        assert sorted(ts.graph) == list(range(ts.states))
+        assert all(0 <= s2 < ts.states
+                   for acts in ts.graph.values() for _, s2 in acts)
+
+    # fig5 x RELAXED is left out: the oracle alone takes about ten seconds
+    # there, and the anchor above pins that graph
+    @pytest.mark.parametrize("client,obj,model", [
+        (client, obj, model) for client, obj in ORDER_PAIRS for model in Model
+        if (client, model) != ("fig5_client.wm", Model.RELAXED)])
+    def test_empirical_pairs_match_set_oracle(self, client, obj, model):
+        p, o = load(client, obj)
+        ts = _build(p, o, cfg(model), "chaos")
+        assert ts.empirical_pairs() == empirical_pairs_oracle(ts)
+
+
+class TestLongRuns:
+    def test_contains_follows_long_paths(self):
+        # 700 buffered writes and their 700 flushes: a path of 1,400 edges
+        ts = explore(parse(writes_client(700)), empty_object(), cfg(Model.TSO))
+        s, trace = ts.root, []
+        while ts.graph[s]:
+            burst, s = ts.graph[s][0]
+            trace.extend(burst)
+        assert len(trace) == 1400
+        assert tuple(trace) in ts
+        assert tuple(trace[:-2]) + (trace[-1], trace[-2]) not in ts
+
+    @pytest.mark.parametrize("model", [Model.SC, Model.TSO])
+    def test_contains_agrees_with_the_materialized_set(self, model):
+        ts = explore(parse(writes_client(3)), empty_object(),
+                     cfg(model, buffer=2))
+        traces = ts.materialize()
+        assert all(t in ts for t in traces)
+        events = {e for t in traces for e in t}
+        for t in traces:
+            for e in events:
+                assert (t + (e,) in ts) == (t + (e,) in traces)
+
+
+_key_kinds = st.sampled_from([
+    st.integers(-3, 3),
+    st.text("ab", max_size=2),
+    st.tuples(st.sampled_from("cd"), st.text("xy", max_size=2)),
+])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_tset_matches_sorting_reference(data):
+    keys = data.draw(_key_kinds)
+    pairs = tuple(sorted(data.draw(st.dictionaries(keys, st.integers(0, 3),
+                                                   max_size=6)).items()))
+    key = data.draw(st.one_of(keys, st.sampled_from([k for k, _ in pairs]))
+                    if pairs else keys)
+    value = data.draw(st.integers(0, 3))
+    reference = tuple(sorted(tuple((k, v) for k, v in pairs if k != key)
+                             + ((key, value),)))
+    assert _tset(pairs, key, value) == reference
 
 
 class TestChaosHelpers:

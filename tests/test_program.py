@@ -3,11 +3,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import corpus_text, relaxed_counter_witness, tso_spinlock_witness
+from conftest import (
+    corpus_text, relaxed_counter_witness, tso_spinlock_witness, writes_client,
+)
 from wmtr.events import Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId
 from wmtr.program import (
     Assign, Await, BinOp, Call, ClientProgram, Cmp, Fence, If, Lit, Name,
-    ObjectDef, ParseError, Return, Tas, While,
+    ObjectDef, ParseError, Return, Tas, While, empty_object,
     events_of_program, label_of, op_outputs, parse, print_object,
     print_program, validate,
 )
@@ -308,6 +310,27 @@ class TestEventSet:
         steps = {e for e in ev if isinstance(e, ProgStep)}
         assert steps == {ProgStep(StepId("T", "if(x=1)", 0)),
                          ProgStep(StepId("T", "x:=1", 0), ("x", 1))}
+
+    @pytest.mark.parametrize("n", [5, 1200])
+    def test_long_thread_body(self, n):
+        ev = events_of_program(parse(writes_client(n)), empty_object())
+        want, seen = set(), {}
+        for i in range(n):
+            lab = f"x:={i % 3}"
+            sid = StepId("T", lab, seen.get(lab, 0))
+            seen[lab] = sid.instance + 1
+            want |= {ProgStep(sid, ("x", i % 3)), ProgObs(sid, "x", i % 3)}
+        assert ev == want
+
+    @pytest.mark.parametrize("client,obj,size", [
+        ("fig2_client.wm", "fig2_object.wm", 26),
+        ("fig4_client.wm", "spinlock_impl.wm", 10),
+        ("fig5_client.wm", "spinlock_impl.wm", 34),
+        ("fig5_notry_client.wm", "spinlock_impl_notry.wm", 17),
+        ("fig6_client.wm", "spinlock_impl.wm", 28),
+    ])
+    def test_corpus_universe_sizes(self, client, obj, size):
+        assert len(events_of_program(load(client), load(obj))) == size
 
     def test_loop_unrolling_is_bounded(self):
         p = parse("global x = 0;\nthread T {\n  while (x = 0) {\n"
