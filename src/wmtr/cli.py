@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -35,15 +34,10 @@ def _common(sub):
                      help="store buffer capacity per core")
     sub.add_argument("--values", type=int, default=3,
                      help="largest value in the data domain")
-    sub.add_argument("--workers", type=int,
-                     default=int(os.environ.get("WMTR_WORKERS", "1")),
-                     help="reserved; exploration currently runs sequentially")
     sub.add_argument("--out", help="write the primary artifact to this file")
 
 
 def _config(args) -> ExploreConfig:
-    if args.workers < 1:
-        raise ValueError("workers must be at least 1")
     return ExploreConfig(model=Model(args.model), unroll=args.unroll,
                          buffer=args.buffer, values=args.values)
 

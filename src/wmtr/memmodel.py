@@ -98,16 +98,6 @@ class Entry(NamedTuple):  # TSO buffer entry
     obs: Optional[Event]
 
 
-class Rec(NamedTuple):  # RELAXED write record
-    val: int
-    core: str
-    kind: str
-    carrier: object
-    covered: tuple  # sorted cores that received or superseded it
-    obs: Optional[Event]
-    emitted: bool
-
-
 class EngineState(NamedTuple):
     threads: tuple  # sorted (thread, ThreadState)
     machine: tuple
@@ -158,6 +148,20 @@ class _Engine:
         self.covert = covert_ops(p, obj)
         self.chaosouts = {name: chaos_outputs(op, cfg.values)
                           for name, op in obj.ops.items()}
+        # RELAXED storage is ("rx", entries), entries sorted
+        # ((var, (recs, posv)), ...) over the variables written so far.
+        # posv[k] is the position in recs of the latest record of var that
+        # the core of rank k (its index in self.cores) received, -1 before
+        # any.  A record is the tuple
+        #   (val, core_rank, kind, carrier_code, covered_mask, obs_code, emitted)
+        # where bit k of covered_mask says core k received or superseded it,
+        # and carrier and observation are interned in self.decode (code 0
+        # is None); an observation is decoded when its record emits it.
+        self.rank = {c: k for k, c in enumerate(self.cores)}
+        self.full = (1 << len(self.cores)) - 1
+        self.unseen = (-1,) * len(self.cores)
+        self.codes: Dict[object, int] = {None: 0}
+        self.decode: List[object] = [None]
 
     # state construction
 
@@ -171,7 +175,7 @@ class _Engine:
             storage = ("tso", tuple(sorted(self.initials.items())),
                        tuple((c, ()) for c in self.cores))
         else:
-            storage = ("rx", (), ())
+            storage = ("rx", ())
         objst = tuple(sorted(self.obj.shared.items())) if self.mode == "spec" else None
         return EngineState(threads, MACHINE_EMPTY, storage, objst, ())
 
@@ -187,14 +191,16 @@ class _Engine:
                 if e.var == var and e.kind != "virt":
                     return e.val
             return _tget(storage[1], var)
-        pos = _tget(storage[2], (core, var), -1)
-        if pos < 0:
+        entry = _tget(storage[1], var)
+        if entry is None:
             return self.initials[var]
-        return _tget(storage[1], var)[pos].val
+        recs, posv = entry
+        pos = posv[self.rank[core]]
+        return recs[pos][0] if pos >= 0 else self.initials[var]
 
     def coherence_latest(self, storage, var) -> int:
-        recs = _tget(storage[1], var, ())
-        return recs[-1].val if recs else self.initials[var]
+        entry = _tget(storage[1], var)
+        return entry[0][-1][0] if entry else self.initials[var]
 
     # writes
 
@@ -206,41 +212,48 @@ class _Engine:
     def tso_room(self, storage, core) -> bool:
         return len(_tget(storage[2], core, ())) < self.cfg.buffer
 
+    def intern(self, x) -> int:
+        code = self.codes.get(x)
+        if code is None:
+            code = self.codes[x] = len(self.decode)
+            self.decode.append(x)
+        return code
+
     def rx_issue(self, storage, core, var, val, kind, carrier, obs):
-        recs = _tget(storage[1], var, ())
+        recs, posv = _tget(storage[1], var, ((), self.unseen))
         pos = len(recs)
-        idx = storage[2]
-        old = _tget(idx, (core, var), -1)
-        recs = tuple(
-            r._replace(covered=_add_core(r.covered, core))
-            if old < i < pos else r
-            for i, r in enumerate(recs))
-        rec = Rec(val, core, kind, carrier, (core,), obs, False)
-        return ("rx", _tset(storage[1], var, recs + (rec,)),
-                _tset(idx, (core, var), pos)), (var, pos)
+        k = self.rank[core]
+        bit = 1 << k
+        old = posv[k]
+        # the issuing core supersedes the records it never received
+        recs = recs[:old + 1] + tuple(
+            (v, c, kd, ca, cov | bit, ob, em)
+            for v, c, kd, ca, cov, ob, em in recs[old + 1:])
+        rec = (val, k, kind, self.intern(carrier), bit, self.intern(obs), False)
+        posv = posv[:k] + (pos,) + posv[k + 1:]
+        return ("rx", _tset(storage[1], var, (recs + (rec,), posv))), (var, pos)
 
     def rx_tas_write(self, storage, var, val, core, carrier):
-        recs = _tget(storage[1], var, ())
+        recs, posv = _tget(storage[1], var, ((), self.unseen))
         pos = len(recs)
-        idx = storage[2]
         newrecs = []
-        for i, r in enumerate(recs):
-            cov = r.covered
-            for c in self.cores:
-                if _tget(idx, (c, var), -1) < i:
-                    cov = _add_core(cov, c)
-            newrecs.append(r._replace(covered=cov))
-        rec = Rec(val, core, "obj", carrier, self.cores, None, False)
-        for c in self.cores:
-            idx = _tset(idx, (c, var), pos)
-        return ("rx", _tset(storage[1], var, tuple(newrecs) + (rec,)), idx), (var, pos)
+        for i, (v, c, kd, ca, cov, ob, em) in enumerate(recs):
+            for k, p in enumerate(posv):
+                if p < i:
+                    cov |= 1 << k
+            newrecs.append((v, c, kd, ca, cov, ob, em))
+        rec = (val, self.rank[core], "obj", self.intern(carrier), self.full, 0,
+               False)
+        entry = (tuple(newrecs) + (rec,), (pos,) * len(self.cores))
+        return ("rx", _tset(storage[1], var, entry)), (var, pos)
 
     def rx_all_covered(self, storage, core, prog_only: bool) -> bool:
-        for var, recs in storage[1]:
-            for r in recs:
-                if r.core == core and (not prog_only or r.kind == "prog"):
-                    if len(r.covered) < len(self.cores):
-                        return False
+        k = self.rank[core]
+        full = self.full
+        for _, (recs, _) in storage[1]:
+            for _, c, kind, _, cov, _, _ in recs:
+                if c == k and cov != full and (not prog_only or kind == "prog"):
+                    return False
         return True
 
     # gates
@@ -481,14 +494,15 @@ class _Engine:
                     burst = (Res(opid, eff.out), obs)
                 else:
                     var, pos = last
-                    rec = _tget(st.storage[1], var)[pos]
-                    if len(rec.covered) == len(self.cores):
+                    recs, posv = _tget(st.storage[1], var)
+                    rec = recs[pos]
+                    if rec[4] == self.full:
                         burst = (Res(opid, eff.out), obs)
                     else:
-                        recs = _tget(st.storage[1], var)
-                        recs2 = recs[:pos] + (rec._replace(obs=obs),) + recs[pos + 1:]
-                        storage2 = ("rx", _tset(st.storage[1], var, recs2),
-                                    st.storage[2])
+                        rec2 = rec[:5] + (self.intern(obs),) + rec[6:]
+                        recs2 = recs[:pos] + (rec2,) + recs[pos + 1:]
+                        storage2 = ("rx", _tset(st.storage[1], var,
+                                                (recs2, posv)))
             ts2 = ts._replace(regs=regs2, call=None)
         st2 = self._set_thread(st, th, ts2)._replace(machine=machine2,
                                                      storage=storage2)
@@ -555,34 +569,37 @@ class _Engine:
                 burst = (head.obs,) if head.obs is not None else ()
                 out.append((burst, st._replace(storage=storage2)))
         elif self.cfg.model == Model.RELAXED:
-            for var, recs in st.storage[1]:
-                for pos, rec in enumerate(recs):
-                    for core in self.cores:
-                        if core in rec.covered:
+            threads, machine, _, objst, book = st
+            full = self.full
+            ranks = range(len(self.cores))
+            entries = st.storage[1]
+            for i, (var, (recs, posv)) in enumerate(entries):
+                head, tail = entries[:i], entries[i + 1:]
+                for pos, (v, c, kd, ca, cov, ob, em) in enumerate(recs):
+                    if cov == full and (not ob or em):
+                        continue
+                    before, after = recs[:pos], recs[pos + 1:]
+                    if cov == full:  # every core has it: emit its observation
+                        recs2 = before + ((v, c, kd, ca, cov, ob, True),) + after
+                        storage2 = ("rx", head + ((var, (recs2, posv)),) + tail)
+                        out.append(((self.decode[ob],),
+                                    EngineState(threads, machine, storage2,
+                                                objst, book)))
+                        continue
+                    for k in ranks:  # propagate to each core next in line
+                        if cov >> k & 1 or posv[k] != pos - 1:
                             continue
-                        if _tget(st.storage[2], (core, var), -1) != pos - 1:
-                            continue
-                        rec2 = rec._replace(covered=_add_core(rec.covered, core))
-                        recs2 = recs[:pos] + (rec2,) + recs[pos + 1:]
-                        storage2 = ("rx", _tset(st.storage[1], var, recs2),
-                                    _tset(st.storage[2], (core, var), pos))
-                        out.append(((), st._replace(storage=storage2)))
-                    if (rec.obs is not None and not rec.emitted
-                            and len(rec.covered) == len(self.cores)):
-                        rec2 = rec._replace(emitted=True)
-                        recs2 = recs[:pos] + (rec2,) + recs[pos + 1:]
-                        storage2 = ("rx", _tset(st.storage[1], var, recs2),
-                                    st.storage[2])
-                        out.append(((rec.obs,), st._replace(storage=storage2)))
+                        rec2 = (v, c, kd, ca, cov | 1 << k, ob, em)
+                        posv2 = posv[:k] + (pos,) + posv[k + 1:]
+                        entry = (before + (rec2,) + after, posv2)
+                        storage2 = ("rx", head + ((var, entry),) + tail)
+                        out.append(((), EngineState(threads, machine, storage2,
+                                                    objst, book)))
         return out
 
     def _set_thread(self, st: EngineState, th: str, ts: ThreadState) -> EngineState:
         threads = tuple((t, (ts if t == th else x)) for t, x in st.threads)
         return st._replace(threads=threads)
-
-
-def _add_core(covered: tuple, core: str) -> tuple:
-    return covered if core in covered else tuple(sorted(covered + (core,)))
 
 
 # --- trace sets ---

@@ -163,24 +163,3 @@ class TestErrors:
             main(["explore", "--model", "warp"])
         assert e.value.code == 2
 
-
-class TestWorkers:
-    def test_workers_flag_accepted(self, capsys):
-        code, _, _ = run(capsys, "explore", "--model", "sc", "--values", "1",
-                         "--workers", "4",
-                         "--client", C("fig2_client.wm"),
-                         "--impl", C("fig2_object.wm"))
-        assert code == 0
-
-    def test_workers_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("WMTR_WORKERS", "3")
-        code, _, _ = run(capsys, "explore", "--model", "sc", "--values", "1",
-                         "--client", C("fig2_client.wm"),
-                         "--impl", C("fig2_object.wm"))
-        assert code == 0
-
-    def test_bad_workers(self, capsys):
-        code, _, err = run(capsys, "explore", "--model", "sc", "--workers", "0",
-                           "--client", C("fig2_client.wm"),
-                           "--impl", C("fig2_object.wm"))
-        assert code == 2

@@ -1,6 +1,8 @@
 """Exploration engine tests: model-specific litmus outcomes, witness
 containment, oracle agreement under SC, and empirical-order structure."""
 
+import hashlib
+import json
 from itertools import permutations
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from wmtr.events import (
     Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId, check_wellformed,
+    event_to_json,
 )
 from wmtr.memmodel import (
     ExploreConfig, Model, TraceSet, _build, _tset, chaos_outputs, covert_ops,
@@ -75,6 +78,60 @@ def chaos_graph():
         return built[key]
 
     return get
+
+
+def graph_digest(ts):
+    """SHA-256 of the graph's canonical serialisation: for every id in
+    order, its edges in order, each as its burst's event JSON and the
+    successor id.  Any moved id or burst changes the digest."""
+    memo = {}
+
+    def enc(e):
+        s = memo.get(e)
+        if s is None:
+            s = memo[e] = event_to_json(e)
+        return s
+
+    g = ts.graph
+    doc = [(i, [([enc(e) for e in burst], succ) for burst, succ in g[i]])
+           for i in range(len(g))]
+    return hashlib.sha256(
+        json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
+
+
+# RELAXED graph digests: the storage encoding is private to the engine, so
+# a change to it must leave every id and every burst where it was
+CHAOS_DIGESTS = {  # chaos mode, values=1
+    ("fig2_client.wm", "fig2_object.wm"):
+        "4adb7814fd8c4e9743b2f932d2e7c557ac4f6aba44fdc2537aa82a872427ecdb",
+    ("fig4_client.wm", "spinlock_impl.wm"):
+        "7c76712fca1acf9eeaf915b8809686fa47550bb1f9629af3c9741d5d703ab18b",
+    ("fig5_client.wm", "spinlock_impl.wm"):
+        "7495ddc07ea39322e74d18020ccf534709b2da4e149d03d09a03dea9cad0336f",
+    ("fig5_notry_client.wm", "spinlock_impl_notry.wm"):
+        "d23e02d330351cc2aeefe0019c66344da1e5621c5cc858953ddda3671df8f04a",
+    ("fig6_client.wm", "spinlock_impl.wm"):
+        "0ccffa172c24ffc5234757038428bd72b16b85a3330b109964c597c78c2e1cfd",
+}
+
+OWN_MODE_DIGESTS = {  # the object's own mode, default bounds
+    ("fig4_client.wm", "spinlock_spec.wm"):
+        "6bf8bdb31284be15d29e370cc7c1c1d2ea8648a0c1c3b70af08366d292301063",
+    ("fig4_client.wm", "spinlock_impl.wm"):
+        "279c4722fa03b1f668058f8b145968f5a9c684b6abdcf17798c6c74a4583feb8",
+    ("fig5_client.wm", "spinlock_spec.wm"):
+        "f2b82034e180250e3542b979ddf900292dd9885a04231b851b93a2009220dcc6",
+    ("fig5_client.wm", "spinlock_impl.wm"):
+        "97589bbc58b3c1758b79e018534ec2fd3b5129640174930e30908ecce7224103",
+    ("fig5_notry_client.wm", "spinlock_spec_notry.wm"):
+        "4fd94f0397bff289acd51fb3a3f74cbd6ea02baa9d6d4160d6f8fc092d474657",
+    ("fig5_notry_client.wm", "spinlock_impl_notry.wm"):
+        "cd210ffdfcf33083c9a0a62675084bc11d2cf69ffb9371d2113ef930c14fda21",
+    ("fig6_client.wm", "spinlock_spec.wm"):
+        "3cc263764c3f1b0ae9cf97a4609631788c7a7bacb7cdcc7f93a549cf52190060",
+    ("fig6_client.wm", "spinlock_impl.wm"):
+        "268278c419a21deb1f2ec199c787041a857226687140351efb6e3855472e8007",
+}
 
 
 def final_pairs(ts, k1, k2):
@@ -358,6 +415,29 @@ class TestStateIds:
         assert ts.empirical_pairs() == empirical_pairs_oracle(ts)
 
 
+class TestGraphIdentity:
+    @pytest.mark.parametrize("client,obj", ORDER_PAIRS)
+    def test_relaxed_chaos_graph_unchanged(self, client, obj, chaos_graph):
+        ts = chaos_graph(client, obj, Model.RELAXED)
+        assert graph_digest(ts) == CHAOS_DIGESTS[client, obj]
+
+    @pytest.mark.parametrize("client,obj", sorted(OWN_MODE_DIGESTS))
+    def test_relaxed_own_mode_graph_unchanged(self, client, obj):
+        p, o = load(client, obj)
+        ts = explore(p, o, cfg(Model.RELAXED))
+        assert graph_digest(ts) == OWN_MODE_DIGESTS[client, obj]
+
+    def test_digest_sees_a_moved_burst(self, chaos_graph):
+        ts = chaos_graph("fig2_client.wm", "fig2_object.wm", Model.RELAXED)
+        s = next(i for i, acts in ts.graph.items()
+                 if len({b for b, _ in acts}) > 1)
+        acts = ts.graph[s]
+        swapped = dict(ts.graph)
+        swapped[s] = acts[1:] + acts[:1]
+        assert graph_digest(TraceSet(0, swapped, ts.universe)) != \
+            CHAOS_DIGESTS["fig2_client.wm", "fig2_object.wm"]
+
+
 class TestLongRuns:
     def test_contains_follows_long_paths(self):
         # 700 buffered writes and their 700 flushes: a path of 1,400 edges
@@ -445,3 +525,37 @@ def test_random_straightline_clients_match_oracle(data):
     p = parse("\n".join(lines))
     c = ExploreConfig(model=Model.SC, values=2)
     assert explore(p, empty_object(), c).materialize() == oracle_sc(p, c)
+
+
+@st.composite
+def fenced_clients(draw):
+    """Clients of 1-2 threads with up to three statements each: global
+    writes of literals, globals or earlier-read registers, global reads
+    into registers, and fences."""
+    names = ["x", "y"]
+    lines = [f"global {v} = 0;" for v in names]
+    for i in range(draw(st.integers(1, 2))):
+        body, regs = [], []
+        for j in range(draw(st.integers(0, 3))):
+            kind = draw(st.sampled_from(["write", "read", "fence"]))
+            if kind == "fence":
+                body.append("fence;")
+            elif kind == "read":
+                regs.append(f"r{j}")
+                body.append(f"r{j} := {draw(st.sampled_from(names))};")
+            else:
+                src = draw(st.sampled_from(["1", "2"] + names + regs))
+                body.append(f"{draw(st.sampled_from(names))} := {src};")
+        lines.append(f"thread T{i} {{ {' '.join(body)} }}")
+    return "\n".join(lines)
+
+
+# two threads at most: a three-thread client can take a minute under RELAXED
+@settings(max_examples=200, deadline=None)
+@given(fenced_clients())
+def test_observables_grow_with_weaker_models(text):
+    p = parse(text)
+    sc, tso, rx = (explore(p, empty_object(),
+                           ExploreConfig(model=m, values=2)).observables()
+                   for m in (Model.SC, Model.TSO, Model.RELAXED))
+    assert sc <= tso <= rx
