@@ -8,13 +8,15 @@ Subcommands:
   dot       render the enforced order as graphviz input
 
 Exit codes: 0 on success (property holds), 1 when a check fails or a
-refutation is found, 2 on usage, parse, or validation errors.
+refutation is found, 2 on usage, parse, or validation errors, 141
+(128 + SIGPIPE) when the reader of standard output closed it early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -211,7 +213,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull so the interpreter's final flush of what
+        # is still buffered stays quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ParseError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

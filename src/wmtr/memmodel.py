@@ -1,17 +1,8 @@
 """Memory-model-parameterised trace exploration.
 
-One engine, three storage disciplines:
-
-  SC       writes hit memory at once; observations are emitted in the
-           same burst as the event they observe.
-  TSO      per-core FIFO store buffers; a flush makes the head entry
-           globally visible and emits its observation.  TAS drains the
-           issuing core's buffer and writes through.
-  RELAXED  per-variable write records that propagate to other cores one
-           at a time in per-variable coherence order; no cross-variable
-           ordering.  A core that overwrites a variable jumps past (and
-           thereby supersedes) records it never received.  TAS acts on
-           the coherence-latest value and is instantly global.
+One engine, parameterised by a storage discipline: `storage` holds SC,
+TSO and RELAXED, one class each behind one interface, and the engine
+picks the class once from `DISCIPLINES`.
 
 Observation placement: a program step's observation fires when its
 write is visible to every core; an operation's observation fires when
@@ -23,32 +14,22 @@ never flows into a global) are observed immediately after responding.
 The engine runs in one of three modes, chosen by the object kind:
 "impl" drives operation bodies instruction by instruction through the
 implementation machine, "spec" executes bodies atomically against a
-logical valuation with free observation placement pruned by the
-cross-core discipline of `objects.check_atomic`, and "chaos" (used for
-the enforced-order extraction) replaces the object by nondeterministic
-responses carrying one virtual shared write per effectful operation.
-
-Invocations under TSO wait until the invoking core holds no buffered
-program write; under RELAXED, specification invocations wait until the
-core's program writes have fully propagated.  Both reflect the enforced
-order's treatment of operation boundaries as code the program cannot
-see into but the laws still constrain.
+logical valuation with free observation placement, pruned so that no
+invocation overlaps an unobserved operation of another core, and "chaos"
+(used for the enforced-order extraction) replaces the object by
+nondeterministic responses carrying one virtual shared write per
+effectful operation.
 """
 
 from __future__ import annotations
 
-import random
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .events import (
-    Event, Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId, Trace,
-)
+from .events import Event, Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId
 from .objects import (
-    Internal, MACHINE_EMPTY, Ret, Store, TasDone, impl_step,
+    MACHINE_EMPTY, Ret, Store, TasDone, impl_step,
     machine_peek, machine_start, run_spec_body, writes_shared,
 )
 from .porder import EnforcedOrder
@@ -57,12 +38,16 @@ from .program import (
     OpDef, Return, Tas, While, _all_stmts, _always_returns, _bump,
     eval_cond, eval_expr, events_of_program, label_of, validate,
 )
+from .storage import RELAXED, SC, TSO, _tget, _tset
 
 
 class Model(str, Enum):
     SC = "sc"
     TSO = "tso"
     RELAXED = "relaxed"
+
+
+DISCIPLINES = {Model.SC: SC, Model.TSO: TSO, Model.RELAXED: RELAXED}
 
 
 @dataclass(frozen=True)
@@ -86,48 +71,29 @@ class ThreadState(NamedTuple):
     regs: tuple    # sorted (name, value)
     labels: tuple  # sorted (label, occurrence count)
     calls: int
-    call: Optional[tuple]  # ("impl", opid, reg, last) | ("spec", opid, arg, reg)
-                           # | ("chaos", opid, reg)
-
-
-class Entry(NamedTuple):  # TSO buffer entry
-    var: str
-    val: int
-    kind: str  # "prog" | "obj" | "virt"
-    carrier: object
-    obs: Optional[Event]
+    call: Optional[tuple]  # ("impl", opid, reg, ref of the last write)
+                           # | ("spec", opid, arg, reg) | ("chaos", opid, reg)
 
 
 class EngineState(NamedTuple):
     threads: tuple  # sorted (thread, ThreadState)
     machine: tuple
-    storage: tuple
+    storage: tuple  # owned by the storage discipline
     objst: Optional[tuple]  # spec valuation
     book: tuple  # spec: responded, unobserved (opid, out, core)
-
-
-def _tget(pairs: tuple, key, default=None):
-    for k, v in pairs:
-        if k == key:
-            return v
-    return default
-
-
-_key = itemgetter(0)
-
-
-def _tset(pairs: tuple, key, value) -> tuple:
-    """`pairs` (sorted, unique keys) with `key` bound to `value`: the
-    binding is replaced in place or inserted at its sorted position."""
-    i = bisect_left(pairs, key, key=_key)
-    j = i + 1 if i < len(pairs) and pairs[i][0] == key else i
-    return pairs[:i] + ((key, value),) + pairs[j:]
 
 
 def _norm_frames(frames: tuple) -> tuple:
     while frames and frames[-1][0] == "s" and frames[-1][2] == len(frames[-1][1]):
         frames = frames[:-1]
     return frames
+
+
+def _returned(ts: ThreadState, reg, out) -> ThreadState:
+    """`ts` once its call returned `out` into register `reg`."""
+    if reg is None or out is None:
+        return ts._replace(call=None)
+    return ts._replace(regs=_tset(ts.regs, reg, out), call=None)
 
 
 # --- the engine ---
@@ -140,140 +106,31 @@ class _Engine:
         self.cfg = cfg
         self.mode = mode
         self.coremap = dict(cfg.coremap) if cfg.coremap else dict(p.coremap)
-        self.cores = tuple(sorted(set(self.coremap.values())))
-        self.initials = dict(p.globals)
+        cores = tuple(sorted(set(self.coremap.values())))
+        initials = dict(p.globals)
         if mode == "impl":
-            self.initials.update(obj.shared)
+            initials.update(obj.shared)
+        self.mem = DISCIPLINES[cfg.model](cores, initials, cfg.buffer)
         self.universe = events_of_program(p, obj, cfg.unroll, cfg.values)
         self.covert = covert_ops(p, obj)
         self.chaosouts = {name: chaos_outputs(op, cfg.values)
                           for name, op in obj.ops.items()}
-        # RELAXED storage is ("rx", entries), entries sorted
-        # ((var, (recs, posv)), ...) over the variables written so far.
-        # posv[k] is the position in recs of the latest record of var that
-        # the core of rank k (its index in self.cores) received, -1 before
-        # any.  A record is the tuple
-        #   (val, core_rank, kind, carrier_code, covered_mask, obs_code, emitted)
-        # where bit k of covered_mask says core k received or superseded it,
-        # and carrier and observation are interned in self.decode (code 0
-        # is None); an observation is decoded when its record emits it.
-        self.rank = {c: k for k, c in enumerate(self.cores)}
-        self.full = (1 << len(self.cores)) - 1
-        self.unseen = (-1,) * len(self.cores)
-        self.codes: Dict[object, int] = {None: 0}
-        self.decode: List[object] = [None]
-
-    # state construction
 
     def root(self) -> EngineState:
         threads = tuple(sorted(
             (th, ThreadState(_norm_frames((("s", body, 0),)), (), (), 0, None))
             for th, body in self.p.threads.items()))
-        if self.cfg.model == Model.SC:
-            storage = ("sc", tuple(sorted(self.initials.items())))
-        elif self.cfg.model == Model.TSO:
-            storage = ("tso", tuple(sorted(self.initials.items())),
-                       tuple((c, ()) for c in self.cores))
-        else:
-            storage = ("rx", ())
         objst = tuple(sorted(self.obj.shared.items())) if self.mode == "spec" else None
-        return EngineState(threads, MACHINE_EMPTY, storage, objst, ())
-
-    # reads
-
-    def read(self, storage, core, var) -> int:
-        kind = storage[0]
-        if kind == "sc":
-            return _tget(storage[1], var)
-        if kind == "tso":
-            buf = _tget(storage[2], core, ())
-            for e in reversed(buf):
-                if e.var == var and e.kind != "virt":
-                    return e.val
-            return _tget(storage[1], var)
-        entry = _tget(storage[1], var)
-        if entry is None:
-            return self.initials[var]
-        recs, posv = entry
-        pos = posv[self.rank[core]]
-        return recs[pos][0] if pos >= 0 else self.initials[var]
-
-    def coherence_latest(self, storage, var) -> int:
-        entry = _tget(storage[1], var)
-        return entry[0][-1][0] if entry else self.initials[var]
-
-    # writes
-
-    def tso_push(self, storage, core, entry: Entry):
-        bufs = storage[2]
-        buf = _tget(bufs, core, ())
-        return ("tso", storage[1], _tset(bufs, core, buf + (entry,)))
-
-    def tso_room(self, storage, core) -> bool:
-        return len(_tget(storage[2], core, ())) < self.cfg.buffer
-
-    def intern(self, x) -> int:
-        code = self.codes.get(x)
-        if code is None:
-            code = self.codes[x] = len(self.decode)
-            self.decode.append(x)
-        return code
-
-    def rx_issue(self, storage, core, var, val, kind, carrier, obs):
-        recs, posv = _tget(storage[1], var, ((), self.unseen))
-        pos = len(recs)
-        k = self.rank[core]
-        bit = 1 << k
-        old = posv[k]
-        # the issuing core supersedes the records it never received
-        recs = recs[:old + 1] + tuple(
-            (v, c, kd, ca, cov | bit, ob, em)
-            for v, c, kd, ca, cov, ob, em in recs[old + 1:])
-        rec = (val, k, kind, self.intern(carrier), bit, self.intern(obs), False)
-        posv = posv[:k] + (pos,) + posv[k + 1:]
-        return ("rx", _tset(storage[1], var, (recs + (rec,), posv))), (var, pos)
-
-    def rx_tas_write(self, storage, var, val, core, carrier):
-        recs, posv = _tget(storage[1], var, ((), self.unseen))
-        pos = len(recs)
-        newrecs = []
-        for i, (v, c, kd, ca, cov, ob, em) in enumerate(recs):
-            for k, p in enumerate(posv):
-                if p < i:
-                    cov |= 1 << k
-            newrecs.append((v, c, kd, ca, cov, ob, em))
-        rec = (val, self.rank[core], "obj", self.intern(carrier), self.full, 0,
-               False)
-        entry = (tuple(newrecs) + (rec,), (pos,) * len(self.cores))
-        return ("rx", _tset(storage[1], var, entry)), (var, pos)
-
-    def rx_all_covered(self, storage, core, prog_only: bool) -> bool:
-        k = self.rank[core]
-        full = self.full
-        for _, (recs, _) in storage[1]:
-            for _, c, kind, _, cov, _, _ in recs:
-                if c == k and cov != full and (not prog_only or kind == "prog"):
-                    return False
-        return True
-
-    # gates
+        return EngineState(threads, MACHINE_EMPTY, self.mem.initial(), objst, ())
 
     def inv_allowed(self, st: EngineState, thread: str) -> bool:
         core = self.coremap[thread]
-        if self.cfg.model == Model.TSO:
-            buf = _tget(st.storage[2], core, ())
-            if any(e.kind == "prog" for e in buf):
-                return False
-        if self.mode == "spec":
-            if self.cfg.model == Model.RELAXED:
-                if not self.rx_all_covered(st.storage, core, prog_only=True):
-                    return False
-            for th2, ts2 in st.threads:
-                if ts2.call is not None and self.coremap[th2] != core:
-                    return False
-            if any(c != core for (_, _, c) in st.book):
-                return False
-        return True
+        if self.mode != "spec":
+            return self.mem.inv_ready(st.storage, core, False)
+        return (self.mem.inv_ready(st.storage, core, True)
+                and all(ts2.call is None or self.coremap[th2] == core
+                        for th2, ts2 in st.threads)
+                and all(c == core for (_, _, c) in st.book))
 
     # actions
 
@@ -286,9 +143,11 @@ class _Engine:
                     out.append(a)
             else:
                 out.extend(self.call_actions(st, th, ts))
-        out.extend(self.storage_actions(st))
-        for j, (opid, outv, core) in enumerate(st.book):
-            st2 = st._replace(book=st.book[:j] + st.book[j + 1:])
+        threads, machine, storage, objst, book = st
+        for burst, storage2 in self.mem.moves(storage):
+            out.append((burst, EngineState(threads, machine, storage2, objst, book)))
+        for j, (opid, outv, core) in enumerate(book):
+            st2 = st._replace(book=book[:j] + book[j + 1:])
             out.append(((OpObs(opid, outv),), st2))
         for burst, _ in out:
             for e in burst:
@@ -305,7 +164,7 @@ class _Engine:
             v = _tget(ts.regs, name)
             if v is not None or any(k == name for k, _ in ts.regs):
                 return v
-            return self.read(st.storage, core, name)
+            return self.mem.read(st.storage, core, name)
 
         top = ts.frames[-1]
         if top[0] == "l":
@@ -339,26 +198,17 @@ class _Engine:
                 ts2 = ts._replace(frames=adv, regs=_tset(ts.regs, s.target, v),
                                   labels=labels2)
                 return ((ProgStep(sid),), self._set_thread(st, th, ts2))
+            w = self.mem.write(st.storage, core, s.target, v, "prog", sid,
+                               ProgObs(sid, s.target, v))
+            if w is None:
+                return None
+            storage2, emitted, _ = w
             ts2 = ts._replace(frames=adv, labels=labels2)
-            step = ProgStep(sid, (s.target, v))
-            obs = ProgObs(sid, s.target, v)
-            if self.cfg.model == Model.SC:
-                storage2 = ("sc", _tset(st.storage[1], s.target, v))
-                return ((step, obs),
-                        self._set_thread(st, th, ts2)._replace(storage=storage2))
-            if self.cfg.model == Model.TSO:
-                if not self.tso_room(st.storage, core):
-                    return None
-                storage2 = self.tso_push(st.storage, core,
-                                         Entry(s.target, v, "prog", sid, obs))
-                return ((step,),
-                        self._set_thread(st, th, ts2)._replace(storage=storage2))
-            storage2, _ = self.rx_issue(st.storage, core, s.target, v,
-                                        "prog", sid, obs)
-            return ((step,),
+            return ((ProgStep(sid, (s.target, v)),) + emitted,
                     self._set_thread(st, th, ts2)._replace(storage=storage2))
-        if isinstance(s, Await):
-            if not eval_cond(s.cond, look, self.cfg.values):
+        if isinstance(s, (Await, Fence)):
+            if not (eval_cond(s.cond, look, self.cfg.values)
+                    if isinstance(s, Await) else self.mem.drained(st.storage, core)):
                 return None
             lab = label_of(s)
             inst, labels2 = _bump(ts.labels, lab)
@@ -372,18 +222,6 @@ class _Engine:
             frames2 = _norm_frames(ts.frames[:-1] + (("s", stmts, i + 1),
                                                      ("s", branch, 0)))
             ts2 = ts._replace(frames=frames2, labels=labels2)
-            return ((ProgStep(StepId(th, lab, inst)),),
-                    self._set_thread(st, th, ts2))
-        if isinstance(s, Fence):
-            if self.cfg.model == Model.TSO:
-                if _tget(st.storage[2], core, ()):
-                    return None
-            elif self.cfg.model == Model.RELAXED:
-                if not self.rx_all_covered(st.storage, core, prog_only=False):
-                    return None
-            lab = label_of(s)
-            inst, labels2 = _bump(ts.labels, lab)
-            ts2 = ts._replace(frames=adv, labels=labels2)
             return ((ProgStep(StepId(th, lab, inst)),),
                     self._set_thread(st, th, ts2))
         if isinstance(s, Call):
@@ -417,93 +255,38 @@ class _Engine:
     def impl_call_action(self, st, th, ts):
         _, opid, ret_reg, last = ts.call
         core = self.coremap[th]
-        peek = machine_peek(st.machine, th)
-        if peek[0] in ("none", "stuck"):
+        mem, storage = self.mem, st.storage
+        peek = machine_peek(st.machine, th)[0]
+        if peek in ("none", "stuck"):
             return None
-        model = self.cfg.model
-        if peek[0] in ("tas", "fence"):
-            if model == Model.TSO and _tget(st.storage[2], core, ()):
-                return None
-            if model == Model.RELAXED and not self.rx_all_covered(
-                    st.storage, core, prog_only=False):
-                return None
-            view = ((lambda v: self.coherence_latest(st.storage, v))
-                    if model == Model.RELAXED
-                    else (lambda v: self.read(st.storage, core, v)))
-        else:
-            view = lambda v: self.read(st.storage, core, v)
-        r = impl_step(st.machine, th, self.obj, view, self.cfg.values,
-                      self.cfg.unroll)
+        gated = peek in ("tas", "fence")
+        if gated and not mem.drained(storage, core):
+            return None
+        look = mem.latest if gated else mem.read
+        r = impl_step(st.machine, th, self.obj, lambda v: look(storage, core, v),
+                      self.cfg.values, self.cfg.unroll)
         if r is None:
             return None
         machine2, eff = r
-        storage2 = st.storage
+        storage2 = storage
         ts2 = ts
         burst: tuple = ()
-        if isinstance(eff, Internal):
-            pass
-        elif isinstance(eff, Store):
-            if model == Model.SC:
-                storage2 = ("sc", _tset(st.storage[1], eff.var, eff.value))
-            elif model == Model.TSO:
-                if not self.tso_room(st.storage, core):
-                    return None
-                storage2 = self.tso_push(st.storage, core,
-                                         Entry(eff.var, eff.value, "obj", opid, None))
-                ts2 = ts._replace(call=("impl", opid, ret_reg, ("buf",)))
-            else:
-                storage2, ref = self.rx_issue(st.storage, core, eff.var,
-                                              eff.value, "obj", opid, None)
-                ts2 = ts._replace(call=("impl", opid, ret_reg, ref))
-        elif isinstance(eff, TasDone):
-            if eff.store is not None:
-                if model == Model.SC:
-                    storage2 = ("sc", _tset(st.storage[1], eff.var, eff.store))
-                elif model == Model.TSO:
-                    # buffer is empty here; write through
-                    storage2 = ("tso", _tset(st.storage[1], eff.var, eff.store),
-                                st.storage[2])
-                    ts2 = ts._replace(call=("impl", opid, ret_reg, None))
-                else:
-                    storage2, ref = self.rx_tas_write(st.storage, eff.var,
-                                                      eff.store, core, opid)
-                    ts2 = ts._replace(call=("impl", opid, ret_reg, ref))
+        if isinstance(eff, Store):
+            w = mem.write(storage, core, eff.var, eff.value, "obj", opid, None)
+            if w is None:
+                return None
+            storage2, _, ref = w
+            ts2 = ts._replace(call=("impl", opid, ret_reg, ref))
+        elif isinstance(eff, TasDone) and eff.store is not None:
+            storage2, ref = mem.tas_write(storage, core, eff.var, eff.store, opid)
+            ts2 = ts._replace(call=("impl", opid, ret_reg, ref))
         elif isinstance(eff, Ret):
-            burst = (Res(opid, eff.out),)
-            regs2 = ts.regs
-            if ret_reg is not None and eff.out is not None:
-                regs2 = _tset(ts.regs, ret_reg, eff.out)
             obs = OpObs(opid, eff.out)
-            if model == Model.SC:
-                burst = (Res(opid, eff.out), obs)
-            elif model == Model.TSO:
-                buf = _tget(st.storage[2], core, ())
-                marked = None
-                for j in range(len(buf) - 1, -1, -1):
-                    if buf[j].kind == "obj" and buf[j].carrier == opid:
-                        marked = j
-                        break
-                if marked is None:
-                    burst = (Res(opid, eff.out), obs)
-                else:
-                    buf2 = buf[:marked] + (buf[marked]._replace(obs=obs),) + buf[marked + 1:]
-                    storage2 = ("tso", st.storage[1],
-                                _tset(st.storage[2], core, buf2))
-            else:
-                if last is None:
-                    burst = (Res(opid, eff.out), obs)
-                else:
-                    var, pos = last
-                    recs, posv = _tget(st.storage[1], var)
-                    rec = recs[pos]
-                    if rec[4] == self.full:
-                        burst = (Res(opid, eff.out), obs)
-                    else:
-                        rec2 = rec[:5] + (self.intern(obs),) + rec[6:]
-                        recs2 = recs[:pos] + (rec2,) + recs[pos + 1:]
-                        storage2 = ("rx", _tset(st.storage[1], var,
-                                                (recs2, posv)))
-            ts2 = ts._replace(regs=regs2, call=None)
+            burst = (Res(opid, eff.out),)
+            storage2 = mem.attach(storage, core, last, opid, obs)
+            if storage2 is None:
+                storage2, burst = storage, burst + (obs,)
+            ts2 = _returned(ts, ret_reg, eff.out)
         st2 = self._set_thread(st, th, ts2)._replace(machine=machine2,
                                                      storage=storage2)
         return (burst, st2)
@@ -515,11 +298,7 @@ class _Engine:
         if r is None:
             return None
         valuation, outv = r
-        regs2 = ts.regs
-        if ret_reg is not None and outv is not None:
-            regs2 = _tset(ts.regs, ret_reg, outv)
-        ts2 = ts._replace(regs=regs2, call=None)
-        st2 = self._set_thread(st, th, ts2)._replace(
+        st2 = self._set_thread(st, th, _returned(ts, ret_reg, outv))._replace(
             objst=tuple(sorted(valuation.items())))
         if opid.call in self.covert:
             return ((Res(opid, outv), OpObs(opid, outv)), st2)
@@ -530,72 +309,21 @@ class _Engine:
     def chaos_call_actions(self, st, th, ts):
         _, opid, ret_reg = ts.call
         core = self.coremap[th]
+        vvar = f"#{opid.thread}.{opid.call}.{opid.instance}"
         out_actions = []
         for outv in sorted(self.chaosouts[opid.call],
                            key=lambda v: (v is None, v)):
-            regs2 = ts.regs
-            if ret_reg is not None and outv is not None:
-                regs2 = _tset(ts.regs, ret_reg, outv)
-            ts2 = ts._replace(regs=regs2, call=None)
-            st2 = self._set_thread(st, th, ts2)
+            st2 = self._set_thread(st, th, _returned(ts, ret_reg, outv))
             obs = OpObs(opid, outv)
-            if opid.call in self.covert or self.cfg.model == Model.SC:
+            if opid.call in self.covert:
                 out_actions.append(((Res(opid, outv), obs), st2))
-            elif self.cfg.model == Model.TSO:
-                if not self.tso_room(st.storage, core):
-                    continue
-                storage2 = self.tso_push(st2.storage, core,
-                                         Entry("", 0, "virt", opid, obs))
-                out_actions.append(((Res(opid, outv),),
-                                    st2._replace(storage=storage2)))
-            else:
-                vvar = f"#{opid.thread}.{opid.call}.{opid.instance}"
-                storage2, _ = self.rx_issue(st2.storage, core, vvar, 0,
-                                            "virt", opid, obs)
-                out_actions.append(((Res(opid, outv),),
+                continue
+            w = self.mem.write(st.storage, core, vvar, 0, "virt", opid, obs)
+            if w is not None:
+                storage2, emitted, _ = w
+                out_actions.append(((Res(opid, outv),) + emitted,
                                     st2._replace(storage=storage2)))
         return out_actions
-
-    def storage_actions(self, st):
-        out = []
-        if self.cfg.model == Model.TSO:
-            for core, buf in st.storage[2]:
-                if not buf:
-                    continue
-                head, rest = buf[0], buf[1:]
-                mem2 = (st.storage[1] if head.kind == "virt"
-                        else _tset(st.storage[1], head.var, head.val))
-                storage2 = ("tso", mem2, _tset(st.storage[2], core, rest))
-                burst = (head.obs,) if head.obs is not None else ()
-                out.append((burst, st._replace(storage=storage2)))
-        elif self.cfg.model == Model.RELAXED:
-            threads, machine, _, objst, book = st
-            full = self.full
-            ranks = range(len(self.cores))
-            entries = st.storage[1]
-            for i, (var, (recs, posv)) in enumerate(entries):
-                head, tail = entries[:i], entries[i + 1:]
-                for pos, (v, c, kd, ca, cov, ob, em) in enumerate(recs):
-                    if cov == full and (not ob or em):
-                        continue
-                    before, after = recs[:pos], recs[pos + 1:]
-                    if cov == full:  # every core has it: emit its observation
-                        recs2 = before + ((v, c, kd, ca, cov, ob, True),) + after
-                        storage2 = ("rx", head + ((var, (recs2, posv)),) + tail)
-                        out.append(((self.decode[ob],),
-                                    EngineState(threads, machine, storage2,
-                                                objst, book)))
-                        continue
-                    for k in ranks:  # propagate to each core next in line
-                        if cov >> k & 1 or posv[k] != pos - 1:
-                            continue
-                        rec2 = (v, c, kd, ca, cov | 1 << k, ob, em)
-                        posv2 = posv[:k] + (pos,) + posv[k + 1:]
-                        entry = (before + (rec2,) + after, posv2)
-                        storage2 = ("rx", head + ((var, entry),) + tail)
-                        out.append(((), EngineState(threads, machine, storage2,
-                                                    objst, book)))
-        return out
 
     def _set_thread(self, st: EngineState, th: str, ts: ThreadState) -> EngineState:
         threads = tuple((t, (ts if t == th else x)) for t, x in st.threads)
@@ -683,38 +411,6 @@ class TraceSet:
             suffix[s] = frozenset(acc)
         self._obs = suffix[self.root]
         return self._obs
-
-    def materialize(self, max_traces: int = 200_000) -> frozenset:
-        """The explicit trace set; refuses to build oversized ones."""
-        suffix: Dict[int, frozenset] = {}
-        for s in reversed(self.topo()):
-            acc = {()}
-            for burst, s2 in self.graph[s]:
-                for j in range(1, len(burst)):
-                    acc.add(burst[:j])
-                for t in suffix[s2]:
-                    acc.add(burst + t)
-            if len(acc) > max_traces:
-                raise ValueError("trace set too large to materialize")
-            suffix[s] = frozenset(acc)
-        return suffix[self.root]
-
-    def sample(self, n: int, seed: int = 0) -> List[Trace]:
-        rng = random.Random(seed)
-        out = []
-        for _ in range(n):
-            s, events = self.root, []
-            while True:
-                acts = self.graph[s]
-                if not acts or rng.random() < 0.15:
-                    break
-                burst, s2 = acts[rng.randrange(len(acts))]
-                events.extend(burst)
-                s = s2
-            if events and rng.random() < 0.3:
-                events = events[:rng.randrange(len(events)) + 1]
-            out.append(tuple(events))
-        return out
 
     def empirical_pairs(self) -> frozenset:
         """(a, b) iff b occurs and a precedes b in every trace where b
@@ -860,54 +556,3 @@ def chaos_outputs(op: OpDef, values: int) -> frozenset:
     if bare or not _always_returns(op.body) or not has_value:
         outs.add(None)
     return frozenset(outs)
-
-
-# --- independent SC oracle ---
-
-def oracle_sc(p: ClientProgram, cfg: ExploreConfig) -> frozenset:
-    """Brute-force SC trace enumeration for straight-line, call-free
-    clients.  Written against the observation rules directly, with no
-    use of the exploration engine."""
-    seqs = {}
-    for th, stmts in p.threads.items():
-        for s in stmts:
-            if not isinstance(s, Assign):
-                raise ValueError("the oracle only handles assignment-only clients")
-        seqs[th] = stmts
-    threads = sorted(seqs)
-    traces = set()
-
-    def rec(pos, mem, regs, trace):
-        traces.add(tuple(trace))
-        for th in threads:
-            i = pos[th]
-            if i >= len(seqs[th]):
-                continue
-            s = seqs[th][i]
-            labels = [label_of(x) for x in seqs[th][:i] if isinstance(x, Assign)]
-            inst = labels.count(label_of(s))
-            sid = StepId(th, label_of(s), inst)
-
-            def look(name, th=th):
-                if name in regs[th]:
-                    return regs[th][name]
-                return mem[name]
-
-            v = eval_expr(s.expr, look, cfg.values)
-            pos2 = dict(pos)
-            pos2[th] = i + 1
-            if s.target in p.globals:
-                step = ProgStep(sid, (s.target, v))
-                traces.add(tuple(trace) + (step,))  # cut before the observation
-                mem2 = dict(mem)
-                mem2[s.target] = v
-                rec(pos2, mem2, regs,
-                    trace + [step, ProgObs(sid, s.target, v)])
-            else:
-                regs2 = {t: dict(r) for t, r in regs.items()}
-                regs2[th][s.target] = v
-                rec(pos2, mem, regs2, trace + [ProgStep(sid)])
-
-    rec({th: 0 for th in threads}, dict(p.globals),
-        {th: {} for th in threads}, [])
-    return frozenset(traces)

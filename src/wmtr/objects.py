@@ -6,23 +6,17 @@ objects run instruction by instruction through a small machine whose
 memory effects are handed back to the caller (shared reads go through a
 supplied view function, so the surrounding memory model decides what a
 load returns and where a store lands).
-
-Specification histories interleave invocations, atomic responses, and
-observations.  An observation may trail its response arbitrarily, but
-invocations are gated so that at most one operation is un-observed
-across distinct cores at any time; operations with no effect on shared
-state are observed immediately.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Optional, Tuple
 
-from .events import Event, History, Inv, OpId, OpObs, Res, is_object_event
+from .events import OpId
 from .program import (
     Assign, Await, Fence, If, ObjectDef, OpDef, Return, Tas, While,
-    eval_cond, eval_expr, label_of,
+    eval_cond, eval_expr,
 )
 
 Value = Optional[int]
@@ -87,142 +81,6 @@ def writes_shared(op: OpDef, obj: ObjectDef) -> bool:
         if isinstance(s, Tas):
             return True
     return False
-
-
-# --- the cross-core observation discipline ---
-
-def check_atomic(h: History, coremap: Dict[str, str]) -> bool:
-    """True iff no invocation happens while an operation begun on a
-    different core is still unobserved."""
-    unobserved: Dict[OpId, str] = {}
-    for e in h:
-        if isinstance(e, Inv):
-            core = coremap[e.op.thread]
-            if any(c != core for c in unobserved.values()):
-                return False
-            unobserved[e.op] = core
-        elif isinstance(e, OpObs):
-            unobserved.pop(e.op, None)
-    return True
-
-
-# --- specification histories ---
-
-def _call_structure(events) -> Dict[str, list]:
-    calls: Dict[str, list] = {}
-    for e in events:
-        if isinstance(e, Inv):
-            calls.setdefault(e.op.thread, []).append((e.op, e.arg))
-    for th, seq in calls.items():
-        seq.sort(key=lambda t: t[0].instance)
-        if [k.instance for k, _ in seq] != list(range(len(seq))):
-            raise ValueError(f"invocation instances of thread {th} are not contiguous")
-    return calls
-
-
-def spec_histories(spec: ObjectDef, events, coremap: Dict[str, str],
-                   bound: Optional[int] = None, values: int = 3,
-                   covert: Optional[frozenset] = None) -> FrozenSet[History]:
-    """Prefix-closed set of object histories the specification admits for
-    the given invocation structure."""
-    if spec.kind != "spec":
-        raise ValueError("spec_histories needs a specification object")
-    calls = _call_structure(events)
-    threads = sorted(calls)
-    if covert is None:
-        covert = frozenset(n for n, op in spec.ops.items()
-                           if not writes_shared(op, spec))
-    init = (tuple(0 for _ in threads), tuple(None for _ in threads),
-            tuple(sorted(spec.shared.items())), ())
-    memo: dict = {}
-
-    def hist(st) -> frozenset:
-        if st in memo:
-            return memo[st]
-        nxt, pend, val, book = st
-        out = {()}
-        cores_busy = [coremap[threads[j]] for j, p in enumerate(pend)
-                      if p is not None]
-        cores_busy += [c for (_, _, c) in book]
-        for i, th in enumerate(threads):
-            core = coremap[th]
-            if pend[i] is None and nxt[i] < len(calls[th]):
-                if all(c == core for c in cores_busy):
-                    opid, arg = calls[th][nxt[i]]
-                    st2 = (_rep(nxt, i, nxt[i] + 1), _rep(pend, i, (opid, arg)),
-                           val, book)
-                    for t in hist(st2):
-                        out.add((Inv(opid, arg),) + t)
-            if pend[i] is not None:
-                opid, arg = pend[i]
-                r = run_spec_body(spec.ops[opid.call], dict(val), arg, values)
-                if r is not None:
-                    st_new, outv = r
-                    val2 = tuple(sorted(st_new.items()))
-                    if opid.call in covert:
-                        burst = (Res(opid, outv), OpObs(opid, outv))
-                        st2 = (nxt, _rep(pend, i, None), val2, book)
-                        out.add(burst[:1])
-                        for t in hist(st2):
-                            out.add(burst + t)
-                    else:
-                        st2 = (nxt, _rep(pend, i, None), val2,
-                               book + ((opid, outv, core),))
-                        for t in hist(st2):
-                            out.add((Res(opid, outv),) + t)
-        for j, (opid, outv, core) in enumerate(book):
-            st2 = (nxt, pend, val, book[:j] + book[j + 1:])
-            for t in hist(st2):
-                out.add((OpObs(opid, outv),) + t)
-        memo[st] = frozenset(out)
-        return memo[st]
-
-    result = hist(init)
-    if bound is not None:
-        result = frozenset(h for h in result if len(h) <= bound)
-    return result
-
-
-def _rep(t: tuple, i: int, v):
-    return t[:i] + (v,) + t[i + 1:]
-
-
-def complete_history(spec: ObjectDef, h: History,
-                     values: int = 3) -> FrozenSet[History]:
-    """All ways of extending h with responses for its pending
-    invocations.  {h} when nothing is pending; empty when some pending
-    operation can never respond."""
-    val = dict(spec.shared)
-    pending: Dict[OpId, Value] = {}
-    for e in h:
-        if not is_object_event(e):
-            raise ValueError("history contains a program event")
-        if isinstance(e, Inv):
-            pending[e.op] = e.arg
-        elif isinstance(e, Res):
-            if e.op not in pending:
-                raise ValueError("response without a pending invocation")
-            arg = pending.pop(e.op)
-            r = run_spec_body(spec.ops[e.op.call], val, arg, values)
-            if r is None or r[1] != e.out:
-                raise ValueError("history is not replayable against the specification")
-            val = r[0]
-
-    results = set()
-
-    def go(val, pending, acc):
-        if not pending:
-            results.add(tuple(acc))
-            return
-        for opid in sorted(pending, key=lambda k: (k.thread, k.instance)):
-            r = run_spec_body(spec.ops[opid.call], val, pending[opid], values)
-            if r is not None:
-                rest = dict(pending)
-                del rest[opid]
-                go(r[0], rest, acc + [Res(opid, r[1])])
-
-    go(val, pending, [])
-    return frozenset(tuple(h) + ext for ext in results)
 
 
 # --- implementation machine ---

@@ -6,10 +6,10 @@ transitively closed relation over a finite event set.  Because a trace
 may stop early, a pair (a, b) only binds a trace in which b actually
 occurs; that is what `allows` checks.
 
-`from_traces` builds the empirical enforced order of an explored trace
-set: (a, b) is included when b occurs in at least one trace and a occurs
-before b in every trace containing b.  Irreflexivity and transitivity
-hold by construction.
+`memmodel.enforced_order` builds the empirical enforced order of an
+explored trace set: (a, b) is included when b occurs in at least one
+trace and a occurs before b in every trace containing b.  Irreflexivity
+and transitivity hold by construction.
 
 `check_axioms` validates the ordering laws such relations are expected
 to satisfy, stated per operation instance (value variants of a response
@@ -126,29 +126,6 @@ def allows(po: EnforcedOrder, t: Sequence[Event]) -> bool:
         if i is None or i >= j:
             return False
     return True
-
-
-def from_traces(universe: Iterable[Event], traces: Iterable[Sequence[Event]]) -> EnforcedOrder:
-    """Empirical enforced order of a trace set: (a, b) included iff b
-    occurs somewhere and a precedes b in every trace containing b."""
-    u = frozenset(universe)
-    always_before: Dict[Event, set] = {}
-    for t in traces:
-        pos = {e: i for i, e in enumerate(t)}
-        for b, j in pos.items():
-            before = {a for a, i in pos.items() if i < j}
-            if b in always_before:
-                always_before[b] &= before
-            else:
-                always_before[b] = before
-    pairs = frozenset(
-        (a, b)
-        for b, preds in always_before.items()
-        if b in u
-        for a in preds
-        if a in u
-    )
-    return EnforcedOrder(u, pairs)
 
 
 # --- ordering laws ---

@@ -1,14 +1,33 @@
 """Reference implementations kept only to cross-check the library.
 
-`empirical_pairs_oracle` is the set-based meet over paths that
-`TraceSet.empirical_pairs` computed before event sets became bitmasks:
-it intersects frozensets of events once per edge.  It is slow on large
-graphs but has no encoding to get wrong.
+Each one computes a notion the library also computes, in a second, more
+direct way, and some test compares the two:
+
+  empirical_pairs_oracle  the set-based meet over paths that
+                          `TraceSet.empirical_pairs` computed before
+                          event sets became bitmasks.
+  from_traces             the empirical enforced order of an explicit
+                          trace set, straight from its definition.
+  materialize, sample     the explicit trace set of an exploration graph,
+                          and random walks through it.
+  oracle_sc               brute-force SC traces of assignment-only
+                          clients, with no use of the exploration engine.
+  spec_histories          the object histories a specification admits,
+                          against which the engine's spec mode is checked;
+                          `check_atomic` is the cross-core discipline
+                          those histories obey.
 """
 
-from typing import Dict
+import random
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
 
-from wmtr.events import Event
+from wmtr.events import (
+    Event, History, Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId, Trace,
+)
+from wmtr.memmodel import ExploreConfig
+from wmtr.objects import run_spec_body, writes_shared
+from wmtr.porder import EnforcedOrder
+from wmtr.program import Assign, ClientProgram, ObjectDef, eval_expr, label_of
 
 
 def empirical_pairs_oracle(ts) -> frozenset:
@@ -32,3 +51,212 @@ def empirical_pairs_oracle(ts) -> frozenset:
             if a != b:
                 pairs.add((a, b))
     return frozenset(pairs)
+
+
+def from_traces(universe: Iterable[Event], traces: Iterable[Sequence[Event]]) -> EnforcedOrder:
+    """Empirical enforced order of a trace set: (a, b) included iff b
+    occurs somewhere and a precedes b in every trace containing b."""
+    u = frozenset(universe)
+    always_before: Dict[Event, set] = {}
+    for t in traces:
+        pos = {e: i for i, e in enumerate(t)}
+        for b, j in pos.items():
+            before = {a for a, i in pos.items() if i < j}
+            if b in always_before:
+                always_before[b] &= before
+            else:
+                always_before[b] = before
+    pairs = frozenset(
+        (a, b)
+        for b, preds in always_before.items()
+        if b in u
+        for a in preds
+        if a in u
+    )
+    return EnforcedOrder(u, pairs)
+
+
+# --- explicit trace sets of exploration graphs ---
+
+def materialize(ts, max_traces: int = 200_000) -> frozenset:
+    """The explicit trace set of `ts`; refuses to build oversized ones."""
+    suffix: Dict[int, frozenset] = {}
+    for s in reversed(ts.topo()):
+        acc = {()}
+        for burst, s2 in ts.graph[s]:
+            for j in range(1, len(burst)):
+                acc.add(burst[:j])
+            for t in suffix[s2]:
+                acc.add(burst + t)
+        if len(acc) > max_traces:
+            raise ValueError("trace set too large to materialize")
+        suffix[s] = frozenset(acc)
+    return suffix[ts.root]
+
+
+def sample(ts, n: int, seed: int = 0) -> List[Trace]:
+    """`n` traces of `ts` from random walks, some cut inside a burst."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        s, events = ts.root, []
+        while True:
+            acts = ts.graph[s]
+            if not acts or rng.random() < 0.15:
+                break
+            burst, s2 = acts[rng.randrange(len(acts))]
+            events.extend(burst)
+            s = s2
+        if events and rng.random() < 0.3:
+            events = events[:rng.randrange(len(events)) + 1]
+        out.append(tuple(events))
+    return out
+
+
+# --- independent SC oracle ---
+
+def oracle_sc(p: ClientProgram, cfg: ExploreConfig) -> frozenset:
+    """Brute-force SC trace enumeration for straight-line, call-free
+    clients.  Written against the observation rules directly, with no
+    use of the exploration engine."""
+    seqs = {}
+    for th, stmts in p.threads.items():
+        for s in stmts:
+            if not isinstance(s, Assign):
+                raise ValueError("the oracle only handles assignment-only clients")
+        seqs[th] = stmts
+    threads = sorted(seqs)
+    traces = set()
+
+    def rec(pos, mem, regs, trace):
+        traces.add(tuple(trace))
+        for th in threads:
+            i = pos[th]
+            if i >= len(seqs[th]):
+                continue
+            s = seqs[th][i]
+            labels = [label_of(x) for x in seqs[th][:i] if isinstance(x, Assign)]
+            inst = labels.count(label_of(s))
+            sid = StepId(th, label_of(s), inst)
+
+            def look(name, th=th):
+                if name in regs[th]:
+                    return regs[th][name]
+                return mem[name]
+
+            v = eval_expr(s.expr, look, cfg.values)
+            pos2 = dict(pos)
+            pos2[th] = i + 1
+            if s.target in p.globals:
+                step = ProgStep(sid, (s.target, v))
+                traces.add(tuple(trace) + (step,))  # cut before the observation
+                mem2 = dict(mem)
+                mem2[s.target] = v
+                rec(pos2, mem2, regs,
+                    trace + [step, ProgObs(sid, s.target, v)])
+            else:
+                regs2 = {t: dict(r) for t, r in regs.items()}
+                regs2[th][s.target] = v
+                rec(pos2, mem, regs2, trace + [ProgStep(sid)])
+
+    rec({th: 0 for th in threads}, dict(p.globals),
+        {th: {} for th in threads}, [])
+    return frozenset(traces)
+
+
+# --- specification histories ---
+
+def check_atomic(h: History, coremap: Dict[str, str]) -> bool:
+    """True iff no invocation happens while an operation begun on a
+    different core is still unobserved."""
+    unobserved: Dict[OpId, str] = {}
+    for e in h:
+        if isinstance(e, Inv):
+            core = coremap[e.op.thread]
+            if any(c != core for c in unobserved.values()):
+                return False
+            unobserved[e.op] = core
+        elif isinstance(e, OpObs):
+            unobserved.pop(e.op, None)
+    return True
+
+
+def _call_structure(events) -> Dict[str, list]:
+    calls: Dict[str, list] = {}
+    for e in events:
+        if isinstance(e, Inv):
+            calls.setdefault(e.op.thread, []).append((e.op, e.arg))
+    for th, seq in calls.items():
+        seq.sort(key=lambda t: t[0].instance)
+        if [k.instance for k, _ in seq] != list(range(len(seq))):
+            raise ValueError(f"invocation instances of thread {th} are not contiguous")
+    return calls
+
+
+def spec_histories(spec: ObjectDef, events, coremap: Dict[str, str],
+                   bound: Optional[int] = None, values: int = 3,
+                   covert: Optional[frozenset] = None) -> FrozenSet[History]:
+    """Prefix-closed set of object histories the specification admits for
+    the given invocation structure: an observation may trail its
+    response arbitrarily, invocations obey `check_atomic`, and operations
+    with no effect on shared state are observed immediately."""
+    if spec.kind != "spec":
+        raise ValueError("spec_histories needs a specification object")
+    calls = _call_structure(events)
+    threads = sorted(calls)
+    if covert is None:
+        covert = frozenset(n for n, op in spec.ops.items()
+                           if not writes_shared(op, spec))
+    init = (tuple(0 for _ in threads), tuple(None for _ in threads),
+            tuple(sorted(spec.shared.items())), ())
+    memo: dict = {}
+
+    def hist(st) -> frozenset:
+        if st in memo:
+            return memo[st]
+        nxt, pend, val, book = st
+        out = {()}
+        cores_busy = [coremap[threads[j]] for j, p in enumerate(pend)
+                      if p is not None]
+        cores_busy += [c for (_, _, c) in book]
+        for i, th in enumerate(threads):
+            core = coremap[th]
+            if pend[i] is None and nxt[i] < len(calls[th]):
+                if all(c == core for c in cores_busy):
+                    opid, arg = calls[th][nxt[i]]
+                    st2 = (_rep(nxt, i, nxt[i] + 1), _rep(pend, i, (opid, arg)),
+                           val, book)
+                    for t in hist(st2):
+                        out.add((Inv(opid, arg),) + t)
+            if pend[i] is not None:
+                opid, arg = pend[i]
+                r = run_spec_body(spec.ops[opid.call], dict(val), arg, values)
+                if r is not None:
+                    st_new, outv = r
+                    val2 = tuple(sorted(st_new.items()))
+                    if opid.call in covert:
+                        burst = (Res(opid, outv), OpObs(opid, outv))
+                        st2 = (nxt, _rep(pend, i, None), val2, book)
+                        out.add(burst[:1])
+                        for t in hist(st2):
+                            out.add(burst + t)
+                    else:
+                        st2 = (nxt, _rep(pend, i, None), val2,
+                               book + ((opid, outv, core),))
+                        for t in hist(st2):
+                            out.add((Res(opid, outv),) + t)
+        for j, (opid, outv, core) in enumerate(book):
+            st2 = (nxt, pend, val, book[:j] + book[j + 1:])
+            for t in hist(st2):
+                out.add((OpObs(opid, outv),) + t)
+        memo[st] = frozenset(out)
+        return memo[st]
+
+    result = hist(init)
+    if bound is not None:
+        result = frozenset(h for h in result if len(h) <= bound)
+    return result
+
+
+def _rep(t: tuple, i: int, v):
+    return t[:i] + (v,) + t[i + 1:]

@@ -17,13 +17,14 @@ from wmtr.events import (
     trace_to_lines,
 )
 from wmtr.memmodel import (
-    ExploreConfig, Model, _build, enforced_order, explore, oracle_sc,
+    ExploreConfig, Model, _build, enforced_order, explore,
 )
 from wmtr.porder import check_axioms, check_lemma1
 from wmtr.program import empty_object, parse
 from wmtr.refine import check_wmtr
 
 from conftest import corpus_text
+from oracles import materialize, oracle_sc, sample
 
 
 def load(name):
@@ -114,7 +115,7 @@ def test_criterion_5_flag_client_order_structure():
 
     sc_ok = True
     ts = _build(p, o, ExploreConfig(model=Model.SC, values=1), "chaos")
-    for t in ts.materialize():
+    for t in materialize(ts):
         for i, e in enumerate(t):
             if isinstance(e, ProgObs):
                 sc_ok &= t[i - 1] == ProgStep(e.step, (e.var, e.value))
@@ -193,7 +194,7 @@ def test_criterion_8_sc_oracle_equivalence():
     for _ in range(50):
         p = _random_step_program(rng)
         got = {trace_to_lines(t)
-               for t in explore(p, empty_object(), cfg).materialize()}
+               for t in materialize(explore(p, empty_object(), cfg))}
         want = {trace_to_lines(t) for t in oracle_sc(p, cfg)}
         ok &= got == want
     report(8, "explore(SC) equals the brute-force oracle on 50 random "
@@ -211,7 +212,7 @@ def test_criterion_9_wellformed_and_prefix_closed():
     total = 0
     for cl, ob, model in runs:
         ts = explore(load(cl), load(ob), ExploreConfig(model=model, values=1))
-        samples = ts.sample(300, seed=11)
+        samples = sample(ts, 300, seed=11)
         total += len(samples)
         for i, t in enumerate(samples):
             ok &= check_wellformed(t).ok

@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, output shapes, file artifacts."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -163,3 +167,28 @@ class TestErrors:
             main(["explore", "--model", "warp"])
         assert e.value.code == 2
 
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("argv", [
+        ["explore", "--model", "sc", "--client", C("fig5_client.wm"),
+         "--impl", C("spinlock_impl.wm")],
+        ["check", "--model", "tso", "--client", C("fig4_client.wm"),
+         "--spec", C("spinlock_spec.wm"), "--impl", C("spinlock_impl.wm")],
+    ], ids=["explore", "check"])
+    def test_reader_gone_exits_141_quietly(self, argv):
+        """As in `wmtr ... | head -1`, with the reader gone before the
+        first write: no error message and the SIGPIPE exit code, not the
+        usage-error code 2."""
+        r, w = os.pipe()
+        os.close(r)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        try:
+            proc = subprocess.run([sys.executable, "-m", "wmtr.cli", *argv],
+                                  stdout=w, stderr=subprocess.PIPE, env=env,
+                                  timeout=120)
+        finally:
+            os.close(w)
+        assert (proc.returncode, proc.stderr) == (141, b"")

@@ -14,16 +14,19 @@ from wmtr.events import (
     event_to_json,
 )
 from wmtr.memmodel import (
-    ExploreConfig, Model, TraceSet, _build, _tset, chaos_outputs, covert_ops,
-    enforced_order, enforced_order_of, explore, oracle_sc,
+    ExploreConfig, Model, TraceSet, _build, chaos_outputs, covert_ops,
+    enforced_order, enforced_order_of, explore,
 )
-from wmtr.porder import check_axioms, check_lemma1, from_traces
+from wmtr.porder import check_axioms, check_lemma1
 from wmtr.program import empty_object, events_of_program, parse
+from wmtr.storage import _tset
 
 from conftest import (
     corpus_text, relaxed_counter_witness, tso_spinlock_witness, writes_client,
 )
-from oracles import empirical_pairs_oracle
+from oracles import (
+    empirical_pairs_oracle, from_traces, materialize, oracle_sc, sample,
+)
 
 
 def cfg(model, **kw):
@@ -99,7 +102,7 @@ def graph_digest(ts):
         json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
 
 
-# RELAXED graph digests: the storage encoding is private to the engine, so
+# RELAXED graph digests: the storage encoding is private to `wmtr.storage`, so
 # a change to it must leave every id and every burst where it was
 CHAOS_DIGESTS = {  # chaos mode, values=1
     ("fig2_client.wm", "fig2_object.wm"):
@@ -132,6 +135,72 @@ OWN_MODE_DIGESTS = {  # the object's own mode, default bounds
     ("fig6_client.wm", "spinlock_impl.wm"):
         "268278c419a21deb1f2ec199c787041a857226687140351efb6e3855472e8007",
 }
+
+
+# SC and TSO graph digests, keyed (model, client, object): as for RELAXED,
+# a change to a storage discipline's encoding must leave them unchanged
+SC_TSO_CHAOS_DIGESTS = {  # chaos mode, values=1
+    (Model.SC, "fig2_client.wm", "fig2_object.wm"):
+        "91c12fe6ca601ddd6202e8247f291e2d08fd935698c69d780edf98ca177e68da",
+    (Model.SC, "fig4_client.wm", "spinlock_impl.wm"):
+        "99f81c43518dab328a9414497060da055e67238dec583c44eb61d75a775e6e8d",
+    (Model.SC, "fig5_client.wm", "spinlock_impl.wm"):
+        "2601a6b7ed09e6720b7c3739a9d13e3df1cfb7c8c0736daae16d559e6471a854",
+    (Model.SC, "fig5_notry_client.wm", "spinlock_impl_notry.wm"):
+        "09fae4171f7d44c7afffc315c669fbf76f5f55f200036e5571a9c87ad1ed8394",
+    (Model.SC, "fig6_client.wm", "spinlock_impl.wm"):
+        "333bd07d72025f8043a6bcc029f5672f1dc62a1324949a88a15b1242de539741",
+    (Model.TSO, "fig2_client.wm", "fig2_object.wm"):
+        "ce222db7e265022ee7ae250c82e3182b44c88a9a813460d70bbfa693ef592ad0",
+    (Model.TSO, "fig4_client.wm", "spinlock_impl.wm"):
+        "3c0ad22b272036912b9e16c148a7707e6bce4018ba6b0693968b4abaa3a0906b",
+    (Model.TSO, "fig5_client.wm", "spinlock_impl.wm"):
+        "d7b2e8112afbbc48f1ec25082cef7c97f8425526ecd49e313a807b3474906e17",
+    (Model.TSO, "fig5_notry_client.wm", "spinlock_impl_notry.wm"):
+        "d029c811da33227be7f5a757332c20a87d2507ecba7c2e5954b80e1fb80979ad",
+    (Model.TSO, "fig6_client.wm", "spinlock_impl.wm"):
+        "1ff32c87752fe80c56eb930894e8fb585957d865836e190aa940ab05c2067364",
+}
+
+SC_TSO_OWN_MODE_DIGESTS = {  # the object's own mode, default bounds
+    (Model.SC, "fig4_client.wm", "spinlock_spec.wm"):
+        "6a7910c339a255c5741eccd03e899f58b2a825197175090bfe8bc62ceefc0b6c",
+    (Model.SC, "fig4_client.wm", "spinlock_impl.wm"):
+        "65b2383e305a7ee66192c04b1b7deafa8d4ad3e268539fa55641cc19f8d97d84",
+    (Model.SC, "fig5_client.wm", "spinlock_spec.wm"):
+        "ddc211eb6e20495bfd032544eb7d42031b94cca4695d609ee4fe0c294b05a165",
+    (Model.SC, "fig5_client.wm", "spinlock_impl.wm"):
+        "5e6f445b60bb8fdc7e0f95f335d9b4ed3e20fb4b52a8aad19a6a833afc2cfc4c",
+    (Model.SC, "fig5_notry_client.wm", "spinlock_spec_notry.wm"):
+        "bb180ba46f3b6faa71811bb0aa62258c053c7501d79853f780e9dbac19fa2339",
+    (Model.SC, "fig5_notry_client.wm", "spinlock_impl_notry.wm"):
+        "6b530346a80147d816269a3b2752b657314c93e2df0215162dfd58bb19ac0493",
+    (Model.SC, "fig6_client.wm", "spinlock_spec.wm"):
+        "073223c280a9813c1f4c4ee484aa4b40c454b60769050575903dde0c009cb03f",
+    (Model.SC, "fig6_client.wm", "spinlock_impl.wm"):
+        "e926a1e49285813fed237c9d3d75e64f3738c4750ee233825158f64c2acb4e01",
+    (Model.TSO, "fig4_client.wm", "spinlock_spec.wm"):
+        "7cdfe2c3c06c88fb4078dba171e19973e02e8d2e382a8aab99fad6dcddb5be0a",
+    (Model.TSO, "fig4_client.wm", "spinlock_impl.wm"):
+        "28acb1effe858c14d33e8cf7d76e76a5018eb936a7a0e7c7df9926f3eda29449",
+    (Model.TSO, "fig5_client.wm", "spinlock_spec.wm"):
+        "0fcde9a31a7ba0f88713d6c34b1616b97031bf8284c16a449a845c8bbdda114e",
+    (Model.TSO, "fig5_client.wm", "spinlock_impl.wm"):
+        "ff6092a3975372069dee888963ecd6120083b196279b178a98b6de513ee0d7e1",
+    (Model.TSO, "fig5_notry_client.wm", "spinlock_spec_notry.wm"):
+        "6df3595eaefb5551f8ab9d0aa2e360b081b1288b94aefd0dccbec1a20b1751e7",
+    (Model.TSO, "fig5_notry_client.wm", "spinlock_impl_notry.wm"):
+        "8ae4a1ec0dbcda00a5fa00506c8166b6ae8719fe652bdde4fa99695b9d02a18a",
+    (Model.TSO, "fig6_client.wm", "spinlock_spec.wm"):
+        "19eb1e50649696abdb026b70f7da20655d2f5ec9076dcfc47c549333f01621d1",
+    (Model.TSO, "fig6_client.wm", "spinlock_impl.wm"):
+        "6a39a2787c7101fb048a3e55b9accfeadce8e8112ce38ce04db529c3e882f72e",
+}
+
+# fig5 x spinlock_impl under TSO with one buffer slot per core: the
+# client and the object both block on a full buffer
+TSO_FULL_BUFFER_DIGEST = \
+    "d056f5b2edbb156197b30e6a89f44d7ce80523a403f75df40a670299aa67c4c2"
 
 
 def final_pairs(ts, k1, k2):
@@ -197,7 +266,7 @@ class TestTraceSet:
     def test_prefix_closed_and_wellformed_samples(self):
         p, o = load("fig5_client.wm", "spinlock_impl.wm")
         ts = explore(p, o, cfg(Model.TSO, values=1))
-        for t in ts.sample(60, seed=3):
+        for t in sample(ts, 60, seed=3):
             assert check_wellformed(t).ok
             assert t in ts
             assert t[:len(t) // 2] in ts
@@ -214,12 +283,12 @@ class TestTraceSet:
         p, o = load("fig5_client.wm", "spinlock_impl.wm")
         ts = explore(p, o, cfg(Model.TSO, values=1))
         with pytest.raises(ValueError):
-            ts.materialize(max_traces=10)
+            materialize(ts, max_traces=10)
 
     def test_empirical_pairs_match_definition(self):
         p, o = load("fig2_client.wm", "fig2_object.wm")
         ts = _build(p, o, cfg(Model.TSO, values=1), "chaos")
-        mat = ts.materialize()
+        mat = materialize(ts)
         definitional = from_traces(ts.universe, mat)
         empirical = frozenset((a, b) for a, b in ts.empirical_pairs()
                               if a in ts.universe and b in ts.universe)
@@ -241,7 +310,7 @@ class TestOracle:
     def test_engine_matches_oracle(self, text):
         p = parse(text)
         c = cfg(Model.SC, values=2)
-        assert explore(p, empty_object(), c).materialize() == oracle_sc(p, c)
+        assert materialize(explore(p, empty_object(), c)) == oracle_sc(p, c)
 
 
 class TestWitnesses:
@@ -336,7 +405,7 @@ class TestEnforcedOrder:
     def test_sc_observations_hug_their_events(self):
         p, o = load("fig2_client.wm", "fig2_object.wm")
         ts = _build(p, o, cfg(Model.SC, values=1), "chaos")
-        for t in ts.materialize():
+        for t in materialize(ts):
             for i, e in enumerate(t):
                 if isinstance(e, ProgObs):
                     assert t[i - 1] == ProgStep(e.step, (e.var, e.value))
@@ -427,6 +496,23 @@ class TestGraphIdentity:
         ts = explore(p, o, cfg(Model.RELAXED))
         assert graph_digest(ts) == OWN_MODE_DIGESTS[client, obj]
 
+    @pytest.mark.parametrize("model,client,obj", sorted(SC_TSO_CHAOS_DIGESTS))
+    def test_sc_tso_chaos_graph_unchanged(self, model, client, obj,
+                                          chaos_graph):
+        ts = chaos_graph(client, obj, model)
+        assert graph_digest(ts) == SC_TSO_CHAOS_DIGESTS[model, client, obj]
+
+    @pytest.mark.parametrize("model,client,obj", sorted(SC_TSO_OWN_MODE_DIGESTS))
+    def test_sc_tso_own_mode_graph_unchanged(self, model, client, obj):
+        p, o = load(client, obj)
+        ts = explore(p, o, cfg(model))
+        assert graph_digest(ts) == SC_TSO_OWN_MODE_DIGESTS[model, client, obj]
+
+    def test_tso_full_buffer_graph_unchanged(self):
+        p, o = load("fig5_client.wm", "spinlock_impl.wm")
+        ts = explore(p, o, cfg(Model.TSO, buffer=1))
+        assert graph_digest(ts) == TSO_FULL_BUFFER_DIGEST
+
     def test_digest_sees_a_moved_burst(self, chaos_graph):
         ts = chaos_graph("fig2_client.wm", "fig2_object.wm", Model.RELAXED)
         s = next(i for i, acts in ts.graph.items()
@@ -454,7 +540,7 @@ class TestLongRuns:
     def test_contains_agrees_with_the_materialized_set(self, model):
         ts = explore(parse(writes_client(3)), empty_object(),
                      cfg(model, buffer=2))
-        traces = ts.materialize()
+        traces = materialize(ts)
         assert all(t in ts for t in traces)
         events = {e for t in traces for e in t}
         for t in traces:
@@ -524,7 +610,7 @@ def test_random_straightline_clients_match_oracle(data):
         lines.append(f"thread T{i} {{ {' '.join(body)} }}")
     p = parse("\n".join(lines))
     c = ExploreConfig(model=Model.SC, values=2)
-    assert explore(p, empty_object(), c).materialize() == oracle_sc(p, c)
+    assert materialize(explore(p, empty_object(), c)) == oracle_sc(p, c)
 
 
 @st.composite

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 
 import genrel
 from conftest import tso_spinlock_witness, wellformed_traces
+from oracles import from_traces
 from wmtr.events import Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId
 from wmtr.porder import (
     LAW_CROSS_OP,
@@ -15,7 +16,6 @@ from wmtr.porder import (
     check_axioms,
     check_lemma1,
     closure,
-    from_traces,
     order_from_lines,
     order_to_lines,
     to_dot,

@@ -8,6 +8,7 @@ from wmtr.refine import check_wmtr, minimize, refute_object_refinement
 from wmtr.program import parse
 
 from conftest import corpus_text, tso_spinlock_witness
+from oracles import sample
 
 
 def load(name):
@@ -120,7 +121,7 @@ class TestMinimize:
     def test_rejects_non_refuting_trace(self, corpus):
         cfg = ExploreConfig(model=Model.TSO, values=1)
         ts = explore(corpus["fig5"], corpus["impl"], cfg)
-        t = next(t for t in ts.sample(50, seed=1) if len(t) <= 2)
+        t = next(t for t in sample(ts, 50, seed=1) if len(t) <= 2)
         with pytest.raises(ValueError, match="does not refute"):
             minimize(t, corpus["fig5"], corpus["spec"], corpus["impl"], cfg)
 
