@@ -4,6 +4,12 @@ One engine, parameterised by a storage discipline: `storage` holds SC,
 TSO and RELAXED, one class each behind one interface, and the engine
 picks the class once from `DISCIPLINES`.
 
+States are collapse-compressed: each distinct tuple of thread states is
+stored once, in a table on the engine, and a state holds its index; the
+RELAXED discipline does the same for its per-variable entries.  Hashing
+a state, once per edge, thus touches a few ints and short tuples and
+not the syntax trees the threads' control stacks point into.
+
 Observation placement: a program step's observation fires when its
 write is visible to every core; an operation's observation fires when
 the operation's last shared write is visible to every core, never
@@ -76,11 +82,14 @@ class ThreadState(NamedTuple):
 
 
 class EngineState(NamedTuple):
-    threads: tuple  # sorted (thread, ThreadState)
+    threads: int    # id in _Engine.threads of a sorted ((thread, ThreadState), ...)
     machine: tuple
-    storage: tuple  # owned by the storage discipline
+    storage: tuple  # owned by the storage discipline; RELAXED: entry ids
     objst: Optional[tuple]  # spec valuation
     book: tuple  # spec: responded, unobserved (opid, out, core)
+
+
+_UNBOUND = object()  # `look`'s default: the name is no register of the thread
 
 
 def _norm_frames(frames: tuple) -> tuple:
@@ -115,13 +124,26 @@ class _Engine:
         self.covert = covert_ops(p, obj)
         self.chaosouts = {name: chaos_outputs(op, cfg.values)
                           for name, op in obj.ops.items()}
+        # collapse compression: each distinct thread tuple is stored once
+        # and a state holds its index, so a state hashes as a few ints
+        self.threads: List[tuple] = []
+        self.thread_ids: Dict[tuple, int] = {}
+        self.checked = {()}  # bursts known to lie in the universe
 
     def root(self) -> EngineState:
         threads = tuple(sorted(
             (th, ThreadState(_norm_frames((("s", body, 0),)), (), (), 0, None))
             for th, body in self.p.threads.items()))
         objst = tuple(sorted(self.obj.shared.items())) if self.mode == "spec" else None
-        return EngineState(threads, MACHINE_EMPTY, self.mem.initial(), objst, ())
+        return EngineState(self._thread_id(threads), MACHINE_EMPTY,
+                           self.mem.initial(), objst, ())
+
+    def _thread_id(self, threads: tuple) -> int:
+        tid = self.thread_ids.get(threads)
+        if tid is None:
+            tid = self.thread_ids[threads] = len(self.threads)
+            self.threads.append(threads)
+        return tid
 
     def inv_allowed(self, st: EngineState, thread: str) -> bool:
         core = self.coremap[thread]
@@ -129,14 +151,14 @@ class _Engine:
             return self.mem.inv_ready(st.storage, core, False)
         return (self.mem.inv_ready(st.storage, core, True)
                 and all(ts2.call is None or self.coremap[th2] == core
-                        for th2, ts2 in st.threads)
+                        for th2, ts2 in self.threads[st.threads])
                 and all(c == core for (_, _, c) in st.book))
 
     # actions
 
     def actions(self, st: EngineState) -> List[Tuple[tuple, EngineState]]:
         out: List[Tuple[tuple, EngineState]] = []
-        for th, ts in st.threads:
+        for th, ts in self.threads[st.threads]:
             if ts.call is None:
                 a = self.client_action(st, th, ts)
                 if a is not None:
@@ -144,15 +166,21 @@ class _Engine:
             else:
                 out.extend(self.call_actions(st, th, ts))
         threads, machine, storage, objst, book = st
+        new = tuple.__new__  # EngineState's own constructor, without its call
         for burst, storage2 in self.mem.moves(storage):
-            out.append((burst, EngineState(threads, machine, storage2, objst, book)))
+            out.append((burst, new(EngineState,
+                                   (threads, machine, storage2, objst, book))))
         for j, (opid, outv, core) in enumerate(book):
             st2 = st._replace(book=book[:j] + book[j + 1:])
             out.append(((OpObs(opid, outv),), st2))
+        checked = self.checked
         for burst, _ in out:
-            for e in burst:
-                if e not in self.universe:
-                    raise AssertionError(f"event outside the program universe: {e}")
+            if burst not in checked:
+                for e in burst:
+                    if e not in self.universe:
+                        raise AssertionError(
+                            f"event outside the program universe: {e}")
+                checked.add(burst)
         return out
 
     def client_action(self, st, th, ts):
@@ -161,10 +189,8 @@ class _Engine:
         core = self.coremap[th]
 
         def look(name):
-            v = _tget(ts.regs, name)
-            if v is not None or any(k == name for k, _ in ts.regs):
-                return v
-            return self.mem.read(st.storage, core, name)
+            v = _tget(ts.regs, name, _UNBOUND)
+            return self.mem.read(st.storage, core, name) if v is _UNBOUND else v
 
         top = ts.frames[-1]
         if top[0] == "l":
@@ -187,8 +213,9 @@ class _Engine:
 
         if isinstance(s, While):
             frames2 = ts.frames[:-1] + (("s", stmts, i + 1), ("l", s, self.cfg.unroll))
-            ts2 = ts._replace(frames=frames2)
-            return self.client_action(self._set_thread(st, th, ts2), th, ts2)
+            # `st` keeps the thread's old slot: only `inv_allowed` reads it,
+            # and only its call, which is None in both
+            return self.client_action(st, th, ts._replace(frames=frames2))
         if isinstance(s, Assign):
             lab = label_of(s)
             v = eval_expr(s.expr, look, self.cfg.values)
@@ -326,8 +353,9 @@ class _Engine:
         return out_actions
 
     def _set_thread(self, st: EngineState, th: str, ts: ThreadState) -> EngineState:
-        threads = tuple((t, (ts if t == th else x)) for t, x in st.threads)
-        return st._replace(threads=threads)
+        threads = tuple((t, (ts if t == th else x))
+                        for t, x in self.threads[st.threads])
+        return st._replace(threads=self._thread_id(threads))
 
 
 # --- trace sets ---

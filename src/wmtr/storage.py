@@ -2,7 +2,10 @@
 
 Each memory model is one class behind one interface, and the engine in
 `memmodel` calls only that interface.  A storage value is an immutable
-tuple; every method takes one and returns a new one.
+tuple; every method takes one and returns a new one.  RELAXED keeps the
+parts of its values in tables on the instance and puts their ids in the
+value, so a value means something only to the instance that made it:
+one instance serves one build.
 
   SC       writes hit memory at once; observations are emitted in the
            same burst as the event they observe.
@@ -174,24 +177,40 @@ class TSO(Storage):
 
 
 class RELAXED(Storage):
-    """Sorted ((var, (recs, posv)), ...) over the variables written so far.
+    """Sorted ((var, entry_id), ...) over the variables written so far.
 
-    posv[k] is the position in recs of the latest record of var that the
-    core of rank k (its index in the sorted cores) received, -1 before
-    any.  A record is the tuple
+    An entry is the pair (recs, posv) of one variable, interned in
+    `entries` (collapse compression: the 47k states of the largest
+    corpus graph hold a few dozen distinct entries), so a storage value
+    is a short tuple of small ints and strs.  posv[k] is the position in
+    recs of the latest record of var that the core of rank k (its index
+    in the sorted cores) received, -1 before any.  A record is the tuple
       (val, core_rank, kind, carrier_code, covered_mask, obs_code, emitted)
     where bit k of covered_mask says core k received or superseded it,
     and carrier and observation are interned in `decode` (code 0 is
     None); an observation is decoded when its record emits it.  The ref
-    of a write is (var, pos)."""
+    of a write is (var, pos).
+
+    An entry's own steps do not depend on the variable or on the rest
+    of the storage, so `moves` computes them once per entry id, as
+    [(burst, entry_id')]; likewise `entry` notes once which cores still
+    have a record in flight, for `drained` and `inv_ready`.  Every table
+    lives on the instance and goes with the build."""
 
     def __init__(self, cores, initials, buffer):
         super().__init__(cores, initials, buffer)
         self.rank = {c: k for k, c in enumerate(cores)}
         self.full = (1 << len(cores)) - 1
-        self.unseen = (-1,) * len(cores)
         self.codes: Dict[object, int] = {None: 0}
         self.decode: List[object] = [None]
+        self.entry_ids: Dict[tuple, int] = {}
+        self.entries: List[tuple] = []
+        # per entry id: bit k set iff core k issued a record (a program
+        # record) that not every core has yet
+        self.pending: List[int] = []
+        self.pending_prog: List[int] = []
+        self.entry_moves: List[Optional[list]] = []
+        self.unseen_id = self.entry(((), (-1,) * len(cores)))
 
     def intern(self, x) -> int:
         code = self.codes.get(x)
@@ -200,24 +219,40 @@ class RELAXED(Storage):
             self.decode.append(x)
         return code
 
+    def entry(self, e: tuple) -> int:
+        """The id of entry `e`, interned on first sight."""
+        eid = self.entry_ids.get(e)
+        if eid is None:
+            eid = self.entry_ids[e] = len(self.entries)
+            self.entries.append(e)
+            pending = pending_prog = 0
+            for _, c, kind, _, cov, _, _ in e[0]:
+                if cov != self.full:
+                    pending |= 1 << c
+                    if kind == "prog":
+                        pending_prog |= 1 << c
+            self.pending.append(pending)
+            self.pending_prog.append(pending_prog)
+            self.entry_moves.append(None)
+        return eid
+
+    def _get(self, s, var):
+        return self.entries[_tget(s, var, self.unseen_id)]
+
     def initial(self):
         return ()
 
     def read(self, s, core, var):
-        entry = _tget(s, var)
-        if entry is not None:
-            recs, posv = entry
-            pos = posv[self.rank[core]]
-            if pos >= 0:
-                return recs[pos][0]
-        return self.initials[var]
+        recs, posv = self._get(s, var)
+        pos = posv[self.rank[core]]
+        return recs[pos][0] if pos >= 0 else self.initials[var]
 
     def latest(self, s, core, var):
-        entry = _tget(s, var)
-        return entry[0][-1][0] if entry else self.initials[var]
+        recs, _ = self._get(s, var)
+        return recs[-1][0] if recs else self.initials[var]
 
     def write(self, s, core, var, val, kind, carrier, obs):
-        recs, posv = _tget(s, var, ((), self.unseen))
+        recs, posv = self._get(s, var)
         pos = len(recs)
         k = self.rank[core]
         bit = 1 << k
@@ -228,10 +263,11 @@ class RELAXED(Storage):
             for v, c, kd, ca, cov, ob, em in recs[old + 1:])
         rec = (val, k, kind, self.intern(carrier), bit, self.intern(obs), False)
         posv = posv[:k] + (pos,) + posv[k + 1:]
-        return _tset(s, var, (recs + (rec,), posv)), (), (var, pos)
+        return (_tset(s, var, self.entry((recs + (rec,), posv))), (),
+                (var, pos))
 
     def tas_write(self, s, core, var, val, carrier):
-        recs, posv = _tget(s, var, ((), self.unseen))
+        recs, posv = self._get(s, var)
         pos = len(recs)
         # every core jumps to the new record, superseding those it lacks
         recs = tuple(
@@ -240,54 +276,63 @@ class RELAXED(Storage):
             for i, (v, c, kd, ca, cov, ob, em) in enumerate(recs))
         rec = (val, self.rank[core], "obj", self.intern(carrier), self.full, 0,
                False)
-        return _tset(s, var, (recs + (rec,), (pos,) * len(posv))), (var, pos)
+        eid = self.entry((recs + (rec,), (pos,) * len(posv)))
+        return _tset(s, var, eid), (var, pos)
 
     def attach(self, s, core, ref, opid, obs):
         if ref is None:
             return None
         var, pos = ref
-        recs, posv = _tget(s, var)
+        recs, posv = self._get(s, var)
         rec = recs[pos]
         if rec[4] == self.full:
             return None
         rec2 = rec[:5] + (self.intern(obs),) + rec[6:]
-        return _tset(s, var, (recs[:pos] + (rec2,) + recs[pos + 1:], posv))
+        return _tset(s, var, self.entry((recs[:pos] + (rec2,) + recs[pos + 1:],
+                                         posv)))
 
-    def _covered(self, s, core, prog_only: bool) -> bool:
-        k = self.rank[core]
-        full = self.full
-        for _, (recs, _) in s:
-            for _, c, kind, _, cov, _, _ in recs:
-                if c == k and cov != full and (not prog_only or kind == "prog"):
-                    return False
-        return True
+    def _pending(self, s, core, table) -> bool:
+        bit = 1 << self.rank[core]
+        return any(table[eid] & bit for _, eid in s)
 
     def drained(self, s, core):
-        return self._covered(s, core, prog_only=False)
+        return not self._pending(s, core, self.pending)
 
     def inv_ready(self, s, core, spec):
-        return not spec or self._covered(s, core, prog_only=True)
+        return not spec or not self._pending(s, core, self.pending_prog)
 
     def moves(self, s):
         out = []
+        memo = self.entry_moves
+        for i, (var, eid) in enumerate(s):
+            steps = memo[eid]
+            if steps is None:
+                steps = memo[eid] = self._entry_moves(eid)
+            if steps:
+                head, tail = s[:i], s[i + 1:]
+                for burst, eid2 in steps:
+                    out.append((burst, head + ((var, eid2),) + tail))
+        return out
+
+    def _entry_moves(self, eid: int) -> list:
+        """[(burst, entry_id')]: each record that every core has emits
+        its observation, and each other record propagates to every core
+        next in line for it; records by position, cores by rank."""
+        recs, posv = self.entries[eid]
+        out = []
         full = self.full
-        ranks = range(len(self.unseen))
-        for i, (var, (recs, posv)) in enumerate(s):
-            head, tail = s[:i], s[i + 1:]
-            for pos, (v, c, kd, ca, cov, ob, em) in enumerate(recs):
-                if cov == full and (not ob or em):
+        for pos, (v, c, kd, ca, cov, ob, em) in enumerate(recs):
+            if cov == full and (not ob or em):
+                continue
+            before, after = recs[:pos], recs[pos + 1:]
+            if cov == full:  # every core has it: emit its observation
+                recs2 = before + ((v, c, kd, ca, cov, ob, True),) + after
+                out.append(((self.decode[ob],), self.entry((recs2, posv))))
+                continue
+            for k in range(len(posv)):  # propagate to each core next in line
+                if cov >> k & 1 or posv[k] != pos - 1:
                     continue
-                before, after = recs[:pos], recs[pos + 1:]
-                if cov == full:  # every core has it: emit its observation
-                    recs2 = before + ((v, c, kd, ca, cov, ob, True),) + after
-                    out.append(((self.decode[ob],),
-                                head + ((var, (recs2, posv)),) + tail))
-                    continue
-                for k in ranks:  # propagate to each core next in line
-                    if cov >> k & 1 or posv[k] != pos - 1:
-                        continue
-                    rec2 = (v, c, kd, ca, cov | 1 << k, ob, em)
-                    posv2 = posv[:k] + (pos,) + posv[k + 1:]
-                    entry = (before + (rec2,) + after, posv2)
-                    out.append(((), head + ((var, entry),) + tail))
+                rec2 = (v, c, kd, ca, cov | 1 << k, ob, em)
+                posv2 = posv[:k] + (pos,) + posv[k + 1:]
+                out.append(((), self.entry((before + (rec2,) + after, posv2))))
         return out

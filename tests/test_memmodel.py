@@ -3,6 +3,7 @@ containment, oracle agreement under SC, and empirical-order structure."""
 
 import hashlib
 import json
+import re
 from itertools import permutations
 
 import pytest
@@ -19,7 +20,7 @@ from wmtr.memmodel import (
 )
 from wmtr.porder import check_axioms, check_lemma1
 from wmtr.program import empty_object, events_of_program, parse
-from wmtr.storage import _tset
+from wmtr.storage import RELAXED, _tset
 
 from conftest import (
     corpus_text, relaxed_counter_witness, tso_spinlock_witness, writes_client,
@@ -459,6 +460,25 @@ class TestEnforcedOrder:
         self.fig2(Model.TSO)
         assert len(calls) == 1
 
+    def test_event_outside_universe_raises(self, monkeypatch, chaos_graph):
+        """Each distinct burst is checked against the universe once; an
+        observation the RELAXED storage emits must still be caught."""
+        client, obj = "fig2_client.wm", "fig2_object.wm"
+        ts = chaos_graph(client, obj, Model.RELAXED)
+        emitted = {e for acts in ts.graph.values()
+                   for burst, _ in acts for e in burst}
+        dropped = min((e for e in emitted if isinstance(e, ProgObs)),
+                      key=event_to_json)
+
+        def short(*args):
+            return events_of_program(*args) - {dropped}
+
+        monkeypatch.setattr("wmtr.memmodel.events_of_program", short)
+        p, o = load(client, obj)
+        with pytest.raises(AssertionError, match=re.escape(
+                f"event outside the program universe: {dropped}")):
+            _build(p, o, cfg(Model.RELAXED, values=1), "chaos")
+
 
 class TestStateIds:
     def test_fig5_relaxed_chaos_anchor(self, chaos_graph):
@@ -512,6 +532,47 @@ class TestGraphIdentity:
         p, o = load("fig5_client.wm", "spinlock_impl.wm")
         ts = explore(p, o, cfg(Model.TSO, buffer=1))
         assert graph_digest(ts) == TSO_FULL_BUFFER_DIGEST
+
+    def test_tables_are_per_engine(self):
+        """Thread tuples and RELAXED entries are interned per build, so
+        no build sees another's ids or memoised moves.  fig4 follows
+        fig6 because their RELAXED entries coincide as tuples: with one
+        shared table, fig4 would reuse fig6's decoded observations."""
+        fig6 = ("fig6_client.wm", "spinlock_impl.wm")
+        fig2 = ("fig2_client.wm", "fig2_object.wm")
+        fig4 = ("fig4_client.wm", "spinlock_impl.wm")
+        for client, obj in (fig6, fig2, fig6, fig4, fig6):
+            p, o = load(client, obj)
+            ts = _build(p, o, cfg(Model.RELAXED, values=1), "chaos")
+            assert graph_digest(ts) == CHAOS_DIGESTS[client, obj]
+
+    def test_memoised_relaxed_moves_repeat_the_first(self):
+        """`moves` computes the steps of a storage entry once; every
+        later call on a storage holding it gives what the first gave."""
+        cores = ("c0", "c1", "c2")
+        mem = RELAXED(cores, {"x": 0, "y": 0}, 4)
+        s, written = mem.initial(), set()
+        for core, var, val in (("c0", "x", 1), ("c1", "y", 2), ("c0", "x", 2)):
+            sid = StepId(core, f"{var}:={val}", 0)
+            written.add(ProgObs(sid, var, val))
+            s, _, _ = mem.write(s, core, var, val, "prog", sid,
+                                ProgObs(sid, var, val))
+        seen, stack, emitted, finals = {s}, [s], set(), set()
+        while stack:
+            u = stack.pop()
+            first = mem.moves(u)
+            assert mem.moves(u) == first
+            if not first:
+                finals.add(u)
+            for burst, u2 in first:
+                emitted.update(burst)
+                if u2 not in seen:
+                    seen.add(u2)
+                    stack.append(u2)
+        assert emitted == written
+        assert finals and all(
+            (mem.read(u, c, "x"), mem.read(u, c, "y")) == (2, 2)
+            for u in finals for c in cores)
 
     def test_digest_sees_a_moved_burst(self, chaos_graph):
         ts = chaos_graph("fig2_client.wm", "fig2_object.wm", Model.RELAXED)
@@ -614,24 +675,36 @@ def test_random_straightline_clients_match_oracle(data):
 
 
 @st.composite
-def fenced_clients(draw):
+def fenced_clients(draw, loops=False):
     """Clients of 1-2 threads with up to three statements each: global
     writes of literals, globals or earlier-read registers, global reads
-    into registers, and fences."""
+    into registers, and fences; with `loops`, also `while` loops on a
+    global whose body is one write or read."""
     names = ["x", "y"]
     lines = [f"global {v} = 0;" for v in names]
+    kinds = ["write", "read", "fence"] + (["loop"] if loops else [])
     for i in range(draw(st.integers(1, 2))):
         body, regs = [], []
+
+        def access(j, kind):
+            if kind == "read":
+                return f"r{j} := {draw(st.sampled_from(names))};"
+            src = draw(st.sampled_from(["1", "2"] + names + regs))
+            return f"{draw(st.sampled_from(names))} := {src};"
+
         for j in range(draw(st.integers(0, 3))):
-            kind = draw(st.sampled_from(["write", "read", "fence"]))
+            kind = draw(st.sampled_from(kinds))
             if kind == "fence":
                 body.append("fence;")
-            elif kind == "read":
-                regs.append(f"r{j}")
-                body.append(f"r{j} := {draw(st.sampled_from(names))};")
+            elif kind == "loop":
+                # a register read in the body may stay unbound: not in regs
+                test = f"{draw(st.sampled_from(names))} != 2"
+                inner = access(j, draw(st.sampled_from(["write", "read"])))
+                body.append(f"while ({test}) {{ {inner} }}")
             else:
-                src = draw(st.sampled_from(["1", "2"] + names + regs))
-                body.append(f"{draw(st.sampled_from(names))} := {src};")
+                body.append(access(j, kind))
+                if kind == "read":
+                    regs.append(f"r{j}")
         lines.append(f"thread T{i} {{ {' '.join(body)} }}")
     return "\n".join(lines)
 
@@ -645,3 +718,37 @@ def test_observables_grow_with_weaker_models(text):
                            ExploreConfig(model=m, values=2)).observables()
                    for m in (Model.SC, Model.TSO, Model.RELAXED))
     assert sc <= tso <= rx
+
+
+def _observables(text, **bounds):
+    return explore(parse(text), empty_object(),
+                   ExploreConfig(values=2, **bounds)).observables()
+
+
+# every run within the smaller bound is a run within the larger one
+@settings(max_examples=100, deadline=None)
+@given(fenced_clients(loops=True))
+def test_observables_grow_with_unroll(text):
+    for model in Model:
+        assert _observables(text, model=model, unroll=1) <= \
+            _observables(text, model=model, unroll=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fenced_clients(loops=True))
+def test_tso_observables_grow_with_buffer(text):
+    assert _observables(text, model=Model.TSO, buffer=1) <= \
+        _observables(text, model=Model.TSO, buffer=2)
+
+
+def test_bounds_properties_are_not_vacuous():
+    """A client on which each larger bound adds observables."""
+    loop = "global x = 0;\nthread T { while (x != 2) { x := x + 1; } }"
+    for model in Model:
+        assert _observables(loop, model=model, unroll=1) < \
+            _observables(loop, model=model, unroll=2)
+    sb = ("global x = 0;\nglobal y = 0;\nglobal z = 0;\nglobal a = 0;\n"
+          "global b = 0;\nthread T1 { x := 1; y := 1; r := z; a := r; }\n"
+          "thread T2 { z := 1; r2 := x; b := r2; }")
+    assert _observables(sb, model=Model.TSO, buffer=1) < \
+        _observables(sb, model=Model.TSO, buffer=2)
