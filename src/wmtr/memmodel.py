@@ -10,6 +10,14 @@ RELAXED discipline does the same for its per-variable entries.  Hashing
 a state, once per edge, thus touches a few ints and short tuples and
 not the syntax trees the threads' control stacks point into.
 
+The graph a build returns is stored as flat `array('i')` columns, one
+entry per edge: the successor's id and the id of the edge's burst in a
+per-build table of distinct bursts (few: fig5 x spinlock_impl under
+RELAXED has 22 non-empty ones on 258,573 edges).  Every pass over the
+graph runs on those columns and works out what it needs of a burst once
+per burst id; `TraceSet.graph` is a read-only mapping view for readers
+that want the edges of an id as tuples.
+
 Observation placement: a program step's observation fires when its
 write is visible to every core; an operation's observation fires when
 the operation's last shared write is visible to every core, never
@@ -29,6 +37,8 @@ effectful operation.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, NamedTuple, Optional, Tuple
@@ -128,7 +138,6 @@ class _Engine:
         # and a state holds its index, so a state hashes as a few ints
         self.threads: List[tuple] = []
         self.thread_ids: Dict[tuple, int] = {}
-        self.checked = {()}  # bursts known to lie in the universe
 
     def root(self) -> EngineState:
         threads = tuple(sorted(
@@ -173,14 +182,6 @@ class _Engine:
         for j, (opid, outv, core) in enumerate(book):
             st2 = st._replace(book=book[:j] + book[j + 1:])
             out.append(((OpObs(opid, outv),), st2))
-        checked = self.checked
-        for burst, _ in out:
-            if burst not in checked:
-                for e in burst:
-                    if e not in self.universe:
-                        raise AssertionError(
-                            f"event outside the program universe: {e}")
-                checked.add(burst)
         return out
 
     def client_action(self, st, th, ts):
@@ -368,31 +369,49 @@ class TraceSet:
     path from the root, including cuts inside a single action's burst.
 
     States are int ids, numbered 0..n-1 in the order the build first
-    generated them: `root` is 0 and `graph` maps each id to its edges,
-    a tuple of (burst, successor id)."""
+    generated them; `root` is 0.  The graph is stored as flat arrays:
+    the edges of state s are the indices k in range(start[s], stop[s]),
+    and edge k leads to state succ[k] with the burst bursts[burst_id[k]].
+    `bursts` is the build's table of distinct bursts, id 0 being the
+    empty burst of a silent step.  Each state's edges are contiguous, in
+    the order the engine generated them; the states themselves are laid
+    out in the order the build expanded them, not in id order.
+
+    `graph` is a read-only view of the arrays as a mapping from each id
+    to its edges, a tuple of (burst, successor id)."""
     root: int
-    graph: Dict[int, tuple]
     universe: frozenset
+    bursts: List[tuple]
+    succ: array
+    burst_id: array
+    start: array
+    stop: array
     _topo: Optional[list] = field(default=None, repr=False)
     _obs: Optional[frozenset] = field(default=None, repr=False)
 
     @property
     def states(self) -> int:
-        return len(self.graph)
+        return len(self.start)
+
+    @property
+    def graph(self) -> GraphView:
+        return GraphView(self)
 
     def topo(self) -> list:
         """States in a root-first topological order."""
         if self._topo is not None:
             return self._topo
-        graph = self.graph
-        order, seen = [], {self.root}
-        stack = [(self.root, iter(graph[self.root]))]
+        succ, start, stop = self.succ, self.start, self.stop
+        root = self.root
+        order, seen = [], bytearray(len(start))
+        seen[root] = 1
+        stack = [(root, iter(succ[start[root]:stop[root]]))]
         while stack:
             node, it = stack[-1]
-            for _, nxt in it:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append((nxt, iter(graph[nxt])))
+            for nxt in it:
+                if not seen[nxt]:
+                    seen[nxt] = 1
+                    stack.append((nxt, iter(succ[start[nxt]:stop[nxt]])))
                     break
             else:
                 order.append(node)
@@ -404,6 +423,8 @@ class TraceSet:
     def __contains__(self, trace) -> bool:
         """Reachability in the product of the graph with trace positions;
         a burst longer than the rest of the trace accepts on a prefix."""
+        bursts, succ, burst_id = self.bursts, self.succ, self.burst_id
+        start, stop = self.start, self.stop
         trace = tuple(trace)
         end = len(trace)
         seen = {(self.root, 0)}
@@ -412,12 +433,14 @@ class TraceSet:
             s, k = stack.pop()
             if k == end:
                 return True
-            for burst, s2 in self.graph[s]:
+            for x in range(start[s], stop[s]):
+                burst = bursts[burst_id[x]]
                 n = len(burst)
                 if trace[k:k + n] == burst:
-                    if (s2, k + n) not in seen:
-                        seen.add((s2, k + n))
-                        stack.append((s2, k + n))
+                    nxt = (succ[x], k + n)
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        stack.append(nxt)
                 elif end - k < n and burst[:end - k] == trace[k:]:
                     return True
         return False
@@ -426,16 +449,22 @@ class TraceSet:
         """All observable behaviours (sequences of program observations)."""
         if self._obs is not None:
             return self._obs
-        suffix: Dict[int, frozenset] = {}
+        succ, burst_id, start, stop = self.succ, self.burst_id, self.start, self.stop
+        # per burst id: its program observations and their non-empty prefixes
+        proj = [tuple((e.step.thread, e.var, e.value) for e in burst
+                      if isinstance(e, ProgObs)) for burst in self.bursts]
+        heads = [[po[:j] for j in range(1, len(po) + 1)] for po in proj]
+        suffix: List[Optional[frozenset]] = [None] * len(start)
         for s in reversed(self.topo()):
             acc = {()}
-            for burst, s2 in self.graph[s]:
-                po = tuple((e.step.thread, e.var, e.value) for e in burst
-                           if isinstance(e, ProgObs))
-                for j in range(1, len(po) + 1):
-                    acc.add(po[:j])
-                for t in suffix[s2]:
-                    acc.add(po + t)
+            for k in range(start[s], stop[s]):
+                b = burst_id[k]
+                po = proj[b]
+                if po:
+                    acc.update(heads[b])
+                    acc.update([po + t for t in suffix[succ[k]]])
+                else:
+                    acc.update(suffix[succ[k]])
             suffix[s] = frozenset(acc)
         self._obs = suffix[self.root]
         return self._obs
@@ -444,41 +473,68 @@ class TraceSet:
         """(a, b) iff b occurs and a precedes b in every trace where b
         occurs; computed as a meet over paths through the graph.
 
-        Event sets are int bitmasks: bit k stands for the k-th distinct
-        event met, `reach[s]` holds the events on every path to state s
-        and `before[k]` those before event k on every path reaching it."""
+        Event sets are int bitmasks: bit x stands for the x-th distinct
+        event of the burst table, `reach[s]` holds the events on every
+        path to state s and `before[x]` those before event x on every
+        path reaching it."""
+        succ, burst_id, start, stop = self.succ, self.burst_id, self.start, self.stop
         events: List[Event] = []
         index: Dict[Event, int] = {}
-        coded: Dict[tuple, tuple] = {}  # burst -> its events' bit numbers
-        before: Dict[int, int] = {}
-        reach: Dict[int, int] = {self.root: 0}
+        coded = []  # burst id -> its events' bit numbers
+        for burst in self.bursts:
+            for e in burst:
+                if e not in index:
+                    index[e] = len(events)
+                    events.append(e)
+            coded.append(tuple(index[e] for e in burst))
+        # each event lies on some edge, so the loop below sets every entry
+        before: List[Optional[int]] = [None] * len(events)
+        reach: List[Optional[int]] = [None] * len(start)
+        reach[self.root] = 0
         for s in self.topo():
             base = reach[s]
-            for burst, s2 in self.graph[s]:
+            for k in range(start[s], stop[s]):
                 here = base
-                if burst:
-                    bits = coded.get(burst)
-                    if bits is None:
-                        for e in burst:
-                            if e not in index:
-                                index[e] = len(events)
-                                events.append(e)
-                        bits = coded[burst] = tuple(index[e] for e in burst)
-                    for k in bits:
-                        prior = before.get(k)
-                        before[k] = here if prior is None else prior & here
-                        here |= 1 << k
-                prior = reach.get(s2)
+                for x in coded[burst_id[k]]:
+                    prior = before[x]
+                    before[x] = here if prior is None else prior & here
+                    here |= 1 << x
+                s2 = succ[k]
+                prior = reach[s2]
                 reach[s2] = here if prior is None else prior & here
         pairs = set()
-        for k, mask in before.items():
-            b = events[k]
-            mask &= ~(1 << k)
+        for x, mask in enumerate(before):
+            b = events[x]
+            mask &= ~(1 << x)
             while mask:
                 low = mask & -mask
                 pairs.add((events[low.bit_length() - 1], b))
                 mask ^= low
         return frozenset(pairs)
+
+
+class GraphView(Mapping):
+    """Read-only view of a TraceSet's edge arrays as a mapping from each
+    state id to its edges, a tuple of (burst, successor id); the tuples
+    are made on each lookup."""
+    __slots__ = ("_ts",)
+
+    def __init__(self, ts: TraceSet):
+        self._ts = ts
+
+    def __getitem__(self, s: int) -> tuple:
+        ts = self._ts
+        if not (isinstance(s, int) and 0 <= s < len(ts.start)):
+            raise KeyError(s)
+        bursts, succ, burst_id = ts.bursts, ts.succ, ts.burst_id
+        return tuple((bursts[burst_id[k]], succ[k])
+                     for k in range(ts.start[s], ts.stop[s]))
+
+    def __len__(self) -> int:
+        return len(self._ts.start)
+
+    def __iter__(self):
+        return iter(range(len(self._ts.start)))
 
 
 # --- public entry points ---
@@ -489,23 +545,39 @@ def _build(p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig,
     if errors:
         raise ValueError("; ".join(errors))
     eng = _Engine(p, obj, cfg, mode)
-    # Each state is hashed once per edge that reaches it, here; the graph
-    # and every pass over it work on the int ids.
+    universe = eng.universe
+    # Each state and each burst is hashed once per edge that reaches it,
+    # here; the graph and every pass over it work on the int ids.  A burst
+    # is checked against the universe when it enters the burst table.
     root = eng.root()
     ids: Dict[EngineState, int] = {root: 0}
-    graph: Dict[int, tuple] = {}
+    bursts: List[tuple] = [()]
+    burst_ids: Dict[tuple, int] = {(): 0}
+    succ, burst_id = array("i"), array("i")
+    start, stop = array("i", [0]), array("i", [0])
     stack = [(0, root)]
     while stack:
         i, s = stack.pop()
-        edges = []
+        start[i] = len(succ)
         for burst, s2 in eng.actions(s):
             n = len(ids)
             j = ids.setdefault(s2, n)
             if j == n:
                 stack.append((j, s2))
-            edges.append((burst, j))
-        graph[i] = tuple(edges)
-    return TraceSet(0, graph, eng.universe)
+                start.append(0)
+                stop.append(0)
+            b = burst_ids.get(burst)
+            if b is None:
+                for e in burst:
+                    if e not in universe:
+                        raise AssertionError(
+                            f"event outside the program universe: {e}")
+                b = burst_ids[burst] = len(bursts)
+                bursts.append(burst)
+            succ.append(j)
+            burst_id.append(b)
+        stop[i] = len(succ)
+    return TraceSet(0, universe, bursts, succ, burst_id, start, stop)
 
 
 def explore(p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig) -> TraceSet:

@@ -83,19 +83,6 @@ def refute_object_refinement(spec: ObjectDef, impl: ObjectDef,
                          {"model": cfg.model.value, "clients": per_client})
 
 
-def minimize(t: Trace, p: ClientProgram, spec: ObjectDef, impl: ObjectDef,
-             cfg: ExploreConfig) -> Trace:
-    """Shrink a refuting implementation trace to the canonical minimal
-    trace with the same observable behaviour."""
-    ts_impl = explore(p, impl, cfg)
-    if t not in ts_impl:
-        raise ValueError("trace is not produced by the implementation")
-    target = observable_of(t)
-    if target in explore(p, spec, cfg).observables():
-        raise ValueError("trace's observable behaviour does not refute")
-    return _minimal_refuting_trace(ts_impl, {target})
-
-
 def _minimal_refuting_trace(ts: TraceSet, targets) -> Trace:
     """Minimal trace whose observable lies in `targets`: shortest, then
     lexicographically smallest serialised event sequence.  Searched in
@@ -103,6 +90,11 @@ def _minimal_refuting_trace(ts: TraceSet, targets) -> Trace:
     target reached is the canonical one."""
     targets = frozenset(targets)
     prefixes = {o[:j] for o in targets for j in range(len(o) + 1)}
+    # per burst id: each event with its serialisation and its observation
+    steps = [tuple((e, event_to_json(e),
+                    (e.step.thread, e.var, e.value) if isinstance(e, ProgObs)
+                    else None) for e in burst) for burst in ts.bursts]
+    succ, burst_id, start, stop = ts.succ, ts.burst_id, ts.start, ts.stop
     ctr = 0
     heap = [((0, ()), ctr, ts.root, (), ())]
     best = {(ts.root, ()): (0, ())}
@@ -112,14 +104,14 @@ def _minimal_refuting_trace(ts: TraceSet, targets) -> Trace:
             return trace
         if best.get((s, obs), prio) < prio:
             continue
-        for burst, s2 in ts.graph[s]:
+        for k in range(start[s], stop[s]):
             obs2, trace2, seq2 = obs, trace, prio[1]
             dead = False
-            for e in burst:
+            for e, js, o in steps[burst_id[k]]:
                 trace2 = trace2 + (e,)
-                seq2 = seq2 + (event_to_json(e),)
-                if isinstance(e, ProgObs):
-                    obs2 = obs2 + ((e.step.thread, e.var, e.value),)
+                seq2 = seq2 + (js,)
+                if o is not None:
+                    obs2 = obs2 + (o,)
                     if obs2 in targets:
                         ctr += 1
                         heapq.heappush(heap, ((len(trace2), seq2), ctr,
@@ -130,9 +122,9 @@ def _minimal_refuting_trace(ts: TraceSet, targets) -> Trace:
             if dead:
                 continue
             prio2 = (len(trace2), seq2)
-            key = (s2, obs2)
+            key = (succ[k], obs2)
             if key not in best or prio2 < best[key]:
                 best[key] = prio2
                 ctr += 1
-                heapq.heappush(heap, (prio2, ctr, s2, obs2, trace2))
+                heapq.heappush(heap, (prio2, ctr, succ[k], obs2, trace2))
     raise AssertionError("no trace realises the refuting observable")

@@ -4,7 +4,9 @@ import pytest
 
 from wmtr.events import ProgObs, check_wellformed, observable_of
 from wmtr.memmodel import ExploreConfig, Model, explore
-from wmtr.refine import check_wmtr, minimize, refute_object_refinement
+from wmtr.refine import (
+    _minimal_refuting_trace, check_wmtr, refute_object_refinement,
+)
 from wmtr.program import parse
 
 from conftest import corpus_text, tso_spinlock_witness
@@ -13,6 +15,18 @@ from oracles import sample
 
 def load(name):
     return parse(corpus_text(name))
+
+
+def minimize(t, p, spec, impl, cfg):
+    """Shrink a refuting implementation trace to the canonical minimal
+    trace with the same observable behaviour."""
+    ts_impl = explore(p, impl, cfg)
+    if t not in ts_impl:
+        raise ValueError("trace is not produced by the implementation")
+    target = observable_of(t)
+    if target in explore(p, spec, cfg).observables():
+        raise ValueError("trace's observable behaviour does not refute")
+    return _minimal_refuting_trace(ts_impl, {target})
 
 
 @pytest.fixture(scope="module")
