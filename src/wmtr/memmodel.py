@@ -10,10 +10,26 @@ RELAXED discipline does the same for its per-variable entries.  Hashing
 a state, once per edge, thus touches a few ints and short tuples and
 not the syntax trees the threads' control stacks point into.
 
+Successors are generated on the same factoring.  A step table keyed on
+(thread-tuple id, thread) holds the globals the thread's next statement
+reads and, per tuple of their values, the statement's outcome: blocked,
+a local step, a global write, a fence or a call.  Expressions are
+evaluated in full, so which globals a statement reads depends on the
+key alone.  The interpreter runs on a table miss only; a state reads
+those globals and settles only what depends on the rest of it: whether
+the storage takes the write, whether the core is drained, whether the
+thread may invoke, and the implementation machine's start.  The
+responses of a chaos call are tabled per key too, one outcome per
+output.  Implementation steps and specification bodies run per state.
+
 The graph a build returns is stored as flat `array('i')` columns, one
 entry per edge: the successor's id and the id of the edge's burst in a
 per-build table of distinct bursts (few: fig5 x spinlock_impl under
-RELAXED has 22 non-empty ones on 258,573 edges).  Every pass over the
+RELAXED has 22 non-empty ones on 258,573 edges).  The engine owns that
+table (`BurstTable`) and hands it to the storage discipline, so engine
+and storage yield burst ids; a burst enters the table, and is checked
+against the program's universe, when an edge first carries it, and
+outcomes cache their burst's id.  Every pass over the
 graph runs on those columns and works out what it needs of a burst once
 per burst id; `TraceSet.graph` is a read-only mapping view for readers
 that want the edges of an id as tuples.
@@ -100,6 +116,7 @@ class EngineState(NamedTuple):
 
 
 _UNBOUND = object()  # `look`'s default: the name is no register of the thread
+_MISS = object()     # a step table's default: no entry for these values yet
 
 
 def _norm_frames(frames: tuple) -> tuple:
@@ -113,6 +130,47 @@ def _returned(ts: ThreadState, reg, out) -> ThreadState:
     if reg is None or out is None:
         return ts._replace(call=None)
     return ts._replace(regs=_tset(ts.regs, reg, out), call=None)
+
+
+class BurstTable:
+    """A build's distinct bursts, id 0 being the empty burst of a silent
+    step.  A burst enters the table when an edge first carries it, and is
+    checked against the program's universe then, so the table holds
+    exactly the bursts of the graph, in the order edges first carry them."""
+
+    def __init__(self, universe: frozenset):
+        self.universe = universe
+        self.bursts: List[tuple] = [()]
+        self.ids: Dict[tuple, int] = {(): 0}
+
+    def id(self, burst: tuple) -> int:
+        b = self.ids.get(burst)
+        if b is None:
+            for e in burst:
+                if e not in self.universe:
+                    raise AssertionError(f"event outside the program universe: {e}")
+            b = self.ids[burst] = len(self.bursts)
+            self.bursts.append(burst)
+        return b
+
+
+# what a state must still decide of a step: nothing, whether the storage
+# takes the write, whether the core is drained, whether it may invoke
+_LOCAL, _WRITE, _FENCE, _CALL = range(4)
+
+
+class _Step:
+    """The outcome of a thread's next statement for given read values, or
+    of one output of a chaos call: the burst it starts with, the id of the
+    thread tuple after it and, by kind, the `mem.write` arguments after
+    the core (_WRITE) or the `machine_start` arguments after the thread
+    (_CALL, impl mode).  `bid` is the id of the burst with the `tail` the
+    storage appended to it, cached when an edge first carries it."""
+    __slots__ = ("kind", "burst", "tid", "arg", "tail", "bid")
+
+    def __init__(self, kind: int, burst: tuple, tid: int, arg=None):
+        self.kind, self.burst, self.tid, self.arg = kind, burst, tid, arg
+        self.tail, self.bid = None, 0
 
 
 # --- the engine ---
@@ -129,8 +187,9 @@ class _Engine:
         initials = dict(p.globals)
         if mode == "impl":
             initials.update(obj.shared)
-        self.mem = DISCIPLINES[cfg.model](cores, initials, cfg.buffer)
         self.universe = events_of_program(p, obj, cfg.unroll, cfg.values)
+        self.bursts = BurstTable(self.universe)
+        self.mem = DISCIPLINES[cfg.model](cores, initials, cfg.buffer, self.bursts)
         self.covert = covert_ops(p, obj)
         self.chaosouts = {name: chaos_outputs(op, cfg.values)
                           for name, op in obj.ops.items()}
@@ -138,6 +197,11 @@ class _Engine:
         # and a state holds its index, so a state hashes as a few ints
         self.threads: List[tuple] = []
         self.thread_ids: Dict[tuple, int] = {}
+        # step tables, keyed (thread-tuple id, thread).  A thread outside a
+        # call: (the globals its next statement reads, {their values: _Step,
+        # or None when blocked}).  A thread in a chaos call: [_Step per output].
+        self.steps: Dict[Tuple[int, str], tuple] = {}
+        self.responses: Dict[Tuple[int, str], List[_Step]] = {}
 
     def root(self) -> EngineState:
         threads = tuple(sorted(
@@ -154,6 +218,11 @@ class _Engine:
             self.threads.append(threads)
         return tid
 
+    def _thread_with(self, tid: int, th: str, ts: ThreadState) -> int:
+        """The id of thread tuple `tid` with `th`'s state replaced by `ts`."""
+        return self._thread_id(tuple((t, (ts if t == th else x))
+                                     for t, x in self.threads[tid]))
+
     def inv_allowed(self, st: EngineState, thread: str) -> bool:
         core = self.coremap[thread]
         if self.mode != "spec":
@@ -165,34 +234,64 @@ class _Engine:
 
     # actions
 
-    def actions(self, st: EngineState) -> List[Tuple[tuple, EngineState]]:
-        out: List[Tuple[tuple, EngineState]] = []
+    def actions(self, st: EngineState) -> List[Tuple[int, EngineState]]:
+        """The edges out of `st`, as (burst id, successor)."""
+        out: List[Tuple[int, EngineState]] = []
         for th, ts in self.threads[st.threads]:
-            if ts.call is None:
+            if ts.call is not None:
+                out.extend(self.call_actions(st, th, ts))
+            elif ts.frames:  # else the thread has run to its end
                 a = self.client_action(st, th, ts)
                 if a is not None:
                     out.append(a)
-            else:
-                out.extend(self.call_actions(st, th, ts))
         threads, machine, storage, objst, book = st
         new = tuple.__new__  # EngineState's own constructor, without its call
-        for burst, storage2 in self.mem.moves(storage):
-            out.append((burst, new(EngineState,
-                                   (threads, machine, storage2, objst, book))))
+        for b, storage2 in self.mem.moves(storage):
+            out.append((b, new(EngineState,
+                               (threads, machine, storage2, objst, book))))
         for j, (opid, outv, core) in enumerate(book):
             st2 = st._replace(book=book[:j] + book[j + 1:])
-            out.append(((OpObs(opid, outv),), st2))
+            out.append((self.bursts.id((OpObs(opid, outv),)), st2))
         return out
 
     def client_action(self, st, th, ts):
-        if not ts.frames:
-            return None
-        core = self.coremap[th]
+        """The edge of `th`'s next statement, or None when it is blocked.
+        The statement is interpreted once per thread tuple and values of
+        the globals it reads; each state then only reads those globals
+        and settles what the storage or the other threads decide."""
+        key = (st.threads, th)
+        entry = self.steps.get(key)
+        step = _MISS
+        if entry is not None:
+            reads, outcomes = entry
+            read, storage, core = self.mem.read, st.storage, self.coremap[th]
+            step = outcomes.get(tuple([read(storage, core, v) for v in reads]),
+                                _MISS)
+        if step is _MISS:
+            step, reads, vals = self._interpret(st, th, ts)
+            if entry is None:
+                entry = self.steps[key] = (reads, {})
+            entry[1][vals] = step
+        return None if step is None else self._take(st, th, step)
+
+    def _interpret(self, st, th, ts):
+        """Run `th`'s next statement in `st`: its _Step (None when blocked),
+        the globals it read and their values.  Expressions and conditions
+        are evaluated in full, so the globals read depend on `ts` alone."""
+        storage, core = st.storage, self.coremap[th]
+        seen: Dict[str, int] = {}
 
         def look(name):
             v = _tget(ts.regs, name, _UNBOUND)
-            return self.mem.read(st.storage, core, name) if v is _UNBOUND else v
+            if v is _UNBOUND:
+                v = seen[name] = self.mem.read(storage, core, name)
+            return v
 
+        step = self._next_step(st.threads, th, ts, look)
+        return step, tuple(seen), tuple(seen.values())
+
+    def _next_step(self, tid, th, ts, look):
+        values = self.cfg.values
         top = ts.frames[-1]
         if top[0] == "l":
             _, w, k = top
@@ -201,12 +300,12 @@ class _Engine:
             lab = label_of(w)
             inst, labels2 = _bump(ts.labels, lab)
             sid = StepId(th, lab, inst)
-            if eval_cond(w.cond, look, self.cfg.values):
+            if eval_cond(w.cond, look, values):
                 frames2 = ts.frames[:-1] + (("l", w, k - 1), ("s", w.body, 0))
             else:
                 frames2 = ts.frames[:-1]
             ts2 = ts._replace(frames=_norm_frames(frames2), labels=labels2)
-            return ((ProgStep(sid),), self._set_thread(st, th, ts2))
+            return _Step(_LOCAL, (ProgStep(sid),), self._thread_with(tid, th, ts2))
 
         _, stmts, i = top
         s = stmts[i]
@@ -214,62 +313,77 @@ class _Engine:
 
         if isinstance(s, While):
             frames2 = ts.frames[:-1] + (("s", stmts, i + 1), ("l", s, self.cfg.unroll))
-            # `st` keeps the thread's old slot: only `inv_allowed` reads it,
-            # and only its call, which is None in both
-            return self.client_action(st, th, ts._replace(frames=frames2))
+            return self._next_step(tid, th, ts._replace(frames=frames2), look)
         if isinstance(s, Assign):
             lab = label_of(s)
-            v = eval_expr(s.expr, look, self.cfg.values)
+            v = eval_expr(s.expr, look, values)
             inst, labels2 = _bump(ts.labels, lab)
             sid = StepId(th, lab, inst)
             if s.target not in self.p.globals:
                 ts2 = ts._replace(frames=adv, regs=_tset(ts.regs, s.target, v),
                                   labels=labels2)
-                return ((ProgStep(sid),), self._set_thread(st, th, ts2))
-            w = self.mem.write(st.storage, core, s.target, v, "prog", sid,
-                               ProgObs(sid, s.target, v))
-            if w is None:
-                return None
-            storage2, emitted, _ = w
+                return _Step(_LOCAL, (ProgStep(sid),),
+                             self._thread_with(tid, th, ts2))
             ts2 = ts._replace(frames=adv, labels=labels2)
-            return ((ProgStep(sid, (s.target, v)),) + emitted,
-                    self._set_thread(st, th, ts2)._replace(storage=storage2))
+            return _Step(_WRITE, (ProgStep(sid, (s.target, v)),),
+                         self._thread_with(tid, th, ts2),
+                         (s.target, v, "prog", sid, ProgObs(sid, s.target, v)))
         if isinstance(s, (Await, Fence)):
-            if not (eval_cond(s.cond, look, self.cfg.values)
-                    if isinstance(s, Await) else self.mem.drained(st.storage, core)):
+            if isinstance(s, Await) and not eval_cond(s.cond, look, values):
                 return None
             lab = label_of(s)
             inst, labels2 = _bump(ts.labels, lab)
             ts2 = ts._replace(frames=adv, labels=labels2)
-            return ((ProgStep(StepId(th, lab, inst)),),
-                    self._set_thread(st, th, ts2))
+            return _Step(_LOCAL if isinstance(s, Await) else _FENCE,
+                         (ProgStep(StepId(th, lab, inst)),),
+                         self._thread_with(tid, th, ts2))
         if isinstance(s, If):
             lab = label_of(s)
             inst, labels2 = _bump(ts.labels, lab)
-            branch = s.then if eval_cond(s.cond, look, self.cfg.values) else s.orelse
+            branch = s.then if eval_cond(s.cond, look, values) else s.orelse
             frames2 = _norm_frames(ts.frames[:-1] + (("s", stmts, i + 1),
                                                      ("s", branch, 0)))
             ts2 = ts._replace(frames=frames2, labels=labels2)
-            return ((ProgStep(StepId(th, lab, inst)),),
-                    self._set_thread(st, th, ts2))
+            return _Step(_LOCAL, (ProgStep(StepId(th, lab, inst)),),
+                         self._thread_with(tid, th, ts2))
         if isinstance(s, Call):
-            if not self.inv_allowed(st, th):
-                return None
             opid = OpId(th, s.op, ts.calls)
-            arg = s.arg.value % (self.cfg.values + 1) if isinstance(s.arg, Lit) else None
-            machine2 = st.machine
+            arg = s.arg.value % (values + 1) if isinstance(s.arg, Lit) else None
+            start = None
             if self.mode == "impl":
                 slot = ("impl", opid, s.result, None)
-                machine2 = machine_start(st.machine, th, opid,
-                                         self.obj.ops[s.op], arg, s.result)
+                start = (opid, self.obj.ops[s.op], arg, s.result)
             elif self.mode == "spec":
                 slot = ("spec", opid, arg, s.result)
             else:
                 slot = ("chaos", opid, s.result)
             ts2 = ts._replace(frames=adv, calls=ts.calls + 1, call=slot)
-            st2 = self._set_thread(st, th, ts2)._replace(machine=machine2)
-            return ((Inv(opid, arg),), st2)
+            return _Step(_CALL, (Inv(opid, arg),), self._thread_with(tid, th, ts2),
+                         start)
         raise TypeError(f"unexpected client statement: {s}")
+
+    def _take(self, st, th, step):
+        """The edge `step` makes from `st`, or None when `st` blocks it."""
+        tid, machine, storage, objst, book = st
+        kind = step.kind
+        tail = ()
+        if kind == _WRITE:
+            w = self.mem.write(storage, self.coremap[th], *step.arg)
+            if w is None:
+                return None
+            storage, tail, _ = w
+        elif kind == _FENCE:
+            if not self.mem.drained(storage, self.coremap[th]):
+                return None
+        elif kind == _CALL:
+            if not self.inv_allowed(st, th):
+                return None
+            if step.arg is not None:
+                machine = machine_start(machine, th, *step.arg)
+        if tail != step.tail:  # the first edge to carry it, or another tail
+            step.tail, step.bid = tail, self.bursts.id(step.burst + tail)
+        return step.bid, tuple.__new__(
+            EngineState, (step.tid, machine, storage, objst, book))
 
     def call_actions(self, st, th, ts):
         if ts.call[0] == "impl":
@@ -315,9 +429,9 @@ class _Engine:
             if storage2 is None:
                 storage2, burst = storage, burst + (obs,)
             ts2 = _returned(ts, ret_reg, eff.out)
-        st2 = self._set_thread(st, th, ts2)._replace(machine=machine2,
-                                                     storage=storage2)
-        return (burst, st2)
+        st2 = st._replace(threads=self._thread_with(st.threads, th, ts2),
+                          machine=machine2, storage=storage2)
+        return (self.bursts.id(burst), st2)
 
     def spec_call_action(self, st, th, ts):
         _, opid, arg, ret_reg = ts.call
@@ -326,37 +440,44 @@ class _Engine:
         if r is None:
             return None
         valuation, outv = r
-        st2 = self._set_thread(st, th, _returned(ts, ret_reg, outv))._replace(
+        st2 = st._replace(
+            threads=self._thread_with(st.threads, th, _returned(ts, ret_reg, outv)),
             objst=tuple(sorted(valuation.items())))
         if opid.call in self.covert:
-            return ((Res(opid, outv), OpObs(opid, outv)), st2)
+            return (self.bursts.id((Res(opid, outv), OpObs(opid, outv))), st2)
         core = self.coremap[th]
-        return ((Res(opid, outv),),
+        return (self.bursts.id((Res(opid, outv),)),
                 st2._replace(book=st2.book + ((opid, outv, core),)))
 
     def chaos_call_actions(self, st, th, ts):
+        key = (st.threads, th)
+        steps = self.responses.get(key)
+        if steps is None:
+            steps = self.responses[key] = self._responses(st.threads, th, ts)
+        out = []
+        for step in steps:
+            a = self._take(st, th, step)
+            if a is not None:
+                out.append(a)
+        return out
+
+    def _responses(self, tid, th, ts):
+        """A _Step per output of `th`'s chaos call, in output order: a
+        covert operation responds and is observed at once, any other
+        responds with a virtual write that carries its observation."""
         _, opid, ret_reg = ts.call
-        core = self.coremap[th]
         vvar = f"#{opid.thread}.{opid.call}.{opid.instance}"
-        out_actions = []
+        out = []
         for outv in sorted(self.chaosouts[opid.call],
                            key=lambda v: (v is None, v)):
-            st2 = self._set_thread(st, th, _returned(ts, ret_reg, outv))
-            obs = OpObs(opid, outv)
+            tid2 = self._thread_with(tid, th, _returned(ts, ret_reg, outv))
+            res, obs = Res(opid, outv), OpObs(opid, outv)
             if opid.call in self.covert:
-                out_actions.append(((Res(opid, outv), obs), st2))
-                continue
-            w = self.mem.write(st.storage, core, vvar, 0, "virt", opid, obs)
-            if w is not None:
-                storage2, emitted, _ = w
-                out_actions.append(((Res(opid, outv),) + emitted,
-                                    st2._replace(storage=storage2)))
-        return out_actions
-
-    def _set_thread(self, st: EngineState, th: str, ts: ThreadState) -> EngineState:
-        threads = tuple((t, (ts if t == th else x))
-                        for t, x in self.threads[st.threads])
-        return st._replace(threads=self._thread_id(threads))
+                out.append(_Step(_LOCAL, (res, obs), tid2))
+            else:
+                out.append(_Step(_WRITE, (res,), tid2,
+                                 (vvar, 0, "virt", opid, obs)))
+        return out
 
 
 # --- trace sets ---
@@ -545,39 +666,29 @@ def _build(p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig,
     if errors:
         raise ValueError("; ".join(errors))
     eng = _Engine(p, obj, cfg, mode)
-    universe = eng.universe
-    # Each state and each burst is hashed once per edge that reaches it,
-    # here; the graph and every pass over it work on the int ids.  A burst
-    # is checked against the universe when it enters the burst table.
+    # Each state is hashed once per edge that reaches it, here; the graph
+    # and every pass over it work on the int ids, and the engine hands out
+    # the burst ids.
     root = eng.root()
     ids: Dict[EngineState, int] = {root: 0}
-    bursts: List[tuple] = [()]
-    burst_ids: Dict[tuple, int] = {(): 0}
     succ, burst_id = array("i"), array("i")
     start, stop = array("i", [0]), array("i", [0])
     stack = [(0, root)]
     while stack:
         i, s = stack.pop()
         start[i] = len(succ)
-        for burst, s2 in eng.actions(s):
+        for b, s2 in eng.actions(s):
             n = len(ids)
             j = ids.setdefault(s2, n)
             if j == n:
                 stack.append((j, s2))
                 start.append(0)
                 stop.append(0)
-            b = burst_ids.get(burst)
-            if b is None:
-                for e in burst:
-                    if e not in universe:
-                        raise AssertionError(
-                            f"event outside the program universe: {e}")
-                b = burst_ids[burst] = len(bursts)
-                bursts.append(burst)
             succ.append(j)
             burst_id.append(b)
         stop[i] = len(succ)
-    return TraceSet(0, universe, bursts, succ, burst_id, start, stop)
+    return TraceSet(0, eng.universe, eng.bursts.bursts, succ, burst_id,
+                    start, stop)
 
 
 def explore(p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig) -> TraceSet:

@@ -5,7 +5,9 @@ Each memory model is one class behind one interface, and the engine in
 tuple; every method takes one and returns a new one.  RELAXED keeps the
 parts of its values in tables on the instance and puts their ids in the
 value, so a value means something only to the instance that made it:
-one instance serves one build.
+one instance serves one build.  An instance is made with the build's
+burst table, whose `id(burst)` interns a burst, and its own steps come
+with burst ids from it.
 
   SC       writes hit memory at once; observations are emitted in the
            same burst as the event they observe.
@@ -31,7 +33,7 @@ The interface, for a storage s:
                                    operation's last write, or None: emit now
   drained(s, core)                 every write of `core` is visible everywhere
   inv_ready(s, core, spec)         `core` may invoke a (spec) operation
-  moves(s)                         [(burst, s')]: the storage's own steps
+  moves(s)                         [(burst id, s')]: the storage's own steps
 
 Invocations under TSO wait until the invoking core holds no buffered
 program write; under RELAXED, specification invocations wait until the
@@ -75,8 +77,9 @@ def _tset(pairs: tuple, key, value) -> tuple:
 class Storage:
     """Defaults of the interface: no write is ever in flight."""
 
-    def __init__(self, cores: tuple, initials: dict, buffer: int):
+    def __init__(self, cores: tuple, initials: dict, buffer: int, bursts):
         self.cores, self.initials, self.buffer = cores, initials, buffer
+        self.bursts = bursts
 
     def latest(self, s, core, var):
         return self.read(s, core, var)
@@ -171,8 +174,8 @@ class TSO(Storage):
             if buf:
                 head = buf[0]
                 mem2 = mem if head.kind == "virt" else _tset(mem, head.var, head.val)
-                burst = (head.obs,) if head.obs is not None else ()
-                out.append((burst, (mem2, _tset(bufs, core, buf[1:]))))
+                b = self.bursts.id((head.obs,)) if head.obs is not None else 0
+                out.append((b, (mem2, _tset(bufs, core, buf[1:]))))
         return out
 
 
@@ -193,12 +196,12 @@ class RELAXED(Storage):
 
     An entry's own steps do not depend on the variable or on the rest
     of the storage, so `moves` computes them once per entry id, as
-    [(burst, entry_id')]; likewise `entry` notes once which cores still
+    [(burst id, entry_id')]; likewise `entry` notes once which cores still
     have a record in flight, for `drained` and `inv_ready`.  Every table
     lives on the instance and goes with the build."""
 
-    def __init__(self, cores, initials, buffer):
-        super().__init__(cores, initials, buffer)
+    def __init__(self, cores, initials, buffer, bursts):
+        super().__init__(cores, initials, buffer, bursts)
         self.rank = {c: k for k, c in enumerate(cores)}
         self.full = (1 << len(cores)) - 1
         self.codes: Dict[object, int] = {None: 0}
@@ -310,12 +313,12 @@ class RELAXED(Storage):
                 steps = memo[eid] = self._entry_moves(eid)
             if steps:
                 head, tail = s[:i], s[i + 1:]
-                for burst, eid2 in steps:
-                    out.append((burst, head + ((var, eid2),) + tail))
+                for b, eid2 in steps:
+                    out.append((b, head + ((var, eid2),) + tail))
         return out
 
     def _entry_moves(self, eid: int) -> list:
-        """[(burst, entry_id')]: each record that every core has emits
+        """[(burst id, entry_id')]: each record that every core has emits
         its observation, and each other record propagates to every core
         next in line for it; records by position, cores by rank."""
         recs, posv = self.entries[eid]
@@ -327,12 +330,13 @@ class RELAXED(Storage):
             before, after = recs[:pos], recs[pos + 1:]
             if cov == full:  # every core has it: emit its observation
                 recs2 = before + ((v, c, kd, ca, cov, ob, True),) + after
-                out.append(((self.decode[ob],), self.entry((recs2, posv))))
+                out.append((self.bursts.id((self.decode[ob],)),
+                            self.entry((recs2, posv))))
                 continue
             for k in range(len(posv)):  # propagate to each core next in line
                 if cov >> k & 1 or posv[k] != pos - 1:
                     continue
                 rec2 = (v, c, kd, ca, cov | 1 << k, ob, em)
                 posv2 = posv[:k] + (pos,) + posv[k + 1:]
-                out.append(((), self.entry((before + (rec2,) + after, posv2))))
+                out.append((0, self.entry((before + (rec2,) + after, posv2))))
         return out

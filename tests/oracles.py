@@ -79,7 +79,12 @@ def from_traces(universe: Iterable[Event], traces: Iterable[Sequence[Event]]) ->
 # --- explicit trace sets of exploration graphs ---
 
 def materialize(ts, max_traces: int = 200_000) -> frozenset:
-    """The explicit trace set of `ts`; refuses to build oversized ones."""
+    """The explicit trace set of `ts`; refuses to build oversized ones.
+    A state's set of suffixes is dropped once the last edge into it has
+    been followed, so only the sets some unfinished state needs are kept."""
+    waiting = [0] * ts.states  # per state: the edges into it not yet followed
+    for s2 in ts.succ:
+        waiting[s2] += 1
     suffix: Dict[int, frozenset] = {}
     for s in reversed(ts.topo()):
         acc = {()}
@@ -88,6 +93,9 @@ def materialize(ts, max_traces: int = 200_000) -> frozenset:
                 acc.add(burst[:j])
             for t in suffix[s2]:
                 acc.add(burst + t)
+            waiting[s2] -= 1
+            if not waiting[s2]:
+                del suffix[s2]
         if len(acc) > max_traces:
             raise ValueError("trace set too large to materialize")
         suffix[s] = frozenset(acc)

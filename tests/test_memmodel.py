@@ -1,9 +1,11 @@
 """Exploration engine tests: model-specific litmus outcomes, witness
 containment, oracle agreement under SC, and empirical-order structure."""
 
+import gc
 import hashlib
 import json
 import re
+import weakref
 from itertools import permutations
 from types import SimpleNamespace
 
@@ -15,8 +17,9 @@ from wmtr.events import (
     Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId, check_wellformed,
     event_to_json, observable_of,
 )
+from wmtr import memmodel
 from wmtr.memmodel import (
-    ExploreConfig, Model, _build, chaos_outputs, covert_ops,
+    BurstTable, ExploreConfig, Model, _build, chaos_outputs, covert_ops,
     enforced_order, enforced_order_of, explore,
 )
 from wmtr.porder import check_axioms, check_lemma1
@@ -104,6 +107,18 @@ def graph_digest(ts):
            for i in range(len(g))]
     return hashlib.sha256(
         json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
+
+
+def burst_digest(ts):
+    """SHA-256 of `ts.bursts`: each burst's event JSON, in table order."""
+    doc = [[event_to_json(e) for e in burst] for burst in ts.bursts]
+    return hashlib.sha256(
+        json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
+
+
+def assert_bursts_carried(ts):
+    """Every burst id but the empty burst's labels some edge."""
+    assert set(range(1, len(ts.bursts))) <= set(ts.burst_id)
 
 
 # RELAXED graph digests: the storage encoding is private to `wmtr.storage`, so
@@ -205,6 +220,93 @@ SC_TSO_OWN_MODE_DIGESTS = {  # the object's own mode, default bounds
 # client and the object both block on a full buffer
 TSO_FULL_BUFFER_DIGEST = \
     "d056f5b2edbb156197b30e6a89f44d7ce80523a403f75df40a670299aa67c4c2"
+
+# SHA-256 of each build's burst table (`burst_digest`), keyed (model,
+# client, object): the table holds the bursts some edge carries, in the
+# order edges first carry them, however the engine hands out their ids
+BURST_DIGESTS_CHAOS = {  # chaos mode, values=1
+    (Model.SC, "fig2_client.wm", "fig2_object.wm"):
+        "b7e5c08ebbf4804a49ba130bd2f2ac7389d0d510a28de8e2abbc12114d7ad40f",
+    (Model.SC, "fig4_client.wm", "spinlock_impl.wm"):
+        "5f2d9c13b058595768687cb4957270b5d061e87aa4eed176f05196b5ce1a5972",
+    (Model.SC, "fig5_client.wm", "spinlock_impl.wm"):
+        "9e0864609a3707a6fbfd0d0d2f17cd55fc5c2623385d835f268372b4b47d9956",
+    (Model.SC, "fig5_notry_client.wm", "spinlock_impl_notry.wm"):
+        "93c5a0a54fd81d2cb473a29d7c253e54968bd6c9cdec03f08419bc57658ef3d6",
+    (Model.SC, "fig6_client.wm", "spinlock_impl.wm"):
+        "ea72b08bcc77fc637149baed28f97dc71cc994566913533becb5f57c7e137ccc",
+    (Model.TSO, "fig2_client.wm", "fig2_object.wm"):
+        "f74282ab035fc24ffedec2629616d35ab7283385d93f797e279c0abf9981aa76",
+    (Model.TSO, "fig4_client.wm", "spinlock_impl.wm"):
+        "795b860c834bfa9e7969c971e13c790b113333ea0a247f38be5c7c48855e0de7",
+    (Model.TSO, "fig5_client.wm", "spinlock_impl.wm"):
+        "63ba67da7e4cd7fca4ebc9b44315b85b80c9e59562515f8f44c83942a0a1c008",
+    (Model.TSO, "fig5_notry_client.wm", "spinlock_impl_notry.wm"):
+        "830380f5cd30c38108e3925589d0f8ccb4b2dae88fb822b4064b6b2ef810f9bb",
+    (Model.TSO, "fig6_client.wm", "spinlock_impl.wm"):
+        "af739ed689db818f769d8f10d7258143c139edfe72bd56f2b6300202a75dd148",
+    (Model.RELAXED, "fig2_client.wm", "fig2_object.wm"):
+        "4dd5ee5c34e1098fb8e212fbede90171deb7668219aef53f347534cbf16c68c6",
+    (Model.RELAXED, "fig4_client.wm", "spinlock_impl.wm"):
+        "795b860c834bfa9e7969c971e13c790b113333ea0a247f38be5c7c48855e0de7",
+    (Model.RELAXED, "fig5_client.wm", "spinlock_impl.wm"):
+        "85cb8a6b16a062af8948cb94231ffc393377ef6eb7ea2e4f2cca4c63e3376339",
+    (Model.RELAXED, "fig5_notry_client.wm", "spinlock_impl_notry.wm"):
+        "ab5efe1113322c91987787a7bce7cb577cda87dad76c7cf71dd8b548a702ab7e",
+    (Model.RELAXED, "fig6_client.wm", "spinlock_impl.wm"):
+        "70afcb9e6feffd6d339dea1bc4de1dc4e0a07770ba0e807d368eaf097999d96f",
+}
+
+BURST_DIGESTS_OWN = {  # the object's own mode, default bounds
+    (Model.SC, "fig4_client.wm", "spinlock_impl.wm"):
+        "5f2d9c13b058595768687cb4957270b5d061e87aa4eed176f05196b5ce1a5972",
+    (Model.SC, "fig4_client.wm", "spinlock_spec.wm"):
+        "4fe4d3a772b4496d167ee96020e99300df5ae3bb713b172383f8161bbb0c3a49",
+    (Model.SC, "fig5_client.wm", "spinlock_impl.wm"):
+        "0f40576c785fabb861c5f3ebbca4b4902724742060a9232d92309c1d091c0926",
+    (Model.SC, "fig5_client.wm", "spinlock_spec.wm"):
+        "f5cc62083612007736d65b7b8b844512c54ce9b9136b7d4404300a218e19b493",
+    (Model.SC, "fig5_notry_client.wm", "spinlock_impl_notry.wm"):
+        "93c5a0a54fd81d2cb473a29d7c253e54968bd6c9cdec03f08419bc57658ef3d6",
+    (Model.SC, "fig5_notry_client.wm", "spinlock_spec_notry.wm"):
+        "ec4631f1cdfc3d037aa0383e4634b093e7a6f718ef5a91192e8d4c98d7aca28d",
+    (Model.SC, "fig6_client.wm", "spinlock_impl.wm"):
+        "c4dd2ad22176947a656af179d28a765fd44d549bb6ff355ec2df8429a872a6ad",
+    (Model.SC, "fig6_client.wm", "spinlock_spec.wm"):
+        "a12a24809ca46721e591c776ac4deb5d0f2026dd1631435c4952b06bcdab694e",
+    (Model.TSO, "fig4_client.wm", "spinlock_impl.wm"):
+        "8a9a277dfa24a52c849d2e03f20a14ba498e21ed1c38fae295d658d2b8ecdaa0",
+    (Model.TSO, "fig4_client.wm", "spinlock_spec.wm"):
+        "795b860c834bfa9e7969c971e13c790b113333ea0a247f38be5c7c48855e0de7",
+    (Model.TSO, "fig5_client.wm", "spinlock_impl.wm"):
+        "6cd4b52ecba02f2c6d58b0dd79edfd148e60500770cf846ff6ff17c61dc512de",
+    (Model.TSO, "fig5_client.wm", "spinlock_spec.wm"):
+        "9d80ece935020abb65ac576e8f9572b29b89bc6993ea6a4e9cf626454e660cc7",
+    (Model.TSO, "fig5_notry_client.wm", "spinlock_impl_notry.wm"):
+        "864950dda6ff05b70196b7a58cf14fabef8baf3415a46296e45172da39eed27d",
+    (Model.TSO, "fig5_notry_client.wm", "spinlock_spec_notry.wm"):
+        "830380f5cd30c38108e3925589d0f8ccb4b2dae88fb822b4064b6b2ef810f9bb",
+    (Model.TSO, "fig6_client.wm", "spinlock_impl.wm"):
+        "6b62168aae68692ad3aff5833d2e03e159128e166269e7bea67a6d333231270d",
+    (Model.TSO, "fig6_client.wm", "spinlock_spec.wm"):
+        "c43c9502b9d093100049ee0c8f1f2a1dc53d965ad6b71b59689a17cbf4d424d7",
+    (Model.RELAXED, "fig4_client.wm", "spinlock_impl.wm"):
+        "8a9a277dfa24a52c849d2e03f20a14ba498e21ed1c38fae295d658d2b8ecdaa0",
+    (Model.RELAXED, "fig4_client.wm", "spinlock_spec.wm"):
+        "795b860c834bfa9e7969c971e13c790b113333ea0a247f38be5c7c48855e0de7",
+    (Model.RELAXED, "fig5_client.wm", "spinlock_impl.wm"):
+        "afad5ad10848b1785606683d79cf5b87ec16bfd743a6b6d318f3b2e18d0f77e6",
+    (Model.RELAXED, "fig5_client.wm", "spinlock_spec.wm"):
+        "85720a4dc6394b379adc1ea7b7c667070dc7e00357cb33954f0b16e5290e7b2f",
+    (Model.RELAXED, "fig5_notry_client.wm", "spinlock_impl_notry.wm"):
+        "6f331ce36611d1b8893ccb840a73911274b4c7f1f27ec2ce59b635e28fbeb8b9",
+    (Model.RELAXED, "fig5_notry_client.wm", "spinlock_spec_notry.wm"):
+        "ab5efe1113322c91987787a7bce7cb577cda87dad76c7cf71dd8b548a702ab7e",
+    (Model.RELAXED, "fig6_client.wm", "spinlock_impl.wm"):
+        "895570506a1db76bc8f2cb928161c86efd89409359885a2767deb565389c6c54",
+    (Model.RELAXED, "fig6_client.wm", "spinlock_spec.wm"):
+        "861bc204ce799a97754ee14eebb6beb60e32d2f8614af0c99d9138efc961a940",
+}
 
 
 def final_pairs(ts, k1, k2):
@@ -536,6 +638,19 @@ class TestGraphIdentity:
         ts = explore(p, o, cfg(Model.TSO, buffer=1))
         assert graph_digest(ts) == TSO_FULL_BUFFER_DIGEST
 
+    @pytest.mark.parametrize("model,client,obj", sorted(BURST_DIGESTS_CHAOS))
+    def test_chaos_burst_table_unchanged(self, model, client, obj, chaos_graph):
+        ts = chaos_graph(client, obj, model)
+        assert burst_digest(ts) == BURST_DIGESTS_CHAOS[model, client, obj]
+        assert_bursts_carried(ts)
+
+    @pytest.mark.parametrize("model,client,obj", sorted(BURST_DIGESTS_OWN))
+    def test_own_mode_burst_table_unchanged(self, model, client, obj):
+        p, o = load(client, obj)
+        ts = explore(p, o, cfg(model))
+        assert burst_digest(ts) == BURST_DIGESTS_OWN[model, client, obj]
+        assert_bursts_carried(ts)
+
     def test_tables_are_per_engine(self):
         """Thread tuples and RELAXED entries are interned per build, so
         no build sees another's ids or memoised moves.  fig4 follows
@@ -549,15 +664,44 @@ class TestGraphIdentity:
             ts = _build(p, o, cfg(Model.RELAXED, values=1), "chaos")
             assert graph_digest(ts) == CHAOS_DIGESTS[client, obj]
 
+    def test_no_engine_outlives_its_build(self, monkeypatch):
+        """The storage holds the burst table, not the engine, so nothing
+        ties an engine into a cycle: reference counting frees it when its
+        build returns, with the cyclic collector off."""
+        engines = []
+        init = memmodel._Engine.__init__
+
+        def tracked(self, *args):
+            init(self, *args)
+            engines.append(weakref.ref(self))
+
+        monkeypatch.setattr(memmodel._Engine, "__init__", tracked)
+        gc.disable()
+        try:
+            for model in Model:
+                for client, obj, mode in (
+                        ("fig2_client.wm", "fig2_object.wm", "chaos"),
+                        ("fig6_client.wm", "spinlock_impl.wm", "impl"),
+                        ("fig6_client.wm", "spinlock_spec.wm", "spec")):
+                    p, o = load(client, obj)
+                    _build(p, o, cfg(model, values=1), mode)
+            assert len(engines) == 9
+            assert all(ref() is None for ref in engines)
+        finally:
+            gc.enable()
+
     def test_memoised_relaxed_moves_repeat_the_first(self):
         """`moves` computes the steps of a storage entry once; every
         later call on a storage holding it gives what the first gave."""
         cores = ("c0", "c1", "c2")
-        mem = RELAXED(cores, {"x": 0, "y": 0}, 4)
-        s, written = mem.initial(), set()
-        for core, var, val in (("c0", "x", 1), ("c1", "y", 2), ("c0", "x", 2)):
-            sid = StepId(core, f"{var}:={val}", 0)
-            written.add(ProgObs(sid, var, val))
+        writes = [(core, var, val, StepId(core, f"{var}:={val}", 0))
+                  for core, var, val in (("c0", "x", 1), ("c1", "y", 2),
+                                         ("c0", "x", 2))]
+        written = {ProgObs(sid, var, val) for _, var, val, sid in writes}
+        table = BurstTable(frozenset(written))
+        mem = RELAXED(cores, {"x": 0, "y": 0}, 4, table)
+        s = mem.initial()
+        for core, var, val, sid in writes:
             s, _, _ = mem.write(s, core, var, val, "prog", sid,
                                 ProgObs(sid, var, val))
         seen, stack, emitted, finals = {s}, [s], set(), set()
@@ -567,8 +711,8 @@ class TestGraphIdentity:
             assert mem.moves(u) == first
             if not first:
                 finals.add(u)
-            for burst, u2 in first:
-                emitted.update(burst)
+            for b, u2 in first:
+                emitted.update(table.bursts[b])
                 if u2 not in seen:
                     seen.add(u2)
                     stack.append(u2)
@@ -678,14 +822,17 @@ def test_random_straightline_clients_match_oracle(data):
 
 
 @st.composite
-def fenced_clients(draw, loops=False):
+def fenced_clients(draw, loops=False, conds=False):
     """Clients of 1-2 threads with up to three statements each: global
     writes of literals, globals or earlier-read registers, global reads
     into registers, and fences; with `loops`, also `while` loops on a
-    global whose body is one write or read."""
+    global whose body is one write or read; with `conds`, also `await`
+    and `if`/`else` (bodies one write or read) on a condition comparing
+    a global with a literal, a global or an earlier-read register."""
     names = ["x", "y"]
     lines = [f"global {v} = 0;" for v in names]
-    kinds = ["write", "read", "fence"] + (["loop"] if loops else [])
+    kinds = (["write", "read", "fence"] + (["loop"] if loops else [])
+             + (["await", "if"] if conds else []))
     for i in range(draw(st.integers(1, 2))):
         body, regs = [], []
 
@@ -694,6 +841,11 @@ def fenced_clients(draw, loops=False):
                 return f"r{j} := {draw(st.sampled_from(names))};"
             src = draw(st.sampled_from(["1", "2"] + names + regs))
             return f"{draw(st.sampled_from(names))} := {src};"
+
+        def cond():
+            left = draw(st.sampled_from(names))
+            right = draw(st.sampled_from(["0", "1"] + names + regs))
+            return f"{left} {draw(st.sampled_from(['=', '!=']))} {right}"
 
         for j in range(draw(st.integers(0, 3))):
             kind = draw(st.sampled_from(kinds))
@@ -704,6 +856,13 @@ def fenced_clients(draw, loops=False):
                 test = f"{draw(st.sampled_from(names))} != 2"
                 inner = access(j, draw(st.sampled_from(["write", "read"])))
                 body.append(f"while ({test}) {{ {inner} }}")
+            elif kind == "await":
+                body.append(f"await ({cond()});")
+            elif kind == "if":
+                # as in a loop, a register read in a branch is not in regs
+                then, orelse = (access(j, draw(st.sampled_from(["write", "read"])))
+                                for _ in range(2))
+                body.append(f"if ({cond()}) {{ {then} }} else {{ {orelse} }}")
             else:
                 body.append(access(j, kind))
                 if kind == "read":
@@ -731,6 +890,43 @@ def test_graph_passes_match_materialized_traces(text):
             assert ts.empirical_pairs() == empirical_pairs_oracle(ts)
             assert ts.observables() == {observable_of(t) for t in traces}
             assert all(t in ts for t in traces)
+
+
+class _Forgetful(dict):
+    """A step table that keeps no entry, so every lookup misses."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _build_interpreting_every_step(p, obj, c, mode):
+    """`_build` with step tables that keep nothing: every thread step and
+    every chaos response is interpreted afresh in every state."""
+    init = memmodel._Engine.__init__
+
+    def forgetful(self, *args):
+        init(self, *args)
+        self.steps, self.responses = _Forgetful(), _Forgetful()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(memmodel._Engine, "__init__", forgetful)
+        return _build(p, obj, c, mode)
+
+
+# the step tables key each outcome on the values the step read; a key that
+# dropped them would reuse one state's outcome in another
+@settings(max_examples=200, deadline=None)
+@given(fenced_clients(loops=True, conds=True))
+def test_step_tables_change_no_graph(text):
+    p = parse(text)
+    for model, bounds in ((Model.SC, {}), (Model.TSO, {"buffer": 1}),
+                          (Model.TSO, {"buffer": 4}), (Model.RELAXED, {})):
+        for mode in ("chaos", "impl"):
+            c = cfg(model, values=2, **bounds)
+            ts = _build(p, empty_object(), c, mode)
+            fresh = _build_interpreting_every_step(p, empty_object(), c, mode)
+            assert graph_digest(ts) == graph_digest(fresh)
+            assert ts.bursts == fresh.bursts
 
 
 def _orders_and_events(text):

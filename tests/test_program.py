@@ -1,5 +1,7 @@
 """Parser, printer, static checks, and the bounded event set."""
 
+from typing import List
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,10 +10,9 @@ from conftest import (
 )
 from wmtr.events import Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId
 from wmtr.program import (
-    Assign, Await, BinOp, Call, ClientProgram, Cmp, Fence, If, Lit, Name,
-    ObjectDef, ParseError, Return, Tas, While, empty_object,
-    events_of_program, label_of, op_outputs, parse, print_object,
-    print_program, validate,
+    Assign, Await, BinOp, Call, ClientProgram, Cmp, Expr, Fence, If, Lit,
+    Name, ObjectDef, ParseError, Return, Stmt, Tas, While, empty_object,
+    events_of_program, expr_str, label_of, op_outputs, parse, validate,
 )
 
 CLIENTS = ["fig2_client.wm", "fig4_client.wm", "fig5_client.wm",
@@ -86,6 +87,77 @@ class TestParse:
             parse("thread T { x := ; }")
         with pytest.raises(ParseError):
             parse("object neither { }")
+
+
+# --- a printer whose output parses back to the same tree ---
+
+def _expr_src(e: Expr) -> str:
+    if isinstance(e, BinOp):
+        return f"{_expr_src(e.left)} {e.op} {_expr_src(e.right)}"
+    return expr_str(e)
+
+
+def _cond_src(c: Cmp) -> str:
+    return f"{_expr_src(c.left)} {c.op} {_expr_src(c.right)}"
+
+
+def _stmt_lines(s: Stmt, depth: int, out: List[str]) -> None:
+    pad = "  " * depth
+    if isinstance(s, Assign):
+        out.append(f"{pad}{s.target} := {_expr_src(s.expr)};")
+    elif isinstance(s, Await):
+        out.append(f"{pad}await ({_cond_src(s.cond)});")
+    elif isinstance(s, Call):
+        head = f"{s.result} := call" if s.result else "call"
+        arg = _expr_src(s.arg) if s.arg is not None else ""
+        out.append(f"{pad}{head} {s.op}({arg});")
+    elif isinstance(s, If):
+        out.append(f"{pad}if ({_cond_src(s.cond)}) {{")
+        for t in s.then:
+            _stmt_lines(t, depth + 1, out)
+        if s.orelse:
+            out.append(f"{pad}}} else {{")
+            for t in s.orelse:
+                _stmt_lines(t, depth + 1, out)
+        out.append(f"{pad}}}")
+    elif isinstance(s, While):
+        out.append(f"{pad}while ({_cond_src(s.cond)}) {{")
+        for t in s.body:
+            _stmt_lines(t, depth + 1, out)
+        out.append(f"{pad}}}")
+    elif isinstance(s, Fence):
+        out.append(f"{pad}fence;")
+    elif isinstance(s, Return):
+        out.append(f"{pad}return {_expr_src(s.expr)};" if s.expr is not None
+                   else f"{pad}return;")
+    elif isinstance(s, Tas):
+        out.append(f"{pad}{s.result} := TAS({s.var}, {s.test}, {s.swap});")
+    else:
+        raise TypeError(s)
+
+
+def print_program(p: ClientProgram) -> str:
+    out = [f"global {v} = {n};" for v, n in p.globals.items()]
+    for th, stmts in p.threads.items():
+        ann = "" if p.coremap[th] == th else f" core {p.coremap[th]}"
+        out.append(f"thread {th}{ann} {{")
+        for s in stmts:
+            _stmt_lines(s, 1, out)
+        out.append("}")
+    return "\n".join(out) + "\n"
+
+
+def print_object(o: ObjectDef) -> str:
+    out = [f"object {o.kind} {{"]
+    for v, n in o.shared.items():
+        out.append(f"  var {v} = {n};")
+    for op in o.ops.values():
+        out.append(f"  op {op.name}({op.param or ''}) {{")
+        for s in op.body:
+            _stmt_lines(s, 2, out)
+        out.append("  }")
+    out.append("}")
+    return "\n".join(out) + "\n"
 
 
 class TestPrintRoundtrip:
