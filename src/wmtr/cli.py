@@ -39,6 +39,11 @@ def _common(sub):
     sub.add_argument("--out", help="write the primary artifact to this file")
 
 
+def _object_options(sub) -> None:
+    objects = sub.add_mutually_exclusive_group()
+    objects.add_argument("--spec"), objects.add_argument("--impl")
+
+
 def _config(args) -> ExploreConfig:
     return ExploreConfig(model=Model(args.model), unroll=args.unroll,
                          buffer=args.buffer, values=args.values)
@@ -64,6 +69,14 @@ def _load_object(path: Optional[str], kind: Optional[str] = None) -> ObjectDef:
     return obj
 
 
+def _chosen_object(args) -> ObjectDef:
+    """The object of `--spec` or `--impl` (at most one is given), else
+    the empty object."""
+    if args.spec:
+        return _load_object(args.spec, "spec")
+    return _load_object(args.impl, "impl" if args.impl else None)
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w") as f:
@@ -74,8 +87,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def cmd_explore(args) -> int:
     p = _load_client(args.client)
-    obj = _load_object(args.spec or args.impl,
-                       "spec" if args.spec else ("impl" if args.impl else None))
+    obj = _chosen_object(args)
     ts = explore(p, obj, _config(args))
     obs = sorted(ts.observables(), key=lambda o: (len(o), o))
     if args.format == "json":
@@ -93,8 +105,7 @@ def cmd_explore(args) -> int:
 
 def cmd_axioms(args) -> int:
     p = _load_client(args.client)
-    obj = _load_object(args.spec or args.impl,
-                       "spec" if args.spec else ("impl" if args.impl else None))
+    obj = _chosen_object(args)
     po = enforced_order(p, obj, _config(args))
     report = check_axioms(po)
     lemma = check_lemma1(po)
@@ -158,8 +169,7 @@ def cmd_refute(args) -> int:
 
 def cmd_dot(args) -> int:
     p = _load_client(args.client)
-    obj = _load_object(args.spec or args.impl,
-                       "spec" if args.spec else ("impl" if args.impl else None))
+    obj = _chosen_object(args)
     po = enforced_order(p, obj, _config(args))
     _emit(to_dot(po), args.out)
     return 0
@@ -174,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ex = sp.add_parser("explore", help="observable behaviours of a client")
     ex.add_argument("--client", required=True)
-    ex.add_argument("--spec"), ex.add_argument("--impl")
+    _object_options(ex)
     ex.add_argument("--format", choices=["text", "json"], default="text")
     _common(ex)
     ex.set_defaults(fn=cmd_explore)
@@ -182,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     axc = sp.add_parser("axioms", help="check the ordering laws of the "
                                        "extracted enforced order")
     axc.add_argument("--client", required=True)
-    axc.add_argument("--spec"), axc.add_argument("--impl")
+    _object_options(axc)
     _common(axc)
     axc.set_defaults(fn=cmd_axioms)
 
@@ -204,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dt = sp.add_parser("dot", help="enforced order as graphviz input")
     dt.add_argument("--client", required=True)
-    dt.add_argument("--spec"), dt.add_argument("--impl")
+    _object_options(dt)
     _common(dt)
     dt.set_defaults(fn=cmd_dot)
     return ap

@@ -155,22 +155,6 @@ def check_wellformed(t: Sequence[Event]) -> WfVerdict:
     return WF_OK
 
 
-def order_of(t: Sequence[Event]):
-    """Event set of t and its strict total order (all index-ordered pairs)."""
-    v = check_wellformed(t)
-    if not v:
-        raise ValueError(f"ill-formed trace at index {v.index}: {v.reason}")
-    pairs = set()
-    for i in range(len(t)):
-        for j in range(i + 1, len(t)):
-            pairs.add((t[i], t[j]))
-    return frozenset(t), frozenset(pairs)
-
-
-def project_object(t: Sequence[Event]) -> History:
-    return tuple(e for e in t if is_object_event(e))
-
-
 def observable_of(t: Sequence[Event]) -> Observable:
     """The (thread, variable, value) triples of the trace's step
     observations, in trace order."""
@@ -230,10 +214,6 @@ def event_from_json(line: str) -> Event:
 
 def trace_to_lines(t: Sequence[Event]) -> str:
     return "\n".join(event_to_json(e) for e in t)
-
-
-def trace_from_lines(text: str) -> Trace:
-    return tuple(event_from_json(ln) for ln in text.splitlines() if ln.strip())
 
 
 def pretty(e: Event) -> str:

@@ -6,21 +6,29 @@ picks the class once from `DISCIPLINES`.
 
 States are collapse-compressed: each distinct tuple of thread states is
 stored once, in a table on the engine, and a state holds its index; the
-RELAXED discipline does the same for its per-variable entries.  Hashing
-a state, once per edge, thus touches a few ints and short tuples and
-not the syntax trees the threads' control stacks point into.
+RELAXED discipline does the same for its per-variable entries.  A
+thread's state includes the frame of its implementation call, if any,
+so the thread tuple covers the client and the implementation machine
+alike.  Hashing a state, once per edge, thus touches a few ints and
+short tuples and not the syntax trees the control stacks point into.
 
 Successors are generated on the same factoring.  A step table keyed on
-(thread-tuple id, thread) holds the globals the thread's next statement
-reads and, per tuple of their values, the statement's outcome: blocked,
-a local step, a global write, a fence or a call.  Expressions are
-evaluated in full, so which globals a statement reads depends on the
-key alone.  The interpreter runs on a table miss only; a state reads
-those globals and settles only what depends on the rest of it: whether
-the storage takes the write, whether the core is drained, whether the
-thread may invoke, and the implementation machine's start.  The
-responses of a chaos call are tabled per key too, one outcome per
-output.  Implementation steps and specification bodies run per state.
+(thread-tuple id, thread) holds the shared variables the thread's next
+statement, or the next instruction of its implementation call, reads
+and, per tuple of their values, the outcome: blocked, a local step, a
+global write, a fence or a call; an implementation store, TAS or
+return.  Expressions are evaluated in full, so which variables a step
+reads depends on the key alone, and so does whether it is gated: a TAS
+or fence waits for its core to drain, and a TAS reads the latest value.
+The interpreter and `impl_step` run on a table miss only; a state reads
+those variables and settles only what depends on the rest of it:
+whether the storage takes the write, whether the core is drained,
+whether the thread may invoke, and where a write or a return's
+observation lands.  An implementation store's or TAS's ref, where the
+storage put the write, varies per state; the successor's id is memoised
+per ref on the outcome.  The responses of a chaos call are tabled per
+key too, one outcome per output, and a specification body runs once per
+key and valuation.
 
 The graph a build returns is stored as flat `array('i')` columns, one
 entry per edge: the successor's id and the id of the edge's burst in a
@@ -42,8 +50,8 @@ nothing.  Operations that cannot touch shared state (and whose result
 never flows into a global) are observed immediately after responding.
 
 The engine runs in one of three modes, chosen by the object kind:
-"impl" drives operation bodies instruction by instruction through the
-implementation machine, "spec" executes bodies atomically against a
+"impl" drives operation bodies instruction by instruction through
+`objects.impl_step`, "spec" executes bodies atomically against a
 logical valuation with free observation placement, pruned so that no
 invocation overlaps an unobserved operation of another core, and "chaos"
 (used for the enforced-order extraction) replaces the object by
@@ -61,8 +69,8 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .events import Event, Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId
 from .objects import (
-    MACHINE_EMPTY, Ret, Store, TasDone, impl_step,
-    machine_peek, machine_start, run_spec_body, writes_shared,
+    Fenced, Internal, Ret, Store, TasDone, impl_step, run_spec_body,
+    start_frame, writes_shared,
 )
 from .porder import EnforcedOrder
 from .program import (
@@ -103,13 +111,12 @@ class ThreadState(NamedTuple):
     regs: tuple    # sorted (name, value)
     labels: tuple  # sorted (label, occurrence count)
     calls: int
-    call: Optional[tuple]  # ("impl", opid, reg, ref of the last write)
+    call: Optional[tuple]  # ("impl", OpFrame, ref of the op's last write)
                            # | ("spec", opid, arg, reg) | ("chaos", opid, reg)
 
 
 class EngineState(NamedTuple):
     threads: int    # id in _Engine.threads of a sorted ((thread, ThreadState), ...)
-    machine: tuple
     storage: tuple  # owned by the storage discipline; RELAXED: entry ids
     objst: Optional[tuple]  # spec valuation
     book: tuple  # spec: responded, unobserved (opid, out, core)
@@ -155,22 +162,28 @@ class BurstTable:
 
 
 # what a state must still decide of a step: nothing, whether the storage
-# takes the write, whether the core is drained, whether it may invoke
-_LOCAL, _WRITE, _FENCE, _CALL = range(4)
+# takes the write, whether the core is drained, whether it may invoke,
+# the TAS's write on a drained core, and whether a returning operation's
+# observation rides on its last write
+_LOCAL, _WRITE, _FENCE, _CALL, _TAS, _RET = range(6)
 
 
 class _Step:
-    """The outcome of a thread's next statement for given read values, or
-    of one output of a chaos call: the burst it starts with, the id of the
-    thread tuple after it and, by kind, the `mem.write` arguments after
-    the core (_WRITE) or the `machine_start` arguments after the thread
-    (_CALL, impl mode).  `bid` is the id of the burst with the `tail` the
-    storage appended to it, cached when an edge first carries it."""
-    __slots__ = ("kind", "burst", "tid", "arg", "tail", "bid")
+    """The outcome of a thread's next statement or instruction for given
+    read values, or of one output of a chaos call: the burst it starts
+    with, the id of the thread tuple after it and, by kind, the storage
+    call's arguments after the core (_WRITE: `mem.write`, _TAS:
+    `mem.tas_write`, _RET: `mem.attach`).  After an implementation store
+    or TAS the thread's call slot records the write's ref, which varies
+    per state: `after` is then the thread state without the ref and
+    `tid` a dict from ref to the successor's id, filled as refs appear.
+    `bid` is the id of the burst with the `tail` the storage appended to
+    it, cached when an edge first carries it."""
+    __slots__ = ("kind", "burst", "tid", "arg", "after", "tail", "bid")
 
-    def __init__(self, kind: int, burst: tuple, tid: int, arg=None):
+    def __init__(self, kind: int, burst: tuple, tid, arg=None, after=None):
         self.kind, self.burst, self.tid, self.arg = kind, burst, tid, arg
-        self.tail, self.bid = None, 0
+        self.after, self.tail, self.bid = after, None, 0
 
 
 # --- the engine ---
@@ -190,26 +203,33 @@ class _Engine:
         self.universe = events_of_program(p, obj, cfg.unroll, cfg.values)
         self.bursts = BurstTable(self.universe)
         self.mem = DISCIPLINES[cfg.model](cores, initials, cfg.buffer, self.bursts)
+        # the load functions a step table entry names, bound once
+        self.read, self.latest = self.mem.read, self.mem.latest
         self.covert = covert_ops(p, obj)
         self.chaosouts = {name: chaos_outputs(op, cfg.values)
                           for name, op in obj.ops.items()}
-        # collapse compression: each distinct thread tuple is stored once
-        # and a state holds its index, so a state hashes as a few ints
+        # collapse compression: each distinct thread tuple, implementation
+        # frames included, is stored once and a state holds its index, so
+        # a state hashes as a few ints
         self.threads: List[tuple] = []
         self.thread_ids: Dict[tuple, int] = {}
         # step tables, keyed (thread-tuple id, thread).  A thread outside a
-        # call: (the globals its next statement reads, {their values: _Step,
-        # or None when blocked}).  A thread in a chaos call: [_Step per output].
+        # call or in an implementation call: (the storage's load function,
+        # the shared variables its next step reads, {their values: _Step,
+        # or None when blocked}).  A thread in a chaos call: [_Step per
+        # output].  A thread in a specification call, keyed with the
+        # valuation too: (burst id, thread-tuple id, valuation, book entry
+        # or None), or None when blocked.
         self.steps: Dict[Tuple[int, str], tuple] = {}
         self.responses: Dict[Tuple[int, str], List[_Step]] = {}
+        self.spec_calls: Dict[tuple, Optional[tuple]] = {}
 
     def root(self) -> EngineState:
         threads = tuple(sorted(
             (th, ThreadState(_norm_frames((("s", body, 0),)), (), (), 0, None))
             for th, body in self.p.threads.items()))
         objst = tuple(sorted(self.obj.shared.items())) if self.mode == "spec" else None
-        return EngineState(self._thread_id(threads), MACHINE_EMPTY,
-                           self.mem.initial(), objst, ())
+        return EngineState(self._thread_id(threads), self.mem.initial(), objst, ())
 
     def _thread_id(self, threads: tuple) -> int:
         tid = self.thread_ids.get(threads)
@@ -238,57 +258,66 @@ class _Engine:
         """The edges out of `st`, as (burst id, successor)."""
         out: List[Tuple[int, EngineState]] = []
         for th, ts in self.threads[st.threads]:
-            if ts.call is not None:
-                out.extend(self.call_actions(st, th, ts))
-            elif ts.frames:  # else the thread has run to its end
-                a = self.client_action(st, th, ts)
-                if a is not None:
-                    out.append(a)
-        threads, machine, storage, objst, book = st
+            call = ts.call
+            if call is None and not ts.frames:
+                continue  # the thread has run to its end
+            if call is None or call[0] == "impl":
+                a = self.step_action(st, th, ts)
+            elif call[0] == "spec":
+                a = self.spec_call_action(st, th, ts)
+            else:
+                out.extend(self.chaos_call_actions(st, th, ts))
+                continue
+            if a is not None:
+                out.append(a)
+        threads, storage, objst, book = st
         new = tuple.__new__  # EngineState's own constructor, without its call
         for b, storage2 in self.mem.moves(storage):
-            out.append((b, new(EngineState,
-                               (threads, machine, storage2, objst, book))))
+            out.append((b, new(EngineState, (threads, storage2, objst, book))))
         for j, (opid, outv, core) in enumerate(book):
             st2 = st._replace(book=book[:j] + book[j + 1:])
             out.append((self.bursts.id((OpObs(opid, outv),)), st2))
         return out
 
-    def client_action(self, st, th, ts):
-        """The edge of `th`'s next statement, or None when it is blocked.
-        The statement is interpreted once per thread tuple and values of
-        the globals it reads; each state then only reads those globals
+    def step_action(self, st, th, ts):
+        """The edge of `th`'s next statement, or of the next instruction
+        of its implementation call, or None when it is blocked.  The step
+        is interpreted once per thread tuple and values of the shared
+        variables it reads; each state then only reads those variables
         and settles what the storage or the other threads decide."""
         key = (st.threads, th)
         entry = self.steps.get(key)
         step = _MISS
         if entry is not None:
-            reads, outcomes = entry
-            read, storage, core = self.mem.read, st.storage, self.coremap[th]
-            step = outcomes.get(tuple([read(storage, core, v) for v in reads]),
+            load, reads, outcomes = entry
+            storage, core = st.storage, self.coremap[th]
+            step = outcomes.get(tuple([load(storage, core, v) for v in reads]),
                                 _MISS)
         if step is _MISS:
-            step, reads, vals = self._interpret(st, th, ts)
+            if ts.call is None:
+                load, step, seen = self._interpret(st, th, ts)
+            else:
+                load, step, seen = self._interpret_impl(st, th, ts)
             if entry is None:
-                entry = self.steps[key] = (reads, {})
-            entry[1][vals] = step
+                entry = self.steps[key] = (load, tuple(seen), {})
+            entry[2][tuple(seen.values())] = step
         return None if step is None else self._take(st, th, step)
 
     def _interpret(self, st, th, ts):
-        """Run `th`'s next statement in `st`: its _Step (None when blocked),
-        the globals it read and their values.  Expressions and conditions
-        are evaluated in full, so the globals read depend on `ts` alone."""
-        storage, core = st.storage, self.coremap[th]
+        """Run `th`'s next statement in `st`: the load function, its _Step
+        (None when blocked) and the globals it read with their values.
+        Expressions and conditions are evaluated in full, so the globals
+        read depend on `ts` alone."""
+        load, storage, core = self.read, st.storage, self.coremap[th]
         seen: Dict[str, int] = {}
 
         def look(name):
             v = _tget(ts.regs, name, _UNBOUND)
             if v is _UNBOUND:
-                v = seen[name] = self.mem.read(storage, core, name)
+                v = seen[name] = load(storage, core, name)
             return v
 
-        step = self._next_step(st.threads, th, ts, look)
-        return step, tuple(seen), tuple(seen.values())
+        return load, self._next_step(st.threads, th, ts, look), seen
 
     def _next_step(self, tid, th, ts, look):
         values = self.cfg.values
@@ -349,105 +378,133 @@ class _Engine:
         if isinstance(s, Call):
             opid = OpId(th, s.op, ts.calls)
             arg = s.arg.value % (values + 1) if isinstance(s.arg, Lit) else None
-            start = None
             if self.mode == "impl":
-                slot = ("impl", opid, s.result, None)
-                start = (opid, self.obj.ops[s.op], arg, s.result)
+                slot = ("impl", start_frame(opid, self.obj.ops[s.op], arg, s.result),
+                        None)
             elif self.mode == "spec":
                 slot = ("spec", opid, arg, s.result)
             else:
                 slot = ("chaos", opid, s.result)
             ts2 = ts._replace(frames=adv, calls=ts.calls + 1, call=slot)
-            return _Step(_CALL, (Inv(opid, arg),), self._thread_with(tid, th, ts2),
-                         start)
+            return _Step(_CALL, (Inv(opid, arg),), self._thread_with(tid, th, ts2))
         raise TypeError(f"unexpected client statement: {s}")
+
+    def _interpret_impl(self, st, th, ts):
+        """Run the next instruction of `th`'s implementation call in `st`:
+        the load function, its _Step (None when blocked or stuck) and the
+        shared variables it read with their values.  A TAS or fence is
+        gated: it waits for the core to drain, and a TAS acts on the
+        latest value; the instruction, and so its gating, depends on the
+        frame alone, so a first run through `read` tells whether to run
+        it again through `latest`, needed only where the two differ (not
+        under SC or TSO, whose drained cores read the latest values)."""
+        _, f, last = ts.call
+        storage, core = st.storage, self.coremap[th]
+        cfg = self.cfg
+
+        def run(load):
+            seen: Dict[str, int] = {}
+
+            def view(name):
+                v = seen[name] = load(storage, core, name)
+                return v
+
+            return impl_step(f, self.obj, view, cfg.values, cfg.unroll), seen
+
+        load = self.read
+        r, seen = run(load)
+        if r is not None and isinstance(r[1], (TasDone, Fenced)):
+            load = self.latest
+            if any(load(storage, core, v) != x for v, x in seen.items()):
+                r, seen = run(load)
+        if r is None:
+            return load, None, seen
+        f2, eff = r
+        tid, opid = st.threads, f.opid
+        if isinstance(eff, Ret):
+            ts2 = _returned(ts, f.ret_reg, eff.out)
+            return load, _Step(_RET, (Res(opid, eff.out),),
+                               self._thread_with(tid, th, ts2),
+                               (last, opid, OpObs(opid, eff.out))), seen
+        ts2 = ts._replace(call=("impl", f2, last))
+        if isinstance(eff, Store):
+            return load, _Step(_WRITE, (), {}, (eff.var, eff.value, "obj", opid, None),
+                               ts2), seen
+        if isinstance(eff, TasDone) and eff.store is not None:
+            return load, _Step(_TAS, (), {}, (eff.var, eff.store, opid), ts2), seen
+        kind = _LOCAL if isinstance(eff, Internal) else _FENCE  # or a failed TAS
+        return load, _Step(kind, (), self._thread_with(tid, th, ts2)), seen
 
     def _take(self, st, th, step):
         """The edge `step` makes from `st`, or None when `st` blocks it."""
-        tid, machine, storage, objst, book = st
+        tid, storage, objst, book = st
         kind = step.kind
         tail = ()
-        if kind == _WRITE:
-            w = self.mem.write(storage, self.coremap[th], *step.arg)
-            if w is None:
-                return None
-            storage, tail, _ = w
-        elif kind == _FENCE:
-            if not self.mem.drained(storage, self.coremap[th]):
-                return None
-        elif kind == _CALL:
-            if not self.inv_allowed(st, th):
-                return None
-            if step.arg is not None:
-                machine = machine_start(machine, th, *step.arg)
+        if kind != _LOCAL:
+            mem, core = self.mem, self.coremap[th]
+            if kind == _WRITE:
+                w = mem.write(storage, core, *step.arg)
+                if w is None:
+                    return None
+                storage, tail, ref = w
+            elif kind == _CALL:
+                if not self.inv_allowed(st, th):
+                    return None
+            elif kind == _RET:
+                attached = mem.attach(storage, core, *step.arg)
+                if attached is None:  # the observation is emitted now
+                    tail = step.arg[-1:]
+                else:
+                    storage = attached
+            else:  # _FENCE or _TAS
+                if not mem.drained(storage, core):
+                    return None
+                if kind == _TAS:
+                    storage, ref = mem.tas_write(storage, core, *step.arg)
         if tail != step.tail:  # the first edge to carry it, or another tail
             step.tail, step.bid = tail, self.bursts.id(step.burst + tail)
-        return step.bid, tuple.__new__(
-            EngineState, (step.tid, machine, storage, objst, book))
-
-    def call_actions(self, st, th, ts):
-        if ts.call[0] == "impl":
-            a = self.impl_call_action(st, th, ts)
-            return [a] if a is not None else []
-        if ts.call[0] == "spec":
-            a = self.spec_call_action(st, th, ts)
-            return [a] if a is not None else []
-        return self.chaos_call_actions(st, th, ts)
-
-    def impl_call_action(self, st, th, ts):
-        _, opid, ret_reg, last = ts.call
-        core = self.coremap[th]
-        mem, storage = self.mem, st.storage
-        peek = machine_peek(st.machine, th)[0]
-        if peek in ("none", "stuck"):
-            return None
-        gated = peek in ("tas", "fence")
-        if gated and not mem.drained(storage, core):
-            return None
-        look = mem.latest if gated else mem.read
-        r = impl_step(st.machine, th, self.obj, lambda v: look(storage, core, v),
-                      self.cfg.values, self.cfg.unroll)
-        if r is None:
-            return None
-        machine2, eff = r
-        storage2 = storage
-        ts2 = ts
-        burst: tuple = ()
-        if isinstance(eff, Store):
-            w = mem.write(storage, core, eff.var, eff.value, "obj", opid, None)
-            if w is None:
-                return None
-            storage2, _, ref = w
-            ts2 = ts._replace(call=("impl", opid, ret_reg, ref))
-        elif isinstance(eff, TasDone) and eff.store is not None:
-            storage2, ref = mem.tas_write(storage, core, eff.var, eff.store, opid)
-            ts2 = ts._replace(call=("impl", opid, ret_reg, ref))
-        elif isinstance(eff, Ret):
-            obs = OpObs(opid, eff.out)
-            burst = (Res(opid, eff.out),)
-            storage2 = mem.attach(storage, core, last, opid, obs)
-            if storage2 is None:
-                storage2, burst = storage, burst + (obs,)
-            ts2 = _returned(ts, ret_reg, eff.out)
-        st2 = st._replace(threads=self._thread_with(st.threads, th, ts2),
-                          machine=machine2, storage=storage2)
-        return (self.bursts.id(burst), st2)
+        after = step.after
+        if after is None:
+            tid2 = step.tid
+        else:  # the successor records the write's ref
+            tid2 = step.tid.get(ref)
+            if tid2 is None:
+                tid2 = step.tid[ref] = self._thread_with(
+                    tid, th, after._replace(call=after.call[:2] + (ref,)))
+        return step.bid, tuple.__new__(EngineState, (tid2, storage, objst, book))
 
     def spec_call_action(self, st, th, ts):
+        """The edge of `th`'s specification call, or None when its body
+        blocks.  The body runs once per thread tuple and valuation; each
+        state then only adds the response to its book."""
+        key = (st.threads, th, st.objst)
+        out = self.spec_calls.get(key, _MISS)
+        if out is _MISS:
+            out = self.spec_calls[key] = self._spec_call(st.threads, th, ts,
+                                                          st.objst)
+        if out is None:
+            return None
+        bid, tid2, objst2, pending = out
+        book = st.book if pending is None else st.book + (pending,)
+        return bid, tuple.__new__(EngineState, (tid2, st.storage, objst2, book))
+
+    def _spec_call(self, tid, th, ts, objst):
+        """Run `th`'s specification call against valuation `objst`: (burst
+        id, thread-tuple id, valuation after it, the response for the book
+        or None when the operation is observed at once), or None."""
         _, opid, arg, ret_reg = ts.call
-        r = run_spec_body(self.obj.ops[opid.call], dict(st.objst), arg,
+        r = run_spec_body(self.obj.ops[opid.call], dict(objst), arg,
                           self.cfg.values)
         if r is None:
             return None
         valuation, outv = r
-        st2 = st._replace(
-            threads=self._thread_with(st.threads, th, _returned(ts, ret_reg, outv)),
-            objst=tuple(sorted(valuation.items())))
+        tid2 = self._thread_with(tid, th, _returned(ts, ret_reg, outv))
+        objst2 = tuple(sorted(valuation.items()))
         if opid.call in self.covert:
-            return (self.bursts.id((Res(opid, outv), OpObs(opid, outv))), st2)
-        core = self.coremap[th]
-        return (self.bursts.id((Res(opid, outv),)),
-                st2._replace(book=st2.book + ((opid, outv, core),)))
+            return (self.bursts.id((Res(opid, outv), OpObs(opid, outv))), tid2,
+                    objst2, None)
+        return (self.bursts.id((Res(opid, outv),)), tid2, objst2,
+                (opid, outv, self.coremap[th]))
 
     def chaos_call_actions(self, st, th, ts):
         key = (st.threads, th)

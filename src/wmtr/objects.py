@@ -2,16 +2,19 @@
 
 Two views of the same interface: specification objects execute each
 operation body atomically against a logical valuation, implementation
-objects run instruction by instruction through a small machine whose
-memory effects are handed back to the caller (shared reads go through a
-supplied view function, so the surrounding memory model decides what a
-load returns and where a store lands).
+objects run instruction by instruction.  An invocation of an
+implementation operation is one immutable frame (its control stack and
+registers); `impl_step` is a pure function of that frame that returns
+the next frame and the instruction's memory effect, handed back to the
+caller (shared reads go through a supplied view function, so the
+surrounding memory model decides what a load returns and where a store
+lands).  The caller keeps each thread's frame with the thread's state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from .events import OpId
 from .program import (
@@ -91,6 +94,11 @@ class Internal:
 
 
 @dataclass(frozen=True)
+class Fenced:
+    pass
+
+
+@dataclass(frozen=True)
 class Store:
     var: str
     value: int
@@ -110,76 +118,39 @@ class Ret:
 
 @dataclass(frozen=True)
 class OpFrame:
+    """One invocation's control stack and registers.  Its hash is taken
+    once, when it is made: the stack points into the operation's syntax
+    tree, which hashes recursively, and a caller that keeps the frame in
+    hashed state hashes it again whenever anything else in that state
+    changes."""
     opid: OpId
     opname: str
     ret_reg: Optional[str]
     frames: tuple
     regs: tuple  # sorted (name, value) pairs
 
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(
+            (self.opid, self.opname, self.ret_reg, self.frames, self.regs)))
 
-Machine = Tuple[Tuple[str, OpFrame], ...]
-
-MACHINE_EMPTY: Machine = ()
-
-
-def machine_get(m: Machine, thread: str) -> Optional[OpFrame]:
-    for th, f in m:
-        if th == thread:
-            return f
-    return None
+    def __hash__(self):
+        return self._hash
 
 
-def _machine_set(m: Machine, thread: str, frame: Optional[OpFrame]) -> Machine:
-    rest = tuple((th, f) for th, f in m if th != thread)
-    if frame is None:
-        return rest
-    return tuple(sorted(rest + ((thread, frame),)))
-
-
-def machine_start(m: Machine, thread: str, opid: OpId, op: OpDef,
-                  arg: Value, ret_reg: Optional[str]) -> Machine:
-    if machine_get(m, thread) is not None:
-        raise ValueError(f"thread {thread} already has an active invocation")
+def start_frame(opid: OpId, op: OpDef, arg: Value,
+                ret_reg: Optional[str]) -> OpFrame:
+    """The frame of a fresh invocation of `op`, before its first step."""
     regs = ((op.param, arg),) if op.param is not None else ()
-    frame = OpFrame(opid, op.name, ret_reg, (("s", op.body, 0),), regs)
-    return _machine_set(m, thread, frame)
+    return OpFrame(opid, op.name, ret_reg, (("s", op.body, 0),), regs)
 
 
-def machine_peek(m: Machine, thread: str):
-    """Kind of the next effective instruction: ("none",) when the thread
-    has no active invocation, ("stuck",) when its loop budget is spent,
-    ("tas", var) before a TAS, else ("plain",)."""
-    f = machine_get(m, thread)
-    if f is None:
-        return ("none",)
-    frames = list(f.frames)
-    while frames:
-        top = frames[-1]
-        if top[0] == "s":
-            _, stmts, i = top
-            if i == len(stmts):
-                frames.pop()
-                continue
-            s = stmts[i]
-            if isinstance(s, Tas):
-                return ("tas", s.var)
-            if isinstance(s, Fence):
-                return ("fence",)
-            return ("plain",)
-        _, _, k = top
-        return ("stuck",) if k == 0 else ("plain",)
-    return ("plain",)  # implicit return
-
-
-def impl_step(m: Machine, thread: str, obj: ObjectDef, view,
-              values: int = 3, unroll: int = 2):
-    """Execute one instruction of the thread's active invocation.
-    `view` maps a shared variable to the value this thread's load
-    returns (for TAS, the caller must pass the authoritative view).
-    Returns (machine', effect) or None when blocked, stuck, or idle."""
-    f = machine_get(m, thread)
-    if f is None:
-        return None
+def impl_step(f: OpFrame, obj: ObjectDef, view, values: int = 3, unroll: int = 2):
+    """Execute the next instruction of the invocation in frame `f`.
+    `view` maps a shared variable to the value this load returns (for
+    TAS, the caller must pass the authoritative view).  Returns
+    (frame', effect), frame' being None once the invocation returned, or
+    None when blocked or stuck.  A TAS or fence needs the issuing core
+    drained first; its effect is a TasDone or Fenced."""
     regs = dict(f.regs)
 
     def lookup(name):
@@ -190,18 +161,14 @@ def impl_step(m: Machine, thread: str, obj: ObjectDef, view,
         raise KeyError(f"unknown name {name!r} in op {f.opname}")
 
     def done(frames, effect, regs=None):
-        if regs is None:
-            frame2 = OpFrame(f.opid, f.opname, f.ret_reg, tuple(frames), f.regs)
-        else:
-            frame2 = OpFrame(f.opid, f.opname, f.ret_reg, tuple(frames),
-                             tuple(sorted(regs.items())))
-        return _machine_set(m, thread, frame2), effect
+        regs = f.regs if regs is None else tuple(sorted(regs.items()))
+        return OpFrame(f.opid, f.opname, f.ret_reg, tuple(frames), regs), effect
 
     frames = list(f.frames)
     while frames and frames[-1][0] == "s" and frames[-1][2] == len(frames[-1][1]):
         frames.pop()
     if not frames:
-        return _machine_set(m, thread, None), Ret(None)
+        return None, Ret(None)
     top = frames[-1]
 
     if top[0] == "l":
@@ -243,16 +210,14 @@ def impl_step(m: Machine, thread: str, obj: ObjectDef, view,
         branch = s.then if eval_cond(s.cond, lookup, values) else s.orelse
         return done(advanced + [("s", branch, 0)], Internal())
     if isinstance(s, Fence):
-        # a fence inside an op body is the caller's concern; surface it
-        return done(advanced, Internal())
+        return done(advanced, Fenced())
     if isinstance(s, Return):
         out = eval_expr(s.expr, lookup, values) if s.expr is not None else None
-        return _machine_set(m, thread, None), Ret(out)
+        return None, Ret(out)
     if isinstance(s, Tas):
         value = view(s.var)
         success = value == s.test % (values + 1)
         regs[s.result] = 1 if success else 0
         swap = s.swap % (values + 1) if success else None
-        m2, _ = done(advanced, None, regs)
-        return m2, TasDone(s.var, 1 if success else 0, swap)
+        return done(advanced, TasDone(s.var, 1 if success else 0, swap), regs)
     raise TypeError(f"unexpected statement in op body: {s}")

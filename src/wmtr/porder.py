@@ -45,7 +45,6 @@ from .events import (
     OpId,
     OpObs,
     Res,
-    event_from_record,
     event_to_json,
     event_to_record,
     is_object_event,
@@ -339,17 +338,3 @@ def order_to_lines(po: EnforcedOrder) -> str:
         out.append(json.dumps({"edge": [event_to_record(a), event_to_record(b)]},
                               sort_keys=True, separators=(",", ":")))
     return "\n".join(out)
-
-
-def order_from_lines(text: str) -> EnforcedOrder:
-    universe, pairs = set(), set()
-    for ln in text.splitlines():
-        if not ln.strip():
-            continue
-        d = json.loads(ln)
-        if "node" in d:
-            universe.add(event_from_record(d["node"]))
-        else:
-            a, b = d["edge"]
-            pairs.add((event_from_record(a), event_from_record(b)))
-    return EnforcedOrder(frozenset(universe), frozenset(pairs))

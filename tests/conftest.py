@@ -1,4 +1,5 @@
-"""Hand-built reference traces shared across the test modules.
+"""Hand-built reference traces shared across the test modules, and
+readers and views of the library's formats that only tests use.
 
 Both traces were written out event by event from the intended machine
 behaviour and serve as ground truth: wellformedness, projections,
@@ -6,17 +7,65 @@ observable extraction, and (later) containment in the exploration
 engine's output are all checked against them.
 """
 
+import json
 from pathlib import Path
+from typing import Sequence
 
+from hypothesis import settings
 from hypothesis import strategies as st
 
-from wmtr.events import Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId
+from wmtr.events import (
+    Event, History, Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId, Trace,
+    check_wellformed, event_from_json, event_from_record, is_object_event,
+)
+from wmtr.porder import EnforcedOrder
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+# `--hypothesis-profile=ci`: a failing property also prints the
+# `@reproduce_failure` blob that replays it; example counts and deadlines
+# stay as each test sets them
+settings.register_profile("ci", print_blob=True)
 
 
 def corpus_text(name: str) -> str:
     return (CORPUS / name).read_text()
+
+
+# --- test-only readers and views of traces and orders ---
+
+def trace_from_lines(text: str) -> Trace:
+    return tuple(event_from_json(ln) for ln in text.splitlines() if ln.strip())
+
+
+def order_from_lines(text: str) -> EnforcedOrder:
+    universe, pairs = set(), set()
+    for ln in text.splitlines():
+        if not ln.strip():
+            continue
+        d = json.loads(ln)
+        if "node" in d:
+            universe.add(event_from_record(d["node"]))
+        else:
+            a, b = d["edge"]
+            pairs.add((event_from_record(a), event_from_record(b)))
+    return EnforcedOrder(frozenset(universe), frozenset(pairs))
+
+
+def order_of(t: Sequence[Event]):
+    """Event set of t and its strict total order (all index-ordered pairs)."""
+    v = check_wellformed(t)
+    if not v:
+        raise ValueError(f"ill-formed trace at index {v.index}: {v.reason}")
+    pairs = set()
+    for i in range(len(t)):
+        for j in range(i + 1, len(t)):
+            pairs.add((t[i], t[j]))
+    return frozenset(t), frozenset(pairs)
+
+
+def project_object(t: Sequence[Event]) -> History:
+    return tuple(e for e in t if is_object_event(e))
 
 
 def writes_client(n: int) -> str:

@@ -19,6 +19,7 @@ direct way, and some test compares the two:
 """
 
 import random
+from itertools import chain
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 from wmtr.events import (
@@ -81,7 +82,10 @@ def from_traces(universe: Iterable[Event], traces: Iterable[Sequence[Event]]) ->
 def materialize(ts, max_traces: int = 200_000) -> frozenset:
     """The explicit trace set of `ts`; refuses to build oversized ones.
     A state's set of suffixes is dropped once the last edge into it has
-    been followed, so only the sets some unfinished state needs are kept."""
+    been followed, so only the sets some unfinished state needs are kept.
+    A state's union is checked against `max_traces` as it accumulates: it
+    only grows, so the state refused is the one a check of the finished
+    union would refuse, and no set holds more than `max_traces` + 1."""
     waiting = [0] * ts.states  # per state: the edges into it not yet followed
     for s2 in ts.succ:
         waiting[s2] += 1
@@ -89,15 +93,14 @@ def materialize(ts, max_traces: int = 200_000) -> frozenset:
     for s in reversed(ts.topo()):
         acc = {()}
         for burst, s2 in ts.graph[s]:
-            for j in range(1, len(burst)):
-                acc.add(burst[:j])
-            for t in suffix[s2]:
-                acc.add(burst + t)
+            heads = (burst[:j] for j in range(1, len(burst)))
+            for t in chain(heads, (burst + t for t in suffix[s2])):
+                acc.add(t)
+                if len(acc) > max_traces:
+                    raise ValueError("trace set too large to materialize")
             waiting[s2] -= 1
             if not waiting[s2]:
                 del suffix[s2]
-        if len(acc) > max_traces:
-            raise ValueError("trace set too large to materialize")
         suffix[s] = frozenset(acc)
     return suffix[ts.root]
 

@@ -9,10 +9,9 @@ from pathlib import Path
 import pytest
 
 from wmtr.cli import main
-from wmtr.events import trace_from_lines, check_wellformed
-from wmtr.porder import order_from_lines
+from wmtr.events import check_wellformed
 
-from conftest import CORPUS
+from conftest import CORPUS, order_from_lines, trace_from_lines
 
 
 def C(name):
@@ -166,6 +165,18 @@ class TestErrors:
         with pytest.raises(SystemExit) as e:
             main(["explore", "--model", "warp"])
         assert e.value.code == 2
+
+    # one object per run: given both, a command would run on one of them
+    # and silently drop the other
+    @pytest.mark.parametrize("command", ["explore", "axioms", "dot"])
+    def test_spec_and_impl_exclude_each_other(self, command, capsys):
+        with pytest.raises(SystemExit) as e:
+            main([command, "--model", "sc", "--client", C("fig4_client.wm"),
+                  "--spec", C("spinlock_spec.wm"),
+                  "--impl", C("spinlock_impl.wm")])
+        err = capsys.readouterr().err
+        assert e.value.code == 2
+        assert "--impl: not allowed with argument --spec" in err
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

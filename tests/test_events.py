@@ -2,7 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import relaxed_counter_witness, tso_spinlock_witness, wellformed_traces
+from conftest import (
+    order_of, project_object, relaxed_counter_witness, trace_from_lines,
+    tso_spinlock_witness, wellformed_traces,
+)
 from wmtr.events import (
     Inv,
     OpId,
@@ -14,10 +17,7 @@ from wmtr.events import (
     check_wellformed,
     event_to_json,
     observable_of,
-    order_of,
     pretty,
-    project_object,
-    trace_from_lines,
     trace_to_lines,
 )
 

@@ -3,14 +3,12 @@ spec mode, and the implementation machine."""
 
 import pytest
 
-from conftest import corpus_text
-from wmtr.events import (
-    Inv, OpId, OpObs, Res, check_wellformed, project_object,
-)
+from conftest import corpus_text, project_object
+from wmtr.events import Inv, OpId, OpObs, Res, check_wellformed
 from wmtr.memmodel import ExploreConfig, Model, covert_ops, explore
 from wmtr.objects import (
-    Internal, MACHINE_EMPTY, Ret, Store, TasDone, impl_step, machine_get,
-    machine_peek, machine_start, run_spec_body, writes_shared,
+    Fenced, Internal, Ret, Store, TasDone, impl_step, run_spec_body,
+    start_frame, writes_shared,
 )
 from wmtr.program import events_of_program, parse
 
@@ -159,27 +157,39 @@ def test_spec_mode_histories_match_oracle(client, spec, model):
 
 
 def drive(op_name, view, n=10, ret_reg=None, values=3, unroll=2):
-    """Run one invocation to completion or till blocked; returns effects."""
-    opid = OpId("T", op_name, 0)
-    m = machine_start(MACHINE_EMPTY, "T", opid, IMPL.ops[op_name], None, ret_reg)
+    """Run one invocation to completion or till blocked; returns the
+    frame after the last step (None once returned) and the effects."""
+    f = start_frame(OpId("T", op_name, 0), IMPL.ops[op_name], None, ret_reg)
     effects = []
     for _ in range(n):
-        r = impl_step(m, "T", IMPL, view, values, unroll)
+        r = impl_step(f, IMPL, view, values, unroll)
         if r is None:
             effects.append(None)
             break
-        m, eff = r
+        f, eff = r
         effects.append(eff)
         if isinstance(eff, Ret):
             break
-    return m, effects
+    return f, effects
+
+
+class Reads:
+    """A view that returns `value` for every variable and records which
+    variables were read."""
+
+    def __init__(self, value):
+        self.value, self.names = value, []
+
+    def __call__(self, name):
+        self.names.append(name)
+        return self.value
 
 
 class TestImplMachine:
     def test_release(self):
-        m, effs = drive("release", lambda v: 0)
+        f, effs = drive("release", lambda v: 0)
         assert effs == [Store("x", 1), Ret(None)]
-        assert machine_get(m, "T") is None
+        assert f is None
 
     def test_try_acquire_success(self):
         _, effs = drive("tryAcquire", lambda v: 1)
@@ -200,47 +210,51 @@ class TestImplMachine:
                         Internal(), Internal(), None]
 
     def test_acquire_recovers_when_lock_frees(self):
-        opid = OpId("T", "acquire", 0)
-        m = machine_start(MACHINE_EMPTY, "T", opid, IMPL.ops["acquire"],
-                          None, None)
+        f = start_frame(OpId("T", "acquire", 0), IMPL.ops["acquire"], None, None)
         x = 0
         effects = []
         for _ in range(4):  # outer guard, TAS fail, if, inner guard
-            m, eff = impl_step(m, "T", IMPL, lambda v: x)
+            f, eff = impl_step(f, IMPL, lambda v: x)
             effects.append(eff)
         x = 1
         for _ in range(4):  # inner guard false, outer guard, TAS, if
-            m, eff = impl_step(m, "T", IMPL, lambda v: x)
+            f, eff = impl_step(f, IMPL, lambda v: x)
             effects.append(eff)
-        m, eff = impl_step(m, "T", IMPL, lambda v: x)
+        f, eff = impl_step(f, IMPL, lambda v: x)
         assert eff == Ret(None)
         assert effects[-2] == TasDone("x", 1, 0)
 
-    def test_peek_kinds(self):
-        opid = OpId("T", "tryAcquire", 0)
-        m = machine_start(MACHINE_EMPTY, "T", opid, IMPL.ops["tryAcquire"],
-                          None, "rt")
-        assert machine_peek(m, "T") == ("tas", "x")
-        assert machine_peek(m, "other") == ("none",)
-        m, _ = impl_step(m, "T", IMPL, lambda v: 1)
-        assert machine_peek(m, "T") == ("plain",)
+    def test_gated_kinds(self):
+        """A TAS, the next instruction of a fresh tryAcquire, reads only
+        its variable and ends in a TasDone: the step that needs a
+        drained core.  The return after it reads nothing."""
+        f = start_frame(OpId("T", "tryAcquire", 0), IMPL.ops["tryAcquire"],
+                        None, "rt")
+        view = Reads(1)
+        f, eff = impl_step(f, IMPL, view)
+        assert (view.names, eff) == (["x"], TasDone("x", 1, 0))
+        view = Reads(1)
+        assert impl_step(f, IMPL, view) == (None, Ret(1))
+        assert view.names == []
 
-    def test_peek_stuck(self):
-        opid = OpId("T", "acquire", 0)
-        m = machine_start(MACHINE_EMPTY, "T", opid, IMPL.ops["acquire"],
-                          None, None)
+    def test_fence_is_gated(self):
+        o = parse("object impl {\n  var x = 0;\n  op f() {\n"
+                  "    fence;\n    x := 1;\n  }\n}")
+        f = start_frame(OpId("T", "f", 0), o.ops["f"], None, None)
+        view = Reads(0)
+        f, eff = impl_step(f, o, view)
+        assert (view.names, eff) == ([], Fenced())
+        assert impl_step(f, o, view)[1] == Store("x", 1)
+
+    def test_stuck(self):
+        """Once the inner loop's budget is spent the frame is stuck for
+        good: the step blocks whatever memory holds, without a read."""
+        f = start_frame(OpId("T", "acquire", 0), IMPL.ops["acquire"], None, None)
         for _ in range(5):
-            m, _ = impl_step(m, "T", IMPL, lambda v: 0)
-        assert machine_peek(m, "T") == ("stuck",)
-        assert impl_step(m, "T", IMPL, lambda v: 1) is None
-
-    def test_double_start_rejected(self):
-        opid = OpId("T", "acquire", 0)
-        m = machine_start(MACHINE_EMPTY, "T", opid, IMPL.ops["acquire"],
-                          None, None)
-        with pytest.raises(ValueError):
-            machine_start(m, "T", OpId("T", "release", 1),
-                          IMPL.ops["release"], None, None)
+            f, _ = impl_step(f, IMPL, lambda v: 0)
+        view = Reads(1)
+        assert impl_step(f, IMPL, view) is None
+        assert view.names == []
 
     def test_writes_shared(self):
         assert writes_shared(IMPL.ops["acquire"], IMPL)   # via TAS

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 import genrel
-from conftest import tso_spinlock_witness, wellformed_traces
+from conftest import order_from_lines, tso_spinlock_witness, wellformed_traces
 from oracles import from_traces
 from wmtr.events import Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId
 from wmtr.porder import (
@@ -16,7 +16,6 @@ from wmtr.porder import (
     check_axioms,
     check_lemma1,
     closure,
-    order_from_lines,
     order_to_lines,
     to_dot,
     transitive_reduction,
