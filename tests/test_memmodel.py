@@ -309,6 +309,173 @@ BURST_DIGESTS_OWN = {  # the object's own mode, default bounds
 }
 
 
+# control-flow shapes the corpus lacks, each a client and an object (None:
+# no object); the states after an `if` or a finished block are where a
+# change to how control is represented would move ids
+SHAPES = {
+    # both branches equal: one state after either
+    "if-equal-branches": (
+        "global x = 0;\nglobal y = 0;\n"
+        "thread T0 { if (x = 0) { y := 1; } else { y := 1; } r0 := y; }\n"
+        "thread T1 { x := 1; }", None),
+    "if-without-else": (
+        "global x = 0;\nglobal y = 0;\n"
+        "thread T0 { if (x = 1) { y := 1; } y := x; }\n"
+        "thread T1 { x := 1; }", None),
+    "empty-while-in-loop": (
+        "global x = 0;\nglobal y = 0;\n"
+        "thread T0 { while (x != 1) { while (y = 0) { } x := x + 1; } }\n"
+        "thread T1 { y := 1; }", None),
+    "while-first-and-last": (
+        "global x = 0;\nglobal y = 0;\n"
+        "thread T0 { while (x = 0) { y := 1; } y := 0; "
+        "while (y = 0) { fence; } }\n"
+        "thread T1 { x := 1; y := 1; }", None),
+    # the branches end in different blocks before a common return
+    "impl-branch-ends": (
+        "global g = 0;\n"
+        "thread T0 { r0 := call f(); g := r0; }\n"
+        "thread T1 { call f(); }",
+        "object impl {\n  var y = 0;\n"
+        "  op f() { if (y = 0) { y := 1; } else { y := 1 + 0; } return 1; }\n}"),
+    # an operation that runs off its end, there in a finished branch
+    "impl-falls-off": (
+        "global g = 0;\n"
+        "thread T0 { call h(); g := 1; }\n"
+        "thread T1 { call h(); }",
+        "object impl {\n  var y = 0;\n"
+        "  op h() { y := y + 1; if (y = 1) { y := 0; } }\n}"),
+}
+
+SHAPE_MODELS = {"sc": (Model.SC, {}), "tso-buffer-1": (Model.TSO, {"buffer": 1}),
+                "relaxed": (Model.RELAXED, {})}
+
+# (shape, model, mode) -> (graph digest, burst digest), values=1; mode
+# "own" is the object's own kind, "impl" for a client without object
+SHAPE_DIGESTS = {
+    ("if-equal-branches", "sc", "own"):  # 8 states
+        ("63cae7dd56789d19e0681a1f9b641b11b8d7219cb3725a14a4c2bb9c61d098fc",
+         "2de903e560d1661e9c67bd814f1a99aa414820f5d6e124c15d6757811a34e141"),
+    ("if-equal-branches", "sc", "chaos"):  # 8 states
+        ("63cae7dd56789d19e0681a1f9b641b11b8d7219cb3725a14a4c2bb9c61d098fc",
+         "2de903e560d1661e9c67bd814f1a99aa414820f5d6e124c15d6757811a34e141"),
+    ("if-equal-branches", "tso-buffer-1", "own"):  # 18 states
+        ("2a3ef7635c354a699fc604860157ddbc7eec12464b45163b0437662596bacb1b",
+         "043dd578b49c7588a812d34557786a1ad134a20e5bd1e226bf2c78eb588896c7"),
+    ("if-equal-branches", "tso-buffer-1", "chaos"):  # 18 states
+        ("2a3ef7635c354a699fc604860157ddbc7eec12464b45163b0437662596bacb1b",
+         "043dd578b49c7588a812d34557786a1ad134a20e5bd1e226bf2c78eb588896c7"),
+    ("if-equal-branches", "relaxed", "own"):  # 32 states
+        ("5474b65057b21bd91452ea54fbb20371f72453e36bec9cb4e28ea6309204bb8d",
+         "043dd578b49c7588a812d34557786a1ad134a20e5bd1e226bf2c78eb588896c7"),
+    ("if-equal-branches", "relaxed", "chaos"):  # 32 states
+        ("5474b65057b21bd91452ea54fbb20371f72453e36bec9cb4e28ea6309204bb8d",
+         "043dd578b49c7588a812d34557786a1ad134a20e5bd1e226bf2c78eb588896c7"),
+    ("if-without-else", "sc", "own"):  # 10 states
+        ("d170662276062953587419082e31ed61c41fd2b36ca38808c1fad56db3657a66",
+         "55d1d9d4c9a995150e2e93fd1c6f4c1d5b395f25cfe77e9a9cbd5281ca91d4c6"),
+    ("if-without-else", "sc", "chaos"):  # 10 states
+        ("d170662276062953587419082e31ed61c41fd2b36ca38808c1fad56db3657a66",
+         "55d1d9d4c9a995150e2e93fd1c6f4c1d5b395f25cfe77e9a9cbd5281ca91d4c6"),
+    ("if-without-else", "tso-buffer-1", "own"):  # 19 states
+        ("2d61acfe11825daf4f8c1335f00c8812db6a5befc9e2a1c3fd243efac98ebd03",
+         "5b68965c1b24797596ef5418da2b2d6f6140ab3b4b9d9ba5874f9771ea13f858"),
+    ("if-without-else", "tso-buffer-1", "chaos"):  # 19 states
+        ("2d61acfe11825daf4f8c1335f00c8812db6a5befc9e2a1c3fd243efac98ebd03",
+         "5b68965c1b24797596ef5418da2b2d6f6140ab3b4b9d9ba5874f9771ea13f858"),
+    ("if-without-else", "relaxed", "own"):  # 48 states
+        ("0ff4b6e9bf71ce5380fc74fc39039e35deb46433ee7fed31c305b5b9cc12f066",
+         "d9d777e3d2b36bbb40a361cbce12f9f99b6442729f1d3eb8f314c53d02fe0e16"),
+    ("if-without-else", "relaxed", "chaos"):  # 48 states
+        ("0ff4b6e9bf71ce5380fc74fc39039e35deb46433ee7fed31c305b5b9cc12f066",
+         "d9d777e3d2b36bbb40a361cbce12f9f99b6442729f1d3eb8f314c53d02fe0e16"),
+    ("empty-while-in-loop", "sc", "own"):  # 14 states
+        ("34bb080a502899080197b6745d894b1336072de97de23d2461e5614964d7b7d4",
+         "c10d7eafc0e6c8016f78bdc1494cb74dd60ad38bb0a1e42fdc12a498063fd596"),
+    ("empty-while-in-loop", "sc", "chaos"):  # 14 states
+        ("34bb080a502899080197b6745d894b1336072de97de23d2461e5614964d7b7d4",
+         "c10d7eafc0e6c8016f78bdc1494cb74dd60ad38bb0a1e42fdc12a498063fd596"),
+    ("empty-while-in-loop", "tso-buffer-1", "own"):  # 22 states
+        ("757bcc4b627d82dd0b5ab46405efe11fce2c9b0e72f214ff298eff0f34c77b8a",
+         "f5c97d53bec22b4ca61a883096908640969bdf7b1437f12df669f0c1d9a5b883"),
+    ("empty-while-in-loop", "tso-buffer-1", "chaos"):  # 22 states
+        ("757bcc4b627d82dd0b5ab46405efe11fce2c9b0e72f214ff298eff0f34c77b8a",
+         "f5c97d53bec22b4ca61a883096908640969bdf7b1437f12df669f0c1d9a5b883"),
+    ("empty-while-in-loop", "relaxed", "own"):  # 44 states
+        ("c869b0f458f5136d93df7059bb4210f04694b88d9ce8a692db1fab1c30e2968e",
+         "f5c97d53bec22b4ca61a883096908640969bdf7b1437f12df669f0c1d9a5b883"),
+    ("empty-while-in-loop", "relaxed", "chaos"):  # 44 states
+        ("c869b0f458f5136d93df7059bb4210f04694b88d9ce8a692db1fab1c30e2968e",
+         "f5c97d53bec22b4ca61a883096908640969bdf7b1437f12df669f0c1d9a5b883"),
+    ("while-first-and-last", "sc", "own"):  # 53 states
+        ("55f54473e7b4fa7d05309acf576c732c2beaaba18842b981cc6654d8715b158d",
+         "ccfabed7a7a5cf6f08a5e854c35303ccc2e1fe81cea2eed2bce210f14630cf1c"),
+    ("while-first-and-last", "sc", "chaos"):  # 53 states
+        ("55f54473e7b4fa7d05309acf576c732c2beaaba18842b981cc6654d8715b158d",
+         "ccfabed7a7a5cf6f08a5e854c35303ccc2e1fe81cea2eed2bce210f14630cf1c"),
+    ("while-first-and-last", "tso-buffer-1", "own"):  # 105 states
+        ("f425d64da9b188daa431ca96d9aae5c0fd313603d55abc802b3ed65568ea4c9a",
+         "7b528c3c666a73fc328d40dff4b2127407a7196a870a66c59ab528b90923a3f4"),
+    ("while-first-and-last", "tso-buffer-1", "chaos"):  # 105 states
+        ("f425d64da9b188daa431ca96d9aae5c0fd313603d55abc802b3ed65568ea4c9a",
+         "7b528c3c666a73fc328d40dff4b2127407a7196a870a66c59ab528b90923a3f4"),
+    ("while-first-and-last", "relaxed", "own"):  # 854 states
+        ("399a077c6a668ba158992b5ae1e18ded9da4838c98fbd488c91c823550dee2bd",
+         "293d80de71e77fbb763fd99a4c50de35cb1e80a2d91768740cf3efd84acd7e96"),
+    ("while-first-and-last", "relaxed", "chaos"):  # 854 states
+        ("399a077c6a668ba158992b5ae1e18ded9da4838c98fbd488c91c823550dee2bd",
+         "293d80de71e77fbb763fd99a4c50de35cb1e80a2d91768740cf3efd84acd7e96"),
+    ("impl-branch-ends", "sc", "own"):  # 40 states
+        ("912b26a8d927371881c2feb11c7a8b0c963dff05ed3c2c1a05db27987307c6e1",
+         "76daa08b8b626ff5086e1ffd5ffb4c21280e00f763a9d389a41222a656667693"),
+    ("impl-branch-ends", "sc", "chaos"):  # 12 states
+        ("7110bac2b5594fbd2b9bf758581311e82fc229547e7746423d9e8485517ed7f6",
+         "76daa08b8b626ff5086e1ffd5ffb4c21280e00f763a9d389a41222a656667693"),
+    ("impl-branch-ends", "tso-buffer-1", "own"):  # 81 states
+        ("7bd464c01383e1c5e22e6ce9779020c17bb3d7c1d7bf5b2bab4d8cffea973331",
+         "78cba96e5786ee3a4f44d5ee7ba581a17665abcc8186ded86c884c6f94cc75bb"),
+    ("impl-branch-ends", "tso-buffer-1", "chaos"):  # 24 states
+        ("cf07cf1abf3c266ab530390930f3471aeba09c3c9448287e2f9da6bff0061db8",
+         "2af449f143555d3e8852add417bbb74254ff652f6daba45037467fbe02fce2bf"),
+    ("impl-branch-ends", "relaxed", "own"):  # 282 states
+        ("8bbf07132d63b3b27d09612a7c107eb407121165606a7e5b1d9251c37d4b8e88",
+         "78cba96e5786ee3a4f44d5ee7ba581a17665abcc8186ded86c884c6f94cc75bb"),
+    ("impl-branch-ends", "relaxed", "chaos"):  # 70 states
+        ("05fc5017dff880c77ab2e3c475fa6032f13ad99cf25a370951e6f498423ed082",
+         "a14a490546f56a7cf2d73edb53ffbb44a91bfd4e95887c8a0b1042fb8c969a9f"),
+    ("impl-falls-off", "sc", "own"):  # 59 states
+        ("82e02582150f6702b02a22c740772d7c7ad71b2c0fabfe5fe3edd0f7e0e10afe",
+         "ea08c13d037100a0c9192dffc256c33b6542c55d85fc8a314cbb8071bf05a833"),
+    ("impl-falls-off", "sc", "chaos"):  # 12 states
+        ("248972cd587915c95f9842e5c895ec304ae541403ded650643965a50f54f5d1e",
+         "ea08c13d037100a0c9192dffc256c33b6542c55d85fc8a314cbb8071bf05a833"),
+    ("impl-falls-off", "tso-buffer-1", "own"):  # 194 states
+        ("ccc2349a820944c61aea9306a1096197ca02dd9a6aac136b2f0a1b84d053d253",
+         "d7501707f1e55fe16b9e46c2f1cb9371eea55e7de382dbf4e1a393d5c009253d"),
+    ("impl-falls-off", "tso-buffer-1", "chaos"):  # 24 states
+        ("790bc11ed7aaa0cddc16ca7124e678343d25e4b45c8a93bc7368f684335ea02b",
+         "2cfbb0396b7fd31b7bfa8418ae474236df59da3447d88bc3ca483a9c249c15e1"),
+    ("impl-falls-off", "relaxed", "own"):  # 1331 states
+        ("9a87684e29b4765ade9ffcccdcf9a03c2f2a68f67ef0a599ad6ed1c7bb472b15",
+         "d7501707f1e55fe16b9e46c2f1cb9371eea55e7de382dbf4e1a393d5c009253d"),
+    ("impl-falls-off", "relaxed", "chaos"):  # 70 states
+        ("225fe99072737b9c304aa914641bd466c353975c8bacc2a6c1a369c9eebe18bc",
+         "c8a7878b1a9d49737ed91c2c3f1a0a8f48dfac6c731f31c9c1545d109fd49057"),
+}
+
+
+@pytest.mark.parametrize("shape,model,mode", sorted(SHAPE_DIGESTS))
+def test_shape_graph_unchanged(shape, model, mode):
+    client, obj = SHAPES[shape]
+    p = parse(client)
+    o = parse(obj) if obj else empty_object()
+    m, bounds = SHAPE_MODELS[model]
+    ts = _build(p, o, cfg(m, values=1, **bounds),
+                o.kind if mode == "own" else mode)
+    assert (graph_digest(ts), burst_digest(ts)) == \
+        SHAPE_DIGESTS[shape, model, mode]
+
+
 def final_pairs(ts, k1, k2):
     out = set()
     for o in ts.observables():
