@@ -7,21 +7,25 @@ picks the class once from `DISCIPLINES`.
 States are collapse-compressed: each distinct tuple of thread states is
 stored once, in a table on the engine, and a state holds its index; the
 RELAXED discipline does the same for its per-variable entries.  A
-thread's state includes the frame of its implementation call, if any,
-so the thread tuple covers the client and the implementation machine
-alike.  Hashing a state, once per edge, thus touches a few ints and
-short tuples and not the syntax trees the control stacks point into.
+thread's state holds where its compiled code stands (a pc and loop
+counters) and its registers, and so does the frame of its
+implementation call, if any, so the thread tuple covers the client and
+the implementation machine alike.  Hashing a state, once per edge, thus
+touches a few ints and short tuples.  A client's pc is settled after
+each step, an operation's only when it next steps (see `objects`),
+which keeps the states the same as the syntax trees compare.
 
 Successors are generated on the same factoring.  A step table keyed on
 (thread-tuple id, thread) holds the shared variables the thread's next
-statement, or the next instruction of its implementation call, reads
+instruction, or the next instruction of its implementation call, reads
 and, per tuple of their values, the outcome: blocked, a local step, a
 global write, a fence or a call; an implementation store, TAS or
-return.  Expressions are evaluated in full, so which variables a step
-reads depends on the key alone, and so does whether it is gated: a TAS
-or fence waits for its core to drain, and a TAS reads the latest value.
-The interpreter and `impl_step` run on a table miss only; a state reads
-those variables and settles only what depends on the rest of it:
+return.  Both run through `program.step`, on a table miss only.
+Expressions are evaluated in full, so which variables a step reads
+depends on the key alone.  Whether a step is gated is a property of the
+instruction at the pc: a TAS or fence waits for its core to drain, and
+reads through `latest`, the value a TAS acts on.  A state reads the
+variables of its entry and settles only what depends on the rest of it:
 whether the storage takes the write, whether the core is drained,
 whether the thread may invoke, and where a write or a return's
 observation lands.  An implementation store's or TAS's ref, where the
@@ -50,8 +54,8 @@ nothing.  Operations that cannot touch shared state (and whose result
 never flows into a global) are observed immediately after responding.
 
 The engine runs in one of three modes, chosen by the object kind:
-"impl" drives operation bodies instruction by instruction through
-`objects.impl_step`, "spec" executes bodies atomically against a
+"impl" drives operation bodies instruction by instruction, "spec"
+executes bodies atomically (`objects.run_spec_body`) against a
 logical valuation with free observation placement, pruned so that no
 invocation overlaps an unobserved operation of another core, and "chaos"
 (used for the enforced-order extraction) replaces the object by
@@ -68,17 +72,14 @@ from enum import Enum
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .events import Event, Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId
-from .objects import (
-    Fenced, Internal, Ret, Store, TasDone, impl_step, run_spec_body,
-    start_frame, writes_shared,
-)
+from .objects import run_spec_body, start_frame, writes_shared
 from .porder import EnforcedOrder
 from .program import (
-    Assign, Await, Call, ClientProgram, Fence, If, Lit, Name, ObjectDef,
-    OpDef, Return, Tas, While, _all_stmts, _always_returns, _bump,
-    eval_cond, eval_expr, events_of_program, label_of, validate,
+    CALL, FENCE, GATED, RETURN, STORE, TAS, Assign, Call, ClientProgram,
+    Lit, Name, ObjectDef, OpDef, Return, Tas, _all_stmts, _always_returns,
+    _bump, events_of_program, settled, step, validate,
 )
-from .storage import RELAXED, SC, TSO, _tget, _tset
+from .storage import RELAXED, SC, TSO, _tset
 
 
 class Model(str, Enum):
@@ -107,11 +108,12 @@ class ExploreConfig:
 # --- immutable state pieces ---
 
 class ThreadState(NamedTuple):
-    frames: tuple  # control stack, top last: ("s", stmts, i) | ("l", stmt, k)
+    pc: int        # settled; 0 once the thread has run to its end
+    ctrs: tuple    # loop budgets, innermost last
     regs: tuple    # sorted (name, value)
     labels: tuple  # sorted (label, occurrence count)
     calls: int
-    call: Optional[tuple]  # ("impl", OpFrame, ref of the op's last write)
+    call: Optional[tuple]  # ("impl", objects.OpFrame, ref of the op's last write)
                            # | ("spec", opid, arg, reg) | ("chaos", opid, reg)
 
 
@@ -122,14 +124,7 @@ class EngineState(NamedTuple):
     book: tuple  # spec: responded, unobserved (opid, out, core)
 
 
-_UNBOUND = object()  # `look`'s default: the name is no register of the thread
-_MISS = object()     # a step table's default: no entry for these values yet
-
-
-def _norm_frames(frames: tuple) -> tuple:
-    while frames and frames[-1][0] == "s" and frames[-1][2] == len(frames[-1][1]):
-        frames = frames[:-1]
-    return frames
+_MISS = object()  # a step table's default: no entry for these values yet
 
 
 def _returned(ts: ThreadState, reg, out) -> ThreadState:
@@ -169,7 +164,7 @@ _LOCAL, _WRITE, _FENCE, _CALL, _TAS, _RET = range(6)
 
 
 class _Step:
-    """The outcome of a thread's next statement or instruction for given
+    """The outcome of a thread's next instruction for given
     read values, or of one output of a chaos call: the burst it starts
     with, the id of the thread tuple after it and, by kind, the storage
     call's arguments after the core (_WRITE: `mem.write`, _TAS:
@@ -226,8 +221,8 @@ class _Engine:
 
     def root(self) -> EngineState:
         threads = tuple(sorted(
-            (th, ThreadState(_norm_frames((("s", body, 0),)), (), (), 0, None))
-            for th, body in self.p.threads.items()))
+            (th, ThreadState(settled(code, 1), (), (), (), 0, None))
+            for th, code in self.p.code.items()))
         objst = tuple(sorted(self.obj.shared.items())) if self.mode == "spec" else None
         return EngineState(self._thread_id(threads), self.mem.initial(), objst, ())
 
@@ -259,7 +254,7 @@ class _Engine:
         out: List[Tuple[int, EngineState]] = []
         for th, ts in self.threads[st.threads]:
             call = ts.call
-            if call is None and not ts.frames:
+            if call is None and not ts.pc:
                 continue  # the thread has run to its end
             if call is None or call[0] == "impl":
                 a = self.step_action(st, th, ts)
@@ -280,170 +275,110 @@ class _Engine:
         return out
 
     def step_action(self, st, th, ts):
-        """The edge of `th`'s next statement, or of the next instruction
+        """The edge of `th`'s next instruction, or of the next instruction
         of its implementation call, or None when it is blocked.  The step
         is interpreted once per thread tuple and values of the shared
         variables it reads; each state then only reads those variables
         and settles what the storage or the other threads decide."""
         key = (st.threads, th)
         entry = self.steps.get(key)
-        step = _MISS
+        outcome = _MISS
         if entry is not None:
             load, reads, outcomes = entry
             storage, core = st.storage, self.coremap[th]
-            step = outcomes.get(tuple([load(storage, core, v) for v in reads]),
-                                _MISS)
-        if step is _MISS:
-            if ts.call is None:
-                load, step, seen = self._interpret(st, th, ts)
-            else:
-                load, step, seen = self._interpret_impl(st, th, ts)
+            outcome = outcomes.get(
+                tuple([load(storage, core, v) for v in reads]), _MISS)
+        if outcome is _MISS:
+            load, outcome, seen = self._interpret(st, th, ts)
             if entry is None:
                 entry = self.steps[key] = (load, tuple(seen), {})
-            entry[2][tuple(seen.values())] = step
-        return None if step is None else self._take(st, th, step)
+            entry[2][tuple(seen.values())] = outcome
+        return None if outcome is None else self._take(st, th, outcome)
 
     def _interpret(self, st, th, ts):
-        """Run `th`'s next statement in `st`: the load function, its _Step
-        (None when blocked) and the globals it read with their values.
-        Expressions and conditions are evaluated in full, so the globals
-        read depend on `ts` alone."""
-        load, storage, core = self.read, st.storage, self.coremap[th]
+        """Run `th`'s next instruction, or the next instruction of its
+        implementation call, in `st`: the load function, its _Step (None
+        when blocked or stuck) and the shared variables it read with their
+        values.  A gated instruction reads through `latest`, any other
+        through `read`; expressions and conditions are evaluated in full,
+        so the variables read depend on `ts` alone."""
+        call = ts.call
+        if call is None:
+            code, pc, ctrs, regs = self.p.code[th], ts.pc, ts.ctrs, ts.regs
+        else:
+            f = call[1]
+            code = self.obj.ops[f.opid.call].code
+            pc, ctrs, regs = f.pc, f.ctrs, f.regs
+        gated = code[settled(code, pc)][0] in GATED
+        load = self.latest if gated else self.read
+        storage, core = st.storage, self.coremap[th]
         seen: Dict[str, int] = {}
 
-        def look(name):
-            v = _tget(ts.regs, name, _UNBOUND)
-            if v is _UNBOUND:
-                v = seen[name] = load(storage, core, name)
+        def view(name):
+            v = seen[name] = load(storage, core, name)
             return v
 
-        return load, self._next_step(st.threads, th, ts, look), seen
-
-    def _next_step(self, tid, th, ts, look):
-        values = self.cfg.values
-        top = ts.frames[-1]
-        if top[0] == "l":
-            _, w, k = top
-            if k == 0:
-                return None
-            lab = label_of(w)
-            inst, labels2 = _bump(ts.labels, lab)
-            sid = StepId(th, lab, inst)
-            if eval_cond(w.cond, look, values):
-                frames2 = ts.frames[:-1] + (("l", w, k - 1), ("s", w.body, 0))
-            else:
-                frames2 = ts.frames[:-1]
-            ts2 = ts._replace(frames=_norm_frames(frames2), labels=labels2)
-            return _Step(_LOCAL, (ProgStep(sid),), self._thread_with(tid, th, ts2))
-
-        _, stmts, i = top
-        s = stmts[i]
-        adv = _norm_frames(ts.frames[:-1] + (("s", stmts, i + 1),))
-
-        if isinstance(s, While):
-            frames2 = ts.frames[:-1] + (("s", stmts, i + 1), ("l", s, self.cfg.unroll))
-            return self._next_step(tid, th, ts._replace(frames=frames2), look)
-        if isinstance(s, Assign):
-            lab = label_of(s)
-            v = eval_expr(s.expr, look, values)
-            inst, labels2 = _bump(ts.labels, lab)
-            sid = StepId(th, lab, inst)
-            if s.target not in self.p.globals:
-                ts2 = ts._replace(frames=adv, regs=_tset(ts.regs, s.target, v),
-                                  labels=labels2)
-                return _Step(_LOCAL, (ProgStep(sid),),
-                             self._thread_with(tid, th, ts2))
-            ts2 = ts._replace(frames=adv, labels=labels2)
-            return _Step(_WRITE, (ProgStep(sid, (s.target, v)),),
-                         self._thread_with(tid, th, ts2),
-                         (s.target, v, "prog", sid, ProgObs(sid, s.target, v)))
-        if isinstance(s, (Await, Fence)):
-            if isinstance(s, Await) and not eval_cond(s.cond, look, values):
-                return None
-            lab = label_of(s)
-            inst, labels2 = _bump(ts.labels, lab)
-            ts2 = ts._replace(frames=adv, labels=labels2)
-            return _Step(_LOCAL if isinstance(s, Await) else _FENCE,
-                         (ProgStep(StepId(th, lab, inst)),),
-                         self._thread_with(tid, th, ts2))
-        if isinstance(s, If):
-            lab = label_of(s)
-            inst, labels2 = _bump(ts.labels, lab)
-            branch = s.then if eval_cond(s.cond, look, values) else s.orelse
-            frames2 = _norm_frames(ts.frames[:-1] + (("s", stmts, i + 1),
-                                                     ("s", branch, 0)))
-            ts2 = ts._replace(frames=frames2, labels=labels2)
-            return _Step(_LOCAL, (ProgStep(StepId(th, lab, inst)),),
-                         self._thread_with(tid, th, ts2))
-        if isinstance(s, Call):
-            opid = OpId(th, s.op, ts.calls)
-            arg = s.arg.value % (values + 1) if isinstance(s.arg, Lit) else None
-            if self.mode == "impl":
-                slot = ("impl", start_frame(opid, self.obj.ops[s.op], arg, s.result),
-                        None)
-            elif self.mode == "spec":
-                slot = ("spec", opid, arg, s.result)
-            else:
-                slot = ("chaos", opid, s.result)
-            ts2 = ts._replace(frames=adv, calls=ts.calls + 1, call=slot)
-            return _Step(_CALL, (Inv(opid, arg),), self._thread_with(tid, th, ts2))
-        raise TypeError(f"unexpected client statement: {s}")
-
-    def _interpret_impl(self, st, th, ts):
-        """Run the next instruction of `th`'s implementation call in `st`:
-        the load function, its _Step (None when blocked or stuck) and the
-        shared variables it read with their values.  A TAS or fence is
-        gated: it waits for the core to drain, and a TAS acts on the
-        latest value; the instruction, and so its gating, depends on the
-        frame alone, so a first run through `read` tells whether to run
-        it again through `latest`, needed only where the two differ (not
-        under SC or TSO, whose drained cores read the latest values)."""
-        _, f, last = ts.call
-        storage, core = st.storage, self.coremap[th]
-        cfg = self.cfg
-
-        def run(load):
-            seen: Dict[str, int] = {}
-
-            def view(name):
-                v = seen[name] = load(storage, core, name)
-                return v
-
-            return impl_step(f, self.obj, view, cfg.values, cfg.unroll), seen
-
-        load = self.read
-        r, seen = run(load)
-        if r is not None and isinstance(r[1], (TasDone, Fenced)):
-            load = self.latest
-            if any(load(storage, core, v) != x for v, x in seen.items()):
-                r, seen = run(load)
+        r = step(code, pc, ctrs, regs, view, self.cfg.values, self.cfg.unroll)
         if r is None:
             return load, None, seen
-        f2, eff = r
-        tid, opid = st.threads, f.opid
-        if isinstance(eff, Ret):
-            ts2 = _returned(ts, f.ret_reg, eff.out)
-            return load, _Step(_RET, (Res(opid, eff.out),),
-                               self._thread_with(tid, th, ts2),
-                               (last, opid, OpObs(opid, eff.out))), seen
-        ts2 = ts._replace(call=("impl", f2, last))
-        if isinstance(eff, Store):
-            return load, _Step(_WRITE, (), {}, (eff.var, eff.value, "obj", opid, None),
-                               ts2), seen
-        if isinstance(eff, TasDone) and eff.store is not None:
-            return load, _Step(_TAS, (), {}, (eff.var, eff.store, opid), ts2), seen
-        kind = _LOCAL if isinstance(eff, Internal) else _FENCE  # or a failed TAS
-        return load, _Step(kind, (), self._thread_with(tid, th, ts2)), seen
+        if call is None:
+            return load, self._client_step(st.threads, th, ts, *r), seen
+        return load, self._impl_step(st.threads, th, ts, *r), seen
 
-    def _take(self, st, th, step):
-        """The edge `step` makes from `st`, or None when `st` blocks it."""
+    def _client_step(self, tid, th, ts, ins, pc, ctrs, regs, v):
+        """The _Step of a client instruction that ran, going on at `pc`."""
+        op = ins[0]
+        pc = settled(self.p.code[th], pc)
+        if op == CALL:
+            _, _, name, _, reg = ins
+            opid = OpId(th, name, ts.calls)
+            if self.mode == "impl":
+                slot = ("impl", start_frame(opid, self.obj.ops[name], v, reg), None)
+            elif self.mode == "spec":
+                slot = ("spec", opid, v, reg)
+            else:
+                slot = ("chaos", opid, reg)
+            ts2 = ts._replace(pc=pc, ctrs=ctrs, calls=ts.calls + 1, call=slot)
+            return _Step(_CALL, (Inv(opid, v),), self._thread_with(tid, th, ts2))
+        lab = ins[1]
+        inst, labels = _bump(ts.labels, lab)
+        sid = StepId(th, lab, inst)
+        tid2 = self._thread_with(tid, th, ts._replace(
+            pc=pc, ctrs=ctrs, regs=regs, labels=labels))
+        if op == STORE:
+            var = ins[2]
+            return _Step(_WRITE, (ProgStep(sid, (var, v)),), tid2,
+                         (var, v, "prog", sid, ProgObs(sid, var, v)))
+        return _Step(_FENCE if op == FENCE else _LOCAL, (ProgStep(sid),), tid2)
+
+    def _impl_step(self, tid, th, ts, ins, pc, ctrs, regs, v):
+        """The _Step of an implementation instruction that ran, going on at
+        `pc`: a store's or successful TAS's successor records the write's
+        ref, so its `tid` is filled per ref."""
+        _, f, last = ts.call
+        op, opid = ins[0], f.opid
+        if op == RETURN:
+            ts2 = _returned(ts, f.ret_reg, v)
+            return _Step(_RET, (Res(opid, v),), self._thread_with(tid, th, ts2),
+                         (last, opid, OpObs(opid, v)))
+        ts2 = ts._replace(call=("impl", f._replace(pc=pc, ctrs=ctrs, regs=regs),
+                                last))
+        if op == STORE:
+            return _Step(_WRITE, (), {}, (ins[2], v, "obj", opid, None), ts2)
+        if op == TAS and v is not None:
+            return _Step(_TAS, (), {}, (ins[3], v, opid), ts2)
+        kind = _FENCE if op in GATED else _LOCAL  # a fence or a failed TAS
+        return _Step(kind, (), self._thread_with(tid, th, ts2))
+
+    def _take(self, st, th, out):
+        """The edge `out` makes from `st`, or None when `st` blocks it."""
         tid, storage, objst, book = st
-        kind = step.kind
+        kind = out.kind
         tail = ()
         if kind != _LOCAL:
             mem, core = self.mem, self.coremap[th]
             if kind == _WRITE:
-                w = mem.write(storage, core, *step.arg)
+                w = mem.write(storage, core, *out.arg)
                 if w is None:
                     return None
                 storage, tail, ref = w
@@ -451,27 +386,27 @@ class _Engine:
                 if not self.inv_allowed(st, th):
                     return None
             elif kind == _RET:
-                attached = mem.attach(storage, core, *step.arg)
+                attached = mem.attach(storage, core, *out.arg)
                 if attached is None:  # the observation is emitted now
-                    tail = step.arg[-1:]
+                    tail = out.arg[-1:]
                 else:
                     storage = attached
             else:  # _FENCE or _TAS
                 if not mem.drained(storage, core):
                     return None
                 if kind == _TAS:
-                    storage, ref = mem.tas_write(storage, core, *step.arg)
-        if tail != step.tail:  # the first edge to carry it, or another tail
-            step.tail, step.bid = tail, self.bursts.id(step.burst + tail)
-        after = step.after
+                    storage, ref = mem.tas_write(storage, core, *out.arg)
+        if tail != out.tail:  # the first edge to carry it, or another tail
+            out.tail, out.bid = tail, self.bursts.id(out.burst + tail)
+        after = out.after
         if after is None:
-            tid2 = step.tid
+            tid2 = out.tid
         else:  # the successor records the write's ref
-            tid2 = step.tid.get(ref)
+            tid2 = out.tid.get(ref)
             if tid2 is None:
-                tid2 = step.tid[ref] = self._thread_with(
+                tid2 = out.tid[ref] = self._thread_with(
                     tid, th, after._replace(call=after.call[:2] + (ref,)))
-        return step.bid, tuple.__new__(EngineState, (tid2, storage, objst, book))
+        return out.bid, tuple.__new__(EngineState, (tid2, storage, objst, book))
 
     def spec_call_action(self, st, th, ts):
         """The edge of `th`'s specification call, or None when its body
@@ -803,12 +738,16 @@ def _names_of(e):
 
 def chaos_outputs(op: OpDef, values: int) -> frozenset:
     """Statically possible outputs: literal returns narrow to their
-    value, TAS-fed registers to {0,1}, anything else to the domain."""
-    tas_regs = {s.result for s in _all_stmts(op.body) if isinstance(s, Tas)}
+    value, registers that only a TAS writes to {0,1}, anything else to
+    the domain."""
+    stmts = list(_all_stmts(op.body))
+    tas_regs = ({s.result for s in stmts if isinstance(s, Tas)}
+                - {s.target for s in stmts if isinstance(s, Assign)}
+                - {op.param})
     outs = set()
     has_value = False
     bare = False
-    for s in _all_stmts(op.body):
+    for s in stmts:
         if not isinstance(s, Return):
             continue
         if s.expr is None:

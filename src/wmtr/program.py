@@ -22,10 +22,22 @@ Concrete syntax (ASCII, "//" comments):
 Identifiers starting with "r" that are not declared as globals, object
 variables, or an operation parameter denote thread-local registers.
 Specification bodies are atomic by construction and therefore may not
-contain loops or TAS.  `events_of_program` extracts the finite event
-set of the bounded program: every syntactically reachable step with
-every value it could write, plus, for each invocation, responses and
-observations over the closure of possible outputs.
+contain loops or TAS.
+
+Each thread body and each operation body is compiled once, when its
+program or object is made, to flat code: a tuple of instructions with
+step labels precomputed, `if` and `while` turned into jumps and loop
+tests, and every block ending in a JUMP to where control goes on.
+Code position 0 holds a bare `return`, where every body ends.  One
+step function, `step`, runs an instruction against (pc, loop counters,
+registers), reading shared variables through a supplied load function;
+client steps, implementation instructions and atomic specification
+bodies all run through it.  A pc may stand on a block's closing JUMP:
+`settled` follows it, and the caller chooses when.  `events_of_program`
+walks the same code to extract the finite event set of the bounded
+program: every reachable step with every value it could write, plus,
+for each invocation, responses and observations over the closure of
+possible outputs.
 """
 
 from __future__ import annotations
@@ -34,7 +46,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from .events import Event, Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId
+from .events import Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId
+from .storage import _tget, _tset
 
 # --- abstract syntax ---
 
@@ -123,6 +136,12 @@ class ClientProgram:
     globals: Dict[str, int]
     threads: Dict[str, Tuple[Stmt, ...]]
     coremap: Dict[str, str]
+    code: Dict[str, tuple] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        declared = frozenset(self.globals)
+        self.code = {th: compile_body(body, declared)
+                     for th, body in self.threads.items()}
 
     def declared(self) -> frozenset:
         return frozenset(self.globals)
@@ -133,6 +152,8 @@ class OpDef:
     name: str
     param: Optional[str]
     body: Tuple[Stmt, ...]
+    # compiled by the object it belongs to, against the object's variables
+    code: tuple = field(default=(), repr=False, compare=False)
 
 
 @dataclass
@@ -140,6 +161,11 @@ class ObjectDef:
     kind: str  # "spec" | "impl"
     shared: Dict[str, int]
     ops: Dict[str, OpDef]
+
+    def __post_init__(self):
+        shared = frozenset(self.shared)
+        for op in self.ops.values():
+            op.code = compile_body(op.body, shared)
 
 
 def empty_object(kind: str = "impl") -> ObjectDef:
@@ -565,6 +591,9 @@ def validate(p: ClientProgram, obj: ObjectDef) -> List[str]:
                     errors.append(f"thread {th}: operation {s.op!r} takes no argument")
                 if op.param is not None and s.arg is None:
                     errors.append(f"thread {th}: operation {s.op!r} needs an argument")
+                if s.result is not None and None in op_outputs(op, 1):
+                    errors.append(f"thread {th}: operation {s.op!r} may return "
+                                  f"no value into register {s.result!r}")
     for op in obj.ops.values():
         declared = frozenset(obj.shared) | ({op.param} if op.param else frozenset())
         assigned = {op.param} if op.param and is_register(op.param, declared) else set()
@@ -583,7 +612,34 @@ def _all_stmts(stmts):
             yield from _all_stmts(s.body)
 
 
-# --- bounded event set ---
+# --- compiled form ---
+
+# Opcodes.  An instruction is a tuple of its opcode, its step label (None
+# for an instruction that makes no program step) and its operands:
+#
+#   RETURN  None, expr             return expr's value, or none if None
+#   JUMP    None, target           a block's end: control goes on at
+#                                  target, which is never a JUMP
+#   SET     label, reg, expr       register assignment
+#   STORE   label, var, expr       shared (global or object) assignment
+#   AWAIT   label, cond
+#   FENCE   label
+#   IF      label, cond, else_pc   the then-branch starts at pc + 1
+#   LOOP    label, cond, body_pc, exit_pc, entry
+#                                  a `while` test: entry marks the
+#                                  `while` itself, which starts the
+#                                  loop's counter; the other test runs
+#                                  after each pass of the body
+#   CALL    None, op, arg, reg     arg: the literal argument or None
+#   TAS     None, reg, var, test, swap
+RETURN, JUMP, SET, STORE, AWAIT, FENCE, IF, LOOP, CALL, TAS = range(10)
+
+# instructions that wait for the issuing core to drain; a TAS also acts
+# on the latest value of its variable
+GATED = (FENCE, TAS)
+
+_UNBOUND = object()  # `step`'s lookup default: the name is in no register
+
 
 def label_of(s: Stmt) -> str:
     if isinstance(s, Assign):
@@ -598,6 +654,131 @@ def label_of(s: Stmt) -> str:
         return "fence"
     raise TypeError(f"statement has no label: {s}")
 
+
+def compile_body(body: Tuple[Stmt, ...], shared: frozenset) -> tuple:
+    """The code of a thread or operation body, an assignment to a name in
+    `shared` being a STORE and to any other a SET.  The body starts at
+    pc 1, and its closing JUMP leads to the bare return at pc 0.  The
+    pcs stand for the positions of the syntax tree as they compare: an
+    `if` whose branches are equal has them compiled once."""
+    code: list = [(RETURN, None, None)]
+    ends: list = []  # (pc of a block's closing JUMP, pc it leads to)
+    ends.append((_emit(body, shared, code, ends), 0))
+    for pc, target in ends:
+        code[pc] = (JUMP, None, target)
+    # every JUMP leads forward or to pc 0, so from the back one pass
+    # finds where each chain of them ends
+    for pc in range(len(code) - 1, 0, -1):
+        ins = code[pc]
+        if ins[0] == JUMP and code[ins[2]][0] == JUMP:
+            code[pc] = code[ins[2]]
+    return tuple(code)
+
+
+def _emit(stmts, shared, code, ends) -> int:
+    """Append the code of `stmts` and a closing JUMP, whose target the
+    caller records in `ends`; returns the JUMP's pc."""
+    for s in stmts:
+        pc = len(code)
+        if isinstance(s, If):
+            code.append(None)
+            closes = [_emit(s.then, shared, code, ends)]
+            else_pc = pc + 1
+            if s.orelse != s.then:
+                else_pc = len(code)
+                closes.append(_emit(s.orelse, shared, code, ends))
+            code[pc] = (IF, label_of(s), s.cond, else_pc)
+            ends.extend((end, len(code)) for end in closes)
+        elif isinstance(s, While):
+            code.append(None)
+            ends.append((_emit(s.body, shared, code, ends), len(code)))
+            test = (LOOP, label_of(s), s.cond, pc + 1, len(code) + 1)
+            code[pc] = test + (True,)
+            code.append(test + (False,))
+        elif isinstance(s, Assign):
+            code.append((STORE if s.target in shared else SET, label_of(s),
+                         s.target, s.expr))
+        elif isinstance(s, Await):
+            code.append((AWAIT, label_of(s), s.cond))
+        elif isinstance(s, Fence):
+            code.append((FENCE, label_of(s)))
+        elif isinstance(s, Call):
+            arg = s.arg.value if isinstance(s.arg, Lit) else None
+            code.append((CALL, None, s.op, arg, s.result))
+        elif isinstance(s, Return):
+            code.append((RETURN, None, s.expr))
+        elif isinstance(s, Tas):
+            code.append((TAS, None, s.result, s.var, s.test, s.swap))
+        else:
+            raise TypeError(f"unexpected statement: {s}")
+    code.append(None)
+    return len(code) - 1
+
+
+def settled(code: tuple, pc: int) -> int:
+    """Where control stands at `pc` once it leaves the blocks that have
+    run to their end there."""
+    ins = code[pc]
+    return ins[2] if ins[0] == JUMP else pc
+
+
+def step(code: tuple, pc: int, ctrs: tuple, regs: tuple, load,
+         values: int, unroll: int):
+    """Run the instruction control stands at in `pc` (see `settled`).
+    `ctrs` holds the budgets of the loops control is in, innermost last;
+    `regs` the registers as sorted (name, value) pairs; `load(name)`
+    reads a name bound in no register, and a TAS reads its variable
+    through it.  Returns None when the instruction blocks: an await
+    whose condition is false, or a loop test out of budget, which is
+    stuck for good.  Else (instruction, pc', ctrs', regs', value), pc'
+    being where control goes, not settled, and value the value a STORE
+    writes, a CALL's argument, a TAS's swap when it succeeds, or a
+    RETURN's output; None otherwise."""
+    pc = settled(code, pc)
+    ins = code[pc]
+    op = ins[0]
+
+    def look(name):
+        v = _tget(regs, name, _UNBOUND)
+        return load(name) if v is _UNBOUND else v
+
+    if op == SET or op == STORE:
+        v = eval_expr(ins[3], look, values)
+        if op == SET:
+            regs = _tset(regs, ins[2], v)
+        return ins, pc + 1, ctrs, regs, v
+    if op == IF:
+        go = pc + 1 if eval_cond(ins[2], look, values) else ins[3]
+        return ins, go, ctrs, regs, None
+    if op == LOOP:
+        _, _, cond, body, exit_, entry = ins
+        k, outer = (unroll, ctrs) if entry else (ctrs[-1], ctrs[:-1])
+        if k == 0:
+            return None
+        if eval_cond(cond, look, values):
+            return ins, body, outer + (k - 1,), regs, None
+        return ins, exit_, outer, regs, None
+    if op == AWAIT:
+        if not eval_cond(ins[2], look, values):
+            return None
+        return ins, pc + 1, ctrs, regs, None
+    if op == FENCE:
+        return ins, pc + 1, ctrs, regs, None
+    if op == RETURN:
+        expr = ins[2]
+        out = eval_expr(expr, look, values) if expr is not None else None
+        return ins, pc, ctrs, regs, out
+    if op == CALL:
+        arg = ins[3]
+        return ins, pc + 1, ctrs, regs, (arg % (values + 1) if arg is not None
+                                         else None)
+    _, _, reg, var, test, swap = ins  # TAS
+    success = load(var) == test % (values + 1)
+    regs = _tset(regs, reg, 1 if success else 0)
+    return ins, pc + 1, ctrs, regs, (swap % (values + 1) if success else None)
+
+
+# --- bounded event set ---
 
 def op_outputs(op: OpDef, values: int) -> frozenset:
     """Closure of an operation's possible outputs: the full value domain
@@ -636,75 +817,63 @@ def events_of_program(p: ClientProgram, obj: ObjectDef,
     invocations = []
 
     for th in sorted(p.threads):
-        # depth-first over (frames, labels, calls) on an explicit stack,
-        # so that long thread bodies do not hit the recursion limit
-        start = ((("s", p.threads[th], 0),), (), 0)
+        code = p.code[th]
+        # depth-first over (pc, loop counters, labels, calls) on an
+        # explicit stack, so that long thread bodies do not hit the
+        # recursion limit
+        start = (settled(code, 1), (), (), 0)
         seen = {start}
         stack = [start]
 
-        def visit(frames, labels, calls):
-            key = (frames, labels, calls)
+        def visit(pc, ctrs, labels, calls):
+            key = (settled(code, pc), ctrs, labels, calls)
             if key not in seen:
                 seen.add(key)
                 stack.append(key)
 
         while stack:
-            frames, labels, calls = stack.pop()
-            if not frames:
+            pc, ctrs, labels, calls = stack.pop()
+            ins = code[pc]
+            op = ins[0]
+            if op == RETURN:
+                continue  # the thread has run to its end
+            if op == CALL:
+                _, _, name, arg, _ = ins
+                if name not in obj.ops:
+                    raise ValueError(f"unknown operation {name!r}")
+                opid = OpId(th, name, calls)
+                events.add(Inv(opid, arg % (values + 1) if arg is not None
+                               else None))
+                invocations.append((opid, name))
+                visit(pc + 1, ctrs, labels, calls + 1)
                 continue
-            top, rest = frames[-1], frames[:-1]
-            if top[0] == "l":
-                _, w, k = top
+            if op not in (SET, STORE, AWAIT, FENCE, IF, LOOP):
+                raise TypeError(f"unexpected client instruction: {ins}")
+            if op == LOOP:
+                _, _, _, body, exit_, entry = ins
+                k, outer = (bound, ctrs) if entry else (ctrs[-1], ctrs[:-1])
                 if k == 0:
                     continue  # loop budget exhausted: the thread is stuck
-                lab = label_of(w)
-                inst, labels2 = _bump(labels, lab)
-                events.add(ProgStep(StepId(th, lab, inst)))
-                visit(rest + (("l", w, k - 1), ("s", w.body, 0)), labels2, calls)
-                visit(rest, labels2, calls)
-                continue
-            _, stmts, i = top
-            if i == len(stmts):
-                visit(rest, labels, calls)
-                continue
-            s = stmts[i]
-            nxt = rest + (("s", stmts, i + 1),)
-            if isinstance(s, Assign):
-                lab = label_of(s)
-                inst, labels2 = _bump(labels, lab)
-                sid = StepId(th, lab, inst)
-                if s.target in p.globals:
-                    vals = ([s.expr.value % (values + 1)]
-                            if isinstance(s.expr, Lit) else domain)
-                    for v in vals:
-                        events.add(ProgStep(sid, (s.target, v)))
-                        events.add(ProgObs(sid, s.target, v))
-                else:
-                    events.add(ProgStep(sid))
-                visit(nxt, labels2, calls)
-            elif isinstance(s, (Await, Fence)):
-                lab = label_of(s)
-                inst, labels2 = _bump(labels, lab)
-                events.add(ProgStep(StepId(th, lab, inst)))
-                visit(nxt, labels2, calls)
-            elif isinstance(s, If):
-                lab = label_of(s)
-                inst, labels2 = _bump(labels, lab)
-                events.add(ProgStep(StepId(th, lab, inst)))
-                visit(rest + (("s", stmts, i + 1), ("s", s.then, 0)), labels2, calls)
-                visit(rest + (("s", stmts, i + 1), ("s", s.orelse, 0)), labels2, calls)
-            elif isinstance(s, While):
-                visit(rest + (("s", stmts, i + 1), ("l", s, bound)), labels, calls)
-            elif isinstance(s, Call):
-                if s.op not in obj.ops:
-                    raise ValueError(f"unknown operation {s.op!r}")
-                arg = s.arg.value % (values + 1) if isinstance(s.arg, Lit) else None
-                opid = OpId(th, s.op, calls)
-                events.add(Inv(opid, arg))
-                invocations.append((opid, s.op))
-                visit(nxt, labels, calls + 1)
+            lab = ins[1]
+            inst, labels2 = _bump(labels, lab)
+            sid = StepId(th, lab, inst)
+            if op == STORE:
+                _, _, var, expr = ins
+                vals = ([expr.value % (values + 1)]
+                        if isinstance(expr, Lit) else domain)
+                for v in vals:
+                    events.add(ProgStep(sid, (var, v)))
+                    events.add(ProgObs(sid, var, v))
             else:
-                raise TypeError(f"unexpected client statement: {s}")
+                events.add(ProgStep(sid))
+            if op == LOOP:
+                visit(body, outer + (k - 1,), labels2, calls)
+                visit(exit_, outer, labels2, calls)
+            elif op == IF:
+                visit(pc + 1, ctrs, labels2, calls)
+                visit(ins[3], ctrs, labels2, calls)
+            else:
+                visit(pc + 1, ctrs, labels2, calls)
 
     for opid, name in invocations:
         for out in op_outputs(obj.ops[name], values):

@@ -155,6 +155,20 @@ class TestErrors:
                            "--impl", C("spinlock_impl.wm"))
         assert code == 2 and "unknown operation" in err
 
+    def test_stored_result_of_void_operation(self, capsys, tmp_path):
+        """Storing the result of an operation that may return no value is
+        a validation error, reported before any exploration."""
+        src = tmp_path / "void.wm"
+        src.write_text("global g = 0;\n"
+                       "thread T0 { r0 := call acquire(); g := r0; }\n")
+        code, out, err = run(capsys, "explore", "--model", "sc",
+                             "--client", str(src),
+                             "--impl", C("spinlock_impl.wm"))
+        assert (code, out) == (2, "")
+        assert "thread T0: operation 'acquire' may return no value " \
+               "into register 'r0'" in err
+        assert "Traceback" not in err
+
     def test_bad_bounds(self, capsys):
         code, _, err = run(capsys, "explore", "--model", "sc", "--unroll", "0",
                            "--client", C("fig2_client.wm"),

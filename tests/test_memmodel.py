@@ -958,6 +958,23 @@ class TestChaosHelpers:
         assert chaos_outputs(o.ops["A"], 3) == {1}
         assert chaos_outputs(o.ops["B"], 3) == {None}
 
+    def test_chaos_outputs_cover_a_reassigned_tas_register(self):
+        """A TAS register written again after the TAS is not narrowed to
+        {0, 1}: the chaos build offers every response the impl build
+        gives."""
+        o = parse("object impl {\n  var x = 0;\n"
+                  "  op f() { rt := TAS(x, 1, 0); rt := 2; return rt; }\n}")
+        p = parse("global g = 0;\nthread T { r := call f(); g := r; }")
+
+        def outputs(ts):
+            return {e.out for burst in ts.bursts for e in burst
+                    if isinstance(e, Res)}
+
+        for model in Model:
+            impl = outputs(explore(p, o, cfg(model)))
+            assert impl == {2}
+            assert impl <= outputs(_build(p, o, cfg(model), "chaos"))
+
     def test_covert_requires_no_store_and_no_flow(self):
         p, o = load("fig2_client.wm", "fig2_object.wm")
         assert covert_ops(p, o) == frozenset()  # all three ops write shared

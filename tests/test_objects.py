@@ -1,16 +1,18 @@
 """Specification bodies, specification histories against the engine's
 spec mode, and the implementation machine."""
 
+from dataclasses import dataclass
+from typing import Optional
+
 import pytest
 
 from conftest import corpus_text, project_object
 from wmtr.events import Inv, OpId, OpObs, Res, check_wellformed
 from wmtr.memmodel import ExploreConfig, Model, covert_ops, explore
-from wmtr.objects import (
-    Fenced, Internal, Ret, Store, TasDone, impl_step, run_spec_body,
-    start_frame, writes_shared,
+from wmtr.objects import run_spec_body, start_frame, writes_shared
+from wmtr.program import (
+    FENCE, GATED, RETURN, STORE, TAS, events_of_program, parse, settled, step,
 )
-from wmtr.program import events_of_program, parse
 
 from oracles import check_atomic, materialize, spec_histories
 
@@ -156,6 +158,69 @@ def test_spec_mode_histories_match_oracle(client, spec, model):
                                     covert=covert_ops(p, o))
 
 
+# what an implementation instruction does, as the engine reads it off
+# `program.step`'s result
+
+@dataclass(frozen=True)
+class Internal:
+    pass
+
+
+@dataclass(frozen=True)
+class Fenced:
+    pass
+
+
+@dataclass(frozen=True)
+class Store:
+    var: str
+    value: int
+
+
+@dataclass(frozen=True)
+class TasDone:
+    var: str
+    result: int
+    store: Optional[int]  # value written on success, None on failure
+
+
+@dataclass(frozen=True)
+class Ret:
+    out: Optional[int]
+
+
+def effect(ins, value, regs):
+    op = ins[0]
+    if op == STORE:
+        return Store(ins[2], value)
+    if op == TAS:
+        return TasDone(ins[3], dict(regs)[ins[2]], value)
+    if op == FENCE:
+        return Fenced()
+    if op == RETURN:
+        return Ret(value)
+    return Internal()
+
+
+def impl_step(f, obj, view, values=3, unroll=2):
+    """Frame `f` after its next instruction, run through `program.step`,
+    and the instruction's effect: (frame', effect), frame' being None
+    once the invocation returned, or None when blocked or stuck."""
+    r = step(obj.ops[f.opid.call].code, f.pc, f.ctrs, f.regs, view, values,
+             unroll)
+    if r is None:
+        return None
+    ins, pc, ctrs, regs, v = r
+    frame = None if ins[0] == RETURN else f._replace(pc=pc, ctrs=ctrs, regs=regs)
+    return frame, effect(ins, v, regs)
+
+
+def gated(f, obj):
+    """Whether the instruction `f` stands at waits for a drained core."""
+    code = obj.ops[f.opid.call].code
+    return code[settled(code, f.pc)][0] in GATED
+
+
 def drive(op_name, view, n=10, ret_reg=None, values=3, unroll=2):
     """Run one invocation to completion or till blocked; returns the
     frame after the last step (None once returned) and the effects."""
@@ -230,9 +295,11 @@ class TestImplMachine:
         drained core.  The return after it reads nothing."""
         f = start_frame(OpId("T", "tryAcquire", 0), IMPL.ops["tryAcquire"],
                         None, "rt")
+        assert gated(f, IMPL)
         view = Reads(1)
         f, eff = impl_step(f, IMPL, view)
         assert (view.names, eff) == (["x"], TasDone("x", 1, 0))
+        assert not gated(f, IMPL)
         view = Reads(1)
         assert impl_step(f, IMPL, view) == (None, Ret(1))
         assert view.names == []
@@ -241,9 +308,11 @@ class TestImplMachine:
         o = parse("object impl {\n  var x = 0;\n  op f() {\n"
                   "    fence;\n    x := 1;\n  }\n}")
         f = start_frame(OpId("T", "f", 0), o.ops["f"], None, None)
+        assert gated(f, o)
         view = Reads(0)
         f, eff = impl_step(f, o, view)
         assert (view.names, eff) == ([], Fenced())
+        assert not gated(f, o)
         assert impl_step(f, o, view)[1] == Store("x", 1)
 
     def test_stuck(self):

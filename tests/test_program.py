@@ -286,6 +286,23 @@ class TestValidate:
         assert any("needs an argument" in e for e in validate(p1, o))
         assert any("takes no argument" in e for e in validate(p2, o))
 
+    def test_stored_result_must_be_a_value(self):
+        impl = load("spinlock_impl.wm")
+        p = parse("global g = 0;\n"
+                  "thread T0 { r0 := call acquire(); g := r0; }")
+        assert validate(p, impl) == [
+            "thread T0: operation 'acquire' may return no value into "
+            "register 'r0'"]
+        # an operation that returns a value on some paths only
+        o = parse("object impl {\n  var x = 0;\n  op f() {\n"
+                  "    if (x = 1) {\n      return 1;\n    }\n  }\n}")
+        assert validate(parse("thread T { rf := call f(); }"), o) == [
+            "thread T: operation 'f' may return no value into register 'rf'"]
+        # a discarded result, or one that is always a value, is fine
+        assert validate(parse("thread T0 { call acquire(); }"), impl) == []
+        assert validate(parse("global g = 0;\nthread T0 { "
+                              "r0 := call tryAcquire(); g := r0; }"), impl) == []
+
     def test_call_arg_must_be_literal(self):
         o = parse("object impl {\n  var s = 0;\n  op put(v) {\n    s := v;\n  }\n}")
         p = parse("global g = 2;\nthread T {\n  call put(g);\n}")
