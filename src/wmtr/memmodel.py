@@ -282,18 +282,18 @@ class _Engine:
         and settles what the storage or the other threads decide."""
         key = (st.threads, th)
         entry = self.steps.get(key)
-        outcome = _MISS
+        step = _MISS
         if entry is not None:
             load, reads, outcomes = entry
             storage, core = st.storage, self.coremap[th]
-            outcome = outcomes.get(
-                tuple([load(storage, core, v) for v in reads]), _MISS)
-        if outcome is _MISS:
-            load, outcome, seen = self._interpret(st, th, ts)
+            step = outcomes.get(tuple([load(storage, core, v) for v in reads]),
+                                _MISS)
+        if step is _MISS:
+            load, step, seen = self._interpret(st, th, ts)
             if entry is None:
                 entry = self.steps[key] = (load, tuple(seen), {})
-            entry[2][tuple(seen.values())] = outcome
-        return None if outcome is None else self._take(st, th, outcome)
+            entry[2][tuple(seen.values())] = step
+        return None if step is None else self._take(st, th, step)
 
     def _interpret(self, st, th, ts):
         """Run `th`'s next instruction, or the next instruction of its
@@ -322,10 +322,10 @@ class _Engine:
         if r is None:
             return load, None, seen
         if call is None:
-            return load, self._client_step(st.threads, th, ts, *r), seen
-        return load, self._impl_step(st.threads, th, ts, *r), seen
+            return load, self._client_outcome(st.threads, th, ts, *r), seen
+        return load, self._impl_outcome(st.threads, th, ts, *r), seen
 
-    def _client_step(self, tid, th, ts, ins, pc, ctrs, regs, v):
+    def _client_outcome(self, tid, th, ts, ins, pc, ctrs, regs, v):
         """The _Step of a client instruction that ran, going on at `pc`."""
         op = ins[0]
         pc = settled(self.p.code[th], pc)
@@ -351,7 +351,7 @@ class _Engine:
                          (var, v, "prog", sid, ProgObs(sid, var, v)))
         return _Step(_FENCE if op == FENCE else _LOCAL, (ProgStep(sid),), tid2)
 
-    def _impl_step(self, tid, th, ts, ins, pc, ctrs, regs, v):
+    def _impl_outcome(self, tid, th, ts, ins, pc, ctrs, regs, v):
         """The _Step of an implementation instruction that ran, going on at
         `pc`: a store's or successful TAS's successor records the write's
         ref, so its `tid` is filled per ref."""
@@ -370,15 +370,15 @@ class _Engine:
         kind = _FENCE if op in GATED else _LOCAL  # a fence or a failed TAS
         return _Step(kind, (), self._thread_with(tid, th, ts2))
 
-    def _take(self, st, th, out):
-        """The edge `out` makes from `st`, or None when `st` blocks it."""
+    def _take(self, st, th, step):
+        """The edge `step` makes from `st`, or None when `st` blocks it."""
         tid, storage, objst, book = st
-        kind = out.kind
+        kind = step.kind
         tail = ()
         if kind != _LOCAL:
             mem, core = self.mem, self.coremap[th]
             if kind == _WRITE:
-                w = mem.write(storage, core, *out.arg)
+                w = mem.write(storage, core, *step.arg)
                 if w is None:
                     return None
                 storage, tail, ref = w
@@ -386,27 +386,27 @@ class _Engine:
                 if not self.inv_allowed(st, th):
                     return None
             elif kind == _RET:
-                attached = mem.attach(storage, core, *out.arg)
+                attached = mem.attach(storage, core, *step.arg)
                 if attached is None:  # the observation is emitted now
-                    tail = out.arg[-1:]
+                    tail = step.arg[-1:]
                 else:
                     storage = attached
             else:  # _FENCE or _TAS
                 if not mem.drained(storage, core):
                     return None
                 if kind == _TAS:
-                    storage, ref = mem.tas_write(storage, core, *out.arg)
-        if tail != out.tail:  # the first edge to carry it, or another tail
-            out.tail, out.bid = tail, self.bursts.id(out.burst + tail)
-        after = out.after
+                    storage, ref = mem.tas_write(storage, core, *step.arg)
+        if tail != step.tail:  # the first edge to carry it, or another tail
+            step.tail, step.bid = tail, self.bursts.id(step.burst + tail)
+        after = step.after
         if after is None:
-            tid2 = out.tid
+            tid2 = step.tid
         else:  # the successor records the write's ref
-            tid2 = out.tid.get(ref)
+            tid2 = step.tid.get(ref)
             if tid2 is None:
-                tid2 = out.tid[ref] = self._thread_with(
+                tid2 = step.tid[ref] = self._thread_with(
                     tid, th, after._replace(call=after.call[:2] + (ref,)))
-        return out.bid, tuple.__new__(EngineState, (tid2, storage, objst, book))
+        return step.bid, tuple.__new__(EngineState, (tid2, storage, objst, book))
 
     def spec_call_action(self, st, th, ts):
         """The edge of `th`'s specification call, or None when its body

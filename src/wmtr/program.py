@@ -139,7 +139,7 @@ class ClientProgram:
     code: Dict[str, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        declared = frozenset(self.globals)
+        declared = self.declared()
         self.code = {th: compile_body(body, declared)
                      for th, body in self.threads.items()}
 
@@ -658,9 +658,9 @@ def label_of(s: Stmt) -> str:
 def compile_body(body: Tuple[Stmt, ...], shared: frozenset) -> tuple:
     """The code of a thread or operation body, an assignment to a name in
     `shared` being a STORE and to any other a SET.  The body starts at
-    pc 1, and its closing JUMP leads to the bare return at pc 0.  The
-    pcs stand for the positions of the syntax tree as they compare: an
-    `if` whose branches are equal has them compiled once."""
+    pc 1, and its closing JUMP leads to the bare return at pc 0.  Two
+    positions in the syntax tree get one pc exactly when they compare
+    equal, so an `if` whose branches are equal has them compiled once."""
     code: list = [(RETURN, None, None)]
     ends: list = []  # (pc of a block's closing JUMP, pc it leads to)
     ends.append((_emit(body, shared, code, ends), 0))
