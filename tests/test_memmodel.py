@@ -345,6 +345,19 @@ SHAPES = {
         "thread T1 { call h(); }",
         "object impl {\n  var y = 0;\n"
         "  op h() { y := y + 1; if (y = 1) { y := 0; } }\n}"),
+    # variables first written in an order other than their names' order:
+    # the storage's own steps come out by variable name all the same
+    "vars-written-out-of-order": (
+        "global a = 0;\nglobal m = 0;\nglobal z = 0;\n"
+        "thread T0 { z := 1; a := 1; }\n"
+        "thread T1 { r0 := a; m := r0; }", None),
+    # the same with a call between the writes: an object variable (own
+    # mode) or a virtual one (chaos mode) is written between z and a
+    "vars-out-of-order-with-calls": (
+        "global a = 0;\nglobal m = 0;\nglobal z = 0;\n"
+        "thread T0 { z := 1; call f(); a := 1; }\n"
+        "thread T1 { r0 := a; m := r0; }",
+        "object impl {\n  var y = 0;\n  op f() { y := 1; }\n}"),
 }
 
 SHAPE_MODELS = {"sc": (Model.SC, {}), "tso-buffer-1": (Model.TSO, {"buffer": 1}),
@@ -461,6 +474,42 @@ SHAPE_DIGESTS = {
     ("impl-falls-off", "relaxed", "chaos"):  # 70 states
         ("225fe99072737b9c304aa914641bd466c353975c8bacc2a6c1a369c9eebe18bc",
          "c8a7878b1a9d49737ed91c2c3f1a0a8f48dfac6c731f31c9c1545d109fd49057"),
+    ("vars-written-out-of-order", "sc", "own"):  # 11 states
+        ("2b32b22d1b81f9e88a26623123ceece3b7488e77768a80359a3e904171163431",
+         "d3a8d603e3ca1e706559e9892824e3f426840eb42fe329bb9ff6af3c5893aba5"),
+    ("vars-written-out-of-order", "sc", "chaos"):  # 11 states
+        ("2b32b22d1b81f9e88a26623123ceece3b7488e77768a80359a3e904171163431",
+         "d3a8d603e3ca1e706559e9892824e3f426840eb42fe329bb9ff6af3c5893aba5"),
+    ("vars-written-out-of-order", "tso-buffer-1", "own"):  # 23 states
+        ("317c9dbd7d5727180c655bbcf77fa369ec7e68cdde4e2cf01c2ba9b2ba597554",
+         "1c3cdf7fe7265cfc2c9dc18db705c4feb25b4f71b1990359aabdf5a4a15c2a78"),
+    ("vars-written-out-of-order", "tso-buffer-1", "chaos"):  # 23 states
+        ("317c9dbd7d5727180c655bbcf77fa369ec7e68cdde4e2cf01c2ba9b2ba597554",
+         "1c3cdf7fe7265cfc2c9dc18db705c4feb25b4f71b1990359aabdf5a4a15c2a78"),
+    ("vars-written-out-of-order", "relaxed", "own"):  # 89 states
+        ("98c6998732e3ea0a80178c7c33a8ba4641e4eced223639282394610f4f354050",
+         "253436dec9cda439ceb73ef6174cefd0f66b6779e98362373db4a0300588b305"),
+    ("vars-written-out-of-order", "relaxed", "chaos"):  # 89 states
+        ("98c6998732e3ea0a80178c7c33a8ba4641e4eced223639282394610f4f354050",
+         "253436dec9cda439ceb73ef6174cefd0f66b6779e98362373db4a0300588b305"),
+    ("vars-out-of-order-with-calls", "sc", "own"):  # 20 states
+        ("65730bc545b63f54ff3514e623ad43e11d9e12b39df35a9a8d18b7949cf8b2f3",
+         "a0ed1f74ce898d25cd57932b5f9428a9d5ed0682c89a6655d7fa88dff8cdecde"),
+    ("vars-out-of-order-with-calls", "sc", "chaos"):  # 17 states
+        ("544016e404e47fc0fd267599aa3dfd306441bf4d35e371a733bf5a0040cb27f2",
+         "a0ed1f74ce898d25cd57932b5f9428a9d5ed0682c89a6655d7fa88dff8cdecde"),
+    ("vars-out-of-order-with-calls", "tso-buffer-1", "own"):  # 43 states
+        ("18a4b0462ed5e87c1e334975d439b48f4c3f8bbad6f1d76f62bb23f8e1c89af3",
+         "f90d751e7556261b5b6cd3df248c4d16a65718f7c87ef85d57ae0a7ef9fbaaa7"),
+    ("vars-out-of-order-with-calls", "tso-buffer-1", "chaos"):  # 35 states
+        ("349d012e178c6f13ef2172e85e0610d4d99797cd140d395e01b71b958d69b89f",
+         "02e67d855d67ec35b88f858c53288cb0dcb9659f798b6fedb3e9ea2f218d8a83"),
+    ("vars-out-of-order-with-calls", "relaxed", "own"):  # 401 states
+        ("83490e5c1cc5be319d9dbbf58239b5e70135b1ac6c5159269c1efc45cdefbffc",
+         "48d2beb1df1b621edc1db853cf09c9cdcf9264e08c846c7e7f3916505a620450"),
+    ("vars-out-of-order-with-calls", "relaxed", "chaos"):  # 287 states
+        ("a22fab365d601defec237cd13ba2879a8be1fdf2328bb14cb0068c7afde7317a",
+         "10337435b2afdd771d97a99bd2f2154b5a6b8cb6331aedd1291820f055d26876"),
 }
 
 
