@@ -4,16 +4,22 @@ One engine, parameterised by a storage discipline: `storage` holds SC,
 TSO and RELAXED, one class each behind one interface, and the engine
 picks the class once from `DISCIPLINES`.
 
-States are collapse-compressed: each distinct tuple of thread states is
-stored once, in a table on the engine, and a state holds its index; the
-RELAXED discipline does the same for its per-variable entries.  A
-thread's state holds where its compiled code stands (a pc and loop
-counters) and its registers, and so does the frame of its
-implementation call, if any, so the thread tuple covers the client and
-the implementation machine alike.  Hashing a state, once per edge, thus
-touches a few ints and short tuples.  A client's pc is settled after
-each step, an operation's only when it next steps (see `objects`),
-which keeps the states the same as the syntax trees compare.
+States are collapse-compressed and packed: each distinct tuple of
+thread states is stored once, in a table on the engine, and so are a
+specification's valuations and books; a state is one int whose
+fixed-width fields (`storage.FIELD_BITS` bits each) hold the thread
+tuple's id at bit 0, in spec mode the valuation's and the book's ids
+above it, and the storage discipline's fields on top (RELAXED: one per
+variable, the id of its entry).  An id that outgrows its field is an
+`OverflowError`, never an alias.  A thread's state holds where its
+compiled code stands (a pc and loop counters) and its registers, and so
+does the frame of its implementation call, if any, so the thread tuple
+covers the client and the implementation machine alike.  A successor is
+the state plus the changes to its fields, each worked out once per
+value of the fields it reads: a silent RELAXED propagation is an int
+add, and the build's state table maps ints to ints.  A client's pc is
+settled after each step, an operation's only when it next steps (see
+`objects`), which keeps the states the same as the syntax trees compare.
 
 Successors are generated on the same factoring.  A step table keyed on
 (thread-tuple id, thread) holds the shared variables the thread's next
@@ -29,10 +35,11 @@ variables of its entry and settles only what depends on the rest of it:
 whether the storage takes the write, whether the core is drained,
 whether the thread may invoke, and where a write or a return's
 observation lands.  An implementation store's or TAS's ref, where the
-storage put the write, varies per state; the successor's id is memoised
-per ref on the outcome.  The responses of a chaos call are tabled per
-key too, one outcome per output, and a specification body runs once per
-key and valuation.
+storage put the write, varies per state; the successor's thread tuple
+is memoised per ref on the outcome.  The responses of a chaos call are
+tabled per key too, one outcome per output, a specification body runs
+once per key and valuation, and the observations a book of responses
+still owes are worked out once per book.
 
 The graph a build returns is stored as flat `array('i')` columns, one
 entry per edge: the successor's id and the id of the edge's burst in a
@@ -79,7 +86,8 @@ from .program import (
     Lit, Name, ObjectDef, OpDef, Return, Tas, _all_stmts, _always_returns,
     _bump, events_of_program, settled, step, validate,
 )
-from .storage import RELAXED, SC, TSO, _tset
+from . import storage
+from .storage import RELAXED, SC, TSO, Interned, _tset
 
 
 class Model(str, Enum):
@@ -115,13 +123,6 @@ class ThreadState(NamedTuple):
     calls: int
     call: Optional[tuple]  # ("impl", objects.OpFrame, ref of the op's last write)
                            # | ("spec", opid, arg, reg) | ("chaos", opid, reg)
-
-
-class EngineState(NamedTuple):
-    threads: int    # id in _Engine.threads of a sorted ((thread, ThreadState), ...)
-    storage: tuple  # owned by the storage discipline; RELAXED: entry ids
-    objst: Optional[tuple]  # spec valuation
-    book: tuple  # spec: responded, unobserved (opid, out, core)
 
 
 _MISS = object()  # a step table's default: no entry for these values yet
@@ -164,21 +165,23 @@ _LOCAL, _WRITE, _FENCE, _CALL, _TAS, _RET = range(6)
 
 
 class _Step:
-    """The outcome of a thread's next instruction for given
-    read values, or of one output of a chaos call: the burst it starts
-    with, the id of the thread tuple after it and, by kind, the storage
-    call's arguments after the core (_WRITE: `mem.write`, _TAS:
-    `mem.tas_write`, _RET: `mem.attach`).  After an implementation store
-    or TAS the thread's call slot records the write's ref, which varies
-    per state: `after` is then the thread state without the ref and
-    `tid` a dict from ref to the successor's id, filled as refs appear.
-    `bid` is the id of the burst with the `tail` the storage appended to
-    it, cached when an edge first carries it."""
-    __slots__ = ("kind", "burst", "tid", "arg", "after", "tail", "bid")
+    """The outcome of a thread's next instruction for given read values,
+    or of one output of a chaos call: the burst it starts with, the
+    change `next` it makes to the state's thread-tuple id and, by kind,
+    the storage call's argument after the state (_WRITE: the prepared
+    `mem.write`, _TAS: `mem.tas_write`'s after the core, _RET:
+    `mem.attach`'s after the core).  After an implementation store or
+    TAS the thread's call slot records the write's ref, which varies per
+    state: `after` is then the thread state without the ref and `next` a
+    dict from ref to the change, filled as refs appear.  `bid` is the id
+    of the burst with what the storage emits, and for _RET `emitted`
+    that of the burst with the observation emitted at once, each cached
+    when an edge first carries it."""
+    __slots__ = ("kind", "burst", "next", "arg", "after", "bid", "emitted")
 
-    def __init__(self, kind: int, burst: tuple, tid, arg=None, after=None):
-        self.kind, self.burst, self.tid, self.arg = kind, burst, tid, arg
-        self.after, self.tail, self.bid = after, None, 0
+    def __init__(self, kind: int, burst: tuple, next, arg=None, after=None):
+        self.kind, self.burst, self.next, self.arg = kind, burst, next, arg
+        self.after, self.bid, self.emitted = after, None, None
 
 
 # --- the engine ---
@@ -197,105 +200,130 @@ class _Engine:
             initials.update(obj.shared)
         self.universe = events_of_program(p, obj, cfg.unroll, cfg.values)
         self.bursts = BurstTable(self.universe)
-        self.mem = DISCIPLINES[cfg.model](cores, initials, cfg.buffer, self.bursts)
+        # a state is one int of fields, storage.FIELD_BITS wide, from bit
+        # 0: the thread-tuple id; in spec mode the valuation's id and the
+        # book's; then the storage discipline's fields
+        bits = storage.FIELD_BITS
+        self.mask = (1 << bits) - 1
+        self.vshift, self.bshift = bits, 2 * bits
+        self.mem = DISCIPLINES[cfg.model](
+            cores, initials, cfg.buffer, self.bursts,
+            (3 if mode == "spec" else 1) * bits)
         # the load functions a step table entry names, bound once
         self.read, self.latest = self.mem.read, self.mem.latest
         self.covert = covert_ops(p, obj)
         self.chaosouts = {name: chaos_outputs(op, cfg.values)
                           for name, op in obj.ops.items()}
         # collapse compression: each distinct thread tuple, implementation
-        # frames included, is stored once and a state holds its index, so
-        # a state hashes as a few ints
-        self.threads: List[tuple] = []
-        self.thread_ids: Dict[tuple, int] = {}
+        # frames included, is stored once and a state holds its index; so
+        # are a specification's valuations and books (the responded,
+        # unobserved (opid, out, core) entries)
+        self.threads = Interned("thread tuples")
+        self.valuations = Interned("specification valuations")
+        self.books = Interned("books of unobserved responses")
         # step tables, keyed (thread-tuple id, thread).  A thread outside a
         # call or in an implementation call: (the storage's load function,
         # the shared variables its next step reads, {their values: _Step,
         # or None when blocked}).  A thread in a chaos call: [_Step per
         # output].  A thread in a specification call, keyed with the
-        # valuation too: (burst id, thread-tuple id, valuation, book entry
-        # or None), or None when blocked.
+        # valuation id too: (burst id, change to the state, book entry or
+        # None, {book id: change to the state for the book}), or None
+        # when blocked.
         self.steps: Dict[Tuple[int, str], tuple] = {}
         self.responses: Dict[Tuple[int, str], List[_Step]] = {}
         self.spec_calls: Dict[tuple, Optional[tuple]] = {}
+        # per book id: its observations' edges, [(burst id, change)]
+        self.book_moves: Dict[int, list] = {}
 
-    def root(self) -> EngineState:
+    def root(self) -> int:
         threads = tuple(sorted(
             (th, ThreadState(settled(code, 1), (), (), (), 0, None))
             for th, code in self.p.code.items()))
-        objst = tuple(sorted(self.obj.shared.items())) if self.mode == "spec" else None
-        return EngineState(self._thread_id(threads), self.mem.initial(), objst, ())
+        st = self.threads.id(threads) | self.mem.initial()
+        if self.mode == "spec":
+            objst = tuple(sorted(self.obj.shared.items()))
+            st |= (self.valuations.id(objst) << self.vshift
+                   | self.books.id(()) << self.bshift)
+        return st
 
-    def _thread_id(self, threads: tuple) -> int:
-        tid = self.thread_ids.get(threads)
-        if tid is None:
-            tid = self.thread_ids[threads] = len(self.threads)
-            self.threads.append(threads)
-        return tid
+    def _moved(self, tid: int, th: str, ts: ThreadState) -> int:
+        """The change to a state's thread-tuple id `tid` that replaces
+        `th`'s state by `ts`."""
+        threads = tuple((t, (ts if t == th else x))
+                        for t, x in self.threads.values[tid])
+        return self.threads.id(threads) - tid
 
-    def _thread_with(self, tid: int, th: str, ts: ThreadState) -> int:
-        """The id of thread tuple `tid` with `th`'s state replaced by `ts`."""
-        return self._thread_id(tuple((t, (ts if t == th else x))
-                                     for t, x in self.threads[tid]))
-
-    def inv_allowed(self, st: EngineState, thread: str) -> bool:
+    def inv_allowed(self, st: int, thread: str) -> bool:
         core = self.coremap[thread]
         if self.mode != "spec":
-            return self.mem.inv_ready(st.storage, core, False)
-        return (self.mem.inv_ready(st.storage, core, True)
+            return self.mem.inv_ready(st, core, False)
+        book = self.books.values[st >> self.bshift & self.mask]
+        return (self.mem.inv_ready(st, core, True)
                 and all(ts2.call is None or self.coremap[th2] == core
-                        for th2, ts2 in self.threads[st.threads])
-                and all(c == core for (_, _, c) in st.book))
+                        for th2, ts2 in self.threads.values[st & self.mask])
+                and all(c == core for (_, _, c) in book))
 
     # actions
 
-    def actions(self, st: EngineState) -> List[Tuple[int, EngineState]]:
+    def actions(self, st: int) -> List[Tuple[int, int]]:
         """The edges out of `st`, as (burst id, successor)."""
-        out: List[Tuple[int, EngineState]] = []
-        for th, ts in self.threads[st.threads]:
+        out: List[Tuple[int, int]] = []
+        tid = st & self.mask
+        for th, ts in self.threads.values[tid]:
             call = ts.call
             if call is None and not ts.pc:
                 continue  # the thread has run to its end
             if call is None or call[0] == "impl":
-                a = self.step_action(st, th, ts)
+                a = self.step_action(st, tid, th, ts)
             elif call[0] == "spec":
-                a = self.spec_call_action(st, th, ts)
+                a = self.spec_call_action(st, tid, th, ts)
             else:
-                out.extend(self.chaos_call_actions(st, th, ts))
+                out.extend(self.chaos_call_actions(st, tid, th, ts))
                 continue
             if a is not None:
                 out.append(a)
-        threads, storage, objst, book = st
-        new = tuple.__new__  # EngineState's own constructor, without its call
-        for b, storage2 in self.mem.moves(storage):
-            out.append((b, new(EngineState, (threads, storage2, objst, book))))
-        for j, (opid, outv, core) in enumerate(book):
-            st2 = st._replace(book=book[:j] + book[j + 1:])
-            out.append((self.bursts.id((OpObs(opid, outv),)), st2))
+        out.extend(self.mem.moves(st))
+        if self.mode == "spec":
+            b = st >> self.bshift & self.mask
+            if b:
+                for bid, d in self._book_moves(b):
+                    out.append((bid, st + d))
         return out
 
-    def step_action(self, st, th, ts):
+    def _book_moves(self, b: int) -> list:
+        """[(burst id, change)]: each response in book `b` is observed, in
+        book order; worked out once per book."""
+        steps = self.book_moves.get(b)
+        if steps is None:
+            book = self.books.values[b]
+            steps = self.book_moves[b] = [
+                (self.bursts.id((OpObs(opid, outv),)),
+                 (self.books.id(book[:j] + book[j + 1:]) - b) << self.bshift)
+                for j, (opid, outv, _) in enumerate(book)]
+        return steps
+
+    def step_action(self, st, tid, th, ts):
         """The edge of `th`'s next instruction, or of the next instruction
         of its implementation call, or None when it is blocked.  The step
         is interpreted once per thread tuple and values of the shared
         variables it reads; each state then only reads those variables
         and settles what the storage or the other threads decide."""
-        key = (st.threads, th)
+        key = (tid, th)
         entry = self.steps.get(key)
         step = _MISS
         if entry is not None:
             load, reads, outcomes = entry
-            storage, core = st.storage, self.coremap[th]
-            step = outcomes.get(tuple([load(storage, core, v) for v in reads]),
+            core = self.coremap[th]
+            step = outcomes.get(tuple([load(st, core, v) for v in reads]),
                                 _MISS)
         if step is _MISS:
-            load, step, seen = self._interpret(st, th, ts)
+            load, step, seen = self._interpret(st, tid, th, ts)
             if entry is None:
                 entry = self.steps[key] = (load, tuple(seen), {})
             entry[2][tuple(seen.values())] = step
-        return None if step is None else self._take(st, th, step)
+        return None if step is None else self._take(st, tid, th, step)
 
-    def _interpret(self, st, th, ts):
+    def _interpret(self, st, tid, th, ts):
         """Run `th`'s next instruction, or the next instruction of its
         implementation call, in `st`: the load function, its _Step (None
         when blocked or stuck) and the shared variables it read with their
@@ -311,19 +339,19 @@ class _Engine:
             pc, ctrs, regs = f.pc, f.ctrs, f.regs
         gated = code[settled(code, pc)][0] in GATED
         load = self.latest if gated else self.read
-        storage, core = st.storage, self.coremap[th]
+        core = self.coremap[th]
         seen: Dict[str, int] = {}
 
         def view(name):
-            v = seen[name] = load(storage, core, name)
+            v = seen[name] = load(st, core, name)
             return v
 
         r = step(code, pc, ctrs, regs, view, self.cfg.values, self.cfg.unroll)
         if r is None:
             return load, None, seen
         if call is None:
-            return load, self._client_outcome(st.threads, th, ts, *r), seen
-        return load, self._impl_outcome(st.threads, th, ts, *r), seen
+            return load, self._client_outcome(tid, th, ts, *r), seen
+        return load, self._impl_outcome(tid, th, ts, *r), seen
 
     def _client_outcome(self, tid, th, ts, ins, pc, ctrs, regs, v):
         """The _Step of a client instruction that ran, going on at `pc`."""
@@ -339,116 +367,127 @@ class _Engine:
             else:
                 slot = ("chaos", opid, reg)
             ts2 = ts._replace(pc=pc, ctrs=ctrs, calls=ts.calls + 1, call=slot)
-            return _Step(_CALL, (Inv(opid, v),), self._thread_with(tid, th, ts2))
+            return _Step(_CALL, (Inv(opid, v),), self._moved(tid, th, ts2))
         lab = ins[1]
         inst, labels = _bump(ts.labels, lab)
         sid = StepId(th, lab, inst)
-        tid2 = self._thread_with(tid, th, ts._replace(
-            pc=pc, ctrs=ctrs, regs=regs, labels=labels))
+        d = self._moved(tid, th, ts._replace(pc=pc, ctrs=ctrs, regs=regs,
+                                             labels=labels))
         if op == STORE:
             var = ins[2]
-            return _Step(_WRITE, (ProgStep(sid, (var, v)),), tid2,
-                         (var, v, "prog", sid, ProgObs(sid, var, v)))
-        return _Step(_FENCE if op == FENCE else _LOCAL, (ProgStep(sid),), tid2)
+            return _Step(_WRITE, (ProgStep(sid, (var, v)),), d, self.mem.writer(
+                self.coremap[th], var, v, "prog", sid, ProgObs(sid, var, v)))
+        return _Step(_FENCE if op == FENCE else _LOCAL, (ProgStep(sid),), d)
 
     def _impl_outcome(self, tid, th, ts, ins, pc, ctrs, regs, v):
         """The _Step of an implementation instruction that ran, going on at
         `pc`: a store's or successful TAS's successor records the write's
-        ref, so its `tid` is filled per ref."""
+        ref, so its `next` is filled per ref."""
         _, f, last = ts.call
         op, opid = ins[0], f.opid
         if op == RETURN:
             ts2 = _returned(ts, f.ret_reg, v)
-            return _Step(_RET, (Res(opid, v),), self._thread_with(tid, th, ts2),
+            return _Step(_RET, (Res(opid, v),), self._moved(tid, th, ts2),
                          (last, opid, OpObs(opid, v)))
         ts2 = ts._replace(call=("impl", f._replace(pc=pc, ctrs=ctrs, regs=regs),
                                 last))
         if op == STORE:
-            return _Step(_WRITE, (), {}, (ins[2], v, "obj", opid, None), ts2)
+            w = self.mem.writer(self.coremap[th], ins[2], v, "obj", opid, None)
+            return _Step(_WRITE, (), {}, w, ts2)
         if op == TAS and v is not None:
             return _Step(_TAS, (), {}, (ins[3], v, opid), ts2)
         kind = _FENCE if op in GATED else _LOCAL  # a fence or a failed TAS
-        return _Step(kind, (), self._thread_with(tid, th, ts2))
+        return _Step(kind, (), self._moved(tid, th, ts2))
 
-    def _take(self, st, th, step):
+    def _take(self, st, tid, th, step):
         """The edge `step` makes from `st`, or None when `st` blocks it."""
-        tid, storage, objst, book = st
         kind = step.kind
         tail = ()
         if kind != _LOCAL:
             mem, core = self.mem, self.coremap[th]
             if kind == _WRITE:
-                w = mem.write(storage, core, *step.arg)
+                w = mem.write(st, step.arg)
                 if w is None:
                     return None
-                storage, tail, ref = w
+                st, tail, ref = w
             elif kind == _CALL:
                 if not self.inv_allowed(st, th):
                     return None
             elif kind == _RET:
-                attached = mem.attach(storage, core, *step.arg)
+                attached = mem.attach(st, core, *step.arg)
                 if attached is None:  # the observation is emitted now
-                    tail = step.arg[-1:]
-                else:
-                    storage = attached
+                    b = step.emitted
+                    if b is None:
+                        b = step.emitted = self.bursts.id(step.burst
+                                                          + step.arg[-1:])
+                    return b, st + step.next
+                st = attached
             else:  # _FENCE or _TAS
-                if not mem.drained(storage, core):
+                if not mem.drained(st, core):
                     return None
                 if kind == _TAS:
-                    storage, ref = mem.tas_write(storage, core, *step.arg)
-        if tail != step.tail:  # the first edge to carry it, or another tail
-            step.tail, step.bid = tail, self.bursts.id(step.burst + tail)
+                    st, ref = mem.tas_write(st, core, *step.arg)
+        b = step.bid
+        if b is None:  # the first edge to carry it
+            b = step.bid = self.bursts.id(step.burst + tail)
         after = step.after
         if after is None:
-            tid2 = step.tid
-        else:  # the successor records the write's ref
-            tid2 = step.tid.get(ref)
-            if tid2 is None:
-                tid2 = step.tid[ref] = self._thread_with(
-                    tid, th, after._replace(call=after.call[:2] + (ref,)))
-        return step.bid, tuple.__new__(EngineState, (tid2, storage, objst, book))
+            return b, st + step.next
+        d = step.next.get(ref)  # the successor records the write's ref
+        if d is None:
+            d = step.next[ref] = self._moved(
+                tid, th, after._replace(call=after.call[:2] + (ref,)))
+        return b, st + d
 
-    def spec_call_action(self, st, th, ts):
+    def spec_call_action(self, st, tid, th, ts):
         """The edge of `th`'s specification call, or None when its body
         blocks.  The body runs once per thread tuple and valuation; each
         state then only adds the response to its book."""
-        key = (st.threads, th, st.objst)
+        key = (tid, th, st >> self.vshift & self.mask)
         out = self.spec_calls.get(key, _MISS)
         if out is _MISS:
-            out = self.spec_calls[key] = self._spec_call(st.threads, th, ts,
-                                                          st.objst)
+            out = self.spec_calls[key] = self._spec_call(tid, th, ts, key[2])
         if out is None:
             return None
-        bid, tid2, objst2, pending = out
-        book = st.book if pending is None else st.book + (pending,)
-        return bid, tuple.__new__(EngineState, (tid2, st.storage, objst2, book))
+        bid, d, pending, books = out
+        if pending is not None:
+            b = st >> self.bshift & self.mask
+            db = books.get(b)
+            if db is None:
+                db = books[b] = (self.books.id(self.books.values[b] + (pending,))
+                                 - b) << self.bshift
+            d += db
+        return bid, st + d
 
     def _spec_call(self, tid, th, ts, objst):
         """Run `th`'s specification call against valuation `objst`: (burst
-        id, thread-tuple id, valuation after it, the response for the book
-        or None when the operation is observed at once), or None."""
+        id, change to the state's thread tuple and valuation, the response
+        for the book or None when the operation is observed at once, {}
+        for the book changes), or None."""
         _, opid, arg, ret_reg = ts.call
-        r = run_spec_body(self.obj.ops[opid.call], dict(objst), arg,
+        r = run_spec_body(self.obj.ops[opid.call],
+                          dict(self.valuations.values[objst]), arg,
                           self.cfg.values)
         if r is None:
             return None
         valuation, outv = r
-        tid2 = self._thread_with(tid, th, _returned(ts, ret_reg, outv))
-        objst2 = tuple(sorted(valuation.items()))
+        d = (self._moved(tid, th, _returned(ts, ret_reg, outv))
+             + ((self.valuations.id(tuple(sorted(valuation.items()))) - objst)
+                << self.vshift))
         if opid.call in self.covert:
-            return (self.bursts.id((Res(opid, outv), OpObs(opid, outv))), tid2,
-                    objst2, None)
-        return (self.bursts.id((Res(opid, outv),)), tid2, objst2,
-                (opid, outv, self.coremap[th]))
+            return (self.bursts.id((Res(opid, outv), OpObs(opid, outv))), d,
+                    None, None)
+        return (self.bursts.id((Res(opid, outv),)), d,
+                (opid, outv, self.coremap[th]), {})
 
-    def chaos_call_actions(self, st, th, ts):
-        key = (st.threads, th)
+    def chaos_call_actions(self, st, tid, th, ts):
+        key = (tid, th)
         steps = self.responses.get(key)
         if steps is None:
-            steps = self.responses[key] = self._responses(st.threads, th, ts)
+            steps = self.responses[key] = self._responses(tid, th, ts)
         out = []
         for step in steps:
-            a = self._take(st, th, step)
+            a = self._take(st, tid, th, step)
             if a is not None:
                 out.append(a)
         return out
@@ -462,13 +501,13 @@ class _Engine:
         out = []
         for outv in sorted(self.chaosouts[opid.call],
                            key=lambda v: (v is None, v)):
-            tid2 = self._thread_with(tid, th, _returned(ts, ret_reg, outv))
+            d = self._moved(tid, th, _returned(ts, ret_reg, outv))
             res, obs = Res(opid, outv), OpObs(opid, outv)
             if opid.call in self.covert:
-                out.append(_Step(_LOCAL, (res, obs), tid2))
+                out.append(_Step(_LOCAL, (res, obs), d))
             else:
-                out.append(_Step(_WRITE, (res,), tid2,
-                                 (vvar, 0, "virt", opid, obs)))
+                out.append(_Step(_WRITE, (res,), d, self.mem.writer(
+                    self.coremap[th], vvar, 0, "virt", opid, obs)))
         return out
 
 
@@ -662,22 +701,24 @@ def _build(p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig,
     # and every pass over it work on the int ids, and the engine hands out
     # the burst ids.
     root = eng.root()
-    ids: Dict[EngineState, int] = {root: 0}
+    ids: Dict[int, int] = {root: 0}
     succ, burst_id = array("i"), array("i")
     start, stop = array("i", [0]), array("i", [0])
     stack = [(0, root)]
+    actions, setdefault = eng.actions, ids.setdefault
+    to_succ, to_burst = succ.append, burst_id.append
     while stack:
         i, s = stack.pop()
         start[i] = len(succ)
-        for b, s2 in eng.actions(s):
+        for b, s2 in actions(s):
             n = len(ids)
-            j = ids.setdefault(s2, n)
+            j = setdefault(s2, n)
             if j == n:
                 stack.append((j, s2))
                 start.append(0)
                 stop.append(0)
-            succ.append(j)
-            burst_id.append(b)
+            to_succ(j)
+            to_burst(b)
         stop[i] = len(succ)
     return TraceSet(0, eng.universe, eng.bursts.bursts, succ, burst_id,
                     start, stop)

@@ -1,13 +1,17 @@
 """Storage disciplines: where a write lands and what a load returns.
 
 Each memory model is one class behind one interface, and the engine in
-`memmodel` calls only that interface.  A storage value is an immutable
-tuple; every method takes one and returns a new one.  RELAXED keeps the
-parts of its values in tables on the instance and puts their ids in the
-value, so a value means something only to the instance that made it:
-one instance serves one build.  An instance is made with the build's
-burst table, whose `id(burst)` interns a burst, and its own steps come
-with burst ids from it.
+`memmodel` calls only that interface.  An exploration state is one int
+of fixed-width fields (`FIELD_BITS` each), and a storage value is that
+int: a discipline reads and changes its own fields, from bit `shift`
+up, and leaves every lower bit as it found it, so a successor is often
+the state plus a delta.  SC and TSO keep their storage as one tuple,
+interned as a single field; RELAXED keeps one field per variable, its
+entry's id.  The tuples and entries live in tables on the instance, so
+a value means something only to the instance that made it: one
+instance serves one build.  An instance is made with the build's burst
+table, whose `id(burst)` interns a burst, and its own steps come with
+burst ids from it.
 
   SC       writes hit memory at once; observations are emitted in the
            same burst as the event they observe.
@@ -21,19 +25,24 @@ with burst ids from it.
            thereby supersedes) records it never received.  TAS acts on
            the coherence-latest value and is instantly global.
 
-The interface, for a storage s:
+The interface, for a storage (state int) s:
 
   initial()                        the storage before any write
   read(s, core, var)               the value a load on `core` returns
   latest(s, core, var)             the value a TAS on a drained `core` acts on
-  write(s, core, var, val, kind, carrier, obs)
-                                   (s', events emitted now, ref), or None
+  writer(core, var, val, kind, carrier, obs)
+                                   a write, prepared once for `write`
+  write(s, w)                      (s', events emitted now, ref), or None
   tas_write(s, core, var, val, carrier)            (s', ref)
   attach(s, core, ref, opid, obs)  s' with the response's observation on the
                                    operation's last write, or None: emit now
   drained(s, core)                 every write of `core` is visible everywhere
   inv_ready(s, core, spec)         `core` may invoke a (spec) operation
   moves(s)                         [(burst id, s')]: the storage's own steps
+
+A prepared write and each field value keep what they decide: a write's
+outcome is worked out once per value of the field it changes, and a
+field's own steps once per value, as [(burst id, delta)].
 
 Invocations under TSO wait until the invoking core holds no buffered
 program write; under RELAXED, specification invocations wait until the
@@ -51,9 +60,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from operator import itemgetter
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .events import Event
+
+FIELD_BITS = 24  # the width of each field of a state int
+
+_MISS = object()  # a memo's default: nothing worked out yet
 
 
 def _tget(pairs: tuple, key, default=None):
@@ -74,15 +87,66 @@ def _tset(pairs: tuple, key, value) -> tuple:
     return pairs[:i] + ((key, value),) + pairs[j:]
 
 
-class Storage:
-    """Defaults of the interface: no write is ever in flight."""
+class Interned:
+    """Distinct values in first-seen order, each with an id that fits a
+    state field.  A value beyond the field's last id is refused with an
+    error, so no two values ever share an id."""
 
-    def __init__(self, cores: tuple, initials: dict, buffer: int, bursts):
+    def __init__(self, what: str):
+        self.what = what
+        self.values: list = []
+        self.ids: dict = {}
+        self.bits = FIELD_BITS
+
+    def id(self, x) -> int:
+        i = self.ids.get(x)
+        if i is None:
+            i = len(self.values)
+            if i >> self.bits:
+                raise OverflowError(
+                    f"more than {i} distinct {self.what}: a state field "
+                    f"holds {self.bits} bits")
+            self.ids[x] = i
+            self.values.append(x)
+        return i
+
+
+class Write:
+    """A write prepared by `writer`: the shift of the field it changes,
+    its arguments as the discipline's `_write` takes them, and per value
+    of that field its outcome, (delta, events, ref) or None."""
+    __slots__ = ("shift", "args", "memo")
+
+    def __init__(self, shift: int, args: tuple):
+        self.shift, self.args, self.memo = shift, args, {}
+
+
+class Storage:
+    """Defaults of the interface: no write is ever in flight.  `fields`
+    lists (shift, {value: its steps}) for the fields with own steps, in
+    the order `moves` visits them."""
+
+    def __init__(self, cores: tuple, initials: dict, buffer: int, bursts,
+                 shift: int = 0):
         self.cores, self.initials, self.buffer = cores, initials, buffer
         self.bursts = bursts
+        self.shift = shift
+        self.bits = FIELD_BITS
+        self.mask = (1 << FIELD_BITS) - 1
+        self.fields: List[Tuple[int, dict]] = []
 
     def latest(self, s, core, var):
         return self.read(s, core, var)
+
+    def write(self, s, w: Write):
+        f = s >> w.shift & self.mask
+        r = w.memo.get(f, _MISS)
+        if r is _MISS:
+            r = self._write(f, *w.args)
+            if r is not None:
+                r = ((r[0] - f) << w.shift,) + r[1:]
+            w.memo[f] = r
+        return None if r is None else (s + r[0], r[1], r[2])
 
     def attach(self, s, core, ref, opid, obs):
         return None
@@ -94,26 +158,61 @@ class Storage:
         return True
 
     def moves(self, s):
-        return []
+        out = []
+        mask = self.mask
+        for shift, memo in self.fields:
+            f = s >> shift & mask
+            try:
+                steps = memo[f]
+            except KeyError:  # the first state with this value
+                steps = memo[f] = [(b, (f2 - f) << shift)
+                                   for b, f2 in self._moves(f)]
+            for b, d in steps:
+                out.append((b, s + d))
+        return out
 
 
-class SC(Storage):
+class _Interning(Storage):
+    """A discipline whose storage is one tuple, interned as the single
+    field at `shift`."""
+
+    def __init__(self, cores, initials, buffer, bursts, shift=0):
+        super().__init__(cores, initials, buffer, bursts, shift)
+        self.table = Interned("storages")
+        self.table.id(self._initial())
+
+    def initial(self):
+        return 0  # the initial tuple's id, 0, in its field
+
+    def _get(self, s):
+        return self.table.values[s >> self.shift & self.mask]
+
+    def _put(self, s, value):
+        """`s` with its storage tuple replaced by `value`."""
+        f = s >> self.shift & self.mask
+        return s + ((self.table.id(value) - f) << self.shift)
+
+
+class SC(_Interning):
     """Memory alone: sorted ((var, value), ...).  Virtual writes leave no
     trace in it."""
 
-    def initial(self):
+    def _initial(self):
         return tuple(sorted(self.initials.items()))
 
     def read(self, s, core, var):
-        return _tget(s, var)
+        return _tget(self._get(s), var)
 
-    def write(self, s, core, var, val, kind, carrier, obs):
+    def writer(self, core, var, val, kind, carrier, obs):
+        return Write(self.shift, (var, val, kind, obs))
+
+    def _write(self, f, var, val, kind, obs):
         if kind != "virt":
-            s = _tset(s, var, val)
-        return s, ((obs,) if obs is not None else ()), None
+            f = self.table.id(_tset(self.table.values[f], var, val))
+        return f, ((obs,) if obs is not None else ()), None
 
     def tas_write(self, s, core, var, val, carrier):
-        return _tset(s, var, val), None
+        return self._put(s, _tset(self._get(s), var, val)), None
 
 
 class Entry(NamedTuple):  # TSO buffer entry
@@ -124,96 +223,122 @@ class Entry(NamedTuple):  # TSO buffer entry
     obs: Optional[Event]
 
 
-class TSO(Storage):
+class TSO(_Interning):
     """(memory, buffers): memory as under SC, buffers sorted
     ((core, (Entry, ...)), ...) with the oldest entry first.  The ref of
     a buffered object store is ("buf",); `attach` finds the entry
     itself."""
 
-    def initial(self):
+    def __init__(self, cores, initials, buffer, bursts, shift=0):
+        super().__init__(cores, initials, buffer, bursts, shift)
+        self.fields = [(shift, {})]
+
+    def _initial(self):
         return (tuple(sorted(self.initials.items())),
                 tuple((c, ()) for c in self.cores))
 
     def read(self, s, core, var):
-        for e in reversed(_tget(s[1], core)):
+        mem, bufs = self._get(s)
+        for e in reversed(_tget(bufs, core)):
             if e.var == var:
                 return e.val
-        return _tget(s[0], var)
+        return _tget(mem, var)
 
-    def write(self, s, core, var, val, kind, carrier, obs):
-        mem, bufs = s
+    def writer(self, core, var, val, kind, carrier, obs):
+        return Write(self.shift, (core, Entry(var, val, kind, carrier, obs)))
+
+    def _write(self, f, core, entry):
+        mem, bufs = self.table.values[f]
         buf = _tget(bufs, core)
         if len(buf) >= self.buffer:
             return None
-        entry = Entry(var, val, kind, carrier, obs)
-        return (mem, _tset(bufs, core, buf + (entry,))), (), ("buf",)
+        return (self.table.id((mem, _tset(bufs, core, buf + (entry,)))), (),
+                ("buf",))
 
     def tas_write(self, s, core, var, val, carrier):
-        return (_tset(s[0], var, val), s[1]), None  # the buffer is empty
+        mem, bufs = self._get(s)  # the buffer is empty
+        return self._put(s, (_tset(mem, var, val), bufs)), None
 
     def attach(self, s, core, ref, opid, obs):
-        mem, bufs = s
+        mem, bufs = self._get(s)
         buf = _tget(bufs, core)
         for j in range(len(buf) - 1, -1, -1):
             e = buf[j]
             if e.kind == "obj" and e.carrier == opid:
                 buf2 = buf[:j] + (e._replace(obs=obs),) + buf[j + 1:]
-                return mem, _tset(bufs, core, buf2)
+                return self._put(s, (mem, _tset(bufs, core, buf2)))
         return None
 
     def drained(self, s, core):
-        return not _tget(s[1], core)
+        return not _tget(self._get(s)[1], core)
 
     def inv_ready(self, s, core, spec):
-        return all(e.kind != "prog" for e in _tget(s[1], core))
+        return all(e.kind != "prog" for e in _tget(self._get(s)[1], core))
 
-    def moves(self, s):
-        mem, bufs = s
+    def _moves(self, f):
+        mem, bufs = self.table.values[f]
         out = []
         for core, buf in bufs:
             if buf:
                 head = buf[0]
                 mem2 = mem if head.kind == "virt" else _tset(mem, head.var, head.val)
                 b = self.bursts.id((head.obs,)) if head.obs is not None else 0
-                out.append((b, (mem2, _tset(bufs, core, buf[1:]))))
+                out.append((b, self.table.id((mem2, _tset(bufs, core, buf[1:])))))
         return out
 
 
 class RELAXED(Storage):
-    """Sorted ((var, entry_id), ...) over the variables written so far.
+    """One field per variable, holding the id of its entry; entry 0 is
+    the empty entry of a variable not yet written.
 
     An entry is the pair (recs, posv) of one variable, interned in
     `entries` (collapse compression: the 47k states of the largest
-    corpus graph hold a few dozen distinct entries), so a storage value
-    is a short tuple of small ints and strs.  posv[k] is the position in
-    recs of the latest record of var that the core of rank k (its index
-    in the sorted cores) received, -1 before any.  A record is the tuple
+    corpus graph hold a few dozen distinct entries).  posv[k] is the
+    position in recs of the latest record of var that the core of rank k
+    (its index in the sorted cores) received, -1 before any.  A record
+    is the tuple
       (val, core_rank, kind, carrier_code, covered_mask, obs_code, emitted)
     where bit k of covered_mask says core k received or superseded it,
     and carrier and observation are interned in `decode` (code 0 is
     None); an observation is decoded when its record emits it.  The ref
     of a write is (var, pos).
 
-    An entry's own steps do not depend on the variable or on the rest
-    of the storage, so `moves` computes them once per entry id, as
-    [(burst id, entry_id')]; likewise `entry` notes once which cores still
-    have a record in flight, for `drained` and `inv_ready`.  Every table
-    lives on the instance and goes with the build."""
+    The variables of `initials` get their fields when the instance is
+    made, any other (a chaos call's virtual variable) when a write to it
+    is first prepared; `moves` visits them by name.  An entry's own
+    steps do not depend on the variable or on the rest of the storage,
+    so `_moves` computes them once per entry id, as [(burst id,
+    entry_id')]; likewise `entry` notes once which cores still have a
+    record in flight, for `drained` and `inv_ready`.  Every table lives
+    on the instance and goes with the build."""
 
-    def __init__(self, cores, initials, buffer, bursts):
-        super().__init__(cores, initials, buffer, bursts)
+    def __init__(self, cores, initials, buffer, bursts, shift=0):
+        super().__init__(cores, initials, buffer, bursts, shift)
         self.rank = {c: k for k, c in enumerate(cores)}
         self.full = (1 << len(cores)) - 1
         self.codes: Dict[object, int] = {None: 0}
         self.decode: List[object] = [None]
-        self.entry_ids: Dict[tuple, int] = {}
-        self.entries: List[tuple] = []
+        self.entries = Interned("RELAXED entries of one variable")
         # per entry id: bit k set iff core k issued a record (a program
         # record) that not every core has yet
         self.pending: List[int] = []
         self.pending_prog: List[int] = []
         self.entry_moves: List[Optional[list]] = []
-        self.unseen_id = self.entry(((), (-1,) * len(cores)))
+        self.entry(((), (-1,) * len(cores)))
+        self.shifts: Dict[str, int] = {}
+        self.names: List[str] = []  # of the fields, sorted
+        for var in sorted(initials):
+            self._slot(var)
+
+    def _slot(self, var) -> int:
+        """The shift of `var`'s field, given it on first sight."""
+        shift = self.shifts.get(var)
+        if shift is None:
+            shift = self.shifts[var] = self.shift + len(self.shifts) * self.bits
+            i = bisect_left(self.names, var)
+            self.names.insert(i, var)
+            self.fields.insert(i, (shift, {}))
+        return shift
 
     def intern(self, x) -> int:
         code = self.codes.get(x)
@@ -224,10 +349,8 @@ class RELAXED(Storage):
 
     def entry(self, e: tuple) -> int:
         """The id of entry `e`, interned on first sight."""
-        eid = self.entry_ids.get(e)
-        if eid is None:
-            eid = self.entry_ids[e] = len(self.entries)
-            self.entries.append(e)
+        eid = self.entries.id(e)
+        if eid == len(self.pending):
             pending = pending_prog = 0
             for _, c, kind, _, cov, _, _ in e[0]:
                 if cov != self.full:
@@ -240,10 +363,10 @@ class RELAXED(Storage):
         return eid
 
     def _get(self, s, var):
-        return self.entries[_tget(s, var, self.unseen_id)]
+        return self.entries.values[s >> self.shifts[var] & self.mask]
 
     def initial(self):
-        return ()
+        return 0  # every variable unwritten
 
     def read(self, s, core, var):
         recs, posv = self._get(s, var)
@@ -254,20 +377,27 @@ class RELAXED(Storage):
         recs, _ = self._get(s, var)
         return recs[-1][0] if recs else self.initials[var]
 
-    def write(self, s, core, var, val, kind, carrier, obs):
-        recs, posv = self._get(s, var)
+    def writer(self, core, var, val, kind, carrier, obs):
+        return Write(self._slot(var), (var, self.rank[core], val, kind,
+                                       self.intern(carrier), self.intern(obs)))
+
+    def _write(self, eid, var, k, val, kind, ca, ob):
+        recs, posv = self.entries.values[eid]
         pos = len(recs)
-        k = self.rank[core]
         bit = 1 << k
         old = posv[k]
         # the issuing core supersedes the records it never received
         recs = recs[:old + 1] + tuple(
-            (v, c, kd, ca, cov | bit, ob, em)
-            for v, c, kd, ca, cov, ob, em in recs[old + 1:])
-        rec = (val, k, kind, self.intern(carrier), bit, self.intern(obs), False)
+            (v, c, kd, ca2, cov | bit, ob2, em)
+            for v, c, kd, ca2, cov, ob2, em in recs[old + 1:])
+        rec = (val, k, kind, ca, bit, ob, False)
         posv = posv[:k] + (pos,) + posv[k + 1:]
-        return (_tset(s, var, self.entry((recs + (rec,), posv))), (),
-                (var, pos))
+        return self.entry((recs + (rec,), posv)), (), (var, pos)
+
+    def _put(self, s, var, e):
+        """`s` with `var`'s entry replaced by entry `e`."""
+        shift = self.shifts[var]
+        return s + ((self.entry(e) - (s >> shift & self.mask)) << shift)
 
     def tas_write(self, s, core, var, val, carrier):
         recs, posv = self._get(s, var)
@@ -279,8 +409,7 @@ class RELAXED(Storage):
             for i, (v, c, kd, ca, cov, ob, em) in enumerate(recs))
         rec = (val, self.rank[core], "obj", self.intern(carrier), self.full, 0,
                False)
-        eid = self.entry((recs + (rec,), (pos,) * len(posv)))
-        return _tset(s, var, eid), (var, pos)
+        return self._put(s, var, (recs + (rec,), (pos,) * len(posv))), (var, pos)
 
     def attach(self, s, core, ref, opid, obs):
         if ref is None:
@@ -291,12 +420,11 @@ class RELAXED(Storage):
         if rec[4] == self.full:
             return None
         rec2 = rec[:5] + (self.intern(obs),) + rec[6:]
-        return _tset(s, var, self.entry((recs[:pos] + (rec2,) + recs[pos + 1:],
-                                         posv)))
+        return self._put(s, var, (recs[:pos] + (rec2,) + recs[pos + 1:], posv))
 
     def _pending(self, s, core, table) -> bool:
-        bit = 1 << self.rank[core]
-        return any(table[eid] & bit for _, eid in s)
+        bit, mask = 1 << self.rank[core], self.mask
+        return any(table[s >> shift & mask] & bit for shift, _ in self.fields)
 
     def drained(self, s, core):
         return not self._pending(s, core, self.pending)
@@ -304,25 +432,15 @@ class RELAXED(Storage):
     def inv_ready(self, s, core, spec):
         return not spec or not self._pending(s, core, self.pending_prog)
 
-    def moves(self, s):
-        out = []
-        memo = self.entry_moves
-        for i, (var, eid) in enumerate(s):
-            steps = memo[eid]
-            if steps is None:
-                steps = memo[eid] = self._entry_moves(eid)
-            if steps:
-                head, tail = s[:i], s[i + 1:]
-                for b, eid2 in steps:
-                    out.append((b, head + ((var, eid2),) + tail))
-        return out
-
-    def _entry_moves(self, eid: int) -> list:
+    def _moves(self, eid: int) -> list:
         """[(burst id, entry_id')]: each record that every core has emits
         its observation, and each other record propagates to every core
         next in line for it; records by position, cores by rank."""
-        recs, posv = self.entries[eid]
-        out = []
+        out = self.entry_moves[eid]
+        if out is not None:
+            return out
+        recs, posv = self.entries.values[eid]
+        out = self.entry_moves[eid] = []
         full = self.full
         for pos, (v, c, kd, ca, cov, ob, em) in enumerate(recs):
             if cov == full and (not ob or em):

@@ -918,8 +918,8 @@ class TestGraphIdentity:
         mem = RELAXED(cores, {"x": 0, "y": 0}, 4, table)
         s = mem.initial()
         for core, var, val, sid in writes:
-            s, _, _ = mem.write(s, core, var, val, "prog", sid,
-                                ProgObs(sid, var, val))
+            w = mem.writer(core, var, val, "prog", sid, ProgObs(sid, var, val))
+            s, _, _ = mem.write(s, w)
         seen, stack, emitted, finals = {s}, [s], set(), set()
         while stack:
             u = stack.pop()
