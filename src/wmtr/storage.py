@@ -318,7 +318,7 @@ class RELAXED(Storage):
         self.full = (1 << len(cores)) - 1
         self.codes: Dict[object, int] = {None: 0}
         self.decode: List[object] = [None]
-        self.entries = Interned("RELAXED entries of one variable")
+        self.entries = Interned("RELAXED entries")
         # per entry id: bit k set iff core k issued a record (a program
         # record) that not every core has yet
         self.pending: List[int] = []

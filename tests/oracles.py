@@ -83,25 +83,27 @@ def materialize(ts, max_traces: int = 200_000) -> frozenset:
     """The explicit trace set of `ts`; refuses to build oversized ones.
     A state's set of suffixes is dropped once the last edge into it has
     been followed, so only the sets some unfinished state needs are kept.
-    A state's union is checked against `max_traces` as it accumulates: it
-    only grows, so the state refused is the one a check of the finished
-    union would refuse, and no set holds more than `max_traces` + 1."""
+    What is held is bounded, not each set alone: the traces of every
+    live set plus the union being built are counted as the union grows,
+    and the build is refused as soon as they exceed `max_traces`."""
     waiting = [0] * ts.states  # per state: the edges into it not yet followed
     for s2 in ts.succ:
         waiting[s2] += 1
     suffix: Dict[int, frozenset] = {}
+    held = 0  # traces in the live sets of `suffix`
     for s in reversed(ts.topo()):
         acc = {()}
         for burst, s2 in ts.graph[s]:
             heads = (burst[:j] for j in range(1, len(burst)))
             for t in chain(heads, (burst + t for t in suffix[s2])):
                 acc.add(t)
-                if len(acc) > max_traces:
+                if held + len(acc) > max_traces:
                     raise ValueError("trace set too large to materialize")
             waiting[s2] -= 1
             if not waiting[s2]:
-                del suffix[s2]
+                held -= len(suffix.pop(s2))
         suffix[s] = frozenset(acc)
+        held += len(acc)
     return suffix[ts.root]
 
 

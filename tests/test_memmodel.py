@@ -17,7 +17,7 @@ from wmtr.events import (
     Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId, check_wellformed,
     event_to_json, observable_of,
 )
-from wmtr import memmodel
+from wmtr import memmodel, storage
 from wmtr.memmodel import (
     BurstTable, ExploreConfig, Model, _build, chaos_outputs, covert_ops,
     enforced_order, enforced_order_of, explore,
@@ -525,6 +525,62 @@ def test_shape_graph_unchanged(shape, model, mode):
         SHAPE_DIGESTS[shape, model, mode]
 
 
+# a build per kind of state: RELAXED (where, as the width shrinks, a RELAXED
+# entry overflows before any thread tuple does), TSO and spec mode
+WIDTH_CASES = {
+    "relaxed": (SHAPES["while-first-and-last"], Model.RELAXED, {}, "impl"),
+    "tso": (SHAPES["impl-falls-off"], Model.TSO, {"buffer": 1}, "impl"),
+    "spec": ((corpus_text("fig4_client.wm"), corpus_text("spinlock_spec.wm")),
+             Model.TSO, {}, "spec"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WIDTH_CASES))
+def test_ids_that_outgrow_their_field_stop_the_build(case, monkeypatch):
+    """Every id a state holds must fit its field: with fields too narrow
+    the build stops with an OverflowError naming the table, and every
+    build that completes is the full-width build, id for id, so no two
+    states share an int."""
+    (client, obj), model, bounds, mode = WIDTH_CASES[case]
+    p = parse(client)
+    o = parse(obj) if obj else empty_object()
+
+    def digests():
+        ts = _build(p, o, cfg(model, values=1, **bounds), mode)
+        return graph_digest(ts), burst_digest(ts)
+
+    full = digests()
+    built = []
+    for bits in range(1, 11):
+        monkeypatch.setattr(storage, "FIELD_BITS", bits)
+        try:
+            got = digests()
+        except OverflowError as e:
+            assert re.fullmatch(rf"more than {1 << bits} distinct [\w ]+: "
+                                rf"a state field holds {bits} bits", str(e))
+            built.append(False)
+        else:
+            assert got == full
+            built.append(True)
+    # refused up to some width, built from there on
+    assert built[0] is False and built[-1] is True
+    assert built == sorted(built)
+
+
+def test_interned_refuses_the_first_id_past_its_field(monkeypatch):
+    """Every table a state's fields index (thread tuples, valuations,
+    books, storage tuples, RELAXED entries) is an `Interned`: its ids
+    run from 0 to the field's last value and no further."""
+    monkeypatch.setattr(storage, "FIELD_BITS", 3)
+    table = storage.Interned("things")
+    assert [table.id(x) for x in "abcdefgh"] == list(range(8))
+    assert table.id("c") == 2
+    with pytest.raises(OverflowError, match="^more than 8 distinct things: "
+                       "a state field holds 3 bits$"):
+        table.id("i")
+    assert table.values == list("abcdefgh")
+
+
 def final_pairs(ts, k1, k2):
     out = set()
     for o in ts.observables():
@@ -606,6 +662,20 @@ class TestTraceSet:
         ts = explore(p, o, cfg(Model.TSO, values=1))
         with pytest.raises(ValueError):
             materialize(ts, max_traces=10)
+
+    def test_materialize_bounds_what_it_holds(self):
+        """The suffix sets still waiting for a parent count against
+        `max_traces` as well as the union being built.  No state's own
+        set outgrows the root's, which holds every trace, so a check of
+        each state's union alone would accept this graph at 2,500; the
+        live sets hold more than that together on the way."""
+        text = ("global x = 0;\nglobal y = 0;\n"
+                "thread T0 { x := 1; x := 2; }\nthread T1 { y := 1; y := 2; }")
+        ts = _build(parse(text), empty_object(), cfg(Model.RELAXED, values=2),
+                    "chaos")
+        assert len(materialize(ts)) == 1851
+        with pytest.raises(ValueError, match="too large"):
+            materialize(ts, max_traces=2_500)
 
     def test_empirical_pairs_match_definition(self):
         p, o = load("fig2_client.wm", "fig2_object.wm")
