@@ -87,7 +87,7 @@ from .program import (
     _bump, events_of_program, settled, step, validate,
 )
 from . import storage
-from .storage import RELAXED, SC, TSO, Interned, _tset
+from .storage import _MISS, RELAXED, SC, TSO, Interned, _tset
 
 
 class Model(str, Enum):
@@ -123,9 +123,6 @@ class ThreadState(NamedTuple):
     calls: int
     call: Optional[tuple]  # ("impl", objects.OpFrame, ref of the op's last write)
                            # | ("spec", opid, arg, reg) | ("chaos", opid, reg)
-
-
-_MISS = object()  # a step table's default: no entry for these values yet
 
 
 def _returned(ts: ThreadState, reg, out) -> ThreadState:
@@ -179,8 +176,8 @@ class _Step:
     when an edge first carries it."""
     __slots__ = ("kind", "burst", "next", "arg", "after", "bid", "emitted")
 
-    def __init__(self, kind: int, burst: tuple, next, arg=None, after=None):
-        self.kind, self.burst, self.next, self.arg = kind, burst, next, arg
+    def __init__(self, kind: int, burst: tuple, change, arg=None, after=None):
+        self.kind, self.burst, self.next, self.arg = kind, burst, change, arg
         self.after, self.bid, self.emitted = after, None, None
 
 
@@ -707,13 +704,14 @@ def _build(p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig,
     stack = [(0, root)]
     actions, setdefault = eng.actions, ids.setdefault
     to_succ, to_burst = succ.append, burst_id.append
+    n = 1  # the states so far, and the id of the next
     while stack:
         i, s = stack.pop()
         start[i] = len(succ)
         for b, s2 in actions(s):
-            n = len(ids)
             j = setdefault(s2, n)
             if j == n:
+                n += 1
                 stack.append((j, s2))
                 start.append(0)
                 stop.append(0)

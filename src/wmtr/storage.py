@@ -25,7 +25,7 @@ burst ids from it.
            thereby supersedes) records it never received.  TAS acts on
            the coherence-latest value and is instantly global.
 
-The interface, for a storage (state int) s:
+The interface, for a state int s:
 
   initial()                        the storage before any write
   read(s, core, var)               the value a load on `core` returns
@@ -66,7 +66,7 @@ from .events import Event
 
 FIELD_BITS = 24  # the width of each field of a state int
 
-_MISS = object()  # a memo's default: nothing worked out yet
+_MISS = object()  # a memo's or table's default: nothing worked out yet
 
 
 def _tget(pairs: tuple, key, default=None):
@@ -135,6 +135,9 @@ class Storage:
         self.mask = (1 << FIELD_BITS) - 1
         self.fields: List[Tuple[int, dict]] = []
 
+    def initial(self):
+        return 0  # every field 0: the first value each table interns
+
     def latest(self, s, core, var):
         return self.read(s, core, var)
 
@@ -180,9 +183,6 @@ class _Interning(Storage):
         super().__init__(cores, initials, buffer, bursts, shift)
         self.table = Interned("storages")
         self.table.id(self._initial())
-
-    def initial(self):
-        return 0  # the initial tuple's id, 0, in its field
 
     def _get(self, s):
         return self.table.values[s >> self.shift & self.mask]
@@ -307,10 +307,10 @@ class RELAXED(Storage):
     made, any other (a chaos call's virtual variable) when a write to it
     is first prepared; `moves` visits them by name.  An entry's own
     steps do not depend on the variable or on the rest of the storage,
-    so `_moves` computes them once per entry id, as [(burst id,
-    entry_id')]; likewise `entry` notes once which cores still have a
-    record in flight, for `drained` and `inv_ready`.  Every table lives
-    on the instance and goes with the build."""
+    so `moves` tables them once per variable and entry; likewise `entry`
+    notes once which cores still have a record in flight, for `drained`
+    and `inv_ready`.  Every table lives on the instance and goes with
+    the build."""
 
     def __init__(self, cores, initials, buffer, bursts, shift=0):
         super().__init__(cores, initials, buffer, bursts, shift)
@@ -323,10 +323,8 @@ class RELAXED(Storage):
         # record) that not every core has yet
         self.pending: List[int] = []
         self.pending_prog: List[int] = []
-        self.entry_moves: List[Optional[list]] = []
         self.entry(((), (-1,) * len(cores)))
         self.shifts: Dict[str, int] = {}
-        self.names: List[str] = []  # of the fields, sorted
         for var in sorted(initials):
             self._slot(var)
 
@@ -335,9 +333,7 @@ class RELAXED(Storage):
         shift = self.shifts.get(var)
         if shift is None:
             shift = self.shifts[var] = self.shift + len(self.shifts) * self.bits
-            i = bisect_left(self.names, var)
-            self.names.insert(i, var)
-            self.fields.insert(i, (shift, {}))
+            self.fields.insert(sorted(self.shifts).index(var), (shift, {}))
         return shift
 
     def intern(self, x) -> int:
@@ -359,14 +355,10 @@ class RELAXED(Storage):
                         pending_prog |= 1 << c
             self.pending.append(pending)
             self.pending_prog.append(pending_prog)
-            self.entry_moves.append(None)
         return eid
 
     def _get(self, s, var):
         return self.entries.values[s >> self.shifts[var] & self.mask]
-
-    def initial(self):
-        return 0  # every variable unwritten
 
     def read(self, s, core, var):
         recs, posv = self._get(s, var)
@@ -436,11 +428,8 @@ class RELAXED(Storage):
         """[(burst id, entry_id')]: each record that every core has emits
         its observation, and each other record propagates to every core
         next in line for it; records by position, cores by rank."""
-        out = self.entry_moves[eid]
-        if out is not None:
-            return out
         recs, posv = self.entries.values[eid]
-        out = self.entry_moves[eid] = []
+        out = []
         full = self.full
         for pos, (v, c, kd, ca, cov, ob, em) in enumerate(recs):
             if cov == full and (not ob or em):
