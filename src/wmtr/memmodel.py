@@ -1,16 +1,21 @@
 """Memory-model-parameterised trace exploration.
 
-One engine, parameterised by a storage discipline: `storage` holds SC,
-TSO and RELAXED, one class each behind one interface, and the engine
-picks the class once from `DISCIPLINES`.
+One engine per kind of object, each parameterised by a storage
+discipline.  `storage` holds SC, TSO and RELAXED, one class each behind
+one interface, and the engine picks the class once from `DISCIPLINES`.
+`_build` picks the engine's class once from `ENGINES`, by where the
+object's observations are placed: `_Impl` runs an implementation
+instruction by instruction, `_Spec` runs a specification atomically
+with free observation placement, and `_Chaos` is the object-free object
+of the enforced-order extraction.  Each class documents its semantics.
 
 States are collapse-compressed and packed: each distinct tuple of
 thread states is stored once, in a table on the engine, and so are a
 specification's valuations and books; a state is one int whose
 fixed-width fields (`storage.FIELD_BITS` bits each) hold the thread
-tuple's id at bit 0, in spec mode the valuation's and the book's ids
-above it, and the storage discipline's fields on top (RELAXED: one per
-variable, the id of its entry).  An id that outgrows its field is an
+tuple's id at bit 0, for a specification the valuation's and the book's
+ids above it, and the storage discipline's fields on top (RELAXED: one
+per variable, the id of its entry).  An id that outgrows its field is an
 `OverflowError`, never an alias.  A thread's state holds where its
 compiled code stands (a pc and loop counters) and its registers, and so
 does the frame of its implementation call, if any, so the thread tuple
@@ -18,8 +23,8 @@ covers the client and the implementation machine alike.  A successor is
 the state plus the changes to its fields, each worked out once per
 value of the fields it reads: a silent RELAXED propagation is an int
 add, and the build's state table maps ints to ints.  A client's pc is
-settled after each step, an operation's only when it next steps (see
-`objects`), which keeps the states the same as the syntax trees compare.
+settled after each step, an operation's only when it next steps, which
+keeps the states the same as the syntax trees compare.
 
 Successors are generated on the same factoring.  A step table keyed on
 (thread-tuple id, thread) holds the shared variables the thread's next
@@ -59,15 +64,6 @@ the operation's last shared write is visible to every core, never
 before the response, and directly after the response when the run wrote
 nothing.  Operations that cannot touch shared state (and whose result
 never flows into a global) are observed immediately after responding.
-
-The engine runs in one of three modes, chosen by the object kind:
-"impl" drives operation bodies instruction by instruction, "spec"
-executes bodies atomically (`objects.run_spec_body`) against a
-logical valuation with free observation placement, pruned so that no
-invocation overlaps an unobserved operation of another core, and "chaos"
-(used for the enforced-order extraction) replaces the object by
-nondeterministic responses carrying one virtual shared write per
-effectful operation.
 """
 
 from __future__ import annotations
@@ -79,7 +75,6 @@ from enum import Enum
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .events import Event, Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId
-from .objects import run_spec_body, start_frame, writes_shared
 from .porder import EnforcedOrder
 from .program import (
     CALL, FENCE, GATED, RETURN, STORE, TAS, Assign, Call, ClientProgram,
@@ -105,7 +100,6 @@ class ExploreConfig:
     unroll: int = 2
     buffer: int = 4
     values: int = 3
-    coremap: Optional[Dict[str, str]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "model", Model(self.model))
@@ -121,8 +115,7 @@ class ThreadState(NamedTuple):
     regs: tuple    # sorted (name, value)
     labels: tuple  # sorted (label, occurrence count)
     calls: int
-    call: Optional[tuple]  # ("impl", objects.OpFrame, ref of the op's last write)
-                           # | ("spec", opid, arg, reg) | ("chaos", opid, reg)
+    call: Optional[tuple]  # the engine's call slot; None outside a call
 
 
 def _returned(ts: ThreadState, reg, out) -> ThreadState:
@@ -181,67 +174,48 @@ class _Step:
         self.after, self.bid, self.emitted = after, None, None
 
 
-# --- the engine ---
+# --- the engines ---
 
 class _Engine:
-    def __init__(self, p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig,
-                 mode: str):
-        self.p = p
-        self.obj = obj
-        self.cfg = cfg
-        self.mode = mode
-        self.coremap = dict(cfg.coremap) if cfg.coremap else dict(p.coremap)
-        cores = tuple(sorted(set(self.coremap.values())))
-        initials = dict(p.globals)
-        if mode == "impl":
-            initials.update(obj.shared)
+    """What every kind of object shares: client steps, the storage, the
+    step table and `_take`.  A subclass, one per kind, gives the slot a
+    thread holds while in a call (`call_slot`), that thread's edges
+    (`call_actions`) and whatever else its kind needs."""
+    fields = 1  # the state's fields below the storage discipline's
+
+    def __init__(self, p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig):
+        self.p, self.obj, self.cfg = p, obj, cfg
+        self.coremap = p.coremap
         self.universe = events_of_program(p, obj, cfg.unroll, cfg.values)
         self.bursts = BurstTable(self.universe)
         # a state is one int of fields, storage.FIELD_BITS wide, from bit
-        # 0: the thread-tuple id; in spec mode the valuation's id and the
-        # book's; then the storage discipline's fields
+        # 0: the thread-tuple id, a subclass's fields, then the storage
+        # discipline's
         bits = storage.FIELD_BITS
         self.mask = (1 << bits) - 1
-        self.vshift, self.bshift = bits, 2 * bits
         self.mem = DISCIPLINES[cfg.model](
-            cores, initials, cfg.buffer, self.bursts,
-            (3 if mode == "spec" else 1) * bits)
+            tuple(sorted(set(self.coremap.values()))), self.initials(),
+            cfg.buffer, self.bursts, self.fields * bits)
         # the load functions a step table entry names, bound once
         self.read, self.latest = self.mem.read, self.mem.latest
-        self.covert = covert_ops(p, obj)
-        self.chaosouts = {name: chaos_outputs(op, cfg.values)
-                          for name, op in obj.ops.items()}
-        # collapse compression: each distinct thread tuple, implementation
-        # frames included, is stored once and a state holds its index; so
-        # are a specification's valuations and books (the responded,
-        # unobserved (opid, out, core) entries)
+        # collapse compression: each distinct thread tuple, call slots
+        # included, is stored once and a state holds its index
         self.threads = Interned("thread tuples")
-        self.valuations = Interned("specification valuations")
-        self.books = Interned("books of unobserved responses")
-        # step tables, keyed (thread-tuple id, thread).  A thread outside a
-        # call or in an implementation call: (the storage's load function,
-        # the shared variables its next step reads, {their values: _Step,
-        # or None when blocked}).  A thread in a chaos call: [_Step per
-        # output].  A thread in a specification call, keyed with the
-        # valuation id too: (burst id, change to the state, book entry or
-        # None, {book id: change to the state for the book}), or None
-        # when blocked.
+        # the step table, keyed (thread-tuple id, thread), of a thread
+        # outside a call or in an implementation call: (the storage's load
+        # function, the shared variables its next step reads, {their
+        # values: _Step, or None when blocked})
         self.steps: Dict[Tuple[int, str], tuple] = {}
-        self.responses: Dict[Tuple[int, str], List[_Step]] = {}
-        self.spec_calls: Dict[tuple, Optional[tuple]] = {}
-        # per book id: its observations' edges, [(burst id, change)]
-        self.book_moves: Dict[int, list] = {}
+
+    def initials(self) -> dict:
+        """The storage's variables and their initial values."""
+        return dict(self.p.globals)
 
     def root(self) -> int:
         threads = tuple(sorted(
             (th, ThreadState(settled(code, 1), (), (), (), 0, None))
             for th, code in self.p.code.items()))
-        st = self.threads.id(threads) | self.mem.initial()
-        if self.mode == "spec":
-            objst = tuple(sorted(self.obj.shared.items()))
-            st |= (self.valuations.id(objst) << self.vshift
-                   | self.books.id(()) << self.bshift)
-        return st
+        return self.threads.id(threads) | self.mem.initial()
 
     def _moved(self, tid: int, th: str, ts: ThreadState) -> int:
         """The change to a state's thread-tuple id `tid` that replaces
@@ -251,14 +225,7 @@ class _Engine:
         return self.threads.id(threads) - tid
 
     def inv_allowed(self, st: int, thread: str) -> bool:
-        core = self.coremap[thread]
-        if self.mode != "spec":
-            return self.mem.inv_ready(st, core, False)
-        book = self.books.values[st >> self.bshift & self.mask]
-        return (self.mem.inv_ready(st, core, True)
-                and all(ts2.call is None or self.coremap[th2] == core
-                        for th2, ts2 in self.threads.values[st & self.mask])
-                and all(c == core for (_, _, c) in book))
+        return self.mem.inv_ready(st, self.coremap[thread], False)
 
     # actions
 
@@ -267,44 +234,20 @@ class _Engine:
         out: List[Tuple[int, int]] = []
         tid = st & self.mask
         for th, ts in self.threads.values[tid]:
-            call = ts.call
-            if call is None and not ts.pc:
-                continue  # the thread has run to its end
-            if call is None or call[0] == "impl":
-                a = self.step_action(st, tid, th, ts)
-            elif call[0] == "spec":
-                a = self.spec_call_action(st, tid, th, ts)
-            else:
-                out.extend(self.chaos_call_actions(st, tid, th, ts))
-                continue
-            if a is not None:
-                out.append(a)
+            if ts.call is not None:
+                self.call_actions(out, st, tid, th, ts)
+            elif ts.pc:  # else the thread has run to its end
+                self.step_actions(out, st, tid, th, ts)
         out.extend(self.mem.moves(st))
-        if self.mode == "spec":
-            b = st >> self.bshift & self.mask
-            if b:
-                for bid, d in self._book_moves(b):
-                    out.append((bid, st + d))
         return out
 
-    def _book_moves(self, b: int) -> list:
-        """[(burst id, change)]: each response in book `b` is observed, in
-        book order; worked out once per book."""
-        steps = self.book_moves.get(b)
-        if steps is None:
-            book = self.books.values[b]
-            steps = self.book_moves[b] = [
-                (self.bursts.id((OpObs(opid, outv),)),
-                 (self.books.id(book[:j] + book[j + 1:]) - b) << self.bshift)
-                for j, (opid, outv, _) in enumerate(book)]
-        return steps
-
-    def step_action(self, st, tid, th, ts):
-        """The edge of `th`'s next instruction, or of the next instruction
-        of its implementation call, or None when it is blocked.  The step
-        is interpreted once per thread tuple and values of the shared
-        variables it reads; each state then only reads those variables
-        and settles what the storage or the other threads decide."""
+    def step_actions(self, out, st, tid, th, ts):
+        """Add to `out` the edge of `th`'s next instruction, or of the
+        next instruction of its implementation call, unless it is
+        blocked.  The step is interpreted once per thread tuple and
+        values of the shared variables it reads; each state then only
+        reads those variables and settles what the storage or the other
+        threads decide."""
         key = (tid, th)
         entry = self.steps.get(key)
         step = _MISS
@@ -318,7 +261,10 @@ class _Engine:
             if entry is None:
                 entry = self.steps[key] = (load, tuple(seen), {})
             entry[2][tuple(seen.values())] = step
-        return None if step is None else self._take(st, tid, th, step)
+        if step is not None:
+            a = self._take(st, tid, th, step)
+            if a is not None:
+                out.append(a)
 
     def _interpret(self, st, tid, th, ts):
         """Run `th`'s next instruction, or the next instruction of its
@@ -327,15 +273,8 @@ class _Engine:
         values.  A gated instruction reads through `latest`, any other
         through `read`; expressions and conditions are evaluated in full,
         so the variables read depend on `ts` alone."""
-        call = ts.call
-        if call is None:
-            code, pc, ctrs, regs = self.p.code[th], ts.pc, ts.ctrs, ts.regs
-        else:
-            f = call[1]
-            code = self.obj.ops[f.opid.call].code
-            pc, ctrs, regs = f.pc, f.ctrs, f.regs
-        gated = code[settled(code, pc)][0] in GATED
-        load = self.latest if gated else self.read
+        code, pc, ctrs, regs, outcome = self._running(th, ts)
+        load = self.latest if code[settled(code, pc)][0] in GATED else self.read
         core = self.coremap[th]
         seen: Dict[str, int] = {}
 
@@ -346,9 +285,13 @@ class _Engine:
         r = step(code, pc, ctrs, regs, view, self.cfg.values, self.cfg.unroll)
         if r is None:
             return load, None, seen
-        if call is None:
-            return load, self._client_outcome(tid, th, ts, *r), seen
-        return load, self._impl_outcome(tid, th, ts, *r), seen
+        return load, outcome(tid, th, ts, *r), seen
+
+    def _running(self, th, ts):
+        """What `th` runs next: its code, where control stands in it, its
+        loop counters and registers, and the function that gives the
+        _Step of an instruction that ran."""
+        return self.p.code[th], ts.pc, ts.ctrs, ts.regs, self._client_outcome
 
     def _client_outcome(self, tid, th, ts, ins, pc, ctrs, regs, v):
         """The _Step of a client instruction that ran, going on at `pc`."""
@@ -357,13 +300,8 @@ class _Engine:
         if op == CALL:
             _, _, name, _, reg = ins
             opid = OpId(th, name, ts.calls)
-            if self.mode == "impl":
-                slot = ("impl", start_frame(opid, self.obj.ops[name], v, reg), None)
-            elif self.mode == "spec":
-                slot = ("spec", opid, v, reg)
-            else:
-                slot = ("chaos", opid, reg)
-            ts2 = ts._replace(pc=pc, ctrs=ctrs, calls=ts.calls + 1, call=slot)
+            ts2 = ts._replace(pc=pc, ctrs=ctrs, calls=ts.calls + 1,
+                              call=self.call_slot(opid, v, reg))
             return _Step(_CALL, (Inv(opid, v),), self._moved(tid, th, ts2))
         lab = ins[1]
         inst, labels = _bump(ts.labels, lab)
@@ -375,26 +313,6 @@ class _Engine:
             return _Step(_WRITE, (ProgStep(sid, (var, v)),), d, self.mem.writer(
                 self.coremap[th], var, v, "prog", sid, ProgObs(sid, var, v)))
         return _Step(_FENCE if op == FENCE else _LOCAL, (ProgStep(sid),), d)
-
-    def _impl_outcome(self, tid, th, ts, ins, pc, ctrs, regs, v):
-        """The _Step of an implementation instruction that ran, going on at
-        `pc`: a store's or successful TAS's successor records the write's
-        ref, so its `next` is filled per ref."""
-        _, f, last = ts.call
-        op, opid = ins[0], f.opid
-        if op == RETURN:
-            ts2 = _returned(ts, f.ret_reg, v)
-            return _Step(_RET, (Res(opid, v),), self._moved(tid, th, ts2),
-                         (last, opid, OpObs(opid, v)))
-        ts2 = ts._replace(call=("impl", f._replace(pc=pc, ctrs=ctrs, regs=regs),
-                                last))
-        if op == STORE:
-            w = self.mem.writer(self.coremap[th], ins[2], v, "obj", opid, None)
-            return _Step(_WRITE, (), {}, w, ts2)
-        if op == TAS and v is not None:
-            return _Step(_TAS, (), {}, (ins[3], v, opid), ts2)
-        kind = _FENCE if op in GATED else _LOCAL  # a fence or a failed TAS
-        return _Step(kind, (), self._moved(tid, th, ts2))
 
     def _take(self, st, tid, th, step):
         """The edge `step` makes from `st`, or None when `st` blocks it."""
@@ -432,21 +350,161 @@ class _Engine:
             return b, st + step.next
         d = step.next.get(ref)  # the successor records the write's ref
         if d is None:
+            f, _ = after.call
             d = step.next[ref] = self._moved(
-                tid, th, after._replace(call=after.call[:2] + (ref,)))
+                tid, th, after._replace(call=(f, ref)))
         return b, st + d
 
-    def spec_call_action(self, st, tid, th, ts):
-        """The edge of `th`'s specification call, or None when its body
-        blocks.  The body runs once per thread tuple and valuation; each
-        state then only adds the response to its book."""
-        key = (tid, th, st >> self.vshift & self.mask)
-        out = self.spec_calls.get(key, _MISS)
-        if out is _MISS:
-            out = self.spec_calls[key] = self._spec_call(tid, th, ts, key[2])
-        if out is None:
+
+class OpFrame(NamedTuple):
+    """One invocation of an implementation operation: its id, the
+    register its output goes to, and where its code stands."""
+    opid: OpId
+    ret_reg: Optional[str]
+    pc: int       # not settled: it may stand on a finished block's end
+    ctrs: tuple   # loop budgets, innermost last
+    regs: tuple   # sorted (name, value) pairs
+
+
+def start_frame(opid: OpId, op: OpDef, arg: Optional[int],
+                ret_reg: Optional[str]) -> OpFrame:
+    """The frame of a fresh invocation of `op`, before its first step."""
+    regs = ((op.param, arg),) if op.param is not None else ()
+    return OpFrame(opid, ret_reg, 1, (), regs)
+
+
+class _Impl(_Engine):
+    """An implementation object, run instruction by instruction against
+    the storage, which holds the object's variables too.  A thread in a
+    call holds (OpFrame, ref of the operation's last write), and the
+    frame steps through the step table as the client's code does."""
+
+    def initials(self) -> dict:
+        return {**self.p.globals, **self.obj.shared}
+
+    def call_slot(self, opid, arg, reg):
+        return start_frame(opid, self.obj.ops[opid.call], arg, reg), None
+
+    call_actions = _Engine.step_actions
+
+    def _running(self, th, ts):
+        if ts.call is None:
+            return super()._running(th, ts)
+        f, _ = ts.call
+        return (self.obj.ops[f.opid.call].code, f.pc, f.ctrs, f.regs,
+                self._impl_outcome)
+
+    def _impl_outcome(self, tid, th, ts, ins, pc, ctrs, regs, v):
+        """The _Step of an implementation instruction that ran, going on at
+        `pc`: a store's or successful TAS's successor records the write's
+        ref, so its `next` is filled per ref."""
+        f, last = ts.call
+        op, opid = ins[0], f.opid
+        if op == RETURN:
+            ts2 = _returned(ts, f.ret_reg, v)
+            return _Step(_RET, (Res(opid, v),), self._moved(tid, th, ts2),
+                         (last, opid, OpObs(opid, v)))
+        ts2 = ts._replace(call=(f._replace(pc=pc, ctrs=ctrs, regs=regs), last))
+        if op == STORE:
+            w = self.mem.writer(self.coremap[th], ins[2], v, "obj", opid, None)
+            return _Step(_WRITE, (), {}, w, ts2)
+        if op == TAS and v is not None:
+            return _Step(_TAS, (), {}, (ins[3], v, opid), ts2)
+        kind = _FENCE if op in GATED else _LOCAL  # a fence or a failed TAS
+        return _Step(kind, (), self._moved(tid, th, ts2))
+
+
+def run_spec_body(op: OpDef, valuation: dict, arg: Optional[int],
+                  values: int = 3):
+    """Atomically execute `op` against `valuation`.  Returns the updated
+    valuation and the output, or None when a guard blocks.  A
+    specification body has no loops (`validate` rejects them), so it
+    runs with no loop budget."""
+    state = dict(valuation)
+    regs = ((op.param, arg),) if op.param is not None else ()
+    pc, ctrs = 1, ()
+    while True:
+        r = step(op.code, pc, ctrs, regs, state.__getitem__, values, 0)
+        if r is None:
             return None
-        bid, d, pending, books = out
+        ins, pc, ctrs, regs, v = r
+        if ins[0] == RETURN:
+            return state, v
+        if ins[0] == STORE:
+            state[ins[2]] = v
+
+
+class _Spec(_Engine):
+    """A specification object: each call runs atomically (`run_spec_body`)
+    against a logical valuation, and its response enters a book of
+    unobserved responses, any of which may be observed at any time; an
+    invocation may not overlap an unobserved operation of another core.
+    A thread in a call holds (opid, arg, reg).  A state's valuation and
+    book, the (opid, out, core) entries responded but not yet observed,
+    are interned, their ids held in the two fields above the thread
+    tuple's."""
+    fields = 3
+
+    def __init__(self, p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig):
+        super().__init__(p, obj, cfg)
+        self.vshift, self.bshift = storage.FIELD_BITS, 2 * storage.FIELD_BITS
+        self.covert = covert_ops(p, obj)
+        self.valuations = Interned("specification valuations")
+        self.books = Interned("books of unobserved responses")
+        # keyed (thread-tuple id, thread, valuation id): (burst id, change
+        # to the state, book entry or None, {book id: change to the state
+        # for the book}), or None when blocked
+        self.spec_calls: Dict[tuple, Optional[tuple]] = {}
+        # per book id: its observations' edges, [(burst id, change)]
+        self.book_moves: Dict[int, list] = {}
+
+    def root(self) -> int:
+        objst = tuple(sorted(self.obj.shared.items()))
+        return (super().root() | self.valuations.id(objst) << self.vshift
+                | self.books.id(()) << self.bshift)
+
+    def inv_allowed(self, st: int, thread: str) -> bool:
+        core = self.coremap[thread]
+        book = self.books.values[st >> self.bshift & self.mask]
+        return (self.mem.inv_ready(st, core, True)
+                and all(ts2.call is None or self.coremap[th2] == core
+                        for th2, ts2 in self.threads.values[st & self.mask])
+                and all(c == core for (_, _, c) in book))
+
+    def call_slot(self, opid, arg, reg):
+        return opid, arg, reg
+
+    def actions(self, st: int) -> List[Tuple[int, int]]:
+        out = super().actions(st)
+        b = st >> self.bshift & self.mask
+        if b:
+            for bid, d in self._book_moves(b):
+                out.append((bid, st + d))
+        return out
+
+    def _book_moves(self, b: int) -> list:
+        """[(burst id, change)]: each response in book `b` is observed, in
+        book order; worked out once per book."""
+        steps = self.book_moves.get(b)
+        if steps is None:
+            book = self.books.values[b]
+            steps = self.book_moves[b] = [
+                (self.bursts.id((OpObs(opid, outv),)),
+                 (self.books.id(book[:j] + book[j + 1:]) - b) << self.bshift)
+                for j, (opid, outv, _) in enumerate(book)]
+        return steps
+
+    def call_actions(self, out, st, tid, th, ts):
+        """Add to `out` the edge of `th`'s call unless its body blocks.
+        The body runs once per thread tuple and valuation; each state
+        then only adds the response to its book."""
+        key = (tid, th, st >> self.vshift & self.mask)
+        r = self.spec_calls.get(key, _MISS)
+        if r is _MISS:
+            r = self.spec_calls[key] = self._spec_call(tid, th, ts, key[2])
+        if r is None:
+            return
+        bid, d, pending, books = r
         if pending is not None:
             b = st >> self.bshift & self.mask
             db = books.get(b)
@@ -454,14 +512,14 @@ class _Engine:
                 db = books[b] = (self.books.id(self.books.values[b] + (pending,))
                                  - b) << self.bshift
             d += db
-        return bid, st + d
+        out.append((bid, st + d))
 
     def _spec_call(self, tid, th, ts, objst):
-        """Run `th`'s specification call against valuation `objst`: (burst
-        id, change to the state's thread tuple and valuation, the response
-        for the book or None when the operation is observed at once, {}
-        for the book changes), or None."""
-        _, opid, arg, ret_reg = ts.call
+        """Run `th`'s call against valuation `objst`: (burst id, change to
+        the state's thread tuple and valuation, the response for the book
+        or None when the operation is observed at once, {} for the book
+        changes), or None."""
+        opid, arg, ret_reg = ts.call
         r = run_spec_body(self.obj.ops[opid.call],
                           dict(self.valuations.values[objst]), arg,
                           self.cfg.values)
@@ -477,26 +535,42 @@ class _Engine:
         return (self.bursts.id((Res(opid, outv),)), d,
                 (opid, outv, self.coremap[th]), {})
 
-    def chaos_call_actions(self, st, tid, th, ts):
+
+class _Chaos(_Engine):
+    """The object-free "chaos" object of the enforced-order extraction:
+    a call responds with any output its operation may statically give
+    (`chaos_outputs`), carrying one virtual shared write per effectful
+    operation.  A thread in a call holds (opid, reg)."""
+
+    def __init__(self, p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig):
+        super().__init__(p, obj, cfg)
+        self.covert = covert_ops(p, obj)
+        self.outputs = {name: chaos_outputs(op, cfg.values)
+                        for name, op in obj.ops.items()}
+        # keyed (thread-tuple id, thread): [_Step per output]
+        self.responses: Dict[Tuple[int, str], List[_Step]] = {}
+
+    def call_slot(self, opid, arg, reg):
+        return opid, reg
+
+    def call_actions(self, out, st, tid, th, ts):
         key = (tid, th)
         steps = self.responses.get(key)
         if steps is None:
             steps = self.responses[key] = self._responses(tid, th, ts)
-        out = []
         for step in steps:
             a = self._take(st, tid, th, step)
             if a is not None:
                 out.append(a)
-        return out
 
     def _responses(self, tid, th, ts):
-        """A _Step per output of `th`'s chaos call, in output order: a
-        covert operation responds and is observed at once, any other
-        responds with a virtual write that carries its observation."""
-        _, opid, ret_reg = ts.call
+        """A _Step per output of `th`'s call, in output order: a covert
+        operation responds and is observed at once, any other responds
+        with a virtual write that carries its observation."""
+        opid, ret_reg = ts.call
         vvar = f"#{opid.thread}.{opid.call}.{opid.instance}"
         out = []
-        for outv in sorted(self.chaosouts[opid.call],
+        for outv in sorted(self.outputs[opid.call],
                            key=lambda v: (v is None, v)):
             d = self._moved(tid, th, _returned(ts, ret_reg, outv))
             res, obs = Res(opid, outv), OpObs(opid, outv)
@@ -506,6 +580,9 @@ class _Engine:
                 out.append(_Step(_WRITE, (res,), d, self.mem.writer(
                     self.coremap[th], vvar, 0, "virt", opid, obs)))
         return out
+
+
+ENGINES = {"impl": _Impl, "spec": _Spec, "chaos": _Chaos}
 
 
 # --- trace sets ---
@@ -693,7 +770,7 @@ def _build(p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig,
     errors = validate(p, obj)
     if errors:
         raise ValueError("; ".join(errors))
-    eng = _Engine(p, obj, cfg, mode)
+    eng = ENGINES[mode](p, obj, cfg)
     # Each state is hashed once per edge that reaches it, here; the graph
     # and every pass over it work on the int ids, and the engine hands out
     # the burst ids.
@@ -745,12 +822,17 @@ def enforced_order_of(ts: TraceSet) -> EnforcedOrder:
     return po
 
 
+def writes_shared(op: OpDef) -> bool:
+    """Whether `op` may write shared state: a STORE or TAS in its code."""
+    return any(ins[0] in (STORE, TAS) for ins in op.code)
+
+
 def covert_ops(p: ClientProgram, obj: ObjectDef) -> frozenset:
     """Operations that cannot write shared state and whose result never
     flows into a global variable (checked syntactically)."""
     out = set()
     for name, op in obj.ops.items():
-        if writes_shared(op, obj):
+        if writes_shared(op):
             continue
         reaches = False
         for th, stmts in p.threads.items():

@@ -25,8 +25,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
 from wmtr.events import (
     Event, History, Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId, Trace,
 )
-from wmtr.memmodel import ExploreConfig
-from wmtr.objects import run_spec_body, writes_shared
+from wmtr.memmodel import ExploreConfig, run_spec_body, writes_shared
 from wmtr.porder import EnforcedOrder
 from wmtr.program import Assign, ClientProgram, ObjectDef, eval_expr, label_of
 
@@ -219,7 +218,7 @@ def spec_histories(spec: ObjectDef, events, coremap: Dict[str, str],
     threads = sorted(calls)
     if covert is None:
         covert = frozenset(n for n, op in spec.ops.items()
-                           if not writes_shared(op, spec))
+                           if not writes_shared(op))
     init = (tuple(0 for _ in threads), tuple(None for _ in threads),
             tuple(sorted(spec.shared.items())), ())
     memo: dict = {}

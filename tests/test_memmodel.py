@@ -1324,20 +1324,37 @@ class _Forgetful(dict):
         pass
 
 
+# the tables each kind of engine fills as it builds, at the least
+STEP_TABLES = {"impl": {"steps"}, "chaos": {"steps", "responses"},
+               "spec": {"steps", "spec_calls", "book_moves"}}
+
+
 def _build_interpreting_every_step(p, obj, c, mode):
     """`_build` with step tables that keep nothing: every thread step,
-    implementation instruction, chaos response and specification body is
-    interpreted afresh in every state."""
-    init = memmodel._Engine.__init__
+    implementation instruction, chaos response, specification body and
+    book's observations is worked out afresh in every state.  Every
+    table the engine starts empty is one it fills as it builds, so each
+    of them is replaced once the engine is made, and checked to be still
+    empty after the build: a table filled other than by item assignment
+    would fail the check rather than make the property compare two
+    tabled builds."""
+    built = []
 
-    def forgetful(self, *args):
-        init(self, *args)
-        self.steps, self.responses = _Forgetful(), _Forgetful()
-        self.spec_calls = _Forgetful()
+    class Forgetful(memmodel.ENGINES[mode]):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables = {name: _Forgetful() for name, x in vars(self).items()
+                      if type(x) is dict and not x}
+            vars(self).update(tables)
+            built.append(tables)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(memmodel._Engine, "__init__", forgetful)
-        return _build(p, obj, c, mode)
+        mp.setitem(memmodel.ENGINES, mode, Forgetful)
+        ts = _build(p, obj, c, mode)
+    (tables,) = built
+    assert STEP_TABLES[mode] <= tables.keys()
+    assert not any(tables.values())
+    return ts
 
 
 # the models the step-table properties run under: TSO with a full buffer too

@@ -8,8 +8,10 @@ import pytest
 
 from conftest import corpus_text, project_object
 from wmtr.events import Inv, OpId, OpObs, Res, check_wellformed
-from wmtr.memmodel import ExploreConfig, Model, covert_ops, explore
-from wmtr.objects import run_spec_body, start_frame, writes_shared
+from wmtr.memmodel import (
+    ExploreConfig, Model, covert_ops, explore, run_spec_body, start_frame,
+    writes_shared,
+)
 from wmtr.program import (
     FENCE, GATED, RETURN, STORE, TAS, events_of_program, parse, settled, step,
 )
@@ -326,8 +328,8 @@ class TestImplMachine:
         assert view.names == []
 
     def test_writes_shared(self):
-        assert writes_shared(IMPL.ops["acquire"], IMPL)   # via TAS
-        assert writes_shared(IMPL.ops["release"], IMPL)
+        assert writes_shared(IMPL.ops["acquire"])   # via TAS
+        assert writes_shared(IMPL.ops["release"])
         o = parse("object impl {\n  var x = 0;\n  op peek() {\n"
                   "    return x;\n  }\n}")
-        assert not writes_shared(o.ops["peek"], o)
+        assert not writes_shared(o.ops["peek"])
