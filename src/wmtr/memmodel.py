@@ -22,9 +22,9 @@ does the frame of its implementation call, if any, so the thread tuple
 covers the client and the implementation machine alike.  A successor is
 the state plus the changes to its fields, each worked out once per
 value of the fields it reads: a silent RELAXED propagation is an int
-add, and the build's state table maps ints to ints.  A client's pc is
-settled after each step, an operation's only when it next steps, which
-keeps the states the same as the syntax trees compare.
+add, and the build's state table maps ints to ints.  One rule settles
+every pc, a client's and an operation's alike: after each step, so no
+two states differ only in which finished block control stands at.
 
 Successors are generated on the same factoring.  A step table keyed on
 (thread-tuple id, thread) holds the shared variables the thread's next
@@ -274,7 +274,7 @@ class _Engine:
         through `read`; expressions and conditions are evaluated in full,
         so the variables read depend on `ts` alone."""
         code, pc, ctrs, regs, outcome = self._running(th, ts)
-        load = self.latest if code[settled(code, pc)][0] in GATED else self.read
+        load = self.latest if code[pc][0] in GATED else self.read
         core = self.coremap[th]
         seen: Dict[str, int] = {}
 
@@ -285,7 +285,9 @@ class _Engine:
         r = step(code, pc, ctrs, regs, view, self.cfg.values, self.cfg.unroll)
         if r is None:
             return load, None, seen
-        return load, outcome(tid, th, ts, *r), seen
+        ins, pc, ctrs, regs, v = r
+        return load, outcome(tid, th, ts, ins, settled(code, pc), ctrs, regs,
+                             v), seen
 
     def _running(self, th, ts):
         """What `th` runs next: its code, where control stands in it, its
@@ -296,7 +298,6 @@ class _Engine:
     def _client_outcome(self, tid, th, ts, ins, pc, ctrs, regs, v):
         """The _Step of a client instruction that ran, going on at `pc`."""
         op = ins[0]
-        pc = settled(self.p.code[th], pc)
         if op == CALL:
             _, _, name, _, reg = ins
             opid = OpId(th, name, ts.calls)
@@ -361,7 +362,7 @@ class OpFrame(NamedTuple):
     register its output goes to, and where its code stands."""
     opid: OpId
     ret_reg: Optional[str]
-    pc: int       # not settled: it may stand on a finished block's end
+    pc: int       # settled
     ctrs: tuple   # loop budgets, innermost last
     regs: tuple   # sorted (name, value) pairs
 
@@ -370,7 +371,7 @@ def start_frame(opid: OpId, op: OpDef, arg: Optional[int],
                 ret_reg: Optional[str]) -> OpFrame:
     """The frame of a fresh invocation of `op`, before its first step."""
     regs = ((op.param, arg),) if op.param is not None else ()
-    return OpFrame(opid, ret_reg, 1, (), regs)
+    return OpFrame(opid, ret_reg, settled(op.code, 1), (), regs)
 
 
 class _Impl(_Engine):

@@ -32,8 +32,9 @@ Code position 0 holds a bare `return`, where every body ends.  One
 step function, `step`, runs an instruction against (pc, loop counters,
 registers), reading shared variables through a supplied load function;
 client steps, implementation instructions and atomic specification
-bodies all run through it.  A pc may stand on a block's closing JUMP:
-`settled` follows it, and the caller chooses when.  `events_of_program`
+bodies all run through it.  A pc `step` returns may stand on a block's
+closing JUMP: `settled` follows it to where control goes on, and every
+pc an exploration state holds is settled.  `events_of_program`
 walks the same code to extract the finite event set of the bounded
 program: every reachable step with every value it could write, plus,
 for each invocation, responses and observations over the closure of

@@ -448,32 +448,32 @@ SHAPE_DIGESTS = {
     ("while-first-and-last", "relaxed", "chaos"):  # 854 states
         ("399a077c6a668ba158992b5ae1e18ded9da4838c98fbd488c91c823550dee2bd",
          "293d80de71e77fbb763fd99a4c50de35cb1e80a2d91768740cf3efd84acd7e96"),
-    ("impl-branch-ends", "sc", "own"):  # 40 states
-        ("912b26a8d927371881c2feb11c7a8b0c963dff05ed3c2c1a05db27987307c6e1",
+    ("impl-branch-ends", "sc", "own"):  # 35 states
+        ("1972b7ecc81a4cd9a4a47763d00768def6f33d130d64f8b24bb832ee696162ea",
          "76daa08b8b626ff5086e1ffd5ffb4c21280e00f763a9d389a41222a656667693"),
     ("impl-branch-ends", "sc", "chaos"):  # 12 states
         ("7110bac2b5594fbd2b9bf758581311e82fc229547e7746423d9e8485517ed7f6",
          "76daa08b8b626ff5086e1ffd5ffb4c21280e00f763a9d389a41222a656667693"),
-    ("impl-branch-ends", "tso-buffer-1", "own"):  # 81 states
-        ("7bd464c01383e1c5e22e6ce9779020c17bb3d7c1d7bf5b2bab4d8cffea973331",
+    ("impl-branch-ends", "tso-buffer-1", "own"):  # 69 states
+        ("77da5d115eb89270b3f282c58fa2af0caa6171858d0aafdb8fc443c2d2d118bd",
          "78cba96e5786ee3a4f44d5ee7ba581a17665abcc8186ded86c884c6f94cc75bb"),
     ("impl-branch-ends", "tso-buffer-1", "chaos"):  # 24 states
         ("cf07cf1abf3c266ab530390930f3471aeba09c3c9448287e2f9da6bff0061db8",
          "2af449f143555d3e8852add417bbb74254ff652f6daba45037467fbe02fce2bf"),
-    ("impl-branch-ends", "relaxed", "own"):  # 282 states
-        ("8bbf07132d63b3b27d09612a7c107eb407121165606a7e5b1d9251c37d4b8e88",
+    ("impl-branch-ends", "relaxed", "own"):  # 248 states
+        ("205fc049972f4b31953d2b124c67d94466a49b0e4f81f5d4436f6cb24513e21a",
          "78cba96e5786ee3a4f44d5ee7ba581a17665abcc8186ded86c884c6f94cc75bb"),
     ("impl-branch-ends", "relaxed", "chaos"):  # 70 states
         ("05fc5017dff880c77ab2e3c475fa6032f13ad99cf25a370951e6f498423ed082",
          "a14a490546f56a7cf2d73edb53ffbb44a91bfd4e95887c8a0b1042fb8c969a9f"),
-    ("impl-falls-off", "sc", "own"):  # 59 states
-        ("82e02582150f6702b02a22c740772d7c7ad71b2c0fabfe5fe3edd0f7e0e10afe",
+    ("impl-falls-off", "sc", "own"):  # 51 states
+        ("269f866632295e204ab2ef2eb459f3b234e641aa11c5f3e43a55a2d89c8a5457",
          "ea08c13d037100a0c9192dffc256c33b6542c55d85fc8a314cbb8071bf05a833"),
     ("impl-falls-off", "sc", "chaos"):  # 12 states
         ("248972cd587915c95f9842e5c895ec304ae541403ded650643965a50f54f5d1e",
          "ea08c13d037100a0c9192dffc256c33b6542c55d85fc8a314cbb8071bf05a833"),
-    ("impl-falls-off", "tso-buffer-1", "own"):  # 194 states
-        ("ccc2349a820944c61aea9306a1096197ca02dd9a6aac136b2f0a1b84d053d253",
+    ("impl-falls-off", "tso-buffer-1", "own"):  # 165 states
+        ("3181ae944b7ff2e9180458f42af7a1f356eb78c8e0e1fc3b42dbad03912b6578",
          "d7501707f1e55fe16b9e46c2f1cb9371eea55e7de382dbf4e1a393d5c009253d"),
     ("impl-falls-off", "tso-buffer-1", "chaos"):  # 24 states
         ("790bc11ed7aaa0cddc16ca7124e678343d25e4b45c8a93bc7368f684335ea02b",
