@@ -8,7 +8,8 @@ Subcommands:
   dot       render the enforced order as graphviz input
 
 Exit codes: 0 on success (property holds), 1 when a check fails or a
-refutation is found, 2 on usage, parse, or validation errors, 141
+refutation is found, 2 on usage, parse, or validation errors, 3 when
+the run is inconclusive (a state outgrew the fields that hold it), 141
 (128 + SIGPIPE) when the reader of standard output closed it early.
 """
 
@@ -234,6 +235,9 @@ def main(argv=None) -> int:
     except (ParseError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except OverflowError as e:
+        print(f"inconclusive: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
-"""Hand-built reference traces shared across the test modules, and
-readers and views of the library's formats that only tests use.
+"""Hand-built reference traces shared across the test modules, random
+clients more than one module draws, and readers and views of the
+library's formats that only tests use.
 
 Both traces were written out event by event from the intended machine
 behaviour and serve as ground truth: wellformedness, projections,
@@ -18,7 +19,9 @@ from wmtr.events import (
     Event, History, Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId, Trace,
     check_wellformed, event_from_json, event_from_record, is_object_event,
 )
+from wmtr.memmodel import chaos_outputs
 from wmtr.porder import EnforcedOrder
+from wmtr.program import parse
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -72,6 +75,30 @@ def writes_client(n: int) -> str:
     """One thread making `n` global writes, `x := i % 3;` for i < n."""
     body = " ".join(f"x := {i % 3};" for i in range(n))
     return f"global x = 0;\nthread T {{ {body} }}"
+
+
+@st.composite
+def object_clients(draw, objects=("spinlock_impl.wm", "spinlock_spec.wm",
+                                  "fig2_object.wm")):
+    """One of `objects`, corpus files, and a client of two threads, each
+    making one or two calls of its operations, around writes and reads of
+    one global and fences; the result of an operation that always
+    returns a value may be written to the global."""
+    obj = draw(st.sampled_from(objects))
+    ops = parse(corpus_text(obj)).ops
+    lines = ["global g = 0;"]
+    for i in range(2):
+        body = []
+        for j in range(draw(st.integers(1, 2))):
+            body.append(draw(st.sampled_from(["", "fence;", f"r{j} := g;",
+                                              "g := 1;"])))
+            op = draw(st.sampled_from(sorted(ops)))
+            if None not in chaos_outputs(ops[op], 1) and draw(st.booleans()):
+                body.append(f"r{j} := call {op}(); g := r{j};")
+            else:
+                body.append(f"call {op}();")
+        lines.append(f"thread T{i} {{ {' '.join(body)} }}")
+    return obj, "\n".join(lines)
 
 
 @st.composite

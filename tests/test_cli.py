@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from wmtr import storage
 from wmtr.cli import main
 from wmtr.events import check_wellformed
 
@@ -191,6 +192,17 @@ class TestErrors:
         err = capsys.readouterr().err
         assert e.value.code == 2
         assert "--impl: not allowed with argument --spec" in err
+
+    def test_state_field_overflow_is_inconclusive(self, capsys, monkeypatch):
+        """An id that outgrows its state field ends the run as
+        inconclusive, exit 3, without a traceback; 4-bit fields make the
+        fig5 build outgrow them at once."""
+        monkeypatch.setattr(storage, "FIELD_BITS", 4)
+        code, out, err = run(capsys, "explore", "--model", "relaxed",
+                             "--client", C("fig5_client.wm"),
+                             "--impl", C("spinlock_impl.wm"))
+        assert (code, out) == (3, "")
+        assert err.startswith("inconclusive: ") and "holds 4 bits" in err
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

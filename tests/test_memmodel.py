@@ -27,7 +27,8 @@ from wmtr.program import empty_object, events_of_program, parse
 from wmtr.storage import RELAXED, _tset
 
 from conftest import (
-    corpus_text, relaxed_counter_witness, tso_spinlock_witness, writes_client,
+    corpus_text, object_clients, relaxed_counter_witness, tso_spinlock_witness,
+    writes_client,
 )
 from oracles import (
     empirical_pairs_oracle, from_traces, materialize, oracle_sc, sample,
@@ -1379,30 +1380,6 @@ def test_step_tables_change_no_graph(text):
         for mode in ("chaos", "impl"):
             assert_tables_change_no_graph(p, empty_object(),
                                           cfg(model, values=2, **bounds), mode)
-
-
-@st.composite
-def object_clients(draw):
-    """An object of the corpus and a client of two threads, each making
-    one or two calls of its operations, around writes and reads of one
-    global and fences; the result of an operation that always returns a
-    value may be written to the global."""
-    obj = draw(st.sampled_from(["spinlock_impl.wm", "spinlock_spec.wm",
-                                "fig2_object.wm"]))
-    ops = parse(corpus_text(obj)).ops
-    lines = ["global g = 0;"]
-    for i in range(2):
-        body = []
-        for j in range(draw(st.integers(1, 2))):
-            body.append(draw(st.sampled_from(["", "fence;", f"r{j} := g;",
-                                              "g := 1;"])))
-            op = draw(st.sampled_from(sorted(ops)))
-            if None not in chaos_outputs(ops[op], 1) and draw(st.booleans()):
-                body.append(f"r{j} := call {op}(); g := r{j};")
-            else:
-                body.append(f"call {op}();")
-        lines.append(f"thread T{i} {{ {' '.join(body)} }}")
-    return obj, "\n".join(lines)
 
 
 # implementation steps and specification bodies are tabled like client

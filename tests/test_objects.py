@@ -5,8 +5,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import pytest
+from hypothesis import event, given, settings
 
-from conftest import corpus_text, project_object
+from conftest import corpus_text, object_clients, project_object
 from wmtr.events import Inv, OpId, OpObs, Res, check_wellformed
 from wmtr.memmodel import (
     ExploreConfig, Model, covert_ops, explore, run_spec_body, start_frame,
@@ -158,6 +159,25 @@ def test_spec_mode_histories_match_oracle(client, spec, model):
     engine = {project_object(t) for t in materialize(ts)}
     assert engine == spec_histories(o, events_of_program(p, o), p.coremap,
                                     covert=covert_ops(p, o))
+
+
+# `materialize` is exponential in the client: values=1 keeps most trace
+# sets small, and those past 5,000 traces are left out, per model
+@settings(max_examples=60, deadline=None)
+@given(object_clients(("spinlock_spec.wm", "spinlock_spec_notry.wm")))
+def test_spec_mode_histories_match_oracle_on_random_clients(case):
+    obj, text = case
+    p, o = parse(text), parse(corpus_text(obj))
+    oracle = spec_histories(o, events_of_program(p, o, values=1), p.coremap,
+                            values=1, covert=covert_ops(p, o))
+    for model in Model:
+        ts = explore(p, o, ExploreConfig(model=model, values=1))
+        try:
+            traces = materialize(ts, max_traces=5_000)
+        except ValueError:
+            event("trace set too large to materialize")
+            continue
+        assert {project_object(t) for t in traces} == oracle
 
 
 # what an implementation instruction does, as the engine reads it off
