@@ -1,50 +1,45 @@
 """Memory-model-parameterised trace exploration.
 
-One engine per kind of object, each parameterised by a storage
+One engine class per kind of object, each parameterised by a storage
 discipline.  `storage` holds SC, TSO and RELAXED, one class each behind
-one interface, and the engine picks the class once from `DISCIPLINES`.
-`_build` picks the engine's class once from `ENGINES`, by where the
-object's observations are placed: `_Impl` runs an implementation
-instruction by instruction, `_Spec` runs a specification atomically
-with free observation placement, and `_Chaos` is the object-free object
-of the enforced-order extraction.  Each class documents its semantics.
+one interface, picked once from `DISCIPLINES`; `_build` picks the engine
+class once from `ENGINES`, by where the object's observations are
+placed: `_Impl` runs an implementation instruction by instruction,
+`_Spec` a specification atomically with free observation placement, and
+`_Chaos` is the object-free object of the enforced-order extraction.
 
 States are collapse-compressed and packed: each distinct tuple of
 thread states is stored once, in a table on the engine, and so are a
 specification's valuations and books; a state is one int whose
 fixed-width fields (`storage.FIELD_BITS` bits each) hold the thread
-tuple's id at bit 0, for a specification the valuation's and the book's
-ids above it, and the storage discipline's fields on top (RELAXED: one
-per variable, the id of its entry).  An id that outgrows its field is an
+tuple's id at bit 0, a specification's valuation and book ids above it,
+and the storage discipline's fields on top (RELAXED: one per variable,
+the id of its entry).  An id that outgrows its field is an
 `OverflowError`, never an alias.  A thread's state holds where its
 compiled code stands (a pc and loop counters) and its registers, and so
-does the frame of its implementation call, if any, so the thread tuple
-covers the client and the implementation machine alike.  A successor is
-the state plus the changes to its fields, each worked out once per
-value of the fields it reads: a silent RELAXED propagation is an int
-add, and the build's state table maps ints to ints.  One rule settles
+does the frame of its implementation call, if any.  One rule settles
 every pc, a client's and an operation's alike: after each step, so no
-two states differ only in which finished block control stands at.
+two states differ only in which finished block control stands at.  A
+successor is the state plus the changes to its fields, each worked out
+once per value of the fields it reads: a silent RELAXED propagation is
+an int add, and the build's state table maps ints to ints.
 
 Successors are generated on the same factoring.  A step table keyed on
 (thread-tuple id, thread) holds the shared variables the thread's next
 instruction, or the next instruction of its implementation call, reads
-and, per tuple of their values, the outcome: blocked, a local step, a
-global write, a fence or a call; an implementation store, TAS or
-return.  Both run through `program.step`, on a table miss only.
-Expressions are evaluated in full, so which variables a step reads
-depends on the key alone.  Whether a step is gated is a property of the
-instruction at the pc: a TAS or fence waits for its core to drain, and
-reads through `latest`, the value a TAS acts on.  A state reads the
-variables of its entry and settles only what depends on the rest of it:
-whether the storage takes the write, whether the core is drained,
-whether the thread may invoke, and where a write or a return's
-observation lands.  An implementation store's or TAS's ref, where the
-storage put the write, varies per state; the successor's thread tuple
-is memoised per ref on the outcome.  The responses of a chaos call are
-tabled per key too, one outcome per output, a specification body runs
-once per key and valuation, and the observations a book of responses
-still owes are worked out once per book.
+and, per tuple of their values, the outcome, which `program.step` works
+out on a table miss only.  Expressions are evaluated in full, so which
+variables a step reads depends on the key alone, and a gated
+instruction (a TAS or fence: it waits for its core to drain) reads
+through `latest`, the value a TAS acts on.  A state reads the variables
+of its entry and settles only what depends on the rest of it: whether
+the storage takes the write, whether the core is drained, whether the
+thread may invoke, and where a write or a return's observation lands.
+An implementation store's or TAS's ref, where the storage put the
+write, varies per state; the successor's thread tuple is memoised per
+ref on the outcome.  The responses of a chaos call are tabled per key
+too, a specification body runs once per key and valuation, and the
+observations a book of responses still owes once per book.
 
 The graph a build returns is stored as flat `array('i')` columns, one
 entry per edge: the successor's id and the id of the edge's burst in a
@@ -207,8 +202,7 @@ class _Engine:
         # values: _Step, or None when blocked})
         self.steps: Dict[Tuple[int, str], tuple] = {}
 
-    def initials(self) -> dict:
-        """The storage's variables and their initial values."""
+    def initials(self) -> dict:  # the storage's variables
         return dict(self.p.globals)
 
     def root(self) -> int:
@@ -227,8 +221,6 @@ class _Engine:
     def inv_allowed(self, st: int, thread: str) -> bool:
         return self.mem.inv_ready(st, self.coremap[thread], False)
 
-    # actions
-
     def actions(self, st: int) -> List[Tuple[int, int]]:
         """The edges out of `st`, as (burst id, successor)."""
         out: List[Tuple[int, int]] = []
@@ -244,10 +236,7 @@ class _Engine:
     def step_actions(self, out, st, tid, th, ts):
         """Add to `out` the edge of `th`'s next instruction, or of the
         next instruction of its implementation call, unless it is
-        blocked.  The step is interpreted once per thread tuple and
-        values of the shared variables it reads; each state then only
-        reads those variables and settles what the storage or the other
-        threads decide."""
+        blocked; looked up in the step table, interpreted on a miss."""
         key = (tid, th)
         entry = self.steps.get(key)
         step = _MISS
@@ -270,9 +259,7 @@ class _Engine:
         """Run `th`'s next instruction, or the next instruction of its
         implementation call, in `st`: the load function, its _Step (None
         when blocked or stuck) and the shared variables it read with their
-        values.  A gated instruction reads through `latest`, any other
-        through `read`; expressions and conditions are evaluated in full,
-        so the variables read depend on `ts` alone."""
+        values, which depend on `ts` alone."""
         code, pc, ctrs, regs, outcome = self._running(th, ts)
         load = self.latest if code[pc][0] in GATED else self.read
         core = self.coremap[th]
@@ -290,9 +277,8 @@ class _Engine:
                              v), seen
 
     def _running(self, th, ts):
-        """What `th` runs next: its code, where control stands in it, its
-        loop counters and registers, and the function that gives the
-        _Step of an instruction that ran."""
+        """What `th` runs next: code, pc, loop counters and registers,
+        and the function giving the _Step of an instruction that ran."""
         return self.p.code[th], ts.pc, ts.ctrs, ts.regs, self._client_outcome
 
     def _client_outcome(self, tid, th, ts, ins, pc, ctrs, regs, v):
@@ -440,10 +426,9 @@ class _Spec(_Engine):
     against a logical valuation, and its response enters a book of
     unobserved responses, any of which may be observed at any time; an
     invocation may not overlap an unobserved operation of another core.
-    A thread in a call holds (opid, arg, reg).  A state's valuation and
-    book, the (opid, out, core) entries responded but not yet observed,
-    are interned, their ids held in the two fields above the thread
-    tuple's."""
+    A thread in a call holds (opid, arg, reg).  The valuation and the
+    book, of (opid, out, core) entries, are interned, their ids held in
+    the two fields above the thread tuple's."""
     fields = 3
 
     def __init__(self, p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig):
@@ -479,8 +464,7 @@ class _Spec(_Engine):
         out = super().actions(st)
         b = st >> self.bshift & self.mask
         if b:
-            for bid, d in self._book_moves(b):
-                out.append((bid, st + d))
+            out.extend([(bid, st + d) for bid, d in self._book_moves(b)])
         return out
 
     def _book_moves(self, b: int) -> list:
