@@ -645,7 +645,8 @@ SHAPE_CONTRACT_DIGESTS = {
 
 @pytest.mark.parametrize("shape,model,mode", sorted(SHAPE_CONTRACT_DIGESTS))
 def test_shape_contract_unchanged(shape, model, mode):
-    assert contract_digest(build_shape(shape, model, mode)) == SHAPE_CONTRACT_DIGESTS[shape, model, mode]
+    assert contract_digest(build_shape(shape, model, mode)) == \
+        SHAPE_CONTRACT_DIGESTS[shape, model, mode]
 
 
 # a build per kind of state: RELAXED (where, as the width shrinks, a RELAXED
@@ -1341,7 +1342,7 @@ def _build_interpreting_every_step(p, obj, c, mode):
     tabled builds."""
     built = []
 
-    class Forgetful(memmodel.ENGINES[mode]):
+    class ForgetfulEngine(memmodel.ENGINES[mode]):
         def __init__(self, *args):
             super().__init__(*args)
             tables = {name: _Forgetful() for name, x in vars(self).items()
@@ -1350,7 +1351,7 @@ def _build_interpreting_every_step(p, obj, c, mode):
             built.append(tables)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(memmodel.ENGINES, mode, Forgetful)
+        mp.setitem(memmodel.ENGINES, mode, ForgetfulEngine)
         ts = _build(p, obj, c, mode)
     (tables,) = built
     assert STEP_TABLES[mode] <= tables.keys()
