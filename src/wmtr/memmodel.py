@@ -57,8 +57,10 @@ Observation placement: a program step's observation fires when its
 write is visible to every core; an operation's observation fires when
 the operation's last shared write is visible to every core, never
 before the response, and directly after the response when the run wrote
-nothing.  Operations that cannot touch shared state (and whose result
-never flows into a global) are observed immediately after responding.
+nothing.  Operations that cannot touch shared state, and whose result
+never flows into a global, are observed immediately after responding
+(`covert_ops`): the result flows when a store reads its register or a
+register assigned from it; a branch on the result is not a flow.
 """
 
 from __future__ import annotations
@@ -72,9 +74,9 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from .events import Event, Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId
 from .porder import EnforcedOrder
 from .program import (
-    CALL, FENCE, GATED, RETURN, STORE, TAS, Assign, Call, ClientProgram,
-    Lit, Name, ObjectDef, OpDef, Return, Tas, _all_stmts, _always_returns,
-    _bump, events_of_program, settled, step, validate,
+    CALL, FENCE, GATED, RETURN, SET, STORE, TAS, ClientProgram, ObjectDef,
+    OpDef, _bump, chaos_outputs, events_of_program, names_of, settled, step,
+    validate,
 )
 from . import storage
 from .storage import _MISS, RELAXED, SC, TSO, Interned, _tset
@@ -814,58 +816,19 @@ def writes_shared(op: OpDef) -> bool:
 
 def covert_ops(p: ClientProgram, obj: ObjectDef) -> frozenset:
     """Operations that cannot write shared state and whose result never
-    flows into a global variable (checked syntactically)."""
-    out = set()
-    for name, op in obj.ops.items():
-        if writes_shared(op):
-            continue
-        reaches = False
-        for th, stmts in p.threads.items():
-            regs = {s.result for s in _all_stmts(stmts)
-                    if isinstance(s, Call) and s.op == name and s.result}
-            if not regs:
-                continue
-            for s in _all_stmts(stmts):
-                if (isinstance(s, Assign) and s.target in p.globals
-                        and any(n in regs for n in _names_of(s.expr))):
-                    reaches = True
-        if not reaches:
-            out.add(name)
-    return frozenset(out)
+    flows into a global: no STORE of a calling thread reads the result's
+    register or, flow-insensitively, a register assigned from it.  A
+    branch on the result is not a flow."""
+    leaks = set()
+    for code in p.code.values():
+        # the names whose value a STORE may write, through SET copies
+        flows = {n for ins in code if ins[0] == STORE for n in names_of(ins[3])}
+        size = 0
+        while size < len(flows):
+            size = len(flows)
+            flows.update(n for ins in code if ins[0] == SET and ins[2] in flows
+                         for n in names_of(ins[3]))
+        leaks.update(ins[2] for ins in code if ins[0] == CALL and ins[4] in flows)
+    return frozenset(name for name, op in obj.ops.items()
+                     if name not in leaks and not writes_shared(op))
 
-
-def _names_of(e):
-    if isinstance(e, Name):
-        yield e.ident
-    elif not isinstance(e, Lit):
-        yield from _names_of(e.left)
-        yield from _names_of(e.right)
-
-
-def chaos_outputs(op: OpDef, values: int) -> frozenset:
-    """Statically possible outputs: literal returns narrow to their
-    value, registers that only a TAS writes to {0,1}, anything else to
-    the domain."""
-    stmts = list(_all_stmts(op.body))
-    tas_regs = ({s.result for s in stmts if isinstance(s, Tas)}
-                - {s.target for s in stmts if isinstance(s, Assign)}
-                - {op.param})
-    outs = set()
-    has_value = False
-    bare = False
-    for s in stmts:
-        if not isinstance(s, Return):
-            continue
-        if s.expr is None:
-            bare = True
-            continue
-        has_value = True
-        if isinstance(s.expr, Lit):
-            outs.add(s.expr.value % (values + 1))
-        elif isinstance(s.expr, Name) and s.expr.ident in tas_regs:
-            outs |= {0, 1}
-        else:
-            outs |= set(range(values + 1))
-    if bare or not _always_returns(op.body) or not has_value:
-        outs.add(None)
-    return frozenset(outs)

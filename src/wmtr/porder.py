@@ -62,22 +62,26 @@ class EnforcedOrder:
 
     def validate(self) -> None:
         """Raise unless pairs form an irreflexive transitively closed
-        relation within the universe."""
+        relation within the universe; the message names the first
+        offending pair or path in `_key` order."""
+        u = self.universe
+        bad = [p for p in self.pairs if p[0] not in u or p[1] not in u
+               or p[0] == p[1]]
+        if bad:
+            a, b = min(bad, key=_pair_key)
+            if a not in u or b not in u:
+                raise ValueError(f"pair outside universe: {pretty(a)} -> {pretty(b)}")
+            raise ValueError(f"reflexive pair: {pretty(a)}")
         succ: Dict[Event, set] = {}
         for a, b in self.pairs:
-            if a not in self.universe or b not in self.universe:
-                raise ValueError(f"pair outside universe: {pretty(a)} -> {pretty(b)}")
-            if a == b:
-                raise ValueError(f"reflexive pair: {pretty(a)}")
             succ.setdefault(a, set()).add(b)
-        for a, bs in succ.items():
-            for b in bs:
-                missing = succ.get(b, set()) - bs
-                if missing:
-                    c = next(iter(missing))
-                    raise ValueError(
-                        f"not transitive: {pretty(a)} -> {pretty(b)} -> {pretty(c)}"
-                    )
+        gaps = [(a, b, c) for a, bs in succ.items() for b in bs
+                for c in succ.get(b, set()) - bs]
+        if gaps:
+            a, b, c = min(gaps, key=lambda t: tuple(map(_key, t)))
+            raise ValueError(
+                f"not transitive: {pretty(a)} -> {pretty(b)} -> {pretty(c)}"
+            )
 
     def successors(self) -> Dict[Event, FrozenSet[Event]]:
         out: Dict[Event, set] = {e: set() for e in self.universe}
@@ -170,20 +174,22 @@ class _Instance:
 
 
 def _instances(universe: Iterable[Event]) -> Dict[OpId, _Instance]:
+    """The operation instances of `universe` in OpId order, each one's
+    events in `_key` order, so witnesses do not follow set order."""
     groups: Dict[OpId, Dict[type, list]] = {}
-    for e in universe:
-        if is_object_event(e):
-            groups.setdefault(e.op, {Inv: [], Res: [], OpObs: []})[type(e)].append(e)
+    for e in sorted((e for e in universe if is_object_event(e)), key=_key):
+        groups.setdefault(e.op, {Inv: [], Res: [], OpObs: []})[type(e)].append(e)
     return {
         op: _Instance(tuple(g[Inv]), tuple(g[Res]), tuple(g[OpObs]))
-        for op, g in groups.items()
+        for op, g in sorted(groups.items(), key=lambda item: (
+            item[0].thread, item[0].call, item[0].instance))
     }
 
 
 def check_axioms(po: EnforcedOrder) -> AxiomReport:
     """Exhaustively check the four ordering laws plus the derived
     cross-operation law over the universe; the first witness of each
-    violation is reported."""
+    violation, in OpId and `_key` order, is reported."""
     po.validate()
     succ = po.successors()
     pred = po.predecessors()
@@ -203,13 +209,10 @@ def check_axioms(po: EnforcedOrder) -> AxiomReport:
         own = set(g.all)
         inv_succ = union(g.invs, succ)
         res_succ = union(g.ress, succ)
-        for e in inv_succ ^ res_succ:
-            if e in own:
-                continue
-            src = g.invs[0] if e in inv_succ else g.ress[0]
-            wit = (src, e)
-            break
-        if wit:
+        diff = [e for e in inv_succ ^ res_succ if e not in own]
+        if diff:
+            e = min(diff, key=_key)
+            wit = (g.invs[0] if e in inv_succ else g.ress[0], e)
             break
     checks.append(LawCheck(LAW_INV_RES_SUCC, wit is None, wit))
 
@@ -219,13 +222,10 @@ def check_axioms(po: EnforcedOrder) -> AxiomReport:
         own = set(g.all)
         res_pred = union(g.ress, pred)
         inv_pred = union(g.invs, pred)
-        for e in res_pred ^ inv_pred:
-            if e in own:
-                continue
-            dst = g.ress[0] if e in res_pred else g.invs[0]
-            wit = (e, dst)
-            break
-        if wit:
+        diff = [e for e in res_pred ^ inv_pred if e not in own]
+        if diff:
+            e = min(diff, key=_key)
+            wit = (e, g.ress[0] if e in res_pred else g.invs[0])
             break
     checks.append(LawCheck(LAW_RES_INV_PRED, wit is None, wit))
 
@@ -234,11 +234,10 @@ def check_axioms(po: EnforcedOrder) -> AxiomReport:
     for op, g in insts.items():
         obs_pred = {e for e in union(g.obss, pred) if is_program_event(e)}
         inv_pred = {e for e in union(g.invs, pred) if is_program_event(e)}
-        for e in obs_pred ^ inv_pred:
-            dst = g.obss[0] if e in obs_pred else g.invs[0]
-            wit = (e, dst)
-            break
-        if wit:
+        diff = obs_pred ^ inv_pred
+        if diff:
+            e = min(diff, key=_key)
+            wit = (e, g.obss[0] if e in obs_pred else g.invs[0])
             break
     checks.append(LawCheck(LAW_OBS_INV_PROG_PRED, wit is None, wit))
 
@@ -315,6 +314,10 @@ def _key(e: Event) -> str:
     return event_to_json(e)
 
 
+def _pair_key(p: Pair) -> Tuple[str, str]:
+    return _key(p[0]), _key(p[1])
+
+
 def to_dot(po: EnforcedOrder, name: str = "order") -> str:
     """DOT digraph of the transitive reduction."""
     nodes = sorted(po.universe, key=_key)
@@ -322,7 +325,7 @@ def to_dot(po: EnforcedOrder, name: str = "order") -> str:
     lines = [f"digraph {name} {{"]
     for e in nodes:
         lines.append(f'  {ids[e]} [label="{pretty(e)}"];')
-    for a, b in sorted(transitive_reduction(po), key=lambda p: (_key(p[0]), _key(p[1]))):
+    for a, b in sorted(transitive_reduction(po), key=_pair_key):
         lines.append(f"  {ids[a]} -> {ids[b]};")
     lines.append("}")
     return "\n".join(lines)
@@ -334,7 +337,7 @@ def order_to_lines(po: EnforcedOrder) -> str:
     for e in sorted(po.universe, key=_key):
         out.append(json.dumps({"node": event_to_record(e)},
                               sort_keys=True, separators=(",", ":")))
-    for a, b in sorted(po.pairs, key=lambda p: (_key(p[0]), _key(p[1]))):
+    for a, b in sorted(po.pairs, key=_pair_key):
         out.append(json.dumps({"edge": [event_to_record(a), event_to_record(b)]},
                               sort_keys=True, separators=(",", ":")))
     return "\n".join(out)

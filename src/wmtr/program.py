@@ -39,6 +39,11 @@ walks the same code to extract the finite event set of the bounded
 program: every reachable step with every value it could write, plus,
 for each invocation, responses and observations over the closure of
 possible outputs.
+
+`reachable` gives the pcs control can reach when every test may go
+either way.  The outputs an operation may give (`chaos_outputs`, and
+its closure `op_outputs`) are those of its reachable returns, and
+`validate` rejects code no path reaches: a statement after a return.
 """
 
 from __future__ import annotations
@@ -493,6 +498,15 @@ def cond_str(c: Cmp) -> str:
     return f"{expr_str(c.left)}{c.op}{expr_str(c.right)}"
 
 
+def names_of(e: Expr):
+    """The variable names `e` reads, left to right."""
+    if isinstance(e, Name):
+        yield e.ident
+    elif isinstance(e, BinOp):
+        yield from names_of(e.left)
+        yield from names_of(e.right)
+
+
 # --- static validation ---
 
 def is_register(name: str, declared: frozenset) -> bool:
@@ -504,20 +518,14 @@ def _scan_stmts(stmts, declared, assigned, errors, where, in_spec, in_op):
     `assigned` is the set of registers definitely written so far."""
 
     def check_expr(e):
-        if isinstance(e, Lit):
-            return
-        if isinstance(e, BinOp):
-            check_expr(e.left)
-            check_expr(e.right)
-            return
-        n = e.ident
-        if n in declared:
-            return
-        if is_register(n, declared):
-            if n not in assigned:
-                errors.append(f"{where}: register {n!r} read before write")
-        else:
-            errors.append(f"{where}: undeclared variable {n!r}")
+        for n in names_of(e):
+            if n in declared:
+                continue
+            if is_register(n, declared):
+                if n not in assigned:
+                    errors.append(f"{where}: register {n!r} read before write")
+            else:
+                errors.append(f"{where}: undeclared variable {n!r}")
 
     def check_cond(c):
         check_expr(c.left)
@@ -600,6 +608,11 @@ def validate(p: ClientProgram, obj: ObjectDef) -> List[str]:
         assigned = {op.param} if op.param and is_register(op.param, declared) else set()
         _scan_stmts(op.body, declared, set(assigned), errors, f"op {op.name}",
                     in_spec=(obj.kind == "spec"), in_op=True)
+        live = reachable(op.code)
+        if any(pc not in live and ins[0] != JUMP  # closing JUMPs and loop
+               and not (ins[0] == LOOP and not ins[5])  # re-tests may be dead
+               for pc, ins in enumerate(op.code) if pc):
+            errors.append(f"op {op.name}: statement after a return never runs")
     return errors
 
 
@@ -779,32 +792,53 @@ def step(code: tuple, pc: int, ctrs: tuple, regs: tuple, load,
     return ins, pc + 1, ctrs, regs, (swap % (values + 1) if success else None)
 
 
-# --- bounded event set ---
+# --- static answers about an operation ---
 
-def op_outputs(op: OpDef, values: int) -> frozenset:
-    """Closure of an operation's possible outputs: the full value domain
-    when some path returns a value, plus the no-value output when some
-    path ends without one."""
-    has_value = any(isinstance(s, Return) and s.expr is not None
-                    for s in _all_stmts(op.body))
-    bare = any(isinstance(s, Return) and s.expr is None
-               for s in _all_stmts(op.body))
-    outs = set(range(values + 1)) if has_value else set()
-    if bare or not _always_returns(op.body):
-        outs.add(None)
+def reachable(code: tuple) -> frozenset:
+    """The pcs control can reach from pc 1 when every IF and LOOP test
+    may go either way.  A RETURN ends its path, so pc 0 is in the set
+    exactly when control can run off the end of the body."""
+    seen, stack = set(), [1]
+    while stack:
+        pc = stack.pop()
+        if pc not in seen:
+            seen.add(pc)
+            op, ins = code[pc][0], code[pc]
+            stack += (() if op == RETURN else (ins[2],) if op == JUMP
+                      else (pc + 1, ins[3]) if op == IF
+                      else ins[3:5] if op == LOOP else (pc + 1,))
+    return frozenset(seen)
+
+
+def chaos_outputs(op: OpDef, values: int) -> frozenset:
+    """The outputs `op` may statically give, None for no value.  Each
+    reachable RETURN gives a literal's value, {0, 1} for a register that
+    only a TAS writes, the whole domain for any other expression, and
+    None when it is bare, the one at pc 0 included."""
+    code, n = op.code, values + 1
+    tas_regs = ({ins[2] for ins in code if ins[0] == TAS}
+                - {ins[2] for ins in code if ins[0] == SET} - {op.param})
+    outs = set()
+    for e in [code[pc][2] for pc in reachable(code) if code[pc][0] == RETURN]:
+        if e is None or isinstance(e, Lit):
+            outs.add(None if e is None else e.value % n)
+        elif isinstance(e, Name) and e.ident in tas_regs:
+            outs |= {0, 1}
+        else:
+            outs.update(range(n))
     return frozenset(outs)
 
 
-def _always_returns(stmts) -> bool:
-    if not stmts:
-        return False
-    last = stmts[-1]
-    if isinstance(last, Return):
-        return True
-    if isinstance(last, If):
-        return _always_returns(last.then) and _always_returns(last.orelse)
-    return False
+def op_outputs(op: OpDef, values: int) -> frozenset:
+    """`chaos_outputs` widened, the closure the universe's responses range
+    over: the whole domain when `op` may return a value, plus None when
+    it may return none."""
+    outs = chaos_outputs(op, values)
+    return (frozenset(range(values + 1) if outs - {None} else ())
+            | (outs & {None}))
 
+
+# --- bounded event set ---
 
 def events_of_program(p: ClientProgram, obj: ObjectDef,
                       bound: int = 2, values: int = 3) -> frozenset:

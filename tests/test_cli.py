@@ -170,6 +170,18 @@ class TestErrors:
                "into register 'r0'" in err
         assert "Traceback" not in err
 
+    def test_statement_after_a_return(self, capsys, tmp_path):
+        obj = tmp_path / "dead.wm"
+        obj.write_text("object impl {\n  var x = 0;\n"
+                       "  op f() { return 1; x := 1; }\n}\n")
+        client = tmp_path / "client.wm"
+        client.write_text("thread T0 { call f(); }\n")
+        code, out, err = run(capsys, "explore", "--model", "sc",
+                             "--client", str(client), "--impl", str(obj))
+        assert (code, out) == (2, "")
+        assert "op f: statement after a return never runs" in err
+        assert "Traceback" not in err
+
     def test_bad_bounds(self, capsys):
         code, _, err = run(capsys, "explore", "--model", "sc", "--unroll", "0",
                            "--client", C("fig2_client.wm"),

@@ -1227,6 +1227,32 @@ class TestChaosHelpers:
         leaky = parse("global g = 0;\n"
                       "thread T { r := call probe(); g := r; }")
         assert covert_ops(leaky, pure) == frozenset()
+        # the result reaches the store through register copies
+        peek = parse("object impl {\n  var x = 0;\n"
+                     "  op peek() { r := x; return r; }\n}")
+        copied = parse("global g = 0;\n"
+                       "thread T { r := call peek(); r2 := r; g := r2; }")
+        assert covert_ops(copied, peek) == frozenset()
+        # a branch on the result is not a flow
+        branch = parse("global g = 0;\n"
+                       "thread T { r := call peek(); if (r = 1) { g := 1; } }")
+        assert covert_ops(branch, peek) == {"peek"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(object_clients())
+def test_chaos_outputs_cover_every_response(client):
+    """Every response the object itself gives is one the chaos object may
+    give; at values=2 a TAS register's {0, 1} is narrower than the
+    domain."""
+    name, text = client
+    p, o = parse(text), parse(corpus_text(name))
+    outputs = {op: chaos_outputs(d, 2) for op, d in o.ops.items()}
+    for model in Model:
+        for burst in explore(p, o, cfg(model, values=2)).bursts:
+            for e in burst:
+                if isinstance(e, Res):
+                    assert e.out in outputs[e.op.call], (model, e)
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 import genrel
 from conftest import order_from_lines, tso_spinlock_witness, wellformed_traces
 from oracles import from_traces
-from wmtr.events import Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId
+from wmtr.events import (
+    Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId, pretty,
+)
 from wmtr.porder import (
     LAW_CROSS_OP,
     LAW_INV_RES_SUCC,
@@ -69,6 +71,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="transitive"):
             check_axioms(po)
 
+    def test_message_is_deterministic(self):
+        """Six operations each lack a transitive pair; the message names
+        the first gap in event order whatever the hash seed."""
+        ops = [OpId(f"T{i}", "f", 0) for i in range(6)]
+        po = _order({p for op in ops
+                     for p in ((Inv(op), Res(op, 0)), (Res(op, 0), OpObs(op, 0)))})
+        with pytest.raises(ValueError) as err:
+            po.validate()
+        assert str(err.value) == "not transitive: " + " -> ".join(
+            pretty(e) for e in (Inv(ops[0]), Res(ops[0], 0), OpObs(ops[0], 0)))
+
     def test_pair_outside_universe_rejected(self):
         po = EnforcedOrder(frozenset({Inv(C)}), frozenset({(Inv(C), Inv(D))}))
         with pytest.raises(ValueError, match="universe"):
@@ -100,6 +113,17 @@ class TestCheckAxioms:
         po = _order({(e, OpObs(C, 0))}, extra_events=[Inv(C), Res(C, 0)])
         report = check_axioms(po)
         assert not report.law(LAW_OBS_INV_PROG_PRED).holds
+
+    def test_law_witness_is_deterministic(self):
+        """Six operations each break a law; the witness is the first in
+        OpId order whatever the hash seed, so `wmtr axioms` prints one
+        output per input."""
+        e = ProgStep(StepId("P", "s", 0))
+        ops = [OpId(f"T{i}", "f", 0) for i in range(6)]
+        po = _order({(Inv(op), e) for op in ops},
+                    extra_events=[Res(op, 0) for op in ops])
+        law = check_axioms(po).law(LAW_INV_RES_SUCC)
+        assert law.witness == (Inv(OpId("T0", "f", 0)), e)
 
     def test_order_into_observation_needs_serialization(self):
         po = _order(

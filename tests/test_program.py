@@ -10,9 +10,10 @@ from conftest import (
 )
 from wmtr.events import Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId
 from wmtr.program import (
-    Assign, Await, BinOp, Call, ClientProgram, Cmp, Expr, Fence, If, Lit,
-    Name, ObjectDef, ParseError, Return, Stmt, Tas, While, empty_object,
-    events_of_program, expr_str, label_of, op_outputs, parse, validate,
+    RETURN, Assign, Await, BinOp, Call, ClientProgram, Cmp, Expr, Fence, If,
+    Lit, Name, ObjectDef, ParseError, Return, Stmt, Tas, While, empty_object,
+    events_of_program, expr_str, label_of, op_outputs, parse, reachable,
+    validate,
 )
 
 CLIENTS = ["fig2_client.wm", "fig4_client.wm", "fig5_client.wm",
@@ -303,6 +304,25 @@ class TestValidate:
         assert validate(parse("global g = 0;\nthread T0 { "
                               "r0 := call tryAcquire(); g := r0; }"), impl) == []
 
+    def test_statement_after_a_return_rejected(self):
+        """Code no path reaches is rejected, so an operation's returns
+        and its fall-through are what its reachable code says."""
+        p = parse("thread T { call f(); }")
+
+        def errors(body):
+            return validate(p, parse("object impl {\n  var x = 0;\n"
+                                     f"  op f() {{ {body} }}\n}}"))
+
+        for dead in ("return 1; x := 1;",
+                     "if (x = 1) { return 1; } else { return 0; } x := 1;",
+                     "while (x = 1) { return; x := 1; }"):
+            assert errors(dead) == ["op f: statement after a return never runs"]
+        # a loop's re-test and a block's closing jump need not be reached
+        for live in ("while (x = 1) { return 1; }",
+                     "if (x = 1) { return 1; } else { return 0; }",
+                     "if (x = 1) { return 1; } x := 1;"):
+            assert errors(live) == []
+
     def test_call_arg_must_be_literal(self):
         o = parse("object impl {\n  var s = 0;\n  op put(v) {\n    s := v;\n  }\n}")
         p = parse("global g = 2;\nthread T {\n  call put(g);\n}")
@@ -317,6 +337,19 @@ class TestLabels:
         assert label_of(While(Cmp("=", Name("x"), Lit(0)), ())) == "while(x=0)"
         assert label_of(If(Cmp("!=", Name("x"), Lit(2)), ())) == "if(x!=2)"
         assert label_of(Fence()) == "fence"
+
+
+class TestReachable:
+    def test_return_ends_a_path(self):
+        o = parse("object impl {\n  var x = 0;\n"
+                  "  op f() { if (x = 1) { return 1; } return 0; }\n"
+                  "  op g() { while (x = 1) { } }\n}")
+        f, g = o.ops["f"].code, o.ops["g"].code
+        live = reachable(f)
+        assert 0 not in live  # every path returns a value
+        assert {f[pc][2] for pc in live if f[pc][0] == RETURN} == {Lit(1), Lit(0)}
+        # a loop may run its body or leave, then control runs off the end
+        assert reachable(g) == frozenset(range(len(g)))
 
 
 class TestOpOutputs:

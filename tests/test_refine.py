@@ -1,16 +1,17 @@
 """Refinement verdicts on the lock corpus, and counterexample shape."""
 
 import pytest
+from hypothesis import event, example, given, settings
 
-from wmtr.events import ProgObs, check_wellformed, observable_of
+from wmtr.events import ProgObs, check_wellformed, event_to_json, observable_of
 from wmtr.memmodel import ExploreConfig, Model, explore
 from wmtr.refine import (
     _minimal_refuting_trace, check_wmtr, refute_object_refinement,
 )
 from wmtr.program import parse
 
-from conftest import corpus_text, tso_spinlock_witness
-from oracles import sample
+from conftest import corpus_text, object_clients, tso_spinlock_witness
+from oracles import materialize, sample
 
 
 def load(name):
@@ -145,3 +146,41 @@ class TestValidation:
         with pytest.raises(ValueError, match="specification"):
             check_wmtr(corpus["fig5"], corpus["impl"], corpus["impl"],
                        ExploreConfig(model=Model.TSO))
+
+
+# `spinlock_impl` with its TAS split into a read and a write, so two
+# threads may both take the lock
+RACY_IMPL = """object impl {
+  var x = 1;
+  op acquire() { await (x = 1); x := 0; }
+  op release() { x := 1; }
+  op tryAcquire() { rt := x; if (rt = 1) { x := 0; } return rt; }
+}"""
+
+
+@settings(max_examples=10, deadline=None)
+@given(object_clients(("spinlock_spec.wm",)))
+@example(("spinlock_spec.wm", "global g = 0;\n"
+          "thread T0 { r0 := call tryAcquire(); g := r0; }\n"
+          "thread T1 { r0 := call tryAcquire(); g := r0; }"))
+def test_random_refutations_get_the_canonical_counterexample(client):
+    """A refuted verdict's counterexample is the least refuting trace by
+    (length, event JSON) of the materialized implementation trace set."""
+    p = parse(client[1])
+    spec, impl = load("spinlock_spec.wm"), parse(RACY_IMPL)
+    for model in Model:
+        cfg = ExploreConfig(model=model, values=1)
+        v = check_wmtr(p, spec, impl, cfg)
+        if v.holds:
+            event(f"{model.value}: holds")
+            continue
+        try:
+            traces = materialize(explore(p, impl, cfg), max_traces=5_000)
+        except ValueError:
+            event(f"{model.value}: refuted, too many traces to compare")
+            continue
+        spec_obs = explore(p, spec, cfg).observables()
+        canonical = min((t for t in traces if observable_of(t) not in spec_obs),
+                        key=lambda t: (len(t), [event_to_json(e) for e in t]))
+        assert v.counterexample.trace == canonical, model
+        event(f"{model.value}: refuted, compared")
