@@ -369,6 +369,16 @@ SHAPES = {
         "thread T0 { z := 1; call f(); a := 1; }\n"
         "thread T1 { r0 := a; m := r0; }",
         "object impl {\n  var y = 0;\n  op f() { y := 1; }\n}"),
+    # an operation whose last write is not its last write to the variable
+    # it first wrote, and one whose TAS is followed by a store: the return's
+    # observation must ride on the last write of each
+    "impl-last-write": (
+        "global g = 0;\n"
+        "thread T0 { call f(); g := 1; }\n"
+        "thread T1 { r1 := call t(); g := r1; }",
+        "object impl {\n  var y = 0;\n  var z = 0;\n"
+        "  op f() { y := 1; z := 1; y := 0; return 0; }\n"
+        "  op t() { r := TAS(y, 0, 1); z := 2; return r; }\n}"),
 }
 
 SHAPE_MODELS = {"sc": (Model.SC, {}), "tso-buffer-1": (Model.TSO, {"buffer": 1}),
@@ -521,6 +531,24 @@ SHAPE_DIGESTS = {
     ("vars-out-of-order-with-calls", "relaxed", "chaos"):  # 287 states
         ("a22fab365d601defec237cd13ba2879a8be1fdf2328bb14cb0068c7afde7317a",
          "10337435b2afdd771d97a99bd2f2154b5a6b8cb6331aedd1291820f055d26876"),
+    ("impl-last-write", "sc", "own"):  # 100 states
+        ("fcc8ab03ec82f979ee73abc82cd24774eab6b42ba7b58a756d4467a20d4da465",
+         "6a852bf8734f023176e5a255be0ca25db5a22a3c9ddf860e044babe3173b41eb"),
+    ("impl-last-write", "sc", "chaos"):  # 25 states
+        ("37cb22938103172e176174dcfcb033e8e02b82a27d3a4b49dc41ca3345e0abe2",
+         "b020cef41c291d069636ece64861777e3585f513e378bf72086f3ae9b9028de6"),
+    ("impl-last-write", "tso-buffer-1", "own"):  # 257 states
+        ("9d5cacdfaad8efbc26e4d951b298dd1e325e1266a586e688b8d2f84d1b399e89",
+         "7620e9f7ddbb73ffa3a2877ec3d628ded90652622dda5beac20e12e2e3403961"),
+    ("impl-last-write", "tso-buffer-1", "chaos"):  # 61 states
+        ("ae8691598932a66e1de9153ca7d1827b53a9576edcb41ba95f79cbc4ea526f45",
+         "f981e119c05078c35d1064702d48371cc8b386616c12f5898241334457e66862"),
+    ("impl-last-write", "relaxed", "own"):  # 3118 states
+        ("14d051092628ca8ac1fbdf303a2dc25ad595db1a7a6a5975013039f488669cfa",
+         "7620e9f7ddbb73ffa3a2877ec3d628ded90652622dda5beac20e12e2e3403961"),
+    ("impl-last-write", "relaxed", "chaos"):  # 418 states
+        ("a1d4b6fa25be594e2b1a79c773ea2d103277c8276fea91ebf39d8e08f67ed944",
+         "69cc2b56058f476ccbdf4faed47c8b3c4cf1d37d9985f789e9e32867f7f96917"),
 }
 
 
@@ -604,6 +632,18 @@ SHAPE_CONTRACT_DIGESTS = {
         "b00699dd8aeceb61d2bebe9d938a2193e8020add7f07aa839a30140c9657d09d",
     ("impl-falls-off", "relaxed", "chaos"):
         "b00699dd8aeceb61d2bebe9d938a2193e8020add7f07aa839a30140c9657d09d",
+    ("impl-last-write", "sc", "own"):
+        "d04d1c3c355a2f5812cc4c144671ff41e4f82642abdcda010129376d76bacd1d",
+    ("impl-last-write", "sc", "chaos"):
+        "0b637a7776c6bb240101516fa3bf7ed94daab3f3ea1adf3b61fd53456353ff1f",
+    ("impl-last-write", "tso-buffer-1", "own"):
+        "d04d1c3c355a2f5812cc4c144671ff41e4f82642abdcda010129376d76bacd1d",
+    ("impl-last-write", "tso-buffer-1", "chaos"):
+        "0b637a7776c6bb240101516fa3bf7ed94daab3f3ea1adf3b61fd53456353ff1f",
+    ("impl-last-write", "relaxed", "own"):
+        "d3da2d2e6c0038a4f32e46abe3e064f6ed7689b6c4c7c80ac2650d1cc1863b1a",
+    ("impl-last-write", "relaxed", "chaos"):
+        "20865b35ef4260acfbf8de0373fbe4bd29ec9450288b265f867b15c3e16c66e8",
     ("vars-out-of-order-with-calls", "sc", "own"):
         "14e37c05bc9b7f95ec42b52355bd9639f2d5b775f1099cb0f76898038ae65a86",
     ("vars-out-of-order-with-calls", "sc", "chaos"):
@@ -1171,6 +1211,64 @@ _key_kinds = st.sampled_from([
     st.text("ab", max_size=2),
     st.tuples(st.sampled_from("cd"), st.text("xy", max_size=2)),
 ])
+
+
+STORAGE_CORES = ("c0", "c1", "c2")
+
+
+def _settled(mem, s):
+    """`s` once the storage's own steps have run out, each time the first."""
+    while True:
+        moves = mem.moves(s)
+        if not moves:
+            return s
+        s = moves[0][1]
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_tas_on_a_drained_core_is_global_at_once(model):
+    """A TAS on a drained core is read by every core at once, leaves every
+    core drained and emits nothing, whatever the storage held before."""
+    opid = OpId("T1", "f", 0)
+    mem = memmodel.DISCIPLINES[model](STORAGE_CORES, {"x": 0}, 4,
+                                      BurstTable(frozenset()))
+    s, _, _ = mem.write(mem.initial(),
+                        mem.writer("c1", "x", 2, "obj", opid, None))
+    s = _settled(mem, s)
+    assert mem.drained(s, "c0")
+    s, _ = mem.tas_write(s, "c0", "x", 1, OpId("T0", "t", 0))
+    assert all(mem.read(s, c, "x") == mem.latest(s, c, "x") == 1
+               for c in STORAGE_CORES)
+    assert all(mem.drained(s, c) for c in STORAGE_CORES)
+    assert mem.moves(s) == []
+
+
+def test_relaxed_attach_rides_on_the_last_write():
+    """After one operation writes x twice, its observation rides on the
+    second record: it is emitted once, and only when every core reads the
+    second value."""
+    opid = OpId("T0", "f", 0)
+    obs = OpObs(opid, 0)
+    table = BurstTable(frozenset({obs}))
+    mem = RELAXED(STORAGE_CORES, {"x": 0}, 4, table)
+    s = mem.initial()
+    for val in (1, 2):
+        s, _, ref = mem.write(s, mem.writer("c0", "x", val, "obj", opid, None))
+    s = mem.attach(s, "c0", ref, opid, obs)
+    assert s is not None
+    seen, stack, emitting = {s}, [s], 0
+    while stack:
+        u = stack.pop()
+        for b, u2 in mem.moves(u):
+            if table.bursts[b]:
+                assert table.bursts[b] == (obs,)
+                assert all(mem.read(u, c, "x") == 2 for c in STORAGE_CORES)
+                assert not mem.moves(u2)
+                emitting += 1
+            if u2 not in seen:
+                seen.add(u2)
+                stack.append(u2)
+    assert emitting
 
 
 @settings(max_examples=200, deadline=None)
