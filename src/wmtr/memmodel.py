@@ -34,12 +34,14 @@ instruction (a TAS or fence: it waits for its core to drain) reads
 through `latest`, the value a TAS acts on.  A state reads the variables
 of its entry and settles only what depends on the rest of it: whether
 the storage takes the write, whether the core is drained, whether the
-thread may invoke, and where a write or a return's observation lands.
-An implementation store's or TAS's ref, where the storage put the
-write, varies per state; the successor's thread tuple is memoised per
-ref on the outcome.  The responses of a chaos call are tabled per key
-too, a specification body runs once per key and valuation, and the
-observations a book of responses still owes once per book.
+thread may invoke, and where a return's observation lands.  Every
+shared write, a TAS's included, is prepared once by the storage's
+`writer`, which fixes where the write goes (the ref an implementation
+store's or TAS's successor records) and what it emits, so an outcome's
+change to the thread tuple is one int.  The responses of a chaos call
+are tabled per key too, a specification body runs once per key and
+valuation, and the observations a book of responses still owes once
+per book.
 
 The graph a build returns is stored as flat `array('i')` columns, one
 entry per edge: the successor's id and the id of the edge's burst in a
@@ -145,30 +147,26 @@ class BurstTable:
 
 
 # what a state must still decide of a step: nothing, whether the storage
-# takes the write, whether the core is drained, whether it may invoke,
-# the TAS's write on a drained core, and whether a returning operation's
-# observation rides on its last write
-_LOCAL, _WRITE, _FENCE, _CALL, _TAS, _RET = range(6)
+# takes the write, whether the core is drained (and for a TAS, the write
+# it then makes), whether it may invoke, and whether a returning
+# operation's observation rides on its last write
+_LOCAL, _WRITE, _FENCE, _CALL, _RET = range(5)
 
 
 class _Step:
     """The outcome of a thread's next instruction for given read values,
-    or of one output of a chaos call: the burst it starts with, the
-    change `next` it makes to the state's thread-tuple id and, by kind,
-    the storage call's argument after the state (_WRITE: the prepared
-    `mem.write`, _TAS: `mem.tas_write`'s after the core, _RET:
-    `mem.attach`'s after the core).  After an implementation store or
-    TAS the thread's call slot records the write's ref, which varies per
-    state: `after` is then the thread state without the ref and `next` a
-    dict from ref to the change, filled as refs appear.  `bid` is the id
-    of the burst with what the storage emits, and for _RET `emitted`
-    that of the burst with the observation emitted at once, each cached
-    when an edge first carries it."""
-    __slots__ = ("kind", "burst", "next", "arg", "after", "bid", "emitted")
+    or of one output of a chaos call: its burst, with what its write
+    emits, the change `next` it makes to the state's thread-tuple id and,
+    by kind, the storage call's argument after the state (_WRITE: the
+    prepared write, _FENCE: a TAS's prepared write or None, _RET:
+    `mem.attach`'s after the core).  `bid` is the id of the burst, and
+    for _RET `emitted` that of the burst with the observation emitted at
+    once, each cached when an edge first carries it."""
+    __slots__ = ("kind", "burst", "next", "arg", "bid", "emitted")
 
-    def __init__(self, kind: int, burst: tuple, change, arg=None, after=None):
+    def __init__(self, kind: int, burst: tuple, change: int, arg=None):
         self.kind, self.burst, self.next, self.arg = kind, burst, change, arg
-        self.after, self.bid, self.emitted = after, None, None
+        self.bid = self.emitted = None
 
 
 # --- the engines ---
@@ -253,7 +251,7 @@ class _Engine:
                 entry = self.steps[key] = (load, tuple(seen), {})
             entry[2][tuple(seen.values())] = step
         if step is not None:
-            a = self._take(st, tid, th, step)
+            a = self._take(st, th, step)
             if a is not None:
                 out.append(a)
 
@@ -299,26 +297,21 @@ class _Engine:
                                              labels=labels))
         if op == STORE:
             var = ins[2]
-            return _Step(_WRITE, (ProgStep(sid, (var, v)),), d, self.mem.writer(
-                self.coremap[th], var, v, "prog", sid, ProgObs(sid, var, v)))
+            w = self.mem.writer(self.coremap[th], var, v, "prog", sid,
+                                ProgObs(sid, var, v))
+            return _Step(_WRITE, (ProgStep(sid, (var, v)),) + w.emits, d, w)
         return _Step(_FENCE if op == FENCE else _LOCAL, (ProgStep(sid),), d)
 
-    def _take(self, st, tid, th, step):
+    def _take(self, st, th, step):
         """The edge `step` makes from `st`, or None when `st` blocks it."""
         kind = step.kind
-        tail = ()
         if kind != _LOCAL:
-            mem, core = self.mem, self.coremap[th]
-            if kind == _WRITE:
-                w = mem.write(st, step.arg)
-                if w is None:
-                    return None
-                st, tail, ref = w
-            elif kind == _CALL:
+            mem = self.mem
+            if kind == _CALL:
                 if not self.inv_allowed(st, th):
                     return None
             elif kind == _RET:
-                attached = mem.attach(st, core, *step.arg)
+                attached = mem.attach(st, self.coremap[th], *step.arg)
                 if attached is None:  # the observation is emitted now
                     b = step.emitted
                     if b is None:
@@ -326,23 +319,17 @@ class _Engine:
                                                           + step.arg[-1:])
                     return b, st + step.next
                 st = attached
-            else:  # _FENCE or _TAS
-                if not mem.drained(st, core):
+            else:  # a write, or a fence that a TAS's write may follow
+                if kind == _FENCE and not mem.drained(st, self.coremap[th]):
                     return None
-                if kind == _TAS:
-                    st, ref = mem.tas_write(st, core, *step.arg)
+                if step.arg is not None:
+                    st = mem.write(st, step.arg)
+                    if st is None:
+                        return None
         b = step.bid
         if b is None:  # the first edge to carry it
-            b = step.bid = self.bursts.id(step.burst + tail)
-        after = step.after
-        if after is None:
-            return b, st + step.next
-        d = step.next.get(ref)  # the successor records the write's ref
-        if d is None:
-            f, _ = after.call
-            d = step.next[ref] = self._moved(
-                tid, th, after._replace(call=(f, ref)))
-        return b, st + d
+            b = step.bid = self.bursts.id(step.burst)
+        return b, st + step.next
 
 
 class OpFrame(NamedTuple):
@@ -366,7 +353,10 @@ class _Impl(_Engine):
     """An implementation object, run instruction by instruction against
     the storage, which holds the object's variables too.  A thread in a
     call holds (OpFrame, ref of the operation's last write), and the
-    frame steps through the step table as the client's code does."""
+    frame steps through the step table as the client's code does.  The
+    ref is the storage's, fixed when the write is prepared; under TSO
+    `attach` does not read it, but it stays in the slot, which keeps
+    apart states that would otherwise merge."""
 
     def initials(self) -> dict:
         return {**self.p.globals, **self.obj.shared}
@@ -386,21 +376,24 @@ class _Impl(_Engine):
     def _impl_outcome(self, tid, th, ts, ins, pc, ctrs, regs, v):
         """The _Step of an implementation instruction that ran, going on at
         `pc`: a store's or successful TAS's successor records the write's
-        ref, so its `next` is filled per ref."""
+        ref.  A TAS is a fence that carries its write."""
         f, last = ts.call
         op, opid = ins[0], f.opid
         if op == RETURN:
             ts2 = _returned(ts, f.ret_reg, v)
             return _Step(_RET, (Res(opid, v),), self._moved(tid, th, ts2),
                          (last, opid, OpObs(opid, v)))
-        ts2 = ts._replace(call=(f._replace(pc=pc, ctrs=ctrs, regs=regs), last))
+        w = None
         if op == STORE:
             w = self.mem.writer(self.coremap[th], ins[2], v, "obj", opid, None)
-            return _Step(_WRITE, (), {}, w, ts2)
-        if op == TAS and v is not None:
-            return _Step(_TAS, (), {}, (ins[3], v, opid), ts2)
-        kind = _FENCE if op in GATED else _LOCAL  # a fence or a failed TAS
-        return _Step(kind, (), self._moved(tid, th, ts2))
+            kind, last = _WRITE, w.ref
+        elif op == TAS and v is not None:
+            w = self.mem.writer(self.coremap[th], ins[3], v, "tas", opid, None)
+            kind, last = _FENCE, w.ref
+        else:  # a fence or a failed TAS, or a local step
+            kind = _FENCE if op in GATED else _LOCAL
+        ts2 = ts._replace(call=(f._replace(pc=pc, ctrs=ctrs, regs=regs), last))
+        return _Step(kind, (), self._moved(tid, th, ts2), w)
 
 
 def run_spec_body(op: OpDef, valuation: dict, arg: Optional[int],
@@ -546,7 +539,7 @@ class _Chaos(_Engine):
         if steps is None:
             steps = self.responses[key] = self._responses(tid, th, ts)
         for step in steps:
-            a = self._take(st, tid, th, step)
+            a = self._take(st, th, step)
             if a is not None:
                 out.append(a)
 
@@ -564,8 +557,8 @@ class _Chaos(_Engine):
             if opid.call in self.covert:
                 out.append(_Step(_LOCAL, (res, obs), d))
             else:
-                out.append(_Step(_WRITE, (res,), d, self.mem.writer(
-                    self.coremap[th], vvar, 0, "virt", opid, obs)))
+                w = self.mem.writer(self.coremap[th], vvar, 0, "virt", opid, obs)
+                out.append(_Step(_WRITE, (res,) + w.emits, d, w))
         return out
 
 

@@ -17,12 +17,12 @@ burst ids from it.
            same burst as the event they observe.
   TSO      per-core FIFO store buffers (Owens, Sarkar and Sewell,
            x86-TSO, TPHOLs 2009); a flush makes the head entry globally
-           visible and emits its observation.  TAS drains the issuing
-           core's buffer and writes through.
+           visible and emits its observation.  A TAS, issued once the
+           core's buffer is drained, writes through.
   RELAXED  per-variable write records that propagate to other cores one
            at a time in per-variable coherence order; no cross-variable
            ordering.  A core that overwrites a variable jumps past (and
-           thereby supersedes) records it never received.  TAS acts on
+           thereby supersedes) records it never received.  A TAS acts on
            the coherence-latest value and is instantly global.
 
 The interface, for a state int s:
@@ -32,17 +32,19 @@ The interface, for a state int s:
   latest(s, core, var)             the value a TAS on a drained `core` acts on
   writer(core, var, val, kind, carrier, obs)
                                    a write, prepared once for `write`
-  write(s, w)                      (s', events emitted now, ref), or None
-  tas_write(s, core, var, val, carrier)            (s', ref)
+  write(s, w)                      s' once the storage takes `w`, or None
   attach(s, core, ref, opid, obs)  s' with the response's observation on the
                                    operation's last write, or None: emit now
   drained(s, core)                 every write of `core` is visible everywhere
   inv_ready(s, core, spec)         `core` may invoke a (spec) operation
   moves(s)                         [(burst id, s')]: the storage's own steps
 
-A prepared write and each field value keep what they decide: a write's
-outcome is worked out once per value of the field it changes, and a
-field's own steps once per value, as [(burst id, delta)].
+A prepared write fixes what does not depend on the state: its `ref`,
+where the storage puts it, which an operation's call slot records for
+`attach`, and its `emits`, the events emitted as it is taken.  A
+prepared write and each field value keep what they decide: a write's
+change to the state is worked out once per value of the field it
+changes, and a field's own steps once per value, as [(burst id, delta)].
 
 Invocations under TSO wait until the invoking core holds no buffered
 program write; under RELAXED, specification invocations wait until the
@@ -50,10 +52,11 @@ core's program writes have fully propagated.  Both reflect the enforced
 order's treatment of operation boundaries as code the program cannot
 see into but the laws still constrain.
 
-A write is a client assignment ("prog"), an object store ("obj") or the
-virtual write that stands for an effectful operation in the object-free
-chaos mode ("virt").  Its carrier is the step or operation that made it,
-and its observation fires once every core can see it.
+A write is a client assignment ("prog"), an object store ("obj"), an
+object TAS on a drained core ("tas") or the virtual write that stands
+for an effectful operation in the object-free chaos mode ("virt").  Its
+carrier is the step or operation that made it, and its observation
+fires once every core can see it.
 """
 
 from __future__ import annotations
@@ -113,12 +116,14 @@ class Interned:
 
 class Write:
     """A write prepared by `writer`: the shift of the field it changes,
-    its arguments as the discipline's `_write` takes them, and per value
-    of that field its outcome, (delta, events, ref) or None."""
-    __slots__ = ("shift", "args", "memo")
+    its arguments as the discipline's `_write` takes them, its `ref` and
+    `emits`, and per value of that field the change it makes to the
+    state, or None when the storage refuses it."""
+    __slots__ = ("shift", "args", "ref", "emits", "memo")
 
-    def __init__(self, shift: int, args: tuple):
+    def __init__(self, shift: int, args: tuple, ref=None, emits: tuple = ()):
         self.shift, self.args, self.memo = shift, args, {}
+        self.ref, self.emits = ref, emits
 
 
 class Storage:
@@ -143,13 +148,11 @@ class Storage:
 
     def write(self, s, w: Write):
         f = s >> w.shift & self.mask
-        r = w.memo.get(f, _MISS)
-        if r is _MISS:
-            r = self._write(f, *w.args)
-            if r is not None:
-                r = ((r[0] - f) << w.shift,) + r[1:]
-            w.memo[f] = r
-        return None if r is None else (s + r[0], r[1], r[2])
+        d = w.memo.get(f, _MISS)
+        if d is _MISS:
+            f2 = self._write(f, *w.args)
+            d = w.memo[f] = None if f2 is None else (f2 - f) << w.shift
+        return None if d is None else s + d
 
     def attach(self, s, core, ref, opid, obs):
         return None
@@ -195,7 +198,7 @@ class _Interning(Storage):
 
 class SC(_Interning):
     """Memory alone: sorted ((var, value), ...).  Virtual writes leave no
-    trace in it."""
+    trace in it, and a write emits its observation as it is taken."""
 
     def _initial(self):
         return tuple(sorted(self.initials.items()))
@@ -204,15 +207,13 @@ class SC(_Interning):
         return _tget(self._get(s), var)
 
     def writer(self, core, var, val, kind, carrier, obs):
-        return Write(self.shift, (var, val, kind, obs))
+        return Write(self.shift, (var, val, kind), None,
+                     (obs,) if obs is not None else ())
 
-    def _write(self, f, var, val, kind, obs):
-        if kind != "virt":
-            f = self.table.id(_tset(self.table.values[f], var, val))
-        return f, ((obs,) if obs is not None else ()), None
-
-    def tas_write(self, s, core, var, val, carrier):
-        return self._put(s, _tset(self._get(s), var, val)), None
+    def _write(self, f, var, val, kind):
+        if kind == "virt":
+            return f
+        return self.table.id(_tset(self.table.values[f], var, val))
 
 
 class Entry(NamedTuple):  # TSO buffer entry
@@ -226,8 +227,8 @@ class Entry(NamedTuple):  # TSO buffer entry
 class TSO(_Interning):
     """(memory, buffers): memory as under SC, buffers sorted
     ((core, (Entry, ...)), ...) with the oldest entry first.  The ref of
-    a buffered object store is ("buf",); `attach` finds the entry
-    itself."""
+    a buffered write is ("buf",) and that of a TAS None; `attach` finds
+    the entry itself."""
 
     def __init__(self, cores, initials, buffer, bursts, shift=0):
         super().__init__(cores, initials, buffer, bursts, shift)
@@ -245,19 +246,17 @@ class TSO(_Interning):
         return _tget(mem, var)
 
     def writer(self, core, var, val, kind, carrier, obs):
-        return Write(self.shift, (core, Entry(var, val, kind, carrier, obs)))
+        return Write(self.shift, (core, Entry(var, val, kind, carrier, obs)),
+                     None if kind == "tas" else ("buf",))
 
     def _write(self, f, core, entry):
         mem, bufs = self.table.values[f]
+        if entry.kind == "tas":  # the core is drained: write through
+            return self.table.id((_tset(mem, entry.var, entry.val), bufs))
         buf = _tget(bufs, core)
         if len(buf) >= self.buffer:
             return None
-        return (self.table.id((mem, _tset(bufs, core, buf + (entry,)))), (),
-                ("buf",))
-
-    def tas_write(self, s, core, var, val, carrier):
-        mem, bufs = self._get(s)  # the buffer is empty
-        return self._put(s, (_tset(mem, var, val), bufs)), None
+        return self.table.id((mem, _tset(bufs, core, buf + (entry,))))
 
     def attach(self, s, core, ref, opid, obs):
         mem, bufs = self._get(s)
@@ -301,7 +300,9 @@ class RELAXED(Storage):
     where bit k of covered_mask says core k received or superseded it,
     and carrier and observation are interned in `decode` (code 0 is
     None); an observation is decoded when its record emits it.  The ref
-    of a write is (var, pos).
+    of a write is its variable: an operation's last write is the last
+    record of that variable that carries the operation's code, since
+    records are never removed and only one invocation carries its code.
 
     The variables of `initials` get their fields when the instance is
     made, any other (a chaos call's virtual variable) when a write to it
@@ -370,12 +371,21 @@ class RELAXED(Storage):
         return recs[-1][0] if recs else self.initials[var]
 
     def writer(self, core, var, val, kind, carrier, obs):
-        return Write(self._slot(var), (var, self.rank[core], val, kind,
-                                       self.intern(carrier), self.intern(obs)))
+        return Write(self._slot(var), (self.rank[core], val, kind,
+                                       self.intern(carrier), self.intern(obs)),
+                     var)
 
-    def _write(self, eid, var, k, val, kind, ca, ob):
+    def _write(self, eid, k, val, kind, ca, ob):
         recs, posv = self.entries.values[eid]
         pos = len(recs)
+        if kind == "tas":
+            # every core jumps to the new record, superseding those it lacks
+            recs = tuple(
+                (v, c, kd, ca2,
+                 cov | sum(1 << j for j, p in enumerate(posv) if p < i), ob2, em)
+                for i, (v, c, kd, ca2, cov, ob2, em) in enumerate(recs))
+            rec = (val, k, "obj", ca, self.full, ob, False)
+            return self.entry((recs + (rec,), (pos,) * len(posv)))
         bit = 1 << k
         old = posv[k]
         # the issuing core supersedes the records it never received
@@ -384,35 +394,24 @@ class RELAXED(Storage):
             for v, c, kd, ca2, cov, ob2, em in recs[old + 1:])
         rec = (val, k, kind, ca, bit, ob, False)
         posv = posv[:k] + (pos,) + posv[k + 1:]
-        return self.entry((recs + (rec,), posv)), (), (var, pos)
+        return self.entry((recs + (rec,), posv))
 
-    def _put(self, s, var, e):
-        """`s` with `var`'s entry replaced by entry `e`."""
-        shift = self.shifts[var]
-        return s + ((self.entry(e) - (s >> shift & self.mask)) << shift)
-
-    def tas_write(self, s, core, var, val, carrier):
-        recs, posv = self._get(s, var)
-        pos = len(recs)
-        # every core jumps to the new record, superseding those it lacks
-        recs = tuple(
-            (v, c, kd, ca, cov | sum(1 << k for k, p in enumerate(posv) if p < i),
-             ob, em)
-            for i, (v, c, kd, ca, cov, ob, em) in enumerate(recs))
-        rec = (val, self.rank[core], "obj", self.intern(carrier), self.full, 0,
-               False)
-        return self._put(s, var, (recs + (rec,), (pos,) * len(posv))), (var, pos)
-
-    def attach(self, s, core, ref, opid, obs):
-        if ref is None:
+    def attach(self, s, core, var, opid, obs):
+        if var is None:
             return None
-        var, pos = ref
-        recs, posv = self._get(s, var)
+        shift = self.shifts[var]
+        eid = s >> shift & self.mask
+        recs, posv = self.entries.values[eid]
+        code = self.codes[opid]
+        pos = len(recs) - 1
+        while recs[pos][3] != code:  # the operation's last record of var
+            pos -= 1
         rec = recs[pos]
         if rec[4] == self.full:
             return None
         rec2 = rec[:5] + (self.intern(obs),) + rec[6:]
-        return self._put(s, var, (recs[:pos] + (rec2,) + recs[pos + 1:], posv))
+        e = (recs[:pos] + (rec2,) + recs[pos + 1:], posv)
+        return s + ((self.entry(e) - eid) << shift)
 
     def _pending(self, s, core, table) -> bool:
         bit, mask = 1 << self.rank[core], self.mask

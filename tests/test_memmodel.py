@@ -1153,7 +1153,7 @@ class TestGraphIdentity:
         s = mem.initial()
         for core, var, val, sid in writes:
             w = mem.writer(core, var, val, "prog", sid, ProgObs(sid, var, val))
-            s, _, _ = mem.write(s, w)
+            s = mem.write(s, w)
         seen, stack, emitted, finals = {s}, [s], set(), set()
         while stack:
             u = stack.pop()
@@ -1232,11 +1232,12 @@ def test_tas_on_a_drained_core_is_global_at_once(model):
     opid = OpId("T1", "f", 0)
     mem = memmodel.DISCIPLINES[model](STORAGE_CORES, {"x": 0}, 4,
                                       BurstTable(frozenset()))
-    s, _, _ = mem.write(mem.initial(),
-                        mem.writer("c1", "x", 2, "obj", opid, None))
+    s = mem.write(mem.initial(), mem.writer("c1", "x", 2, "obj", opid, None))
     s = _settled(mem, s)
     assert mem.drained(s, "c0")
-    s, _ = mem.tas_write(s, "c0", "x", 1, OpId("T0", "t", 0))
+    w = mem.writer("c0", "x", 1, "tas", OpId("T0", "t", 0), None)
+    assert w.emits == ()
+    s = mem.write(s, w)
     assert all(mem.read(s, c, "x") == mem.latest(s, c, "x") == 1
                for c in STORAGE_CORES)
     assert all(mem.drained(s, c) for c in STORAGE_CORES)
@@ -1253,8 +1254,9 @@ def test_relaxed_attach_rides_on_the_last_write():
     mem = RELAXED(STORAGE_CORES, {"x": 0}, 4, table)
     s = mem.initial()
     for val in (1, 2):
-        s, _, ref = mem.write(s, mem.writer("c0", "x", val, "obj", opid, None))
-    s = mem.attach(s, "c0", ref, opid, obs)
+        w = mem.writer("c0", "x", val, "obj", opid, None)
+        s = mem.write(s, w)
+    s = mem.attach(s, "c0", w.ref, opid, obs)
     assert s is not None
     seen, stack, emitting = {s}, [s], 0
     while stack:
@@ -1508,13 +1510,12 @@ def test_step_tables_change_no_graph(text):
 
 
 # implementation steps and specification bodies are tabled like client
-# steps: on the read values, and for an implementation store or TAS on the
-# ref the successor records, which a table that ignored it would reuse.
-# Chaos mode is left out under RELAXED: each call's virtual write propagates
-# on its own there, and two threads of calls reach millions of states.  The
-# example makes the ref vary: whether each discarded tryAcquire took the lock
-# is in no thread's state, so the release store of T0 lands at a position of
-# x's records that the thread tuple does not fix.
+# steps, on the read values.  Chaos mode is left out under RELAXED: each
+# call's virtual write propagates on its own there, and two threads of
+# calls reach millions of states.  In the example, whether each discarded
+# tryAcquire took the lock is in no thread's state, so the release store
+# of T0 lands at a position of x's records that the thread tuple does not
+# fix, and `attach` must find that record in the state.
 @settings(max_examples=60, deadline=None)
 @given(object_clients())
 @example(("spinlock_impl.wm",
