@@ -10,6 +10,8 @@ direct way, and some test compares the two:
                           trace set, straight from its definition.
   materialize, sample     the explicit trace set of an exploration graph,
                           and random walks through it.
+  traces_upto             the traces of an exploration graph up to a
+                          length, by a forward search.
   oracle_sc               brute-force SC traces of assignment-only
                           clients, with no use of the exploration engine.
   spec_histories          the object histories a specification admits,
@@ -104,6 +106,28 @@ def materialize(ts, max_traces: int = 200_000) -> frozenset:
         suffix[s] = frozenset(acc)
         held += len(acc)
     return suffix[ts.root]
+
+
+def traces_upto(ts, n: int, max_pairs: int = 100_000) -> frozenset:
+    """Every trace of `ts` with at most `n` events, cuts inside bursts
+    included: a forward search over (state, trace) pairs, each visited
+    once.  Refuses, with a ValueError, to visit more than `max_pairs`."""
+    out = {()}
+    seen = {(ts.root, ())}
+    stack = [(ts.root, ())]
+    while stack:
+        s, t = stack.pop()
+        room = n - len(t)
+        for burst, s2 in ts.graph[s]:
+            out.update(t + burst[:j]
+                       for j in range(1, min(len(burst), room) + 1))
+            nxt = (s2, t + burst)
+            if len(burst) <= room and nxt not in seen:
+                if len(seen) >= max_pairs:
+                    raise ValueError("too many traces to search")
+                seen.add(nxt)
+                stack.append(nxt)
+    return frozenset(out)
 
 
 def sample(ts, n: int, seed: int = 0) -> List[Trace]:

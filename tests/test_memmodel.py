@@ -32,6 +32,7 @@ from conftest import (
 )
 from oracles import (
     empirical_pairs_oracle, from_traces, materialize, oracle_sc, sample,
+    traces_upto,
 )
 
 
@@ -1204,6 +1205,14 @@ class TestLongRuns:
         for t in traces:
             for e in events:
                 assert (t + (e,) in ts) == (t + (e,) in traces)
+
+    @pytest.mark.parametrize("model", list(Model))
+    def test_traces_upto_agrees_with_the_materialized_set(self, model):
+        ts = explore(parse(writes_client(3)), empty_object(),
+                     cfg(model, buffer=2))
+        traces = materialize(ts)
+        for n in range(max(map(len, traces)) + 2):
+            assert traces_upto(ts, n) == {t for t in traces if len(t) <= n}
 
 
 _key_kinds = st.sampled_from([
