@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from .events import (
@@ -173,6 +174,11 @@ class _Instance:
         return self.invs + self.ress + self.obss
 
 
+# the target events of the two serialisation laws: an operation's
+# observations, or all its events
+_OBSS, _ALL = attrgetter("obss"), attrgetter("all")
+
+
 def _instances(universe: Iterable[Event]) -> Dict[OpId, _Instance]:
     """The operation instances of `universe` in OpId order, each one's
     events in `_key` order, so witnesses do not follow set order."""
@@ -242,51 +248,28 @@ def check_axioms(po: EnforcedOrder) -> AxiomReport:
     checks.append(LawCheck(LAW_OBS_INV_PROG_PRED, wit is None, wit))
 
     # an event of c enforced before an observation of d forces res(c) < inv(d)
-    wit = None
-    for c, gc in insts.items():
-        for d, gd in insts.items():
-            if c == d:
-                continue
-            trigger = next(
-                (
-                    (e, o)
-                    for e in gc.all
-                    for o in gd.obss
-                    if o in succ[e]
-                ),
-                None,
-            )
-            if trigger and not _res_before_inv(gc, gd, succ):
-                wit = trigger
-                break
-        if wit:
-            break
+    wit = _serialise_witness(insts, succ, _OBSS)
     checks.append(LawCheck(LAW_OBS_SERIALISES, wit is None, wit))
 
-    lemma = _lemma_witness(insts, succ)
-    checks.append(LawCheck(LAW_CROSS_OP, lemma is None, lemma))
+    # an event of c enforced before any event of d forces res(c) < inv(d)
+    wit = _serialise_witness(insts, succ, _ALL)
+    checks.append(LawCheck(LAW_CROSS_OP, wit is None, wit))
     return AxiomReport(tuple(checks))
 
 
-def _res_before_inv(gc: _Instance, gd: _Instance, succ) -> bool:
-    return any(i in succ[r] for r in gc.ress for i in gd.invs)
-
-
-def _lemma_witness(insts, succ) -> Optional[Pair]:
+def _serialise_witness(insts, succ, targets) -> Optional[Pair]:
+    """The first pair (e, t), in OpId and event order, of an event e of
+    an operation c enforced before an event t in `targets(d)` of another
+    operation d where no response of c is enforced before an invocation
+    of d; None when there is none."""
     for c, gc in insts.items():
         for d, gd in insts.items():
             if c == d:
                 continue
-            trigger = next(
-                (
-                    (e1, e2)
-                    for e1 in gc.all
-                    for e2 in gd.all
-                    if e2 in succ[e1]
-                ),
-                None,
-            )
-            if trigger and not _res_before_inv(gc, gd, succ):
+            trigger = next(((e, t) for e in gc.all for t in targets(gd)
+                            if t in succ[e]), None)
+            if trigger and not any(i in succ[r] for r in gc.ress
+                                   for i in gd.invs):
                 return trigger
     return None
 
@@ -296,7 +279,8 @@ def check_lemma1(po: EnforcedOrder) -> bool:
     c, d, any enforced pair between their events forces some response
     of c before the invocation of d."""
     po.validate()
-    return _lemma_witness(_instances(po.universe), po.successors()) is None
+    return _serialise_witness(_instances(po.universe), po.successors(),
+                              _ALL) is None
 
 
 # --- export ---
