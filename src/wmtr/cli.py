@@ -86,6 +86,11 @@ def _emit(text: str, out: Optional[str]) -> None:
         print(text)
 
 
+def _observable(o) -> str:
+    """An observable behaviour as `thread.var=value` words."""
+    return " ".join(f"{th}.{var}={val}" for th, var, val in o)
+
+
 def cmd_explore(args) -> int:
     p = _load_client(args.client)
     obj = _chosen_object(args)
@@ -98,8 +103,7 @@ def cmd_explore(args) -> int:
     else:
         lines = [f"model: {args.model}", f"states: {ts.states}",
                  f"observables: {len(obs)}"]
-        lines += ["  " + (" ".join(f"{th}.{v}={val}" for th, v, val in o)
-                          if o else "(empty)") for o in obs]
+        lines += ["  " + (_observable(o) or "(empty)") for o in obs]
         _emit("\n".join(lines), args.out)
     return 0
 
@@ -138,9 +142,8 @@ def cmd_check(args) -> int:
         for k, val in v.stats.items():
             print(f"  {k}: {val}")
         if v.counterexample:
-            obs = " ".join(f"{th}.{var}={val}"
-                           for th, var, val in v.counterexample.observable)
-            print(f"refuting observable: {obs}")
+            print(f"refuting observable: "
+                  f"{_observable(v.counterexample.observable)}")
             print("counterexample trace:")
             for e in v.counterexample.trace:
                 print(f"  {pretty(e)}")
@@ -158,9 +161,7 @@ def cmd_refute(args) -> int:
         print(f"verdict: {v.verdict} for all {len(clients)} clients")
         return 0
     print(f"verdict: refuted by {name}")
-    obs = " ".join(f"{th}.{var}={val}"
-                   for th, var, val in v.counterexample.observable)
-    print(f"refuting observable: {obs}")
+    print(f"refuting observable: {_observable(v.counterexample.observable)}")
     for e in v.counterexample.trace:
         print(f"  {pretty(e)}")
     if args.out:
