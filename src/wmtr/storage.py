@@ -384,6 +384,8 @@ class RELAXED(Storage):
                 (v, c, kd, ca2,
                  cov | sum(1 << j for j, p in enumerate(posv) if p < i), ob2, em)
                 for i, (v, c, kd, ca2, cov, ob2, em) in enumerate(recs))
+            # recorded as an object store: once every core has a store's
+            # record, the two are the same record
             rec = (val, k, "obj", ca, self.full, ob, False)
             return self.entry((recs + (rec,), (pos,) * len(posv)))
         bit = 1 << k
