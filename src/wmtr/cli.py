@@ -16,6 +16,7 @@ the run is inconclusive (a state outgrew the fields that hold it), 141
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -177,7 +178,10 @@ def cmd_dot(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of the command line, built once per process; parsing
+    leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="wmtr",
         description="trace exploration and refinement checking for "

@@ -567,6 +567,14 @@ ENGINES = {"impl": _Impl, "spec": _Spec, "chaos": _Chaos}
 
 # --- trace sets ---
 
+def _bits(mask: int):
+    """The positions of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass
 class TraceSet:
     """Prefix-closed set of traces, represented by the exploration graph.
@@ -652,27 +660,54 @@ class TraceSet:
         return False
 
     def observables(self) -> frozenset:
-        """All observable behaviours (sequences of program observations)."""
+        """All observable behaviours (sequences of program observations
+        `(thread, var, value)`), in one forward pass in topological order.
+
+        Each observation prefix gets an id in a trie when first seen:
+        `prefixes[i]` is the prefix with id i, and `child` maps (id,
+        observation) to the id of the prefix one observation longer.
+        `reach[s]` is the int bitmask of the ids of the prefixes that reach
+        state s; a silent or unobserving edge ORs it into its successor,
+        and an observing burst maps it through a memo keyed on (mask,
+        burst id).  A mask is dropped once its state's edges are followed.
+        Every prefix is interned on some path, at a state or at a cut
+        inside a burst, so the trie holds exactly the observables."""
         if self._obs is not None:
             return self._obs
         succ, burst_id, start, stop = self.succ, self.burst_id, self.start, self.stop
-        # per burst id: its program observations and their non-empty prefixes
+        # per burst id: its program observations
         proj = [tuple((e.step.thread, e.var, e.value) for e in burst
                       if isinstance(e, ProgObs)) for burst in self.bursts]
-        heads = [[po[:j] for j in range(1, len(po) + 1)] for po in proj]
-        suffix: List[Optional[frozenset]] = [None] * len(start)
-        for s in reversed(self.topo()):
-            acc = {()}
+        prefixes: List[tuple] = [()]
+        child: Dict[tuple, int] = {}
+        memo: Dict[tuple, int] = {}
+
+        def extend(mask: int, po: tuple) -> int:
+            out = 0
+            for i in _bits(mask):
+                for o in po:
+                    j = child.get((i, o))
+                    if j is None:
+                        j = child[i, o] = len(prefixes)
+                        prefixes.append(prefixes[i] + (o,))
+                    i = j
+                out |= 1 << i
+            return out
+
+        reach = [0] * len(start)
+        reach[self.root] = 1
+        for s in self.topo():
+            mask, reach[s] = reach[s], 0
             for k in range(start[s], stop[s]):
                 b = burst_id[k]
-                po = proj[b]
-                if po:
-                    acc.update(heads[b])
-                    acc.update([po + t for t in suffix[succ[k]]])
+                if proj[b]:
+                    after = memo.get((mask, b))
+                    if after is None:
+                        after = memo[mask, b] = extend(mask, proj[b])
+                    reach[succ[k]] |= after
                 else:
-                    acc.update(suffix[succ[k]])
-            suffix[s] = frozenset(acc)
-        self._obs = suffix[self.root]
+                    reach[succ[k]] |= mask
+        self._obs = frozenset(prefixes)
         return self._obs
 
     def empirical_pairs(self) -> frozenset:
@@ -708,15 +743,8 @@ class TraceSet:
                 s2 = succ[k]
                 prior = reach[s2]
                 reach[s2] = here if prior is None else prior & here
-        pairs = set()
-        for x, mask in enumerate(before):
-            b = events[x]
-            mask &= ~(1 << x)
-            while mask:
-                low = mask & -mask
-                pairs.add((events[low.bit_length() - 1], b))
-                mask ^= low
-        return frozenset(pairs)
+        return frozenset((events[a], b) for x, b in enumerate(events)
+                         for a in _bits(before[x] & ~(1 << x)))
 
 
 class GraphView(Mapping):

@@ -6,12 +6,19 @@ direct way, and some test compares the two:
   empirical_pairs_oracle  the set-based meet over paths that
                           `TraceSet.empirical_pairs` computed before
                           event sets became bitmasks.
+  observables_oracle      the backward suffix-set pass that
+                          `TraceSet.observables` computed before it became
+                          a forward pass over interned prefixes.
   from_traces             the empirical enforced order of an explicit
                           trace set, straight from its definition.
   materialize, sample     the explicit trace set of an exploration graph,
                           and random walks through it.
   traces_upto             the traces of an exploration graph up to a
                           length, by a forward search.
+  least_refuting_trace    the least trace of an exploration graph, by
+                          (length, event JSON), whose observable is in a
+                          given set: the canonical counterexample of
+                          `check_wmtr`, by a per-length search.
   oracle_sc               brute-force SC traces of assignment-only
                           clients, with no use of the exploration engine.
   spec_histories          the object histories a specification admits,
@@ -26,6 +33,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 from wmtr.events import (
     Event, History, Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId, Trace,
+    event_to_json, observable_of,
 )
 from wmtr.memmodel import ExploreConfig, run_spec_body, writes_shared
 from wmtr.porder import EnforcedOrder
@@ -53,6 +61,22 @@ def empirical_pairs_oracle(ts) -> frozenset:
             if a != b:
                 pairs.add((a, b))
     return frozenset(pairs)
+
+
+def observables_oracle(ts) -> frozenset:
+    """Every observable behaviour of `ts`: per state, from the last in
+    topological order back to the root, the set of the observation
+    sequences of the traces that start there, cuts inside bursts
+    included."""
+    suffix: Dict[int, frozenset] = {}
+    for s in reversed(ts.topo()):
+        acc = {()}
+        for burst, s2 in ts.graph[s]:
+            po = observable_of(burst)
+            acc.update(po[:j] for j in range(1, len(po)))
+            acc.update(po + t for t in suffix[s2])
+        suffix[s] = frozenset(acc)
+    return suffix[ts.root]
 
 
 def from_traces(universe: Iterable[Event], traces: Iterable[Sequence[Event]]) -> EnforcedOrder:
@@ -128,6 +152,55 @@ def traces_upto(ts, n: int, max_pairs: int = 100_000) -> frozenset:
                 seen.add(nxt)
                 stack.append(nxt)
     return frozenset(out)
+
+
+def least_refuting_trace(ts, bad, n: int) -> Optional[Trace]:
+    """The least trace of `ts` by (length, event JSON) whose observable
+    lies in `bad`, among those of at most `n` events; None if there is
+    none.  Level by level over the lengths 0..n, it keeps per (state,
+    observable so far) only the least trace of exactly that length:
+    extending two traces of one length by the same events keeps their
+    order, so no other trace through that pair can come first.  A cut
+    inside a burst is a candidate of its own length; a pair whose
+    observable begins no member of `bad` is dropped.  A silent edge keeps
+    the length, so each level is closed under silent edges first."""
+    bad = frozenset(bad)
+    heads = {o[:j] for o in bad for j in range(len(o) + 1)}
+    # per length: (state, observable) -> (event JSON, trace), the least
+    levels: List[Dict[tuple, tuple]] = [{} for _ in range(n + 1)]
+    cuts: List[list] = [[] for _ in range(n + 1)]
+
+    def offer(length, at, key, trace) -> bool:
+        old = levels[length].get(at)
+        if old is None or key < old[0]:
+            levels[length][at] = (key, trace)
+            return True
+        return False
+
+    offer(0, (ts.root, ()), (), ())
+    for length, level in enumerate(levels):
+        todo = list(level)
+        while todo:
+            s, obs = at = todo.pop()
+            least = level[at]
+            for burst, s2 in ts.graph[s]:
+                if not burst and offer(length, (s2, obs), *least):
+                    todo.append((s2, obs))
+                (key, trace), o = least, obs
+                for j, e in enumerate(burst[:n - length], 1):
+                    key, trace = key + (event_to_json(e),), trace + (e,)
+                    o += observable_of((e,))
+                    if o not in heads:
+                        break
+                    if j == len(burst):
+                        offer(length + j, (s2, o), key, trace)
+                    elif o in bad:
+                        cuts[length + j].append((key, trace))
+        found = cuts[length] + [v for (_, o), v in level.items() if o in bad]
+        if found:
+            return min(found)[1]
+        levels[length] = {}
+    return None
 
 
 def sample(ts, n: int, seed: int = 0) -> List[Trace]:

@@ -6,6 +6,7 @@ import hashlib
 import json
 import re
 import weakref
+from array import array
 from itertools import permutations
 from types import SimpleNamespace
 
@@ -19,8 +20,8 @@ from wmtr.events import (
 )
 from wmtr import memmodel, storage
 from wmtr.memmodel import (
-    BurstTable, ExploreConfig, Model, _build, chaos_outputs, covert_ops,
-    enforced_order, enforced_order_of, explore,
+    BurstTable, ExploreConfig, Model, TraceSet, _build, chaos_outputs,
+    covert_ops, enforced_order, enforced_order_of, explore,
 )
 from wmtr.porder import check_axioms, check_lemma1
 from wmtr.program import empty_object, events_of_program, parse
@@ -31,8 +32,8 @@ from conftest import (
     writes_client,
 )
 from oracles import (
-    empirical_pairs_oracle, from_traces, materialize, oracle_sc, sample,
-    traces_upto,
+    empirical_pairs_oracle, from_traces, least_refuting_trace, materialize,
+    observables_oracle, oracle_sc, sample, traces_upto,
 )
 
 
@@ -1214,6 +1215,23 @@ class TestLongRuns:
         for n in range(max(map(len, traces)) + 2):
             assert traces_upto(ts, n) == {t for t in traces if len(t) <= n}
 
+    # SB under RELAXED has 27,723 traces: MP keeps the materialized set small
+    @pytest.mark.parametrize("text,model", [
+        (SB, Model.SC), (SB, Model.TSO), (MP, Model.RELAXED)],
+        ids=["sb-sc", "sb-tso", "mp-relaxed"])
+    def test_least_refuting_trace_agrees_with_the_materialized_set(
+            self, text, model):
+        ts = explore(parse(text), empty_object(),
+                     cfg(model, values=1, buffer=1))
+        least = {}
+        for t in sorted(materialize(ts), reverse=True,
+                        key=lambda t: (len(t), [event_to_json(e) for e in t])):
+            least[observable_of(t)] = t
+        for o in ts.observables() - {()}:
+            n = len(least[o])
+            assert least_refuting_trace(ts, {o}, n) == least[o]
+            assert least_refuting_trace(ts, {o}, n - 1) is None
+
 
 _key_kinds = st.sampled_from([
     st.integers(-3, 3),
@@ -1452,6 +1470,39 @@ def test_graph_passes_match_materialized_traces(text):
             assert ts.empirical_pairs() == empirical_pairs_oracle(ts)
             assert ts.observables() == {observable_of(t) for t in traces}
             assert all(t in ts for t in traces)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fenced_clients(loops=True, conds=True))
+def test_observables_match_the_suffix_set_oracle(text):
+    """The forward pass over interned prefixes and the backward pass over
+    per-state suffix sets give the same observables; the oracle stays
+    polynomial in the graph where `materialize` would refuse."""
+    p = parse(text)
+    for model, bounds in ((Model.SC, {}), (Model.TSO, {"buffer": 1}),
+                          (Model.RELAXED, {})):
+        for mode in ("chaos", "impl"):
+            ts = _build(p, empty_object(), cfg(model, values=2, **bounds), mode)
+            assert ts.observables() == observables_oracle(ts)
+
+
+@settings(max_examples=20, deadline=None)
+@given(object_clients())
+def test_object_observables_match_the_suffix_set_oracle(client):
+    p, obj = parse(client[1]), parse(corpus_text(client[0]))
+    for model in Model:
+        ts = explore(p, obj, cfg(model, values=1, buffer=1))
+        assert ts.observables() == observables_oracle(ts)
+
+
+def test_a_cut_between_two_observations_is_observable():
+    """No engine burst carries two program observations, so only this
+    hand-built graph pins the cut between them."""
+    x1, y1 = (ProgObs(StepId("T", f"{v}:=1", 0), v, 1) for v in "xy")
+    ts = TraceSet(0, frozenset(), [(), (x1, y1)], array("i", [1]),
+                  array("i", [1]), array("i", [0, 1]), array("i", [1, 1]))
+    want = {(), (("T", "x", 1),), (("T", "x", 1), ("T", "y", 1))}
+    assert ts.observables() == observables_oracle(ts) == want
 
 
 class _Forgetful(dict):

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import event, example, given, settings
 
-from wmtr.events import ProgObs, check_wellformed, event_to_json, observable_of
+from wmtr.events import check_wellformed, observable_of
 from wmtr.memmodel import ExploreConfig, Model, explore
 from wmtr.refine import (
     _minimal_refuting_trace, check_wmtr, refute_object_refinement,
@@ -11,7 +11,7 @@ from wmtr.refine import (
 from wmtr.program import parse
 
 from conftest import corpus_text, object_clients, tso_spinlock_witness
-from oracles import sample, traces_upto
+from oracles import least_refuting_trace, sample
 
 
 def load(name):
@@ -176,14 +176,9 @@ def test_random_refutations_get_the_canonical_counterexample(client):
         if v.holds:
             event(f"{model.value}: holds")
             continue
-        try:
-            traces = traces_upto(explore(p, impl, cfg),
-                                 len(v.counterexample.trace), max_pairs=20_000)
-        except ValueError:
-            event(f"{model.value}: refuted, too many traces to compare")
-            continue
-        spec_obs = explore(p, spec, cfg).observables()
-        canonical = min((t for t in traces if observable_of(t) not in spec_obs),
-                        key=lambda t: (len(t), [event_to_json(e) for e in t]))
+        ts_impl = explore(p, impl, cfg)
+        bad = ts_impl.observables() - explore(p, spec, cfg).observables()
+        canonical = least_refuting_trace(ts_impl, bad,
+                                         len(v.counterexample.trace))
         assert v.counterexample.trace == canonical, model
         event(f"{model.value}: refuted, compared")
