@@ -567,14 +567,6 @@ ENGINES = {"impl": _Impl, "spec": _Spec, "chaos": _Chaos}
 
 # --- trace sets ---
 
-def _bits(mask: int):
-    """The positions of the set bits of `mask`, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 @dataclass
 class TraceSet:
     """Prefix-closed set of traces, represented by the exploration graph.
@@ -684,7 +676,10 @@ class TraceSet:
 
         def extend(mask: int, po: tuple) -> int:
             out = 0
-            for i in _bits(mask):
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                i = low.bit_length() - 1
                 for o in po:
                     j = child.get((i, o))
                     if j is None:
@@ -743,8 +738,15 @@ class TraceSet:
                 s2 = succ[k]
                 prior = reach[s2]
                 reach[s2] = here if prior is None else prior & here
-        return frozenset((events[a], b) for x, b in enumerate(events)
-                         for a in _bits(before[x] & ~(1 << x)))
+        pairs = set()
+        for x, mask in enumerate(before):
+            b = events[x]
+            mask &= ~(1 << x)
+            while mask:
+                low = mask & -mask
+                pairs.add((events[low.bit_length() - 1], b))
+                mask ^= low
+        return frozenset(pairs)
 
 
 class GraphView(Mapping):
