@@ -178,10 +178,8 @@ def cmd_dot(args) -> int:
     return 0
 
 
-@functools.cache
+@functools.cache  # parsing leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of the command line, built once per process; parsing
-    leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="wmtr",
         description="trace exploration and refinement checking for "
