@@ -2,12 +2,11 @@
 
 Five event kinds: program steps, program-step observations, operation
 invocations, operation responses, and operation observations.  A trace
-is a finite sequence of pairwise distinct events subject to the
-wellformedness conditions checked by `check_wellformed`: a response
-needs a prior invocation of the same operation instance, an operation
-observation needs a prior response and carries the same output value,
-and a step observation needs a prior occurrence of the global-writing
-step it observes.
+is a finite sequence of pairwise distinct events subject to
+wellformedness conditions: a response needs a prior invocation of the
+same operation instance, an operation observation needs a prior
+response and carries the same output value, and a step observation
+needs a prior occurrence of the global-writing step it observes.
 
 Values are small non-negative integers; the missing value (bottom) is
 ``None``.  Identity of repeated calls and steps is made structural by
@@ -96,65 +95,6 @@ def is_program_event(e: Event) -> bool:
     return isinstance(e, _PROG_KINDS)
 
 
-@dataclass(frozen=True, slots=True)
-class WfVerdict:
-    ok: bool
-    index: Optional[int] = None
-    reason: Optional[str] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-WF_OK = WfVerdict(True)
-
-
-def check_wellformed(t: Sequence[Event]) -> WfVerdict:
-    """Single pass over the trace; reports the first offending index."""
-    inv_seen: dict = {}
-    res_seen: dict = {}
-    obs_seen: set = set()
-    step_seen: dict = {}
-    sobs_seen: set = set()
-    for i, e in enumerate(t):
-        if isinstance(e, ProgStep):
-            if e.step in step_seen:
-                return WfVerdict(False, i, "duplicate program step")
-            step_seen[e.step] = e.write
-        elif isinstance(e, ProgObs):
-            if e.step not in step_seen:
-                return WfVerdict(False, i, "observation without step")
-            if e.step in sobs_seen:
-                return WfVerdict(False, i, "duplicate step observation")
-            w = step_seen[e.step]
-            if w is None:
-                return WfVerdict(False, i, "observation of a non-writing step")
-            if w != (e.var, e.value):
-                return WfVerdict(False, i, "observation differs from the write")
-            sobs_seen.add(e.step)
-        elif isinstance(e, Inv):
-            if e.op in inv_seen:
-                return WfVerdict(False, i, "duplicate invocation")
-            inv_seen[e.op] = e.arg
-        elif isinstance(e, Res):
-            if e.op not in inv_seen:
-                return WfVerdict(False, i, "response without invocation")
-            if e.op in res_seen:
-                return WfVerdict(False, i, "duplicate response")
-            res_seen[e.op] = e.out
-        elif isinstance(e, OpObs):
-            if e.op not in res_seen:
-                return WfVerdict(False, i, "observation without response")
-            if e.op in obs_seen:
-                return WfVerdict(False, i, "duplicate operation observation")
-            if res_seen[e.op] != e.out:
-                return WfVerdict(False, i, "observation value differs from response")
-            obs_seen.add(e.op)
-        else:
-            return WfVerdict(False, i, "unknown event kind")
-    return WF_OK
-
-
 def observable_of(t: Sequence[Event]) -> Observable:
     """The (thread, variable, value) triples of the trace's step
     observations, in trace order."""
@@ -185,31 +125,8 @@ def event_to_record(e: Event) -> dict:
     raise TypeError(f"not an event: {e!r}")
 
 
-def event_from_record(d: dict) -> Event:
-    kind = d["kind"]
-    if kind == "step":
-        sid = StepId(d["thread"], d["label"], d["instance"])
-        if d.get("var") is None:
-            return ProgStep(sid, None)
-        return ProgStep(sid, (d["var"], d["value"]))
-    if kind == "obs-step":
-        return ProgObs(StepId(d["thread"], d["label"], d["instance"]),
-                       d["var"], d["value"])
-    if kind == "inv":
-        return Inv(OpId(d["thread"], d["op"], d["instance"]), d["value"])
-    if kind == "res":
-        return Res(OpId(d["thread"], d["op"], d["instance"]), d["value"])
-    if kind == "obs-op":
-        return OpObs(OpId(d["thread"], d["op"], d["instance"]), d["value"])
-    raise ValueError(f"unknown event kind {kind!r}")
-
-
 def event_to_json(e: Event) -> str:
     return json.dumps(event_to_record(e), sort_keys=True, separators=(",", ":"))
-
-
-def event_from_json(line: str) -> Event:
-    return event_from_record(json.loads(line))
 
 
 def trace_to_lines(t: Sequence[Event]) -> str:

@@ -824,10 +824,7 @@ def enforced_order(p: ClientProgram, obj: ObjectDef,
 
 def enforced_order_of(ts: TraceSet) -> EnforcedOrder:
     """Enforced order of an object-free ("chaos") exploration."""
-    universe = ts.universe
-    pairs = frozenset((a, b) for a, b in ts.empirical_pairs()
-                      if a in universe and b in universe)
-    po = EnforcedOrder(universe, pairs)
+    po = EnforcedOrder(ts.universe, ts.empirical_pairs())
     po.validate()
     return po
 

@@ -4,7 +4,7 @@ An enforced order collects the orderings that every execution of a
 program under a given memory model must respect: an irreflexive,
 transitively closed relation over a finite event set.  Because a trace
 may stop early, a pair (a, b) only binds a trace in which b actually
-occurs; that is what `allows` checks.
+occurs.
 
 `memmodel.enforced_order` builds the empirical enforced order of an
 explored trace set: (a, b) is included when b occurs in at least one
@@ -24,21 +24,22 @@ or observation are grouped, membership is existential over variants):
   * order into an observation serialises: an event of operation c
     enforced before an observation of d forces res(c) before inv(d).
 
-`check_lemma1` checks the derived cross-operation serialization law:
-any enforced order between events of two distinct operations forces
-res of the first before inv of the second.  The law follows from the
-four above only for relations that also order each operation's own
-events in stage order (inv, then res, then obs), which empirical
-orders of real trace sets always do; `test_porder` keeps a small
-relation witnessing that the laws alone do not entail it.
+The derived cross-operation serialization law is reported with them,
+and `check_lemma1` checks it alone: any enforced order between events
+of two distinct operations forces res of the first before inv of the
+second.  The law follows from the four above only for relations that
+also order each operation's own events in stage order (inv, then res,
+then obs), which empirical orders of real trace sets always do;
+`test_porder` keeps a small relation witnessing that the laws alone do
+not entail it.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter
-from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from .events import (
     Event,
@@ -47,7 +48,6 @@ from .events import (
     OpObs,
     Res,
     event_to_json,
-    event_to_record,
     is_object_event,
     is_program_event,
     pretty,
@@ -58,78 +58,53 @@ Pair = Tuple[Event, Event]
 
 @dataclass(frozen=True)
 class EnforcedOrder:
+    """The maps and keys below are built once per order, on first use,
+    and are shared by every reader: treat them as read-only.  The maps
+    are keyed by the universe, so they need every pair within it."""
+
     universe: FrozenSet[Event]
     pairs: FrozenSet[Pair]
+
+    @cached_property
+    def successors(self) -> Dict[Event, Set[Event]]:
+        out: Dict[Event, Set[Event]] = {e: set() for e in self.universe}
+        for a, b in self.pairs:
+            out[a].add(b)
+        return out
+
+    @cached_property
+    def predecessors(self) -> Dict[Event, Set[Event]]:
+        out: Dict[Event, Set[Event]] = {e: set() for e in self.universe}
+        for a, b in self.pairs:
+            out[b].add(a)
+        return out
+
+    @cached_property
+    def keys(self) -> Dict[Event, str]:
+        """Each event's JSON line: the order that sorts events, witnesses
+        and serialisations."""
+        return {e: event_to_json(e) for e in self.universe}
 
     def validate(self) -> None:
         """Raise unless pairs form an irreflexive transitively closed
         relation within the universe; the message names the first
-        offending pair or path in `_key` order."""
+        offending pair or path in key order."""
         u = self.universe
         bad = [p for p in self.pairs if p[0] not in u or p[1] not in u
                or p[0] == p[1]]
         if bad:
-            a, b = min(bad, key=_pair_key)
+            # events outside the universe have no key of the order's own
+            a, b = min(bad, key=lambda p: tuple(map(event_to_json, p)))
             if a not in u or b not in u:
                 raise ValueError(f"pair outside universe: {pretty(a)} -> {pretty(b)}")
             raise ValueError(f"reflexive pair: {pretty(a)}")
-        succ: Dict[Event, set] = {}
-        for a, b in self.pairs:
-            succ.setdefault(a, set()).add(b)
-        gaps = [(a, b, c) for a, bs in succ.items() for b in bs
-                for c in succ.get(b, set()) - bs]
+        succ = self.successors
+        gaps = [(a, b, c) for a, b in self.pairs for c in succ[b] - succ[a]]
         if gaps:
-            a, b, c = min(gaps, key=lambda t: tuple(map(_key, t)))
+            a, b, c = min(gaps, key=lambda t: tuple(map(self.keys.get, t)))
             raise ValueError(
                 f"not transitive: {pretty(a)} -> {pretty(b)} -> {pretty(c)}"
             )
-
-    def successors(self) -> Dict[Event, FrozenSet[Event]]:
-        out: Dict[Event, set] = {e: set() for e in self.universe}
-        for a, b in self.pairs:
-            out[a].add(b)
-        return {e: frozenset(s) for e, s in out.items()}
-
-    def predecessors(self) -> Dict[Event, FrozenSet[Event]]:
-        out: Dict[Event, set] = {e: set() for e in self.universe}
-        for a, b in self.pairs:
-            out[b].add(a)
-        return {e: frozenset(s) for e, s in out.items()}
-
-
-def closure(universe: Iterable[Event], pairs: Iterable[Pair]) -> EnforcedOrder:
-    """Transitively close the given pairs over the universe."""
-    u = frozenset(universe)
-    succ: Dict[Event, set] = {}
-    for a, b in pairs:
-        succ.setdefault(a, set()).add(b)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(succ):
-            new = set()
-            for b in succ[a]:
-                new |= succ.get(b, set())
-            if not new <= succ[a]:
-                succ[a] |= new
-                changed = True
-    closed = frozenset((a, b) for a, bs in succ.items() for b in bs)
-    return EnforcedOrder(u, closed)
-
-
-def allows(po: EnforcedOrder, t: Sequence[Event]) -> bool:
-    """True iff every pair (a, b) of po whose b occurs in t has a
-    occurring earlier in t.  Pairs whose right element is absent do not
-    bind: the trace may simply have stopped before b."""
-    pos = {e: i for i, e in enumerate(t)}
-    for a, b in po.pairs:
-        j = pos.get(b)
-        if j is None:
-            continue
-        i = pos.get(a)
-        if i is None or i >= j:
-            return False
-    return True
 
 
 # --- ordering laws ---
@@ -174,16 +149,17 @@ class _Instance:
         return self.invs + self.ress + self.obss
 
 
-# the target events of the two serialisation laws: an operation's
-# observations, or all its events
-_OBSS, _ALL = attrgetter("obss"), attrgetter("all")
+# an operation's events of one stage, or all of them: the sides of the
+# agreement laws and the targets of the serialisation laws
+_INVS, _RESS, _OBSS, _ALL = map(attrgetter, ("invs", "ress", "obss", "all"))
 
 
-def _instances(universe: Iterable[Event]) -> Dict[OpId, _Instance]:
-    """The operation instances of `universe` in OpId order, each one's
-    events in `_key` order, so witnesses do not follow set order."""
+def _instances(po: EnforcedOrder) -> Dict[OpId, _Instance]:
+    """The operation instances of the order's universe in OpId order,
+    each one's events in key order, so witnesses do not follow set
+    order."""
     groups: Dict[OpId, Dict[type, list]] = {}
-    for e in sorted((e for e in universe if is_object_event(e)), key=_key):
+    for e in sorted(filter(is_object_event, po.universe), key=po.keys.get):
         groups.setdefault(e.op, {Inv: [], Res: [], OpObs: []})[type(e)].append(e)
     return {
         op: _Instance(tuple(g[Inv]), tuple(g[Res]), tuple(g[OpObs]))
@@ -195,73 +171,54 @@ def _instances(universe: Iterable[Event]) -> Dict[OpId, _Instance]:
 def check_axioms(po: EnforcedOrder) -> AxiomReport:
     """Exhaustively check the four ordering laws plus the derived
     cross-operation law over the universe; the first witness of each
-    violation, in OpId and `_key` order, is reported."""
+    violation, in OpId and key order, is reported."""
     po.validate()
-    succ = po.successors()
-    pred = po.predecessors()
-    insts = _instances(po.universe)
+    insts = _instances(po)
+    witnesses = (
+        # something enforced after the invocation iff after the response
+        (LAW_INV_RES_SUCC, _agreement_witness(po, insts, _INVS, _RESS, True)),
+        # something enforced before the response iff before the invocation
+        (LAW_RES_INV_PRED, _agreement_witness(po, insts, _RESS, _INVS, False)),
+        # a program event enforced before the observation iff before the
+        # invocation
+        (LAW_OBS_INV_PROG_PRED, _agreement_witness(
+            po, insts, _OBSS, _INVS, False, is_program_event)),
+        # an event of c enforced before an observation of d forces
+        # res(c) < inv(d)
+        (LAW_OBS_SERIALISES, _serialise_witness(po, insts, _OBSS)),
+        # an event of c enforced before any event of d forces res(c) < inv(d)
+        (LAW_CROSS_OP, _serialise_witness(po, insts, _ALL)),
+    )
+    return AxiomReport(tuple(LawCheck(name, wit is None, wit)
+                             for name, wit in witnesses))
 
-    def union(events, of):
-        out = set()
-        for e in events:
-            out |= of[e]
-        return out
 
-    checks = []
-
-    # something enforced after the invocation iff after the response
-    wit = None
-    for op, g in insts.items():
+def _agreement_witness(po, insts, side, other, after: bool,
+                       keep=lambda e: True) -> Optional[Pair]:
+    """The first event, in OpId and key order, outside an operation and
+    passing `keep` that is enforced after (or, unless `after`, before)
+    the operation's `side` events but not its `other` ones, or the other
+    way round; the witness pairs it with the first event of the side it
+    is ordered with, in the order's direction.  None when there is none."""
+    near = po.successors if after else po.predecessors
+    for g in insts.values():
         own = set(g.all)
-        inv_succ = union(g.invs, succ)
-        res_succ = union(g.ress, succ)
-        diff = [e for e in inv_succ ^ res_succ if e not in own]
+        one = set().union(*(near[e] for e in side(g)))
+        two = set().union(*(near[e] for e in other(g)))
+        diff = [e for e in one ^ two if e not in own and keep(e)]
         if diff:
-            e = min(diff, key=_key)
-            wit = (g.invs[0] if e in inv_succ else g.ress[0], e)
-            break
-    checks.append(LawCheck(LAW_INV_RES_SUCC, wit is None, wit))
-
-    # something enforced before the response iff before the invocation
-    wit = None
-    for op, g in insts.items():
-        own = set(g.all)
-        res_pred = union(g.ress, pred)
-        inv_pred = union(g.invs, pred)
-        diff = [e for e in res_pred ^ inv_pred if e not in own]
-        if diff:
-            e = min(diff, key=_key)
-            wit = (e, g.ress[0] if e in res_pred else g.invs[0])
-            break
-    checks.append(LawCheck(LAW_RES_INV_PRED, wit is None, wit))
-
-    # a program event enforced before the observation iff before the invocation
-    wit = None
-    for op, g in insts.items():
-        obs_pred = {e for e in union(g.obss, pred) if is_program_event(e)}
-        inv_pred = {e for e in union(g.invs, pred) if is_program_event(e)}
-        diff = obs_pred ^ inv_pred
-        if diff:
-            e = min(diff, key=_key)
-            wit = (e, g.obss[0] if e in obs_pred else g.invs[0])
-            break
-    checks.append(LawCheck(LAW_OBS_INV_PROG_PRED, wit is None, wit))
-
-    # an event of c enforced before an observation of d forces res(c) < inv(d)
-    wit = _serialise_witness(insts, succ, _OBSS)
-    checks.append(LawCheck(LAW_OBS_SERIALISES, wit is None, wit))
-
-    # an event of c enforced before any event of d forces res(c) < inv(d)
-    wit = _serialise_witness(insts, succ, _ALL)
-    checks.append(LawCheck(LAW_CROSS_OP, wit is None, wit))
-    return AxiomReport(tuple(checks))
+            e = min(diff, key=po.keys.get)
+            end = side(g)[0] if e in one else other(g)[0]
+            return (end, e) if after else (e, end)
+    return None
 
 
-def _serialise_witness(insts, succ, targets) -> Optional[Pair]:
+def _serialise_witness(po, insts, targets) -> Optional[Pair]:
     """The first pair (e, t), in OpId and event order, of an event e of
     an operation c enforced before an event t in `targets(d)` of another
     operation d where no response of c is enforced before an invocation
     of d; None when there is none."""
+    succ = po.successors
     for c, gc in insts.items():
         for d, gd in insts.items():
             if c == d:
@@ -279,49 +236,36 @@ def check_lemma1(po: EnforcedOrder) -> bool:
     c, d, any enforced pair between their events forces some response
     of c before the invocation of d."""
     po.validate()
-    return _serialise_witness(_instances(po.universe), po.successors(),
-                              _ALL) is None
+    return _serialise_witness(po, _instances(po), _ALL) is None
 
 
 # --- export ---
 
 def transitive_reduction(po: EnforcedOrder) -> FrozenSet[Pair]:
-    pairs = po.pairs
-    return frozenset(
-        (a, c)
-        for a, c in pairs
-        if not any((a, b) in pairs and (b, c) in pairs for b in po.universe)
-    )
-
-
-def _key(e: Event) -> str:
-    return event_to_json(e)
-
-
-def _pair_key(p: Pair) -> Tuple[str, str]:
-    return _key(p[0]), _key(p[1])
+    succ, pred = po.successors, po.predecessors
+    return frozenset((a, c) for a, c in po.pairs if not succ[a] & pred[c])
 
 
 def to_dot(po: EnforcedOrder, name: str = "order") -> str:
     """DOT digraph of the transitive reduction."""
-    nodes = sorted(po.universe, key=_key)
+    keys = po.keys
+    nodes = sorted(po.universe, key=keys.get)
     ids = {e: f"n{i}" for i, e in enumerate(nodes)}
     lines = [f"digraph {name} {{"]
     for e in nodes:
         lines.append(f'  {ids[e]} [label="{pretty(e)}"];')
-    for a, b in sorted(transitive_reduction(po), key=_pair_key):
+    for a, b in sorted(transitive_reduction(po),
+                       key=lambda p: (keys[p[0]], keys[p[1]])):
         lines.append(f"  {ids[a]} -> {ids[b]};")
     lines.append("}")
     return "\n".join(lines)
 
 
 def order_to_lines(po: EnforcedOrder) -> str:
-    """Edge-list serialization: one JSON record per line, nodes first."""
-    out = []
-    for e in sorted(po.universe, key=_key):
-        out.append(json.dumps({"node": event_to_record(e)},
-                              sort_keys=True, separators=(",", ":")))
-    for a, b in sorted(po.pairs, key=_pair_key):
-        out.append(json.dumps({"edge": [event_to_record(a), event_to_record(b)]},
-                              sort_keys=True, separators=(",", ":")))
+    """Edge-list serialization: one JSON record per line, nodes first;
+    each record is an event's key inside a compact, key-sorted object."""
+    keys = po.keys
+    out = [f'{{"node":{k}}}' for k in sorted(keys.values())]
+    out += [f'{{"edge":[{a},{b}]}}'
+            for a, b in sorted((keys[a], keys[b]) for a, b in po.pairs)]
     return "\n".join(out)

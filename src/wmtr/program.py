@@ -268,6 +268,26 @@ class _Parser:
     def at(self, kind: str) -> bool:
         return self.peek().kind == kind
 
+    def fresh_name(self, seen, what: str) -> str:
+        """The next identifier, which must not be in `seen`; a duplicate
+        is reported at its own position."""
+        t = self.expect("IDENT")
+        if t.text in seen:
+            raise ParseError(f"duplicate {what} {t.text!r}", t.line, t.col)
+        return t.text
+
+    def declarations(self, keyword: str) -> Dict[str, int]:
+        """`keyword name = value;` declarations of distinct names, as
+        many as follow: a client's globals or an object's variables."""
+        out: Dict[str, int] = {}
+        while self.at(keyword):
+            self.next()
+            name = self.fresh_name(out, keyword)
+            self.expect("=")
+            out[name] = int(self.expect("INT").text)
+            self.expect(";")
+        return out
+
     # entry
 
     def file(self):
@@ -276,17 +296,7 @@ class _Parser:
         return self.client()
 
     def client(self) -> ClientProgram:
-        globals_: Dict[str, int] = {}
-        while self.at("global"):
-            self.next()
-            name = self.expect("IDENT").text
-            self.expect("=")
-            val = int(self.expect("INT").text)
-            self.expect(";")
-            if name in globals_:
-                t = self.peek()
-                raise ParseError(f"duplicate global {name!r}", t.line, t.col)
-            globals_[name] = val
+        globals_ = self.declarations("global")
         threads: Dict[str, Tuple[Stmt, ...]] = {}
         coremap: Dict[str, str] = {}
         t = self.peek()
@@ -295,9 +305,7 @@ class _Parser:
                              t.line, t.col)
         while self.at("thread"):
             self.next()
-            tname = self.expect("IDENT").text
-            if tname in threads:
-                raise ParseError(f"duplicate thread {tname!r}", t.line, t.col)
+            tname = self.fresh_name(threads, "thread")
             core = tname
             if self.at("core"):
                 self.next()
@@ -316,20 +324,11 @@ class _Parser:
         else:
             raise ParseError(f"expected 'spec' or 'impl', found {t.text!r}", t.line, t.col)
         self.expect("{")
-        shared: Dict[str, int] = {}
-        while self.at("var"):
-            self.next()
-            name = self.expect("IDENT").text
-            self.expect("=")
-            val = int(self.expect("INT").text)
-            self.expect(";")
-            shared[name] = val
+        shared = self.declarations("var")
         ops: Dict[str, OpDef] = {}
         while self.at("op"):
-            tok = self.next()
-            name = self.expect("IDENT").text
-            if name in ops:
-                raise ParseError(f"duplicate operation {name!r}", tok.line, tok.col)
+            self.next()
+            name = self.fresh_name(ops, "operation")
             self.expect("(")
             param = None
             if self.at("IDENT"):

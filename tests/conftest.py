@@ -1,6 +1,6 @@
 """Hand-built reference traces shared across the test modules, random
-clients more than one module draws, and readers and views of the
-library's formats that only tests use.
+clients more than one module draws, the wellformedness check of traces,
+and readers and views of the library's formats that only tests use.
 
 Both traces were written out event by event from the intended machine
 behaviour and serve as ground truth: wellformedness, projections,
@@ -9,15 +9,16 @@ engine's output are all checked against them.
 """
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Optional, Sequence
 
 from hypothesis import settings
 from hypothesis import strategies as st
 
 from wmtr.events import (
     Event, History, Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId, Trace,
-    check_wellformed, event_from_json, event_from_record, is_object_event,
+    is_object_event,
 )
 from wmtr.memmodel import chaos_outputs
 from wmtr.porder import EnforcedOrder
@@ -33,6 +34,100 @@ settings.register_profile("ci", print_blob=True)
 
 def corpus_text(name: str) -> str:
     return (CORPUS / name).read_text()
+
+
+# client/object pairs whose enforced orders the ordering laws are checked on
+ORDER_PAIRS = [
+    ("fig2_client.wm", "fig2_object.wm"),
+    ("fig4_client.wm", "spinlock_impl.wm"),
+    ("fig5_client.wm", "spinlock_impl.wm"),
+    ("fig5_notry_client.wm", "spinlock_impl_notry.wm"),
+    ("fig6_client.wm", "spinlock_impl.wm"),
+]
+
+
+# --- wellformedness of traces and the readers of event JSON ---
+
+@dataclass(frozen=True, slots=True)
+class WfVerdict:
+    ok: bool
+    index: Optional[int] = None
+    reason: Optional[str] = None
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+WF_OK = WfVerdict(True)
+
+
+def check_wellformed(t: Sequence[Event]) -> WfVerdict:
+    """Single pass over the trace; reports the first offending index."""
+    inv_seen: dict = {}
+    res_seen: dict = {}
+    obs_seen: set = set()
+    step_seen: dict = {}
+    sobs_seen: set = set()
+    for i, e in enumerate(t):
+        if isinstance(e, ProgStep):
+            if e.step in step_seen:
+                return WfVerdict(False, i, "duplicate program step")
+            step_seen[e.step] = e.write
+        elif isinstance(e, ProgObs):
+            if e.step not in step_seen:
+                return WfVerdict(False, i, "observation without step")
+            if e.step in sobs_seen:
+                return WfVerdict(False, i, "duplicate step observation")
+            w = step_seen[e.step]
+            if w is None:
+                return WfVerdict(False, i, "observation of a non-writing step")
+            if w != (e.var, e.value):
+                return WfVerdict(False, i, "observation differs from the write")
+            sobs_seen.add(e.step)
+        elif isinstance(e, Inv):
+            if e.op in inv_seen:
+                return WfVerdict(False, i, "duplicate invocation")
+            inv_seen[e.op] = e.arg
+        elif isinstance(e, Res):
+            if e.op not in inv_seen:
+                return WfVerdict(False, i, "response without invocation")
+            if e.op in res_seen:
+                return WfVerdict(False, i, "duplicate response")
+            res_seen[e.op] = e.out
+        elif isinstance(e, OpObs):
+            if e.op not in res_seen:
+                return WfVerdict(False, i, "observation without response")
+            if e.op in obs_seen:
+                return WfVerdict(False, i, "duplicate operation observation")
+            if res_seen[e.op] != e.out:
+                return WfVerdict(False, i, "observation value differs from response")
+            obs_seen.add(e.op)
+        else:
+            return WfVerdict(False, i, "unknown event kind")
+    return WF_OK
+
+
+def event_from_record(d: dict) -> Event:
+    kind = d["kind"]
+    if kind == "step":
+        sid = StepId(d["thread"], d["label"], d["instance"])
+        if d.get("var") is None:
+            return ProgStep(sid, None)
+        return ProgStep(sid, (d["var"], d["value"]))
+    if kind == "obs-step":
+        return ProgObs(StepId(d["thread"], d["label"], d["instance"]),
+                       d["var"], d["value"])
+    if kind == "inv":
+        return Inv(OpId(d["thread"], d["op"], d["instance"]), d["value"])
+    if kind == "res":
+        return Res(OpId(d["thread"], d["op"], d["instance"]), d["value"])
+    if kind == "obs-op":
+        return OpObs(OpId(d["thread"], d["op"], d["instance"]), d["value"])
+    raise ValueError(f"unknown event kind {kind!r}")
+
+
+def event_from_json(line: str) -> Event:
+    return event_from_record(json.loads(line))
 
 
 # --- test-only readers and views of traces and orders ---

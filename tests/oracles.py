@@ -1,7 +1,7 @@
 """Reference implementations kept only to cross-check the library.
 
-Each one computes a notion the library also computes, in a second, more
-direct way, and some test compares the two:
+Each one computes a notion of the library, in a second, more direct
+way, and some test compares the two or builds on it:
 
   empirical_pairs_oracle  the set-based meet over paths that
                           `TraceSet.empirical_pairs` computed before
@@ -11,10 +11,12 @@ direct way, and some test compares the two:
                           a forward pass over interned prefixes.
   from_traces             the empirical enforced order of an explicit
                           trace set, straight from its definition.
+  closure, allows         the transitive closure of given pairs as an
+                          enforced order, and whether a trace respects
+                          an order: the meaning of an enforced order,
+                          straight from its definition.
   materialize, sample     the explicit trace set of an exploration graph,
                           and random walks through it.
-  traces_upto             the traces of an exploration graph up to a
-                          length, by a forward search.
   least_refuting_trace    the least trace of an exploration graph, by
                           (length, event JSON), whose observable is in a
                           given set: the canonical counterexample of
@@ -36,7 +38,7 @@ from wmtr.events import (
     event_to_json, observable_of,
 )
 from wmtr.memmodel import ExploreConfig, run_spec_body, writes_shared
-from wmtr.porder import EnforcedOrder
+from wmtr.porder import EnforcedOrder, Pair
 from wmtr.program import Assign, ClientProgram, ObjectDef, eval_expr, label_of
 
 
@@ -102,6 +104,41 @@ def from_traces(universe: Iterable[Event], traces: Iterable[Sequence[Event]]) ->
     return EnforcedOrder(u, pairs)
 
 
+def closure(universe: Iterable[Event], pairs: Iterable[Pair]) -> EnforcedOrder:
+    """Transitively close the given pairs over the universe."""
+    u = frozenset(universe)
+    succ: Dict[Event, set] = {}
+    for a, b in pairs:
+        succ.setdefault(a, set()).add(b)
+    changed = True
+    while changed:
+        changed = False
+        for a in list(succ):
+            new = set()
+            for b in succ[a]:
+                new |= succ.get(b, set())
+            if not new <= succ[a]:
+                succ[a] |= new
+                changed = True
+    closed = frozenset((a, b) for a, bs in succ.items() for b in bs)
+    return EnforcedOrder(u, closed)
+
+
+def allows(po: EnforcedOrder, t: Sequence[Event]) -> bool:
+    """True iff every pair (a, b) of po whose b occurs in t has a
+    occurring earlier in t.  Pairs whose right element is absent do not
+    bind: the trace may simply have stopped before b."""
+    pos = {e: i for i, e in enumerate(t)}
+    for a, b in po.pairs:
+        j = pos.get(b)
+        if j is None:
+            continue
+        i = pos.get(a)
+        if i is None or i >= j:
+            return False
+    return True
+
+
 # --- explicit trace sets of exploration graphs ---
 
 def materialize(ts, max_traces: int = 200_000) -> frozenset:
@@ -130,28 +167,6 @@ def materialize(ts, max_traces: int = 200_000) -> frozenset:
         suffix[s] = frozenset(acc)
         held += len(acc)
     return suffix[ts.root]
-
-
-def traces_upto(ts, n: int, max_pairs: int = 100_000) -> frozenset:
-    """Every trace of `ts` with at most `n` events, cuts inside bursts
-    included: a forward search over (state, trace) pairs, each visited
-    once.  Refuses, with a ValueError, to visit more than `max_pairs`."""
-    out = {()}
-    seen = {(ts.root, ())}
-    stack = [(ts.root, ())]
-    while stack:
-        s, t = stack.pop()
-        room = n - len(t)
-        for burst, s2 in ts.graph[s]:
-            out.update(t + burst[:j]
-                       for j in range(1, min(len(burst), room) + 1))
-            nxt = (s2, t + burst)
-            if len(burst) <= room and nxt not in seen:
-                if len(seen) >= max_pairs:
-                    raise ValueError("too many traces to search")
-                seen.add(nxt)
-                stack.append(nxt)
-    return frozenset(out)
 
 
 def least_refuting_trace(ts, bad, n: int) -> Optional[Trace]:

@@ -13,8 +13,7 @@ from itertools import permutations
 import genrel
 from wmtr.cli import main as cli
 from wmtr.events import (
-    OpId, OpObs, ProgObs, ProgStep, Res, StepId, check_wellformed,
-    trace_to_lines,
+    OpId, OpObs, ProgObs, ProgStep, Res, StepId, trace_to_lines,
 )
 from wmtr.memmodel import (
     ExploreConfig, Model, _build, enforced_order, explore,
@@ -23,7 +22,7 @@ from wmtr.porder import check_axioms, check_lemma1
 from wmtr.program import empty_object, parse
 from wmtr.refine import check_wmtr
 
-from conftest import corpus_text
+from conftest import check_wellformed, corpus_text
 from oracles import materialize, oracle_sc, sample
 
 

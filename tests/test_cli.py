@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output shapes, file artifacts."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,9 +11,9 @@ import pytest
 
 from wmtr import storage
 from wmtr.cli import main
-from wmtr.events import check_wellformed
-
-from conftest import CORPUS, order_from_lines, trace_from_lines
+from conftest import (
+    CORPUS, ORDER_PAIRS, check_wellformed, order_from_lines, trace_from_lines,
+)
 
 
 def C(name):
@@ -99,6 +100,89 @@ class TestAxioms:
         assert "FAIL" not in out
         po = order_from_lines(dst.read_text())
         assert len(po.pairs) > 0
+
+
+# SHA-256 of `wmtr axioms` stdout, of its `--out` file and of `wmtr dot`
+# stdout, at the default bounds, keyed (client, model): the order layer's
+# whole output, laws, witnesses and serialisations included
+ORDER_OUTPUT_DIGESTS = {
+    ("fig2_client.wm", "sc"): (
+        "2510ff236716af07487b1d4bcde36390723ff616c33ac4aa055912d358a2f0f5",
+        "411bb584567aea7f398be2cf20eaf87776ccd7a362dac7cc73070a4bad375f44",
+        "9b58d550bad77b8a3bff945ba378d5b49a9f75798b56122df1a425d1fe23b392"),
+    ("fig2_client.wm", "tso"): (
+        "5abb5988df4fb0394b9cfa37e8c17f720bfd6fdf53dffa8fca470e931dffedd5",
+        "17b29563ae1204956e392a75bab8f713a07033d132b480ba24dd9cf0c7a09462",
+        "4a1d21ddcca9888afa8fa225dc70032fb601c4f4189f0d836d16909436b3743f"),
+    ("fig2_client.wm", "relaxed"): (
+        "cdbc1c6f9b58101c0ace5c76ab329545bc8528c5004b89a4255e87141dda5e58",
+        "489d771234566858169705445f910a12115ebb25969df21cc1a9f6b6359120c5",
+        "b11e5cddeacd102086a5c507f0e1e4f011040d5372bf276a4e1935ee205ae8f1"),
+    ("fig4_client.wm", "sc"): (
+        "4ed33a0074444d13c6af5355ccba970fca9d6945fef5a6c169feaa56c4dbd434",
+        "3a58c9ad4291a7daffd9c529f4f26cb38057ca4bf48ec0a94e33d4238dcf725b",
+        "3a307c3afcabe697cdb741c974340ed30af24cd926ae6a9855aa25307494bf11"),
+    ("fig4_client.wm", "tso"): (
+        "8e3d215d751e9a4428eb339fd973378769d24cda4529a2c40773bf0c989db51d",
+        "881034b5798387de38ed11d23c8a231efd4f5db5a7f67a46211a281dc341cf9a",
+        "ed8a195e70823465d3a9ead1f4124a77a6ad2c08e2c51f1bf9aa5b795d61f0a8"),
+    ("fig4_client.wm", "relaxed"): (
+        "270fd0462a8ae31e3c2beb0f2ae81e54cc8db039ad4e70171a9783aec3aebbac",
+        "22eb5efef9f4b3e6506d561523dd78796c6391c972d8a173390c11e3b4b743a3",
+        "6f237eaaead50b9e7dc07d4a42df1c44cb25a2fb5f7099ea3be43a0737d5932d"),
+    ("fig5_client.wm", "sc"): (
+        "45851dbfdabff8af5ee93055d200adba90ae8e04f973866f25c9e655728bbeec",
+        "323dff147038692f975776491811662ec62610d932851017c3cc460c6f913d36",
+        "bc4b38ae85b94c02514ef9b16767343bd36c399652e1990fc2dc92b6276c19e1"),
+    ("fig5_client.wm", "tso"): (
+        "e7e09e386d2cac6788112170ed002bac668d64482741049bab4c85f1e8156983",
+        "89c6d72d6f22f5b5c2c8d3a0464b9f2554ff0c55b43049e91f2950d626eae80b",
+        "1aa8ac6b2cc9520409df72a1d8bd7f471e19dfe85de47111e62e9bdecb24b483"),
+    ("fig5_client.wm", "relaxed"): (
+        "eee956eb619f13bd0991fa6373b38ca726c690293a4617f246deb7cf4c63b795",
+        "4c85ab32b1dec739ce34823dc213baeec8e233d3dbe8f0ab1817de1212f09388",
+        "25effbb4b524ad69b8d9298a29edfe1d84c6bcf92f9d8fc2ea42255de03765ad"),
+    ("fig5_notry_client.wm", "sc"): (
+        "9cccb4ccf328f0bb663122413cd81fe0154a73f02ab4f50cab94e0969373ab12",
+        "d2719f67d4323aeebcf6e353de70b5bbd7ba0162b29f7c9d7630c590433f1165",
+        "b2b96ee693ead3e310e196a91933e0f7b1579acfac496e524107727e80e5c47f"),
+    ("fig5_notry_client.wm", "tso"): (
+        "1b4cab7dc7e27e6c87209f020b2d00231f42b915eb8badca1159546c70f5b0da",
+        "3741d43cad11f240520ce72eb7cc8412a1024772207248fc10f1cc76e9b484c3",
+        "d3abf5f41100319861125ff44798983c6378905876860125f7017573da352c59"),
+    ("fig5_notry_client.wm", "relaxed"): (
+        "04158cef6180b3786be3525da5d1899cfd208c493aad9c5e46b5cbee4a9a4526",
+        "72d59a40c4fedd21c3f26c2a4b41db87e20eb7c3ce93f6bcf86e014c079a1359",
+        "e686bb7fa4f609788cb779fc4b7694d5612bd744d63b26488dbb678db45f13cc"),
+    ("fig6_client.wm", "sc"): (
+        "3b678f50eb9aa48caae0cefb619079914ae126f067e894b1cda8f67afb3395fe",
+        "2a0ddf150a492b16a861bb09a2a63a099224e8363be8534880f256c0841269a3",
+        "1dd06831b1b12e5d8be81da71447f70d423dd4f2f76083f6ab45822fe7a988e0"),
+    ("fig6_client.wm", "tso"): (
+        "a78a7ec3322da413e1a3731918880096847522e840d52d89ccb66034999488cb",
+        "533d6f390c8a5be1a14431f80028bf27d18bab9908d840f1945d91240043bdff",
+        "7089203cff4fff0a6af949c21ada0ddcff5ee9218b2f93171d88460a73fb0144"),
+    ("fig6_client.wm", "relaxed"): (
+        "aa8282cf668dc04773422836efb4871310d93ac9e9cdec187e1b1461f414c130",
+        "1246040eb36a0a50a89473b537411532bff46e8a8c65f2c0dfe44950cf7c93a6",
+        "930b6c4139b8a159045b4917e5333633657371483d0a4800cbe15380adb20e0f"),
+}
+
+
+class TestOrderOutputs:
+    @pytest.mark.parametrize("client,obj,model", [
+        (client, obj, model) for client, obj in ORDER_PAIRS
+        for model in ("sc", "tso", "relaxed")])
+    def test_order_outputs_unchanged(self, client, obj, model, capsys,
+                                     tmp_path):
+        args = ("--model", model, "--client", C(client), "--impl", C(obj))
+        dst = tmp_path / "order.jsonl"
+        code, axioms, _ = run(capsys, "axioms", *args, "--out", str(dst))
+        assert code == 0
+        _, dot, _ = run(capsys, "dot", *args)
+        assert tuple(hashlib.sha256(text.encode()).hexdigest()
+                     for text in (axioms, dst.read_text(), dot)) == \
+            ORDER_OUTPUT_DIGESTS[client, model]
 
 
 class TestExploreAndDot:

@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    order_of, project_object, relaxed_counter_witness, trace_from_lines,
-    tso_spinlock_witness, wellformed_traces,
+    check_wellformed, order_of, project_object, relaxed_counter_witness,
+    trace_from_lines, tso_spinlock_witness, wellformed_traces,
 )
 from wmtr.events import (
     Inv,
@@ -14,7 +14,6 @@ from wmtr.events import (
     ProgStep,
     Res,
     StepId,
-    check_wellformed,
     event_to_json,
     observable_of,
     pretty,

@@ -15,8 +15,8 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from wmtr.events import (
-    Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId, check_wellformed,
-    event_to_json, observable_of,
+    Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId, event_to_json,
+    observable_of,
 )
 from wmtr import memmodel, storage
 from wmtr.memmodel import (
@@ -28,12 +28,12 @@ from wmtr.program import empty_object, events_of_program, parse
 from wmtr.storage import RELAXED, _tset
 
 from conftest import (
-    corpus_text, object_clients, relaxed_counter_witness, tso_spinlock_witness,
-    writes_client,
+    ORDER_PAIRS, check_wellformed, corpus_text, object_clients,
+    relaxed_counter_witness, tso_spinlock_witness, writes_client,
 )
 from oracles import (
     empirical_pairs_oracle, from_traces, least_refuting_trace, materialize,
-    observables_oracle, oracle_sc, sample, traces_upto,
+    observables_oracle, oracle_sc, sample,
 )
 
 
@@ -63,16 +63,6 @@ global r = 0;
 thread P { d := 1; f := 1; }
 thread C { await (f = 1); rc := d; r := rc; }
 """
-
-
-# client/object pairs whose enforced orders the ordering laws are checked on
-ORDER_PAIRS = [
-    ("fig2_client.wm", "fig2_object.wm"),
-    ("fig4_client.wm", "spinlock_impl.wm"),
-    ("fig5_client.wm", "spinlock_impl.wm"),
-    ("fig5_notry_client.wm", "spinlock_impl_notry.wm"),
-    ("fig6_client.wm", "spinlock_impl.wm"),
-]
 
 
 @pytest.fixture(scope="module")
@@ -1206,14 +1196,6 @@ class TestLongRuns:
         for t in traces:
             for e in events:
                 assert (t + (e,) in ts) == (t + (e,) in traces)
-
-    @pytest.mark.parametrize("model", list(Model))
-    def test_traces_upto_agrees_with_the_materialized_set(self, model):
-        ts = explore(parse(writes_client(3)), empty_object(),
-                     cfg(model, buffer=2))
-        traces = materialize(ts)
-        for n in range(max(map(len, traces)) + 2):
-            assert traces_upto(ts, n) == {t for t in traces if len(t) <= n}
 
     # SB under RELAXED has 27,723 traces: MP keeps the materialized set small
     @pytest.mark.parametrize("text,model", [

@@ -7,8 +7,10 @@ from typing import Optional
 import pytest
 from hypothesis import event, given, settings
 
-from conftest import corpus_text, object_clients, project_object
-from wmtr.events import Inv, OpId, OpObs, Res, check_wellformed
+from conftest import (
+    check_wellformed, corpus_text, object_clients, project_object,
+)
+from wmtr.events import Inv, OpId, OpObs, Res
 from wmtr.memmodel import (
     ExploreConfig, Model, covert_ops, explore, run_spec_body, start_frame,
     writes_shared,

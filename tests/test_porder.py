@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given, settings
 
 import genrel
+from wmtr import porder
 from conftest import order_from_lines, tso_spinlock_witness, wellformed_traces
-from oracles import from_traces
+from oracles import allows, closure, from_traces
 from wmtr.events import (
-    Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId, pretty,
+    Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId, event_to_json, pretty,
 )
 from wmtr.porder import (
     LAW_CROSS_OP,
@@ -14,10 +15,8 @@ from wmtr.porder import (
     LAW_OBS_SERIALISES,
     LAW_RES_INV_PRED,
     EnforcedOrder,
-    allows,
     check_axioms,
     check_lemma1,
-    closure,
     order_to_lines,
     to_dot,
     transitive_reduction,
@@ -231,3 +230,14 @@ def test_generated_law_relations_satisfy_cross_operation_law():
         report = check_axioms(po)
         assert report.all_hold, (seed, report)
         assert check_lemma1(po)
+
+
+def test_each_event_key_is_built_once_per_order(monkeypatch):
+    """Validation, the laws and both exports all read one key per event."""
+    built = []
+    monkeypatch.setattr(porder, "event_to_json",
+                        lambda e: built.append(e) or event_to_json(e))
+    t = tso_spinlock_witness()
+    po = from_traces(t, [t[:k] for k in range(len(t) + 1)])
+    check_axioms(po), check_lemma1(po), order_to_lines(po), to_dot(po)
+    assert sorted(built, key=event_to_json) == sorted(t, key=event_to_json)

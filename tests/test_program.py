@@ -1,5 +1,7 @@
 """Parser, printer, static checks, and the bounded event set."""
 
+import re
+from pathlib import Path
 from typing import List
 
 import pytest
@@ -71,9 +73,35 @@ class TestParse:
         assert str(e.value).startswith("2:")
         assert "expected" in str(e.value)
 
+    def test_readme_examples_parse(self):
+        """Every example block of README's "Input language" section is
+        in the language the parser reads."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("## Input language", 1)[1].split("\n## ", 1)[0]
+        blocks = re.findall(r"```text\n(.*?)```", section, re.DOTALL)
+        kinds = [type(parse(block)) for block in blocks]
+        assert kinds == [ClientProgram, ObjectDef, ObjectDef]
+        assert [parse(b).kind for b in blocks[1:]] == ["spec", "impl"]
+
     def test_duplicate_thread_rejected(self):
         with pytest.raises(ParseError, match="duplicate thread"):
             parse("thread T {\n}\nthread T {\n}")
+
+    # a duplicate name is reported where it stands, whatever declares it
+    @pytest.mark.parametrize("text,message", [
+        ("global x = 0;\nglobal x = 1;\nthread T { }",
+         "2:8: duplicate global 'x'"),
+        ("object impl {\n  var x = 0;\n  var x = 1;\n  op f() { }\n}",
+         "3:7: duplicate var 'x'"),
+        ("thread T {\n}\nthread U {\n}\nthread T {\n}",
+         "5:8: duplicate thread 'T'"),
+        ("object impl {\n  op f() { }\n  op f() { }\n}",
+         "3:6: duplicate operation 'f'"),
+    ], ids=["global", "var", "thread", "operation"])
+    def test_duplicate_name_rejected_at_its_position(self, text, message):
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert str(e.value) == message
 
     def test_return_outside_op_rejected(self):
         with pytest.raises(ParseError, match="operation bodies"):

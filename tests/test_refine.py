@@ -3,14 +3,16 @@
 import pytest
 from hypothesis import event, example, given, settings
 
-from wmtr.events import check_wellformed, observable_of
+from wmtr.events import observable_of
 from wmtr.memmodel import ExploreConfig, Model, explore
 from wmtr.refine import (
     _minimal_refuting_trace, check_wmtr, refute_object_refinement,
 )
 from wmtr.program import parse
 
-from conftest import corpus_text, object_clients, tso_spinlock_witness
+from conftest import (
+    check_wellformed, corpus_text, object_clients, tso_spinlock_witness,
+)
 from oracles import least_refuting_trace, sample
 
 
