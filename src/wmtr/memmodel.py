@@ -8,13 +8,14 @@ placed: `_Impl` runs an implementation instruction by instruction,
 `_Spec` a specification atomically with free observation placement, and
 `_Chaos` is the object-free object of the enforced-order extraction.
 
-States are collapse-compressed and packed: each distinct tuple of
-thread states is stored once, in a table on the engine, and so are a
-specification's valuations and books; a state is one int whose
-fixed-width fields (`storage.FIELD_BITS` bits each) hold the thread
-tuple's id at bit 0, a specification's valuation and book ids above it,
-and the storage discipline's fields on top (RELAXED: one per variable,
-the id of its entry).  An id that outgrows its field is an
+States are collapse-compressed and packed: each thread's distinct
+states are stored once, in a table of its own, each distinct tuple of
+their ids, one per thread in name order, once in a table on the
+engine, and so are a specification's valuations and books; a state is
+one int whose fixed-width fields (`storage.FIELD_BITS` bits each) hold
+the thread tuple's id at bit 0, a specification's valuation and book
+ids above it, and the storage discipline's fields on top (RELAXED: one
+per variable, the id of its entry).  An id that outgrows its field is an
 `OverflowError`, never an alias.  A thread's state holds where its
 compiled code stands (a pc and loop counters) and its registers, and so
 does the frame of its implementation call, if any.  One rule settles
@@ -25,23 +26,25 @@ once per value of the fields it reads: a silent RELAXED propagation is
 an int add, and the build's state table maps ints to ints.
 
 Successors are generated on the same factoring.  A step table keyed on
-(thread-tuple id, thread) holds the shared variables the thread's next
+(thread, own-state id) holds the shared variables the thread's next
 instruction, or the next instruction of its implementation call, reads
 and, per tuple of their values, the outcome, which `program.step` works
-out on a table miss only.  Expressions are evaluated in full, so which
-variables a step reads depends on the key alone, and a gated
-instruction (a TAS or fence: it waits for its core to drain) reads
-through `latest`, the value a TAS acts on.  A state reads the variables
-of its entry and settles only what depends on the rest of it: whether
-the storage takes the write, whether the core is drained, whether the
-thread may invoke, and where a return's observation lands.  Every
-shared write, a TAS's included, is prepared once by the storage's
+out on a table miss only: once per thread state and read values,
+however many thread tuples hold that state.  Expressions are evaluated
+in full, so which variables a step reads depends on the key alone, and
+a gated instruction (a TAS or fence: it waits for its core to drain)
+reads through `latest`, the value a TAS acts on.  A state reads the
+variables of its entry and settles only what depends on the rest of
+it: whether the storage takes the write, whether the core is drained,
+whether the thread may invoke, and where a return's observation lands.
+Every shared write, a TAS's included, is prepared once by the storage's
 `writer`, which fixes where the write goes (the ref an implementation
-store's or TAS's successor records) and what it emits, so an outcome's
-change to the thread tuple is one int.  The responses of a chaos call
-are tabled per key too, a specification body runs once per key and
-valuation, and the observations a book of responses still owes once
-per book.
+store's or TAS's successor records) and what it emits.  An outcome
+names the thread's new own-state id, and its change to a state is one
+int, worked out once per thread-tuple id.  The responses of a chaos
+call are tabled per key too, a specification body runs once per key
+and valuation, and the observations a book of responses still owes
+once per book.
 
 The graph a build returns is stored as flat `array('i')` columns, one
 entry per edge: the successor's id and the id of the edge's burst in a
@@ -155,17 +158,20 @@ _LOCAL, _WRITE, _FENCE, _CALL, _RET = range(5)
 
 class _Step:
     """The outcome of a thread's next instruction for given read values,
-    or of one output of a chaos call: its burst, with what its write
-    emits, the change `next` it makes to the state's thread-tuple id and,
-    by kind, the storage call's argument after the state (_WRITE: the
-    prepared write, _FENCE: a TAS's prepared write or None, _RET:
-    `mem.attach`'s after the core).  `bid` is the id of the burst, and
+    or of one output of a chaos call or one run of a specification body:
+    its burst, with what its write emits, the thread's state after it as
+    `next`, (the thread's rank, the id of its own state), and, by kind,
+    the storage call's argument after the state (_WRITE: the prepared
+    write, _FENCE: a TAS's prepared write or None, _RET: `mem.attach`'s
+    after the core).  `deltas` maps a thread-tuple id to the change the
+    step makes to a state holding it, `bid` is the id of the burst, and
     for _RET `emitted` that of the burst with the observation emitted at
-    once, each cached when an edge first carries it."""
-    __slots__ = ("kind", "burst", "next", "arg", "bid", "emitted")
+    once, each worked out when an edge first needs it."""
+    __slots__ = ("kind", "burst", "next", "arg", "deltas", "bid", "emitted")
 
-    def __init__(self, kind: int, burst: tuple, change: int, arg=None):
-        self.kind, self.burst, self.next, self.arg = kind, burst, change, arg
+    def __init__(self, kind: int, burst: tuple, nxt: tuple, arg=None):
+        self.kind, self.burst, self.next, self.arg = kind, burst, nxt, arg
+        self.deltas: Dict[int, int] = {}
         self.bid = self.emitted = None
 
 
@@ -193,30 +199,57 @@ class _Engine:
             cfg.buffer, self.bursts, self.fields * bits)
         # the load functions a step table entry names, bound once
         self.read, self.latest = self.mem.read, self.mem.latest
-        # collapse compression: each distinct thread tuple, call slots
-        # included, is stored once and a state holds its index
+        # collapse compression: each thread's distinct states, call slot
+        # included, are stored once in its own table, the threads in name
+        # order, and so is each distinct tuple of their ids, one per
+        # thread; a state holds the tuple's id
+        self.names = tuple(sorted(p.code))
+        self.own = tuple(Interned(f"states of thread {th}")
+                         for th in self.names)
+        self.rank = {th: r for r, th in enumerate(self.names)}
         self.threads = Interned("thread tuples")
-        # the step table, keyed (thread-tuple id, thread), of a thread
-        # outside a call or in an implementation call: (the storage's load
-        # function, the shared variables its next step reads, {their
-        # values: _Step, or None when blocked})
-        self.steps: Dict[Tuple[int, str], tuple] = {}
+        # per thread-tuple id, its threads decoded once: ((thread, own-state
+        # id, ThreadState), ...)
+        self.decoded: List[tuple] = []
+        # the step table, keyed (thread, own-state id), of a thread outside
+        # a call or in an implementation call: (the storage's load function,
+        # the shared variables its next step reads, {their values: _Step,
+        # or None when blocked})
+        self.steps: Dict[Tuple[str, int], tuple] = {}
 
     def initials(self) -> dict:  # the storage's variables
         return dict(self.p.globals)
 
     def root(self) -> int:
-        threads = tuple(sorted(
-            (th, ThreadState(settled(code, 1), (), (), (), 0, None))
-            for th, code in self.p.code.items()))
-        return self.threads.id(threads) | self.mem.initial()
+        code = self.p.code
+        threads = tuple(
+            own.id(ThreadState(settled(code[th], 1), (), (), (), 0, None))
+            for th, own in zip(self.names, self.own))
+        return self._tuple_id(threads) | self.mem.initial()
 
-    def _moved(self, tid: int, th: str, ts: ThreadState) -> int:
-        """The change to a state's thread-tuple id `tid` that replaces
-        `th`'s state by `ts`."""
-        threads = tuple((t, (ts if t == th else x))
-                        for t, x in self.threads.values[tid])
-        return self.threads.id(threads) - tid
+    def _tuple_id(self, xs: tuple) -> int:
+        """The id of the thread tuple `xs`, decoded when first seen."""
+        tid = self.threads.id(xs)
+        if tid == len(self.decoded):
+            self.decoded.append(tuple(
+                (th, x, own.values[x])
+                for th, own, x in zip(self.names, self.own, xs)))
+        return tid
+
+    def _at(self, th: str, ts: ThreadState) -> tuple:
+        """A step's `next`: `th`'s rank and the id of its state `ts`."""
+        r = self.rank[th]
+        return r, self.own[r].id(ts)
+
+    def _moved(self, st: int, step: _Step) -> int:
+        """The change `step` makes to the thread-tuple id of `st`, worked
+        out once per tuple id."""
+        tid = st & self.mask
+        r, x = step.next
+        xs = self.threads.values[tid]
+        d = self._tuple_id(xs[:r] + (x,) + xs[r + 1:]) - tid
+        step.deltas[tid] = d
+        return d
 
     def inv_allowed(self, st: int, thread: str) -> bool:
         return self.mem.inv_ready(st, self.coremap[thread], False)
@@ -224,20 +257,19 @@ class _Engine:
     def actions(self, st: int) -> List[Tuple[int, int]]:
         """The edges out of `st`, as (burst id, successor)."""
         out: List[Tuple[int, int]] = []
-        tid = st & self.mask
-        for th, ts in self.threads.values[tid]:
+        for th, x, ts in self.decoded[st & self.mask]:
             if ts.call is not None:
-                self.call_actions(out, st, tid, th, ts)
+                self.call_actions(out, st, th, x, ts)
             elif ts.pc:  # else the thread has run to its end
-                self.step_actions(out, st, tid, th, ts)
+                self.step_actions(out, st, th, x, ts)
         out.extend(self.mem.moves(st))
         return out
 
-    def step_actions(self, out, st, tid, th, ts):
+    def step_actions(self, out, st, th, x, ts):
         """Add to `out` the edge of `th`'s next instruction, or of the
         next instruction of its implementation call, unless it is
         blocked; looked up in the step table, interpreted on a miss."""
-        key = (tid, th)
+        key = (th, x)
         entry = self.steps.get(key)
         step = _MISS
         if entry is not None:
@@ -246,7 +278,7 @@ class _Engine:
             step = outcomes.get(tuple([load(st, core, v) for v in reads]),
                                 _MISS)
         if step is _MISS:
-            load, step, seen = self._interpret(st, tid, th, ts)
+            load, step, seen = self._interpret(st, th, ts)
             if entry is None:
                 entry = self.steps[key] = (load, tuple(seen), {})
             entry[2][tuple(seen.values())] = step
@@ -255,7 +287,7 @@ class _Engine:
             if a is not None:
                 out.append(a)
 
-    def _interpret(self, st, tid, th, ts):
+    def _interpret(self, st, th, ts):
         """Run `th`'s next instruction, or the next instruction of its
         implementation call, in `st`: the load function, its _Step (None
         when blocked or stuck) and the shared variables it read with their
@@ -273,15 +305,15 @@ class _Engine:
         if r is None:
             return load, None, seen
         ins, pc, ctrs, regs, v = r
-        return load, outcome(tid, th, ts, ins, settled(code, pc), ctrs, regs,
-                             v), seen
+        return (load, outcome(th, ts, ins, settled(code, pc), ctrs, regs, v),
+                seen)
 
     def _running(self, th, ts):
         """What `th` runs next: code, pc, loop counters and registers,
         and the function giving the _Step of an instruction that ran."""
         return self.p.code[th], ts.pc, ts.ctrs, ts.regs, self._client_outcome
 
-    def _client_outcome(self, tid, th, ts, ins, pc, ctrs, regs, v):
+    def _client_outcome(self, th, ts, ins, pc, ctrs, regs, v):
         """The _Step of a client instruction that ran, going on at `pc`."""
         op = ins[0]
         if op == CALL:
@@ -289,21 +321,24 @@ class _Engine:
             opid = OpId(th, name, ts.calls)
             ts2 = ts._replace(pc=pc, ctrs=ctrs, calls=ts.calls + 1,
                               call=self.call_slot(opid, v, reg))
-            return _Step(_CALL, (Inv(opid, v),), self._moved(tid, th, ts2))
+            return _Step(_CALL, (Inv(opid, v),), self._at(th, ts2))
         lab = ins[1]
         inst, labels = _bump(ts.labels, lab)
         sid = StepId(th, lab, inst)
-        d = self._moved(tid, th, ts._replace(pc=pc, ctrs=ctrs, regs=regs,
-                                             labels=labels))
+        nxt = self._at(th, ts._replace(pc=pc, ctrs=ctrs, regs=regs,
+                                       labels=labels))
         if op == STORE:
             var = ins[2]
             w = self.mem.writer(self.coremap[th], var, v, "prog", sid,
                                 ProgObs(sid, var, v))
-            return _Step(_WRITE, (ProgStep(sid, (var, v)),) + w.emits, d, w)
-        return _Step(_FENCE if op == FENCE else _LOCAL, (ProgStep(sid),), d)
+            return _Step(_WRITE, (ProgStep(sid, (var, v)),) + w.emits, nxt, w)
+        return _Step(_FENCE if op == FENCE else _LOCAL, (ProgStep(sid),), nxt)
 
     def _take(self, st, th, step):
         """The edge `step` makes from `st`, or None when `st` blocks it."""
+        d = step.deltas.get(st & self.mask)
+        if d is None:
+            d = self._moved(st, step)
         kind = step.kind
         if kind != _LOCAL:
             mem = self.mem
@@ -317,7 +352,7 @@ class _Engine:
                     if b is None:
                         b = step.emitted = self.bursts.id(step.burst
                                                           + step.arg[-1:])
-                    return b, st + step.next
+                    return b, st + d
                 st = attached
             else:  # a write, or a fence that a TAS's write may follow
                 if kind == _FENCE and not mem.drained(st, self.coremap[th]):
@@ -329,7 +364,7 @@ class _Engine:
         b = step.bid
         if b is None:  # the first edge to carry it
             b = step.bid = self.bursts.id(step.burst)
-        return b, st + step.next
+        return b, st + d
 
 
 class OpFrame(NamedTuple):
@@ -373,7 +408,7 @@ class _Impl(_Engine):
         return (self.obj.ops[f.opid.call].code, f.pc, f.ctrs, f.regs,
                 self._impl_outcome)
 
-    def _impl_outcome(self, tid, th, ts, ins, pc, ctrs, regs, v):
+    def _impl_outcome(self, th, ts, ins, pc, ctrs, regs, v):
         """The _Step of an implementation instruction that ran, going on at
         `pc`: a store's or successful TAS's successor records the write's
         ref.  A TAS is a fence that carries its write."""
@@ -381,7 +416,7 @@ class _Impl(_Engine):
         op, opid = ins[0], f.opid
         if op == RETURN:
             ts2 = _returned(ts, f.ret_reg, v)
-            return _Step(_RET, (Res(opid, v),), self._moved(tid, th, ts2),
+            return _Step(_RET, (Res(opid, v),), self._at(th, ts2),
                          (last, opid, OpObs(opid, v)))
         w = None
         if op == STORE:
@@ -393,7 +428,7 @@ class _Impl(_Engine):
         else:  # a fence or a failed TAS, or a local step
             kind = _FENCE if op in GATED else _LOCAL
         ts2 = ts._replace(call=(f._replace(pc=pc, ctrs=ctrs, regs=regs), last))
-        return _Step(kind, (), self._moved(tid, th, ts2), w)
+        return _Step(kind, (), self._at(th, ts2), w)
 
 
 def run_spec_body(op: OpDef, valuation: dict, arg: Optional[int],
@@ -432,10 +467,11 @@ class _Spec(_Engine):
         self.covert = covert_ops(p, obj)
         self.valuations = Interned("specification valuations")
         self.books = Interned("books of unobserved responses")
-        # keyed (thread-tuple id, thread, valuation id): (burst id, change
-        # to the state, book entry or None, {book id: change to the state
-        # for the book}), or None when blocked
-        self.spec_calls: Dict[tuple, Optional[tuple]] = {}
+        # keyed (thread, own-state id, valuation id): a _Step whose `arg`
+        # is (the change to the valuation id's field, book entry or None,
+        # {book id: change to the state for the book}), or None when
+        # blocked
+        self.spec_calls: Dict[tuple, Optional[_Step]] = {}
         # per book id: its observations' edges, [(burst id, change)]
         self.book_moves: Dict[int, list] = {}
 
@@ -449,7 +485,7 @@ class _Spec(_Engine):
         book = self.books.values[st >> self.bshift & self.mask]
         return (self.mem.inv_ready(st, core, True)
                 and all(ts2.call is None or self.coremap[th2] == core
-                        for th2, ts2 in self.threads.values[st & self.mask])
+                        for th2, _, ts2 in self.decoded[st & self.mask])
                 and all(c == core for (_, _, c) in book))
 
     def call_slot(self, opid, arg, reg):
@@ -474,17 +510,21 @@ class _Spec(_Engine):
                 for j, (opid, outv, _) in enumerate(book)]
         return steps
 
-    def call_actions(self, out, st, tid, th, ts):
+    def call_actions(self, out, st, th, x, ts):
         """Add to `out` the edge of `th`'s call unless its body blocks.
-        The body runs once per thread tuple and valuation; each state
-        then only adds the response to its book."""
-        key = (tid, th, st >> self.vshift & self.mask)
-        r = self.spec_calls.get(key, _MISS)
-        if r is _MISS:
-            r = self.spec_calls[key] = self._spec_call(tid, th, ts, key[2])
-        if r is None:
+        The body runs once per own state and valuation; each state then
+        only adds the response to its book."""
+        key = (th, x, st >> self.vshift & self.mask)
+        step = self.spec_calls.get(key, _MISS)
+        if step is _MISS:
+            step = self.spec_calls[key] = self._spec_call(th, ts, key[2])
+        if step is None:
             return
-        bid, d, pending, books = r
+        d = step.deltas.get(st & self.mask)
+        if d is None:
+            d = self._moved(st, step)
+        dv, pending, books = step.arg
+        d += dv
         if pending is not None:
             b = st >> self.bshift & self.mask
             db = books.get(b)
@@ -492,13 +532,13 @@ class _Spec(_Engine):
                 db = books[b] = (self.books.id(self.books.values[b] + (pending,))
                                  - b) << self.bshift
             d += db
-        out.append((bid, st + d))
+        out.append((step.bid, st + d))
 
-    def _spec_call(self, tid, th, ts, objst):
-        """Run `th`'s call against valuation `objst`: (burst id, change to
-        the state's thread tuple and valuation, the response for the book
-        or None when the operation is observed at once, {} for the book
-        changes), or None."""
+    def _spec_call(self, th, ts, objst):
+        """Run `th`'s call against valuation `objst`: a _Step with its
+        burst id and, as `arg`, the change to the valuation id's field, the
+        response for the book or None when the operation is observed at
+        once, and {} for the book changes; or None."""
         opid, arg, ret_reg = ts.call
         r = run_spec_body(self.obj.ops[opid.call],
                           dict(self.valuations.values[objst]), arg,
@@ -506,14 +546,17 @@ class _Spec(_Engine):
         if r is None:
             return None
         valuation, outv = r
-        d = (self._moved(tid, th, _returned(ts, ret_reg, outv))
-             + ((self.valuations.id(tuple(sorted(valuation.items()))) - objst)
-                << self.vshift))
+        nxt = self._at(th, _returned(ts, ret_reg, outv))
+        dv = ((self.valuations.id(tuple(sorted(valuation.items()))) - objst)
+              << self.vshift)
         if opid.call in self.covert:
-            return (self.bursts.id((Res(opid, outv), OpObs(opid, outv))), d,
-                    None, None)
-        return (self.bursts.id((Res(opid, outv),)), d,
-                (opid, outv, self.coremap[th]), {})
+            step = _Step(_LOCAL, (Res(opid, outv), OpObs(opid, outv)), nxt,
+                         (dv, None, None))
+        else:
+            step = _Step(_LOCAL, (Res(opid, outv),), nxt,
+                         (dv, (opid, outv, self.coremap[th]), {}))
+        step.bid = self.bursts.id(step.burst)
+        return step
 
 
 class _Chaos(_Engine):
@@ -527,23 +570,23 @@ class _Chaos(_Engine):
         self.covert = covert_ops(p, obj)
         self.outputs = {name: chaos_outputs(op, cfg.values)
                         for name, op in obj.ops.items()}
-        # keyed (thread-tuple id, thread): [_Step per output]
-        self.responses: Dict[Tuple[int, str], List[_Step]] = {}
+        # keyed (thread, own-state id): [_Step per output]
+        self.responses: Dict[Tuple[str, int], List[_Step]] = {}
 
     def call_slot(self, opid, arg, reg):
         return opid, reg
 
-    def call_actions(self, out, st, tid, th, ts):
-        key = (tid, th)
+    def call_actions(self, out, st, th, x, ts):
+        key = (th, x)
         steps = self.responses.get(key)
         if steps is None:
-            steps = self.responses[key] = self._responses(tid, th, ts)
+            steps = self.responses[key] = self._responses(th, ts)
         for step in steps:
             a = self._take(st, th, step)
             if a is not None:
                 out.append(a)
 
-    def _responses(self, tid, th, ts):
+    def _responses(self, th, ts):
         """A _Step per output of `th`'s call, in output order: a covert
         operation responds and is observed at once, any other responds
         with a virtual write that carries its observation."""
@@ -552,13 +595,13 @@ class _Chaos(_Engine):
         out = []
         for outv in sorted(self.outputs[opid.call],
                            key=lambda v: (v is None, v)):
-            d = self._moved(tid, th, _returned(ts, ret_reg, outv))
+            nxt = self._at(th, _returned(ts, ret_reg, outv))
             res, obs = Res(opid, outv), OpObs(opid, outv)
             if opid.call in self.covert:
-                out.append(_Step(_LOCAL, (res, obs), d))
+                out.append(_Step(_LOCAL, (res, obs), nxt))
             else:
                 w = self.mem.writer(self.coremap[th], vvar, 0, "virt", opid, obs)
-                out.append(_Step(_WRITE, (res,) + w.emits, d, w))
+                out.append(_Step(_WRITE, (res,) + w.emits, nxt, w))
         return out
 
 

@@ -58,9 +58,10 @@ Pair = Tuple[Event, Event]
 
 @dataclass(frozen=True)
 class EnforcedOrder:
-    """The maps and keys below are built once per order, on first use,
-    and are shared by every reader: treat them as read-only.  The maps
-    are keyed by the universe, so they need every pair within it."""
+    """The maps, keys and verdict below are built once per order, on
+    first use, and are shared by every reader: treat them as read-only.
+    The maps are keyed by the universe, so they need every pair within
+    it."""
 
     universe: FrozenSet[Event]
     pairs: FrozenSet[Pair]
@@ -88,7 +89,14 @@ class EnforcedOrder:
     def validate(self) -> None:
         """Raise unless pairs form an irreflexive transitively closed
         relation within the universe; the message names the first
-        offending pair or path in key order."""
+        offending pair or path in key order.  The verdict is worked out
+        once per order."""
+        if self.invalid is not None:
+            raise ValueError(self.invalid)
+
+    @cached_property
+    def invalid(self) -> Optional[str]:
+        """Why the order is not valid, or None when it is."""
         u = self.universe
         bad = [p for p in self.pairs if p[0] not in u or p[1] not in u
                or p[0] == p[1]]
@@ -96,15 +104,14 @@ class EnforcedOrder:
             # events outside the universe have no key of the order's own
             a, b = min(bad, key=lambda p: tuple(map(event_to_json, p)))
             if a not in u or b not in u:
-                raise ValueError(f"pair outside universe: {pretty(a)} -> {pretty(b)}")
-            raise ValueError(f"reflexive pair: {pretty(a)}")
+                return f"pair outside universe: {pretty(a)} -> {pretty(b)}"
+            return f"reflexive pair: {pretty(a)}"
         succ = self.successors
         gaps = [(a, b, c) for a, b in self.pairs for c in succ[b] - succ[a]]
         if gaps:
             a, b, c = min(gaps, key=lambda t: tuple(map(self.keys.get, t)))
-            raise ValueError(
-                f"not transitive: {pretty(a)} -> {pretty(b)} -> {pretty(c)}"
-            )
+            return f"not transitive: {pretty(a)} -> {pretty(b)} -> {pretty(c)}"
+        return None
 
 
 # --- ordering laws ---

@@ -682,7 +682,8 @@ def test_shape_contract_unchanged(shape, model, mode):
 
 
 # a build per kind of state: RELAXED (where, as the width shrinks, a RELAXED
-# entry overflows before any thread tuple does), TSO and spec mode
+# entry overflows before any thread tuple or thread state does), TSO and
+# spec mode
 WIDTH_CASES = {
     "relaxed": (SHAPES["while-first-and-last"], Model.RELAXED, {}, "impl"),
     "tso": (SHAPES["impl-falls-off"], Model.TSO, {"buffer": 1}, "impl"),
@@ -725,8 +726,9 @@ def test_ids_that_outgrow_their_field_stop_the_build(case, monkeypatch):
 
 def test_interned_refuses_the_first_id_past_its_field(monkeypatch):
     """Every table a state's fields index (thread tuples, valuations,
-    books, storage tuples, RELAXED entries) is an `Interned`: its ids
-    run from 0 to the field's last value and no further."""
+    books, storage tuples, RELAXED entries), and each thread's table of
+    its own states that a thread tuple indexes, is an `Interned`: its
+    ids run from 0 to the field's last value and no further."""
     monkeypatch.setattr(storage, "FIELD_BITS", 3)
     table = storage.Interned("things")
     assert [table.id(x) for x in "abcdefgh"] == list(range(8))
@@ -1570,6 +1572,79 @@ def test_object_step_tables_change_no_graph(case):
         for mode in ((o.kind,) if model == Model.RELAXED else ("chaos", o.kind)):
             assert_tables_change_no_graph(p, o, cfg(model, values=1, **bounds),
                                           mode)
+
+
+# two threads that each take a few local steps around a call, so each of
+# them stands at one own state in many thread tuples
+OWN_STEPS = """
+global g = 0;
+global h = 0;
+thread T1 { ra := 1; rb := ra; g := rb; call tryAcquire(); rc := h; }
+thread T2 { ra := 2; h := ra; call release(); rc := g; }
+"""
+
+
+def _interpretations(p, obj, c, mode):
+    """What a build that tables nothing interprets in its states: the
+    distinct (thread, own state, values read) of the thread steps and,
+    for contrast, their distinct (thread tuple, thread, values read);
+    the distinct (thread, own state) of the chaos calls and their
+    distinct (thread tuple, thread)."""
+    steps, steps_in_tuples, calls, calls_in_tuples = set(), set(), set(), set()
+
+    class Recording(memmodel.ENGINES[mode]):
+        def actions(self, st):
+            self.at = self.threads.values[st & self.mask]
+            return super().actions(st)
+
+        def _interpret(self, st, *rest):
+            th, ts = rest[-2:]
+            load, step, seen = super()._interpret(st, *rest)
+            read = tuple(seen.items())
+            steps.add((th, ts, read))
+            steps_in_tuples.add((self.at, th, read))
+            return load, step, seen
+
+        def _responses(self, *rest):  # called in chaos mode only
+            th, ts = rest[-2:]
+            calls.add((th, ts))
+            calls_in_tuples.add((self.at, th))
+            return super()._responses(*rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(memmodel.ENGINES, mode, Recording)
+        _build_interpreting_every_step(p, obj, c, mode)
+    return steps, steps_in_tuples, calls, calls_in_tuples
+
+
+@pytest.mark.parametrize("model", list(Model))
+@pytest.mark.parametrize("mode", ["chaos", "impl"])
+def test_a_thread_step_is_interpreted_once_per_own_state(model, mode,
+                                                        monkeypatch):
+    """A thread's next step depends on its own state and the values it
+    reads, not on where the other threads stand: a build runs
+    `program.step` once per distinct (thread, own state, values read)
+    and works out a chaos call's responses once per (thread, own
+    state), however many thread tuples hold that state."""
+    p, o = parse(OWN_STEPS), parse(corpus_text("spinlock_impl.wm"))
+    c = cfg(model, values=2)
+    steps, steps_in_tuples, calls, calls_in_tuples = _interpretations(
+        p, o, c, mode)
+    counts = {"step": 0, "responses": 0}
+
+    def counted(name, f):
+        def run(*args):
+            counts[name] += 1
+            return f(*args)
+        return run
+
+    monkeypatch.setattr(memmodel, "step", counted("step", memmodel.step))
+    monkeypatch.setattr(memmodel._Chaos, "_responses",
+                        counted("responses", memmodel._Chaos._responses))
+    _build(p, o, c, mode)
+    assert counts["step"] == len(steps) < len(steps_in_tuples)
+    if mode == "chaos":
+        assert counts["responses"] == len(calls) < len(calls_in_tuples)
 
 
 def _orders_and_events(text):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 
@@ -241,3 +243,40 @@ def test_each_event_key_is_built_once_per_order(monkeypatch):
     po = from_traces(t, [t[:k] for k in range(len(t) + 1)])
     check_axioms(po), check_lemma1(po), order_to_lines(po), to_dot(po)
     assert sorted(built, key=event_to_json) == sorted(t, key=event_to_json)
+
+
+class _ScannedPairs(frozenset):
+    """Pairs that count the passes over them."""
+
+    def __iter__(self):
+        self.scans = getattr(self, "scans", 0) + 1
+        return super().__iter__()
+
+
+def test_an_order_is_validated_once():
+    """The first validation scans the pairs and keeps its verdict:
+    validating again, checking the laws or checking the lemma scans
+    nothing more, and an invalid order raises its first message again."""
+    t = tso_spinlock_witness()
+    valid = from_traces(t, [t[:k] for k in range(len(t) + 1)])
+    pairs = _ScannedPairs(valid.pairs)
+    po = EnforcedOrder(valid.universe, pairs)
+    po.validate()
+    po.successors, po.predecessors  # the maps scan the pairs once each
+    scans = pairs.scans
+    po.validate(), check_axioms(po), check_lemma1(po), po.validate()
+    assert pairs.scans == scans
+
+    a, b, c = Inv(C), Res(C, 0), OpObs(C, 0)
+    pairs = _ScannedPairs({(a, b), (b, c)})
+    po = EnforcedOrder(frozenset({a, b, c}), pairs)
+    message = f"not transitive: {pretty(a)} -> {pretty(b)} -> {pretty(c)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        po.validate()
+    scans = pairs.scans
+    for check in (po.validate, lambda: check_axioms(po),
+                  lambda: check_lemma1(po)):
+        with pytest.raises(ValueError) as err:
+            check()
+        assert str(err.value) == message
+    assert pairs.scans == scans
