@@ -58,6 +58,36 @@ graph runs on those columns and works out what it needs of a burst once
 per burst id; `TraceSet.graph` is a read-only mapping view for readers
 that want the edges of an id as tuples.
 
+Silent-step reduction: under RELAXED a build expands a state by one
+silent propagation alone where that propagation commutes with all that
+can still happen before it, and by all of its edges elsewhere: an ample
+set of one edge (Peled, CAV 1993; Clarke, Grumberg and Peled, *Model
+Checking*, ch. 10).  Take the propagation p of record r of variable v
+to core k.  `ample` takes the first, in variable, record and core-rank
+order, such that no thread on core k may still read, write or TAS v (in
+the rest of its client code, the rest of an implementation call in
+progress, or the whole code of an operation it may still call: the
+summaries of `program.accesses`), no thread on any core may still TAS
+v, and r is not the record of an implementation call in progress, whose
+RETURN `attach`es its observation to it.  The first two conditions
+rule out the reads, writes and TASes that p does not commute with, the
+third an attach to r, and the rest cannot happen before p, because r
+lacks core k's bit until p sets it: r's emission, the propagation to k
+of the record after r, and the writer core's `drained` and `inv_ready`.
+Writes of v by other cores, and every other propagation and emission,
+commute with p.  p emits nothing (C2), so only interleavings of silent
+steps go, and every trace keeps its events: observables, enforced
+pairs, verdicts and canonical counterexamples are those of the
+unreduced graph, the state and edge counts are not.  The graph is
+acyclic under the unroll bound, so the cycle proviso is vacuous.  The
+choice is tabled per (variable field, entry, thread tuple), and what
+the threads may still do per thread tuple, so a state pays a few dict
+lookups.  `_build(..., reduce=False)` builds the unreduced graph, the
+reference of the tests; `enforced_order` builds its chaos graph that
+way, since that graph's counts anchor the benchmark and reducing it
+is a revision of the benchmark of its own.  SC and TSO never reduce: a
+TSO flush emits its observation, and SC has no silent step.
+
 Observation placement: a program step's observation fires when its
 write is visible to every core; an operation's observation fires when
 the operation's last shared write is visible to every core, never
@@ -216,6 +246,13 @@ class _Engine:
         # the shared variables its next step reads, {their values: _Step,
         # or None when blocked})
         self.steps: Dict[Tuple[str, int], tuple] = {}
+        # the reduction's tables (`ample`): keyed by a state's bits of one
+        # variable's field and of its thread tuple, the change made by the
+        # propagation chosen there, or None; per thread-tuple id and per
+        # (thread, own-state id), what the threads may still do
+        self.amples: Dict[int, Optional[int]] = {}
+        self.ahead: Dict[int, tuple] = {}
+        self.ahead_own: Dict[Tuple[str, int], tuple] = {}
 
     def initials(self) -> dict:  # the storage's variables
         return dict(self.p.globals)
@@ -264,6 +301,94 @@ class _Engine:
                 self.step_actions(out, st, th, x, ts)
         out.extend(self.mem.moves(st))
         return out
+
+    def reduced(self, st: int) -> List[Tuple[int, int]]:
+        """The edges a reducing build expands `st` by: the ample
+        propagation alone, if there is one, else all of `actions`."""
+        d = self.ample(st)
+        return self.actions(st) if d is None else [(0, st + d)]
+
+    def ample(self, st: int) -> Optional[int]:
+        """The change made by the propagation out of `st` that a reducing
+        build takes alone (see the module docstring), or None: the first,
+        in variable, record and core-rank order, to a core that may not
+        touch its variable again, of a variable no thread may still TAS,
+        and of a record that no implementation call in progress carries.
+        Looked up per variable on the state's bits of that variable's
+        field and of its thread tuple, whose `_ahead` gives the variables
+        to try."""
+        mask = self.mask
+        tid = st & mask
+        ahead = self.ahead.get(tid)
+        if ahead is None:
+            ahead = self.ahead[tid] = self._ahead(tid)
+        tries, calls = ahead
+        amples = self.amples
+        for shift, key, busy in tries:
+            key &= st
+            d = amples.get(key, _MISS)
+            if d is _MISS:
+                eid = st >> shift & mask
+                d = amples[key] = next(
+                    ((e2 - eid) << shift
+                     for k, _, ca, e2 in self.mem.propagations(eid)
+                     if not busy >> k & 1
+                     and not (calls and self.mem.decode[ca] in calls)),
+                    None)
+            if d is not None:
+                return d
+        return None
+
+    def _ahead(self, tid: int) -> tuple:
+        """What the threads of tuple `tid` may still do: the variables
+        whose propagations `ample` tries, as (shift, the mask of the
+        state bits it keys on, the mask of the ranks of the cores that
+        may still read, write or TAS the variable), in variable order,
+        leaving out those any thread may still TAS and those every core
+        may still touch; and the ids of the implementation calls in
+        progress."""
+        busy: Dict[int, int] = {}
+        tas, calls = set(), set()
+        for th, x, ts in self.decoded[tid]:
+            key = (th, x)
+            own = self.ahead_own.get(key)
+            if own is None:
+                own = self.ahead_own[key] = self._own_ahead(th, ts)
+            bit, touched, tased, call = own
+            for s in touched:
+                busy[s] = busy.get(s, 0) | bit
+            tas.update(tased)
+            if call is not None:
+                calls.add(call)
+        mask, full = self.mask, self.mem.full
+        tries = tuple((s, mask << s | mask, busy.get(s, 0))
+                      for s, _ in self.mem.fields
+                      if s not in tas and busy.get(s, 0) != full)
+        return tries, frozenset(calls)
+
+    def _own_ahead(self, th: str, ts: ThreadState) -> tuple:
+        """What `th` in state `ts` may still do: the bit of its core's
+        rank, the shifts of the variables it may still read, write or
+        TAS, of those it may still TAS, and the id of the implementation
+        call it is in, or None.  It may still run the rest of its client
+        code, the rest of an implementation call it is in, and the whole
+        code of every operation it may still call."""
+        ops = self.obj.summaries
+        parts = [self.p.summaries[th][ts.pc]]
+        call = self.in_call(ts)
+        if call is not None:
+            parts.append(ops[call[0].call][call[1]])
+        parts += [ops[name][1] for name in parts[0].calls]
+        shifts = self.mem.shifts
+        touched = {shifts[v] for a in parts for v in a.reads | a.writes | a.tas
+                   if v in shifts}
+        tased = {shifts[v] for a in parts for v in a.tas if v in shifts}
+        return (1 << self.mem.rank[self.coremap[th]], touched, tased,
+                None if call is None else call[0])
+
+    def in_call(self, ts: ThreadState):
+        """The id and pc of the implementation call `ts` runs, or None."""
+        return None
 
     def step_actions(self, out, st, th, x, ts):
         """Add to `out` the edge of `th`'s next instruction, or of the
@@ -400,6 +525,12 @@ class _Impl(_Engine):
         return start_frame(opid, self.obj.ops[opid.call], arg, reg), None
 
     call_actions = _Engine.step_actions
+
+    def in_call(self, ts):
+        if ts.call is None:
+            return None
+        f = ts.call[0]
+        return f.opid, f.pc
 
     def _running(self, th, ts):
         if ts.call is None:
@@ -819,7 +950,9 @@ class GraphView(Mapping):
 # --- public entry points ---
 
 def _build(p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig,
-           mode: str) -> TraceSet:
+           mode: str, reduce: bool = True) -> TraceSet:
+    """The graph of `mode`'s engine; under RELAXED, reduced unless
+    `reduce` is false."""
     errors = validate(p, obj)
     if errors:
         raise ValueError("; ".join(errors))
@@ -832,7 +965,9 @@ def _build(p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig,
     succ, burst_id = array("i"), array("i")
     start, stop = array("i", [0]), array("i", [0])
     stack = [(0, root)]
-    actions, setdefault = eng.actions, ids.setdefault
+    actions = (eng.reduced if reduce and cfg.model is Model.RELAXED
+               else eng.actions)
+    setdefault = ids.setdefault
     to_succ, to_burst = succ.append, burst_id.append
     n = 1  # the states so far, and the id of the next
     while stack:
@@ -862,7 +997,7 @@ def enforced_order(p: ClientProgram, obj: ObjectDef,
                    cfg: ExploreConfig) -> EnforcedOrder:
     """Empirical enforced order of the program: pairs that hold in every
     trace of the object-free exploration, over the program's universe."""
-    return enforced_order_of(_build(p, obj, cfg, "chaos"))
+    return enforced_order_of(_build(p, obj, cfg, "chaos", reduce=False))
 
 
 def enforced_order_of(ts: TraceSet) -> EnforcedOrder:

@@ -310,8 +310,12 @@ class RELAXED(Storage):
     steps do not depend on the variable or on the rest of the storage,
     so `moves` tables them once per variable and entry; likewise `entry`
     notes once which cores still have a record in flight, for `drained`
-    and `inv_ready`.  Every table lives on the instance and goes with
-    the build."""
+    and `inv_ready`.  `_steps` names, for each propagation of an entry,
+    its target core and its record's writer and carrier, and
+    `propagations` tables them once per entry for the silent-step
+    reduction of `memmodel`, which picks a propagation to a core that
+    will not touch the variable again.  Every table lives on the
+    instance and goes with the build."""
 
     def __init__(self, cores, initials, buffer, bursts, shift=0):
         super().__init__(cores, initials, buffer, bursts, shift)
@@ -320,6 +324,7 @@ class RELAXED(Storage):
         self.codes: Dict[object, int] = {None: 0}
         self.decode: List[object] = [None]
         self.entries = Interned("RELAXED entries")
+        self.props: Dict[int, tuple] = {}  # per entry id: `propagations`
         # per entry id: bit k set iff core k issued a record (a program
         # record) that not every core has yet
         self.pending: List[int] = []
@@ -426,11 +431,26 @@ class RELAXED(Storage):
         return not spec or not self._pending(s, core, self.pending_prog)
 
     def _moves(self, eid: int) -> list:
-        """[(burst id, entry_id')]: each record that every core has emits
-        its observation, and each other record propagates to every core
-        next in line for it; records by position, cores by rank."""
+        return [(b, e2) for b, e2, _ in self._steps(eid)]
+
+    def propagations(self, eid: int) -> tuple:
+        """The propagations of entry `eid`, in `_steps` order, each as
+        (target core rank, writer core rank, carrier code, entry id');
+        worked out once per entry."""
+        props = self.props.get(eid)
+        if props is None:
+            props = self.props[eid] = tuple(
+                prop + (e2,) for _, e2, prop in self._steps(eid) if prop)
+        return props
+
+    def _steps(self, eid: int):
+        """The entry's own steps, as (burst id, entry id', propagation):
+        each record that every core has emits its observation, and each
+        other record propagates to every core next in line for it, a
+        propagation being (target core rank, the record's writer core
+        rank, its carrier code), None for an emission; records by
+        position, cores by rank."""
         recs, posv = self.entries.values[eid]
-        out = []
         full = self.full
         for pos, (v, c, kd, ca, cov, ob, em) in enumerate(recs):
             if cov == full and (not ob or em):
@@ -438,13 +458,13 @@ class RELAXED(Storage):
             before, after = recs[:pos], recs[pos + 1:]
             if cov == full:  # every core has it: emit its observation
                 recs2 = before + ((v, c, kd, ca, cov, ob, True),) + after
-                out.append((self.bursts.id((self.decode[ob],)),
-                            self.entry((recs2, posv))))
+                yield (self.bursts.id((self.decode[ob],)),
+                       self.entry((recs2, posv)), None)
                 continue
             for k in range(len(posv)):  # propagate to each core next in line
                 if cov >> k & 1 or posv[k] != pos - 1:
                     continue
                 rec2 = (v, c, kd, ca, cov | 1 << k, ob, em)
                 posv2 = posv[:k] + (pos,) + posv[k + 1:]
-                out.append((0, self.entry((before + (rec2,) + after, posv2))))
-        return out
+                yield (0, self.entry((before + (rec2,) + after, posv2)),
+                       (k, c, ca))

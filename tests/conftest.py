@@ -197,6 +197,56 @@ def object_clients(draw, objects=("spinlock_impl.wm", "spinlock_spec.wm",
 
 
 @st.composite
+def fenced_clients(draw, loops=False, conds=False):
+    """Clients of 1-2 threads with up to three statements each: global
+    writes of literals, globals or earlier-read registers, global reads
+    into registers, and fences; with `loops`, also `while` loops on a
+    global whose body is one write or read; with `conds`, also `await`
+    and `if`/`else` (bodies one write or read) on a condition comparing
+    a global with a literal, a global or an earlier-read register."""
+    names = ["x", "y"]
+    lines = [f"global {v} = 0;" for v in names]
+    kinds = (["write", "read", "fence"] + (["loop"] if loops else [])
+             + (["await", "if"] if conds else []))
+    for i in range(draw(st.integers(1, 2))):
+        body, regs = [], []
+
+        def access(j, kind):
+            if kind == "read":
+                return f"r{j} := {draw(st.sampled_from(names))};"
+            src = draw(st.sampled_from(["1", "2"] + names + regs))
+            return f"{draw(st.sampled_from(names))} := {src};"
+
+        def cond():
+            left = draw(st.sampled_from(names))
+            right = draw(st.sampled_from(["0", "1"] + names + regs))
+            return f"{left} {draw(st.sampled_from(['=', '!=']))} {right}"
+
+        for j in range(draw(st.integers(0, 3))):
+            kind = draw(st.sampled_from(kinds))
+            if kind == "fence":
+                body.append("fence;")
+            elif kind == "loop":
+                # a register read in the body may stay unbound: not in regs
+                test = f"{draw(st.sampled_from(names))} != 2"
+                inner = access(j, draw(st.sampled_from(["write", "read"])))
+                body.append(f"while ({test}) {{ {inner} }}")
+            elif kind == "await":
+                body.append(f"await ({cond()});")
+            elif kind == "if":
+                # as in a loop, a register read in a branch is not in regs
+                then, orelse = (access(j, draw(st.sampled_from(["write", "read"])))
+                                for _ in range(2))
+                body.append(f"if ({cond()}) {{ {then} }} else {{ {orelse} }}")
+            else:
+                body.append(access(j, kind))
+                if kind == "read":
+                    regs.append(f"r{j}")
+        lines.append(f"thread T{i} {{ {' '.join(body)} }}")
+    return "\n".join(lines)
+
+
+@st.composite
 def wellformed_traces(draw):
     """Random wellformed traces: the component events of each operation
     or step are produced in stage order and interleaved arbitrarily."""

@@ -28,8 +28,9 @@ from wmtr.program import empty_object, events_of_program, parse
 from wmtr.storage import RELAXED, _tset
 
 from conftest import (
-    ORDER_PAIRS, check_wellformed, corpus_text, object_clients,
-    relaxed_counter_witness, tso_spinlock_witness, writes_client,
+    ORDER_PAIRS, check_wellformed, corpus_text, fenced_clients,
+    object_clients, relaxed_counter_witness, tso_spinlock_witness,
+    writes_client,
 )
 from oracles import (
     empirical_pairs_oracle, from_traces, least_refuting_trace, materialize,
@@ -67,15 +68,17 @@ thread C { await (f = 1); rc := d; r := rc; }
 
 @pytest.fixture(scope="module")
 def chaos_graph():
-    """Chaos-mode graphs at values=1, each built once per module: the
-    fig5 x spinlock_impl graph under RELAXED alone takes seconds."""
+    """Chaos-mode graphs at values=1, unreduced as `enforced_order` builds
+    them, each built once per module: the fig5 x spinlock_impl graph
+    under RELAXED alone takes seconds."""
     built = {}
 
     def get(client, obj, model):
         key = (client, obj, model)
         if key not in built:
             p, o = load(client, obj)
-            built[key] = _build(p, o, cfg(model, values=1), "chaos")
+            built[key] = _build(p, o, cfg(model, values=1), "chaos",
+                                reduce=False)
         return built[key]
 
     return get
@@ -158,6 +161,36 @@ OWN_MODE_DIGESTS = {  # the object's own mode, default bounds
         "268278c419a21deb1f2ec199c787041a857226687140351efb6e3855472e8007",
 }
 
+
+# (graph digest, burst digest) of the reduced RELAXED graph `explore`
+# builds for each pair above, default bounds; recorded when the reduction
+# came in, beside the unreduced digests, which stay pinned
+REDUCED_OWN_MODE_DIGESTS = {
+    ("fig4_client.wm", "spinlock_impl.wm"):  # 93 states
+        ("749ebdcae2f401ab0f20adc69316831a4ae684b0127901148067f9415f0563ee",
+         "8a9a277dfa24a52c849d2e03f20a14ba498e21ed1c38fae295d658d2b8ecdaa0"),
+    ("fig4_client.wm", "spinlock_spec.wm"):  # 27 states
+        ("b6403080aa188d5cede85d455d8925e14079da75721c49ef89ff780d68124b9a",
+         "795b860c834bfa9e7969c971e13c790b113333ea0a247f38be5c7c48855e0de7"),
+    ("fig5_client.wm", "spinlock_impl.wm"):  # 1446 states
+        ("b211bdc1b443244d6797ac61d95dff28576f9013531a381b1b543ff0549454c4",
+         "6cd4b52ecba02f2c6d58b0dd79edfd148e60500770cf846ff6ff17c61dc512de"),
+    ("fig5_client.wm", "spinlock_spec.wm"):  # 684 states
+        ("dd229ce734f3c95fc957958e9bf5b439f405ceb1fe5b9da8d5439afcf729b2d4",
+         "9d80ece935020abb65ac576e8f9572b29b89bc6993ea6a4e9cf626454e660cc7"),
+    ("fig5_notry_client.wm", "spinlock_impl_notry.wm"):  # 285 states
+        ("d8e378a242046a519c300df15139884412177d13d9e40245da26f20ee85dbee2",
+         "864950dda6ff05b70196b7a58cf14fabef8baf3415a46296e45172da39eed27d"),
+    ("fig5_notry_client.wm", "spinlock_spec_notry.wm"):  # 266 states
+        ("5f7f515b4a3a11050c06cd3d866d1723153a267dcfc36143e00f187fced59bfb",
+         "830380f5cd30c38108e3925589d0f8ccb4b2dae88fb822b4064b6b2ef810f9bb"),
+    ("fig6_client.wm", "spinlock_impl.wm"):  # 1091 states
+        ("7ee75cfa79224939ed067b555ffcf4d7f3c7778e685afc1259fe9b7c52773137",
+         "6461ea7aebab4bdbeb1a0c7fb9b369bea5f722dcd626a0f1cb97685f3895768b"),
+    ("fig6_client.wm", "spinlock_spec.wm"):  # 135 states
+        ("6da7777c77171568ae9ca088b9bbb8326ec273133cb1f1a8b5c320bd3749bfd4",
+         "c43c9502b9d093100049ee0c8f1f2a1dc53d965ad6b71b59689a17cbf4d424d7"),
+}
 
 # SC and TSO graph digests, keyed (model, client, object): as for RELAXED,
 # a change to a storage discipline's encoding must leave them unchanged
@@ -544,13 +577,13 @@ SHAPE_DIGESTS = {
 }
 
 
-def build_shape(shape, model, mode):
+def build_shape(shape, model, mode, reduce=False):
     client, obj = SHAPES[shape]
     p = parse(client)
     o = parse(obj) if obj else empty_object()
     m, bounds = SHAPE_MODELS[model]
     return _build(p, o, cfg(m, values=1, **bounds),
-                  o.kind if mode == "own" else mode)
+                  o.kind if mode == "own" else mode, reduce=reduce)
 
 
 @pytest.mark.parametrize("shape,model,mode", sorted(SHAPE_DIGESTS))
@@ -558,6 +591,46 @@ def test_shape_graph_unchanged(shape, model, mode):
     ts = build_shape(shape, model, mode)
     assert (graph_digest(ts), burst_digest(ts)) == \
         SHAPE_DIGESTS[shape, model, mode]
+
+
+# (shape, "relaxed", "own") -> (graph digest, burst digest) of the reduced
+# graph `explore` builds, values=1; the unreduced graphs above stay pinned
+REDUCED_SHAPE_DIGESTS = {
+    ("empty-while-in-loop", "relaxed", "own"):  # 40 states
+        ("ed5ddcbda1d5db36d8dd0b8a776d34401d1ce8ccc7912ff471c6689fc6d511ae",
+         "a67d78629c666ca86fec851ad105502ca529ea562cfd7351d4833323474c1913"),
+    ("if-equal-branches", "relaxed", "own"):  # 27 states
+        ("48a05ba74c1a2cbe6b0725c6924666b563fc0d6c41e51588116e69eff0c42367",
+         "5b30e169a262771377cf3f51cb0c782e2d32058353453281eb1707bbf4ef281a"),
+    ("if-without-else", "relaxed", "own"):  # 45 states
+        ("c059354b50f2f5fc9f405d95c1931c53c08b8999004377f559cd0bc8bd9f11f9",
+         "5b68965c1b24797596ef5418da2b2d6f6140ab3b4b9d9ba5874f9771ea13f858"),
+    ("impl-branch-ends", "relaxed", "own"):  # 233 states
+        ("c0590fc238c465859a4346f25e3ce8b02b182a356e6fa31ca6eeeb14676be4ac",
+         "78cba96e5786ee3a4f44d5ee7ba581a17665abcc8186ded86c884c6f94cc75bb"),
+    ("impl-falls-off", "relaxed", "own"):  # 1243 states
+        ("030694de4ce7fefe98fe089a67972da49d3c784c7c6ba935f6abd6add9ae9934",
+         "d7501707f1e55fe16b9e46c2f1cb9371eea55e7de382dbf4e1a393d5c009253d"),
+    ("impl-last-write", "relaxed", "own"):  # 1948 states
+        ("0037e339c9a6cf717e14967defcea5947262674777e1ec48f5317d5c63bd1aca",
+         "7620e9f7ddbb73ffa3a2877ec3d628ded90652622dda5beac20e12e2e3403961"),
+    ("vars-out-of-order-with-calls", "relaxed", "own"):  # 219 states
+        ("64b3340e204b59fd1cd6b870fb79edc1e6050cb8a3ba1859d857bb9ac3448554",
+         "f90d751e7556261b5b6cd3df248c4d16a65718f7c87ef85d57ae0a7ef9fbaaa7"),
+    ("vars-written-out-of-order", "relaxed", "own"):  # 63 states
+        ("e4c6ce08cf2193f5bd1ac1fffcf48b65d1d9ef6360c74453663a5f0ebd11e7b6",
+         "1c3cdf7fe7265cfc2c9dc18db705c4feb25b4f71b1990359aabdf5a4a15c2a78"),
+    ("while-first-and-last", "relaxed", "own"):  # 810 states
+        ("2ee796fe54c5bc59d9a35df72b0017260cb5a5ed5f793b9d338dc0b0e5ab6c95",
+         "6f70420dea788b76f2dfc9bfa7ad7a3173a66ebbf4f5aed21273ab9f5512a0e2"),
+}
+
+
+@pytest.mark.parametrize("shape,model,mode", sorted(REDUCED_SHAPE_DIGESTS))
+def test_shape_graph_unchanged_reduced(shape, model, mode):
+    ts = build_shape(shape, model, mode, reduce=True)
+    assert (graph_digest(ts), burst_digest(ts)) == \
+        REDUCED_SHAPE_DIGESTS[shape, model, mode]
 
 
 # (shape, model, mode) -> contract digest, values=1, for every shape, model
@@ -678,6 +751,13 @@ SHAPE_CONTRACT_DIGESTS = {
 @pytest.mark.parametrize("shape,model,mode", sorted(SHAPE_CONTRACT_DIGESTS))
 def test_shape_contract_unchanged(shape, model, mode):
     assert contract_digest(build_shape(shape, model, mode)) == \
+        SHAPE_CONTRACT_DIGESTS[shape, model, mode]
+
+
+# a reduced build promises what the unreduced one does
+@pytest.mark.parametrize("shape,model,mode", sorted(SHAPE_CONTRACT_DIGESTS))
+def test_shape_contract_unchanged_reduced(shape, model, mode):
+    assert contract_digest(build_shape(shape, model, mode, reduce=True)) == \
         SHAPE_CONTRACT_DIGESTS[shape, model, mode]
 
 
@@ -1062,8 +1142,16 @@ class TestGraphIdentity:
     @pytest.mark.parametrize("client,obj", sorted(OWN_MODE_DIGESTS))
     def test_relaxed_own_mode_graph_unchanged(self, client, obj):
         p, o = load(client, obj)
-        ts = explore(p, o, cfg(Model.RELAXED))
+        ts = _build(p, o, cfg(Model.RELAXED), o.kind, reduce=False)
         assert graph_digest(ts) == OWN_MODE_DIGESTS[client, obj]
+
+    @pytest.mark.parametrize("client,obj", sorted(REDUCED_OWN_MODE_DIGESTS))
+    def test_relaxed_own_mode_reduced_graph_unchanged(self, client, obj):
+        p, o = load(client, obj)
+        ts = explore(p, o, cfg(Model.RELAXED))
+        assert (graph_digest(ts), burst_digest(ts)) == \
+            REDUCED_OWN_MODE_DIGESTS[client, obj]
+        assert_bursts_carried(ts)
 
     @pytest.mark.parametrize("model,client,obj", sorted(SC_TSO_CHAOS_DIGESTS))
     def test_sc_tso_chaos_graph_unchanged(self, model, client, obj,
@@ -1091,7 +1179,7 @@ class TestGraphIdentity:
     @pytest.mark.parametrize("model,client,obj", sorted(BURST_DIGESTS_OWN))
     def test_own_mode_burst_table_unchanged(self, model, client, obj):
         p, o = load(client, obj)
-        ts = explore(p, o, cfg(model))
+        ts = _build(p, o, cfg(model), o.kind, reduce=False)
         assert burst_digest(ts) == BURST_DIGESTS_OWN[model, client, obj]
         assert_bursts_carried(ts)
 
@@ -1105,7 +1193,8 @@ class TestGraphIdentity:
         fig4 = ("fig4_client.wm", "spinlock_impl.wm")
         for client, obj in (fig6, fig2, fig6, fig4, fig6):
             p, o = load(client, obj)
-            ts = _build(p, o, cfg(Model.RELAXED, values=1), "chaos")
+            ts = _build(p, o, cfg(Model.RELAXED, values=1), "chaos",
+                        reduce=False)
             assert graph_digest(ts) == CHAOS_DIGESTS[client, obj]
 
     def test_no_engine_outlives_its_build(self, monkeypatch):
@@ -1383,56 +1472,6 @@ def test_random_straightline_clients_match_oracle(data):
     p = parse("\n".join(lines))
     c = ExploreConfig(model=Model.SC, values=2)
     assert materialize(explore(p, empty_object(), c)) == oracle_sc(p, c)
-
-
-@st.composite
-def fenced_clients(draw, loops=False, conds=False):
-    """Clients of 1-2 threads with up to three statements each: global
-    writes of literals, globals or earlier-read registers, global reads
-    into registers, and fences; with `loops`, also `while` loops on a
-    global whose body is one write or read; with `conds`, also `await`
-    and `if`/`else` (bodies one write or read) on a condition comparing
-    a global with a literal, a global or an earlier-read register."""
-    names = ["x", "y"]
-    lines = [f"global {v} = 0;" for v in names]
-    kinds = (["write", "read", "fence"] + (["loop"] if loops else [])
-             + (["await", "if"] if conds else []))
-    for i in range(draw(st.integers(1, 2))):
-        body, regs = [], []
-
-        def access(j, kind):
-            if kind == "read":
-                return f"r{j} := {draw(st.sampled_from(names))};"
-            src = draw(st.sampled_from(["1", "2"] + names + regs))
-            return f"{draw(st.sampled_from(names))} := {src};"
-
-        def cond():
-            left = draw(st.sampled_from(names))
-            right = draw(st.sampled_from(["0", "1"] + names + regs))
-            return f"{left} {draw(st.sampled_from(['=', '!=']))} {right}"
-
-        for j in range(draw(st.integers(0, 3))):
-            kind = draw(st.sampled_from(kinds))
-            if kind == "fence":
-                body.append("fence;")
-            elif kind == "loop":
-                # a register read in the body may stay unbound: not in regs
-                test = f"{draw(st.sampled_from(names))} != 2"
-                inner = access(j, draw(st.sampled_from(["write", "read"])))
-                body.append(f"while ({test}) {{ {inner} }}")
-            elif kind == "await":
-                body.append(f"await ({cond()});")
-            elif kind == "if":
-                # as in a loop, a register read in a branch is not in regs
-                then, orelse = (access(j, draw(st.sampled_from(["write", "read"])))
-                                for _ in range(2))
-                body.append(f"if ({cond()}) {{ {then} }} else {{ {orelse} }}")
-            else:
-                body.append(access(j, kind))
-                if kind == "read":
-                    regs.append(f"r{j}")
-        lines.append(f"thread T{i} {{ {' '.join(body)} }}")
-    return "\n".join(lines)
 
 
 # `materialize` is exponential in the client: values=1 keeps most trace
