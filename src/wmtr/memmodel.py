@@ -2,11 +2,12 @@
 
 One engine class per kind of object, each parameterised by a storage
 discipline.  `storage` holds SC, TSO and RELAXED, one class each behind
-one interface, picked once from `DISCIPLINES`; `_build` picks the engine
-class once from `ENGINES`, by where the object's observations are
-placed: `_Impl` runs an implementation instruction by instruction,
-`_Spec` a specification atomically with free observation placement, and
-`_Chaos` is the object-free object of the enforced-order extraction.
+one interface, picked once from `DISCIPLINES` (a reducing RELAXED build
+takes `OnDemand` instead); `_build` picks the engine class once from
+`ENGINES`, by where the object's observations are placed: `_Impl` runs
+an implementation instruction by instruction, `_Spec` a specification
+atomically with free observation placement, and `_Chaos` is the
+object-free object of the enforced-order extraction.
 
 States are collapse-compressed and packed: each thread's distinct
 states are stored once, in a table of its own, each distinct tuple of
@@ -32,11 +33,12 @@ and, per tuple of their values, the outcome, which `program.step` works
 out on a table miss only: once per thread state and read values,
 however many thread tuples hold that state.  Expressions are evaluated
 in full, so which variables a step reads depends on the key alone, and
-a gated instruction (a TAS or fence: it waits for its core to drain)
-reads through `latest`, the value a TAS acts on.  A state reads the
-variables of its entry and settles only what depends on the rest of
-it: whether the storage takes the write, whether the core is drained,
-whether the thread may invoke, and where a return's observation lands.
+a gated instruction (a TAS or fence: its core's writes must first be
+visible everywhere) reads through `latest`, the value a TAS acts on.
+A state reads the variables of its entry and settles only what depends
+on the rest of it: whether the storage takes the write, what the
+core's `fence` makes of the state, what the thread's invocation does,
+and where a return's observation lands.
 Every shared write, a TAS's included, is prepared once by the storage's
 `writer`, which fixes where the write goes (the ref an implementation
 store's or TAS's successor records) and what it emits.  An outcome
@@ -58,35 +60,33 @@ graph runs on those columns and works out what it needs of a burst once
 per burst id; `TraceSet.graph` is a read-only mapping view for readers
 that want the edges of an id as tuples.
 
-Silent-step reduction: under RELAXED a build expands a state by one
-silent propagation alone where that propagation commutes with all that
-can still happen before it, and by all of its edges elsewhere: an ample
-set of one edge (Peled, CAV 1993; Clarke, Grumberg and Peled, *Model
-Checking*, ch. 10).  Take the propagation p of record r of variable v
-to core k.  `ample` takes the first, in variable, record and core-rank
-order, such that no thread on core k may still read, write or TAS v (in
-the rest of its client code, the rest of an implementation call in
-progress, or the whole code of an operation it may still call: the
-summaries of `program.accesses`), no thread on any core may still TAS
-v, and r is not the record of an implementation call in progress, whose
-RETURN `attach`es its observation to it.  The first two conditions
-rule out the reads, writes and TASes that p does not commute with, the
-third an attach to r, and the rest cannot happen before p, because r
-lacks core k's bit until p sets it: r's emission, the propagation to k
-of the record after r, and the writer core's `drained` and `inv_ready`.
-Writes of v by other cores, and every other propagation and emission,
-commute with p.  p emits nothing (C2), so only interleavings of silent
-steps go, and every trace keeps its events: observables, enforced
-pairs, verdicts and canonical counterexamples are those of the
-unreduced graph, the state and edge counts are not.  The graph is
-acyclic under the unroll bound, so the cycle proviso is vacuous.  The
-choice is tabled per (variable field, entry, thread tuple), and what
-the threads may still do per thread tuple, so a state pays a few dict
-lookups.  `_build(..., reduce=False)` builds the unreduced graph, the
-reference of the tests; `enforced_order` builds its chaos graph that
-way, since that graph's counts anchor the benchmark and reducing it
-is a revision of the benchmark of its own.  SC and TSO never reduce: a
-TSO flush emits its observation, and SC has no silent step.
+Propagation on demand: a reducing build, `_build`'s default, runs
+RELAXED on the `OnDemand` storage, which takes no silent propagation
+step at all; `reduce=False` keeps the eager `RELAXED` storage, whose
+records reach each core by silent steps of their own.  Take the
+propagation p of record r of variable v to core k.  p commutes with
+every step but three: a read of v on core k, whose value p may change;
+r's emission, which waits until every core holds r; and a fence, TAS
+or specification invocation of r's writer core, which waits until
+every core holds that core's records.  A write of v on core k, or any
+TAS of v, moves k past r with p or without it, and so absorbs p.  A
+return whose last write is r emits its observation at once where every
+core holds r, and leaves it pending otherwise, free to be emitted next,
+so it gives the same traces on either side of p.  So each propagation can be delayed to the first
+of the three steps and taken in that step's edge: a load may read any
+record of v from its core's position to the latest, each choice its own
+edge that moves the core there; an emission moves every core to at
+least its record; a fence or TAS (a specification invocation) moves
+every core to at least its core's last record (last program record) of
+each variable.  Every trace keeps its events: observables, enforced
+pairs, verdicts and canonical counterexamples are those of the eager
+graph, the state and edge counts are not.  The storage also drops the
+front records every core is past that owe no observation, dead history
+(live-data reduction: Bozga, Fernandez and Ghirvu, SAS 1999).  A load's
+choices are tabled per entry and core, and the step table keys each
+choice's outcome on the values read, as it keys every outcome.
+`enforced_order` builds its chaos graph eagerly, since that graph's
+counts anchor the benchmark; SC and TSO have no propagation to delay.
 
 Observation placement: a program step's observation fires when its
 write is visible to every core; an operation's observation fires when
@@ -114,7 +114,7 @@ from .program import (
     validate,
 )
 from . import storage
-from .storage import _MISS, RELAXED, SC, TSO, Interned, _tset
+from .storage import _MISS, RELAXED, SC, TSO, Interned, OnDemand, _tset
 
 
 class Model(str, Enum):
@@ -180,9 +180,9 @@ class BurstTable:
 
 
 # what a state must still decide of a step: nothing, whether the storage
-# takes the write, whether the core is drained (and for a TAS, the write
-# it then makes), whether it may invoke, and whether a returning
-# operation's observation rides on its last write
+# takes the write, the core's `fence` (and for a TAS, the write it then
+# makes), the thread's invocation, and whether a returning operation's
+# observation rides on its last write
 _LOCAL, _WRITE, _FENCE, _CALL, _RET = range(5)
 
 
@@ -214,7 +214,8 @@ class _Engine:
     (`call_actions`) and whatever else its kind needs."""
     fields = 1  # the state's fields below the storage discipline's
 
-    def __init__(self, p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig):
+    def __init__(self, p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig,
+                 discipline: type):
         self.p, self.obj, self.cfg = p, obj, cfg
         self.coremap = p.coremap
         self.universe = events_of_program(p, obj, cfg.unroll, cfg.values)
@@ -224,11 +225,13 @@ class _Engine:
         # discipline's
         bits = storage.FIELD_BITS
         self.mask = (1 << bits) - 1
-        self.mem = DISCIPLINES[cfg.model](
+        self.mem = discipline(
             tuple(sorted(set(self.coremap.values()))), self.initials(),
             cfg.buffer, self.bursts, self.fields * bits)
-        # the load functions a step table entry names, bound once
+        # the load functions a step table entry names, bound once, and
+        # the choices of a load that reads on demand, or None
         self.read, self.latest = self.mem.read, self.mem.latest
+        self.views = self.mem.views
         # collapse compression: each thread's distinct states, call slot
         # included, are stored once in its own table, the threads in name
         # order, and so is each distinct tuple of their ids, one per
@@ -244,15 +247,8 @@ class _Engine:
         # the step table, keyed (thread, own-state id), of a thread outside
         # a call or in an implementation call: (the storage's load function,
         # the shared variables its next step reads, {their values: _Step,
-        # or None when blocked})
+        # or None when blocked}, `views` if its loads choose, else None)
         self.steps: Dict[Tuple[str, int], tuple] = {}
-        # the reduction's tables (`ample`): keyed by a state's bits of one
-        # variable's field and of its thread tuple, the change made by the
-        # propagation chosen there, or None; per thread-tuple id and per
-        # (thread, own-state id), what the threads may still do
-        self.amples: Dict[int, Optional[int]] = {}
-        self.ahead: Dict[int, tuple] = {}
-        self.ahead_own: Dict[Tuple[str, int], tuple] = {}
 
     def initials(self) -> dict:  # the storage's variables
         return dict(self.p.globals)
@@ -288,8 +284,9 @@ class _Engine:
         step.deltas[tid] = d
         return d
 
-    def inv_allowed(self, st: int, thread: str) -> bool:
-        return self.mem.inv_ready(st, self.coremap[thread], False)
+    def invoke(self, st: int, thread: str) -> Optional[int]:
+        """`st` once `thread` may invoke an operation, or None."""
+        return self.mem.invoke(st, self.coremap[thread], False)
 
     def actions(self, st: int) -> List[Tuple[int, int]]:
         """The edges out of `st`, as (burst id, successor)."""
@@ -302,94 +299,6 @@ class _Engine:
         out.extend(self.mem.moves(st))
         return out
 
-    def reduced(self, st: int) -> List[Tuple[int, int]]:
-        """The edges a reducing build expands `st` by: the ample
-        propagation alone, if there is one, else all of `actions`."""
-        d = self.ample(st)
-        return self.actions(st) if d is None else [(0, st + d)]
-
-    def ample(self, st: int) -> Optional[int]:
-        """The change made by the propagation out of `st` that a reducing
-        build takes alone (see the module docstring), or None: the first,
-        in variable, record and core-rank order, to a core that may not
-        touch its variable again, of a variable no thread may still TAS,
-        and of a record that no implementation call in progress carries.
-        Looked up per variable on the state's bits of that variable's
-        field and of its thread tuple, whose `_ahead` gives the variables
-        to try."""
-        mask = self.mask
-        tid = st & mask
-        ahead = self.ahead.get(tid)
-        if ahead is None:
-            ahead = self.ahead[tid] = self._ahead(tid)
-        tries, calls = ahead
-        amples = self.amples
-        for shift, key, busy in tries:
-            key &= st
-            d = amples.get(key, _MISS)
-            if d is _MISS:
-                eid = st >> shift & mask
-                d = amples[key] = next(
-                    ((e2 - eid) << shift
-                     for k, _, ca, e2 in self.mem.propagations(eid)
-                     if not busy >> k & 1
-                     and not (calls and self.mem.decode[ca] in calls)),
-                    None)
-            if d is not None:
-                return d
-        return None
-
-    def _ahead(self, tid: int) -> tuple:
-        """What the threads of tuple `tid` may still do: the variables
-        whose propagations `ample` tries, as (shift, the mask of the
-        state bits it keys on, the mask of the ranks of the cores that
-        may still read, write or TAS the variable), in variable order,
-        leaving out those any thread may still TAS and those every core
-        may still touch; and the ids of the implementation calls in
-        progress."""
-        busy: Dict[int, int] = {}
-        tas, calls = set(), set()
-        for th, x, ts in self.decoded[tid]:
-            key = (th, x)
-            own = self.ahead_own.get(key)
-            if own is None:
-                own = self.ahead_own[key] = self._own_ahead(th, ts)
-            bit, touched, tased, call = own
-            for s in touched:
-                busy[s] = busy.get(s, 0) | bit
-            tas.update(tased)
-            if call is not None:
-                calls.add(call)
-        mask, full = self.mask, self.mem.full
-        tries = tuple((s, mask << s | mask, busy.get(s, 0))
-                      for s, _ in self.mem.fields
-                      if s not in tas and busy.get(s, 0) != full)
-        return tries, frozenset(calls)
-
-    def _own_ahead(self, th: str, ts: ThreadState) -> tuple:
-        """What `th` in state `ts` may still do: the bit of its core's
-        rank, the shifts of the variables it may still read, write or
-        TAS, of those it may still TAS, and the id of the implementation
-        call it is in, or None.  It may still run the rest of its client
-        code, the rest of an implementation call it is in, and the whole
-        code of every operation it may still call."""
-        ops = self.obj.summaries
-        parts = [self.p.summaries[th][ts.pc]]
-        call = self.in_call(ts)
-        if call is not None:
-            parts.append(ops[call[0].call][call[1]])
-        parts += [ops[name][1] for name in parts[0].calls]
-        shifts = self.mem.shifts
-        touched = {shifts[v] for a in parts for v in a.reads | a.writes | a.tas
-                   if v in shifts}
-        tased = {shifts[v] for a in parts for v in a.tas if v in shifts}
-        return (1 << self.mem.rank[self.coremap[th]], touched, tased,
-                None if call is None else call[0])
-
-    def in_call(self, ts: ThreadState):
-        """The id and pc of the implementation call `ts` runs, or None."""
-        return None
-
     def step_actions(self, out, st, th, x, ts):
         """Add to `out` the edge of `th`'s next instruction, or of the
         next instruction of its implementation call, unless it is
@@ -398,19 +307,41 @@ class _Engine:
         entry = self.steps.get(key)
         step = _MISS
         if entry is not None:
-            load, reads, outcomes = entry
-            core = self.coremap[th]
-            step = outcomes.get(tuple([load(st, core, v) for v in reads]),
-                                _MISS)
+            load, reads, outcomes, views = entry
+            if views is not None:
+                return self._read_on_demand(out, st, th, ts, entry)
+            step = outcomes.get(
+                tuple([load(st, self.coremap[th], v) for v in reads]), _MISS)
         if step is _MISS:
             load, step, seen = self._interpret(st, th, ts)
             if entry is None:
-                entry = self.steps[key] = (load, tuple(seen), {})
+                entry = self.steps[key] = (
+                    load, tuple(seen), {},
+                    self.views if seen and load is self.read else None)
             entry[2][tuple(seen.values())] = step
+            if entry[3] is not None:
+                return self._read_on_demand(out, st, th, ts, entry)
         if step is not None:
             a = self._take(st, th, step)
             if a is not None:
                 out.append(a)
+
+    def _read_on_demand(self, out, st, th, ts, entry):
+        """`step_actions` for a step whose loads read on demand: an edge
+        per choice of `views`, each from the state with the core moved
+        to what it reads."""
+        load, reads, outcomes, views = entry
+        core = self.coremap[th]
+        for s in views(st, core, reads):
+            step = outcomes.get(tuple([load(s, core, v) for v in reads]),
+                                _MISS)
+            if step is _MISS:
+                _, step, seen = self._interpret(s, th, ts)
+                outcomes[tuple(seen.values())] = step
+            if step is not None:
+                a = self._take(s, th, step)
+                if a is not None:
+                    out.append(a)
 
     def _interpret(self, st, th, ts):
         """Run `th`'s next instruction, or the next instruction of its
@@ -468,8 +399,7 @@ class _Engine:
         if kind != _LOCAL:
             mem = self.mem
             if kind == _CALL:
-                if not self.inv_allowed(st, th):
-                    return None
+                st = self.invoke(st, th)
             elif kind == _RET:
                 attached = mem.attach(st, self.coremap[th], *step.arg)
                 if attached is None:  # the observation is emitted now
@@ -480,12 +410,12 @@ class _Engine:
                     return b, st + d
                 st = attached
             else:  # a write, or a fence that a TAS's write may follow
-                if kind == _FENCE and not mem.drained(st, self.coremap[th]):
-                    return None
-                if step.arg is not None:
+                if kind == _FENCE:
+                    st = mem.fence(st, self.coremap[th])
+                if st is not None and step.arg is not None:
                     st = mem.write(st, step.arg)
-                    if st is None:
-                        return None
+            if st is None:
+                return None
         b = step.bid
         if b is None:  # the first edge to carry it
             b = step.bid = self.bursts.id(step.burst)
@@ -525,12 +455,6 @@ class _Impl(_Engine):
         return start_frame(opid, self.obj.ops[opid.call], arg, reg), None
 
     call_actions = _Engine.step_actions
-
-    def in_call(self, ts):
-        if ts.call is None:
-            return None
-        f = ts.call[0]
-        return f.opid, f.pc
 
     def _running(self, th, ts):
         if ts.call is None:
@@ -592,8 +516,9 @@ class _Spec(_Engine):
     the two fields above the thread tuple's."""
     fields = 3
 
-    def __init__(self, p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig):
-        super().__init__(p, obj, cfg)
+    def __init__(self, p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig,
+                 discipline: type):
+        super().__init__(p, obj, cfg, discipline)
         self.vshift, self.bshift = storage.FIELD_BITS, 2 * storage.FIELD_BITS
         self.covert = covert_ops(p, obj)
         self.valuations = Interned("specification valuations")
@@ -611,13 +536,14 @@ class _Spec(_Engine):
         return (super().root() | self.valuations.id(objst) << self.vshift
                 | self.books.id(()) << self.bshift)
 
-    def inv_allowed(self, st: int, thread: str) -> bool:
+    def invoke(self, st: int, thread: str) -> Optional[int]:
         core = self.coremap[thread]
         book = self.books.values[st >> self.bshift & self.mask]
-        return (self.mem.inv_ready(st, core, True)
-                and all(ts2.call is None or self.coremap[th2] == core
-                        for th2, _, ts2 in self.decoded[st & self.mask])
-                and all(c == core for (_, _, c) in book))
+        if (all(ts2.call is None or self.coremap[th2] == core
+                for th2, _, ts2 in self.decoded[st & self.mask])
+                and all(c == core for (_, _, c) in book)):
+            return self.mem.invoke(st, core, True)
+        return None
 
     def call_slot(self, opid, arg, reg):
         return opid, arg, reg
@@ -696,8 +622,9 @@ class _Chaos(_Engine):
     (`chaos_outputs`), carrying one virtual shared write per effectful
     operation.  A thread in a call holds (opid, reg)."""
 
-    def __init__(self, p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig):
-        super().__init__(p, obj, cfg)
+    def __init__(self, p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig,
+                 discipline: type):
+        super().__init__(p, obj, cfg, discipline)
         self.covert = covert_ops(p, obj)
         self.outputs = {name: chaos_outputs(op, cfg.values)
                         for name, op in obj.ops.items()}
@@ -951,12 +878,14 @@ class GraphView(Mapping):
 
 def _build(p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig,
            mode: str, reduce: bool = True) -> TraceSet:
-    """The graph of `mode`'s engine; under RELAXED, reduced unless
-    `reduce` is false."""
+    """The graph of `mode`'s engine; under RELAXED, on the `OnDemand`
+    storage unless `reduce` is false."""
     errors = validate(p, obj)
     if errors:
         raise ValueError("; ".join(errors))
-    eng = ENGINES[mode](p, obj, cfg)
+    eng = ENGINES[mode](p, obj, cfg,
+                        OnDemand if reduce and cfg.model is Model.RELAXED
+                        else DISCIPLINES[cfg.model])
     # Each state is hashed once per edge that reaches it, here; the graph
     # and every pass over it work on the int ids, and the engine hands out
     # the burst ids.
@@ -965,8 +894,7 @@ def _build(p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig,
     succ, burst_id = array("i"), array("i")
     start, stop = array("i", [0]), array("i", [0])
     stack = [(0, root)]
-    actions = (eng.reduced if reduce and cfg.model is Model.RELAXED
-               else eng.actions)
+    actions = eng.actions
     setdefault = ids.setdefault
     to_succ, to_burst = succ.append, burst_id.append
     n = 1  # the states so far, and the id of the next

@@ -44,17 +44,13 @@ possible outputs.
 either way.  The outputs an operation may give (`chaos_outputs`, and
 its closure `op_outputs`) are those of its reachable returns, and
 `validate` rejects code no path reaches: a statement after a return.
-`accesses` sums up, per pc, what the code reachable from there may
-still read, write, TAS and call; the RELAXED reduction in `memmodel`
-asks it which cores may still touch a variable.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .events import Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId
 from .storage import _tget, _tset
@@ -156,11 +152,6 @@ class ClientProgram:
     def declared(self) -> frozenset:
         return frozenset(self.globals)
 
-    @cached_property
-    def summaries(self) -> Dict[str, tuple]:
-        """`accesses` of each thread's code, worked out on first use."""
-        return {th: accesses(code) for th, code in self.code.items()}
-
 
 @dataclass
 class OpDef:
@@ -181,11 +172,6 @@ class ObjectDef:
         shared = frozenset(self.shared)
         for op in self.ops.values():
             op.code = compile_body(op.body, shared)
-
-    @cached_property
-    def summaries(self) -> Dict[str, tuple]:
-        """`accesses` of each operation's code, worked out on first use."""
-        return {name: accesses(op.code) for name, op in self.ops.items()}
 
 
 def empty_object(kind: str = "impl") -> ObjectDef:
@@ -807,11 +793,11 @@ def step(code: tuple, pc: int, ctrs: tuple, regs: tuple, load,
 
 # --- static answers about an operation ---
 
-def reachable(code: tuple, start: int = 1) -> frozenset:
-    """The pcs control can reach from `start` when every IF and LOOP test
-    may go either way.  A RETURN ends its path, so from pc 1, pc 0 is in
-    the set exactly when control can run off the end of the body."""
-    seen, stack = set(), [start]
+def reachable(code: tuple) -> frozenset:
+    """The pcs control can reach from pc 1 when every IF and LOOP test
+    may go either way.  A RETURN ends its path, so pc 0 is in the set
+    exactly when control can run off the end of the body."""
+    seen, stack = set(), [1]
     while stack:
         pc = stack.pop()
         if pc not in seen:
@@ -821,37 +807,6 @@ def reachable(code: tuple, start: int = 1) -> frozenset:
                       else (pc + 1, ins[3]) if op == IF
                       else ins[3:5] if op == LOOP else (pc + 1,))
     return frozenset(seen)
-
-
-class Access(NamedTuple):
-    """What code may still do from a pc on: the names its expressions
-    may read, the variables it may store to or TAS, and the operations
-    it may call."""
-    reads: frozenset
-    writes: frozenset
-    tas: frozenset
-    calls: frozenset
-
-
-def accesses(code: tuple) -> tuple:
-    """Per pc, the Access of every instruction `reachable` from it, so a
-    superset of what any run from that pc does, whatever its tests,
-    loop budgets and read values; pc 0's is empty."""
-    own = []
-    for ins in code:
-        op = ins[0]
-        exprs = ((ins[3],) if op in (SET, STORE)
-                 else (ins[2].left, ins[2].right) if op in (AWAIT, IF, LOOP)
-                 else (ins[2],) if op == RETURN and ins[2] is not None
-                 else ())
-        own.append((frozenset(n for e in exprs for n in names_of(e)),
-                    frozenset((ins[2],) if op == STORE else ()),
-                    frozenset((ins[3],) if op == TAS else ()),
-                    frozenset((ins[2],) if op == CALL else ())))
-    return tuple(
-        Access(*(frozenset().union(*(own[q][i] for q in live))
-                 for i in range(4)))
-        for live in (reachable(code, pc) for pc in range(len(code))))
 
 
 def chaos_outputs(op: OpDef, values: int) -> frozenset:

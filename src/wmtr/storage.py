@@ -23,20 +23,27 @@ burst ids from it.
            at a time in per-variable coherence order; no cross-variable
            ordering.  A core that overwrites a variable jumps past (and
            thereby supersedes) records it never received.  A TAS acts on
-           the coherence-latest value and is instantly global.
+           the coherence-latest value and is instantly global.  `RELAXED`
+           propagates by silent steps; `OnDemand`, the storage of a
+           reducing build, moves a record to a core in the edge of the
+           first step that needs it there.
 
 The interface, for a state int s:
 
   initial()                        the storage before any write
   read(s, core, var)               the value a load on `core` returns
   latest(s, core, var)             the value a TAS on a drained `core` acts on
+  views                            None, or views(s, core, reads): [s'], one
+                                   per choice of what a load may read
   writer(core, var, val, kind, carrier, obs)
                                    a write, prepared once for `write`
   write(s, w)                      s' once the storage takes `w`, or None
   attach(s, core, ref, opid, obs)  s' with the response's observation on the
                                    operation's last write, or None: emit now
-  drained(s, core)                 every write of `core` is visible everywhere
-  inv_ready(s, core, spec)         `core` may invoke a (spec) operation
+  fence(s, core)                   s' once every write of `core` is visible
+                                   everywhere, or None while it must wait
+  invoke(s, core, spec)            s' once `core` may invoke a (spec)
+                                   operation, or None while it must wait
   moves(s)                         [(burst id, s')]: the storage's own steps
 
 A prepared write fixes what does not depend on the state: its `ref`,
@@ -48,9 +55,10 @@ changes, and a field's own steps once per value, as [(burst id, delta)].
 
 Invocations under TSO wait until the invoking core holds no buffered
 program write; under RELAXED, specification invocations wait until the
-core's program writes have fully propagated.  Both reflect the enforced
-order's treatment of operation boundaries as code the program cannot
-see into but the laws still constrain.
+core's program writes have fully propagated (`OnDemand` propagates them
+in the invocation's edge).  Both reflect the enforced order's treatment
+of operation boundaries as code the program cannot see into but the
+laws still constrain.
 
 A write is a client assignment ("prog"), an object store ("obj"), an
 object TAS on a drained core ("tas") or the virtual write that stands
@@ -130,6 +138,7 @@ class Storage:
     """Defaults of the interface: no write is ever in flight.  `fields`
     lists (shift, {value: its steps}) for the fields with own steps, in
     the order `moves` visits them."""
+    views = None
 
     def __init__(self, cores: tuple, initials: dict, buffer: int, bursts,
                  shift: int = 0):
@@ -157,11 +166,11 @@ class Storage:
     def attach(self, s, core, ref, opid, obs):
         return None
 
-    def drained(self, s, core):
-        return True
+    def fence(self, s, core):
+        return s
 
-    def inv_ready(self, s, core, spec):
-        return True
+    def invoke(self, s, core, spec):
+        return s
 
     def moves(self, s):
         out = []
@@ -268,11 +277,12 @@ class TSO(_Interning):
                 return self._put(s, (mem, _tset(bufs, core, buf2)))
         return None
 
-    def drained(self, s, core):
-        return not _tget(self._get(s)[1], core)
+    def fence(self, s, core):
+        return None if _tget(self._get(s)[1], core) else s
 
-    def inv_ready(self, s, core, spec):
-        return all(e.kind != "prog" for e in _tget(self._get(s)[1], core))
+    def invoke(self, s, core, spec):
+        return (s if all(e.kind != "prog" for e in _tget(self._get(s)[1], core))
+                else None)
 
     def _moves(self, f):
         mem, bufs = self.table.values[f]
@@ -288,45 +298,43 @@ class TSO(_Interning):
 
 class RELAXED(Storage):
     """One field per variable, holding the id of its entry; entry 0 is
-    the empty entry of a variable not yet written.
+    the empty entry of a variable not yet written.  This is the eager
+    storage: a record reaches the other cores by silent propagation
+    steps of its own.  `OnDemand` below takes none.
 
     An entry is the pair (recs, posv) of one variable, interned in
     `entries` (collapse compression: the 47k states of the largest
     corpus graph hold a few dozen distinct entries).  posv[k] is the
     position in recs of the latest record of var that the core of rank k
-    (its index in the sorted cores) received, -1 before any.  A record
-    is the tuple
-      (val, core_rank, kind, carrier_code, covered_mask, obs_code, emitted)
-    where bit k of covered_mask says core k received or superseded it,
-    and carrier and observation are interned in `decode` (code 0 is
-    None); an observation is decoded when its record emits it.  The ref
-    of a write is its variable: an operation's last write is the last
-    record of that variable that carries the operation's code, since
-    records are never removed and only one invocation carries its code.
+    (its index in the sorted cores) holds, -1 before any; positions
+    stand in for coverage, since core k holds, having received or
+    superseded it, exactly each record at a position up to posv[k].  A
+    record is the tuple
+      (val, core_rank, kind, carrier_code, obs_code)
+    where carrier and observation are interned in `decode` (code 0 is
+    None) and a record that emitted its observation holds the code
+    negated; an observation is decoded when its record emits it.  The
+    ref of a write is its variable: an operation's last write is the
+    last record of that variable that carries the operation's code,
+    since only one invocation carries its code.
 
     The variables of `initials` get their fields when the instance is
     made, any other (a chaos call's virtual variable) when a write to it
     is first prepared; `moves` visits them by name.  An entry's own
     steps do not depend on the variable or on the rest of the storage,
     so `moves` tables them once per variable and entry; likewise `entry`
-    notes once which cores still have a record in flight, for `drained`
-    and `inv_ready`.  `_steps` names, for each propagation of an entry,
-    its target core and its record's writer and carrier, and
-    `propagations` tables them once per entry for the silent-step
-    reduction of `memmodel`, which picks a propagation to a core that
-    will not touch the variable again.  Every table lives on the
-    instance and goes with the build."""
+    notes once which cores issued a record that not every core holds,
+    for `fence` and `invoke`.  Every table lives on the instance and
+    goes with the build."""
 
     def __init__(self, cores, initials, buffer, bursts, shift=0):
         super().__init__(cores, initials, buffer, bursts, shift)
         self.rank = {c: k for k, c in enumerate(cores)}
-        self.full = (1 << len(cores)) - 1
         self.codes: Dict[object, int] = {None: 0}
         self.decode: List[object] = [None]
         self.entries = Interned("RELAXED entries")
-        self.props: Dict[int, tuple] = {}  # per entry id: `propagations`
         # per entry id: bit k set iff core k issued a record (a program
-        # record) that not every core has yet
+        # record) that not every core holds
         self.pending: List[int] = []
         self.pending_prog: List[int] = []
         self.entry(((), (-1,) * len(cores)))
@@ -353,12 +361,12 @@ class RELAXED(Storage):
         """The id of entry `e`, interned on first sight."""
         eid = self.entries.id(e)
         if eid == len(self.pending):
+            recs, posv = e
             pending = pending_prog = 0
-            for _, c, kind, _, cov, _, _ in e[0]:
-                if cov != self.full:
-                    pending |= 1 << c
-                    if kind == "prog":
-                        pending_prog |= 1 << c
+            for _, c, kind, _, _ in recs[min(posv, default=-1) + 1:]:
+                pending |= 1 << c
+                if kind == "prog":
+                    pending_prog |= 1 << c
             self.pending.append(pending)
             self.pending_prog.append(pending_prog)
         return eid
@@ -384,24 +392,14 @@ class RELAXED(Storage):
         recs, posv = self.entries.values[eid]
         pos = len(recs)
         if kind == "tas":
-            # every core jumps to the new record, superseding those it lacks
-            recs = tuple(
-                (v, c, kd, ca2,
-                 cov | sum(1 << j for j, p in enumerate(posv) if p < i), ob2, em)
-                for i, (v, c, kd, ca2, cov, ob2, em) in enumerate(recs))
-            # recorded as an object store: once every core has a store's
-            # record, the two are the same record
-            rec = (val, k, "obj", ca, self.full, ob, False)
-            return self.entry((recs + (rec,), (pos,) * len(posv)))
-        bit = 1 << k
-        old = posv[k]
-        # the issuing core supersedes the records it never received
-        recs = recs[:old + 1] + tuple(
-            (v, c, kd, ca2, cov | bit, ob2, em)
-            for v, c, kd, ca2, cov, ob2, em in recs[old + 1:])
-        rec = (val, k, kind, ca, bit, ob, False)
-        posv = posv[:k] + (pos,) + posv[k + 1:]
-        return self.entry((recs + (rec,), posv))
+            # every core jumps to the new record, recorded as an object
+            # store: once every core holds a store's record, the two are
+            # the same record
+            return self.entry((recs + ((val, k, "obj", ca, ob),),
+                               (pos,) * len(posv)))
+        # the issuing core jumps to its record, superseding those it lacks
+        return self.entry((recs + ((val, k, kind, ca, ob),),
+                           posv[:k] + (pos,) + posv[k + 1:]))
 
     def attach(self, s, core, var, opid, obs):
         if var is None:
@@ -411,60 +409,129 @@ class RELAXED(Storage):
         recs, posv = self.entries.values[eid]
         code = self.codes[opid]
         pos = len(recs) - 1
-        while recs[pos][3] != code:  # the operation's last record of var
+        while pos >= 0 and recs[pos][3] != code:  # its last record of var
             pos -= 1
-        rec = recs[pos]
-        if rec[4] == self.full:
+        if pos <= min(posv):  # every core holds it, or it was dropped
             return None
-        rec2 = rec[:5] + (self.intern(obs),) + rec[6:]
-        e = (recs[:pos] + (rec2,) + recs[pos + 1:], posv)
+        e = (recs[:pos] + (recs[pos][:4] + (self.intern(obs),),)
+             + recs[pos + 1:], posv)
         return s + ((self.entry(e) - eid) << shift)
 
     def _pending(self, s, core, table) -> bool:
         bit, mask = 1 << self.rank[core], self.mask
         return any(table[s >> shift & mask] & bit for shift, _ in self.fields)
 
-    def drained(self, s, core):
-        return not self._pending(s, core, self.pending)
+    def fence(self, s, core):
+        return None if self._pending(s, core, self.pending) else s
 
-    def inv_ready(self, s, core, spec):
-        return not spec or not self._pending(s, core, self.pending_prog)
+    def invoke(self, s, core, spec):
+        return None if spec and self._pending(s, core, self.pending_prog) else s
+
+    def _emit(self, recs, posv, pos) -> tuple:
+        """(burst id, entry id') of the emission of record `pos`'s
+        observation, which moves every core to at least that record."""
+        v, c, kd, ca, ob = recs[pos]
+        recs = recs[:pos] + ((v, c, kd, ca, -ob),) + recs[pos + 1:]
+        return (self.bursts.id((self.decode[ob],)),
+                self.entry((recs, tuple(max(p, pos) for p in posv))))
 
     def _moves(self, eid: int) -> list:
-        return [(b, e2) for b, e2, _ in self._steps(eid)]
-
-    def propagations(self, eid: int) -> tuple:
-        """The propagations of entry `eid`, in `_steps` order, each as
-        (target core rank, writer core rank, carrier code, entry id');
-        worked out once per entry."""
-        props = self.props.get(eid)
-        if props is None:
-            props = self.props[eid] = tuple(
-                prop + (e2,) for _, e2, prop in self._steps(eid) if prop)
-        return props
-
-    def _steps(self, eid: int):
-        """The entry's own steps, as (burst id, entry id', propagation):
-        each record that every core has emits its observation, and each
-        other record propagates to every core next in line for it, a
-        propagation being (target core rank, the record's writer core
-        rank, its carrier code), None for an emission; records by
-        position, cores by rank."""
+        """The entry's own steps: each record that every core holds
+        emits its pending observation, and each other record propagates
+        to every core next in line for it; records by position, cores by
+        rank."""
         recs, posv = self.entries.values[eid]
-        full = self.full
-        for pos, (v, c, kd, ca, cov, ob, em) in enumerate(recs):
-            if cov == full and (not ob or em):
-                continue
-            before, after = recs[:pos], recs[pos + 1:]
-            if cov == full:  # every core has it: emit its observation
-                recs2 = before + ((v, c, kd, ca, cov, ob, True),) + after
-                yield (self.bursts.id((self.decode[ob],)),
-                       self.entry((recs2, posv)), None)
-                continue
-            for k in range(len(posv)):  # propagate to each core next in line
-                if cov >> k & 1 or posv[k] != pos - 1:
-                    continue
-                rec2 = (v, c, kd, ca, cov | 1 << k, ob, em)
-                posv2 = posv[:k] + (pos,) + posv[k + 1:]
-                yield (0, self.entry((before + (rec2,) + after, posv2)),
-                       (k, c, ca))
+        low = min(posv, default=-1)
+        out = [self._emit(recs, posv, pos) for pos in range(low + 1)
+               if recs[pos][4] > 0]
+        for pos in range(low + 1, len(recs)):
+            out += [(0, self.entry((recs, posv[:k] + (pos,) + posv[k + 1:])))
+                    for k, p in enumerate(posv) if p == pos - 1]
+        return out
+
+
+class OnDemand(RELAXED):
+    """The RELAXED storage of a reducing build: no silent step at all.
+    A record reaches a core when the first step it matters to needs it
+    there, in that step's own edge (the view-based reading of Kang, Hur,
+    Lahav, Vafeiadis and Dreyer, *A Promising Semantics for
+    Relaxed-Memory Concurrency*, POPL 2017, and of Lahav, Giannarakis and
+    Vafeiadis, *Taming Release-Acquire Consistency*, POPL 2016):
+
+      views(s, core, reads)  a load of each variable of `reads` on
+                             `core` may read any record of it from the
+                             core's position to the latest, the initial
+                             value only while the core holds no record;
+                             [s'] with the core moved to the record read,
+                             one per choice, the first moving nothing
+      _moves                 a pending observation may be emitted at any
+                             time; its edge moves every core to at least
+                             its record
+      fence, invoke          a fence or TAS, and a specification
+                             invocation, move every core to at least the
+                             issuing core's last record (last program
+                             record) of each variable, in place of
+                             waiting for it
+
+    Writes, TAS writes and `attach` are RELAXED's.  `entry` drops the
+    front records that lie before every core's position and owe no
+    observation, and shifts the positions down by as many; `attach`
+    finds no record of an operation once its last one is dropped, which
+    every core held, and emits at once.  A load's choices are tabled per
+    (entry, core), and what `fence` and `invoke` make of an entry per
+    (entry, core, program records only)."""
+
+    def __init__(self, cores, initials, buffer, bursts, shift=0):
+        super().__init__(cores, initials, buffer, bursts, shift)
+        self.picks: Dict[tuple, tuple] = {}
+        self.published: Dict[tuple, int] = {}
+
+    def entry(self, e: tuple) -> int:
+        recs, posv = e
+        n, low = 0, min(posv, default=-1)
+        while n < low and recs[n][4] <= 0:
+            n += 1
+        if n:
+            e = (recs[n:], tuple(p - n for p in posv))
+        return super().entry(e)
+
+    def views(self, s, core, reads) -> list:
+        k, mask = self.rank[core], self.mask
+        out = [s]
+        for var in reads:
+            shift = self.shifts[var]
+            eid = s >> shift & mask
+            picks = self.picks.get((eid, k))
+            if picks is None:
+                recs, posv = self.entries.values[eid]
+                picks = self.picks[eid, k] = tuple(
+                    self.entry((recs, posv[:k] + (j,) + posv[k + 1:])) - eid
+                    for j in range(posv[k], len(recs)))
+            out = [u + (d << shift) for u in out for d in picks]
+        return out
+
+    def _moves(self, eid: int) -> list:
+        recs, posv = self.entries.values[eid]
+        return [self._emit(recs, posv, pos) for pos in range(len(recs))
+                if recs[pos][4] > 0]
+
+    def _publish(self, s, core, table, prog: bool):
+        k, mask = self.rank[core], self.mask
+        for shift, _ in self.fields:
+            eid = s >> shift & mask
+            if table[eid] >> k & 1:
+                e2 = self.published.get((eid, k, prog))
+                if e2 is None:
+                    recs, posv = self.entries.values[eid]
+                    last = max(pos for pos, r in enumerate(recs) if r[1] == k
+                               and (not prog or r[2] == "prog"))
+                    e2 = self.published[eid, k, prog] = self.entry(
+                        (recs, tuple(max(p, last) for p in posv)))
+                s += (e2 - eid) << shift
+        return s
+
+    def fence(self, s, core):
+        return self._publish(s, core, self.pending, False)
+
+    def invoke(self, s, core, spec):
+        return self._publish(s, core, self.pending_prog, True) if spec else s

@@ -162,34 +162,34 @@ OWN_MODE_DIGESTS = {  # the object's own mode, default bounds
 }
 
 
-# (graph digest, burst digest) of the reduced RELAXED graph `explore`
-# builds for each pair above, default bounds; recorded when the reduction
-# came in, beside the unreduced digests, which stay pinned
-REDUCED_OWN_MODE_DIGESTS = {
-    ("fig4_client.wm", "spinlock_impl.wm"):  # 93 states
-        ("749ebdcae2f401ab0f20adc69316831a4ae684b0127901148067f9415f0563ee",
+# (graph digest, burst digest) of the RELAXED graph `explore` builds on
+# the on-demand storage for each pair above, default bounds; the unreduced
+# digests above stay pinned
+ON_DEMAND_OWN_MODE_DIGESTS = {
+    ("fig4_client.wm", "spinlock_impl.wm"):  # 79 states
+        ("28acb1effe858c14d33e8cf7d76e76a5018eb936a7a0e7c7df9926f3eda29449",
          "8a9a277dfa24a52c849d2e03f20a14ba498e21ed1c38fae295d658d2b8ecdaa0"),
-    ("fig4_client.wm", "spinlock_spec.wm"):  # 27 states
-        ("b6403080aa188d5cede85d455d8925e14079da75721c49ef89ff780d68124b9a",
+    ("fig4_client.wm", "spinlock_spec.wm"):  # 21 states
+        ("7cdfe2c3c06c88fb4078dba171e19973e02e8d2e382a8aab99fad6dcddb5be0a",
          "795b860c834bfa9e7969c971e13c790b113333ea0a247f38be5c7c48855e0de7"),
-    ("fig5_client.wm", "spinlock_impl.wm"):  # 1446 states
-        ("b211bdc1b443244d6797ac61d95dff28576f9013531a381b1b543ff0549454c4",
-         "6cd4b52ecba02f2c6d58b0dd79edfd148e60500770cf846ff6ff17c61dc512de"),
-    ("fig5_client.wm", "spinlock_spec.wm"):  # 684 states
-        ("dd229ce734f3c95fc957958e9bf5b439f405ceb1fe5b9da8d5439afcf729b2d4",
-         "9d80ece935020abb65ac576e8f9572b29b89bc6993ea6a4e9cf626454e660cc7"),
-    ("fig5_notry_client.wm", "spinlock_impl_notry.wm"):  # 285 states
-        ("d8e378a242046a519c300df15139884412177d13d9e40245da26f20ee85dbee2",
-         "864950dda6ff05b70196b7a58cf14fabef8baf3415a46296e45172da39eed27d"),
-    ("fig5_notry_client.wm", "spinlock_spec_notry.wm"):  # 266 states
-        ("5f7f515b4a3a11050c06cd3d866d1723153a267dcfc36143e00f187fced59bfb",
-         "830380f5cd30c38108e3925589d0f8ccb4b2dae88fb822b4064b6b2ef810f9bb"),
-    ("fig6_client.wm", "spinlock_impl.wm"):  # 1091 states
-        ("7ee75cfa79224939ed067b555ffcf4d7f3c7778e685afc1259fe9b7c52773137",
-         "6461ea7aebab4bdbeb1a0c7fb9b369bea5f722dcd626a0f1cb97685f3895768b"),
-    ("fig6_client.wm", "spinlock_spec.wm"):  # 135 states
-        ("6da7777c77171568ae9ca088b9bbb8326ec273133cb1f1a8b5c320bd3749bfd4",
-         "c43c9502b9d093100049ee0c8f1f2a1dc53d965ad6b71b59689a17cbf4d424d7"),
+    ("fig5_client.wm", "spinlock_impl.wm"):  # 386 states
+        ("0096536c8c7c7dd84f1436a216ce3a85e8cce7aedb8aad07d49ec26af7854a0d",
+         "9c83fbd0549318904d324d22688035aeeafe9e455afbbf23c5f1a31d0ffcfa51"),
+    ("fig5_client.wm", "spinlock_spec.wm"):  # 292 states
+        ("424ae514617e90517099a3962dfda841fb4a60e04472cc0ea3ccd4dc6e500067",
+         "85720a4dc6394b379adc1ea7b7c667070dc7e00357cb33954f0b16e5290e7b2f"),
+    ("fig5_notry_client.wm", "spinlock_impl_notry.wm"):  # 86 states
+        ("6926abf80e2df21e290140dabc3e1153a51c36d1db335a5a029481564215f964",
+         "499da6189a8b86f4c74a4fd328bea86c3df8b2ad113bb4bd9223ebd3d3ac2735"),
+    ("fig5_notry_client.wm", "spinlock_spec_notry.wm"):  # 122 states
+        ("e02149d0280cb3b21a655a57e7522b859470eb0db0d41c219366a79162a18a9e",
+         "ab5efe1113322c91987787a7bce7cb577cda87dad76c7cf71dd8b548a702ab7e"),
+    ("fig6_client.wm", "spinlock_impl.wm"):  # 523 states
+        ("c14e108467df43e23d872a91a6d246e096f0c892412535d4242ceb36087e154c",
+         "16c5cd24094454d9cff0cb4a7bf669e3592acd170ddcb9ece1ef0db9edcd1b04"),
+    ("fig6_client.wm", "spinlock_spec.wm"):  # 121 states
+        ("e65ef8c6a681db1968203942c1e443136c1f5bbfa74e9647ce736daab66429e9",
+         "861bc204ce799a97754ee14eebb6beb60e32d2f8614af0c99d9138efc961a940"),
 }
 
 # SC and TSO graph digests, keyed (model, client, object): as for RELAXED,
@@ -593,44 +593,45 @@ def test_shape_graph_unchanged(shape, model, mode):
         SHAPE_DIGESTS[shape, model, mode]
 
 
-# (shape, "relaxed", "own") -> (graph digest, burst digest) of the reduced
-# graph `explore` builds, values=1; the unreduced graphs above stay pinned
-REDUCED_SHAPE_DIGESTS = {
-    ("empty-while-in-loop", "relaxed", "own"):  # 40 states
-        ("ed5ddcbda1d5db36d8dd0b8a776d34401d1ce8ccc7912ff471c6689fc6d511ae",
-         "a67d78629c666ca86fec851ad105502ca529ea562cfd7351d4833323474c1913"),
-    ("if-equal-branches", "relaxed", "own"):  # 27 states
-        ("48a05ba74c1a2cbe6b0725c6924666b563fc0d6c41e51588116e69eff0c42367",
-         "5b30e169a262771377cf3f51cb0c782e2d32058353453281eb1707bbf4ef281a"),
-    ("if-without-else", "relaxed", "own"):  # 45 states
-        ("c059354b50f2f5fc9f405d95c1931c53c08b8999004377f559cd0bc8bd9f11f9",
-         "5b68965c1b24797596ef5418da2b2d6f6140ab3b4b9d9ba5874f9771ea13f858"),
-    ("impl-branch-ends", "relaxed", "own"):  # 233 states
-        ("c0590fc238c465859a4346f25e3ce8b02b182a356e6fa31ca6eeeb14676be4ac",
-         "78cba96e5786ee3a4f44d5ee7ba581a17665abcc8186ded86c884c6f94cc75bb"),
-    ("impl-falls-off", "relaxed", "own"):  # 1243 states
-        ("030694de4ce7fefe98fe089a67972da49d3c784c7c6ba935f6abd6add9ae9934",
-         "d7501707f1e55fe16b9e46c2f1cb9371eea55e7de382dbf4e1a393d5c009253d"),
-    ("impl-last-write", "relaxed", "own"):  # 1948 states
-        ("0037e339c9a6cf717e14967defcea5947262674777e1ec48f5317d5c63bd1aca",
-         "7620e9f7ddbb73ffa3a2877ec3d628ded90652622dda5beac20e12e2e3403961"),
-    ("vars-out-of-order-with-calls", "relaxed", "own"):  # 219 states
-        ("64b3340e204b59fd1cd6b870fb79edc1e6050cb8a3ba1859d857bb9ac3448554",
-         "f90d751e7556261b5b6cd3df248c4d16a65718f7c87ef85d57ae0a7ef9fbaaa7"),
-    ("vars-written-out-of-order", "relaxed", "own"):  # 63 states
-        ("e4c6ce08cf2193f5bd1ac1fffcf48b65d1d9ef6360c74453663a5f0ebd11e7b6",
-         "1c3cdf7fe7265cfc2c9dc18db705c4feb25b4f71b1990359aabdf5a4a15c2a78"),
-    ("while-first-and-last", "relaxed", "own"):  # 810 states
-        ("2ee796fe54c5bc59d9a35df72b0017260cb5a5ed5f793b9d338dc0b0e5ab6c95",
-         "6f70420dea788b76f2dfc9bfa7ad7a3173a66ebbf4f5aed21273ab9f5512a0e2"),
+# (shape, "relaxed", "own") -> (graph digest, burst digest) of the graph
+# `explore` builds on the on-demand storage, values=1; the unreduced
+# graphs above stay pinned
+ON_DEMAND_SHAPE_DIGESTS = {
+    ("empty-while-in-loop", "relaxed", "own"):  # 32 states
+        ("8d40f9da2e01e1681facc9e00561b41cf64afa2753899fc4605999d6a189d624",
+         "f5c97d53bec22b4ca61a883096908640969bdf7b1437f12df669f0c1d9a5b883"),
+    ("if-equal-branches", "relaxed", "own"):  # 23 states
+        ("c50d52ad783e8f01e1eb8b062ec884afee97a7fbca93c3ca1e55a1da4db0fcd6",
+         "043dd578b49c7588a812d34557786a1ad134a20e5bd1e226bf2c78eb588896c7"),
+    ("if-without-else", "relaxed", "own"):  # 30 states
+        ("2f558e792ecf762742ae84246a2a975ae8f8e74b1e3127198c6328afe824a8c3",
+         "d9d777e3d2b36bbb40a361cbce12f9f99b6442729f1d3eb8f314c53d02fe0e16"),
+    ("impl-branch-ends", "relaxed", "own"):  # 105 states
+        ("f7f357d3815e6a5bed0b3bad84985734db598ed1ee5e9203822e35055ec5a5a8",
+         "e419c1f2531901de77f2e4ae9243d9800799f0bee2e8d1e8e21b4d919acd5222"),
+    ("impl-falls-off", "relaxed", "own"):  # 260 states
+        ("0ac3474f68d460c18a8a0d2db7d96f1b2a619271a407d4750a99fc220659c2c5",
+         "48a853f57cfc5a988297048f84665faf18ad3c0c73dc4f7d8063e32790846ee6"),
+    ("impl-last-write", "relaxed", "own"):  # 494 states
+        ("3db3f480d977f8749ec9b4ce3462418f7a1de750756d8ce7806c7ff27758a207",
+         "92f0e4077f3e89032880c6b9b84edbcc6e2fd3baf60fc0c5c64d93d02f3e8bcd"),
+    ("vars-out-of-order-with-calls", "relaxed", "own"):  # 100 states
+        ("7d313c72ce2314a531cc76e5691366450d314545943c6d0404cd5cfc86e834fa",
+         "10337435b2afdd771d97a99bd2f2154b5a6b8cb6331aedd1291820f055d26876"),
+    ("vars-written-out-of-order", "relaxed", "own"):  # 40 states
+        ("e16aa86fa8e61519838c59fd7358b5cbb2e23edc3f58c15d5abb9911ae4cec5b",
+         "253436dec9cda439ceb73ef6174cefd0f66b6779e98362373db4a0300588b305"),
+    ("while-first-and-last", "relaxed", "own"):  # 554 states
+        ("caa130e4cf326550d2eb736c10192fbaa506bfc48262abc7b775aaed83f31b7b",
+         "293d80de71e77fbb763fd99a4c50de35cb1e80a2d91768740cf3efd84acd7e96"),
 }
 
 
-@pytest.mark.parametrize("shape,model,mode", sorted(REDUCED_SHAPE_DIGESTS))
-def test_shape_graph_unchanged_reduced(shape, model, mode):
+@pytest.mark.parametrize("shape,model,mode", sorted(ON_DEMAND_SHAPE_DIGESTS))
+def test_shape_graph_unchanged_on_demand(shape, model, mode):
     ts = build_shape(shape, model, mode, reduce=True)
     assert (graph_digest(ts), burst_digest(ts)) == \
-        REDUCED_SHAPE_DIGESTS[shape, model, mode]
+        ON_DEMAND_SHAPE_DIGESTS[shape, model, mode]
 
 
 # (shape, model, mode) -> contract digest, values=1, for every shape, model
@@ -1145,12 +1146,12 @@ class TestGraphIdentity:
         ts = _build(p, o, cfg(Model.RELAXED), o.kind, reduce=False)
         assert graph_digest(ts) == OWN_MODE_DIGESTS[client, obj]
 
-    @pytest.mark.parametrize("client,obj", sorted(REDUCED_OWN_MODE_DIGESTS))
-    def test_relaxed_own_mode_reduced_graph_unchanged(self, client, obj):
+    @pytest.mark.parametrize("client,obj", sorted(ON_DEMAND_OWN_MODE_DIGESTS))
+    def test_relaxed_own_mode_on_demand_graph_unchanged(self, client, obj):
         p, o = load(client, obj)
         ts = explore(p, o, cfg(Model.RELAXED))
         assert (graph_digest(ts), burst_digest(ts)) == \
-            REDUCED_OWN_MODE_DIGESTS[client, obj]
+            ON_DEMAND_OWN_MODE_DIGESTS[client, obj]
         assert_bursts_carried(ts)
 
     @pytest.mark.parametrize("model,client,obj", sorted(SC_TSO_CHAOS_DIGESTS))
@@ -1334,13 +1335,13 @@ def test_tas_on_a_drained_core_is_global_at_once(model):
                                       BurstTable(frozenset()))
     s = mem.write(mem.initial(), mem.writer("c1", "x", 2, "obj", opid, None))
     s = _settled(mem, s)
-    assert mem.drained(s, "c0")
+    assert mem.fence(s, "c0") == s
     w = mem.writer("c0", "x", 1, "tas", OpId("T0", "t", 0), None)
     assert w.emits == ()
     s = mem.write(s, w)
     assert all(mem.read(s, c, "x") == mem.latest(s, c, "x") == 1
                for c in STORAGE_CORES)
-    assert all(mem.drained(s, c) for c in STORAGE_CORES)
+    assert all(mem.fence(s, c) == s for c in STORAGE_CORES)
     assert mem.moves(s) == []
 
 
@@ -1593,9 +1594,8 @@ def test_step_tables_change_no_graph(text):
 
 
 # implementation steps and specification bodies are tabled like client
-# steps, on the read values.  Chaos mode is left out under RELAXED: each
-# call's virtual write propagates on its own there, and two threads of
-# calls reach millions of states.  In the example, whether each discarded
+# steps, on the read values, and the RELAXED builds read on demand, where
+# a load's choices are tabled too.  In the example, whether each discarded
 # tryAcquire took the lock is in no thread's state, so the release store
 # of T0 lands at a position of x's records that the thread tuple does not
 # fix, and `attach` must find that record in the state.
@@ -1608,7 +1608,7 @@ def test_object_step_tables_change_no_graph(case):
     obj, text = case
     p, o = parse(text), parse(corpus_text(obj))
     for model, bounds in TABLE_MODELS:
-        for mode in ((o.kind,) if model == Model.RELAXED else ("chaos", o.kind)):
+        for mode in ("chaos", o.kind):
             assert_tables_change_no_graph(p, o, cfg(model, values=1, **bounds),
                                           mode)
 

@@ -1,6 +1,6 @@
-"""The RELAXED silent-step reduction: the per-pc access summaries it
-rests on, the independence of the propagation it picks, and agreement
-of reduced and unreduced builds on everything a build promises."""
+"""The RELAXED storage of a reducing build, `OnDemand`: its rule on
+hand-built storages, and agreement of on-demand and eager builds on
+everything a build promises."""
 
 import json
 import os
@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wmtr import memmodel, refine
-from wmtr.memmodel import _FENCE, _WRITE, ExploreConfig, Model, _build
-from wmtr.program import accesses, empty_object, parse
+from wmtr import memmodel, refine, storage
+from wmtr.events import OpId, OpObs, ProgObs, StepId
+from wmtr.memmodel import BurstTable, ExploreConfig, Model, _build
+from wmtr.program import empty_object, parse
 from wmtr.refine import check_wmtr
 
 from conftest import CORPUS, corpus_text, fenced_clients, object_clients
@@ -25,177 +26,103 @@ def cfg(model, **kw):
     return ExploreConfig(model=model, **kw)
 
 
-def engine(p, o, c, mode):
-    return memmodel.ENGINES[mode](p, o, c)
+# --- the on-demand rule ---
+
+CORES = ("c0", "c1", "c2")
 
 
-def graph_of(eng, expand):
-    """The states reachable from the engine's root by `expand`, with
-    their successors, in a root-first topological order."""
-    root = eng.root()
-    succs, order, stack = {root: None}, [], [(root, False)]
-    while stack:
-        s, done = stack.pop()
-        if done:
-            order.append(s)
-            continue
-        if succs[s] is not None:
-            continue
-        succs[s] = [s2 for _, s2 in expand(s)]
-        stack.append((s, True))
-        stack += [(s2, False) for s2 in succs[s] if succs.get(s2) is None]
-        for s2 in succs[s]:
-            succs.setdefault(s2, None)
-    order.reverse()
-    return succs, order
+def on_demand(*writes, events=()):
+    """An `OnDemand` storage over x and y (both 0 at first) and the state
+    after `writes`, each (core, var, value, kind, observation or None),
+    the i-th carried by `carrier(i)`; `events` are the events the
+    storage may emit."""
+    mem = storage.OnDemand(CORES, {"x": 0, "y": 0}, 4,
+                           BurstTable(frozenset(events)))
+    s = mem.initial()
+    for i, (core, var, val, kind, obs) in enumerate(writes):
+        s = mem.write(s, mem.writer(core, var, val, kind, carrier(i), obs))
+    return mem, s
 
 
-# --- per-pc access summaries ---
-
-def made(eng, s, th, ts):
-    """The shared accesses `th` makes with its next step in state `s`,
-    blocked or not, as (variable, "read" | "write" | "tas"); a TAS
-    reads its variable too.  A specification or chaos call touches no
-    variable of the client's code."""
-    if ts.call is None and not ts.pc:  # the thread has run to its end
-        return set()
-    if ts.call is not None and eng.in_call(ts) is None:
-        return set()
-    _, step, seen = eng._interpret(s, th, ts)
-    out = {(v, "read") for v in seen}
-    if step is not None and step.kind in (_WRITE, _FENCE) and step.arg:
-        out.add((step.arg.ref, "write" if step.kind == _WRITE else "tas"))
-    return out
+def carrier(i):
+    return OpId("T", "w", i)
 
 
-def summary(threads, ops, th, ts, opid_pc):
-    """What `accesses`, of each thread's code in `threads` and each
-    operation's in `ops`, says `th` may still do in `ts`: the rest of
-    its code, of an implementation call it is in (`opid_pc`), and the
-    whole code of every operation it may still call."""
-    parts = [threads[th][ts.pc]]
-    if opid_pc is not None:
-        opid, pc = opid_pc
-        parts.append(ops[opid.call][pc])
-    parts += [ops[name][1] for name in parts[0].calls]
-    return ({(v, "read") for a in parts for v in a.reads | a.tas}
-            | {(v, "write") for a in parts for v in a.writes}
-            | {(v, "tas") for a in parts for v in a.tas})
+def offered(mem, s, core, var):
+    """The values a load of `var` on `core` may read in `s`, one per
+    choice, each read in the state that choice leads to."""
+    return [mem.read(u, core, var) for u in mem.views(s, core, (var,))]
 
 
-def assert_summaries_cover_futures(p, o, c, mode):
-    """In every reachable state of the unreduced graph, everything a
-    thread does on some path from there is in its summary at its pc,
-    and the engine's `_ahead` tries no variable it may still TAS, tries
-    one it may still touch only with its core busy, and names its
-    implementation call."""
-    eng = engine(p, o, c, mode)
-    succs, order = graph_of(eng, eng.actions)
-    threads = {th: accesses(code) for th, code in p.code.items()}
-    ops = {name: accesses(op.code) for name, op in o.ops.items()}
-    future = {}
-    for s in reversed(order):
-        here = {th: made(eng, s, th, ts)
-                for th, _, ts in eng.decoded[s & eng.mask]}
-        for s2 in succs[s]:
-            for th, acc in future[s2].items():
-                here[th] |= acc
-        future[s] = here
-        tries, calls = eng._ahead(s & eng.mask)
-        busy = {shift: cores for shift, _, cores in tries}
-        shifts, rank = eng.mem.shifts, eng.mem.rank
-        for th, _, ts in eng.decoded[s & eng.mask]:
-            call = eng.in_call(ts)
-            assert here[th] <= summary(threads, ops, th, ts, call)
-            bit = 1 << rank[eng.coremap[th]]
-            for v, kind in here[th]:
-                assert busy.get(shifts[v], bit) & bit
-                assert kind != "tas" or shifts[v] not in busy
-            assert call is None or call[0] in calls
+def test_a_load_offers_the_records_from_its_position_on():
+    """A core that holds no record of x may read the initial value or
+    any record; a core may read no record before its position, and
+    reading a record moves it there."""
+    mem, s = on_demand(("c0", "x", 1, "prog", None), ("c1", "x", 2, "prog", None),
+                       ("c0", "x", 3, "prog", None))
+    assert offered(mem, s, "c2", "x") == [0, 1, 2, 3]
+    assert offered(mem, s, "c1", "x") == [2, 3]
+    assert offered(mem, s, "c0", "x") == [3]
+    assert offered(mem, s, "c2", "y") == [0]
+    first, at1, at2, at3 = mem.views(s, "c2", ("x",))
+    assert first == s
+    assert offered(mem, at1, "c2", "x") == [1, 2, 3]
+    assert offered(mem, at2, "c2", "x") == [2, 3]
+    # the choices of two variables are their product
+    both = mem.views(s, "c1", ("x", "y"))
+    assert [(mem.read(u, "c1", "x"), mem.read(u, "c1", "y"))
+            for u in both] == [(2, 0), (3, 0)]
+    assert mem.views(s, "c2", ("x",)) == [first, at1, at2, at3]  # tabled
 
 
-@settings(max_examples=40, deadline=None)
-@given(fenced_clients(loops=True, conds=True))
-def test_summaries_cover_what_a_client_does(text):
-    assert_summaries_cover_futures(parse(text), empty_object(),
-                                   cfg(Model.RELAXED, values=1), "impl")
+def test_an_emission_moves_every_core_to_its_record():
+    """A pending observation is emitted at once, with no propagation
+    before it, and its edge moves every core to at least its record."""
+    obs = ProgObs(StepId("T0", "x:=1", 0), "x", 1)
+    mem, s = on_demand(("c0", "x", 1, "prog", obs), ("c1", "x", 2, "prog", None),
+                       events={obs})
+    ((b, after),) = mem.moves(s)
+    assert mem.bursts.bursts[b] == (obs,)
+    assert offered(mem, after, "c2", "x") == [1, 2]
+    assert offered(mem, after, "c0", "x") == [1, 2]
+    assert offered(mem, after, "c1", "x") == [2]
+    assert mem.moves(after) == []
 
 
-@settings(max_examples=15, deadline=None)
-@given(object_clients(objects=("spinlock_impl.wm", "fig2_object.wm")))
-def test_summaries_cover_what_a_call_does(case):
-    obj, text = case
-    p, o = parse(text), parse(corpus_text(obj))
-    assert_summaries_cover_futures(p, o, cfg(Model.RELAXED, values=1), "impl")
+def test_a_fence_publishes_its_core_s_last_records():
+    """A fence of core c0 moves every core to at least c0's last record
+    of each variable, and a core already past it stays; a specification
+    invocation does so for program records only, and any other
+    invocation moves nothing."""
+    mem, s = on_demand(("c0", "x", 1, "prog", None), ("c1", "x", 2, "prog", None),
+                       ("c0", "x", 3, "obj", None), ("c0", "y", 4, "prog", None),
+                       ("c1", "y", 5, "prog", None))
+    fenced = mem.fence(s, "c0")
+    assert offered(mem, fenced, "c2", "x") == [3]
+    assert offered(mem, fenced, "c2", "y") == [4, 5]
+    assert offered(mem, fenced, "c1", "y") == [5]
+    assert mem.fence(s, "c2") == s and mem.fence(fenced, "c0") == fenced
+    invoked = mem.invoke(s, "c0", True)
+    assert offered(mem, invoked, "c2", "x") == [1, 2, 3]
+    assert offered(mem, invoked, "c2", "y") == [4, 5]
+    assert mem.invoke(s, "c0", False) == s
 
 
-def test_summaries_see_past_a_loop_and_into_a_call():
-    p = parse("global x = 0;\nglobal y = 0;\n"
-              "thread T { while (x = 0) { y := 1; } r := call f(); }")
-    o = parse("object impl {\n  var l = 1;\n"
-              "  op f() { r := TAS(l, 1, 0); l := 1; return r; }\n}")
-    code = p.code["T"]
-    first = accesses(code)[1]
-    assert (first.reads, first.writes, first.calls) == \
-        ({"x"}, {"y"}, {"f"})
-    assert accesses(code)[0] == (frozenset(),) * 4
-    op = accesses(o.ops["f"].code)
-    assert op[1].tas == {"l"} and op[1].writes == {"l"}
-    assert not op[len(o.ops["f"].code) - 1].tas  # the final return
+def test_settled_records_are_dropped_and_attach_emits_at_once():
+    """Once every core is past a record that owes no observation, the
+    entry no longer holds it, and a return whose last write it was
+    emits its observation at once."""
+    opid = carrier(0)
+    mem, s = on_demand(("c0", "x", 1, "obj", None), ("c1", "x", 2, "prog", None))
+    assert mem.attach(s, "c0", "x", opid, OpObs(opid, None)) is not None
+    for core in ("c0", "c2"):
+        s = mem.views(s, core, ("x",))[-1]
+    recs, posv = mem.entries.values[s >> mem.shifts["x"] & mem.mask]
+    assert [r[0] for r in recs] == [2] and posv == (0, 0, 0)
+    assert mem.attach(s, "c0", "x", opid, OpObs(opid, None)) is None
 
 
-# --- independence of the chosen propagation ---
-
-def assert_ample_commutes(p, o, c, mode):
-    """At each state of the reduced graph where the build picks an ample
-    propagation p, every other edge a of the state commutes with p: from
-    a's successor the propagation to p's core of p's variable is still
-    enabled, and taking it there reaches the state that a's burst
-    reaches from p's successor.  The writer of p's record has not
-    drained before p.  Returns the number of ample states."""
-    eng = engine(p, o, c, mode)
-    mask, mem = eng.mask, eng.mem
-    succs, order = graph_of(eng, eng.reduced)
-    ample = 0
-    for s in order:
-        d = eng.ample(s)
-        if d is None:
-            continue
-        ample += 1
-        sp = s + d
-        (shift,) = [sh for sh, _ in mem.fields
-                    if (s ^ sp) >> sh & mask]
-        e = s >> shift & mask
-        ((k, writer, _, _),) = [prop for prop in mem.propagations(e)
-                                if prop[3] == sp >> shift & mask]
-        assert not mem.drained(s, mem.cores[writer])
-        edges = eng.actions(s)
-        assert (0, sp) in edges
-        after_p = set(eng.actions(sp))
-        for b, sa in edges:
-            if (b, sa) == (0, sp):
-                continue
-            ea = sa >> shift & mask
-            (sap,) = [sa + ((e2 - ea) << shift)
-                      for k2, _, _, e2 in mem.propagations(ea) if k2 == k]
-            assert (b, sap) in after_p
-    return ample
-
-
-def test_ample_propagation_commutes_on_fig5():
-    p = parse(corpus_text("fig5_client.wm"))
-    o = parse(corpus_text("spinlock_impl.wm"))
-    assert assert_ample_commutes(p, o, cfg(Model.RELAXED, values=1),
-                                 "impl") > 500
-
-
-def test_ample_propagation_commutes_on_iriw():
-    p = parse((CORPUS / "litmus" / "iriw.wm").read_text())
-    assert assert_ample_commutes(p, empty_object(),
-                                 cfg(Model.RELAXED, values=1), "impl") > 10_000
-
-
-# --- reduced and unreduced builds agree ---
+# --- on-demand and eager builds agree ---
 
 def assert_reduction_agrees(p, o, c, mode):
     reduced = _build(p, o, c, mode)
@@ -283,20 +210,26 @@ def test_reduction_keeps_the_fig6_counterexample():
 
 
 def test_chaos_and_sc_tso_builds_are_not_reduced():
-    """`enforced_order` builds its chaos graph unreduced, and SC and TSO
-    builds never reduce: no state of theirs asks for an ample edge."""
+    """`enforced_order` builds its chaos graph on the eager storage, and
+    SC and TSO builds never take the on-demand path: only a RELAXED
+    `explore` makes an `OnDemand` storage."""
     p = parse(corpus_text("fig5_client.wm"))
     o = parse(corpus_text("spinlock_impl.wm"))
-    calls = []
+    made = []
+    init = storage.OnDemand.__init__
+
+    def tracked(self, *args):
+        made.append(self)
+        init(self, *args)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(memmodel._Engine, "ample",
-                   lambda self, st: calls.append(st))
+        mp.setattr(storage.OnDemand, "__init__", tracked)
         memmodel.enforced_order(p, o, cfg(Model.RELAXED, values=1))
         for model in (Model.SC, Model.TSO):
             memmodel.explore(p, o, cfg(model, values=1))
-        assert not calls
+        assert not made
         memmodel.explore(p, o, cfg(Model.RELAXED, values=1))
-        assert calls
+        assert made
 
 
 # --- IRIW, the scale gate ---

@@ -111,6 +111,15 @@ class TestHolds:
                        ExploreConfig(model=Model.RELAXED))
         assert v.holds
 
+    @pytest.mark.parametrize("model", list(Model))
+    def test_lock3_scale_client(self, corpus, model):
+        """The three-thread scale client of `corpus/scale` holds under
+        every model, with the 16 observables of its header comment."""
+        v = check_wmtr(load("scale/lock3.wm"), corpus["spec"], corpus["impl"],
+                       ExploreConfig(model=model))
+        assert v.holds
+        assert v.stats["spec_observables"] == v.stats["impl_observables"] == 16
+
     def test_aggregate_stats_when_all_hold(self, corpus):
         name, v = refute_object_refinement(
             corpus["spec_notry"], corpus["impl_notry"],
