@@ -10,14 +10,14 @@ atomically with free observation placement, and `_Chaos` is the
 object-free object of the enforced-order extraction.
 
 States are collapse-compressed and packed: each thread's distinct
-states are stored once, in a table of its own, each distinct tuple of
-their ids, one per thread in name order, once in a table on the
-engine, and so are a specification's valuations and books; a state is
-one int whose fixed-width fields (`storage.FIELD_BITS` bits each) hold
-the thread tuple's id at bit 0, a specification's valuation and book
-ids above it, and the storage discipline's fields on top (RELAXED: one
-per variable, the id of its entry).  An id that outgrows its field is an
-`OverflowError`, never an alias.  A thread's state holds where its
+states are stored once, in a table of its own, and so are a
+specification's valuations and books; a state is one int whose
+fixed-width fields (`storage.FIELD_BITS` bits each) hold each thread's
+own-state id, thread r's in field r with the threads in name order from
+bit 0, a specification's valuation and book ids above them, and the
+storage discipline's fields on top (RELAXED: one per variable, the id
+of its entry).  An id that outgrows its field is an `OverflowError`,
+never an alias.  A thread's state holds where its
 compiled code stands (a pc and loop counters) and its registers, and so
 does the frame of its implementation call, if any.  One rule settles
 every pc, a client's and an operation's alike: after each step, so no
@@ -31,9 +31,9 @@ Successors are generated on the same factoring.  A step table keyed on
 instruction, or the next instruction of its implementation call, reads
 and, per tuple of their values, the outcome, which `program.step` works
 out on a table miss only: once per thread state and read values,
-however many thread tuples hold that state.  Expressions are evaluated
-in full, so which variables a step reads depends on the key alone, and
-a gated instruction (a TAS or fence: its core's writes must first be
+wherever the other threads stand.  Expressions are evaluated in full,
+so which variables a step reads depends on the key alone, and a gated
+instruction (a TAS or fence: its core's writes must first be
 visible everywhere) reads through `latest`, the value a TAS acts on.
 A state reads the variables of its entry and settles only what depends
 on the rest of it: whether the storage takes the write, what the
@@ -41,22 +41,23 @@ core's `fence` makes of the state, what the thread's invocation does,
 and where a return's observation lands.
 Every shared write, a TAS's included, is prepared once by the storage's
 `writer`, which fixes where the write goes (the ref an implementation
-store's or TAS's successor records) and what it emits.  An outcome
-names the thread's new own-state id, and its change to a state is one
-int, worked out once per thread-tuple id.  The responses of a chaos
-call are tabled per key too, a specification body runs once per key
-and valuation, and the observations a book of responses still owes
-once per book.
+store's or TAS's successor records) and what it emits.  An outcome's
+change to a state is one int, fixed when the outcome is made: the
+thread's field moved from its own-state id to the new one.  The
+responses of a chaos call are tabled per key too, a specification body
+runs once per key and valuation, and the observations a book of
+responses still owes once per book.
 
-The graph a build returns is stored as flat `array('i')` columns, one
-entry per edge: the successor's id and the id of the edge's burst in a
-per-build table of distinct bursts (few: fig5 x spinlock_impl under
-RELAXED has 22 non-empty ones on 258,573 edges).  The engine owns that
-table (`BurstTable`) and hands it to the storage discipline, so engine
-and storage yield burst ids; a burst enters the table, and is checked
-against the program's universe, when an edge first carries it, and
-outcomes cache their burst's id.  Every pass over the
-graph runs on those columns and works out what it needs of a burst once
+The graph a build returns is stored as flat array columns, one entry
+per edge: the successor's id (`array('i')`) and the id of the edge's
+burst (`array('H')`) in a per-build table of distinct bursts (few: fig5
+x spinlock_impl under RELAXED has 22 non-empty ones on 258,573 edges; a
+burst id past `storage.BURST_BITS` bits is an `OverflowError`).  The
+engine owns that table (`BurstTable`) and hands it to the storage
+discipline, so engine and storage yield burst ids; a burst enters the
+table, and is checked against the program's universe, when an edge
+first carries it, and outcomes cache their burst's id.  Every pass over
+the graph runs on those columns and works out what it needs of a burst once
 per burst id; `TraceSet.graph` is a read-only mapping view for readers
 that want the edges of an id as tuples.
 
@@ -84,7 +85,9 @@ graph, the state and edge counts are not.  The storage also drops the
 front records every core is past that owe no observation, dead history
 (live-data reduction: Bozga, Fernandez and Ghirvu, SAS 1999).  A load's
 choices are tabled per entry and core, and the step table keys each
-choice's outcome on the values read, as it keys every outcome.
+choice's outcome on the values read, as it keys every outcome; every
+storage names a load's choices (`views`), each but `OnDemand` the state
+alone, so one load path serves every build.
 `enforced_order` builds its chaos graph eagerly, since that graph's
 counts anchor the benchmark; SC and TSO have no propagation to delay.
 
@@ -161,12 +164,15 @@ class BurstTable:
     """A build's distinct bursts, id 0 being the empty burst of a silent
     step.  A burst enters the table when an edge first carries it, and is
     checked against the program's universe then, so the table holds
-    exactly the bursts of the graph, in the order edges first carry them."""
+    exactly the bursts of the graph, in the order edges first carry them.
+    An id must fit `storage.BURST_BITS`, the width of the graph's burst
+    column: a burst past the last id is an `OverflowError`."""
 
     def __init__(self, universe: frozenset):
         self.universe = universe
         self.bursts: List[tuple] = [()]
         self.ids: Dict[tuple, int] = {(): 0}
+        self.bits = storage.BURST_BITS
 
     def id(self, burst: tuple) -> int:
         b = self.ids.get(burst)
@@ -174,7 +180,11 @@ class BurstTable:
             for e in burst:
                 if e not in self.universe:
                     raise AssertionError(f"event outside the program universe: {e}")
-            b = self.ids[burst] = len(self.bursts)
+            b = len(self.bursts)
+            if b >> self.bits:
+                raise OverflowError(f"more than {b} distinct bursts: a burst "
+                                    f"id holds {self.bits} bits")
+            self.ids[burst] = b
             self.bursts.append(burst)
         return b
 
@@ -189,19 +199,18 @@ _LOCAL, _WRITE, _FENCE, _CALL, _RET = range(5)
 class _Step:
     """The outcome of a thread's next instruction for given read values,
     or of one output of a chaos call or one run of a specification body:
-    its burst, with what its write emits, the thread's state after it as
-    `next`, (the thread's rank, the id of its own state), and, by kind,
-    the storage call's argument after the state (_WRITE: the prepared
-    write, _FENCE: a TAS's prepared write or None, _RET: `mem.attach`'s
-    after the core).  `deltas` maps a thread-tuple id to the change the
-    step makes to a state holding it, `bid` is the id of the burst, and
+    its burst, with what its write emits, `delta`, the change it makes
+    to a state (the thread's own-state field moved to its state after
+    the step, and for a specification call the valuation's field too),
+    and, by kind, the storage call's argument after the state (_WRITE:
+    the prepared write, _FENCE: a TAS's prepared write or None, _RET:
+    `mem.attach`'s after the core).  `bid` is the id of the burst, and
     for _RET `emitted` that of the burst with the observation emitted at
     once, each worked out when an edge first needs it."""
-    __slots__ = ("kind", "burst", "next", "arg", "deltas", "bid", "emitted")
+    __slots__ = ("kind", "burst", "delta", "arg", "bid", "emitted")
 
-    def __init__(self, kind: int, burst: tuple, nxt: tuple, arg=None):
-        self.kind, self.burst, self.next, self.arg = kind, burst, nxt, arg
-        self.deltas: Dict[int, int] = {}
+    def __init__(self, kind: int, burst: tuple, delta: int, arg=None):
+        self.kind, self.burst, self.delta, self.arg = kind, burst, delta, arg
         self.bid = self.emitted = None
 
 
@@ -212,7 +221,7 @@ class _Engine:
     step table and `_take`.  A subclass, one per kind, gives the slot a
     thread holds while in a call (`call_slot`), that thread's edges
     (`call_actions`) and whatever else its kind needs."""
-    fields = 1  # the state's fields below the storage discipline's
+    fields = 0  # the state's fields between the threads' and the storage's
 
     def __init__(self, p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig,
                  discipline: type):
@@ -220,34 +229,34 @@ class _Engine:
         self.coremap = p.coremap
         self.universe = events_of_program(p, obj, cfg.unroll, cfg.values)
         self.bursts = BurstTable(self.universe)
-        # a state is one int of fields, storage.FIELD_BITS wide, from bit
-        # 0: the thread-tuple id, a subclass's fields, then the storage
-        # discipline's
-        bits = storage.FIELD_BITS
-        self.mask = (1 << bits) - 1
-        self.mem = discipline(
-            tuple(sorted(set(self.coremap.values()))), self.initials(),
-            cfg.buffer, self.bursts, self.fields * bits)
-        # the load functions a step table entry names, bound once, and
-        # the choices of a load that reads on demand, or None
-        self.read, self.latest = self.mem.read, self.mem.latest
-        self.views = self.mem.views
         # collapse compression: each thread's distinct states, call slot
         # included, are stored once in its own table, the threads in name
-        # order, and so is each distinct tuple of their ids, one per
-        # thread; a state holds the tuple's id
+        # order
         self.names = tuple(sorted(p.code))
         self.own = tuple(Interned(f"states of thread {th}")
                          for th in self.names)
         self.rank = {th: r for r, th in enumerate(self.names)}
-        self.threads = Interned("thread tuples")
-        # per thread-tuple id, its threads decoded once: ((thread, own-state
-        # id, ThreadState), ...)
-        self.decoded: List[tuple] = []
+        # a state is one int of fields, storage.FIELD_BITS wide, from bit
+        # 0: each thread's own-state id, in name order, a subclass's
+        # fields from bit `top`, then the storage discipline's
+        bits = self.bits = storage.FIELD_BITS
+        self.mask = (1 << bits) - 1
+        self.top = len(self.names) * bits
+        # per thread in name order: (thread, its own states, field shift)
+        self.slots = tuple((th, own.values, r * bits)
+                           for r, (th, own) in enumerate(zip(self.names,
+                                                             self.own)))
+        self.mem = discipline(
+            tuple(sorted(set(self.coremap.values()))), self.initials(),
+            cfg.buffer, self.bursts, self.top + self.fields * bits)
+        # the load functions a step table entry names, bound once, and
+        # the choices of what a load reads
+        self.read, self.latest = self.mem.read, self.mem.latest
+        self.views = self.mem.views
         # the step table, keyed (thread, own-state id), of a thread outside
         # a call or in an implementation call: (the storage's load function,
         # the shared variables its next step reads, {their values: _Step,
-        # or None when blocked}, `views` if its loads choose, else None)
+        # or None when blocked})
         self.steps: Dict[Tuple[str, int], tuple] = {}
 
     def initials(self) -> dict:  # the storage's variables
@@ -255,34 +264,15 @@ class _Engine:
 
     def root(self) -> int:
         code = self.p.code
-        threads = tuple(
+        for th, own in zip(self.names, self.own):
             own.id(ThreadState(settled(code[th], 1), (), (), (), 0, None))
-            for th, own in zip(self.names, self.own))
-        return self._tuple_id(threads) | self.mem.initial()
+        return self.mem.initial()  # every field 0: each table's first id
 
-    def _tuple_id(self, xs: tuple) -> int:
-        """The id of the thread tuple `xs`, decoded when first seen."""
-        tid = self.threads.id(xs)
-        if tid == len(self.decoded):
-            self.decoded.append(tuple(
-                (th, x, own.values[x])
-                for th, own, x in zip(self.names, self.own, xs)))
-        return tid
-
-    def _at(self, th: str, ts: ThreadState) -> tuple:
-        """A step's `next`: `th`'s rank and the id of its state `ts`."""
+    def _delta(self, th: str, ts: ThreadState, ts2: ThreadState) -> int:
+        """The change to a state when `th` goes from `ts` to `ts2`."""
         r = self.rank[th]
-        return r, self.own[r].id(ts)
-
-    def _moved(self, st: int, step: _Step) -> int:
-        """The change `step` makes to the thread-tuple id of `st`, worked
-        out once per tuple id."""
-        tid = st & self.mask
-        r, x = step.next
-        xs = self.threads.values[tid]
-        d = self._tuple_id(xs[:r] + (x,) + xs[r + 1:]) - tid
-        step.deltas[tid] = d
-        return d
+        own = self.own[r]
+        return (own.id(ts2) - own.ids[ts]) << (r * self.bits)
 
     def invoke(self, st: int, thread: str) -> Optional[int]:
         """`st` once `thread` may invoke an operation, or None."""
@@ -291,7 +281,10 @@ class _Engine:
     def actions(self, st: int) -> List[Tuple[int, int]]:
         """The edges out of `st`, as (burst id, successor)."""
         out: List[Tuple[int, int]] = []
-        for th, x, ts in self.decoded[st & self.mask]:
+        mask = self.mask
+        for th, values, shift in self.slots:
+            x = st >> shift & mask
+            ts = values[x]
             if ts.call is not None:
                 self.call_actions(out, st, th, x, ts)
             elif ts.pc:  # else the thread has run to its end
@@ -300,39 +293,20 @@ class _Engine:
         return out
 
     def step_actions(self, out, st, th, x, ts):
-        """Add to `out` the edge of `th`'s next instruction, or of the
+        """Add to `out` the edges of `th`'s next instruction, or of the
         next instruction of its implementation call, unless it is
-        blocked; looked up in the step table, interpreted on a miss."""
+        blocked: one per choice of what its loads read, each from the
+        state with the core moved to what it reads.  Looked up in the
+        step table, interpreted on a miss."""
         key = (th, x)
         entry = self.steps.get(key)
-        step = _MISS
-        if entry is not None:
-            load, reads, outcomes, views = entry
-            if views is not None:
-                return self._read_on_demand(out, st, th, ts, entry)
-            step = outcomes.get(
-                tuple([load(st, self.coremap[th], v) for v in reads]), _MISS)
-        if step is _MISS:
+        if entry is None:
             load, step, seen = self._interpret(st, th, ts)
-            if entry is None:
-                entry = self.steps[key] = (
-                    load, tuple(seen), {},
-                    self.views if seen and load is self.read else None)
-            entry[2][tuple(seen.values())] = step
-            if entry[3] is not None:
-                return self._read_on_demand(out, st, th, ts, entry)
-        if step is not None:
-            a = self._take(st, th, step)
-            if a is not None:
-                out.append(a)
-
-    def _read_on_demand(self, out, st, th, ts, entry):
-        """`step_actions` for a step whose loads read on demand: an edge
-        per choice of `views`, each from the state with the core moved
-        to what it reads."""
-        load, reads, outcomes, views = entry
+            entry = self.steps[key] = (load, tuple(seen),
+                                       {tuple(seen.values()): step})
+        load, reads, outcomes = entry
         core = self.coremap[th]
-        for s in views(st, core, reads):
+        for s in self.views(st, core, reads) if load is self.read else (st,):
             step = outcomes.get(tuple([load(s, core, v) for v in reads]),
                                 _MISS)
             if step is _MISS:
@@ -377,25 +351,22 @@ class _Engine:
             opid = OpId(th, name, ts.calls)
             ts2 = ts._replace(pc=pc, ctrs=ctrs, calls=ts.calls + 1,
                               call=self.call_slot(opid, v, reg))
-            return _Step(_CALL, (Inv(opid, v),), self._at(th, ts2))
+            return _Step(_CALL, (Inv(opid, v),), self._delta(th, ts, ts2))
         lab = ins[1]
         inst, labels = _bump(ts.labels, lab)
         sid = StepId(th, lab, inst)
-        nxt = self._at(th, ts._replace(pc=pc, ctrs=ctrs, regs=regs,
-                                       labels=labels))
+        d = self._delta(th, ts, ts._replace(pc=pc, ctrs=ctrs, regs=regs,
+                                            labels=labels))
         if op == STORE:
             var = ins[2]
             w = self.mem.writer(self.coremap[th], var, v, "prog", sid,
                                 ProgObs(sid, var, v))
-            return _Step(_WRITE, (ProgStep(sid, (var, v)),) + w.emits, nxt, w)
-        return _Step(_FENCE if op == FENCE else _LOCAL, (ProgStep(sid),), nxt)
+            return _Step(_WRITE, (ProgStep(sid, (var, v)),) + w.emits, d, w)
+        return _Step(_FENCE if op == FENCE else _LOCAL, (ProgStep(sid),), d)
 
     def _take(self, st, th, step):
         """The edge `step` makes from `st`, or None when `st` blocks it."""
-        d = step.deltas.get(st & self.mask)
-        if d is None:
-            d = self._moved(st, step)
-        kind = step.kind
+        d, kind = step.delta, step.kind
         if kind != _LOCAL:
             mem = self.mem
             if kind == _CALL:
@@ -471,7 +442,7 @@ class _Impl(_Engine):
         op, opid = ins[0], f.opid
         if op == RETURN:
             ts2 = _returned(ts, f.ret_reg, v)
-            return _Step(_RET, (Res(opid, v),), self._at(th, ts2),
+            return _Step(_RET, (Res(opid, v),), self._delta(th, ts, ts2),
                          (last, opid, OpObs(opid, v)))
         w = None
         if op == STORE:
@@ -483,7 +454,7 @@ class _Impl(_Engine):
         else:  # a fence or a failed TAS, or a local step
             kind = _FENCE if op in GATED else _LOCAL
         ts2 = ts._replace(call=(f._replace(pc=pc, ctrs=ctrs, regs=regs), last))
-        return _Step(kind, (), self._at(th, ts2), w)
+        return _Step(kind, (), self._delta(th, ts, ts2), w)
 
 
 def run_spec_body(op: OpDef, valuation: dict, arg: Optional[int],
@@ -513,20 +484,19 @@ class _Spec(_Engine):
     invocation may not overlap an unobserved operation of another core.
     A thread in a call holds (opid, arg, reg).  The valuation and the
     book, of (opid, out, core) entries, are interned, their ids held in
-    the two fields above the thread tuple's."""
-    fields = 3
+    the two fields above the threads'."""
+    fields = 2
 
     def __init__(self, p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig,
                  discipline: type):
         super().__init__(p, obj, cfg, discipline)
-        self.vshift, self.bshift = storage.FIELD_BITS, 2 * storage.FIELD_BITS
+        self.vshift, self.bshift = self.top, self.top + self.bits
         self.covert = covert_ops(p, obj)
         self.valuations = Interned("specification valuations")
         self.books = Interned("books of unobserved responses")
         # keyed (thread, own-state id, valuation id): a _Step whose `arg`
-        # is (the change to the valuation id's field, book entry or None,
-        # {book id: change to the state for the book}), or None when
-        # blocked
+        # is (book entry or None, {book id: change to the state for the
+        # book}), or None when blocked
         self.spec_calls: Dict[tuple, Optional[_Step]] = {}
         # per book id: its observations' edges, [(burst id, change)]
         self.book_moves: Dict[int, list] = {}
@@ -538,9 +508,11 @@ class _Spec(_Engine):
 
     def invoke(self, st: int, thread: str) -> Optional[int]:
         core = self.coremap[thread]
-        book = self.books.values[st >> self.bshift & self.mask]
-        if (all(ts2.call is None or self.coremap[th2] == core
-                for th2, _, ts2 in self.decoded[st & self.mask])
+        mask = self.mask
+        book = self.books.values[st >> self.bshift & mask]
+        if (all(values[st >> shift & mask].call is None
+                or self.coremap[th2] == core
+                for th2, values, shift in self.slots)
                 and all(c == core for (_, _, c) in book)):
             return self.mem.invoke(st, core, True)
         return None
@@ -577,11 +549,8 @@ class _Spec(_Engine):
             step = self.spec_calls[key] = self._spec_call(th, ts, key[2])
         if step is None:
             return
-        d = step.deltas.get(st & self.mask)
-        if d is None:
-            d = self._moved(st, step)
-        dv, pending, books = step.arg
-        d += dv
+        d = step.delta
+        pending, books = step.arg
         if pending is not None:
             b = st >> self.bshift & self.mask
             db = books.get(b)
@@ -593,9 +562,9 @@ class _Spec(_Engine):
 
     def _spec_call(self, th, ts, objst):
         """Run `th`'s call against valuation `objst`: a _Step with its
-        burst id and, as `arg`, the change to the valuation id's field, the
-        response for the book or None when the operation is observed at
-        once, and {} for the book changes; or None."""
+        burst id and, as `arg`, the response for the book or None when the
+        operation is observed at once, and {} for the book changes; or
+        None."""
         opid, arg, ret_reg = ts.call
         r = run_spec_body(self.obj.ops[opid.call],
                           dict(self.valuations.values[objst]), arg,
@@ -603,15 +572,15 @@ class _Spec(_Engine):
         if r is None:
             return None
         valuation, outv = r
-        nxt = self._at(th, _returned(ts, ret_reg, outv))
-        dv = ((self.valuations.id(tuple(sorted(valuation.items()))) - objst)
-              << self.vshift)
+        d = (self._delta(th, ts, _returned(ts, ret_reg, outv))
+             + ((self.valuations.id(tuple(sorted(valuation.items()))) - objst)
+                << self.vshift))
         if opid.call in self.covert:
-            step = _Step(_LOCAL, (Res(opid, outv), OpObs(opid, outv)), nxt,
-                         (dv, None, None))
+            step = _Step(_LOCAL, (Res(opid, outv), OpObs(opid, outv)), d,
+                         (None, None))
         else:
-            step = _Step(_LOCAL, (Res(opid, outv),), nxt,
-                         (dv, (opid, outv, self.coremap[th]), {}))
+            step = _Step(_LOCAL, (Res(opid, outv),), d,
+                         ((opid, outv, self.coremap[th]), {}))
         step.bid = self.bursts.id(step.burst)
         return step
 
@@ -653,13 +622,13 @@ class _Chaos(_Engine):
         out = []
         for outv in sorted(self.outputs[opid.call],
                            key=lambda v: (v is None, v)):
-            nxt = self._at(th, _returned(ts, ret_reg, outv))
+            d = self._delta(th, ts, _returned(ts, ret_reg, outv))
             res, obs = Res(opid, outv), OpObs(opid, outv)
             if opid.call in self.covert:
-                out.append(_Step(_LOCAL, (res, obs), nxt))
+                out.append(_Step(_LOCAL, (res, obs), d))
             else:
                 w = self.mem.writer(self.coremap[th], vvar, 0, "virt", opid, obs)
-                out.append(_Step(_WRITE, (res,) + w.emits, nxt, w))
+                out.append(_Step(_WRITE, (res,) + w.emits, d, w))
         return out
 
 
@@ -891,7 +860,7 @@ def _build(p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig,
     # the burst ids.
     root = eng.root()
     ids: Dict[int, int] = {root: 0}
-    succ, burst_id = array("i"), array("i")
+    succ, burst_id = array("i"), array("H")
     start, stop = array("i", [0]), array("i", [0])
     stack = [(0, root)]
     actions = eng.actions

@@ -33,8 +33,9 @@ The interface, for a state int s:
   initial()                        the storage before any write
   read(s, core, var)               the value a load on `core` returns
   latest(s, core, var)             the value a TAS on a drained `core` acts on
-  views                            None, or views(s, core, reads): [s'], one
-                                   per choice of what a load may read
+  views(s, core, reads)            [s'], one per choice of what a load of
+                                   each variable of `reads` on `core` may
+                                   read: (s,) but under `OnDemand`
   writer(core, var, val, kind, carrier, obs)
                                    a write, prepared once for `write`
   write(s, w)                      s' once the storage takes `w`, or None
@@ -76,6 +77,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from .events import Event
 
 FIELD_BITS = 24  # the width of each field of a state int
+BURST_BITS = 16  # the width of a burst id, an entry of a graph's burst column
 
 _MISS = object()  # a memo's or table's default: nothing worked out yet
 
@@ -138,7 +140,6 @@ class Storage:
     """Defaults of the interface: no write is ever in flight.  `fields`
     lists (shift, {value: its steps}) for the fields with own steps, in
     the order `moves` visits them."""
-    views = None
 
     def __init__(self, cores: tuple, initials: dict, buffer: int, bursts,
                  shift: int = 0):
@@ -154,6 +155,9 @@ class Storage:
 
     def latest(self, s, core, var):
         return self.read(s, core, var)
+
+    def views(self, s, core, reads):
+        return (s,)
 
     def write(self, s, w: Write):
         f = s >> w.shift & self.mask

@@ -300,6 +300,17 @@ class TestErrors:
         assert (code, out) == (3, "")
         assert err.startswith("inconclusive: ") and "holds 4 bits" in err
 
+    def test_burst_overflow_is_inconclusive(self, capsys, monkeypatch):
+        """So does a burst id that outgrows the graph's burst column; with
+        2-bit ids the fig5 build outgrows them at once."""
+        monkeypatch.setattr(storage, "BURST_BITS", 2)
+        code, out, err = run(capsys, "explore", "--model", "sc",
+                             "--client", C("fig5_client.wm"),
+                             "--impl", C("spinlock_impl.wm"))
+        assert (code, out) == (3, "")
+        assert err == ("inconclusive: more than 4 distinct bursts: a burst "
+                       "id holds 2 bits\n")
+
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

@@ -762,9 +762,9 @@ def test_shape_contract_unchanged_reduced(shape, model, mode):
         SHAPE_CONTRACT_DIGESTS[shape, model, mode]
 
 
-# a build per kind of state: RELAXED (where, as the width shrinks, a RELAXED
-# entry overflows before any thread tuple or thread state does), TSO and
-# spec mode
+# a build per kind of state: RELAXED (where a RELAXED entry overflows at
+# every width too narrow for the build), TSO (where a thread's own states
+# overflow at the narrowest widths, storage tuples above them) and spec mode
 WIDTH_CASES = {
     "relaxed": (SHAPES["while-first-and-last"], Model.RELAXED, {}, "impl"),
     "tso": (SHAPES["impl-falls-off"], Model.TSO, {"buffer": 1}, "impl"),
@@ -805,11 +805,58 @@ def test_ids_that_outgrow_their_field_stop_the_build(case, monkeypatch):
     assert built == sorted(built)
 
 
+# two threads of three local steps each: four own states per thread, and
+# sixteen states of the pair
+LOCAL_STEPS = """
+thread T1 { r1 := 1; r2 := 2; r3 := 3; }
+thread T2 { r1 := 1; r2 := 2; r3 := 3; }
+"""
+
+
+def test_each_thread_state_needs_only_its_own_field(monkeypatch):
+    """A state holds each thread's own-state id in a field of its own, so
+    fields that hold every thread's states suffice, however many
+    combinations of them the build reaches: with 2-bit fields, which
+    hold four ids, the build is the full-width build, id for id."""
+    p = parse(LOCAL_STEPS)
+
+    def digests():
+        ts = _build(p, empty_object(), cfg(Model.SC, values=1), "impl")
+        return ts.states, graph_digest(ts), burst_digest(ts)
+
+    full = digests()
+    assert full[0] == 16
+    monkeypatch.setattr(storage, "FIELD_BITS", 2)
+    assert digests() == full
+
+
+def test_bursts_that_outgrow_their_column_stop_the_build(monkeypatch):
+    """A burst id must fit the graph's burst column: with ids too narrow
+    for the build's seven bursts (six steps and the empty burst) the
+    build stops with an OverflowError naming the bursts, and from 3 bits
+    on it is the full-width build."""
+    p = parse(LOCAL_STEPS)
+
+    def digests():
+        ts = _build(p, empty_object(), cfg(Model.SC, values=1), "impl")
+        return graph_digest(ts), burst_digest(ts)
+
+    full = digests()
+    for bits in (1, 2):
+        monkeypatch.setattr(storage, "BURST_BITS", bits)
+        with pytest.raises(OverflowError, match=(
+                rf"^more than {1 << bits} distinct bursts: a burst id holds "
+                rf"{bits} bits$")):
+            digests()
+    monkeypatch.setattr(storage, "BURST_BITS", 3)
+    assert digests() == full
+
+
 def test_interned_refuses_the_first_id_past_its_field(monkeypatch):
-    """Every table a state's fields index (thread tuples, valuations,
-    books, storage tuples, RELAXED entries), and each thread's table of
-    its own states that a thread tuple indexes, is an `Interned`: its
-    ids run from 0 to the field's last value and no further."""
+    """Every table a state's fields index (each thread's own states,
+    valuations, books, storage tuples, RELAXED entries) is an
+    `Interned`: its ids run from 0 to the field's last value and no
+    further."""
     monkeypatch.setattr(storage, "FIELD_BITS", 3)
     table = storage.Interned("things")
     assert [table.id(x) for x in "abcdefgh"] == list(range(8))
@@ -1633,7 +1680,9 @@ def _interpretations(p, obj, c, mode):
 
     class Recording(memmodel.ENGINES[mode]):
         def actions(self, st):
-            self.at = self.threads.values[st & self.mask]
+            # the thread tuple: each thread's own-state id, from its field
+            self.at = tuple(st >> shift & self.mask
+                            for _, _, shift in self.slots)
             return super().actions(st)
 
         def _interpret(self, st, *rest):
