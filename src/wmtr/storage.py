@@ -317,7 +317,8 @@ class RELAXED(Storage):
       (val, core_rank, kind, carrier_code, obs_code)
     where carrier and observation are interned in `decode` (code 0 is
     None) and a record that emitted its observation holds the code
-    negated; an observation is decoded when its record emits it.  The
+    times `spent` (RELAXED: negated); an observation is decoded when its
+    record emits it.  The
     ref of a write is its variable: an operation's last write is the
     last record of that variable that carries the operation's code,
     since only one invocation carries its code.
@@ -330,6 +331,7 @@ class RELAXED(Storage):
     notes once which cores issued a record that not every core holds,
     for `fence` and `invoke`.  Every table lives on the instance and
     goes with the build."""
+    spent = -1
 
     def __init__(self, cores, initials, buffer, bursts, shift=0):
         super().__init__(cores, initials, buffer, bursts, shift)
@@ -435,7 +437,7 @@ class RELAXED(Storage):
         """(burst id, entry id') of the emission of record `pos`'s
         observation, which moves every core to at least that record."""
         v, c, kd, ca, ob = recs[pos]
-        recs = recs[:pos] + ((v, c, kd, ca, -ob),) + recs[pos + 1:]
+        recs = recs[:pos] + ((v, c, kd, ca, ob * self.spent),) + recs[pos + 1:]
         return (self.bursts.id((self.decode[ob],)),
                 self.entry((recs, tuple(max(p, pos) for p in posv))))
 
@@ -477,18 +479,26 @@ class OnDemand(RELAXED):
                              record) of each variable, in place of
                              waiting for it
 
-    Writes, TAS writes and `attach` are RELAXED's.  `entry` drops the
-    front records that lie before every core's position and owe no
-    observation, and shifts the positions down by as many; `attach`
+    Writes, TAS writes and `attach` are RELAXED's, but a record keeps
+    only what a later step reads: a program record no carrier, since
+    `attach` looks only for an operation's, and an emitted record no
+    observation code (`spent` is 0).  `entry` drops the front records
+    that lie before every core's position and owe no observation, and
+    shifts the positions down by as many; `attach`
     finds no record of an operation once its last one is dropped, which
     every core held, and emits at once.  A load's choices are tabled per
     (entry, core), and what `fence` and `invoke` make of an entry per
     (entry, core, program records only)."""
+    spent = 0
 
     def __init__(self, cores, initials, buffer, bursts, shift=0):
         super().__init__(cores, initials, buffer, bursts, shift)
         self.picks: Dict[tuple, tuple] = {}
         self.published: Dict[tuple, int] = {}
+
+    def writer(self, core, var, val, kind, carrier, obs):
+        return super().writer(core, var, val, kind,
+                              None if kind == "prog" else carrier, obs)
 
     def entry(self, e: tuple) -> int:
         recs, posv = e

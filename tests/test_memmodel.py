@@ -184,8 +184,8 @@ ON_DEMAND_OWN_MODE_DIGESTS = {
     ("fig5_notry_client.wm", "spinlock_spec_notry.wm"):  # 122 states
         ("e02149d0280cb3b21a655a57e7522b859470eb0db0d41c219366a79162a18a9e",
          "ab5efe1113322c91987787a7bce7cb577cda87dad76c7cf71dd8b548a702ab7e"),
-    ("fig6_client.wm", "spinlock_impl.wm"):  # 523 states
-        ("c14e108467df43e23d872a91a6d246e096f0c892412535d4242ceb36087e154c",
+    ("fig6_client.wm", "spinlock_impl.wm"):  # 515 states
+        ("c0979d53ed45677c69a66b2eb21fdbf4544b42e974f5e011efa6a958100edb4a",
          "16c5cd24094454d9cff0cb4a7bf669e3592acd170ddcb9ece1ef0db9edcd1b04"),
     ("fig6_client.wm", "spinlock_spec.wm"):  # 121 states
         ("e65ef8c6a681db1968203942c1e443136c1f5bbfa74e9647ce736daab66429e9",
@@ -606,14 +606,14 @@ ON_DEMAND_SHAPE_DIGESTS = {
     ("if-without-else", "relaxed", "own"):  # 30 states
         ("2f558e792ecf762742ae84246a2a975ae8f8e74b1e3127198c6328afe824a8c3",
          "d9d777e3d2b36bbb40a361cbce12f9f99b6442729f1d3eb8f314c53d02fe0e16"),
-    ("impl-branch-ends", "relaxed", "own"):  # 105 states
-        ("f7f357d3815e6a5bed0b3bad84985734db598ed1ee5e9203822e35055ec5a5a8",
+    ("impl-branch-ends", "relaxed", "own"):  # 91 states
+        ("02bbbd2849fdafaa92b47f2f8725e913336a6b08a08f495d73e9b852ad4de136",
          "e419c1f2531901de77f2e4ae9243d9800799f0bee2e8d1e8e21b4d919acd5222"),
-    ("impl-falls-off", "relaxed", "own"):  # 260 states
-        ("0ac3474f68d460c18a8a0d2db7d96f1b2a619271a407d4750a99fc220659c2c5",
+    ("impl-falls-off", "relaxed", "own"):  # 218 states
+        ("8bb411354572747911416d1d5a1f636a8b72fe7adf818e0a2f242b03a8374027",
          "48a853f57cfc5a988297048f84665faf18ad3c0c73dc4f7d8063e32790846ee6"),
-    ("impl-last-write", "relaxed", "own"):  # 494 states
-        ("3db3f480d977f8749ec9b4ce3462418f7a1de750756d8ce7806c7ff27758a207",
+    ("impl-last-write", "relaxed", "own"):  # 430 states
+        ("7107762ddf3a8ad683abed90a7a5d973456c15a49d1536ada05942a71d0f2757",
          "92f0e4077f3e89032880c6b9b84edbcc6e2fd3baf60fc0c5c64d93d02f3e8bcd"),
     ("vars-out-of-order-with-calls", "relaxed", "own"):  # 100 states
         ("7d313c72ce2314a531cc76e5691366450d314545943c6d0404cd5cfc86e834fa",
