@@ -17,14 +17,14 @@ own-state id, thread r's in field r with the threads in name order from
 bit 0, a specification's valuation and book ids above them, and the
 storage discipline's fields on top (RELAXED: one per variable, the id
 of its entry).  An id that outgrows its field is an `OverflowError`,
-never an alias.  A thread's state holds where its
-compiled code stands (a pc and loop counters) and its registers, and so
-does the frame of its implementation call, if any.  One rule settles
-every pc, a client's and an operation's alike: after each step, so no
-two states differ only in which finished block control stands at.  A
-successor is the state plus the changes to its fields, each worked out
-once per value of the fields it reads: a silent RELAXED propagation is
-an int add, and the build's state table maps ints to ints.
+never an alias.  A thread's state holds where its compiled code stands
+(a pc and loop counters) and its registers, and so does the frame of
+its implementation call, if any.  One rule settles every pc, a client's
+and an operation's alike: after each step, so no two states differ only
+in which finished block control stands at.  A successor is the state
+plus the changes to its fields, each worked out once per value of the
+fields it reads: a silent RELAXED propagation is an int add, and the
+build's state table maps ints to ints.
 
 Successors are generated on the same factoring.  A step table keyed on
 (thread, own-state id) holds the shared variables the thread's next
@@ -57,9 +57,9 @@ engine owns that table (`BurstTable`) and hands it to the storage
 discipline, so engine and storage yield burst ids; a burst enters the
 table, and is checked against the program's universe, when an edge
 first carries it, and outcomes cache their burst's id.  Every pass over
-the graph runs on those columns and works out what it needs of a burst once
-per burst id; `TraceSet.graph` is a read-only mapping view for readers
-that want the edges of an id as tuples.
+the graph runs on those columns and works out what it needs of a burst
+once per burst id; `TraceSet.graph` is a read-only mapping view for
+readers that want the edges of an id as tuples.
 
 Propagation on demand: a reducing build, `_build`'s default, runs
 RELAXED on the `OnDemand` storage, which takes no silent propagation
