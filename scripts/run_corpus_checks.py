@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Run the whole corpus battery: refinement verdicts for every bundled
 client against the spinlock specification and implementation under each
-memory model, plus ordering-law checks on the extracted enforced
-orders.  Prints one row per case; exits 1 if any row deviates from the
+memory model, ordering-law checks on the extracted enforced orders, and
+the verdict of each litmus test of corpus/litmus.  Prints one row per case; exits 1 if any row deviates from the
 documented expectation."""
 
 import argparse
@@ -12,9 +12,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from wmtr.memmodel import ExploreConfig, Model, enforced_order
+from wmtr.memmodel import ExploreConfig, Model, enforced_order, explore
 from wmtr.porder import check_axioms, check_lemma1
-from wmtr.program import parse
+from wmtr.program import empty_object, parse
 from wmtr.refine import check_wmtr
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -39,6 +39,22 @@ ORDERS = [
     ("fig5_client.wm", "spinlock_impl.wm"),
     ("fig5_notry_client.wm", "spinlock_impl_notry.wm"),
     ("fig6_client.wm", "spinlock_impl.wm"),
+]
+
+# litmus test, the outcome it asks about (the value of each outcome
+# global's last observation), whether each model allows it; at values=1
+LITMUS = [
+    ("sb.wm", {"a": 0, "b": 0}, {"sc": False, "tso": True, "relaxed": True}),
+    ("mp.wm", {"a": 1, "b": 0}, {"sc": False, "tso": False, "relaxed": True}),
+    ("lb.wm", {"a": 1, "b": 1}, {"sc": False, "tso": False, "relaxed": False}),
+    ("wrc.wm", {"a": 1, "b": 1, "c": 0},
+     {"sc": False, "tso": False, "relaxed": True}),
+    ("iriw.wm", {"a": 1, "b": 0, "c": 1, "d": 0},
+     {"sc": False, "tso": False, "relaxed": True}),
+    ("sb_fences.wm", {"a": 0, "b": 0},
+     {"sc": False, "tso": False, "relaxed": False}),
+    ("mp_fences.wm", {"a": 1, "b": 0},
+     {"sc": False, "tso": False, "relaxed": False}),
 ]
 
 
@@ -90,6 +106,22 @@ def main() -> int:
             print(f"{client:24s} {model.value:8s} "
                   f"{'laws hold' if ok else 'LAW VIOLATION':19s} "
                   f"{time.time() - t0:6.1f}s  ({len(po.pairs)} pairs)")
+
+    print("== litmus ==")
+    for name, outcome, expect in LITMUS:
+        p = load(f"litmus/{name}")
+        for model in models:
+            t0 = time.time()
+            ts = explore(p, empty_object(), ExploreConfig(model=model, values=1))
+            allowed = any(all(last.get(g) == v for g, v in outcome.items())
+                          for last in ({var: val for _, var, val in o}
+                                       for o in ts.observables()))
+            ok = allowed == expect[model.value]
+            bad += not ok
+            print(f"{name:24s} {model.value:8s} "
+                  f"{'allowed' if allowed else 'forbidden':19s} "
+                  f"{time.time() - t0:6.1f}s  ({ts.states} states)"
+                  f"{'' if ok else '  UNEXPECTED'}")
 
     print(f"\n{'all checks as expected' if not bad else f'{bad} deviations'}")
     return 1 if bad else 0

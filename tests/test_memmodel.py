@@ -926,6 +926,39 @@ class TestLitmus:
         assert not any(o and o[0] == f1 for o in ts.observables())
 
 
+# the litmus tests of corpus/litmus: the outcome each asks about, as the
+# value of each outcome global's last observation, and whether SC, TSO
+# and RELAXED allow it, at values=1; the sources of each verdict are in
+# the file's header
+LITMUS = {
+    "sb.wm": ({"a": 0, "b": 0}, (False, True, True)),
+    "mp.wm": ({"a": 1, "b": 0}, (False, False, True)),
+    "lb.wm": ({"a": 1, "b": 1}, (False, False, False)),
+    "wrc.wm": ({"a": 1, "b": 1, "c": 0}, (False, False, True)),
+    "iriw.wm": ({"a": 1, "b": 0, "c": 1, "d": 0}, (False, False, True)),
+    "sb_fences.wm": ({"a": 0, "b": 0}, (False, False, False)),
+    "mp_fences.wm": ({"a": 1, "b": 0}, (False, False, False)),
+}
+
+
+def outcome_allowed(ts, outcome):
+    """Whether some observable ends with the value of `outcome` as the
+    last observation of each of its globals."""
+    return any(all(last.get(g) == v for g, v in outcome.items())
+               for last in ({var: val for _, var, val in o}
+                            for o in ts.observables()))
+
+
+@pytest.mark.parametrize("name", sorted(LITMUS))
+def test_litmus_verdicts(name):
+    outcome, verdicts = LITMUS[name]
+    p = parse(corpus_text(f"litmus/{name}"))
+    assert tuple(
+        outcome_allowed(explore(p, empty_object(), cfg(model, values=1)),
+                        outcome)
+        for model in (Model.SC, Model.TSO, Model.RELAXED)) == verdicts
+
+
 class TestTraceSet:
     def test_prefix_closed_and_wellformed_samples(self):
         p, o = load("fig5_client.wm", "spinlock_impl.wm")
