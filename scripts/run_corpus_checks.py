@@ -2,8 +2,8 @@
 """Run the whole corpus battery: refinement verdicts for every bundled
 client against the spinlock specification and implementation under each
 memory model, ordering-law checks on the extracted enforced orders, and
-the verdict of each litmus test of corpus/litmus.  Prints one row per case; exits 1 if any row deviates from the
-documented expectation."""
+the verdict of each litmus test of corpus/litmus.  Prints one row per
+case; exits 1 if any row deviates from the documented expectation."""
 
 import argparse
 import sys
@@ -112,7 +112,8 @@ def main() -> int:
         p = load(f"litmus/{name}")
         for model in models:
             t0 = time.time()
-            ts = explore(p, empty_object(), ExploreConfig(model=model, values=1))
+            ts = explore(p, empty_object(),
+                         ExploreConfig(model=model, values=1))
             allowed = any(all(last.get(g) == v for g, v in outcome.items())
                           for last in ({var: val for _, var, val in o}
                                        for o in ts.observables()))

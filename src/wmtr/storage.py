@@ -318,10 +318,9 @@ class RELAXED(Storage):
     where carrier and observation are interned in `decode` (code 0 is
     None) and a record that emitted its observation holds the code
     times `spent` (RELAXED: negated); an observation is decoded when its
-    record emits it.  The
-    ref of a write is its variable: an operation's last write is the
-    last record of that variable that carries the operation's code,
-    since only one invocation carries its code.
+    record emits it.  The ref of a write is its variable: an operation's
+    last write is the last record of that variable that carries the
+    operation's code, since only one invocation carries its code.
 
     The variables of `initials` get their fields when the instance is
     made, any other (a chaos call's virtual variable) when a write to it
@@ -437,7 +436,8 @@ class RELAXED(Storage):
         """(burst id, entry id') of the emission of record `pos`'s
         observation, which moves every core to at least that record."""
         v, c, kd, ca, ob = recs[pos]
-        recs = recs[:pos] + ((v, c, kd, ca, ob * self.spent),) + recs[pos + 1:]
+        recs = (recs[:pos] + ((v, c, kd, ca, ob * self.spent),)
+                + recs[pos + 1:])
         return (self.bursts.id((self.decode[ob],)),
                 self.entry((recs, tuple(max(p, pos) for p in posv))))
 
@@ -484,11 +484,11 @@ class OnDemand(RELAXED):
     `attach` looks only for an operation's, and an emitted record no
     observation code (`spent` is 0).  `entry` drops the front records
     that lie before every core's position and owe no observation, and
-    shifts the positions down by as many; `attach`
-    finds no record of an operation once its last one is dropped, which
-    every core held, and emits at once.  A load's choices are tabled per
-    (entry, core), and what `fence` and `invoke` make of an entry per
-    (entry, core, program records only)."""
+    shifts the positions down by as many; `attach` finds no record of an
+    operation once its last one is dropped, which every core held, and
+    emits at once.  A load's choices are tabled per (entry, core), and
+    what `fence` and `invoke` make of an entry per (entry, core, program
+    records only)."""
     spent = 0
 
     def __init__(self, cores, initials, buffer, bursts, shift=0):
