@@ -22,7 +22,7 @@ import os
 import sys
 from typing import Optional
 
-from .events import pretty, trace_to_lines
+from .events import event_to_record, pretty, trace_to_lines
 from .memmodel import ExploreConfig, Model, enforced_order, explore
 from .porder import LAW_CROSS_OP, check_axioms, order_to_lines, to_dot
 from .program import ClientProgram, ObjectDef, ParseError, empty_object, parse
@@ -136,8 +136,7 @@ def cmd_check(args) -> int:
         doc = {"verdict": v.verdict, "stats": v.stats}
         if v.counterexample:
             doc["observable"] = [list(t) for t in v.counterexample.observable]
-            doc["trace"] = [json.loads(ln) for ln in
-                            trace_to_lines(v.counterexample.trace).splitlines()]
+            doc["trace"] = [event_to_record(e) for e in v.counterexample.trace]
         print(json.dumps(doc, indent=2))
     else:
         print(f"verdict: {v.verdict}")

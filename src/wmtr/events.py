@@ -13,33 +13,107 @@ Values are small non-negative integers; the missing value (bottom) is
 0-based instance counters: an operation's instance is the position of
 the call among all calls its thread makes, a step's instance counts
 occurrences of the same statement label in its thread.
+
+Events are hash-consed (Filliâtre and Conchon, *Type-safe modular
+hash-consing*, ML Workshop 2006): each of the seven classes below keeps
+one instance per distinct tuple of field values, in a table of its own
+that lives for the process, and making an event returns that instance,
+whether its fields are given by position, by keyword or by default.  So
+equality is identity, and hashing an event, which every set and map of
+events does, costs no more than hashing an int; a copy, a pickle
+round trip and `dataclasses.replace` all return the interned instance.
+Fields, `repr` and serialisations are those of a plain frozen
+dataclass.  Iterating a set of events follows their addresses, so no
+output may depend on set order: every serialisation sorts by
+`event_to_json`, each event's JSON line, which is worked out once per
+event.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from dataclasses import MISSING, dataclass, fields
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 ThreadId = str
 Value = Optional[int]  # None encodes the no-value element
 
 
-@dataclass(frozen=True, slots=True)
+_TABLES: Dict[str, dict] = {}  # per class name: its instances by fields
+
+
+def _interned(cls):
+    """Hash-cons the frozen dataclass `cls`: its `__new__` fills in
+    keywords and defaults and returns the one instance per tuple of
+    field values from a table of the class's own, made on first sight.
+    `cls` must leave equality, hashing and `__init__` to this: declared
+    with `eq=False, init=False`, it compares and hashes by identity."""
+    names = tuple(f.name for f in fields(cls))
+    defaults = tuple(f.default for f in fields(cls))
+    table: dict = {}
+    make, put = object.__new__, object.__setattr__
+
+    def __new__(klass, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            args = _bind(cls.__name__, names, defaults, args, kwargs)
+        obj = table.get(args)
+        if obj is None:
+            obj = make(klass)
+            for name, value in zip(names, args):
+                put(obj, name, value)
+            table[args] = obj
+        return obj
+
+    def __reduce__(self):  # copies and pickles rebuild through the table
+        return cls, tuple(getattr(self, name) for name in names)
+
+    cls.__new__, cls.__reduce__ = staticmethod(__new__), __reduce__
+    _TABLES[cls.__name__] = table
+    return cls
+
+
+def _bind(what: str, names: tuple, defaults: tuple, args: tuple,
+          kwargs: dict) -> tuple:
+    """The field tuple of a call with positional `args` and `kwargs`,
+    missing fields taken from `defaults`."""
+    if len(args) > len(names):
+        raise TypeError(f"{what}() takes {len(names)} arguments, "
+                        f"{len(args)} given")
+    out = list(args)
+    for name, default in zip(names[len(args):], defaults[len(args):]):
+        value = kwargs.pop(name, default)
+        if value is MISSING:
+            raise TypeError(f"{what}() missing argument {name!r}")
+        out.append(value)
+    if kwargs:
+        raise TypeError(f"{what}() got an unexpected or repeated argument "
+                        f"{next(iter(kwargs))!r}")
+    return tuple(out)
+
+
+def table_sizes() -> Dict[str, int]:
+    """The number of distinct instances of each class made so far."""
+    return {name: len(table) for name, table in _TABLES.items()}
+
+
+@_interned
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class OpId:
     thread: ThreadId
     call: str
     instance: int
 
 
-@dataclass(frozen=True, slots=True)
+@_interned
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class StepId:
     thread: ThreadId
     label: str
     instance: int
 
 
-@dataclass(frozen=True, slots=True)
+@_interned
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class ProgStep:
     """A program step; `write` is the (global var, value) it stores, if any."""
 
@@ -47,7 +121,8 @@ class ProgStep:
     write: Optional[Tuple[str, int]] = None
 
 
-@dataclass(frozen=True, slots=True)
+@_interned
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class ProgObs:
     """Observation of a global-writing program step: the written value
     has become visible to every core."""
@@ -57,19 +132,22 @@ class ProgObs:
     value: int
 
 
-@dataclass(frozen=True, slots=True)
+@_interned
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Inv:
     op: OpId
     arg: Value = None
 
 
-@dataclass(frozen=True, slots=True)
+@_interned
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Res:
     op: OpId
     out: Value = None
 
 
-@dataclass(frozen=True, slots=True)
+@_interned
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class OpObs:
     """Observation of an operation: its last shared write (or, lacking
     one, its response) has become visible to every core."""
@@ -106,27 +184,38 @@ def observable_of(t: Sequence[Event]) -> Observable:
 # --- serialization: one JSON object per line, bottom as null ---
 
 def event_to_record(e: Event) -> dict:
+    """The event's record, its keys in sorted order: dumped as it stands,
+    it gives the fields in the order of the event's JSON line."""
     if isinstance(e, ProgStep):
         var, val = e.write if e.write is not None else (None, None)
-        return {"kind": "step", "thread": e.step.thread, "label": e.step.label,
-                "instance": e.step.instance, "var": var, "value": val}
+        return {"instance": e.step.instance, "kind": "step",
+                "label": e.step.label, "thread": e.step.thread,
+                "value": val, "var": var}
     if isinstance(e, ProgObs):
-        return {"kind": "obs-step", "thread": e.step.thread, "label": e.step.label,
-                "instance": e.step.instance, "var": e.var, "value": e.value}
+        return {"instance": e.step.instance, "kind": "obs-step",
+                "label": e.step.label, "thread": e.step.thread,
+                "value": e.value, "var": e.var}
     if isinstance(e, Inv):
-        return {"kind": "inv", "thread": e.op.thread, "op": e.op.call,
-                "instance": e.op.instance, "value": e.arg}
+        return {"instance": e.op.instance, "kind": "inv", "op": e.op.call,
+                "thread": e.op.thread, "value": e.arg}
     if isinstance(e, Res):
-        return {"kind": "res", "thread": e.op.thread, "op": e.op.call,
-                "instance": e.op.instance, "value": e.out}
+        return {"instance": e.op.instance, "kind": "res", "op": e.op.call,
+                "thread": e.op.thread, "value": e.out}
     if isinstance(e, OpObs):
-        return {"kind": "obs-op", "thread": e.op.thread, "op": e.op.call,
-                "instance": e.op.instance, "value": e.out}
+        return {"instance": e.op.instance, "kind": "obs-op", "op": e.op.call,
+                "thread": e.op.thread, "value": e.out}
     raise TypeError(f"not an event: {e!r}")
 
 
+_JSON: Dict[Event, str] = {}  # each event's JSON line, made on first use
+
+
 def event_to_json(e: Event) -> str:
-    return json.dumps(event_to_record(e), sort_keys=True, separators=(",", ":"))
+    line = _JSON.get(e)
+    if line is None:
+        line = _JSON[e] = json.dumps(event_to_record(e), sort_keys=True,
+                                     separators=(",", ":"))
+    return line
 
 
 def trace_to_lines(t: Sequence[Event]) -> str:

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .events import Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId
 from .storage import _tget, _tset
@@ -181,16 +181,18 @@ def empty_object(kind: str = "impl") -> ObjectDef:
 
 # --- lexer ---
 
+# one token per match, after the whitespace and comments before it; a
+# match with no token is the end of the input or an unexpected character
 _TOKEN = re.compile(
     r"""
-    (?P<skip>[ \t\r]+)
-  | (?P<comment>//[^\n]*)
-  | (?P<nl>\n)
-  | (?P<assign>:=)
-  | (?P<neq>!=)
-  | (?P<int>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<sym>[(){};=+,\-])
+    (?:[ \t\r\n]+|//[^\n]*)*
+    (?:
+      (?P<assign>:=)
+    | (?P<neq>!=)
+    | (?P<int>\d+)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<sym>[(){};=+,\-])
+    )?
     """,
     re.VERBOSE,
 )
@@ -201,8 +203,7 @@ _KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # keyword/symb text, or "INT"/"IDENT"/"EOF"
     text: str
     line: int
@@ -218,29 +219,32 @@ class ParseError(Exception):
 
 def _lex(text: str) -> List[Token]:
     out = []
-    line, start = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - start + 1)
-        pos = m.end()
+    line, start = 1, 0  # the current line and the position it starts at
+    pos, end = 0, len(text)
+    match, count, rfind = _TOKEN.match, text.count, text.rfind
+    while True:
+        m = match(text, pos)
         kind = m.lastgroup
-        if kind == "nl":
-            line += 1
-            start = pos
-            continue
-        if kind in ("skip", "comment"):
-            continue
-        col = m.start() - start + 1
-        tok = m.group()
+        at = m.start(kind) if kind else m.end()
+        breaks = count("\n", pos, at)
+        if breaks:
+            line += breaks
+            start = rfind("\n", pos, at) + 1
+        if kind is None:
+            if at < end:
+                raise ParseError(f"unexpected character {text[at]!r}", line,
+                                 at - start + 1)
+            break
+        pos = m.end()
+        tok = m.group(kind)
         if kind == "int":
-            out.append(Token("INT", tok, line, col))
+            out.append(Token("INT", tok, line, at - start + 1))
         elif kind == "ident":
-            out.append(Token(tok if tok in _KEYWORDS else "IDENT", tok, line, col))
+            out.append(Token(tok if tok in _KEYWORDS else "IDENT", tok, line,
+                             at - start + 1))
         else:
-            out.append(Token(tok, tok, line, col))
-    out.append(Token("EOF", "", line, pos - start + 1))
+            out.append(Token(tok, tok, line, at - start + 1))
+    out.append(Token("EOF", "", line, end - start + 1))
     return out
 
 
@@ -249,8 +253,10 @@ class _Parser:
         self.toks = _lex(text)
         self.i = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+    # `i` never passes the EOF token that ends `toks`
+
+    def peek(self) -> Token:
+        return self.toks[self.i]
 
     def next(self) -> Token:
         t = self.toks[self.i]
@@ -259,14 +265,16 @@ class _Parser:
         return t
 
     def expect(self, kind: str) -> Token:
-        t = self.peek()
+        t = self.toks[self.i]
         if t.kind != kind:
             raise ParseError(f"expected {kind!r}, found {t.text or 'end of input'!r}",
                              t.line, t.col)
-        return self.next()
+        if kind != "EOF":
+            self.i += 1
+        return t
 
     def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.toks[self.i].kind == kind
 
     def fresh_name(self, seen, what: str) -> str:
         """The next identifier, which must not be in `seen`; a duplicate

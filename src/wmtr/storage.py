@@ -328,8 +328,9 @@ class RELAXED(Storage):
     steps do not depend on the variable or on the rest of the storage,
     so `moves` tables them once per variable and entry; likewise `entry`
     notes once which cores issued a record that not every core holds,
-    for `fence` and `invoke`.  Every table lives on the instance and
-    goes with the build."""
+    for `fence` and `invoke`, and `attach` works out once per entry,
+    operation and observation where the observation goes.  Every table
+    lives on the instance and goes with the build."""
     spent = -1
 
     def __init__(self, cores, initials, buffer, bursts, shift=0):
@@ -338,6 +339,9 @@ class RELAXED(Storage):
         self.codes: Dict[object, int] = {None: 0}
         self.decode: List[object] = [None]
         self.entries = Interned("RELAXED entries")
+        # keyed (entry id, operation code, observation): what `attach`
+        # makes of the entry, an entry id or None
+        self.attached: Dict[tuple, Optional[int]] = {}
         # per entry id: bit k set iff core k issued a record (a program
         # record) that not every core holds
         self.pending: List[int] = []
@@ -411,16 +415,24 @@ class RELAXED(Storage):
             return None
         shift = self.shifts[var]
         eid = s >> shift & self.mask
-        recs, posv = self.entries.values[eid]
         code = self.codes[opid]
+        e2 = self.attached.get((eid, code, obs), _MISS)
+        if e2 is _MISS:
+            e2 = self.attached[eid, code, obs] = self._attach(eid, code, obs)
+        return None if e2 is None else s + ((e2 - eid) << shift)
+
+    def _attach(self, eid, code, obs) -> Optional[int]:
+        """The id of entry `eid` with `obs` on the last record carrying
+        `code`, or None when every core holds that record or none is
+        left."""
+        recs, posv = self.entries.values[eid]
         pos = len(recs) - 1
         while pos >= 0 and recs[pos][3] != code:  # its last record of var
             pos -= 1
         if pos <= min(posv):  # every core holds it, or it was dropped
             return None
-        e = (recs[:pos] + (recs[pos][:4] + (self.intern(obs),),)
-             + recs[pos + 1:], posv)
-        return s + ((self.entry(e) - eid) << shift)
+        return self.entry((recs[:pos] + (recs[pos][:4] + (self.intern(obs),),)
+                           + recs[pos + 1:], posv))
 
     def _pending(self, s, core, table) -> bool:
         bit, mask = 1 << self.rank[core], self.mask

@@ -16,6 +16,9 @@ from conftest import (
 )
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def C(name):
     return str(CORPUS / name)
 
@@ -24,6 +27,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# SHA-256 of `wmtr check --format json` stdout against the spinlock, at
+# the default bounds, keyed (client, model): the verdict, the stats, the
+# refuting observable and the canonical counterexample's records
+CHECK_JSON_DIGESTS = {
+    ("fig5_client.wm", "tso"):
+        "013dfda4d496a1a25e8a3d4a5b632fc321c91aaaf544d75f99494545cc7277fb",
+    ("fig6_client.wm", "relaxed"):
+        "0818fcee291129b1cb05d2473193f21254206d9114fdb5e3aa55bd181752326e",
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class TestCheck:
@@ -56,6 +74,13 @@ class TestCheck:
         assert doc["observable"] == [["T1", "y", 1], ["T2", "y", 1]]
         assert doc["stats"]["refuting_observables"] == 2
         assert len(doc["trace"]) >= 4
+
+    @pytest.mark.parametrize("client,model", sorted(CHECK_JSON_DIGESTS))
+    def test_json_output_unchanged(self, client, model, capsys):
+        _, out, _ = run(capsys, "check", "--model", model, "--client", C(client),
+                        "--spec", C("spinlock_spec.wm"),
+                        "--impl", C("spinlock_impl.wm"), "--format", "json")
+        assert _sha(out) == CHECK_JSON_DIGESTS[client, model]
 
     def test_out_writes_replayable_trace(self, capsys, tmp_path):
         dst = tmp_path / "cex.jsonl"
@@ -180,9 +205,95 @@ class TestOrderOutputs:
         code, axioms, _ = run(capsys, "axioms", *args, "--out", str(dst))
         assert code == 0
         _, dot, _ = run(capsys, "dot", *args)
-        assert tuple(hashlib.sha256(text.encode()).hexdigest()
-                     for text in (axioms, dst.read_text(), dot)) == \
+        assert tuple(map(_sha, (axioms, dst.read_text(), dot))) == \
             ORDER_OUTPUT_DIGESTS[client, model]
+
+
+# Run in a fresh process: the digests of `wmtr axioms` stdout and `--out`
+# file for each pair and model, and of `wmtr check --format json` stdout
+# for each CHECK_JSON_DIGESTS case, after first making `argv[1]`
+# unrelated events in a shuffled order among heap objects that are
+# partly freed again; and, as `order`, the universe of fig5's enforced
+# order under TSO in set iteration order
+_ALLOCATING_RUN = """
+import contextlib, hashlib, io, json, os, random, sys, tempfile
+from wmtr.cli import main
+from wmtr.events import Inv, OpId, OpObs, ProgObs, Res, StepId, event_to_json
+from wmtr.memmodel import ExploreConfig, Model, enforced_order
+from wmtr.program import parse
+
+n, corpus = int(sys.argv[1]), sys.argv[2]
+pairs, checks = json.loads(sys.argv[3]), json.loads(sys.argv[4])
+rng = random.Random(n)
+keys = [(t, k) for t in range(max(n // 50, 1)) for k in range(50)][:n]
+rng.shuffle(keys)
+filler, held = [], []
+for t, k in keys:
+    filler.append([k] * (t % 7 + 1))
+    op = OpId(f"U{t}", "u", k)
+    held += [Inv(op, k % 3), Res(op, k % 2), OpObs(op),
+             ProgObs(StepId(f"U{t}", f"u:={k}", k), "u", k)]
+del filler[::2]
+
+def cli(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(list(argv))
+    return out.getvalue()
+
+def sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+path = lambda name: os.path.join(corpus, name)
+doc = {"axioms": [], "check": []}
+with tempfile.TemporaryDirectory() as tmp:
+    dst = os.path.join(tmp, "order.jsonl")
+    for client, obj, model in pairs:
+        text = cli("axioms", "--model", model, "--client", path(client),
+                   "--impl", path(obj), "--out", dst)
+        with open(dst) as f:
+            doc["axioms"].append([sha(text), sha(f.read())])
+for client, model in checks:
+    doc["check"].append(sha(cli(
+        "check", "--model", model, "--client", path(client),
+        "--spec", path("spinlock_spec.wm"), "--impl", path("spinlock_impl.wm"),
+        "--format", "json")))
+p, obj = (parse(open(path(name)).read())
+          for name in ("fig5_client.wm", "spinlock_impl.wm"))
+doc["order"] = [event_to_json(e) for e in
+                enforced_order(p, obj, ExploreConfig(Model.TSO)).universe]
+print(json.dumps(doc))
+"""
+
+
+class TestAllocationOrder:
+    """Events hash by identity, so a set of them iterates in the order of
+    their addresses, which follow everything the process allocated
+    before; no output may follow it."""
+
+    PAIRS = [(client, obj, model) for client, obj in ORDER_PAIRS
+             for model in ("sc", "tso", "relaxed")]
+    CHECKS = sorted(CHECK_JSON_DIGESTS)
+
+    def _run(self, events: int) -> dict:
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-c", _ALLOCATING_RUN, str(events), str(CORPUS),
+             json.dumps(self.PAIRS), json.dumps(self.CHECKS)],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_outputs_do_not_follow_allocation_order(self):
+        plain, shuffled = self._run(0), self._run(4000)
+        # the set order did move, and no output moved with it
+        assert sorted(plain["order"]) == sorted(shuffled["order"])
+        assert plain["order"] != shuffled["order"]
+        for doc in (plain, shuffled):
+            assert doc["axioms"] == [list(ORDER_OUTPUT_DIGESTS[client, model][:2])
+                                     for client, _, model in self.PAIRS]
+            assert doc["check"] == [CHECK_JSON_DIGESTS[case]
+                                    for case in self.CHECKS]
 
 
 class TestExploreAndDot:
@@ -310,9 +421,6 @@ class TestErrors:
         assert (code, out) == (3, "")
         assert err == ("inconclusive: more than 4 distinct bursts: a burst "
                        "id holds 2 bits\n")
-
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestClosedPipe:

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +21,7 @@ from wmtr.events import (
     event_to_json,
     observable_of,
     pretty,
+    table_sizes,
     trace_to_lines,
 )
 
@@ -181,3 +186,79 @@ def test_pretty_labels():
     assert pretty(OpObs(OpId("T3", "tryAcquire", 0), 0)) == "obs(T3, tryAcquire, 0)"
     assert pretty(ProgObs(StepId("T1", "z:=1", 0), "z", 1)) == "obs(T1, z=1)"
     assert pretty(ProgStep(StepId("T2", "y:=z", 0), ("y", 0))) == "step(T2, y:=z)"
+
+
+class TestInterning:
+    """One instance per distinct event: equality is identity."""
+
+    OP = OpId("T1", "acquire", 0)
+    STEP = StepId("T2", "x:=1", 1)
+
+    def test_equal_fields_give_the_same_object(self):
+        op, sid = self.OP, self.STEP
+        assert OpId("T1", "acquire", 0) is op
+        assert OpId(thread="T1", call="acquire", instance=0) is op
+        assert OpId("T1", instance=0, call="acquire") is op
+        assert Inv(op) is Inv(op, None) is Inv(op, arg=None) is Inv(op=op)
+        assert Res(op, 1) is Res(op, out=1) and Res(op) is not Res(op, 1)
+        assert OpObs(op) is OpObs(op, None)
+        assert ProgStep(sid) is ProgStep(sid, None) is ProgStep(sid, write=None)
+        assert ProgStep(sid, ("x", 1)) is ProgStep(sid, ("x", 1))
+        assert ProgObs(sid, "x", 1) is ProgObs(step=sid, var="x", value=1)
+
+    def test_equality_and_hash_are_identity(self):
+        a, b = Inv(self.OP, 2), Inv(OpId("T1", "acquire", 0), 2)
+        assert a == b and hash(a) == hash(b) == object.__hash__(a)
+        assert Inv(self.OP, 2) != Res(self.OP, 2)
+        assert len({Inv(self.OP), Inv(self.OP, None), OpObs(self.OP)}) == 2
+
+    def test_making_an_event_again_adds_nothing(self):
+        ProgObs(self.STEP, "x", 3)
+        before = table_sizes()
+        ProgObs(StepId("T2", "x:=1", 1), "x", 3)
+        assert table_sizes() == before
+
+    @pytest.mark.parametrize("make", [
+        copy.copy, copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e)),
+        dataclasses.replace,
+    ], ids=["copy", "deepcopy", "pickle", "replace"])
+    def test_copies_are_the_interned_instance(self, make):
+        for e in (self.OP, self.STEP, ProgStep(self.STEP, ("x", 1)),
+                  ProgObs(self.STEP, "x", 1), Inv(self.OP, 1), Res(self.OP),
+                  OpObs(self.OP, 0)):
+            assert make(e) is e
+
+    def test_replace_with_a_change_is_interned(self):
+        e = ProgObs(self.STEP, "x", 1)
+        assert dataclasses.replace(e, value=2) is ProgObs(self.STEP, "x", 2)
+
+    def test_events_stay_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.OP.instance = 1
+
+    @pytest.mark.parametrize("make", [
+        lambda: Inv(), lambda: Inv(OpId("T1", "a", 0), 1, 2),
+        lambda: Inv(OpId("T1", "a", 0), value=1),
+        lambda: Inv(OpId("T1", "a", 0), op=OpId("T1", "a", 0)),
+        lambda: OpId("T1", "a"),
+    ], ids=["missing", "extra", "unknown", "repeated", "no-default"])
+    def test_bad_arguments_rejected(self, make):
+        with pytest.raises(TypeError):
+            make()
+
+    def test_reprs_unchanged(self):
+        op, sid = self.OP, self.STEP
+        assert repr(op) == "OpId(thread='T1', call='acquire', instance=0)"
+        assert repr(sid) == "StepId(thread='T2', label='x:=1', instance=1)"
+        assert repr(ProgStep(sid, ("x", 1))) == (
+            "ProgStep(step=StepId(thread='T2', label='x:=1', instance=1), "
+            "write=('x', 1))")
+        assert repr(ProgObs(sid, "x", 1)) == (
+            "ProgObs(step=StepId(thread='T2', label='x:=1', instance=1), "
+            "var='x', value=1)")
+        assert repr(Inv(op)) == (
+            "Inv(op=OpId(thread='T1', call='acquire', instance=0), arg=None)")
+        assert repr(Res(op, 1)) == (
+            "Res(op=OpId(thread='T1', call='acquire', instance=0), out=1)")
+        assert repr(OpObs(op, 0)) == (
+            "OpObs(op=OpId(thread='T1', call='acquire', instance=0), out=0)")

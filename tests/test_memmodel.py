@@ -1214,6 +1214,15 @@ class TestStateIds:
         assert ts.empirical_pairs() == empirical_pairs_oracle(ts)
 
 
+ATTACH_OBJECT = """object impl {
+  var x = 0;
+  var y = 0;
+  op f() { x := 1; r := y; return r; }
+  op w() { y := 1; }
+}"""
+ATTACH_CLIENT = "thread T1 { call f(); }\nthread T2 { call w(); }"
+
+
 class TestGraphIdentity:
     @pytest.mark.parametrize("client,obj", ORDER_PAIRS)
     def test_relaxed_chaos_graph_unchanged(self, client, obj, chaos_graph):
@@ -1334,6 +1343,42 @@ class TestGraphIdentity:
         assert finals and all(
             (mem.read(u, c, "x"), mem.read(u, c, "y")) == (2, 2)
             for u in finals for c in cores)
+
+    @pytest.mark.parametrize("reduce", [False, True])
+    @pytest.mark.parametrize("case", ["fig5", "read-after-store"])
+    def test_relaxed_attach_works_out_each_key_once(self, case, reduce,
+                                                    monkeypatch):
+        """`attach` works out what it makes of an (entry, operation,
+        observation) once per storage, and the graph is that of a storage
+        that works it out on every call, id for id.  In the second case
+        f's store leaves x's entry the same whichever value of y f then
+        returns, so only the observation tells the two apart."""
+        if case == "fig5":
+            p, o = load("fig5_client.wm", "spinlock_impl.wm")
+        else:
+            p, o = parse(ATTACH_CLIENT), parse(ATTACH_OBJECT)
+        keys, attach = [], RELAXED._attach
+
+        def counted(self, *key):
+            keys.append((id(self),) + key)
+            return attach(self, *key)
+
+        monkeypatch.setattr(RELAXED, "_attach", counted)
+        c = cfg(Model.RELAXED, values=1)
+        ts = _build(p, o, c, "impl", reduce=reduce)
+        assert keys and len(set(keys)) == len(keys)
+        tabled, keys[:] = len(keys), []
+        init = RELAXED.__init__
+
+        def forgetful(self, *args):
+            init(self, *args)
+            self.attached = _Forgetful()
+
+        monkeypatch.setattr(RELAXED, "__init__", forgetful)
+        fresh = _build(p, o, c, "impl", reduce=reduce)
+        assert len(keys) > tabled
+        assert graph_digest(ts) == graph_digest(fresh)
+        assert ts.bursts == fresh.bursts
 
     def test_digest_sees_a_moved_burst(self, chaos_graph):
         ts = chaos_graph("fig2_client.wm", "fig2_object.wm", Model.RELAXED)

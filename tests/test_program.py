@@ -103,6 +103,24 @@ class TestParse:
             parse(text)
         assert str(e.value) == message
 
+    # the lexer skips whitespace and comments as part of each token, so a
+    # position after them must still count their lines and columns
+    @pytest.mark.parametrize("text,message", [
+        ("global x = 0; // the flag\n  x @ 1;",
+         "2:5: unexpected character '@'"),
+        ("global x = 0;\n// one\n\t// two\n#",
+         "4:1: unexpected character '#'"),
+        ("global x = 0; // no thread follows",
+         "1:35: expected 'thread', found 'end of input'"),
+        ("global x = 0; // no thread follows\n  ",
+         "2:3: expected 'thread', found 'end of input'"),
+    ], ids=["char-after-comment", "char-after-comments", "end-after-comment",
+            "end-after-comment-line"])
+    def test_error_position_after_a_comment(self, text, message):
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert str(e.value) == message
+
     def test_return_outside_op_rejected(self):
         with pytest.raises(ParseError, match="operation bodies"):
             parse("thread T {\n  return 1;\n}")
