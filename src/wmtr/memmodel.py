@@ -21,7 +21,16 @@ never an alias.  A thread's state holds where its compiled code stands
 (a pc and loop counters) and its registers, and so does the frame of
 its implementation call, if any.  One rule settles every pc, a client's
 and an operation's alike: after each step, so no two states differ only
-in which finished block control stands at.  A successor is the state
+in which finished block control stands at.  A frame goes further: the
+instructions that read only its registers and emit nothing
+(`OpDef.merged`: SET, IF, LOOP and AWAIT over registers and the
+parameter) run in the edge of the step that reached them, the client's
+call that starts the frame or the frame's previous step, up to the
+first shared load, store, TAS, fence or return, or the first test that
+blocks, a spent loop budget staying stuck where it is.  Such a step
+commutes with every other step, so every trace is kept (Lipton's
+reduction, CACM 1975; SPIN's statement merging), and only the states
+between it and the step before it are gone.  A successor is the state
 plus the changes to its fields, each worked out once per value of the
 fields it reads: a silent RELAXED propagation is an int add, and the
 build's state table maps ints to ints.
@@ -256,7 +265,8 @@ class _Engine:
         # the step table, keyed (thread, own-state id), of a thread outside
         # a call or in an implementation call: (the storage's load function,
         # the shared variables its next step reads, {their values: _Step,
-        # or None when blocked})
+        # or None when blocked}), or, when it reads none, its one _Step or
+        # None
         self.steps: Dict[Tuple[str, int], tuple] = {}
 
     def initials(self) -> dict:  # the storage's variables
@@ -299,11 +309,18 @@ class _Engine:
         state with the core moved to what it reads.  Looked up in the
         step table, interpreted on a miss."""
         key = (th, x)
-        entry = self.steps.get(key)
-        if entry is None:
+        entry = self.steps.get(key, _MISS)
+        if entry is _MISS:
             load, step, seen = self._interpret(st, th, ts)
-            entry = self.steps[key] = (load, tuple(seen),
-                                       {tuple(seen.values()): step})
+            entry = self.steps[key] = ((load, tuple(seen),
+                                        {tuple(seen.values()): step})
+                                       if seen else step)
+        if entry.__class__ is not tuple:  # it reads nothing: one outcome
+            if entry is not None:
+                a = self._take(st, th, entry)
+                if a is not None:
+                    out.append(a)
+            return
         load, reads, outcomes = entry
         core = self.coremap[th]
         for s in self.views(st, core, reads) if load is self.read else (st,):
@@ -423,9 +440,30 @@ class _Impl(_Engine):
         return {**self.p.globals, **self.obj.shared}
 
     def call_slot(self, opid, arg, reg):
-        return start_frame(opid, self.obj.ops[opid.call], arg, reg), None
+        op = self.obj.ops[opid.call]
+        return self.run_merged(op, start_frame(opid, op, arg, reg)), None
 
     call_actions = _Engine.step_actions
+
+    def run_merged(self, op: OpDef, f: OpFrame) -> OpFrame:
+        """`f` once it ran the instructions of `op.merged` that follow,
+        up to the first other one or the first that blocks: an await
+        false for good or a spent loop budget, which stays stuck where it
+        is.  Each reads only the frame and emits nothing, so it commutes
+        with every other step, and is taken in the edge of the step that
+        reached it (Lipton's reduction)."""
+        merged, pc = op.merged, f.pc
+        if pc not in merged:
+            return f
+        code, ctrs, regs = op.code, f.ctrs, f.regs
+        cfg = self.cfg
+        while pc in merged:
+            r = step(code, pc, ctrs, regs, None, cfg.values, cfg.unroll)
+            if r is None:
+                break
+            _, pc, ctrs, regs, _ = r
+            pc = settled(code, pc)
+        return f._replace(pc=pc, ctrs=ctrs, regs=regs)
 
     def _running(self, th, ts):
         if ts.call is None:
@@ -436,8 +474,9 @@ class _Impl(_Engine):
 
     def _impl_outcome(self, th, ts, ins, pc, ctrs, regs, v):
         """The _Step of an implementation instruction that ran, going on at
-        `pc`: a store's or successful TAS's successor records the write's
-        ref.  A TAS is a fence that carries its write."""
+        `pc` with the merged instructions after it run: a store's or
+        successful TAS's successor records the write's ref.  A TAS is a
+        fence that carries its write."""
         f, last = ts.call
         op, opid = ins[0], f.opid
         if op == RETURN:
@@ -453,7 +492,9 @@ class _Impl(_Engine):
             kind, last = _FENCE, w.ref
         else:  # a fence or a failed TAS, or a local step
             kind = _FENCE if op in GATED else _LOCAL
-        ts2 = ts._replace(call=(f._replace(pc=pc, ctrs=ctrs, regs=regs), last))
+        f = self.run_merged(self.obj.ops[opid.call],
+                            f._replace(pc=pc, ctrs=ctrs, regs=regs))
+        ts2 = ts._replace(call=(f, last))
         return _Step(kind, (), self._delta(th, ts, ts2), w)
 
 

@@ -41,9 +41,12 @@ for each invocation, responses and observations over the closure of
 possible outputs.
 
 `reachable` gives the pcs control can reach when every test may go
-either way.  The outputs an operation may give (`chaos_outputs`, and
-its closure `op_outputs`) are those of its reachable returns, and
-`validate` rejects code no path reaches: a statement after a return.
+either way, and `mergeable` the pcs of the instructions that read only
+registers and make no event.  An object works both out once per
+operation, when it compiles the body (`OpDef.live`, `OpDef.merged`).
+The outputs an operation may give (`chaos_outputs`, and its closure
+`op_outputs`) are those of its reachable returns, and `validate`
+rejects code no path reaches: a statement after a return.
 """
 
 from __future__ import annotations
@@ -158,8 +161,13 @@ class OpDef:
     name: str
     param: Optional[str]
     body: Tuple[Stmt, ...]
-    # compiled by the object it belongs to, against the object's variables
+    # worked out by the object it belongs to, against the object's
+    # variables: the code, the pcs control can reach (`reachable`) and
+    # the pcs an implementation frame runs in the edge of the step that
+    # reached them (`mergeable`)
     code: tuple = field(default=(), repr=False, compare=False)
+    live: frozenset = field(default=frozenset(), repr=False, compare=False)
+    merged: frozenset = field(default=frozenset(), repr=False, compare=False)
 
 
 @dataclass
@@ -172,6 +180,8 @@ class ObjectDef:
         shared = frozenset(self.shared)
         for op in self.ops.values():
             op.code = compile_body(op.body, shared)
+            op.live = reachable(op.code)
+            op.merged = mergeable(op.code, shared)
 
 
 def empty_object(kind: str = "impl") -> ObjectDef:
@@ -615,8 +625,7 @@ def validate(p: ClientProgram, obj: ObjectDef) -> List[str]:
         assigned = {op.param} if op.param and is_register(op.param, declared) else set()
         _scan_stmts(op.body, declared, set(assigned), errors, f"op {op.name}",
                     in_spec=(obj.kind == "spec"), in_op=True)
-        live = reachable(op.code)
-        if any(pc not in live and ins[0] != JUMP  # closing JUMPs and loop
+        if any(pc not in op.live and ins[0] != JUMP  # closing JUMPs and loop
                and not (ins[0] == LOOP and not ins[5])  # re-tests may be dead
                for pc, ins in enumerate(op.code) if pc):
             errors.append(f"op {op.name}: statement after a return never runs")
@@ -817,6 +826,19 @@ def reachable(code: tuple) -> frozenset:
     return frozenset(seen)
 
 
+def mergeable(code: tuple, shared: frozenset) -> frozenset:
+    """The pcs of the instructions of `code` that name no variable of
+    `shared` and make no event: SET, IF, LOOP and AWAIT over registers
+    and the parameter.  What such an instruction does depends on its
+    frame alone and no other thread sees it, so it commutes with every
+    other step."""
+    return frozenset(
+        pc for pc, ins in enumerate(code)
+        if ins[0] in (SET, IF, LOOP, AWAIT) and shared.isdisjoint(
+            names_of(ins[3]) if ins[0] == SET
+            else (*names_of(ins[2].left), *names_of(ins[2].right))))
+
+
 def chaos_outputs(op: OpDef, values: int) -> frozenset:
     """The outputs `op` may statically give, None for no value.  Each
     reachable RETURN gives a literal's value, {0, 1} for a register that
@@ -826,7 +848,7 @@ def chaos_outputs(op: OpDef, values: int) -> frozenset:
     tas_regs = ({ins[2] for ins in code if ins[0] == TAS}
                 - {ins[2] for ins in code if ins[0] == SET} - {op.param})
     outs = set()
-    for e in [code[pc][2] for pc in reachable(code) if code[pc][0] == RETURN]:
+    for e in [code[pc][2] for pc in op.live if code[pc][0] == RETURN]:
         if e is None or isinstance(e, Lit):
             outs.add(None if e is None else e.value % n)
         elif isinstance(e, Name) and e.ident in tas_regs:

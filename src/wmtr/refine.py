@@ -87,41 +87,52 @@ def _minimal_refuting_trace(ts: TraceSet, targets) -> Trace:
     """Minimal trace whose observable lies in `targets`: shortest, then
     lexicographically smallest serialised event sequence.  Searched in
     best-first order over (state, observable-so-far) pairs, so the first
-    target reached is the canonical one."""
+    target reached is the canonical one.  An event stands in a priority
+    as its rank among the sorted serialisations of the graph's events,
+    which orders as the serialisation does, and a trace as a link to
+    the trace one event shorter."""
     targets = frozenset(targets)
     prefixes = {o[:j] for o in targets for j in range(len(o) + 1)}
-    # per burst id: each event with its serialisation and its observation
-    steps = [tuple((e, event_to_json(e),
+    lines = sorted({event_to_json(e) for burst in ts.bursts for e in burst})
+    rank = {js: r for r, js in enumerate(lines)}
+    # per burst id: each event with its rank and its observation
+    steps = [tuple((e, rank[event_to_json(e)],
                     (e.step.thread, e.var, e.value) if isinstance(e, ProgObs)
                     else None) for e in burst) for burst in ts.bursts]
     succ, burst_id, start, stop = ts.succ, ts.burst_id, ts.start, ts.stop
     ctr = 0
-    heap = [((0, ()), ctr, ts.root, (), ())]
+    # a trace is None when empty, else (the trace without its last
+    # event, that event)
+    heap = [((0, ()), ctr, ts.root, (), None)]
     best = {(ts.root, ()): (0, ())}
     while heap:
         prio, _, s, obs, trace = heapq.heappop(heap)
         if obs in targets:
-            return trace
+            events = []
+            while trace is not None:
+                trace, e = trace
+                events.append(e)
+            return tuple(reversed(events))
         if best.get((s, obs), prio) < prio:
             continue
         for k in range(start[s], stop[s]):
             obs2, trace2, seq2 = obs, trace, prio[1]
             dead = False
-            for e, js, o in steps[burst_id[k]]:
-                trace2 = trace2 + (e,)
-                seq2 = seq2 + (js,)
+            for e, r, o in steps[burst_id[k]]:
+                trace2 = (trace2, e)
+                seq2 = seq2 + (r,)
                 if o is not None:
                     obs2 = obs2 + (o,)
                     if obs2 in targets:
                         ctr += 1
-                        heapq.heappush(heap, ((len(trace2), seq2), ctr,
+                        heapq.heappush(heap, ((len(seq2), seq2), ctr,
                                               None, obs2, trace2))
                     if obs2 not in prefixes:
                         dead = True
                         break
             if dead:
                 continue
-            prio2 = (len(trace2), seq2)
+            prio2 = (len(seq2), seq2)
             key = (succ[k], obs2)
             if key not in best or prio2 < best[key]:
                 best[key] = prio2

@@ -27,16 +27,24 @@ way, and some test compares the two or builds on it:
                           against which the engine's spec mode is checked;
                           `check_atomic` is the cross-core discipline
                           those histories obey.
+  StepwiseImpl            the implementation engine under the frame rule
+                          before merging: a frame settles its JUMPs only,
+                          so each register-only instruction is a silent
+                          step of its own; `stepwise_frames` builds every
+                          implementation on it.
 """
 
 import random
+from contextlib import contextmanager
 from itertools import chain
+from unittest import mock
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
 
 from wmtr.events import (
     Event, History, Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId, Trace,
     event_to_json, observable_of,
 )
+from wmtr import memmodel
 from wmtr.memmodel import ExploreConfig, run_spec_body, writes_shared
 from wmtr.porder import EnforcedOrder, Pair
 from wmtr.program import Assign, ClientProgram, ObjectDef, eval_expr, label_of
@@ -384,3 +392,21 @@ def spec_histories(spec: ObjectDef, events, coremap: Dict[str, str],
 
 def _rep(t: tuple, i: int, v):
     return t[:i] + (v,) + t[i + 1:]
+
+
+# --- the frame rule before merging ---
+
+class StepwiseImpl(memmodel._Impl):
+    """`_Impl` with no merged instructions: a frame stands at every
+    settled pc, and each of its steps is an edge."""
+
+    def run_merged(self, op, f):
+        return f
+
+
+@contextmanager
+def stepwise_frames():
+    """Within the block, every build of an implementation object, those
+    of `explore` and `check_wmtr` included, runs on `StepwiseImpl`."""
+    with mock.patch.dict(memmodel.ENGINES, impl=StepwiseImpl):
+        yield

@@ -12,11 +12,12 @@ from conftest import (
 )
 from wmtr.events import Inv, OpId, OpObs, Res
 from wmtr.memmodel import (
-    ExploreConfig, Model, covert_ops, explore, run_spec_body, start_frame,
-    writes_shared,
+    DISCIPLINES, ExploreConfig, Model, _Impl, covert_ops, explore,
+    run_spec_body, start_frame, writes_shared,
 )
 from wmtr.program import (
-    FENCE, GATED, RETURN, STORE, TAS, events_of_program, parse, settled, step,
+    AWAIT, FENCE, GATED, IF, LOOP, RETURN, SET, STORE, TAS,
+    events_of_program, parse, settled, step,
 )
 
 from oracles import check_atomic, materialize, spec_histories
@@ -355,3 +356,113 @@ class TestImplMachine:
         o = parse("object impl {\n  var x = 0;\n  op peek() {\n"
                   "    return x;\n  }\n}")
         assert not writes_shared(o.ops["peek"])
+
+
+# register-only instructions lead up to each kind of step that ends a
+# merged run; `spin` runs out of its loop budget on registers alone
+MERGING = parse("""object impl {
+  var x = 0;
+  op load(a) { r := a + 1; if (r = 1) { r := 2; } r2 := x; return r2; }
+  op store(a) { r := a; x := r; }
+  op tas() { r := 1; rt := TAS(x, 0, 1); return rt; }
+  op fenced() { r := 1; fence; }
+  op ret(a) { while (a = 1) { a := 0; } r := a + 1; return r; }
+  op spin() { r := 0; while (r = 0) { } }
+  op wait() { r := 0; await (r = 1); x := 1; }
+  op after() { r := x; r := r + 1; if (r = 1) { return 0; } return r; }
+}""")
+
+
+def merged_engine(obj=MERGING, model=Model.SC):
+    """An implementation engine of `obj` under `model`, for a client that
+    calls nothing: its `run_merged` and `call_slot` stand alone."""
+    return _Impl(parse("thread T { fence; }"), obj, ExploreConfig(model),
+                 DISCIPLINES[model])
+
+
+def merged_frame(op_name, arg=None):
+    """The frame a call of `op_name` holds once its merged run is taken,
+    with the instruction it stands at."""
+    op = MERGING.ops[op_name]
+    f, last = merged_engine().call_slot(OpId("T", op_name, 0), arg, None)
+    assert last is None
+    return f, op.code[f.pc]
+
+
+class TestMergedSteps:
+    """A frame takes the instructions that read only its registers and
+    emit nothing in the edge of the step before them, and stops at the
+    first that reads or writes a shared variable, gates, returns or
+    blocks."""
+
+    def test_mergeable_pcs(self):
+        kinds = {name: sorted(op.code[pc][0] for pc in op.merged)
+                 for name, op in MERGING.ops.items()}
+        assert kinds == {"load": [SET, SET, IF], "store": [SET],
+                         "tas": [SET], "fenced": [SET],
+                         "ret": [SET, SET, LOOP, LOOP], "spin": [SET, LOOP, LOOP],
+                         "wait": [SET, AWAIT], "after": [SET, IF]}
+        assert IMPL.ops["release"].merged == frozenset()
+        assert {IMPL.ops["acquire"].code[pc][1]
+                for pc in IMPL.ops["acquire"].merged} == {"while(1=1)", "if(rt=1)"}
+
+    def test_stops_at_a_shared_load(self):
+        f, ins = merged_frame("load", 0)
+        assert ins[:3] == (SET, "r2:=x", "r2")
+        assert f.regs == (("a", 0), ("r", 2))
+
+    def test_stops_at_a_store(self):
+        f, ins = merged_frame("store", 3)
+        assert ins[:3] == (STORE, "x:=r", "x")
+        assert f.regs == (("a", 3), ("r", 3))
+
+    def test_stops_at_a_tas(self):
+        _, ins = merged_frame("tas")
+        assert ins[0] == TAS
+
+    def test_stops_at_a_fence(self):
+        _, ins = merged_frame("fenced")
+        assert ins[0] == FENCE
+
+    def test_stops_at_a_return(self):
+        f, ins = merged_frame("ret", 1)
+        assert ins[0] == RETURN and ins[2] is not None
+        assert f.ctrs == () and f.regs == (("a", 0), ("r", 1))
+
+    def test_a_spent_loop_budget_stays_stuck(self):
+        """The loop test runs twice, then blocks for good: the frame
+        stands at it with the budget spent, and no step leaves it."""
+        f, ins = merged_frame("spin")
+        assert ins[0] == LOOP and f.ctrs == (0,)
+        assert step(MERGING.ops["spin"].code, f.pc, f.ctrs, f.regs, None,
+                    3, 2) is None
+
+    def test_a_register_await_blocks_for_good(self):
+        f, ins = merged_frame("wait")
+        assert ins[:2] == (AWAIT, "await(r=1)")
+        assert f.regs == (("r", 0),)
+
+    def test_merges_after_a_step_that_reads(self):
+        """In a build, `after`'s frames stand at its load or at a return:
+        the register update and the test after the load run in the
+        load's edge, whatever it read: 0 before U's store, 2 after."""
+        client = "thread T { r0 := call after(); }\nthread U { call store(2); }"
+        eng = _Impl(parse(client), MERGING, ExploreConfig(Model.SC),
+                    DISCIPLINES[Model.SC])
+        seen = {eng.root()}
+        stack = list(seen)
+        while stack:
+            for _, s2 in eng.actions(stack.pop()):
+                if s2 not in seen:
+                    seen.add(s2)
+                    stack.append(s2)
+        code = MERGING.ops["after"].code
+        frames = [ts.call[0] for ts in eng.own[0].values if ts.call]
+        assert {code[f.pc][:2] for f in frames} == {(SET, "r:=x"),
+                                                    (RETURN, None)}
+        assert {dict(f.regs)["r"] for f in frames
+                if code[f.pc][0] == RETURN} == {1, 3}
+
+    def test_start_frame_stays_before_the_first_instruction(self):
+        f = start_frame(OpId("T", "load", 0), MERGING.ops["load"], 0, None)
+        assert MERGING.ops["load"].code[f.pc][:2] == (SET, "r:=a+1")

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from conftest import (
     corpus_text, relaxed_counter_witness, tso_spinlock_witness, writes_client,
 )
+from wmtr import program
 from wmtr.events import Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId
 from wmtr.program import (
     RETURN, Assign, Await, BinOp, Call, ClientProgram, Cmp, Expr, Fence, If,
@@ -396,6 +397,24 @@ class TestReachable:
         assert {f[pc][2] for pc in live if f[pc][0] == RETURN} == {Lit(1), Lit(0)}
         # a loop may run its body or leave, then control runs off the end
         assert reachable(g) == frozenset(range(len(g)))
+
+    @pytest.mark.parametrize("name", OBJECTS)
+    def test_an_object_works_out_its_reachable_pcs_once(self, name,
+                                                        monkeypatch):
+        """Each operation's reachable pcs are worked out when its object
+        is made; validating and extracting the event set of every client
+        against it, and its operations' outputs, walk no code again."""
+        o = load(name)
+        assert all(op.live == reachable(op.code) for op in o.ops.values())
+        walks = []
+        monkeypatch.setattr(program, "reachable", walks.append)
+        for client in CLIENTS:
+            p = load(client)
+            if not validate(p, o):
+                events_of_program(p, o)
+        for op in o.ops.values():
+            op_outputs(op, 3)
+        assert walks == []
 
 
 class TestOpOutputs:

@@ -1,6 +1,8 @@
 """The RELAXED storage of a reducing build, `OnDemand`: its rule on
 hand-built storages, and agreement of on-demand and eager builds on
-everything a build promises."""
+everything a build promises; and agreement of implementation builds
+whose frames merge their register-only steps with builds that take each
+as a step of its own (`oracles.StepwiseImpl`)."""
 
 import json
 import os
@@ -20,6 +22,7 @@ from wmtr.program import empty_object, parse
 from wmtr.refine import check_wmtr
 
 from conftest import CORPUS, corpus_text, fenced_clients, object_clients
+from oracles import stepwise_frames
 
 
 def cfg(model, **kw):
@@ -230,6 +233,62 @@ def test_chaos_and_sc_tso_builds_are_not_reduced():
         assert not made
         memmodel.explore(p, o, cfg(Model.RELAXED, values=1))
         assert made
+
+
+# --- merged frames agree with stepwise frames ---
+
+# each model's implementation build: on-demand and eager under RELAXED
+FRAME_BUILDS = {
+    "sc": (Model.SC, True), "tso": (Model.TSO, True),
+    "relaxed": (Model.RELAXED, True), "relaxed-eager": (Model.RELAXED, False),
+}
+
+SPEC_OF = {"spinlock_impl.wm": "spinlock_spec.wm",
+           "spinlock_impl_notry.wm": "spinlock_spec_notry.wm"}
+
+
+def assert_merging_agrees(p, spec, impl, build, values=1):
+    """The build of `impl` for `p` whose frames merge their register-only
+    steps, and the one that takes each as a step of its own: the same
+    observables and `empirical_pairs`, no more states, and from
+    `check_wmtr` against `spec` the same verdict, counterexample and
+    stats but `impl_states`."""
+    model, reduce = FRAME_BUILDS[build]
+    c = cfg(model, values=values)
+
+    def explore(p, o, c):
+        return _build(p, o, c, o.kind, reduce=reduce)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(refine, "explore", explore)
+        merged, v = explore(p, impl, c), check_wmtr(p, spec, impl, c)
+        with stepwise_frames():
+            stepwise, ref = explore(p, impl, c), check_wmtr(p, spec, impl, c)
+    assert merged.observables() == stepwise.observables()
+    assert merged.empirical_pairs() == stepwise.empirical_pairs()
+    assert merged.states <= stepwise.states
+    assert (v.verdict, v.counterexample) == (ref.verdict, ref.counterexample)
+    assert v.stats.pop("impl_states") == merged.states
+    assert ref.stats.pop("impl_states") == stepwise.states
+    assert v.stats == ref.stats
+
+
+@settings(max_examples=30, deadline=None)
+@given(object_clients(objects=tuple(SPEC_OF)),
+       st.sampled_from(sorted(FRAME_BUILDS)))
+def test_merging_agrees_on_object_clients(case, build):
+    obj, text = case
+    assert_merging_agrees(parse(text), parse(corpus_text(SPEC_OF[obj])),
+                          parse(corpus_text(obj)), build)
+
+
+@pytest.mark.parametrize("build", sorted(FRAME_BUILDS))
+@pytest.mark.parametrize("client", ["fig5_client.wm", "fig6_client.wm"])
+def test_merging_agrees_on_the_corpus(client, build):
+    assert_merging_agrees(parse(corpus_text(client)),
+                          parse(corpus_text("spinlock_spec.wm")),
+                          parse(corpus_text("spinlock_impl.wm")), build,
+                          values=3)
 
 
 # --- IRIW, the scale gate ---
