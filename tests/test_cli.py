@@ -14,6 +14,7 @@ from wmtr.cli import main
 from conftest import (
     CORPUS, ORDER_PAIRS, check_wellformed, order_from_lines, trace_from_lines,
 )
+from oracles import stepwise_frames
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -33,6 +34,16 @@ def run(capsys, *argv):
 # the default bounds, keyed (client, model): the verdict, the stats, the
 # refuting observable and the canonical counterexample's records
 CHECK_JSON_DIGESTS = {
+    ("fig5_client.wm", "tso"):  # impl_states 165
+        "c8503836810931e590c138e9a7c7e37a283b2d3addf59307bd09f6064f7d82d8",
+    ("fig6_client.wm", "relaxed"):  # impl_states 412
+        "6553af41ef32133a111102816aadf6fd1d245577acd20cfc1b33da7d8d5a80b9",
+}
+
+# the same stdout with the implementation built under the frame rule
+# before merging (`oracles.stepwise_frames`): it differs from the above
+# in `impl_states` alone (187 and 515)
+STEPWISE_CHECK_JSON_DIGESTS = {
     ("fig5_client.wm", "tso"):
         "013dfda4d496a1a25e8a3d4a5b632fc321c91aaaf544d75f99494545cc7277fb",
     ("fig6_client.wm", "relaxed"):
@@ -81,6 +92,19 @@ class TestCheck:
                         "--spec", C("spinlock_spec.wm"),
                         "--impl", C("spinlock_impl.wm"), "--format", "json")
         assert _sha(out) == CHECK_JSON_DIGESTS[client, model]
+
+    @pytest.mark.parametrize("client,model", sorted(CHECK_JSON_DIGESTS))
+    def test_json_output_under_stepwise_frames(self, client, model, capsys):
+        argv = ["check", "--model", model, "--client", C(client),
+                "--spec", C("spinlock_spec.wm"),
+                "--impl", C("spinlock_impl.wm"), "--format", "json"]
+        with stepwise_frames():
+            _, out, _ = run(capsys, *argv)
+        assert _sha(out) == STEPWISE_CHECK_JSON_DIGESTS[client, model]
+        _, merged, _ = run(capsys, *argv)
+        doc, ref = json.loads(merged), json.loads(out)
+        assert doc["stats"].pop("impl_states") < ref["stats"].pop("impl_states")
+        assert doc == ref
 
     def test_out_writes_replayable_trace(self, capsys, tmp_path):
         dst = tmp_path / "cex.jsonl"

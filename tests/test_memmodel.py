@@ -34,7 +34,7 @@ from conftest import (
 )
 from oracles import (
     empirical_pairs_oracle, from_traces, least_refuting_trace, materialize,
-    observables_oracle, oracle_sc, sample,
+    observables_oracle, oracle_sc, sample, stepwise_frames,
 )
 
 
@@ -146,19 +146,19 @@ OWN_MODE_DIGESTS = {  # the object's own mode, default bounds
     ("fig4_client.wm", "spinlock_spec.wm"):
         "6bf8bdb31284be15d29e370cc7c1c1d2ea8648a0c1c3b70af08366d292301063",
     ("fig4_client.wm", "spinlock_impl.wm"):
-        "279c4722fa03b1f668058f8b145968f5a9c684b6abdcf17798c6c74a4583feb8",
+        "4d1eadf2227c9cc9fd3b689d1c8d7e8accb8fd2b1fc78caea4860818a8007cb1",
     ("fig5_client.wm", "spinlock_spec.wm"):
         "f2b82034e180250e3542b979ddf900292dd9885a04231b851b93a2009220dcc6",
     ("fig5_client.wm", "spinlock_impl.wm"):
-        "97589bbc58b3c1758b79e018534ec2fd3b5129640174930e30908ecce7224103",
+        "eae1f1103f81f5ecbc84e99a868f9e905bbfdb3118fbdca1cd68a20dccc50750",
     ("fig5_notry_client.wm", "spinlock_spec_notry.wm"):
         "4fd94f0397bff289acd51fb3a3f74cbd6ea02baa9d6d4160d6f8fc092d474657",
     ("fig5_notry_client.wm", "spinlock_impl_notry.wm"):
-        "cd210ffdfcf33083c9a0a62675084bc11d2cf69ffb9371d2113ef930c14fda21",
+        "e640420ed6063602c9d9f5388601665bcccb2a51d2cde085566abc2fc4d8dc87",
     ("fig6_client.wm", "spinlock_spec.wm"):
         "3cc263764c3f1b0ae9cf97a4609631788c7a7bacb7cdcc7f93a549cf52190060",
     ("fig6_client.wm", "spinlock_impl.wm"):
-        "268278c419a21deb1f2ec199c787041a857226687140351efb6e3855472e8007",
+        "f40546849888cdc3c589781474dd0069fb3e4f0fb17ad254f94c0f9ee7d488ee",
 }
 
 
@@ -166,26 +166,26 @@ OWN_MODE_DIGESTS = {  # the object's own mode, default bounds
 # the on-demand storage for each pair above, default bounds; the unreduced
 # digests above stay pinned
 ON_DEMAND_OWN_MODE_DIGESTS = {
-    ("fig4_client.wm", "spinlock_impl.wm"):  # 79 states
-        ("28acb1effe858c14d33e8cf7d76e76a5018eb936a7a0e7c7df9926f3eda29449",
+    ("fig4_client.wm", "spinlock_impl.wm"):  # 44 states
+        ("947c7d0034829421baabce1122cb4305e25d9c9d4280f66392739adc30c24cd1",
          "8a9a277dfa24a52c849d2e03f20a14ba498e21ed1c38fae295d658d2b8ecdaa0"),
     ("fig4_client.wm", "spinlock_spec.wm"):  # 21 states
         ("7cdfe2c3c06c88fb4078dba171e19973e02e8d2e382a8aab99fad6dcddb5be0a",
          "795b860c834bfa9e7969c971e13c790b113333ea0a247f38be5c7c48855e0de7"),
-    ("fig5_client.wm", "spinlock_impl.wm"):  # 386 states
-        ("0096536c8c7c7dd84f1436a216ce3a85e8cce7aedb8aad07d49ec26af7854a0d",
+    ("fig5_client.wm", "spinlock_impl.wm"):  # 348 states
+        ("91d362ed9e82e6d10d2c88e0cf5ee5d7527b37470f30e1801b7025d6245fc636",
          "9c83fbd0549318904d324d22688035aeeafe9e455afbbf23c5f1a31d0ffcfa51"),
     ("fig5_client.wm", "spinlock_spec.wm"):  # 292 states
         ("424ae514617e90517099a3962dfda841fb4a60e04472cc0ea3ccd4dc6e500067",
          "85720a4dc6394b379adc1ea7b7c667070dc7e00357cb33954f0b16e5290e7b2f"),
-    ("fig5_notry_client.wm", "spinlock_impl_notry.wm"):  # 86 states
-        ("6926abf80e2df21e290140dabc3e1153a51c36d1db335a5a029481564215f964",
+    ("fig5_notry_client.wm", "spinlock_impl_notry.wm"):  # 76 states
+        ("495bc5b9da6798a91947ca7d7a6eaabda9e5ad36e26b39c22ee43d5b44467a03",
          "499da6189a8b86f4c74a4fd328bea86c3df8b2ad113bb4bd9223ebd3d3ac2735"),
     ("fig5_notry_client.wm", "spinlock_spec_notry.wm"):  # 122 states
         ("e02149d0280cb3b21a655a57e7522b859470eb0db0d41c219366a79162a18a9e",
          "ab5efe1113322c91987787a7bce7cb577cda87dad76c7cf71dd8b548a702ab7e"),
-    ("fig6_client.wm", "spinlock_impl.wm"):  # 515 states
-        ("c0979d53ed45677c69a66b2eb21fdbf4544b42e974f5e011efa6a958100edb4a",
+    ("fig6_client.wm", "spinlock_impl.wm"):  # 412 states
+        ("c072b9bebca70495442bab20b7b3084b500f257d450a53c10d5e143930790930",
          "16c5cd24094454d9cff0cb4a7bf669e3592acd170ddcb9ece1ef0db9edcd1b04"),
     ("fig6_client.wm", "spinlock_spec.wm"):  # 121 states
         ("e65ef8c6a681db1968203942c1e443136c1f5bbfa74e9647ce736daab66429e9",
@@ -221,41 +221,91 @@ SC_TSO_OWN_MODE_DIGESTS = {  # the object's own mode, default bounds
     (Model.SC, "fig4_client.wm", "spinlock_spec.wm"):
         "6a7910c339a255c5741eccd03e899f58b2a825197175090bfe8bc62ceefc0b6c",
     (Model.SC, "fig4_client.wm", "spinlock_impl.wm"):
-        "65b2383e305a7ee66192c04b1b7deafa8d4ad3e268539fa55641cc19f8d97d84",
+        "21039cd7c107bbafe8a95be1e0a3d832765d7b7ed6d0c42b16d101b5f5af486a",
     (Model.SC, "fig5_client.wm", "spinlock_spec.wm"):
         "ddc211eb6e20495bfd032544eb7d42031b94cca4695d609ee4fe0c294b05a165",
     (Model.SC, "fig5_client.wm", "spinlock_impl.wm"):
-        "5e6f445b60bb8fdc7e0f95f335d9b4ed3e20fb4b52a8aad19a6a833afc2cfc4c",
+        "914045e3dcef5732b300fc2f354c93cf504a3bb0f370da4b3de0237e40053c05",
     (Model.SC, "fig5_notry_client.wm", "spinlock_spec_notry.wm"):
         "bb180ba46f3b6faa71811bb0aa62258c053c7501d79853f780e9dbac19fa2339",
     (Model.SC, "fig5_notry_client.wm", "spinlock_impl_notry.wm"):
-        "6b530346a80147d816269a3b2752b657314c93e2df0215162dfd58bb19ac0493",
+        "f18b9b78841368bf215fecc960aeef5fc7e412f8681239188e52e83b936bc0b5",
     (Model.SC, "fig6_client.wm", "spinlock_spec.wm"):
         "073223c280a9813c1f4c4ee484aa4b40c454b60769050575903dde0c009cb03f",
     (Model.SC, "fig6_client.wm", "spinlock_impl.wm"):
-        "e926a1e49285813fed237c9d3d75e64f3738c4750ee233825158f64c2acb4e01",
+        "9cb436662f6a2a0b748eeb03a8862364501ec0a4b3abd06a498ad4f543f7d2af",
     (Model.TSO, "fig4_client.wm", "spinlock_spec.wm"):
         "7cdfe2c3c06c88fb4078dba171e19973e02e8d2e382a8aab99fad6dcddb5be0a",
     (Model.TSO, "fig4_client.wm", "spinlock_impl.wm"):
-        "28acb1effe858c14d33e8cf7d76e76a5018eb936a7a0e7c7df9926f3eda29449",
+        "947c7d0034829421baabce1122cb4305e25d9c9d4280f66392739adc30c24cd1",
     (Model.TSO, "fig5_client.wm", "spinlock_spec.wm"):
         "0fcde9a31a7ba0f88713d6c34b1616b97031bf8284c16a449a845c8bbdda114e",
     (Model.TSO, "fig5_client.wm", "spinlock_impl.wm"):
-        "ff6092a3975372069dee888963ecd6120083b196279b178a98b6de513ee0d7e1",
+        "dc582ba59417196097384ce46112a41363b829c8fc25ed3f0f8f56e2dc69f425",
     (Model.TSO, "fig5_notry_client.wm", "spinlock_spec_notry.wm"):
         "6df3595eaefb5551f8ab9d0aa2e360b081b1288b94aefd0dccbec1a20b1751e7",
     (Model.TSO, "fig5_notry_client.wm", "spinlock_impl_notry.wm"):
-        "8ae4a1ec0dbcda00a5fa00506c8166b6ae8719fe652bdde4fa99695b9d02a18a",
+        "7c52857d0c5aeec14b0b25211efce2b99855f953bedf6e39037e2a7cf8eb6377",
     (Model.TSO, "fig6_client.wm", "spinlock_spec.wm"):
         "19eb1e50649696abdb026b70f7da20655d2f5ec9076dcfc47c549333f01621d1",
     (Model.TSO, "fig6_client.wm", "spinlock_impl.wm"):
-        "6a39a2787c7101fb048a3e55b9accfeadce8e8112ce38ce04db529c3e882f72e",
+        "cb989bda227bc015f87872b2ee9637142f849f841b860ba5765638ad5be1def3",
 }
 
 # fig5 x spinlock_impl under TSO with one buffer slot per core: the
 # client and the object both block on a full buffer
 TSO_FULL_BUFFER_DIGEST = \
-    "d056f5b2edbb156197b30e6a89f44d7ce80523a403f75df40a670299aa67c4c2"
+    "36bad3f37a19021575146081480d4564127738144979c44abfca214db6293590"
+
+# The implementation graphs pinned above, built under the frame rule
+# before merging (`oracles.stepwise_frames`: each register-only
+# instruction of an operation is a silent step of its own), keyed
+# (build, client, object): their digests before merging, which fix the
+# reference that the merged builds are checked against
+STEPWISE_BUILDS = {
+    "sc": lambda p, o: explore(p, o, cfg(Model.SC)),
+    "tso": lambda p, o: explore(p, o, cfg(Model.TSO)),
+    "tso-buffer-1": lambda p, o: explore(p, o, cfg(Model.TSO, buffer=1)),
+    "relaxed": lambda p, o: explore(p, o, cfg(Model.RELAXED)),
+    "relaxed-eager": lambda p, o: _build(p, o, cfg(Model.RELAXED), "impl",
+                                         reduce=False),
+}
+STEPWISE_DIGESTS = {
+    ("sc", "fig4_client.wm", "spinlock_impl.wm"):  # 65 states
+        "65b2383e305a7ee66192c04b1b7deafa8d4ad3e268539fa55641cc19f8d97d84",
+    ("sc", "fig5_client.wm", "spinlock_impl.wm"):  # 97
+        "5e6f445b60bb8fdc7e0f95f335d9b4ed3e20fb4b52a8aad19a6a833afc2cfc4c",
+    ("sc", "fig5_notry_client.wm", "spinlock_impl_notry.wm"):  # 32
+        "6b530346a80147d816269a3b2752b657314c93e2df0215162dfd58bb19ac0493",
+    ("sc", "fig6_client.wm", "spinlock_impl.wm"):  # 147
+        "e926a1e49285813fed237c9d3d75e64f3738c4750ee233825158f64c2acb4e01",
+    ("tso", "fig4_client.wm", "spinlock_impl.wm"):  # 79
+        "28acb1effe858c14d33e8cf7d76e76a5018eb936a7a0e7c7df9926f3eda29449",
+    ("tso", "fig5_client.wm", "spinlock_impl.wm"):  # 187
+        "ff6092a3975372069dee888963ecd6120083b196279b178a98b6de513ee0d7e1",
+    ("tso", "fig5_notry_client.wm", "spinlock_impl_notry.wm"):  # 62
+        "8ae4a1ec0dbcda00a5fa00506c8166b6ae8719fe652bdde4fa99695b9d02a18a",
+    ("tso", "fig6_client.wm", "spinlock_impl.wm"):  # 201
+        "6a39a2787c7101fb048a3e55b9accfeadce8e8112ce38ce04db529c3e882f72e",
+    ("tso-buffer-1", "fig5_client.wm", "spinlock_impl.wm"):  # 163
+        "d056f5b2edbb156197b30e6a89f44d7ce80523a403f75df40a670299aa67c4c2",
+    ("relaxed", "fig4_client.wm", "spinlock_impl.wm"):  # 79
+        "28acb1effe858c14d33e8cf7d76e76a5018eb936a7a0e7c7df9926f3eda29449",
+    ("relaxed", "fig5_client.wm", "spinlock_impl.wm"):  # 386
+        "0096536c8c7c7dd84f1436a216ce3a85e8cce7aedb8aad07d49ec26af7854a0d",
+    ("relaxed", "fig5_notry_client.wm", "spinlock_impl_notry.wm"):  # 86
+        "6926abf80e2df21e290140dabc3e1153a51c36d1db335a5a029481564215f964",
+    ("relaxed", "fig6_client.wm", "spinlock_impl.wm"):  # 515
+        "c0979d53ed45677c69a66b2eb21fdbf4544b42e974f5e011efa6a958100edb4a",
+    ("relaxed-eager", "fig4_client.wm", "spinlock_impl.wm"):  # 93
+        "279c4722fa03b1f668058f8b145968f5a9c684b6abdcf17798c6c74a4583feb8",
+    ("relaxed-eager", "fig5_client.wm", "spinlock_impl.wm"):  # 2,874
+        "97589bbc58b3c1758b79e018534ec2fd3b5129640174930e30908ecce7224103",
+    ("relaxed-eager", "fig5_notry_client.wm", "spinlock_impl_notry.wm"):  # 573
+        "cd210ffdfcf33083c9a0a62675084bc11d2cf69ffb9371d2113ef930c14fda21",
+    ("relaxed-eager", "fig6_client.wm", "spinlock_impl.wm"):  # 1,323
+        "268278c419a21deb1f2ec199c787041a857226687140351efb6e3855472e8007",
+}
 
 # SHA-256 of each build's burst table (`burst_digest`), keyed (model,
 # client, object): the table holds the bursts some edge carries, in the
@@ -1259,6 +1309,13 @@ class TestGraphIdentity:
         p, o = load("fig5_client.wm", "spinlock_impl.wm")
         ts = explore(p, o, cfg(Model.TSO, buffer=1))
         assert graph_digest(ts) == TSO_FULL_BUFFER_DIGEST
+
+    @pytest.mark.parametrize("build,client,obj", sorted(STEPWISE_DIGESTS))
+    def test_stepwise_frames_graph_unchanged(self, build, client, obj):
+        p, o = load(client, obj)
+        with stepwise_frames():
+            ts = STEPWISE_BUILDS[build](p, o)
+        assert graph_digest(ts) == STEPWISE_DIGESTS[build, client, obj]
 
     @pytest.mark.parametrize("model,client,obj", sorted(BURST_DIGESTS_CHAOS))
     def test_chaos_burst_table_unchanged(self, model, client, obj, chaos_graph):
