@@ -40,7 +40,8 @@ Successors are generated on the same factoring.  A step table keyed on
 instruction, or the next instruction of its implementation call, reads
 and, per tuple of their values, the outcome, which `program.step` works
 out on a table miss only: once per thread state and read values,
-wherever the other threads stand.  Expressions are evaluated in full,
+wherever the other threads stand; a step that reads nothing has one
+outcome, which the table holds bare.  Expressions are evaluated in full,
 so which variables a step reads depends on the key alone, and a gated
 instruction (a TAS or fence: its core's writes must first be
 visible everywhere) reads through `latest`, the value a TAS acts on.
@@ -429,8 +430,9 @@ def start_frame(opid: OpId, op: OpDef, arg: Optional[int],
 
 class _Impl(_Engine):
     """An implementation object, run instruction by instruction against
-    the storage, which holds the object's variables too.  A thread in a
-    call holds (OpFrame, ref of the operation's last write), and the
+    the storage, which holds the object's variables too, but for the
+    instructions `run_merged` takes in the edge before them.  A thread in
+    a call holds (OpFrame, ref of the operation's last write), and the
     frame steps through the step table as the client's code does.  The
     ref is the storage's, fixed when the write is prepared; under TSO
     `attach` does not read it, but it stays in the slot, which keeps
@@ -452,12 +454,9 @@ class _Impl(_Engine):
         is.  Each reads only the frame and emits nothing, so it commutes
         with every other step, and is taken in the edge of the step that
         reached it (Lipton's reduction)."""
-        merged, pc = op.merged, f.pc
-        if pc not in merged:
-            return f
-        code, ctrs, regs = op.code, f.ctrs, f.regs
-        cfg = self.cfg
-        while pc in merged:
+        code, merged, cfg = op.code, op.merged, self.cfg
+        pc, ctrs, regs = f.pc, f.ctrs, f.regs
+        while pc in merged:  # no shared variable to load
             r = step(code, pc, ctrs, regs, None, cfg.values, cfg.unroll)
             if r is None:
                 break
