@@ -289,8 +289,8 @@ def register_objects(draw):
     g() mix register-only instructions (assignments, `if`, `while` and
     `await` over registers and the parameter) with loads, stores, TAS
     and fences, and return the sum of their registers; and a client of
-    two threads that call them with literal arguments and write what
-    they return to a global."""
+    two threads, the first making one or two calls and the second one,
+    with literal arguments, each writing what it returns to a global."""
 
     def body(regs, depth):
         out = []
@@ -337,12 +337,12 @@ def register_objects(draw):
     client = ["global g = 0;"]
     for i in range(2):
         calls = [f"r{j} := call " + draw(st.sampled_from(["f(1)", "f(0)", "g()"]))
-                 + f"; g := r{j};" for j in range(draw(st.integers(1, 2)))]
+                 + f"; g := r{j};" for j in range(draw(st.integers(1, 2 - i)))]
         client.append(f"thread T{i} {{ {' '.join(calls)} }}")
     return "\n".join(lines), "\n".join(client)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=25, deadline=None)
 @given(register_objects())
 @example(("object impl {\n  var x = 0;\n  var y = 0;\n"
           "  op f(a) { r1 := x; return a + r1; }\n"
@@ -350,7 +350,7 @@ def register_objects(draw):
           "global g = 0;\nthread T0 { r0 := call f(1); g := r0; }\n"
           "thread T1 { r0 := call g(); g := r0; }"))
 def test_merging_agrees_on_register_objects(case):
-    """As `assert_merging_agrees`, with the canonical trace of each
+    """As `assert_merging_agrees`, with the canonical trace of the last
     observable in place of a verdict, since these objects have no
     specification."""
     obj, text = case
@@ -365,9 +365,9 @@ def test_merging_agrees_on_register_objects(case):
         assert merged.observables() == stepwise.observables()
         assert merged.empirical_pairs() == stepwise.empirical_pairs()
         assert merged.states <= stepwise.states
-        for obs in sorted(merged.observables())[-3:]:
-            assert (refine._minimal_refuting_trace(merged, {obs})
-                    == refine._minimal_refuting_trace(stepwise, {obs}))
+        last = {max(merged.observables())}
+        assert (refine._minimal_refuting_trace(merged, last)
+                == refine._minimal_refuting_trace(stepwise, last))
 
 
 @pytest.mark.parametrize("build", sorted(FRAME_BUILDS))
