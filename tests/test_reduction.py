@@ -247,26 +247,34 @@ SPEC_OF = {"spinlock_impl.wm": "spinlock_spec.wm",
            "spinlock_impl_notry.wm": "spinlock_spec_notry.wm"}
 
 
-def assert_merging_agrees(p, spec, impl, build, values=1):
+def merged_and_stepwise(p, impl, build, values=1):
     """The build of `impl` for `p` whose frames merge their register-only
-    steps, and the one that takes each as a step of its own: the same
-    observables and `empirical_pairs`, no more states, and from
-    `check_wmtr` against `spec` the same verdict, counterexample and
-    stats but `impl_states`."""
+    steps and the one that takes each as a step of its own, once they
+    are seen to have the same observables and `empirical_pairs` and the
+    first no more states than the second."""
     model, reduce = FRAME_BUILDS[build]
     c = cfg(model, values=values)
-
-    def explore(p, o, c):
-        return _build(p, o, c, o.kind, reduce=reduce)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(refine, "explore", explore)
-        merged, v = explore(p, impl, c), check_wmtr(p, spec, impl, c)
-        with stepwise_frames():
-            stepwise, ref = explore(p, impl, c), check_wmtr(p, spec, impl, c)
+    merged = _build(p, impl, c, "impl", reduce=reduce)
+    with stepwise_frames():
+        stepwise = _build(p, impl, c, "impl", reduce=reduce)
     assert merged.observables() == stepwise.observables()
     assert merged.empirical_pairs() == stepwise.empirical_pairs()
     assert merged.states <= stepwise.states
+    return merged, stepwise
+
+
+def assert_merging_agrees(p, spec, impl, build, values=1):
+    """`merged_and_stepwise`, and from `check_wmtr` against `spec` the
+    same verdict, counterexample and stats but `impl_states`."""
+    merged, stepwise = merged_and_stepwise(p, impl, build, values)
+    model, reduce = FRAME_BUILDS[build]
+    c = cfg(model, values=values)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(refine, "explore",
+                   lambda p, o, c: _build(p, o, c, o.kind, reduce=reduce))
+        v = check_wmtr(p, spec, impl, c)
+        with stepwise_frames():
+            ref = check_wmtr(p, spec, impl, c)
     assert (v.verdict, v.counterexample) == (ref.verdict, ref.counterexample)
     assert v.stats.pop("impl_states") == merged.states
     assert ref.stats.pop("impl_states") == stepwise.states
@@ -350,21 +358,14 @@ def register_objects(draw):
           "global g = 0;\nthread T0 { r0 := call f(1); g := r0; }\n"
           "thread T1 { r0 := call g(); g := r0; }"))
 def test_merging_agrees_on_register_objects(case):
-    """As `assert_merging_agrees`, with the canonical trace of the last
-    observable in place of a verdict, since these objects have no
+    """`merged_and_stepwise`, and the same canonical trace of the last
+    observable, in place of a verdict: these objects have no
     specification."""
     obj, text = case
     p, o = parse(text), parse(obj)
     assert validate(p, o) == []
     for build in FRAME_BUILDS:
-        model, reduce = FRAME_BUILDS[build]
-        c = cfg(model, values=1)
-        merged = _build(p, o, c, "impl", reduce=reduce)
-        with stepwise_frames():
-            stepwise = _build(p, o, c, "impl", reduce=reduce)
-        assert merged.observables() == stepwise.observables()
-        assert merged.empirical_pairs() == stepwise.empirical_pairs()
-        assert merged.states <= stepwise.states
+        merged, stepwise = merged_and_stepwise(p, o, build)
         last = {max(merged.observables())}
         assert (refine._minimal_refuting_trace(merged, last)
                 == refine._minimal_refuting_trace(stepwise, last))
@@ -384,7 +385,7 @@ def test_merging_agrees_on_the_corpus(client, build):
 IRIW_SCRIPT = """
 import json, sys
 from wmtr.memmodel import ExploreConfig, Model, explore
-from wmtr.program import empty_object, parse, validate
+from wmtr.program import empty_object, parse
 p = parse(open(sys.argv[1]).read())
 weak = {("T3", "a", 1), ("T3", "b", 0), ("T4", "c", 1), ("T4", "d", 0)}
 out = {}
