@@ -2,8 +2,8 @@
 
 One engine class per kind of object, each parameterised by a storage
 discipline.  `storage` holds SC, TSO and RELAXED, one class each behind
-one interface, picked once from `DISCIPLINES` (a reducing RELAXED build
-takes `OnDemand` instead); `_build` picks the engine class once from
+one interface, picked once from `DISCIPLINES` (a RELAXED build that does
+not reduce takes `storage.Eager` instead); `_build` picks the engine class once from
 `ENGINES`, by where the object's observations are placed: `_Impl` runs
 an implementation instruction by instruction, `_Spec` a specification
 atomically with free observation placement, and `_Chaos` is the
@@ -71,10 +71,10 @@ the graph runs on those columns and works out what it needs of a burst
 once per burst id; `TraceSet.graph` is a read-only mapping view for
 readers that want the edges of an id as tuples.
 
-Propagation on demand: a reducing build, `_build`'s default, runs
-RELAXED on the `OnDemand` storage, which takes no silent propagation
-step at all; `reduce=False` keeps the eager `RELAXED` storage, whose
-records reach each core by silent steps of their own.  Take the
+Propagation on demand: the `RELAXED` storage takes no silent
+propagation step at all; a build with `reduce=False`, `_build`'s
+option, runs RELAXED on `storage.Eager` instead, whose records reach
+each core by silent steps of their own.  Take the
 propagation p of record r of variable v to core k.  p commutes with
 every step but three: a read of v on core k, whose value p may change;
 r's emission, which waits until every core holds r; and a fence, TAS
@@ -83,22 +83,24 @@ every core holds that core's records.  A write of v on core k, or any
 TAS of v, moves k past r with p or without it, and so absorbs p.  A
 return whose last write is r emits its observation at once where every
 core holds r, and leaves it pending otherwise, free to be emitted next,
-so it gives the same traces on either side of p.  So each propagation can be delayed to the first
-of the three steps and taken in that step's edge: a load may read any
+so it gives the same traces on either side of p.  So each propagation
+can be delayed to the first of the three steps and taken in that step's
+edge: a load may read any
 record of v from its core's position to the latest, each choice its own
 edge that moves the core there; an emission moves every core to at
 least its record; a fence or TAS (a specification invocation) moves
 every core to at least its core's last record (last program record) of
 each variable.  Every trace keeps its events: observables, enforced
 pairs, verdicts and canonical counterexamples are those of the eager
-graph, the state and edge counts are not.  The storage also drops the
-front records every core is past that owe no observation, dead history
-(live-data reduction: Bozga, Fernandez and Ghirvu, SAS 1999).  A load's
-choices are tabled per entry and core, and the step table keys each
-choice's outcome on the values read, as it keys every outcome; every
-storage names a load's choices (`views`), each but `OnDemand` the state
-alone, so one load path serves every build.
-`enforced_order` builds its chaos graph eagerly, since that graph's
+graph, the state and edge counts are not.  Both storages keep one
+record rule, RELAXED's: a record holds only what a later step reads,
+and the front records every core is past that owe no observation,
+dead history, are dropped (live-data reduction: Bozga, Fernandez and
+Ghirvu, SAS 1999).  A load's choices are tabled per entry and core, and
+the step table keys each choice's outcome on the values read, as it
+keys every outcome; every storage names a load's choices (`views`),
+each but RELAXED the state alone, so one load path serves every build.
+`enforced_order` builds its chaos graph on `Eager`, since that graph's
 counts anchor the benchmark; SC and TSO have no propagation to delay.
 
 Observation placement: a program step's observation fires when its
@@ -127,7 +129,7 @@ from .program import (
     validate,
 )
 from . import storage
-from .storage import _MISS, RELAXED, SC, TSO, Interned, OnDemand, _tset
+from .storage import _MISS, RELAXED, SC, TSO, Eager, Interned, _tset
 
 
 class Model(str, Enum):
@@ -170,7 +172,7 @@ def _returned(ts: ThreadState, reg, out) -> ThreadState:
     return ts._replace(regs=_tset(ts.regs, reg, out), call=None)
 
 
-class BurstTable:
+class BurstTable(Interned):
     """A build's distinct bursts, id 0 being the empty burst of a silent
     step.  A burst enters the table when an edge first carries it, and is
     checked against the program's universe then, so the table holds
@@ -179,10 +181,10 @@ class BurstTable:
     column: a burst past the last id is an `OverflowError`."""
 
     def __init__(self, universe: frozenset):
-        self.universe = universe
-        self.bursts: List[tuple] = [()]
-        self.ids: Dict[tuple, int] = {(): 0}
+        super().__init__("bursts", "a burst id")
         self.bits = storage.BURST_BITS
+        self.universe = universe
+        self.id(())
 
     def id(self, burst: tuple) -> int:
         b = self.ids.get(burst)
@@ -190,12 +192,7 @@ class BurstTable:
             for e in burst:
                 if e not in self.universe:
                     raise AssertionError(f"event outside the program universe: {e}")
-            b = len(self.bursts)
-            if b >> self.bits:
-                raise OverflowError(f"more than {b} distinct bursts: a burst "
-                                    f"id holds {self.bits} bits")
-            self.ids[burst] = b
-            self.bursts.append(burst)
+            b = super().id(burst)
         return b
 
 
@@ -434,9 +431,7 @@ class _Impl(_Engine):
     instructions `run_merged` takes in the edge before them.  A thread in
     a call holds (OpFrame, ref of the operation's last write), and the
     frame steps through the step table as the client's code does.  The
-    ref is the storage's, fixed when the write is prepared; under TSO
-    `attach` does not read it, but it stays in the slot, which keeps
-    apart states that would otherwise merge."""
+    ref is the storage's, fixed when the write is prepared."""
 
     def initials(self) -> dict:
         return {**self.p.globals, **self.obj.shared}
@@ -887,13 +882,13 @@ class GraphView(Mapping):
 
 def _build(p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig,
            mode: str, reduce: bool = True) -> TraceSet:
-    """The graph of `mode`'s engine; under RELAXED, on the `OnDemand`
-    storage unless `reduce` is false."""
+    """The graph of `mode`'s engine; under RELAXED, on the `Eager`
+    storage if `reduce` is false."""
     errors = validate(p, obj)
     if errors:
         raise ValueError("; ".join(errors))
     eng = ENGINES[mode](p, obj, cfg,
-                        OnDemand if reduce and cfg.model is Model.RELAXED
+                        Eager if not reduce and cfg.model is Model.RELAXED
                         else DISCIPLINES[cfg.model])
     # Each state is hashed once per edge that reaches it, here; the graph
     # and every pass over it work on the int ids, and the engine hands out
@@ -920,7 +915,7 @@ def _build(p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig,
             to_succ(j)
             to_burst(b)
         stop[i] = len(succ)
-    return TraceSet(0, eng.universe, eng.bursts.bursts, succ, burst_id,
+    return TraceSet(0, eng.universe, eng.bursts.values, succ, burst_id,
                     start, stop)
 
 

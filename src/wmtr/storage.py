@@ -24,9 +24,9 @@ burst ids from it.
            ordering.  A core that overwrites a variable jumps past (and
            thereby supersedes) records it never received.  A TAS acts on
            the coherence-latest value and is instantly global.  `RELAXED`
-           propagates by silent steps; `OnDemand`, the storage of a
-           reducing build, moves a record to a core in the edge of the
-           first step that needs it there.
+           moves a record to a core in the edge of the first step that
+           needs it there; `Eager`, the storage of a build that does not
+           reduce, propagates it by silent steps of its own.
 
 The interface, for a state int s:
 
@@ -35,7 +35,7 @@ The interface, for a state int s:
   latest(s, core, var)             the value a TAS on a drained `core` acts on
   views(s, core, reads)            [s'], one per choice of what a load of
                                    each variable of `reads` on `core` may
-                                   read: (s,) but under `OnDemand`
+                                   read: (s,) but under RELAXED
   writer(core, var, val, kind, carrier, obs)
                                    a write, prepared once for `write`
   write(s, w)                      s' once the storage takes `w`, or None
@@ -55,9 +55,9 @@ change to the state is worked out once per value of the field it
 changes, and a field's own steps once per value, as [(burst id, delta)].
 
 Invocations under TSO wait until the invoking core holds no buffered
-program write; under RELAXED, specification invocations wait until the
-core's program writes have fully propagated (`OnDemand` propagates them
-in the invocation's edge).  Both reflect the enforced order's treatment
+program write; under RELAXED, a specification invocation propagates the
+core's program writes to every core in its own edge (`Eager` waits
+until they have propagated).  Both reflect the enforced order's treatment
 of operation boundaries as code the program cannot see into but the
 laws still constrain.
 
@@ -101,12 +101,13 @@ def _tset(pairs: tuple, key, value) -> tuple:
 
 
 class Interned:
-    """Distinct values in first-seen order, each with an id that fits a
-    state field.  A value beyond the field's last id is refused with an
-    error, so no two values ever share an id."""
+    """Distinct values in first-seen order, each with an id that fits
+    `bits` bits, a state field's by default.  A value beyond the last id
+    is refused with an error that names what holds the id (`holder`),
+    so no two values ever share an id."""
 
-    def __init__(self, what: str):
-        self.what = what
+    def __init__(self, what: str, holder: str = "a state field"):
+        self.what, self.holder = what, holder
         self.values: list = []
         self.ids: dict = {}
         self.bits = FIELD_BITS
@@ -117,7 +118,7 @@ class Interned:
             i = len(self.values)
             if i >> self.bits:
                 raise OverflowError(
-                    f"more than {i} distinct {self.what}: a state field "
+                    f"more than {i} distinct {self.what}: {self.holder} "
                     f"holds {self.bits} bits")
             self.ids[x] = i
             self.values.append(x)
@@ -239,9 +240,8 @@ class Entry(NamedTuple):  # TSO buffer entry
 
 class TSO(_Interning):
     """(memory, buffers): memory as under SC, buffers sorted
-    ((core, (Entry, ...)), ...) with the oldest entry first.  The ref of
-    a buffered write is ("buf",) and that of a TAS None; `attach` finds
-    the entry itself."""
+    ((core, (Entry, ...)), ...) with the oldest entry first.  A write
+    has no ref: `attach` finds the entry by its carrier."""
 
     def __init__(self, cores, initials, buffer, bursts, shift=0):
         super().__init__(cores, initials, buffer, bursts, shift)
@@ -259,8 +259,7 @@ class TSO(_Interning):
         return _tget(mem, var)
 
     def writer(self, core, var, val, kind, carrier, obs):
-        return Write(self.shift, (core, Entry(var, val, kind, carrier, obs)),
-                     None if kind == "tas" else ("buf",))
+        return Write(self.shift, (core, Entry(var, val, kind, carrier, obs)))
 
     def _write(self, f, core, entry):
         mem, bufs = self.table.values[f]
@@ -302,9 +301,27 @@ class TSO(_Interning):
 
 class RELAXED(Storage):
     """One field per variable, holding the id of its entry; entry 0 is
-    the empty entry of a variable not yet written.  This is the eager
-    storage: a record reaches the other cores by silent propagation
-    steps of its own.  `OnDemand` below takes none.
+    the empty entry of a variable not yet written.  A record reaches a
+    core when the first step it matters to needs it there, in that
+    step's own edge (the view-based reading of Kang, Hur, Lahav,
+    Vafeiadis and Dreyer, *A Promising Semantics for Relaxed-Memory
+    Concurrency*, POPL 2017, and of Lahav, Giannarakis and Vafeiadis,
+    *Taming Release-Acquire Consistency*, POPL 2016):
+
+      views(s, core, reads)  a load of each variable of `reads` on
+                             `core` may read any record of it from the
+                             core's position to the latest, the initial
+                             value only while the core holds no record;
+                             [s'] with the core moved to the record read,
+                             one per choice, the first moving nothing
+      _moves                 a pending observation may be emitted at any
+                             time; its edge moves every core to at least
+                             its record
+      fence, invoke          a fence or TAS, and a specification
+                             invocation, move every core to at least the
+                             issuing core's last record (last program
+                             record) of each variable, in place of
+                             waiting for it
 
     An entry is the pair (recs, posv) of one variable, interned in
     `entries` (collapse compression: the 47k states of the largest
@@ -315,12 +332,18 @@ class RELAXED(Storage):
     superseded it, exactly each record at a position up to posv[k].  A
     record is the tuple
       (val, core_rank, kind, carrier_code, obs_code)
-    where carrier and observation are interned in `decode` (code 0 is
-    None) and a record that emitted its observation holds the code
-    times `spent` (RELAXED: negated); an observation is decoded when its
-    record emits it.  The ref of a write is its variable: an operation's
-    last write is the last record of that variable that carries the
-    operation's code, since only one invocation carries its code.
+    where carrier and observation are interned in `codes` (code 0 is
+    None), and it keeps only what a later step reads: a program record
+    no carrier, since `attach` looks only for an operation's, and a
+    record that emitted its observation no observation code; an
+    observation is decoded when its record emits it.  `entry` drops the
+    front records that lie before every core's position and owe no
+    observation, and shifts the positions down by as many (live-data
+    reduction).  The ref of a write is its variable: an operation's last
+    write is the last record of that variable that carries the
+    operation's code, since only one invocation carries its code, and
+    `attach` finds none once that record is dropped, which every core
+    held, and emits at once.
 
     The variables of `initials` get their fields when the instance is
     made, any other (a chaos call's virtual variable) when a write to it
@@ -328,16 +351,17 @@ class RELAXED(Storage):
     steps do not depend on the variable or on the rest of the storage,
     so `moves` tables them once per variable and entry; likewise `entry`
     notes once which cores issued a record that not every core holds,
-    for `fence` and `invoke`, and `attach` works out once per entry,
-    operation and observation where the observation goes.  Every table
-    lives on the instance and goes with the build."""
-    spent = -1
+    `attach` works out once per entry, operation and observation where
+    the observation goes, a load's choices are tabled per (entry, core),
+    and what `fence` and `invoke` make of an entry per (entry, core,
+    program records only).  Every table lives on the instance and goes
+    with the build."""
 
     def __init__(self, cores, initials, buffer, bursts, shift=0):
         super().__init__(cores, initials, buffer, bursts, shift)
         self.rank = {c: k for k, c in enumerate(cores)}
-        self.codes: Dict[object, int] = {None: 0}
-        self.decode: List[object] = [None]
+        self.codes = Interned("carriers and observations")
+        self.codes.id(None)
         self.entries = Interned("RELAXED entries")
         # keyed (entry id, operation code, observation): what `attach`
         # makes of the entry, an entry id or None
@@ -346,6 +370,8 @@ class RELAXED(Storage):
         # record) that not every core holds
         self.pending: List[int] = []
         self.pending_prog: List[int] = []
+        self.picks: Dict[tuple, tuple] = {}
+        self.published: Dict[tuple, int] = {}
         self.entry(((), (-1,) * len(cores)))
         self.shifts: Dict[str, int] = {}
         for var in sorted(initials):
@@ -359,15 +385,15 @@ class RELAXED(Storage):
             self.fields.insert(sorted(self.shifts).index(var), (shift, {}))
         return shift
 
-    def intern(self, x) -> int:
-        code = self.codes.get(x)
-        if code is None:
-            code = self.codes[x] = len(self.decode)
-            self.decode.append(x)
-        return code
-
     def entry(self, e: tuple) -> int:
-        """The id of entry `e`, interned on first sight."""
+        """The id of entry `e` once its settled front records are
+        dropped, interned on first sight."""
+        recs, posv = e
+        n, low = 0, min(posv, default=-1)
+        while n < low and not recs[n][4]:
+            n += 1
+        if n:
+            e = (recs[n:], tuple(p - n for p in posv))
         eid = self.entries.id(e)
         if eid == len(self.pending):
             recs, posv = e
@@ -392,10 +418,27 @@ class RELAXED(Storage):
         recs, _ = self._get(s, var)
         return recs[-1][0] if recs else self.initials[var]
 
+    def views(self, s, core, reads) -> list:
+        k, mask = self.rank[core], self.mask
+        out = [s]
+        for var in reads:
+            shift = self.shifts[var]
+            eid = s >> shift & mask
+            picks = self.picks.get((eid, k))
+            if picks is None:
+                recs, posv = self.entries.values[eid]
+                picks = self.picks[eid, k] = tuple(
+                    self.entry((recs, posv[:k] + (j,) + posv[k + 1:])) - eid
+                    for j in range(posv[k], len(recs)))
+            out = [u + (d << shift) for u in out for d in picks]
+        return out
+
     def writer(self, core, var, val, kind, carrier, obs):
-        return Write(self._slot(var), (self.rank[core], val, kind,
-                                       self.intern(carrier), self.intern(obs)),
-                     var)
+        codes = self.codes
+        return Write(self._slot(var), (
+            self.rank[core], val, kind,
+            codes.id(None if kind == "prog" else carrier), codes.id(obs)),
+            var)
 
     def _write(self, eid, k, val, kind, ca, ob):
         recs, posv = self.entries.values[eid]
@@ -415,7 +458,7 @@ class RELAXED(Storage):
             return None
         shift = self.shifts[var]
         eid = s >> shift & self.mask
-        code = self.codes[opid]
+        code = self.codes.ids[opid]
         e2 = self.attached.get((eid, code, obs), _MISS)
         if e2 is _MISS:
             e2 = self.attached[eid, code, obs] = self._attach(eid, code, obs)
@@ -431,115 +474,21 @@ class RELAXED(Storage):
             pos -= 1
         if pos <= min(posv):  # every core holds it, or it was dropped
             return None
-        return self.entry((recs[:pos] + (recs[pos][:4] + (self.intern(obs),),)
+        return self.entry((recs[:pos] + (recs[pos][:4] + (self.codes.id(obs),),)
                            + recs[pos + 1:], posv))
-
-    def _pending(self, s, core, table) -> bool:
-        bit, mask = 1 << self.rank[core], self.mask
-        return any(table[s >> shift & mask] & bit for shift, _ in self.fields)
-
-    def fence(self, s, core):
-        return None if self._pending(s, core, self.pending) else s
-
-    def invoke(self, s, core, spec):
-        return None if spec and self._pending(s, core, self.pending_prog) else s
 
     def _emit(self, recs, posv, pos) -> tuple:
         """(burst id, entry id') of the emission of record `pos`'s
         observation, which moves every core to at least that record."""
         v, c, kd, ca, ob = recs[pos]
-        recs = (recs[:pos] + ((v, c, kd, ca, ob * self.spent),)
-                + recs[pos + 1:])
-        return (self.bursts.id((self.decode[ob],)),
+        recs = recs[:pos] + ((v, c, kd, ca, 0),) + recs[pos + 1:]
+        return (self.bursts.id((self.codes.values[ob],)),
                 self.entry((recs, tuple(max(p, pos) for p in posv))))
-
-    def _moves(self, eid: int) -> list:
-        """The entry's own steps: each record that every core holds
-        emits its pending observation, and each other record propagates
-        to every core next in line for it; records by position, cores by
-        rank."""
-        recs, posv = self.entries.values[eid]
-        low = min(posv, default=-1)
-        out = [self._emit(recs, posv, pos) for pos in range(low + 1)
-               if recs[pos][4] > 0]
-        for pos in range(low + 1, len(recs)):
-            out += [(0, self.entry((recs, posv[:k] + (pos,) + posv[k + 1:])))
-                    for k, p in enumerate(posv) if p == pos - 1]
-        return out
-
-
-class OnDemand(RELAXED):
-    """The RELAXED storage of a reducing build: no silent step at all.
-    A record reaches a core when the first step it matters to needs it
-    there, in that step's own edge (the view-based reading of Kang, Hur,
-    Lahav, Vafeiadis and Dreyer, *A Promising Semantics for
-    Relaxed-Memory Concurrency*, POPL 2017, and of Lahav, Giannarakis and
-    Vafeiadis, *Taming Release-Acquire Consistency*, POPL 2016):
-
-      views(s, core, reads)  a load of each variable of `reads` on
-                             `core` may read any record of it from the
-                             core's position to the latest, the initial
-                             value only while the core holds no record;
-                             [s'] with the core moved to the record read,
-                             one per choice, the first moving nothing
-      _moves                 a pending observation may be emitted at any
-                             time; its edge moves every core to at least
-                             its record
-      fence, invoke          a fence or TAS, and a specification
-                             invocation, move every core to at least the
-                             issuing core's last record (last program
-                             record) of each variable, in place of
-                             waiting for it
-
-    Writes, TAS writes and `attach` are RELAXED's, but a record keeps
-    only what a later step reads: a program record no carrier, since
-    `attach` looks only for an operation's, and an emitted record no
-    observation code (`spent` is 0).  `entry` drops the front records
-    that lie before every core's position and owe no observation, and
-    shifts the positions down by as many; `attach` finds no record of an
-    operation once its last one is dropped, which every core held, and
-    emits at once.  A load's choices are tabled per (entry, core), and
-    what `fence` and `invoke` make of an entry per (entry, core, program
-    records only)."""
-    spent = 0
-
-    def __init__(self, cores, initials, buffer, bursts, shift=0):
-        super().__init__(cores, initials, buffer, bursts, shift)
-        self.picks: Dict[tuple, tuple] = {}
-        self.published: Dict[tuple, int] = {}
-
-    def writer(self, core, var, val, kind, carrier, obs):
-        return super().writer(core, var, val, kind,
-                              None if kind == "prog" else carrier, obs)
-
-    def entry(self, e: tuple) -> int:
-        recs, posv = e
-        n, low = 0, min(posv, default=-1)
-        while n < low and recs[n][4] <= 0:
-            n += 1
-        if n:
-            e = (recs[n:], tuple(p - n for p in posv))
-        return super().entry(e)
-
-    def views(self, s, core, reads) -> list:
-        k, mask = self.rank[core], self.mask
-        out = [s]
-        for var in reads:
-            shift = self.shifts[var]
-            eid = s >> shift & mask
-            picks = self.picks.get((eid, k))
-            if picks is None:
-                recs, posv = self.entries.values[eid]
-                picks = self.picks[eid, k] = tuple(
-                    self.entry((recs, posv[:k] + (j,) + posv[k + 1:])) - eid
-                    for j in range(posv[k], len(recs)))
-            out = [u + (d << shift) for u in out for d in picks]
-        return out
 
     def _moves(self, eid: int) -> list:
         recs, posv = self.entries.values[eid]
         return [self._emit(recs, posv, pos) for pos in range(len(recs))
-                if recs[pos][4] > 0]
+                if recs[pos][4]]
 
     def _publish(self, s, core, table, prog: bool):
         k, mask = self.rank[core], self.mask
@@ -561,3 +510,41 @@ class OnDemand(RELAXED):
 
     def invoke(self, s, core, spec):
         return self._publish(s, core, self.pending_prog, True) if spec else s
+
+
+class Eager(RELAXED):
+    """RELAXED with propagation by silent steps of its own, the storage
+    of a build that does not reduce: a load reads the record at its
+    core's position, a record reaches each other core by a step of its
+    own, and a fence or TAS (a specification invocation) waits until
+    every core holds the issuing core's records (program records).  Its
+    records are RELAXED's, and so are its traces: a dropped front record
+    lies before every core's position and owes no observation, so no
+    load reads it and no step emits from it, and `attach` emits at once
+    where every core holds an operation's last record, dropped or not."""
+
+    views = Storage.views
+
+    def _moves(self, eid: int) -> list:
+        """The entry's own steps: each record that every core holds
+        emits its pending observation, and each other record propagates
+        to every core next in line for it; records by position, cores by
+        rank."""
+        recs, posv = self.entries.values[eid]
+        low = min(posv, default=-1)
+        out = [self._emit(recs, posv, pos) for pos in range(low + 1)
+               if recs[pos][4]]
+        for pos in range(low + 1, len(recs)):
+            out += [(0, self.entry((recs, posv[:k] + (pos,) + posv[k + 1:])))
+                    for k, p in enumerate(posv) if p == pos - 1]
+        return out
+
+    def _pending(self, s, core, table) -> bool:
+        bit, mask = 1 << self.rank[core], self.mask
+        return any(table[s >> shift & mask] & bit for shift, _ in self.fields)
+
+    def fence(self, s, core):
+        return None if self._pending(s, core, self.pending) else s
+
+    def invoke(self, s, core, spec):
+        return None if spec and self._pending(s, core, self.pending_prog) else s

@@ -150,15 +150,15 @@ OWN_MODE_DIGESTS = {  # the object's own mode, default bounds
     ("fig5_client.wm", "spinlock_spec.wm"):
         "f2b82034e180250e3542b979ddf900292dd9885a04231b851b93a2009220dcc6",
     ("fig5_client.wm", "spinlock_impl.wm"):
-        "eae1f1103f81f5ecbc84e99a868f9e905bbfdb3118fbdca1cd68a20dccc50750",
+        "b2843e456729b2eb70b7224e2f3cfccf81f8475b2ebebe6aa4f16b9c9574a3cf",
     ("fig5_notry_client.wm", "spinlock_spec_notry.wm"):
         "4fd94f0397bff289acd51fb3a3f74cbd6ea02baa9d6d4160d6f8fc092d474657",
     ("fig5_notry_client.wm", "spinlock_impl_notry.wm"):
-        "e640420ed6063602c9d9f5388601665bcccb2a51d2cde085566abc2fc4d8dc87",
+        "a5b22fe3601952d010b2c01bca2ca7d2ca8f9667489d8debcdd1134523a6ab79",
     ("fig6_client.wm", "spinlock_spec.wm"):
         "3cc263764c3f1b0ae9cf97a4609631788c7a7bacb7cdcc7f93a549cf52190060",
     ("fig6_client.wm", "spinlock_impl.wm"):
-        "f40546849888cdc3c589781474dd0069fb3e4f0fb17ad254f94c0f9ee7d488ee",
+        "394e9e6974c44d2b775036504e36d37bcd118b007c988ca8394bd9db345c4941",
 }
 
 
@@ -299,12 +299,12 @@ STEPWISE_DIGESTS = {
         "c0979d53ed45677c69a66b2eb21fdbf4544b42e974f5e011efa6a958100edb4a",
     ("relaxed-eager", "fig4_client.wm", "spinlock_impl.wm"):  # 93
         "279c4722fa03b1f668058f8b145968f5a9c684b6abdcf17798c6c74a4583feb8",
-    ("relaxed-eager", "fig5_client.wm", "spinlock_impl.wm"):  # 2,874
-        "97589bbc58b3c1758b79e018534ec2fd3b5129640174930e30908ecce7224103",
-    ("relaxed-eager", "fig5_notry_client.wm", "spinlock_impl_notry.wm"):  # 573
-        "cd210ffdfcf33083c9a0a62675084bc11d2cf69ffb9371d2113ef930c14fda21",
-    ("relaxed-eager", "fig6_client.wm", "spinlock_impl.wm"):  # 1,323
-        "268278c419a21deb1f2ec199c787041a857226687140351efb6e3855472e8007",
+    ("relaxed-eager", "fig5_client.wm", "spinlock_impl.wm"):  # 2,375
+        "08d693c98a90509bb9a1951070ac88ecd22c2cee20a64836ebd76d61f776f849",
+    ("relaxed-eager", "fig5_notry_client.wm", "spinlock_impl_notry.wm"):  # 494
+        "3d2a7b3bf7f3b5877a9eb36030242d9c330eead63a2c3bd1a0f832069cc1b167",
+    ("relaxed-eager", "fig6_client.wm", "spinlock_impl.wm"):  # 975
+        "1cab75301babc8600538f4c71e510d4420d8dd9e25f019a7c54905b3ae3d787b",
 }
 
 # SHA-256 of each build's burst table (`burst_digest`), keyed (model,
@@ -528,11 +528,11 @@ SHAPE_DIGESTS = {
     ("while-first-and-last", "tso-buffer-1", "chaos"):  # 105 states
         ("f425d64da9b188daa431ca96d9aae5c0fd313603d55abc802b3ed65568ea4c9a",
          "7b528c3c666a73fc328d40dff4b2127407a7196a870a66c59ab528b90923a3f4"),
-    ("while-first-and-last", "relaxed", "own"):  # 854 states
-        ("399a077c6a668ba158992b5ae1e18ded9da4838c98fbd488c91c823550dee2bd",
+    ("while-first-and-last", "relaxed", "own"):  # 828 states
+        ("b0b82506eeeac7d373943cee1efc026db8ed8c70f88688aef21ed28fbf90e248",
          "293d80de71e77fbb763fd99a4c50de35cb1e80a2d91768740cf3efd84acd7e96"),
-    ("while-first-and-last", "relaxed", "chaos"):  # 854 states
-        ("399a077c6a668ba158992b5ae1e18ded9da4838c98fbd488c91c823550dee2bd",
+    ("while-first-and-last", "relaxed", "chaos"):  # 828 states
+        ("b0b82506eeeac7d373943cee1efc026db8ed8c70f88688aef21ed28fbf90e248",
          "293d80de71e77fbb763fd99a4c50de35cb1e80a2d91768740cf3efd84acd7e96"),
     ("impl-branch-ends", "sc", "own"):  # 35 states
         ("1972b7ecc81a4cd9a4a47763d00768def6f33d130d64f8b24bb832ee696162ea",
@@ -546,8 +546,8 @@ SHAPE_DIGESTS = {
     ("impl-branch-ends", "tso-buffer-1", "chaos"):  # 24 states
         ("cf07cf1abf3c266ab530390930f3471aeba09c3c9448287e2f9da6bff0061db8",
          "2af449f143555d3e8852add417bbb74254ff652f6daba45037467fbe02fce2bf"),
-    ("impl-branch-ends", "relaxed", "own"):  # 248 states
-        ("205fc049972f4b31953d2b124c67d94466a49b0e4f81f5d4436f6cb24513e21a",
+    ("impl-branch-ends", "relaxed", "own"):  # 165 states
+        ("4b9d195a93074173a90c873c3b81b8b250ef7c7380717331a81b2cff4634bc4f",
          "78cba96e5786ee3a4f44d5ee7ba581a17665abcc8186ded86c884c6f94cc75bb"),
     ("impl-branch-ends", "relaxed", "chaos"):  # 70 states
         ("05fc5017dff880c77ab2e3c475fa6032f13ad99cf25a370951e6f498423ed082",
@@ -564,8 +564,8 @@ SHAPE_DIGESTS = {
     ("impl-falls-off", "tso-buffer-1", "chaos"):  # 24 states
         ("790bc11ed7aaa0cddc16ca7124e678343d25e4b45c8a93bc7368f684335ea02b",
          "2cfbb0396b7fd31b7bfa8418ae474236df59da3447d88bc3ca483a9c249c15e1"),
-    ("impl-falls-off", "relaxed", "own"):  # 1331 states
-        ("9a87684e29b4765ade9ffcccdcf9a03c2f2a68f67ef0a599ad6ed1c7bb472b15",
+    ("impl-falls-off", "relaxed", "own"):  # 415 states
+        ("deb5094ecbeea1c22ec8f3340b6e6d567cab351b0e08c79c0e4e3ac9701febad",
          "d7501707f1e55fe16b9e46c2f1cb9371eea55e7de382dbf4e1a393d5c009253d"),
     ("impl-falls-off", "relaxed", "chaos"):  # 70 states
         ("225fe99072737b9c304aa914641bd466c353975c8bacc2a6c1a369c9eebe18bc",
@@ -600,8 +600,8 @@ SHAPE_DIGESTS = {
     ("vars-out-of-order-with-calls", "tso-buffer-1", "chaos"):  # 35 states
         ("349d012e178c6f13ef2172e85e0610d4d99797cd140d395e01b71b958d69b89f",
          "02e67d855d67ec35b88f858c53288cb0dcb9659f798b6fedb3e9ea2f218d8a83"),
-    ("vars-out-of-order-with-calls", "relaxed", "own"):  # 401 states
-        ("83490e5c1cc5be319d9dbbf58239b5e70135b1ac6c5159269c1efc45cdefbffc",
+    ("vars-out-of-order-with-calls", "relaxed", "own"):  # 317 states
+        ("1bbbf85fc2541bee9024400b23f30594550b628a558249009481bd4433810122",
          "48d2beb1df1b621edc1db853cf09c9cdcf9264e08c846c7e7f3916505a620450"),
     ("vars-out-of-order-with-calls", "relaxed", "chaos"):  # 287 states
         ("a22fab365d601defec237cd13ba2879a8be1fdf2328bb14cb0068c7afde7317a",
@@ -618,8 +618,8 @@ SHAPE_DIGESTS = {
     ("impl-last-write", "tso-buffer-1", "chaos"):  # 61 states
         ("ae8691598932a66e1de9153ca7d1827b53a9576edcb41ba95f79cbc4ea526f45",
          "f981e119c05078c35d1064702d48371cc8b386616c12f5898241334457e66862"),
-    ("impl-last-write", "relaxed", "own"):  # 3118 states
-        ("14d051092628ca8ac1fbdf303a2dc25ad595db1a7a6a5975013039f488669cfa",
+    ("impl-last-write", "relaxed", "own"):  # 1940 states
+        ("bb56076325c6e16ef730d32c625f3a6af028a916ceba0f5958de2e6558389295",
          "7620e9f7ddbb73ffa3a2877ec3d628ded90652622dda5beac20e12e2e3403961"),
     ("impl-last-write", "relaxed", "chaos"):  # 418 states
         ("a1d4b6fa25be594e2b1a79c773ea2d103277c8276fea91ebf39d8e08f67ed944",
@@ -1370,7 +1370,8 @@ class TestGraphIdentity:
         finally:
             gc.enable()
 
-    def test_memoised_relaxed_moves_repeat_the_first(self):
+    @pytest.mark.parametrize("discipline", [RELAXED, storage.Eager])
+    def test_memoised_relaxed_moves_repeat_the_first(self, discipline):
         """`moves` computes the steps of a storage entry once; every
         later call on a storage holding it gives what the first gave."""
         cores = ("c0", "c1", "c2")
@@ -1379,7 +1380,7 @@ class TestGraphIdentity:
                                          ("c0", "x", 2))]
         written = {ProgObs(sid, var, val) for _, var, val, sid in writes}
         table = BurstTable(frozenset(written))
-        mem = RELAXED(cores, {"x": 0, "y": 0}, 4, table)
+        mem = discipline(cores, {"x": 0, "y": 0}, 4, table)
         s = mem.initial()
         for core, var, val, sid in writes:
             w = mem.writer(core, var, val, "prog", sid, ProgObs(sid, var, val))
@@ -1392,7 +1393,7 @@ class TestGraphIdentity:
             if not first:
                 finals.add(u)
             for b, u2 in first:
-                emitted.update(table.bursts[b])
+                emitted.update(table.values[b])
                 if u2 not in seen:
                     seen.add(u2)
                     stack.append(u2)
@@ -1534,7 +1535,7 @@ def test_relaxed_attach_rides_on_the_last_write():
     opid = OpId("T0", "f", 0)
     obs = OpObs(opid, 0)
     table = BurstTable(frozenset({obs}))
-    mem = RELAXED(STORAGE_CORES, {"x": 0}, 4, table)
+    mem = storage.Eager(STORAGE_CORES, {"x": 0}, 4, table)
     s = mem.initial()
     for val in (1, 2):
         w = mem.writer("c0", "x", val, "obj", opid, None)
@@ -1545,8 +1546,8 @@ def test_relaxed_attach_rides_on_the_last_write():
     while stack:
         u = stack.pop()
         for b, u2 in mem.moves(u):
-            if table.bursts[b]:
-                assert table.bursts[b] == (obs,)
+            if table.values[b]:
+                assert table.values[b] == (obs,)
                 assert all(mem.read(u, c, "x") == 2 for c in STORAGE_CORES)
                 assert not mem.moves(u2)
                 emitting += 1

@@ -1,6 +1,7 @@
-"""The RELAXED storage of a reducing build, `OnDemand`: its rule on
-hand-built storages, and agreement of on-demand and eager builds on
-everything a build promises; and agreement of implementation builds
+"""The RELAXED storage, which propagates a record on demand: its rule on
+hand-built storages, and agreement of its builds with those on the
+eager storage (`storage.Eager`, `reduce=False`) on everything a build
+promises; and agreement of implementation builds
 whose frames merge their register-only steps with builds that take each
 as a step of its own (`oracles.StepwiseImpl`)."""
 
@@ -34,13 +35,12 @@ def cfg(model, **kw):
 CORES = ("c0", "c1", "c2")
 
 
-def on_demand(*writes, events=()):
-    """An `OnDemand` storage over x and y (both 0 at first) and the state
-    after `writes`, each (core, var, value, kind, observation or None),
-    the i-th carried by `carrier(i)`; `events` are the events the
+def on_demand(*writes, events=(), discipline=storage.RELAXED):
+    """A `discipline` storage over x and y (both 0 at first) and the
+    state after `writes`, each (core, var, value, kind, observation or
+    None), the i-th carried by `carrier(i)`; `events` are the events the
     storage may emit."""
-    mem = storage.OnDemand(CORES, {"x": 0, "y": 0}, 4,
-                           BurstTable(frozenset(events)))
+    mem = discipline(CORES, {"x": 0, "y": 0}, 4, BurstTable(frozenset(events)))
     s = mem.initial()
     for i, (core, var, val, kind, obs) in enumerate(writes):
         s = mem.write(s, mem.writer(core, var, val, kind, carrier(i), obs))
@@ -85,7 +85,7 @@ def test_an_emission_moves_every_core_to_its_record():
     mem, s = on_demand(("c0", "x", 1, "prog", obs), ("c1", "x", 2, "prog", None),
                        events={obs})
     ((b, after),) = mem.moves(s)
-    assert mem.bursts.bursts[b] == (obs,)
+    assert mem.bursts.values[b] == (obs,)
     assert offered(mem, after, "c2", "x") == [1, 2]
     assert offered(mem, after, "c0", "x") == [1, 2]
     assert offered(mem, after, "c1", "x") == [2]
@@ -111,15 +111,21 @@ def test_a_fence_publishes_its_core_s_last_records():
     assert mem.invoke(s, "c0", False) == s
 
 
-def test_settled_records_are_dropped_and_attach_emits_at_once():
+@pytest.mark.parametrize("discipline", [storage.RELAXED, storage.Eager])
+def test_settled_records_are_dropped_and_attach_emits_at_once(discipline):
     """Once every core is past a record that owes no observation, the
     entry no longer holds it, and a return whose last write it was
-    emits its observation at once."""
+    emits its observation at once; on either storage, which moves the
+    cores there by a load's choice or by propagation."""
     opid = carrier(0)
-    mem, s = on_demand(("c0", "x", 1, "obj", None), ("c1", "x", 2, "prog", None))
+    mem, s = on_demand(("c0", "x", 1, "obj", None), ("c1", "x", 2, "prog", None),
+                       discipline=discipline)
     assert mem.attach(s, "c0", "x", opid, OpObs(opid, None)) is not None
-    for core in ("c0", "c2"):
-        s = mem.views(s, core, ("x",))[-1]
+    if discipline is storage.RELAXED:
+        for core in ("c0", "c2"):
+            s = mem.views(s, core, ("x",))[-1]
+    while mem.moves(s):  # Eager: propagate until every core holds x's last
+        s = mem.moves(s)[0][1]
     recs, posv = mem.entries.values[s >> mem.shifts["x"] & mem.mask]
     assert [r[0] for r in recs] == [2] and posv == (0, 0, 0)
     assert mem.attach(s, "c0", "x", opid, OpObs(opid, None)) is None
@@ -128,11 +134,15 @@ def test_settled_records_are_dropped_and_attach_emits_at_once():
 # --- on-demand and eager builds agree ---
 
 def assert_reduction_agrees(p, o, c, mode):
+    """The on-demand and the eager build of `mode`, once they are seen
+    to have the same observables and `empirical_pairs` and the first no
+    more states than the second."""
     reduced = _build(p, o, c, mode)
     full = _build(p, o, c, mode, reduce=False)
     assert reduced.observables() == full.observables()
     assert reduced.empirical_pairs() == full.empirical_pairs()
     assert reduced.states <= full.states
+    return reduced, full
 
 
 @st.composite
@@ -214,24 +224,22 @@ def test_reduction_keeps_the_fig6_counterexample():
 
 def test_chaos_and_sc_tso_builds_are_not_reduced():
     """`enforced_order` builds its chaos graph on the eager storage, and
-    SC and TSO builds never take the on-demand path: only a RELAXED
-    `explore` makes an `OnDemand` storage."""
+    no `explore`, SC, TSO or RELAXED, makes an `Eager` storage."""
     p = parse(corpus_text("fig5_client.wm"))
     o = parse(corpus_text("spinlock_impl.wm"))
     made = []
-    init = storage.OnDemand.__init__
+    init = storage.Eager.__init__
 
     def tracked(self, *args):
         made.append(self)
         init(self, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(storage.OnDemand, "__init__", tracked)
-        memmodel.enforced_order(p, o, cfg(Model.RELAXED, values=1))
-        for model in (Model.SC, Model.TSO):
+        mp.setattr(storage.Eager, "__init__", tracked)
+        for model in Model:
             memmodel.explore(p, o, cfg(model, values=1))
         assert not made
-        memmodel.explore(p, o, cfg(Model.RELAXED, values=1))
+        memmodel.enforced_order(p, o, cfg(Model.RELAXED, values=1))
         assert made
 
 
@@ -358,17 +366,21 @@ def register_objects(draw):
           "global g = 0;\nthread T0 { r0 := call f(1); g := r0; }\n"
           "thread T1 { r0 := call g(); g := r0; }"))
 def test_merging_agrees_on_register_objects(case):
-    """`merged_and_stepwise`, and the same canonical trace of the last
-    observable, in place of a verdict: these objects have no
-    specification."""
+    """`merged_and_stepwise`, and `assert_reduction_agrees`, each pair of
+    builds with the same canonical trace of the last observable, in
+    place of a verdict: these objects have no specification.  Their
+    operations load what they and the other thread store, so the
+    on-demand rule is checked where a load's choice matters."""
     obj, text = case
     p, o = parse(text), parse(obj)
     assert validate(p, o) == []
-    for build in FRAME_BUILDS:
-        merged, stepwise = merged_and_stepwise(p, o, build)
-        last = {max(merged.observables())}
-        assert (refine._minimal_refuting_trace(merged, last)
-                == refine._minimal_refuting_trace(stepwise, last))
+    pairs = [merged_and_stepwise(p, o, build) for build in FRAME_BUILDS]
+    pairs.append(assert_reduction_agrees(p, o, cfg(Model.RELAXED, values=1),
+                                         "impl"))
+    for first, second in pairs:
+        last = {max(first.observables())}
+        assert (refine._minimal_refuting_trace(first, last)
+                == refine._minimal_refuting_trace(second, last))
 
 
 @pytest.mark.parametrize("build", sorted(FRAME_BUILDS))
