@@ -3,11 +3,11 @@
 One engine class per kind of object, each parameterised by a storage
 discipline.  `storage` holds SC, TSO and RELAXED, one class each behind
 one interface, picked once from `DISCIPLINES` (a RELAXED build that does
-not reduce takes `storage.Eager` instead); `_build` picks the engine class once from
-`ENGINES`, by where the object's observations are placed: `_Impl` runs
-an implementation instruction by instruction, `_Spec` a specification
-atomically with free observation placement, and `_Chaos` is the
-object-free object of the enforced-order extraction.
+not reduce takes `storage.Eager` instead); `_build` picks the engine
+class once from `ENGINES`, by where the object's observations are
+placed: `_Impl` runs an implementation instruction by instruction,
+`_Spec` a specification atomically with free observation placement, and
+`_Chaos` is the object-free object of the enforced-order extraction.
 
 States are collapse-compressed and packed: each thread's distinct
 states are stored once, in a table of its own, and so are a
@@ -71,37 +71,36 @@ the graph runs on those columns and works out what it needs of a burst
 once per burst id; `TraceSet.graph` is a read-only mapping view for
 readers that want the edges of an id as tuples.
 
-Propagation on demand: the `RELAXED` storage takes no silent
-propagation step at all; a build with `reduce=False`, `_build`'s
-option, runs RELAXED on `storage.Eager` instead, whose records reach
-each core by silent steps of their own.  Take the
-propagation p of record r of variable v to core k.  p commutes with
-every step but three: a read of v on core k, whose value p may change;
-r's emission, which waits until every core holds r; and a fence, TAS
-or specification invocation of r's writer core, which waits until
-every core holds that core's records.  A write of v on core k, or any
-TAS of v, moves k past r with p or without it, and so absorbs p.  A
-return whose last write is r emits its observation at once where every
-core holds r, and leaves it pending otherwise, free to be emitted next,
-so it gives the same traces on either side of p.  So each propagation
-can be delayed to the first of the three steps and taken in that step's
-edge: a load may read any
+Propagation on demand: the `RELAXED` storage takes no silent propagation
+step at all; a build with `reduce=False`, `_build`'s option, runs
+RELAXED on `storage.Eager` instead, whose records reach each core by
+silent steps of their own.  Take the propagation p of record r of
+variable v to core k.  p commutes with every step but three: a read of v
+on core k, whose value p may change; r's emission, which waits until
+every core holds r; and a fence, TAS or specification invocation of r's
+writer core, which waits until every core holds that core's records.  A
+write of v on core k, or any TAS of v, moves k past r with p or without
+it, and so absorbs p.  A return whose last write is r emits its
+observation at once where every core holds r, and leaves it pending
+otherwise, free to be emitted next, so it gives the same traces on
+either side of p.  So each propagation can be delayed to the first of
+the three steps and taken in that step's edge: a load may read any
 record of v from its core's position to the latest, each choice its own
-edge that moves the core there; an emission moves every core to at
-least its record; a fence or TAS (a specification invocation) moves
-every core to at least its core's last record (last program record) of
-each variable.  Every trace keeps its events: observables, enforced
-pairs, verdicts and canonical counterexamples are those of the eager
-graph, the state and edge counts are not.  Both storages keep one
-record rule, RELAXED's: a record holds only what a later step reads,
-and the front records every core is past that owe no observation,
-dead history, are dropped (live-data reduction: Bozga, Fernandez and
-Ghirvu, SAS 1999).  A load's choices are tabled per entry and core, and
-the step table keys each choice's outcome on the values read, as it
-keys every outcome; every storage names a load's choices (`views`),
-each but RELAXED the state alone, so one load path serves every build.
-`enforced_order` builds its chaos graph on `Eager`, since that graph's
-counts anchor the benchmark; SC and TSO have no propagation to delay.
+edge that moves the core there; an emission moves every core to at least
+its record; a fence or TAS (a specification invocation) moves every core
+to at least its core's last record (last program record) of each
+variable.  Every trace keeps its events: observables, enforced pairs,
+verdicts and canonical counterexamples are those of the eager graph, the
+state and edge counts are not.  Both storages keep one record rule,
+RELAXED's: a record holds only what a later step reads, and the front
+records every core is past that owe no observation, dead history, are
+dropped (live-data reduction: Bozga, Fernandez and Ghirvu, SAS 1999).  A
+load's choices are tabled per entry and core, and the step table keys
+each choice's outcome on the values read, as it keys every outcome;
+every storage names a load's choices (`views`), each but RELAXED the
+state alone, so one load path serves every build.  `enforced_order`
+builds its chaos graph on `Eager`, since that graph's counts anchor the
+benchmark; SC and TSO have no propagation to delay.
 
 Observation placement: a program step's observation fires when its
 write is visible to every core; an operation's observation fires when

@@ -369,8 +369,10 @@ def test_merging_agrees_on_register_objects(case):
     """`merged_and_stepwise`, and `assert_reduction_agrees`, each pair of
     builds with the same canonical trace of the last observable, in
     place of a verdict: these objects have no specification.  Their
-    operations load what they and the other thread store, so the
-    on-demand rule is checked where a load's choice matters."""
+    operations load, store, TAS and fence on the variables the other
+    thread's operations use, so the on-demand rule is checked where a
+    load's choice or a fence matters, which the corpus objects of
+    `test_reduction_agrees_on_object_clients` do not reach."""
     obj, text = case
     p, o = parse(text), parse(obj)
     assert validate(p, o) == []
