@@ -6,15 +6,16 @@ one interface, picked once from `DISCIPLINES` (a RELAXED build that does
 not reduce takes `storage.Eager` instead); `_build` picks the engine
 class once from `ENGINES`, by where the object's observations are
 placed: `_Impl` runs an implementation instruction by instruction,
-`_Spec` a specification atomically with free observation placement, and
-`_Chaos` is the object-free object of the enforced-order extraction.
+`_Spec` a specification atomically, each response observed in its own
+edge, and `_Chaos` is the object-free object of the enforced-order
+extraction.
 
 States are collapse-compressed and packed: each thread's distinct
 states are stored once, in a table of its own, and so are a
-specification's valuations and books; a state is one int whose
+specification's valuations; a state is one int whose
 fixed-width fields (`storage.FIELD_BITS` bits each) hold each thread's
 own-state id, thread r's in field r with the threads in name order from
-bit 0, a specification's valuation and book ids above them, and the
+bit 0, a specification's valuation id above them, and the
 storage discipline's fields on top (RELAXED: one per variable, the id
 of its entry).  An id that outgrows its field is an `OverflowError`,
 never an alias.  A thread's state holds where its compiled code stands
@@ -54,9 +55,8 @@ Every shared write, a TAS's included, is prepared once by the storage's
 store's or TAS's successor records) and what it emits.  An outcome's
 change to a state is one int, fixed when the outcome is made: the
 thread's field moved from its own-state id to the new one.  The
-responses of a chaos call are tabled per key too, a specification body
-runs once per key and valuation, and the observations a book of
-responses still owes once per book.
+responses of a chaos call are tabled per key too, and a specification
+body runs once per key and valuation.
 
 The graph a build returns is stored as flat array columns, one entry
 per edge: the successor's id (`array('i')`) and the id of the edge's
@@ -103,13 +103,22 @@ builds its chaos graph on `Eager`, since that graph's counts anchor the
 benchmark; SC and TSO have no propagation to delay.
 
 Observation placement: a program step's observation fires when its
-write is visible to every core; an operation's observation fires when
-the operation's last shared write is visible to every core, never
-before the response, and directly after the response when the run wrote
-nothing.  Operations that cannot touch shared state, and whose result
-never flows into a global, are observed immediately after responding
-(`covert_ops`): the result flows when a store reads its register or a
-register assigned from it; a branch on the result is not a flow.
+write is visible to every core; an implementation operation's
+observation fires when the operation's last shared write is visible to
+every core, never before the response, and directly after the response
+when the run wrote nothing.  In the chaos build, operations that cannot
+touch shared state, and whose result never flows into a global, are
+observed immediately after responding (`covert_ops`): the result flows
+when a store reads its register or a register assigned from it; a
+branch on the result is not a flow.  A specification operation is
+observed in its response's edge.  The paper lets that observation trail
+the response freely, another core's invocation waiting until it is
+taken; but it is enabled from the response on and disables nothing
+(taking it only lifts that wait, and neither the valuation nor the
+storage reads whether it was taken), so it moves left to its response
+in every trace (Lipton's reduction): observing at once keeps every
+observable, and an invocation waits only while a thread of another
+core is in a call.
 """
 
 from __future__ import annotations
@@ -123,9 +132,9 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from .events import Event, Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId
 from .porder import EnforcedOrder
 from .program import (
-    CALL, FENCE, GATED, RETURN, SET, STORE, TAS, ClientProgram, ObjectDef,
-    OpDef, _bump, chaos_outputs, events_of_program, names_of, settled, step,
-    validate,
+    CALL, FENCE, GATED, RETURN, SET, STORE, TAS, ClientHalf, ClientProgram,
+    ObjectDef, OpDef, _bump, chaos_outputs, events_of_program, names_of,
+    settled, step, validate,
 )
 from . import storage
 from .storage import _MISS, RELAXED, SC, TSO, Eager, Interned, _tset
@@ -204,13 +213,12 @@ _LOCAL, _WRITE, _FENCE, _CALL, _RET = range(5)
 
 class _Step:
     """The outcome of a thread's next instruction for given read values,
-    or of one output of a chaos call or one run of a specification body:
-    its burst, with what its write emits, `delta`, the change it makes
-    to a state (the thread's own-state field moved to its state after
-    the step, and for a specification call the valuation's field too),
-    and, by kind, the storage call's argument after the state (_WRITE:
-    the prepared write, _FENCE: a TAS's prepared write or None, _RET:
-    `mem.attach`'s after the core).  `bid` is the id of the burst, and
+    or of one output of a chaos call: its burst, with what its write
+    emits, `delta`, the change it makes to a state (the thread's
+    own-state field moved to its state after the step), and, by kind,
+    the storage call's argument after the state (_WRITE: the prepared
+    write, _FENCE: a TAS's prepared write or None, _RET: `mem.attach`'s
+    after the core).  `bid` is the id of the burst, and
     for _RET `emitted` that of the burst with the observation emitted at
     once, each worked out when an edge first needs it."""
     __slots__ = ("kind", "burst", "delta", "arg", "bid", "emitted")
@@ -226,14 +234,16 @@ class _Engine:
     """What every kind of object shares: client steps, the storage, the
     step table and `_take`.  A subclass, one per kind, gives the slot a
     thread holds while in a call (`call_slot`), that thread's edges
-    (`call_actions`) and whatever else its kind needs."""
+    (`call_actions`) and whatever else its kind needs.  `client`, if
+    given, is `p`'s `ClientHalf`, shared between builds."""
     fields = 0  # the state's fields between the threads' and the storage's
 
     def __init__(self, p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig,
-                 discipline: type):
+                 discipline: type, client: Optional[ClientHalf] = None):
         self.p, self.obj, self.cfg = p, obj, cfg
         self.coremap = p.coremap
-        self.universe = events_of_program(p, obj, cfg.unroll, cfg.values)
+        self.universe = events_of_program(p, obj, cfg.unroll, cfg.values,
+                                          client)
         self.bursts = BurstTable(self.universe)
         # collapse compression: each thread's distinct states, call slot
         # included, are stored once in its own table, the threads in name
@@ -513,92 +523,57 @@ def run_spec_body(op: OpDef, valuation: dict, arg: Optional[int],
 
 class _Spec(_Engine):
     """A specification object: each call runs atomically (`run_spec_body`)
-    against a logical valuation, and its response enters a book of
-    unobserved responses, any of which may be observed at any time; an
-    invocation may not overlap an unobserved operation of another core.
-    A thread in a call holds (opid, arg, reg).  The valuation and the
-    book, of (opid, out, core) entries, are interned, their ids held in
-    the two fields above the threads'."""
-    fields = 2
+    against a logical valuation, and its response is observed in the
+    same edge; an invocation may not overlap a call of another core's
+    thread.  A thread in a call holds (opid, arg, reg).  The valuation is
+    interned, its id held in the field above the threads'.
 
-    def __init__(self, p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig,
-                 discipline: type):
-        super().__init__(p, obj, cfg, discipline)
-        self.vshift, self.bshift = self.top, self.top + self.bits
-        self.covert = covert_ops(p, obj)
+    The paper lets an observation trail its response freely, in a book of
+    unobserved responses that blocks another core's invocations until it
+    is taken.  Observing at once gives the same observables: an
+    observation is enabled from its response on and disables nothing,
+    since taking it from the book only lifts that block and neither the
+    valuation nor the storage reads the book, so it moves left to the
+    response (Lipton's reduction, CACM 1975)."""
+    fields = 1
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.vshift = self.top
         self.valuations = Interned("specification valuations")
-        self.books = Interned("books of unobserved responses")
-        # keyed (thread, own-state id, valuation id): a _Step whose `arg`
-        # is (book entry or None, {book id: change to the state for the
-        # book}), or None when blocked
-        self.spec_calls: Dict[tuple, Optional[_Step]] = {}
-        # per book id: its observations' edges, [(burst id, change)]
-        self.book_moves: Dict[int, list] = {}
+        # keyed (thread, own-state id, valuation id): the call's edge as
+        # (burst id, change to the state), or None when blocked
+        self.spec_calls: Dict[tuple, Optional[tuple]] = {}
 
     def root(self) -> int:
         objst = tuple(sorted(self.obj.shared.items()))
-        return (super().root() | self.valuations.id(objst) << self.vshift
-                | self.books.id(()) << self.bshift)
+        return super().root() | self.valuations.id(objst) << self.vshift
 
     def invoke(self, st: int, thread: str) -> Optional[int]:
         core = self.coremap[thread]
         mask = self.mask
-        book = self.books.values[st >> self.bshift & mask]
-        if (all(values[st >> shift & mask].call is None
-                or self.coremap[th2] == core
-                for th2, values, shift in self.slots)
-                and all(c == core for (_, _, c) in book)):
+        if all(values[st >> shift & mask].call is None
+               or self.coremap[th2] == core
+               for th2, values, shift in self.slots):
             return self.mem.invoke(st, core, True)
         return None
 
     def call_slot(self, opid, arg, reg):
         return opid, arg, reg
 
-    def actions(self, st: int) -> List[Tuple[int, int]]:
-        out = super().actions(st)
-        b = st >> self.bshift & self.mask
-        if b:
-            out.extend([(bid, st + d) for bid, d in self._book_moves(b)])
-        return out
-
-    def _book_moves(self, b: int) -> list:
-        """[(burst id, change)]: each response in book `b` is observed, in
-        book order; worked out once per book."""
-        steps = self.book_moves.get(b)
-        if steps is None:
-            book = self.books.values[b]
-            steps = self.book_moves[b] = [
-                (self.bursts.id((OpObs(opid, outv),)),
-                 (self.books.id(book[:j] + book[j + 1:]) - b) << self.bshift)
-                for j, (opid, outv, _) in enumerate(book)]
-        return steps
-
     def call_actions(self, out, st, th, x, ts):
         """Add to `out` the edge of `th`'s call unless its body blocks.
-        The body runs once per own state and valuation; each state then
-        only adds the response to its book."""
+        The body runs once per own state and valuation."""
         key = (th, x, st >> self.vshift & self.mask)
-        step = self.spec_calls.get(key, _MISS)
-        if step is _MISS:
-            step = self.spec_calls[key] = self._spec_call(th, ts, key[2])
-        if step is None:
-            return
-        d = step.delta
-        pending, books = step.arg
-        if pending is not None:
-            b = st >> self.bshift & self.mask
-            db = books.get(b)
-            if db is None:
-                db = books[b] = (self.books.id(self.books.values[b] + (pending,))
-                                 - b) << self.bshift
-            d += db
-        out.append((step.bid, st + d))
+        edge = self.spec_calls.get(key, _MISS)
+        if edge is _MISS:
+            edge = self.spec_calls[key] = self._spec_call(th, ts, key[2])
+        if edge is not None:
+            out.append((edge[0], st + edge[1]))
 
     def _spec_call(self, th, ts, objst):
-        """Run `th`'s call against valuation `objst`: a _Step with its
-        burst id and, as `arg`, the response for the book or None when the
-        operation is observed at once, and {} for the book changes; or
-        None."""
+        """Run `th`'s call against valuation `objst`: (burst id, change to
+        the state) of its response and observation, or None."""
         opid, arg, ret_reg = ts.call
         r = run_spec_body(self.obj.ops[opid.call],
                           dict(self.valuations.values[objst]), arg,
@@ -606,17 +581,10 @@ class _Spec(_Engine):
         if r is None:
             return None
         valuation, outv = r
-        d = (self._delta(th, ts, _returned(ts, ret_reg, outv))
-             + ((self.valuations.id(tuple(sorted(valuation.items()))) - objst)
-                << self.vshift))
-        if opid.call in self.covert:
-            step = _Step(_LOCAL, (Res(opid, outv), OpObs(opid, outv)), d,
-                         (None, None))
-        else:
-            step = _Step(_LOCAL, (Res(opid, outv),), d,
-                         ((opid, outv, self.coremap[th]), {}))
-        step.bid = self.bursts.id(step.burst)
-        return step
+        return (self.bursts.id((Res(opid, outv), OpObs(opid, outv))),
+                self._delta(th, ts, _returned(ts, ret_reg, outv))
+                + ((self.valuations.id(tuple(sorted(valuation.items())))
+                    - objst) << self.vshift))
 
 
 class _Chaos(_Engine):
@@ -625,12 +593,11 @@ class _Chaos(_Engine):
     (`chaos_outputs`), carrying one virtual shared write per effectful
     operation.  A thread in a call holds (opid, reg)."""
 
-    def __init__(self, p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig,
-                 discipline: type):
-        super().__init__(p, obj, cfg, discipline)
-        self.covert = covert_ops(p, obj)
-        self.outputs = {name: chaos_outputs(op, cfg.values)
-                        for name, op in obj.ops.items()}
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.covert = covert_ops(self.p, self.obj)
+        self.outputs = {name: chaos_outputs(op, self.cfg.values)
+                        for name, op in self.obj.ops.items()}
         # keyed (thread, own-state id): [_Step per output]
         self.responses: Dict[Tuple[str, int], List[_Step]] = {}
 
@@ -880,15 +847,18 @@ class GraphView(Mapping):
 # --- public entry points ---
 
 def _build(p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig,
-           mode: str, reduce: bool = True) -> TraceSet:
+           mode: str, reduce: bool = True,
+           client: Optional[ClientHalf] = None) -> TraceSet:
     """The graph of `mode`'s engine; under RELAXED, on the `Eager`
-    storage if `reduce` is false."""
-    errors = validate(p, obj)
+    storage if `reduce` is false.  `client`, if given, is `p`'s
+    `ClientHalf`, shared between builds."""
+    client = client or ClientHalf(p)
+    errors = validate(p, obj, client)
     if errors:
         raise ValueError("; ".join(errors))
     eng = ENGINES[mode](p, obj, cfg,
                         Eager if not reduce and cfg.model is Model.RELAXED
-                        else DISCIPLINES[cfg.model])
+                        else DISCIPLINES[cfg.model], client)
     # Each state is hashed once per edge that reaches it, here; the graph
     # and every pass over it work on the int ids, and the engine hands out
     # the burst ids.
@@ -918,10 +888,12 @@ def _build(p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig,
                     start, stop)
 
 
-def explore(p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig) -> TraceSet:
+def explore(p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig,
+            client: Optional[ClientHalf] = None) -> TraceSet:
     """Trace set of the client running against the object under the
-    configured memory model.  The object's kind picks the semantics."""
-    return _build(p, obj, cfg, obj.kind)
+    configured memory model.  The object's kind picks the semantics;
+    `client`, if given, is `p`'s `ClientHalf`, shared between builds."""
+    return _build(p, obj, cfg, obj.kind, client=client)
 
 
 def enforced_order(p: ClientProgram, obj: ObjectDef,

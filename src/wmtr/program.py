@@ -596,30 +596,54 @@ def _scan_stmts(stmts, declared, assigned, errors, where, in_spec, in_op):
             assigned.add(s.result)
 
 
-def validate(p: ClientProgram, obj: ObjectDef) -> List[str]:
-    """Static checks; returns a list of error messages, empty when ok."""
+class ClientHalf:
+    """What `validate` and `events_of_program` work out of the client
+    alone, whatever the object: per thread in order, the errors of its
+    scan and its calls (`scan`), and per bounds, once asked for, the
+    events and invocations of the bounded walk (`walk`).  `check_wmtr`
+    makes one per check and hands it to both of its builds."""
+
+    def __init__(self, p: ClientProgram):
+        self.p, self.scan = p, []
+        self.walks: Dict[tuple, tuple] = {}
+        declared = frozenset(p.globals)
+        for th, stmts in p.threads.items():
+            errors: List[str] = []
+            _scan_stmts(stmts, declared, set(), errors, f"thread {th}",
+                        in_spec=False, in_op=False)
+            self.scan.append((th, errors, [s for s in _all_stmts(stmts)
+                                           if isinstance(s, Call)]))
+
+    def walk(self, bound: int, values: int) -> tuple:
+        w = self.walks.get((bound, values))
+        if w is None:
+            w = self.walks[bound, values] = _walk(self.p, bound, values)
+        return w
+
+
+def validate(p: ClientProgram, obj: ObjectDef,
+             client: Optional[ClientHalf] = None) -> List[str]:
+    """Static checks; returns a list of error messages, empty when ok.
+    `client`, if given, is `p`'s `ClientHalf`, shared between objects."""
     errors: List[str] = []
     overlap = set(p.globals) & set(obj.shared)
     if overlap:
         errors.append("program globals and object variables must be disjoint: "
                       + ", ".join(sorted(overlap)))
-    declared_client = frozenset(p.globals)
-    for th, stmts in p.threads.items():
-        _scan_stmts(stmts, declared_client, set(), errors, f"thread {th}",
-                    in_spec=False, in_op=False)
-        for s in _all_stmts(stmts):
-            if isinstance(s, Call):
-                op = obj.ops.get(s.op)
-                if op is None:
-                    errors.append(f"thread {th}: unknown operation {s.op!r}")
-                    continue
-                if op.param is None and s.arg is not None:
-                    errors.append(f"thread {th}: operation {s.op!r} takes no argument")
-                if op.param is not None and s.arg is None:
-                    errors.append(f"thread {th}: operation {s.op!r} needs an argument")
-                if s.result is not None and None in op_outputs(op, 1):
-                    errors.append(f"thread {th}: operation {s.op!r} may return "
-                                  f"no value into register {s.result!r}")
+    for th, scanned, calls in (client or ClientHalf(p)).scan:
+        errors += scanned
+        for s in calls:
+            op = obj.ops.get(s.op)
+            if op is None:
+                errors.append(f"thread {th}: unknown operation {s.op!r}")
+                continue
+            if op.param is None and s.arg is not None:
+                errors.append(f"thread {th}: operation {s.op!r} takes no argument")
+            if op.param is not None and s.arg is None:
+                errors.append(f"thread {th}: operation {s.op!r} needs an argument")
+            if s.result is not None and None in op_outputs(op, 1):
+                errors.append(f"thread {th}: operation {s.op!r} may return "
+                              f"no value into register {s.result!r}")
     for op in obj.ops.values():
         declared = frozenset(obj.shared) | ({op.param} if op.param else frozenset())
         assigned = {op.param} if op.param and is_register(op.param, declared) else set()
@@ -870,12 +894,29 @@ def op_outputs(op: OpDef, values: int) -> frozenset:
 # --- bounded event set ---
 
 def events_of_program(p: ClientProgram, obj: ObjectDef,
-                      bound: int = 2, values: int = 3) -> frozenset:
+                      bound: int = 2, values: int = 3,
+                      client: Optional[ClientHalf] = None) -> frozenset:
     """All events the bounded program can produce: every reachable step
     with every value it could write (loops unrolled to `bound`), plus
-    responses and observations for every invocation over op_outputs."""
+    responses and observations for every invocation over op_outputs.
+    `client`, if given, is `p`'s `ClientHalf`, shared between objects."""
     if bound < 1 or values < 1:
         raise ValueError("bounds must be at least 1")
+    steps, invocations = (client or ClientHalf(p)).walk(bound, values)
+    events = set(steps)
+    for opid in invocations:
+        op = obj.ops.get(opid.call)
+        if op is None:
+            raise ValueError(f"unknown operation {opid.call!r}")
+        for out in op_outputs(op, values):
+            events.add(Res(opid, out))
+            events.add(OpObs(opid, out))
+    return frozenset(events)
+
+
+def _walk(p: ClientProgram, bound: int, values: int) -> tuple:
+    """The client's half of `events_of_program`: the events of its steps
+    and invocations, and the invocations' ids in the order met."""
     domain = range(values + 1)
     events = set()
     invocations = []
@@ -903,12 +944,10 @@ def events_of_program(p: ClientProgram, obj: ObjectDef,
                 continue  # the thread has run to its end
             if op == CALL:
                 _, _, name, arg, _ = ins
-                if name not in obj.ops:
-                    raise ValueError(f"unknown operation {name!r}")
                 opid = OpId(th, name, calls)
                 events.add(Inv(opid, arg % (values + 1) if arg is not None
                                else None))
-                invocations.append((opid, name))
+                invocations.append(opid)
                 visit(pc + 1, ctrs, labels, calls + 1)
                 continue
             if op not in (SET, STORE, AWAIT, FENCE, IF, LOOP):
@@ -938,12 +977,7 @@ def events_of_program(p: ClientProgram, obj: ObjectDef,
                 visit(ins[3], ctrs, labels2, calls)
             else:
                 visit(pc + 1, ctrs, labels2, calls)
-
-    for opid, name in invocations:
-        for out in op_outputs(obj.ops[name], values):
-            events.add(Res(opid, out))
-            events.add(OpObs(opid, out))
-    return frozenset(events)
+    return frozenset(events), tuple(invocations)
 
 
 def _bump(labels: tuple, lab: str):

@@ -172,15 +172,13 @@ def writes_client(n: int) -> str:
     return f"global x = 0;\nthread T {{ {body} }}"
 
 
-@st.composite
-def object_clients(draw, objects=("spinlock_impl.wm", "spinlock_spec.wm",
-                                  "fig2_object.wm")):
-    """One of `objects`, corpus files, and a client of two threads, each
-    making one or two calls of its operations, around writes and reads of
-    one global and fences; the result of an operation that always
-    returns a value may be written to the global."""
-    obj = draw(st.sampled_from(objects))
-    ops = parse(corpus_text(obj)).ops
+def _client_of(draw, ops) -> str:
+    """A client of two threads, both on core c0 or each on a core of its
+    own, each making one or two calls of `ops` (with an argument where
+    the operation takes one) around writes and reads of one global and
+    fences; the result of an operation that always returns a value may
+    be written to the global."""
+    core = " core c0" if draw(st.booleans()) else ""
     lines = ["global g = 0;"]
     for i in range(2):
         body = []
@@ -188,12 +186,49 @@ def object_clients(draw, objects=("spinlock_impl.wm", "spinlock_spec.wm",
             body.append(draw(st.sampled_from(["", "fence;", f"r{j} := g;",
                                               "g := 1;"])))
             op = draw(st.sampled_from(sorted(ops)))
+            arg = draw(st.sampled_from("12")) if ops[op].param else ""
             if None not in chaos_outputs(ops[op], 1) and draw(st.booleans()):
-                body.append(f"r{j} := call {op}(); g := r{j};")
+                body.append(f"r{j} := call {op}({arg}); g := r{j};")
             else:
-                body.append(f"call {op}();")
-        lines.append(f"thread T{i} {{ {' '.join(body)} }}")
-    return obj, "\n".join(lines)
+                body.append(f"call {op}({arg});")
+        lines.append(f"thread T{i}{core} {{ {' '.join(body)} }}")
+    return "\n".join(lines)
+
+
+@st.composite
+def object_clients(draw, objects=("spinlock_impl.wm", "spinlock_spec.wm",
+                                  "fig2_object.wm")):
+    """One of `objects`, corpus files, and a client of it (`_client_of`)."""
+    obj = draw(st.sampled_from(objects))
+    return obj, _client_of(draw, parse(corpus_text(obj)).ops)
+
+
+@st.composite
+def spec_objects(draw):
+    """A specification over `x` and `y` and a client of it (`_client_of`):
+    one or two operations, loop-free and TAS-free, each of one to three
+    loads into registers, stores and `await`s on a shared variable, of a
+    literal, the parameter if it takes one or a loaded register, and a
+    return of a loaded register, a literal or nothing."""
+    ops = []
+    for k in range(draw(st.integers(1, 2))):
+        param = draw(st.booleans())
+        srcs, regs, body = ["0", "1"] + (["v"] if param else []), [], []
+        for j in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(["load", "store", "await"]))
+            var = draw(st.sampled_from(["x", "y"]))
+            if kind == "load":
+                body.append(f"r{j} := {var};")
+                regs.append(f"r{j}")
+            else:
+                src = draw(st.sampled_from(srcs + regs))
+                body.append(f"{var} := {src};" if kind == "store"
+                            else f"await ({var} = {src});")
+        body.append(draw(st.sampled_from(
+            ["", "return;", "return 1;"] + [f"return {r};" for r in regs])))
+        ops.append(f"  op f{k}({'v' if param else ''}) {{ {' '.join(body)} }}")
+    text = "object spec {\n  var x = 0;\n  var y = 0;\n" + "\n".join(ops) + "\n}"
+    return text, _client_of(draw, parse(text).ops)
 
 
 @st.composite

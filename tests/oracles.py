@@ -27,6 +27,13 @@ way, and some test compares the two or builds on it:
                           against which the engine's spec mode is checked;
                           `check_atomic` is the cross-core discipline
                           those histories obey.
+  BookSpec                the specification engine under the paper's
+                          free observation placement: a response enters
+                          a book of unobserved responses, each observed
+                          by an edge of its own at any later time, and
+                          an invocation waits while the book holds a
+                          response of another core; `book_specs` builds
+                          every specification on it.
   StepwiseImpl            the implementation engine under the frame rule
                           before merging: a frame settles its JUMPs only,
                           so each register-only instruction is a silent
@@ -38,16 +45,20 @@ import random
 from contextlib import contextmanager
 from itertools import chain
 from unittest import mock
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from wmtr.events import (
     Event, History, Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId, Trace,
     event_to_json, observable_of,
 )
 from wmtr import memmodel
-from wmtr.memmodel import ExploreConfig, run_spec_body, writes_shared
+from wmtr.memmodel import (
+    _LOCAL, ExploreConfig, _returned, _Step, covert_ops, run_spec_body,
+    writes_shared,
+)
 from wmtr.porder import EnforcedOrder, Pair
 from wmtr.program import Assign, ClientProgram, ObjectDef, eval_expr, label_of
+from wmtr.storage import _MISS, Interned
 
 
 def empirical_pairs_oracle(ts) -> frozenset:
@@ -409,4 +420,122 @@ def stepwise_frames():
     """Within the block, every build of an implementation object, those
     of `explore` and `check_wmtr` included, runs on `StepwiseImpl`."""
     with mock.patch.dict(memmodel.ENGINES, impl=StepwiseImpl):
+        yield
+
+
+# --- free observation placement ---
+
+class BookSpec(memmodel._Engine):
+    """The specification engine with the paper's free observation
+    placement: each call runs atomically (`run_spec_body`) against a
+    logical valuation, and its response enters a book of unobserved
+    responses, any of which may be observed at any time; an invocation
+    may not overlap an unobserved operation of another core.
+    A thread in a call holds (opid, arg, reg).  The valuation and the
+    book, of (opid, out, core) entries, are interned, their ids held in
+    the two fields above the threads'."""
+    fields = 2
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.vshift, self.bshift = self.top, self.top + self.bits
+        self.covert = covert_ops(self.p, self.obj)
+        self.valuations = Interned("specification valuations")
+        self.books = Interned("books of unobserved responses")
+        # keyed (thread, own-state id, valuation id): a _Step whose `arg`
+        # is (book entry or None, {book id: change to the state for the
+        # book}), or None when blocked
+        self.spec_calls: Dict[tuple, Optional[_Step]] = {}
+        # per book id: its observations' edges, [(burst id, change)]
+        self.book_moves: Dict[int, list] = {}
+
+    def root(self) -> int:
+        objst = tuple(sorted(self.obj.shared.items()))
+        return (super().root() | self.valuations.id(objst) << self.vshift
+                | self.books.id(()) << self.bshift)
+
+    def invoke(self, st: int, thread: str) -> Optional[int]:
+        core = self.coremap[thread]
+        mask = self.mask
+        book = self.books.values[st >> self.bshift & mask]
+        if (all(values[st >> shift & mask].call is None
+                or self.coremap[th2] == core
+                for th2, values, shift in self.slots)
+                and all(c == core for (_, _, c) in book)):
+            return self.mem.invoke(st, core, True)
+        return None
+
+    def call_slot(self, opid, arg, reg):
+        return opid, arg, reg
+
+    def actions(self, st: int) -> List[Tuple[int, int]]:
+        out = super().actions(st)
+        b = st >> self.bshift & self.mask
+        if b:
+            out.extend([(bid, st + d) for bid, d in self._book_moves(b)])
+        return out
+
+    def _book_moves(self, b: int) -> list:
+        """[(burst id, change)]: each response in book `b` is observed, in
+        book order; worked out once per book."""
+        steps = self.book_moves.get(b)
+        if steps is None:
+            book = self.books.values[b]
+            steps = self.book_moves[b] = [
+                (self.bursts.id((OpObs(opid, outv),)),
+                 (self.books.id(book[:j] + book[j + 1:]) - b) << self.bshift)
+                for j, (opid, outv, _) in enumerate(book)]
+        return steps
+
+    def call_actions(self, out, st, th, x, ts):
+        """Add to `out` the edge of `th`'s call unless its body blocks.
+        The body runs once per own state and valuation; each state then
+        only adds the response to its book."""
+        key = (th, x, st >> self.vshift & self.mask)
+        step = self.spec_calls.get(key, _MISS)
+        if step is _MISS:
+            step = self.spec_calls[key] = self._spec_call(th, ts, key[2])
+        if step is None:
+            return
+        d = step.delta
+        pending, books = step.arg
+        if pending is not None:
+            b = st >> self.bshift & self.mask
+            db = books.get(b)
+            if db is None:
+                db = books[b] = (self.books.id(self.books.values[b] + (pending,))
+                                 - b) << self.bshift
+            d += db
+        out.append((step.bid, st + d))
+
+    def _spec_call(self, th, ts, objst):
+        """Run `th`'s call against valuation `objst`: a _Step with its
+        burst id and, as `arg`, the response for the book or None when the
+        operation is observed at once, and {} for the book changes; or
+        None."""
+        opid, arg, ret_reg = ts.call
+        r = run_spec_body(self.obj.ops[opid.call],
+                          dict(self.valuations.values[objst]), arg,
+                          self.cfg.values)
+        if r is None:
+            return None
+        valuation, outv = r
+        d = (self._delta(th, ts, _returned(ts, ret_reg, outv))
+             + ((self.valuations.id(tuple(sorted(valuation.items()))) - objst)
+                << self.vshift))
+        if opid.call in self.covert:
+            step = _Step(_LOCAL, (Res(opid, outv), OpObs(opid, outv)), d,
+                         (None, None))
+        else:
+            step = _Step(_LOCAL, (Res(opid, outv),), d,
+                         ((opid, outv, self.coremap[th]), {}))
+        step.bid = self.bursts.id(step.burst)
+        return step
+
+
+@contextmanager
+def book_specs():
+    """Within the block, every build of a specification object, those of
+    `explore` and `check_wmtr` included, runs on `BookSpec`."""
+    with mock.patch.dict(memmodel.ENGINES, spec=BookSpec):
         yield

@@ -1,8 +1,11 @@
 """Command-line interface: exit codes, output shapes, file artifacts."""
 
+import contextlib
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +17,7 @@ from wmtr.cli import main
 from conftest import (
     CORPUS, ORDER_PAIRS, check_wellformed, order_from_lines, trace_from_lines,
 )
-from oracles import stepwise_frames
+from oracles import book_specs, stepwise_frames
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -34,10 +37,10 @@ def run(capsys, *argv):
 # the default bounds, keyed (client, model): the verdict, the stats, the
 # refuting observable and the canonical counterexample's records
 CHECK_JSON_DIGESTS = {
-    ("fig5_client.wm", "tso"):  # impl_states 165
-        "c8503836810931e590c138e9a7c7e37a283b2d3addf59307bd09f6064f7d82d8",
-    ("fig6_client.wm", "relaxed"):  # impl_states 412
-        "6553af41ef32133a111102816aadf6fd1d245577acd20cfc1b33da7d8d5a80b9",
+    ("fig5_client.wm", "tso"):  # spec_states 75, impl_states 165
+        "2ec6835c73ce00a2673206790e6f1a29b082a536d738f8b464eda5732e5e408c",
+    ("fig6_client.wm", "relaxed"):  # spec_states 55, impl_states 412
+        "2a8380ccd00ab453a56971907c29c33eaa397d39fef52f7d13df4f0c9e6f4e57",
 }
 
 # the same stdout with the implementation built under the frame rule
@@ -45,8 +48,24 @@ CHECK_JSON_DIGESTS = {
 # in `impl_states` alone (187 and 515)
 STEPWISE_CHECK_JSON_DIGESTS = {
     ("fig5_client.wm", "tso"):
-        "013dfda4d496a1a25e8a3d4a5b632fc321c91aaaf544d75f99494545cc7277fb",
+        "ac6deb4f9b337b23873340c817577cfaebb305b42e9fa0726973814f6b3af6f1",
     ("fig6_client.wm", "relaxed"):
+        "f8e7f343820a3996bbb0322524d52ea568592fcc09748e170b44f874a4490ca2",
+}
+
+# the two above with the specification built under the paper's free
+# observation placement (`oracles.book_specs`), keyed (client, model,
+# frame rule): the stdout before each specification response was
+# observed in its edge, which differs from the above in `spec_states`
+# alone (161 and 121)
+BOOK_CHECK_JSON_DIGESTS = {
+    ("fig5_client.wm", "tso", "merged"):
+        "c8503836810931e590c138e9a7c7e37a283b2d3addf59307bd09f6064f7d82d8",
+    ("fig5_client.wm", "tso", "stepwise"):
+        "013dfda4d496a1a25e8a3d4a5b632fc321c91aaaf544d75f99494545cc7277fb",
+    ("fig6_client.wm", "relaxed", "merged"):
+        "6553af41ef32133a111102816aadf6fd1d245577acd20cfc1b33da7d8d5a80b9",
+    ("fig6_client.wm", "relaxed", "stepwise"):
         "0818fcee291129b1cb05d2473193f21254206d9114fdb5e3aa55bd181752326e",
 }
 
@@ -106,6 +125,24 @@ class TestCheck:
         assert doc["stats"].pop("impl_states") < ref["stats"].pop("impl_states")
         assert doc == ref
 
+    @pytest.mark.parametrize("client,model,frames",
+                             sorted(BOOK_CHECK_JSON_DIGESTS))
+    def test_json_output_under_book_specs(self, client, model, frames,
+                                          capsys):
+        argv = ["check", "--model", model, "--client", C(client),
+                "--spec", C("spinlock_spec.wm"),
+                "--impl", C("spinlock_impl.wm"), "--format", "json"]
+        with contextlib.ExitStack() as stack:
+            if frames == "stepwise":
+                stack.enter_context(stepwise_frames())
+            with book_specs():
+                _, out, _ = run(capsys, *argv)
+            assert _sha(out) == BOOK_CHECK_JSON_DIGESTS[client, model, frames]
+            _, now, _ = run(capsys, *argv)
+        doc, ref = json.loads(now), json.loads(out)
+        assert doc["stats"].pop("spec_states") < ref["stats"].pop("spec_states")
+        assert doc == ref
+
     def test_out_writes_replayable_trace(self, capsys, tmp_path):
         dst = tmp_path / "cex.jsonl"
         code, _, _ = run(capsys, "check", "--model", "tso", "--values", "1",
@@ -116,6 +153,22 @@ class TestCheck:
         assert code == 1
         t = trace_from_lines(dst.read_text())
         assert len(t) == 16 and check_wellformed(t).ok
+
+    def test_readme_quick_start_is_what_check_prints(self, capsys,
+                                                     monkeypatch):
+        """README's `wmtr check` example and the output it shows, run
+        from the repository's root: the shown lines, up to the closing
+        `...`, begin what the command prints."""
+        readme = (SRC.parent / "README.md").read_text()
+        command, shown = re.search(r"```sh\n(wmtr check .*?)```\n\n```text\n"
+                                   r"(.*?)```", readme, re.S).groups()
+        argv = shlex.split(command.replace("\\\n", " "))
+        monkeypatch.chdir(SRC.parent)
+        code, out, _ = run(capsys, *argv[1:])
+        lines = shown.splitlines()
+        assert code == 1 and lines[-1].strip() == "..."
+        assert out.splitlines()[:len(lines) - 1] == lines[:-1]
+        assert len(out.splitlines()) > len(lines) - 1
 
 
 class TestRefute:

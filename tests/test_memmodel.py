@@ -34,7 +34,7 @@ from conftest import (
 )
 from oracles import (
     empirical_pairs_oracle, from_traces, least_refuting_trace, materialize,
-    observables_oracle, oracle_sc, sample, stepwise_frames,
+    book_specs, observables_oracle, oracle_sc, sample, stepwise_frames,
 )
 
 
@@ -143,20 +143,20 @@ CHAOS_DIGESTS = {  # chaos mode, values=1
 }
 
 OWN_MODE_DIGESTS = {  # the object's own mode, default bounds
-    ("fig4_client.wm", "spinlock_spec.wm"):
-        "6bf8bdb31284be15d29e370cc7c1c1d2ea8648a0c1c3b70af08366d292301063",
+    ("fig4_client.wm", "spinlock_spec.wm"):  # 19 states
+        "6b4746186902e98e3f0710ace5d750a2176898c4cad63ce1013a1aca21fba84d",
     ("fig4_client.wm", "spinlock_impl.wm"):
         "4d1eadf2227c9cc9fd3b689d1c8d7e8accb8fd2b1fc78caea4860818a8007cb1",
-    ("fig5_client.wm", "spinlock_spec.wm"):
-        "f2b82034e180250e3542b979ddf900292dd9885a04231b851b93a2009220dcc6",
+    ("fig5_client.wm", "spinlock_spec.wm"):  # 557 states
+        "17b076261c67a272b9aee7a49e0f3ba1ecd6f78cc331ad120a6933885cd9ec58",
     ("fig5_client.wm", "spinlock_impl.wm"):
         "b2843e456729b2eb70b7224e2f3cfccf81f8475b2ebebe6aa4f16b9c9574a3cf",
-    ("fig5_notry_client.wm", "spinlock_spec_notry.wm"):
-        "4fd94f0397bff289acd51fb3a3f74cbd6ea02baa9d6d4160d6f8fc092d474657",
+    ("fig5_notry_client.wm", "spinlock_spec_notry.wm"):  # 115 states
+        "458087fffca1850c47cf9ec831658cf8ef752b3090204d876d0516a4a2125809",
     ("fig5_notry_client.wm", "spinlock_impl_notry.wm"):
         "a5b22fe3601952d010b2c01bca2ca7d2ca8f9667489d8debcdd1134523a6ab79",
-    ("fig6_client.wm", "spinlock_spec.wm"):
-        "3cc263764c3f1b0ae9cf97a4609631788c7a7bacb7cdcc7f93a549cf52190060",
+    ("fig6_client.wm", "spinlock_spec.wm"):  # 63 states
+        "daa085f18564b409d0bf3812606653f276c0625b8ed431df9b698ea4dad57788",
     ("fig6_client.wm", "spinlock_impl.wm"):
         "394e9e6974c44d2b775036504e36d37bcd118b007c988ca8394bd9db345c4941",
 }
@@ -169,27 +169,27 @@ ON_DEMAND_OWN_MODE_DIGESTS = {
     ("fig4_client.wm", "spinlock_impl.wm"):  # 44 states
         ("947c7d0034829421baabce1122cb4305e25d9c9d4280f66392739adc30c24cd1",
          "8a9a277dfa24a52c849d2e03f20a14ba498e21ed1c38fae295d658d2b8ecdaa0"),
-    ("fig4_client.wm", "spinlock_spec.wm"):  # 21 states
-        ("7cdfe2c3c06c88fb4078dba171e19973e02e8d2e382a8aab99fad6dcddb5be0a",
-         "795b860c834bfa9e7969c971e13c790b113333ea0a247f38be5c7c48855e0de7"),
+    ("fig4_client.wm", "spinlock_spec.wm"):  # 15 states
+        ("dcc6809a8307f7e4dd38cee13c3ffca84cbd3b1f90a1e0a7cb87c3ebec7376dd",
+         "8a9a277dfa24a52c849d2e03f20a14ba498e21ed1c38fae295d658d2b8ecdaa0"),
     ("fig5_client.wm", "spinlock_impl.wm"):  # 348 states
         ("91d362ed9e82e6d10d2c88e0cf5ee5d7527b37470f30e1801b7025d6245fc636",
          "9c83fbd0549318904d324d22688035aeeafe9e455afbbf23c5f1a31d0ffcfa51"),
-    ("fig5_client.wm", "spinlock_spec.wm"):  # 292 states
-        ("424ae514617e90517099a3962dfda841fb4a60e04472cc0ea3ccd4dc6e500067",
-         "85720a4dc6394b379adc1ea7b7c667070dc7e00357cb33954f0b16e5290e7b2f"),
+    ("fig5_client.wm", "spinlock_spec.wm"):  # 141 states
+        ("e651f6631721f677c7a17d2b9a4bc31cbf2755ac6b515256355ea1341842dbf3",
+         "4ab0e4cdeaa991761bfda628711d8b3ba9a9cc6a39cf5d2c395c5af302de3a57"),
     ("fig5_notry_client.wm", "spinlock_impl_notry.wm"):  # 76 states
         ("495bc5b9da6798a91947ca7d7a6eaabda9e5ad36e26b39c22ee43d5b44467a03",
          "499da6189a8b86f4c74a4fd328bea86c3df8b2ad113bb4bd9223ebd3d3ac2735"),
-    ("fig5_notry_client.wm", "spinlock_spec_notry.wm"):  # 122 states
-        ("e02149d0280cb3b21a655a57e7522b859470eb0db0d41c219366a79162a18a9e",
-         "ab5efe1113322c91987787a7bce7cb577cda87dad76c7cf71dd8b548a702ab7e"),
+    ("fig5_notry_client.wm", "spinlock_spec_notry.wm"):  # 43 states
+        ("391f29416cccd244def7cb8041379ed6bcb070f234b76eb9a248e746718c5113",
+         "13df6c65c4c601e32a4a231e030a6971b4c50e115b1e42f1e1f43db4499849ac"),
     ("fig6_client.wm", "spinlock_impl.wm"):  # 412 states
         ("c072b9bebca70495442bab20b7b3084b500f257d450a53c10d5e143930790930",
          "16c5cd24094454d9cff0cb4a7bf669e3592acd170ddcb9ece1ef0db9edcd1b04"),
-    ("fig6_client.wm", "spinlock_spec.wm"):  # 121 states
-        ("e65ef8c6a681db1968203942c1e443136c1f5bbfa74e9647ce736daab66429e9",
-         "861bc204ce799a97754ee14eebb6beb60e32d2f8614af0c99d9138efc961a940"),
+    ("fig6_client.wm", "spinlock_spec.wm"):  # 55 states
+        ("152daba83e86e3b043f704dbd72f5f8380ce8dbf12905f7c80ea045d6da5f35e",
+         "7cf03ad91d2f6539cac0092e986305c0d6c7925e36ec0079453a7d813c545611"),
 }
 
 # SC and TSO graph digests, keyed (model, client, object): as for RELAXED,
@@ -218,36 +218,36 @@ SC_TSO_CHAOS_DIGESTS = {  # chaos mode, values=1
 }
 
 SC_TSO_OWN_MODE_DIGESTS = {  # the object's own mode, default bounds
-    (Model.SC, "fig4_client.wm", "spinlock_spec.wm"):
-        "6a7910c339a255c5741eccd03e899f58b2a825197175090bfe8bc62ceefc0b6c",
+    (Model.SC, "fig4_client.wm", "spinlock_spec.wm"):  # 11 states
+        "f6b5d799f1173bf4bb07adddf9fa30a83422963e79868bbac0fceda03a685ff3",
     (Model.SC, "fig4_client.wm", "spinlock_impl.wm"):
         "21039cd7c107bbafe8a95be1e0a3d832765d7b7ed6d0c42b16d101b5f5af486a",
-    (Model.SC, "fig5_client.wm", "spinlock_spec.wm"):
-        "ddc211eb6e20495bfd032544eb7d42031b94cca4695d609ee4fe0c294b05a165",
+    (Model.SC, "fig5_client.wm", "spinlock_spec.wm"):  # 43 states
+        "64d79c5f2ba2fe8dd81dc7f031da608a1cf331d90e07e40a82196eed4125e887",
     (Model.SC, "fig5_client.wm", "spinlock_impl.wm"):
         "914045e3dcef5732b300fc2f354c93cf504a3bb0f370da4b3de0237e40053c05",
-    (Model.SC, "fig5_notry_client.wm", "spinlock_spec_notry.wm"):
-        "bb180ba46f3b6faa71811bb0aa62258c053c7501d79853f780e9dbac19fa2339",
+    (Model.SC, "fig5_notry_client.wm", "spinlock_spec_notry.wm"):  # 20 states
+        "09fae4171f7d44c7afffc315c669fbf76f5f55f200036e5571a9c87ad1ed8394",
     (Model.SC, "fig5_notry_client.wm", "spinlock_impl_notry.wm"):
         "f18b9b78841368bf215fecc960aeef5fc7e412f8681239188e52e83b936bc0b5",
-    (Model.SC, "fig6_client.wm", "spinlock_spec.wm"):
-        "073223c280a9813c1f4c4ee484aa4b40c454b60769050575903dde0c009cb03f",
+    (Model.SC, "fig6_client.wm", "spinlock_spec.wm"):  # 24 states
+        "5960967561b86e8803dcfbe84bcc91a50edf87bdfee4d2437d1cfc92f5943dd2",
     (Model.SC, "fig6_client.wm", "spinlock_impl.wm"):
         "9cb436662f6a2a0b748eeb03a8862364501ec0a4b3abd06a498ad4f543f7d2af",
-    (Model.TSO, "fig4_client.wm", "spinlock_spec.wm"):
-        "7cdfe2c3c06c88fb4078dba171e19973e02e8d2e382a8aab99fad6dcddb5be0a",
+    (Model.TSO, "fig4_client.wm", "spinlock_spec.wm"):  # 15 states
+        "dcc6809a8307f7e4dd38cee13c3ffca84cbd3b1f90a1e0a7cb87c3ebec7376dd",
     (Model.TSO, "fig4_client.wm", "spinlock_impl.wm"):
         "947c7d0034829421baabce1122cb4305e25d9c9d4280f66392739adc30c24cd1",
-    (Model.TSO, "fig5_client.wm", "spinlock_spec.wm"):
-        "0fcde9a31a7ba0f88713d6c34b1616b97031bf8284c16a449a845c8bbdda114e",
+    (Model.TSO, "fig5_client.wm", "spinlock_spec.wm"):  # 75 states
+        "2f7a9cc8362a1ef0fc35981260bd755885a3f2aabb0074ba318ea9457f5dfa87",
     (Model.TSO, "fig5_client.wm", "spinlock_impl.wm"):
         "dc582ba59417196097384ce46112a41363b829c8fc25ed3f0f8f56e2dc69f425",
-    (Model.TSO, "fig5_notry_client.wm", "spinlock_spec_notry.wm"):
-        "6df3595eaefb5551f8ab9d0aa2e360b081b1288b94aefd0dccbec1a20b1751e7",
+    (Model.TSO, "fig5_notry_client.wm", "spinlock_spec_notry.wm"):  # 32 states
+        "b4de738856ff5c39395ceb1249b742caf86eb46f44d92929f029bbb27ac00e51",
     (Model.TSO, "fig5_notry_client.wm", "spinlock_impl_notry.wm"):
         "7c52857d0c5aeec14b0b25211efce2b99855f953bedf6e39037e2a7cf8eb6377",
-    (Model.TSO, "fig6_client.wm", "spinlock_spec.wm"):
-        "19eb1e50649696abdb026b70f7da20655d2f5ec9076dcfc47c549333f01621d1",
+    (Model.TSO, "fig6_client.wm", "spinlock_spec.wm"):  # 30 states
+        "5c38938645a9f6a884e20432018834495b6c24d33120e1c343e507c88b59473c",
     (Model.TSO, "fig6_client.wm", "spinlock_impl.wm"):
         "cb989bda227bc015f87872b2ee9637142f849f841b860ba5765638ad5be1def3",
 }
@@ -257,19 +257,23 @@ SC_TSO_OWN_MODE_DIGESTS = {  # the object's own mode, default bounds
 TSO_FULL_BUFFER_DIGEST = \
     "36bad3f37a19021575146081480d4564127738144979c44abfca214db6293590"
 
-# The implementation graphs pinned above, built under the frame rule
-# before merging (`oracles.stepwise_frames`: each register-only
-# instruction of an operation is a silent step of its own), keyed
-# (build, client, object): their digests before merging, which fix the
-# reference that the merged builds are checked against
-STEPWISE_BUILDS = {
+# the builds of the pinned graphs, by name, that the reference digests
+# below are taken of
+REFERENCE_BUILDS = {
     "sc": lambda p, o: explore(p, o, cfg(Model.SC)),
     "tso": lambda p, o: explore(p, o, cfg(Model.TSO)),
     "tso-buffer-1": lambda p, o: explore(p, o, cfg(Model.TSO, buffer=1)),
     "relaxed": lambda p, o: explore(p, o, cfg(Model.RELAXED)),
-    "relaxed-eager": lambda p, o: _build(p, o, cfg(Model.RELAXED), "impl",
+    "relaxed-eager": lambda p, o: _build(p, o, cfg(Model.RELAXED), o.kind,
                                          reduce=False),
 }
+
+# The implementation graphs pinned above, built under the frame rule
+# before merging (`oracles.stepwise_frames`: each register-only
+# instruction of an operation is a silent step of its own), keyed
+# (build of `REFERENCE_BUILDS`, client, object): their digests before
+# merging, which fix the reference that the merged builds are checked
+# against
 STEPWISE_DIGESTS = {
     ("sc", "fig4_client.wm", "spinlock_impl.wm"):  # 65 states
         "65b2383e305a7ee66192c04b1b7deafa8d4ad3e268539fa55641cc19f8d97d84",
@@ -305,6 +309,64 @@ STEPWISE_DIGESTS = {
         "3d2a7b3bf7f3b5877a9eb36030242d9c330eead63a2c3bd1a0f832069cc1b167",
     ("relaxed-eager", "fig6_client.wm", "spinlock_impl.wm"):  # 975
         "1cab75301babc8600538f4c71e510d4420d8dd9e25f019a7c54905b3ae3d787b",
+}
+
+# The specification graphs pinned above, built under the paper's free
+# observation placement (`oracles.book_specs`: a response enters a book
+# of unobserved responses, each observed by an edge of its own), keyed
+# (build of `REFERENCE_BUILDS`, client, object): (graph digest, burst
+# digest) of each before specifications observed each response in its
+# edge, which fix the reference that the builds above are checked
+# against
+BOOK_DIGESTS = {
+    ("sc", "fig4_client.wm", "spinlock_spec.wm"):  # 15 states
+        ("6a7910c339a255c5741eccd03e899f58b2a825197175090bfe8bc62ceefc0b6c",
+         "4fe4d3a772b4496d167ee96020e99300df5ae3bb713b172383f8161bbb0c3a49"),
+    ("tso", "fig4_client.wm", "spinlock_spec.wm"):  # 21
+        ("7cdfe2c3c06c88fb4078dba171e19973e02e8d2e382a8aab99fad6dcddb5be0a",
+         "795b860c834bfa9e7969c971e13c790b113333ea0a247f38be5c7c48855e0de7"),
+    ("relaxed", "fig4_client.wm", "spinlock_spec.wm"):  # 21
+        ("7cdfe2c3c06c88fb4078dba171e19973e02e8d2e382a8aab99fad6dcddb5be0a",
+         "795b860c834bfa9e7969c971e13c790b113333ea0a247f38be5c7c48855e0de7"),
+    ("relaxed-eager", "fig4_client.wm", "spinlock_spec.wm"):  # 27
+        ("6bf8bdb31284be15d29e370cc7c1c1d2ea8648a0c1c3b70af08366d292301063",
+         "795b860c834bfa9e7969c971e13c790b113333ea0a247f38be5c7c48855e0de7"),
+    ("sc", "fig5_client.wm", "spinlock_spec.wm"):  # 87
+        ("ddc211eb6e20495bfd032544eb7d42031b94cca4695d609ee4fe0c294b05a165",
+         "f5cc62083612007736d65b7b8b844512c54ce9b9136b7d4404300a218e19b493"),
+    ("tso", "fig5_client.wm", "spinlock_spec.wm"):  # 161
+        ("0fcde9a31a7ba0f88713d6c34b1616b97031bf8284c16a449a845c8bbdda114e",
+         "9d80ece935020abb65ac576e8f9572b29b89bc6993ea6a4e9cf626454e660cc7"),
+    ("relaxed", "fig5_client.wm", "spinlock_spec.wm"):  # 292
+        ("424ae514617e90517099a3962dfda841fb4a60e04472cc0ea3ccd4dc6e500067",
+         "85720a4dc6394b379adc1ea7b7c667070dc7e00357cb33954f0b16e5290e7b2f"),
+    ("relaxed-eager", "fig5_client.wm", "spinlock_spec.wm"):  # 1,184
+        ("f2b82034e180250e3542b979ddf900292dd9885a04231b851b93a2009220dcc6",
+         "85720a4dc6394b379adc1ea7b7c667070dc7e00357cb33954f0b16e5290e7b2f"),
+    ("sc", "fig5_notry_client.wm", "spinlock_spec_notry.wm"):  # 50
+        ("bb180ba46f3b6faa71811bb0aa62258c053c7501d79853f780e9dbac19fa2339",
+         "ec4631f1cdfc3d037aa0383e4634b093e7a6f718ef5a91192e8d4c98d7aca28d"),
+    ("tso", "fig5_notry_client.wm", "spinlock_spec_notry.wm"):  # 88
+        ("6df3595eaefb5551f8ab9d0aa2e360b081b1288b94aefd0dccbec1a20b1751e7",
+         "830380f5cd30c38108e3925589d0f8ccb4b2dae88fb822b4064b6b2ef810f9bb"),
+    ("relaxed", "fig5_notry_client.wm", "spinlock_spec_notry.wm"):  # 122
+        ("e02149d0280cb3b21a655a57e7522b859470eb0db0d41c219366a79162a18a9e",
+         "ab5efe1113322c91987787a7bce7cb577cda87dad76c7cf71dd8b548a702ab7e"),
+    ("relaxed-eager", "fig5_notry_client.wm", "spinlock_spec_notry.wm"):  # 370
+        ("4fd94f0397bff289acd51fb3a3f74cbd6ea02baa9d6d4160d6f8fc092d474657",
+         "ab5efe1113322c91987787a7bce7cb577cda87dad76c7cf71dd8b548a702ab7e"),
+    ("sc", "fig6_client.wm", "spinlock_spec.wm"):  # 48
+        ("073223c280a9813c1f4c4ee484aa4b40c454b60769050575903dde0c009cb03f",
+         "a12a24809ca46721e591c776ac4deb5d0f2026dd1631435c4952b06bcdab694e"),
+    ("tso", "fig6_client.wm", "spinlock_spec.wm"):  # 58
+        ("19eb1e50649696abdb026b70f7da20655d2f5ec9076dcfc47c549333f01621d1",
+         "c43c9502b9d093100049ee0c8f1f2a1dc53d965ad6b71b59689a17cbf4d424d7"),
+    ("relaxed", "fig6_client.wm", "spinlock_spec.wm"):  # 121
+        ("e65ef8c6a681db1968203942c1e443136c1f5bbfa74e9647ce736daab66429e9",
+         "861bc204ce799a97754ee14eebb6beb60e32d2f8614af0c99d9138efc961a940"),
+    ("relaxed-eager", "fig6_client.wm", "spinlock_spec.wm"):  # 135
+        ("3cc263764c3f1b0ae9cf97a4609631788c7a7bacb7cdcc7f93a549cf52190060",
+         "861bc204ce799a97754ee14eebb6beb60e32d2f8614af0c99d9138efc961a940"),
 }
 
 # SHA-256 of each build's burst table (`burst_digest`), keyed (model,
@@ -347,51 +409,51 @@ BURST_DIGESTS_OWN = {  # the object's own mode, default bounds
     (Model.SC, "fig4_client.wm", "spinlock_impl.wm"):
         "5f2d9c13b058595768687cb4957270b5d061e87aa4eed176f05196b5ce1a5972",
     (Model.SC, "fig4_client.wm", "spinlock_spec.wm"):
-        "4fe4d3a772b4496d167ee96020e99300df5ae3bb713b172383f8161bbb0c3a49",
+        "5f2d9c13b058595768687cb4957270b5d061e87aa4eed176f05196b5ce1a5972",
     (Model.SC, "fig5_client.wm", "spinlock_impl.wm"):
         "0f40576c785fabb861c5f3ebbca4b4902724742060a9232d92309c1d091c0926",
     (Model.SC, "fig5_client.wm", "spinlock_spec.wm"):
-        "f5cc62083612007736d65b7b8b844512c54ce9b9136b7d4404300a218e19b493",
+        "0f40576c785fabb861c5f3ebbca4b4902724742060a9232d92309c1d091c0926",
     (Model.SC, "fig5_notry_client.wm", "spinlock_impl_notry.wm"):
         "93c5a0a54fd81d2cb473a29d7c253e54968bd6c9cdec03f08419bc57658ef3d6",
     (Model.SC, "fig5_notry_client.wm", "spinlock_spec_notry.wm"):
-        "ec4631f1cdfc3d037aa0383e4634b093e7a6f718ef5a91192e8d4c98d7aca28d",
+        "93c5a0a54fd81d2cb473a29d7c253e54968bd6c9cdec03f08419bc57658ef3d6",
     (Model.SC, "fig6_client.wm", "spinlock_impl.wm"):
         "c4dd2ad22176947a656af179d28a765fd44d549bb6ff355ec2df8429a872a6ad",
     (Model.SC, "fig6_client.wm", "spinlock_spec.wm"):
-        "a12a24809ca46721e591c776ac4deb5d0f2026dd1631435c4952b06bcdab694e",
+        "c4dd2ad22176947a656af179d28a765fd44d549bb6ff355ec2df8429a872a6ad",
     (Model.TSO, "fig4_client.wm", "spinlock_impl.wm"):
         "8a9a277dfa24a52c849d2e03f20a14ba498e21ed1c38fae295d658d2b8ecdaa0",
     (Model.TSO, "fig4_client.wm", "spinlock_spec.wm"):
-        "795b860c834bfa9e7969c971e13c790b113333ea0a247f38be5c7c48855e0de7",
+        "8a9a277dfa24a52c849d2e03f20a14ba498e21ed1c38fae295d658d2b8ecdaa0",
     (Model.TSO, "fig5_client.wm", "spinlock_impl.wm"):
         "6cd4b52ecba02f2c6d58b0dd79edfd148e60500770cf846ff6ff17c61dc512de",
     (Model.TSO, "fig5_client.wm", "spinlock_spec.wm"):
-        "9d80ece935020abb65ac576e8f9572b29b89bc6993ea6a4e9cf626454e660cc7",
+        "077c4a4e74c111c40cf649d0079c10c005e456691f60a79a7ddd9cfb27445096",
     (Model.TSO, "fig5_notry_client.wm", "spinlock_impl_notry.wm"):
         "864950dda6ff05b70196b7a58cf14fabef8baf3415a46296e45172da39eed27d",
     (Model.TSO, "fig5_notry_client.wm", "spinlock_spec_notry.wm"):
-        "830380f5cd30c38108e3925589d0f8ccb4b2dae88fb822b4064b6b2ef810f9bb",
+        "2c9a5189e581e669456835ca210304fe5a573841cf92790c9168f3ece439b482",
     (Model.TSO, "fig6_client.wm", "spinlock_impl.wm"):
         "6b62168aae68692ad3aff5833d2e03e159128e166269e7bea67a6d333231270d",
     (Model.TSO, "fig6_client.wm", "spinlock_spec.wm"):
-        "c43c9502b9d093100049ee0c8f1f2a1dc53d965ad6b71b59689a17cbf4d424d7",
+        "fa80215bb7aa7dc386d6efbcbe646b5ddd366f9c3ec361bcf292e66048bddacb",
     (Model.RELAXED, "fig4_client.wm", "spinlock_impl.wm"):
         "8a9a277dfa24a52c849d2e03f20a14ba498e21ed1c38fae295d658d2b8ecdaa0",
     (Model.RELAXED, "fig4_client.wm", "spinlock_spec.wm"):
-        "795b860c834bfa9e7969c971e13c790b113333ea0a247f38be5c7c48855e0de7",
+        "8a9a277dfa24a52c849d2e03f20a14ba498e21ed1c38fae295d658d2b8ecdaa0",
     (Model.RELAXED, "fig5_client.wm", "spinlock_impl.wm"):
         "afad5ad10848b1785606683d79cf5b87ec16bfd743a6b6d318f3b2e18d0f77e6",
     (Model.RELAXED, "fig5_client.wm", "spinlock_spec.wm"):
-        "85720a4dc6394b379adc1ea7b7c667070dc7e00357cb33954f0b16e5290e7b2f",
+        "4ab0e4cdeaa991761bfda628711d8b3ba9a9cc6a39cf5d2c395c5af302de3a57",
     (Model.RELAXED, "fig5_notry_client.wm", "spinlock_impl_notry.wm"):
         "6f331ce36611d1b8893ccb840a73911274b4c7f1f27ec2ce59b635e28fbeb8b9",
     (Model.RELAXED, "fig5_notry_client.wm", "spinlock_spec_notry.wm"):
-        "ab5efe1113322c91987787a7bce7cb577cda87dad76c7cf71dd8b548a702ab7e",
+        "13df6c65c4c601e32a4a231e030a6971b4c50e115b1e42f1e1f43db4499849ac",
     (Model.RELAXED, "fig6_client.wm", "spinlock_impl.wm"):
         "895570506a1db76bc8f2cb928161c86efd89409359885a2767deb565389c6c54",
     (Model.RELAXED, "fig6_client.wm", "spinlock_spec.wm"):
-        "861bc204ce799a97754ee14eebb6beb60e32d2f8614af0c99d9138efc961a940",
+        "7cf03ad91d2f6539cac0092e986305c0d6c7925e36ec0079453a7d813c545611",
 }
 
 
@@ -904,7 +966,7 @@ def test_bursts_that_outgrow_their_column_stop_the_build(monkeypatch):
 
 def test_interned_refuses_the_first_id_past_its_field(monkeypatch):
     """Every table a state's fields index (each thread's own states,
-    valuations, books, storage tuples, RELAXED entries) is an
+    valuations, storage tuples, RELAXED entries) is an
     `Interned`: its ids run from 0 to the field's last value and no
     further."""
     monkeypatch.setattr(storage, "FIELD_BITS", 3)
@@ -1314,8 +1376,24 @@ class TestGraphIdentity:
     def test_stepwise_frames_graph_unchanged(self, build, client, obj):
         p, o = load(client, obj)
         with stepwise_frames():
-            ts = STEPWISE_BUILDS[build](p, o)
+            ts = REFERENCE_BUILDS[build](p, o)
         assert graph_digest(ts) == STEPWISE_DIGESTS[build, client, obj]
+
+    @pytest.mark.parametrize("build,client,obj", sorted(BOOK_DIGESTS))
+    def test_book_specs_graph_unchanged(self, build, client, obj):
+        """Under the paper's placement the specification graphs are the
+        ones pinned before each response was observed in its edge, and
+        they have the same observables as the graphs pinned above, in
+        more states."""
+        p, o = load(client, obj)
+        with book_specs():
+            ts = REFERENCE_BUILDS[build](p, o)
+        assert (graph_digest(ts), burst_digest(ts)) == \
+            BOOK_DIGESTS[build, client, obj]
+        assert_bursts_carried(ts)
+        now = REFERENCE_BUILDS[build](p, o)
+        assert now.observables() == ts.observables()
+        assert now.states < ts.states
 
     @pytest.mark.parametrize("model,client,obj", sorted(BURST_DIGESTS_CHAOS))
     def test_chaos_burst_table_unchanged(self, model, client, obj, chaos_graph):
@@ -1721,13 +1799,13 @@ class _Forgetful(dict):
 
 # the tables each kind of engine fills as it builds, at the least
 STEP_TABLES = {"impl": {"steps"}, "chaos": {"steps", "responses"},
-               "spec": {"steps", "spec_calls", "book_moves"}}
+               "spec": {"steps", "spec_calls"}}
 
 
 def _build_interpreting_every_step(p, obj, c, mode):
     """`_build` with step tables that keep nothing: every thread step,
-    implementation instruction, chaos response, specification body and
-    book's observations is worked out afresh in every state.  Every
+    implementation instruction, chaos response and specification body
+    is worked out afresh in every state.  Every
     table the engine starts empty is one it fills as it builds, so each
     of them is replaced once the engine is made, and checked to be still
     empty after the build: a table filled other than by item assignment

@@ -1,6 +1,7 @@
 """Specification bodies, specification histories against the engine's
 spec mode, and the implementation machine."""
 
+import contextlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -9,6 +10,7 @@ from hypothesis import event, given, settings
 
 from conftest import (
     check_wellformed, corpus_text, object_clients, project_object,
+    spec_objects,
 )
 from wmtr.events import Inv, OpId, OpObs, Res
 from wmtr.memmodel import (
@@ -20,7 +22,7 @@ from wmtr.program import (
     events_of_program, parse, settled, step,
 )
 
-from oracles import check_atomic, materialize, spec_histories
+from oracles import book_specs, check_atomic, materialize, spec_histories
 
 SPEC = parse(corpus_text("spinlock_spec.wm"))
 IMPL = parse(corpus_text("spinlock_impl.wm"))
@@ -151,17 +153,29 @@ SPEC_MODE_CASES = [
 ] + [("fig5_client.wm", "spinlock_spec.wm", Model.SC)]
 
 
+def histories(p, o, c, book=False, max_traces=200_000):
+    """The object histories of the traces of `p` against specification
+    `o`, on the engine's specification build or, with `book`, on
+    `BookSpec`'s."""
+    with book_specs() if book else contextlib.nullcontext():
+        ts = explore(p, o, c)
+    return {project_object(t) for t in materialize(ts, max_traces)}
+
+
 @pytest.mark.parametrize("client,spec,model", SPEC_MODE_CASES)
 def test_spec_mode_histories_match_oracle(client, spec, model):
     """The object histories of the engine's spec-mode traces are exactly
-    the histories the specification admits: the memory model moves
-    program events, never the object's own."""
+    the histories the specification admits with every operation observed
+    at once, and those of `BookSpec`'s exactly the histories it admits
+    with observations placed freely: the memory model moves program
+    events, never the object's own."""
     p = parse(corpus_text(client))
     o = parse(corpus_text(spec))
-    ts = explore(p, o, ExploreConfig(model=model))
-    engine = {project_object(t) for t in materialize(ts)}
-    assert engine == spec_histories(o, events_of_program(p, o), p.coremap,
-                                    covert=covert_ops(p, o))
+    c, events = ExploreConfig(model=model), events_of_program(p, o)
+    assert histories(p, o, c) == spec_histories(o, events, p.coremap,
+                                                covert=frozenset(o.ops))
+    assert histories(p, o, c, book=True) == spec_histories(
+        o, events, p.coremap, covert=covert_ops(p, o))
 
 
 # `materialize` is exponential in the client: values=1 keeps most trace
@@ -171,16 +185,53 @@ def test_spec_mode_histories_match_oracle(client, spec, model):
 def test_spec_mode_histories_match_oracle_on_random_clients(case):
     obj, text = case
     p, o = parse(text), parse(corpus_text(obj))
-    oracle = spec_histories(o, events_of_program(p, o, values=1), p.coremap,
-                            values=1, covert=covert_ops(p, o))
+    events = events_of_program(p, o, values=1)
+    at_once = spec_histories(o, events, p.coremap, values=1,
+                             covert=frozenset(o.ops))
+    free = spec_histories(o, events, p.coremap, values=1,
+                          covert=covert_ops(p, o))
     for model in Model:
-        ts = explore(p, o, ExploreConfig(model=model, values=1))
-        try:
-            traces = materialize(ts, max_traces=5_000)
-        except ValueError:
-            event("trace set too large to materialize")
-            continue
-        assert {project_object(t) for t in traces} == oracle
+        for book, oracle in ((False, at_once), (True, free)):
+            try:
+                got = histories(p, o, ExploreConfig(model=model, values=1),
+                                book, 5_000)
+            except ValueError:
+                event("trace set too large to materialize")
+                continue
+            assert got == oracle
+
+
+def assert_observing_at_once_agrees(p, o):
+    """Under every model at values 1 and 2, the engine's specification
+    build, which observes each response in its edge, has the observables
+    of `BookSpec`'s, which places observations freely, in no more
+    states."""
+    event("threads share a core" if len(set(p.coremap.values())) == 1
+          else "a core per thread")
+    for model in Model:
+        for values in (1, 2):
+            c = ExploreConfig(model=model, values=values)
+            ts = explore(p, o, c)
+            with book_specs():
+                book = explore(p, o, c)
+            assert ts.observables() == book.observables()
+            assert ts.states <= book.states
+
+
+# an invocation waits only while a thread of another core is in a call:
+# both generators draw clients whose threads share a core
+@settings(max_examples=100, deadline=None)
+@given(object_clients(("spinlock_spec.wm", "spinlock_spec_notry.wm")))
+def test_observing_at_once_agrees_on_object_clients(case):
+    obj, text = case
+    assert_observing_at_once_agrees(parse(text), parse(corpus_text(obj)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec_objects())
+def test_observing_at_once_agrees_on_spec_objects(case):
+    spec, text = case
+    assert_observing_at_once_agrees(parse(text), parse(spec))
 
 
 # what an implementation instruction does, as the engine reads it off

@@ -201,7 +201,8 @@ def both_checks(p, c):
     reduced = check_wmtr(p, spec, impl, c)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(refine, "explore",
-                   lambda p, o, c: _build(p, o, c, o.kind, reduce=False))
+                   lambda p, o, c, client: _build(p, o, c, o.kind,
+                                                  reduce=False, client=client))
         full = check_wmtr(p, spec, impl, c)
     return reduced, full
 
@@ -279,7 +280,8 @@ def assert_merging_agrees(p, spec, impl, build, values=1):
     c = cfg(model, values=values)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(refine, "explore",
-                   lambda p, o, c: _build(p, o, c, o.kind, reduce=reduce))
+                   lambda p, o, c, client: _build(p, o, c, o.kind,
+                                                  reduce=reduce, client=client))
         v = check_wmtr(p, spec, impl, c)
         with stepwise_frames():
             ref = check_wmtr(p, spec, impl, c)

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import event, example, given, settings
 
+from wmtr import memmodel, program
 from wmtr.events import observable_of
 from wmtr.memmodel import ExploreConfig, Model, explore
 from wmtr.refine import (
@@ -157,6 +158,37 @@ class TestValidation:
         with pytest.raises(ValueError, match="specification"):
             check_wmtr(corpus["fig5"], corpus["impl"], corpus["impl"],
                        ExploreConfig(model=Model.TSO))
+
+    def test_a_check_walks_the_client_once(self, corpus, monkeypatch):
+        """Each build of a check still runs `validate` and
+        `events_of_program`, and the check works out the client's half of
+        each once, for both builds; what a kept half gives is what a
+        fresh one does."""
+        calls = {"validate": 0, "events_of_program": 0, "half": 0, "walk": 0}
+
+        def counted(name, f):
+            def run(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return run
+
+        for name in ("validate", "events_of_program"):
+            monkeypatch.setattr(memmodel, name,
+                                counted(name, getattr(memmodel, name)))
+        monkeypatch.setattr(program, "_walk", counted("walk", program._walk))
+        monkeypatch.setattr(program.ClientHalf, "__init__",
+                            counted("half", program.ClientHalf.__init__))
+        p, spec, impl = corpus["fig5"], corpus["spec"], corpus["impl"]
+        cfg = ExploreConfig(model=Model.TSO, values=1)
+        check_wmtr(p, spec, impl, cfg)
+        assert calls == {"validate": 2, "events_of_program": 2, "half": 1,
+                         "walk": 1}
+        monkeypatch.undo()
+        half = program.ClientHalf(p)
+        for obj in (spec, impl):
+            assert program.validate(p, obj, half) == program.validate(p, obj)
+            assert (program.events_of_program(p, obj, 2, 1, half)
+                    == program.events_of_program(p, obj, 2, 1))
 
 
 # `spinlock_impl` with its TAS split into a read and a write, so two
