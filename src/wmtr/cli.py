@@ -9,8 +9,9 @@ Subcommands:
 
 Exit codes: 0 on success (property holds), 1 when a check fails or a
 refutation is found, 2 on usage, parse, or validation errors, 3 when
-the run is inconclusive (a state outgrew the fields that hold it), 141
-(128 + SIGPIPE) when the reader of standard output closed it early.
+the run is inconclusive (a state outgrew the fields that hold it, or
+the input nests deeper than the recursion limit), 141 (128 + SIGPIPE)
+when the reader of standard output closed it early.
 """
 
 from __future__ import annotations
@@ -238,7 +239,7 @@ def main(argv=None) -> int:
     except (ParseError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except OverflowError as e:
+    except (OverflowError, RecursionError) as e:
         print(f"inconclusive: {e}", file=sys.stderr)
         return 3
 

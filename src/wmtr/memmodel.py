@@ -132,8 +132,8 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from .events import Event, Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId
 from .porder import EnforcedOrder
 from .program import (
-    CALL, FENCE, GATED, RETURN, SET, STORE, TAS, ClientHalf, ClientProgram,
-    ObjectDef, OpDef, _bump, chaos_outputs, events_of_program, names_of,
+    CALL, FENCE, GATED, RETURN, SET, STORE, TAS, ClientProgram, ObjectDef,
+    OpDef, _bump, chaos_outputs, events_of_program, names_of,
     settled, step, validate,
 )
 from . import storage
@@ -234,16 +234,14 @@ class _Engine:
     """What every kind of object shares: client steps, the storage, the
     step table and `_take`.  A subclass, one per kind, gives the slot a
     thread holds while in a call (`call_slot`), that thread's edges
-    (`call_actions`) and whatever else its kind needs.  `client`, if
-    given, is `p`'s `ClientHalf`, shared between builds."""
+    (`call_actions`) and whatever else its kind needs."""
     fields = 0  # the state's fields between the threads' and the storage's
 
     def __init__(self, p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig,
-                 discipline: type, client: Optional[ClientHalf] = None):
+                 discipline: type):
         self.p, self.obj, self.cfg = p, obj, cfg
         self.coremap = p.coremap
-        self.universe = events_of_program(p, obj, cfg.unroll, cfg.values,
-                                          client)
+        self.universe = events_of_program(p, obj, cfg.unroll, cfg.values)
         self.bursts = BurstTable(self.universe)
         # collapse compression: each thread's distinct states, call slot
         # included, are stored once in its own table, the threads in name
@@ -847,18 +845,15 @@ class GraphView(Mapping):
 # --- public entry points ---
 
 def _build(p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig,
-           mode: str, reduce: bool = True,
-           client: Optional[ClientHalf] = None) -> TraceSet:
+           mode: str, reduce: bool = True) -> TraceSet:
     """The graph of `mode`'s engine; under RELAXED, on the `Eager`
-    storage if `reduce` is false.  `client`, if given, is `p`'s
-    `ClientHalf`, shared between builds."""
-    client = client or ClientHalf(p)
-    errors = validate(p, obj, client)
+    storage if `reduce` is false."""
+    errors = validate(p, obj)
     if errors:
         raise ValueError("; ".join(errors))
     eng = ENGINES[mode](p, obj, cfg,
                         Eager if not reduce and cfg.model is Model.RELAXED
-                        else DISCIPLINES[cfg.model], client)
+                        else DISCIPLINES[cfg.model])
     # Each state is hashed once per edge that reaches it, here; the graph
     # and every pass over it work on the int ids, and the engine hands out
     # the burst ids.
@@ -888,12 +883,10 @@ def _build(p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig,
                     start, stop)
 
 
-def explore(p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig,
-            client: Optional[ClientHalf] = None) -> TraceSet:
+def explore(p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig) -> TraceSet:
     """Trace set of the client running against the object under the
-    configured memory model.  The object's kind picks the semantics;
-    `client`, if given, is `p`'s `ClientHalf`, shared between builds."""
-    return _build(p, obj, cfg, obj.kind, client=client)
+    configured memory model.  The object's kind picks the semantics."""
+    return _build(p, obj, cfg, obj.kind)
 
 
 def enforced_order(p: ClientProgram, obj: ObjectDef,

@@ -47,6 +47,18 @@ operation, when it compiles the body (`OpDef.live`, `OpDef.merged`).
 The outputs an operation may give (`chaos_outputs`, and its closure
 `op_outputs`) are those of its reachable returns, and `validate`
 rejects code no path reaches: a statement after a return.
+
+Each static fact is worked out once, on the thing it describes.  A
+client program, when it is made, holds each thread's code and the
+scan of its body (`ClientProgram.scan`: the errors of the client's own
+checks, and its calls in pre-order), and per bounds, once asked for,
+the bounded walk of its code (`ClientProgram.walk`), the client's half
+of `events_of_program`.  An object, when it is made, holds each
+operation's code, `live` and `merged`, and the errors of its own
+checks (`ObjectDef.errors`).  Neither depends on the other side or on
+the memory model, so every build of the same client or object reads
+them; `validate` checks only what needs both: disjoint names, and
+each call against its operation.
 """
 
 from __future__ import annotations
@@ -145,15 +157,29 @@ class ClientProgram:
     globals: Dict[str, int]
     threads: Dict[str, Tuple[Stmt, ...]]
     coremap: Dict[str, str]
+    # worked out when the program is made, whatever the object: each
+    # thread's code and its scan, the errors of its half of `validate`
+    # and its calls in pre-order; and per bounds, once asked for, the
+    # events and invocations of the bounded walk (`walk`)
     code: Dict[str, tuple] = field(init=False, repr=False, compare=False)
+    scan: Dict[str, tuple] = field(init=False, repr=False, compare=False)
+    walks: Dict[tuple, tuple] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        declared = self.declared()
-        self.code = {th: compile_body(body, declared)
-                     for th, body in self.threads.items()}
+        declared = frozenset(self.globals)
+        self.code, self.scan, self.walks = {}, {}, {}
+        for th, body in self.threads.items():
+            self.code[th] = compile_body(body, declared)
+            self.scan[th] = errors, calls = [], []
+            _scan_stmts(body, declared, set(), errors, calls, f"thread {th}",
+                        in_spec=False)
 
-    def declared(self) -> frozenset:
-        return frozenset(self.globals)
+    def walk(self, bound: int, values: int) -> tuple:
+        """The client's half of `events_of_program` at these bounds."""
+        w = self.walks.get((bound, values))
+        if w is None:
+            w = self.walks[bound, values] = _walk(self, bound, values)
+        return w
 
 
 @dataclass
@@ -175,13 +201,27 @@ class ObjectDef:
     kind: str  # "spec" | "impl"
     shared: Dict[str, int]
     ops: Dict[str, OpDef]
+    # worked out when the object is made, whatever the client: its
+    # operations' half of `validate`, the errors of each body's scan and
+    # of its code no path reaches, operation by operation
+    errors: List[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         shared = frozenset(self.shared)
+        self.errors = []
         for op in self.ops.values():
             op.code = compile_body(op.body, shared)
             op.live = reachable(op.code)
             op.merged = mergeable(op.code, shared)
+            declared = shared | ({op.param} if op.param else frozenset())
+            _scan_stmts(op.body, declared, set(), self.errors, None,
+                        f"op {op.name}", in_spec=(self.kind == "spec"))
+            # closing JUMPs and loop re-tests may be dead
+            if any(pc not in op.live and ins[0] != JUMP
+                   and not (ins[0] == LOOP and not ins[5])
+                   for pc, ins in enumerate(op.code) if pc):
+                self.errors.append(f"op {op.name}: statement after a return "
+                                   "never runs")
 
 
 def empty_object(kind: str = "impl") -> ObjectDef:
@@ -530,9 +570,11 @@ def is_register(name: str, declared: frozenset) -> bool:
     return name.startswith("r") and name not in declared
 
 
-def _scan_stmts(stmts, declared, assigned, errors, where, in_spec, in_op):
+def _scan_stmts(stmts, declared, assigned, errors, calls, where, in_spec):
     """Name resolution and register read-before-write along all paths.
-    `assigned` is the set of registers definitely written so far."""
+    `assigned` is the set of registers definitely written so far.  The
+    calls met are appended to `calls`, in pre-order; `calls` is None in
+    an operation body, where a call is an error."""
 
     def check_expr(e):
         for n in names_of(e):
@@ -558,8 +600,10 @@ def _scan_stmts(stmts, declared, assigned, errors, where, in_spec, in_op):
         elif isinstance(s, Await):
             check_cond(s.cond)
         elif isinstance(s, Call):
-            if in_op:
+            if calls is None:
                 errors.append(f"{where}: operations may not call operations")
+            else:
+                calls.append(s)
             if s.arg is not None:
                 if not isinstance(s.arg, Lit):
                     errors.append(f"{where}: call arguments must be literals")
@@ -572,15 +616,15 @@ def _scan_stmts(stmts, declared, assigned, errors, where, in_spec, in_op):
             check_cond(s.cond)
             a = set(assigned)
             b = set(assigned)
-            _scan_stmts(s.then, declared, a, errors, where, in_spec, in_op)
-            _scan_stmts(s.orelse, declared, b, errors, where, in_spec, in_op)
+            _scan_stmts(s.then, declared, a, errors, calls, where, in_spec)
+            _scan_stmts(s.orelse, declared, b, errors, calls, where, in_spec)
             assigned |= a & b
         elif isinstance(s, While):
             if in_spec:
                 errors.append(f"{where}: loops are not allowed in specification bodies")
             check_cond(s.cond)
             inner = set(assigned)
-            _scan_stmts(s.body, declared, inner, errors, where, in_spec, in_op)
+            _scan_stmts(s.body, declared, inner, errors, calls, where, in_spec)
         elif isinstance(s, Fence):
             pass
         elif isinstance(s, Return):
@@ -596,41 +640,16 @@ def _scan_stmts(stmts, declared, assigned, errors, where, in_spec, in_op):
             assigned.add(s.result)
 
 
-class ClientHalf:
-    """What `validate` and `events_of_program` work out of the client
-    alone, whatever the object: per thread in order, the errors of its
-    scan and its calls (`scan`), and per bounds, once asked for, the
-    events and invocations of the bounded walk (`walk`).  `check_wmtr`
-    makes one per check and hands it to both of its builds."""
-
-    def __init__(self, p: ClientProgram):
-        self.p, self.scan = p, []
-        self.walks: Dict[tuple, tuple] = {}
-        declared = frozenset(p.globals)
-        for th, stmts in p.threads.items():
-            errors: List[str] = []
-            _scan_stmts(stmts, declared, set(), errors, f"thread {th}",
-                        in_spec=False, in_op=False)
-            self.scan.append((th, errors, [s for s in _all_stmts(stmts)
-                                           if isinstance(s, Call)]))
-
-    def walk(self, bound: int, values: int) -> tuple:
-        w = self.walks.get((bound, values))
-        if w is None:
-            w = self.walks[bound, values] = _walk(self.p, bound, values)
-        return w
-
-
-def validate(p: ClientProgram, obj: ObjectDef,
-             client: Optional[ClientHalf] = None) -> List[str]:
+def validate(p: ClientProgram, obj: ObjectDef) -> List[str]:
     """Static checks; returns a list of error messages, empty when ok.
-    `client`, if given, is `p`'s `ClientHalf`, shared between objects."""
+    The checks of the client alone and of the object alone ran when each
+    was made; those that need both run here."""
     errors: List[str] = []
     overlap = set(p.globals) & set(obj.shared)
     if overlap:
         errors.append("program globals and object variables must be disjoint: "
                       + ", ".join(sorted(overlap)))
-    for th, scanned, calls in (client or ClientHalf(p)).scan:
+    for th, (scanned, calls) in p.scan.items():
         errors += scanned
         for s in calls:
             op = obj.ops.get(s.op)
@@ -644,26 +663,7 @@ def validate(p: ClientProgram, obj: ObjectDef,
             if s.result is not None and None in op_outputs(op, 1):
                 errors.append(f"thread {th}: operation {s.op!r} may return "
                               f"no value into register {s.result!r}")
-    for op in obj.ops.values():
-        declared = frozenset(obj.shared) | ({op.param} if op.param else frozenset())
-        assigned = {op.param} if op.param and is_register(op.param, declared) else set()
-        _scan_stmts(op.body, declared, set(assigned), errors, f"op {op.name}",
-                    in_spec=(obj.kind == "spec"), in_op=True)
-        if any(pc not in op.live and ins[0] != JUMP  # closing JUMPs and loop
-               and not (ins[0] == LOOP and not ins[5])  # re-tests may be dead
-               for pc, ins in enumerate(op.code) if pc):
-            errors.append(f"op {op.name}: statement after a return never runs")
-    return errors
-
-
-def _all_stmts(stmts):
-    for s in stmts:
-        yield s
-        if isinstance(s, If):
-            yield from _all_stmts(s.then)
-            yield from _all_stmts(s.orelse)
-        elif isinstance(s, While):
-            yield from _all_stmts(s.body)
+    return errors + obj.errors
 
 
 # --- compiled form ---
@@ -894,15 +894,13 @@ def op_outputs(op: OpDef, values: int) -> frozenset:
 # --- bounded event set ---
 
 def events_of_program(p: ClientProgram, obj: ObjectDef,
-                      bound: int = 2, values: int = 3,
-                      client: Optional[ClientHalf] = None) -> frozenset:
+                      bound: int = 2, values: int = 3) -> frozenset:
     """All events the bounded program can produce: every reachable step
     with every value it could write (loops unrolled to `bound`), plus
-    responses and observations for every invocation over op_outputs.
-    `client`, if given, is `p`'s `ClientHalf`, shared between objects."""
+    responses and observations for every invocation over op_outputs."""
     if bound < 1 or values < 1:
         raise ValueError("bounds must be at least 1")
-    steps, invocations = (client or ClientHalf(p)).walk(bound, values)
+    steps, invocations = p.walk(bound, values)
     events = set(steps)
     for opid in invocations:
         op = obj.ops.get(opid.call)

@@ -23,7 +23,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .events import Event, Observable, ProgObs, Trace, event_to_json, observable_of
 from .memmodel import ExploreConfig, TraceSet, explore
-from .program import ClientHalf, ClientProgram, ObjectDef
+from .program import ClientProgram, ObjectDef
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,8 @@ def check_wmtr(p: ClientProgram, spec: ObjectDef, impl: ObjectDef,
     under the configured memory model, within the exploration bounds?"""
     if spec.kind != "spec":
         raise ValueError("the abstract object must be a specification")
-    client = ClientHalf(p)  # the client's static checks, for both builds
-    ts_spec = explore(p, spec, cfg, client)
-    ts_impl = explore(p, impl, cfg, client)
+    ts_spec = explore(p, spec, cfg)
+    ts_impl = explore(p, impl, cfg)
     obs_spec = ts_spec.observables()
     obs_impl = ts_impl.observables()
     diff = obs_impl - obs_spec

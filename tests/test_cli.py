@@ -181,6 +181,23 @@ class TestRefute:
         assert code == 1
         assert "refuted by" in out and "fig5_client.wm" in out
 
+    def test_out_writes_the_counterexample(self, capsys, tmp_path):
+        """`refute --out` writes the refuting client's counterexample, the
+        trace `check --out` writes for that client."""
+        argv = ["--model", "tso", "--values", "1",
+                "--spec", C("spinlock_spec.wm"),
+                "--impl", C("spinlock_impl.wm")]
+        dst, ref = tmp_path / "refute.jsonl", tmp_path / "check.jsonl"
+        code, _, _ = run(capsys, "refute", *argv,
+                         "--client", C("fig4_client.wm"),
+                         "--client", C("fig5_client.wm"), "--out", str(dst))
+        assert code == 1
+        assert run(capsys, "check", *argv, "--client", C("fig5_client.wm"),
+                   "--out", str(ref))[0] == 1
+        assert dst.read_text() == ref.read_text()
+        t = trace_from_lines(dst.read_text())
+        assert len(t) == 16 and check_wellformed(t).ok
+
     def test_battery_all_hold(self, capsys):
         code, out, _ = run(capsys, "refute", "--model", "sc",
                            "--client", C("fig4_client.wm"),
@@ -393,6 +410,21 @@ class TestExploreAndDot:
         assert doc["states"] > 0
         assert [["A", "x", 1]] in doc["observables"]
 
+    def test_explore_spec(self, capsys):
+        """`explore --spec` builds the specification: under SC the
+        spinlock's specification shows fig6 what its implementation
+        does, and an implementation given as `--spec` is refused."""
+        argv = ["explore", "--model", "sc", "--values", "1",
+                "--client", C("fig6_client.wm")]
+        code, out, _ = run(capsys, *argv, "--spec", C("spinlock_spec.wm"))
+        _, impl, _ = run(capsys, *argv, "--impl", C("spinlock_impl.wm"))
+        spec, impl = out.splitlines(), impl.splitlines()
+        assert code == 0 and spec[1] == "states: 24" != impl[1]
+        assert spec[2:] == impl[2:] and "observables: 5" in spec
+        code, out, err = run(capsys, *argv, "--spec", C("spinlock_impl.wm"))
+        assert (code, out) == (2, "")
+        assert err.endswith("is an impl object, expected spec\n")
+
     def test_dot_output(self, capsys):
         code, out, _ = run(capsys, "dot", "--model", "relaxed", "--values", "1",
                            "--client", C("fig2_client.wm"),
@@ -413,6 +445,13 @@ class TestErrors:
                            "--spec", C("fig4_client.wm"),
                            "--impl", C("spinlock_impl.wm"))
         assert code == 2 and "expected an object" in err
+
+    def test_object_where_client_expected(self, capsys):
+        code, out, err = run(capsys, "explore", "--model", "sc",
+                             "--client", C("spinlock_impl.wm"))
+        assert (code, out) == (2, "")
+        assert err == (f"error: {C('spinlock_impl.wm')} is an object "
+                       "definition, expected a client\n")
 
     def test_impl_where_spec_expected(self, capsys):
         code, _, err = run(capsys, "check", "--model", "sc",
@@ -487,6 +526,21 @@ class TestErrors:
                              "--impl", C("spinlock_impl.wm"))
         assert (code, out) == (3, "")
         assert err.startswith("inconclusive: ") and "holds 4 bits" in err
+
+    # an input too deep for the recursion limit: `if`s nested 500 deep
+    # (the parser recurses per block) and an expression of 1,000 terms
+    # (its step label is rendered recursively)
+    @pytest.mark.parametrize("body", [
+        "if (x = 0) { " * 500 + "x := 1; " + "} " * 500,
+        "x := " + " + ".join(["1"] * 1000) + ";",
+    ], ids=["nested-if", "long-expression"])
+    def test_deep_input_is_inconclusive(self, body, capsys, tmp_path):
+        src = tmp_path / "deep.wm"
+        src.write_text(f"global x = 0;\nthread T0 {{ {body} }}\n")
+        code, out, err = run(capsys, "explore", "--model", "sc",
+                             "--client", str(src))
+        assert (code, out) == (3, "")
+        assert err.startswith("inconclusive: ") and "Traceback" not in err
 
     def test_burst_overflow_is_inconclusive(self, capsys, monkeypatch):
         """So does a burst id that outgrows the graph's burst column; with

@@ -1700,6 +1700,33 @@ class TestChaosHelpers:
                        "thread T { r := call peek(); if (r = 1) { g := 1; } }")
         assert covert_ops(branch, peek) == {"peek"}
 
+    @pytest.mark.parametrize("model", [Model.TSO, Model.RELAXED])
+    def test_a_covert_call_is_observed_in_its_response(self, model):
+        """In the chaos build a covert operation's response and its
+        observation share a burst, so the observation is enforced
+        before the store after the branch on its result; when the
+        result flows into the store, the observation rides a virtual
+        write that the store need not wait for.  Under SC the virtual
+        write is visible at once, so only the weaker models tell the
+        two apart."""
+        o = parse("object impl {\n  var a = 0;\n"
+                  "  op peek() { r := a; return r; }\n}")
+        opid = OpId("T0", "peek", 0)
+        for body, covert in (("if (r1 = 1) { x := 1; }", True),
+                             ("x := r1;", False)):
+            p = parse("global x = 0;\n"
+                      f"thread T0 {{ r1 := call peek(); {body} }}")
+            assert covert_ops(p, o) == ({"peek"} if covert else frozenset())
+            c = cfg(model, values=1)
+            ts = _build(p, o, c, "chaos", reduce=False)
+            assert any(Res(opid, v) in burst and OpObs(opid, v) in burst
+                       for burst in ts.bursts for v in (0, 1)) == covert
+            po = enforced_order(p, o, c)
+            stores = [e for e in po.universe
+                      if isinstance(e, ProgStep) and e.write is not None]
+            assert any((OpObs(opid, v), e) in po.pairs
+                       for v in (0, 1) for e in stores) == covert
+
 
 @settings(max_examples=60, deadline=None)
 @given(object_clients())

@@ -201,8 +201,7 @@ def both_checks(p, c):
     reduced = check_wmtr(p, spec, impl, c)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(refine, "explore",
-                   lambda p, o, c, client: _build(p, o, c, o.kind,
-                                                  reduce=False, client=client))
+                   lambda p, o, c: _build(p, o, c, o.kind, reduce=False))
         full = check_wmtr(p, spec, impl, c)
     return reduced, full
 
@@ -280,8 +279,7 @@ def assert_merging_agrees(p, spec, impl, build, values=1):
     c = cfg(model, values=values)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(refine, "explore",
-                   lambda p, o, c, client: _build(p, o, c, o.kind,
-                                                  reduce=reduce, client=client))
+                   lambda p, o, c: _build(p, o, c, o.kind, reduce=reduce))
         v = check_wmtr(p, spec, impl, c)
         with stepwise_frames():
             ref = check_wmtr(p, spec, impl, c)

@@ -1,5 +1,9 @@
 """Refinement verdicts on the lock corpus, and counterexample shape."""
 
+import ast
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import event, example, given, settings
 
@@ -159,12 +163,60 @@ class TestValidation:
             check_wmtr(corpus["fig5"], corpus["impl"], corpus["impl"],
                        ExploreConfig(model=Model.TSO))
 
+    # one input per message, each the only error of its pair
+    @pytest.mark.parametrize("client, obj, message", [
+        ("thread T0 { r1 := q + 1; }", "",
+         "thread T0: undeclared variable 'q'"),
+        ("thread T0 { call f(); }", "op f() { call g(); } op g() { }",
+         "op f: operations may not call operations"),
+        ("global g = 0;\nthread T0 { g := call f(); }", "op f() { return 1; }",
+         "thread T0: call result target 'g' is not a register"),
+        ("thread T0 { call f(); }",
+         "op f() { rt := TAS(q, 0, 1); return rt; }",
+         "op f: undeclared variable 'q'"),
+        ("thread T0 { call f(); }", "op f() { x := TAS(x, 0, 1); }",
+         "op f: TAS result target 'x' is not a register"),
+    ], ids=["undeclared-name", "op-calls-op", "call-result", "tas-var",
+            "tas-result"])
+    def test_validation_message(self, client, obj, message):
+        o = parse(f"object impl {{\n  var x = 0;\n  {obj}\n}}")
+        assert program.validate(parse(client), o) == [message]
+        with pytest.raises(ValueError) as e:
+            explore(parse(client), o, ExploreConfig(model=Model.SC))
+        assert str(e.value) == message
+
+    def test_validation_messages_in_order(self):
+        """Several errors in one input come out in a fixed order: the
+        name overlap, then thread by thread its scan's errors before
+        those of its calls, then operation by operation."""
+        o = parse("object impl {\n  var x = 0;\n"
+                  "  op f() { call g(); rt := TAS(q, 0, 1); "
+                  "x := TAS(x, 0, 1); return rt; }\n"
+                  "  op g() { return s; }\n}")
+        p = parse("global g = 0;\nglobal x = 2;\n"
+                  "thread T0 { r1 := q + 1; g := call f(); call h(); }\n"
+                  "thread T1 { if (g = 1) { g := call g(); } r2 := s; }\n")
+        assert program.validate(p, o) == [
+            "program globals and object variables must be disjoint: x",
+            "thread T0: undeclared variable 'q'",
+            "thread T0: call result target 'g' is not a register",
+            "thread T0: unknown operation 'h'",
+            "thread T1: call result target 'g' is not a register",
+            "thread T1: undeclared variable 's'",
+            "op f: operations may not call operations",
+            "op f: undeclared variable 'q'",
+            "op f: TAS result target 'x' is not a register",
+            "op g: undeclared variable 's'",
+        ]
+
     def test_a_check_walks_the_client_once(self, corpus, monkeypatch):
         """Each build of a check still runs `validate` and
-        `events_of_program`, and the check works out the client's half of
-        each once, for both builds; what a kept half gives is what a
-        fresh one does."""
-        calls = {"validate": 0, "events_of_program": 0, "half": 0, "walk": 0}
+        `events_of_program`; the client's and the objects' scans ran
+        when they were parsed, and the client's bounded walk runs once
+        per bounds, for both builds and for any later check.  What the
+        kept facts give is what a freshly parsed program's do."""
+        p, spec, impl = load("fig5_client.wm"), corpus["spec"], corpus["impl"]
+        calls = {"validate": 0, "events_of_program": 0, "scan": 0, "walk": 0}
 
         def counted(name, f):
             def run(*args, **kwargs):
@@ -176,19 +228,44 @@ class TestValidation:
             monkeypatch.setattr(memmodel, name,
                                 counted(name, getattr(memmodel, name)))
         monkeypatch.setattr(program, "_walk", counted("walk", program._walk))
-        monkeypatch.setattr(program.ClientHalf, "__init__",
-                            counted("half", program.ClientHalf.__init__))
-        p, spec, impl = corpus["fig5"], corpus["spec"], corpus["impl"]
+        monkeypatch.setattr(program, "_scan_stmts",
+                            counted("scan", program._scan_stmts))
         cfg = ExploreConfig(model=Model.TSO, values=1)
         check_wmtr(p, spec, impl, cfg)
-        assert calls == {"validate": 2, "events_of_program": 2, "half": 1,
+        assert calls == {"validate": 2, "events_of_program": 2, "scan": 0,
                          "walk": 1}
+        check_wmtr(p, spec, impl, cfg)
+        assert calls["walk"] == 1
         monkeypatch.undo()
-        half = program.ClientHalf(p)
+        fresh = load("fig5_client.wm")
         for obj in (spec, impl):
-            assert program.validate(p, obj, half) == program.validate(p, obj)
-            assert (program.events_of_program(p, obj, 2, 1, half)
-                    == program.events_of_program(p, obj, 2, 1))
+            assert program.validate(p, obj) == program.validate(fresh, obj)
+            assert (program.events_of_program(p, obj, 2, 1)
+                    == program.events_of_program(fresh, obj, 2, 1))
+        # kept errors come out the same on every call
+        obj = ("object impl {\n  var x = 0;\n"
+               "  op f() { call g(); return 1; x := 1; }\n}")
+        bad = "global x = 0;\nthread T0 { r1 := q; g := call f(); }"
+        p, o = parse(bad), parse(obj)
+        first = program.validate(p, o)
+        assert len(first) == 5
+        assert (program.validate(p, o) == first
+                == program.validate(parse(bad), parse(obj)))
+
+
+def test_readme_library_block_prints_its_comments(capsys, monkeypatch):
+    """README's `## Library` block, run from the repository's root,
+    prints what the comments on its two `print` lines say."""
+    root = Path(__file__).resolve().parent.parent
+    section = (root / "README.md").read_text().split("\n## Library\n", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    shown = re.findall(r"^print\(.*?\)\s+# (.*)$", block, re.M)
+    assert shown == ['"refuted"',
+                     '(("T1","z",1), ("T3","w",0), ("T2","y",0))']
+    monkeypatch.chdir(root)
+    exec(block, {})
+    assert capsys.readouterr().out.splitlines() == [
+        str(ast.literal_eval(c)) for c in shown]
 
 
 # `spinlock_impl` with its TAS split into a read and a write, so two
