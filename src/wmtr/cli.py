@@ -9,9 +9,10 @@ Subcommands:
 
 Exit codes: 0 on success (property holds), 1 when a check fails or a
 refutation is found, 2 on usage, parse, or validation errors, 3 when
-the run is inconclusive (a state outgrew the fields that hold it, or
-the input nests deeper than the recursion limit), 141 (128 + SIGPIPE)
-when the reader of standard output closed it early.
+the run is inconclusive (a state or burst id outgrew the field that
+holds it), 141 (128 + SIGPIPE) when the reader of standard output
+closed it early.  Input that nests blocks more than 100 deep or has an
+expression of more than 200 terms is a parse error, exit 2.
 """
 
 from __future__ import annotations
@@ -239,7 +240,7 @@ def main(argv=None) -> int:
     except (ParseError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (OverflowError, RecursionError) as e:
+    except OverflowError as e:
         print(f"inconclusive: {e}", file=sys.stderr)
         return 3
 

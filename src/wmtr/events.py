@@ -18,10 +18,13 @@ Events are hash-consed (Filliâtre and Conchon, *Type-safe modular
 hash-consing*, ML Workshop 2006): each of the seven classes below keeps
 one instance per distinct tuple of field values, in a table of its own
 that lives for the process, and making an event returns that instance,
-whether its fields are given by position, by keyword or by default.  So
-equality is identity, and hashing an event, which every set and map of
-events does, costs no more than hashing an int; a copy, a pickle
-round trip and `dataclasses.replace` all return the interned instance.
+whether its fields are given by position, by keyword or by default.
+Their metaclass does it: a call that gives every field by position is
+one table lookup, and any other call runs the dataclass's own
+`__init__` and interns the result by its fields.  So equality is
+identity, and hashing an event, which every set and map of events
+does, costs no more than hashing an int; a copy, a pickle round trip
+and `dataclasses.replace` all return the interned instance.
 Fields, `repr` and serialisations are those of a plain frozen
 dataclass.  Iterating a set of events follows their addresses, so no
 output may depend on set order: every serialisation sorts by
@@ -32,7 +35,7 @@ event.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 ThreadId = str
@@ -42,53 +45,32 @@ Value = Optional[int]  # None encodes the no-value element
 _TABLES: Dict[str, dict] = {}  # per class name: its instances by fields
 
 
-def _interned(cls):
-    """Hash-cons the frozen dataclass `cls`: its `__new__` fills in
-    keywords and defaults and returns the one instance per tuple of
-    field values from a table of the class's own, made on first sight.
-    `cls` must leave equality, hashing and `__init__` to this: declared
-    with `eq=False, init=False`, it compares and hashes by identity."""
-    names = tuple(f.name for f in fields(cls))
-    defaults = tuple(f.default for f in fields(cls))
-    table: dict = {}
-    make, put = object.__new__, object.__setattr__
-
-    def __new__(klass, *args, **kwargs):
-        if kwargs or len(args) != len(names):
-            args = _bind(cls.__name__, names, defaults, args, kwargs)
-        obj = table.get(args)
-        if obj is None:
-            obj = make(klass)
-            for name, value in zip(names, args):
-                put(obj, name, value)
-            table[args] = obj
-        return obj
-
-    def __reduce__(self):  # copies and pickles rebuild through the table
-        return cls, tuple(getattr(self, name) for name in names)
-
-    cls.__new__, cls.__reduce__ = staticmethod(__new__), __reduce__
-    _TABLES[cls.__name__] = table
-    return cls
+def _reduce(e):  # copies and pickles rebuild through the table
+    return type(e), tuple(getattr(e, name) for name in e.__match_args__)
 
 
-def _bind(what: str, names: tuple, defaults: tuple, args: tuple,
-          kwargs: dict) -> tuple:
-    """The field tuple of a call with positional `args` and `kwargs`,
-    missing fields taken from `defaults`."""
-    if len(args) > len(names):
-        raise TypeError(f"{what}() takes {len(names)} arguments, "
-                        f"{len(args)} given")
-    out = list(args)
-    for name, default in zip(names[len(args):], defaults[len(args):]):
-        value = kwargs.pop(name, default)
-        if value is MISSING:
-            raise TypeError(f"{what}() missing argument {name!r}")
-        out.append(value)
-    if kwargs:
-        raise TypeError(f"{what}() got an unexpected or repeated argument "
-                        f"{next(iter(kwargs))!r}")
-    return tuple(out)
+class _Interned(type):
+    """Hash-conses the frozen dataclasses it makes: one instance per
+    tuple of field values, in a table of the class's own.  A call's
+    positional arguments are looked up in the table as they stand, which
+    finds a call that gives every field by position; any other call
+    runs the dataclass's own `__init__`, which fills in keywords and
+    defaults and rejects bad arguments, and its result is interned by
+    its fields, those `__reduce__` rebuilds it from.  A class must leave
+    equality and hashing to this: declared with `eq=False`, it compares
+    and hashes by identity."""
+
+    def __init__(cls, name, bases, ns):
+        super().__init__(name, bases, ns)
+        cls._table = _TABLES[name] = {}
+        cls.__reduce__ = _reduce
+
+    def __call__(cls, *args, **kwargs):
+        e = cls._table.get(args)
+        if e is None or kwargs:
+            e = super().__call__(*args, **kwargs)
+            e = cls._table.setdefault(_reduce(e)[1], e)
+        return e
 
 
 def table_sizes() -> Dict[str, int]:
@@ -96,34 +78,30 @@ def table_sizes() -> Dict[str, int]:
     return {name: len(table) for name, table in _TABLES.items()}
 
 
-@_interned
-@dataclass(frozen=True, slots=True, eq=False, init=False)
-class OpId:
+@dataclass(frozen=True, slots=True, eq=False)
+class OpId(metaclass=_Interned):
     thread: ThreadId
     call: str
     instance: int
 
 
-@_interned
-@dataclass(frozen=True, slots=True, eq=False, init=False)
-class StepId:
+@dataclass(frozen=True, slots=True, eq=False)
+class StepId(metaclass=_Interned):
     thread: ThreadId
     label: str
     instance: int
 
 
-@_interned
-@dataclass(frozen=True, slots=True, eq=False, init=False)
-class ProgStep:
+@dataclass(frozen=True, slots=True, eq=False)
+class ProgStep(metaclass=_Interned):
     """A program step; `write` is the (global var, value) it stores, if any."""
 
     step: StepId
     write: Optional[Tuple[str, int]] = None
 
 
-@_interned
-@dataclass(frozen=True, slots=True, eq=False, init=False)
-class ProgObs:
+@dataclass(frozen=True, slots=True, eq=False)
+class ProgObs(metaclass=_Interned):
     """Observation of a global-writing program step: the written value
     has become visible to every core."""
 
@@ -132,23 +110,20 @@ class ProgObs:
     value: int
 
 
-@_interned
-@dataclass(frozen=True, slots=True, eq=False, init=False)
-class Inv:
+@dataclass(frozen=True, slots=True, eq=False)
+class Inv(metaclass=_Interned):
     op: OpId
     arg: Value = None
 
 
-@_interned
-@dataclass(frozen=True, slots=True, eq=False, init=False)
-class Res:
+@dataclass(frozen=True, slots=True, eq=False)
+class Res(metaclass=_Interned):
     op: OpId
     out: Value = None
 
 
-@_interned
-@dataclass(frozen=True, slots=True, eq=False, init=False)
-class OpObs:
+@dataclass(frozen=True, slots=True, eq=False)
+class OpObs(metaclass=_Interned):
     """Observation of an operation: its last shared write (or, lacking
     one, its response) has become visible to every core."""
 

@@ -384,7 +384,7 @@ class _Engine:
             w = self.mem.writer(self.coremap[th], var, v, "prog", sid,
                                 ProgObs(sid, var, v))
             return _Step(_WRITE, (ProgStep(sid, (var, v)),) + w.emits, d, w)
-        return _Step(_FENCE if op == FENCE else _LOCAL, (ProgStep(sid),), d)
+        return _Step(_FENCE if op == FENCE else _LOCAL, (ProgStep(sid, None),), d)
 
     def _take(self, st, th, step):
         """The edge `step` makes from `st`, or None when `st` blocks it."""

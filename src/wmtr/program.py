@@ -19,6 +19,12 @@ Concrete syntax (ASCII, "//" comments):
     cond   := expr ("="|"!=") expr
     expr   := INT | IDENT | expr ("+"|"-") expr
 
+Blocks nest at most 100 deep, a thread's or operation's body counting
+as one, and an expression has at most 200 terms.  Deeper or longer
+input is a `ParseError` at the first `{` or operator past the limit, so
+no recursion over the syntax (the parser's own, compiling, rendering
+step labels) comes near Python's recursion limit.
+
 Identifiers starting with "r" that are not declared as globals, object
 variables, or an operation parameter denote thread-local registers.
 Specification bodies are atomic by construction and therefore may not
@@ -302,6 +308,7 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = _lex(text)
         self.i = 0
+        self.depth = 0  # blocks open
 
     # `i` never passes the EOF token that ends `toks`
 
@@ -399,11 +406,15 @@ class _Parser:
         return ObjectDef(kind, shared, ops)
 
     def block(self, in_op: bool) -> Tuple[Stmt, ...]:
-        self.expect("{")
+        t = self.expect("{")
+        if self.depth == 100:  # a body's own block included
+            raise ParseError("blocks nested more than 100 deep", t.line, t.col)
+        self.depth += 1
         out = []
         while not self.at("}"):
             out.append(self.stmt(in_op))
         self.expect("}")
+        self.depth -= 1
         return tuple(out)
 
     def stmt(self, in_op: bool) -> Stmt:
@@ -498,10 +509,13 @@ class _Parser:
         raise ParseError(f"expected '=' or '!=', found {t.text!r}", t.line, t.col)
 
     def expr(self) -> Expr:
-        e = self.atom()
+        e, terms = self.atom(), 1
         while self.at("+") or self.at("-"):
-            op = self.next().kind
-            e = BinOp(op, e, self.atom())
+            t = self.next()
+            if terms == 200:
+                raise ParseError("an expression of more than 200 terms",
+                                 t.line, t.col)
+            e, terms = BinOp(t.kind, e, self.atom()), terms + 1
         return e
 
     def atom(self) -> Expr:
@@ -966,7 +980,7 @@ def _walk(p: ClientProgram, bound: int, values: int) -> tuple:
                     events.add(ProgStep(sid, (var, v)))
                     events.add(ProgObs(sid, var, v))
             else:
-                events.add(ProgStep(sid))
+                events.add(ProgStep(sid, None))
             if op == LOOP:
                 visit(body, outer + (k - 1,), labels2, calls)
                 visit(exit_, outer, labels2, calls)
@@ -979,7 +993,5 @@ def _walk(p: ClientProgram, bound: int, values: int) -> tuple:
 
 
 def _bump(labels: tuple, lab: str):
-    d = dict(labels)
-    inst = d.get(lab, 0)
-    d[lab] = inst + 1
-    return inst, tuple(sorted(d.items()))
+    inst = _tget(labels, lab, 0)
+    return inst, _tset(labels, lab, inst + 1)

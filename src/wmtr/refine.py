@@ -13,6 +13,10 @@ among the implementation traces realising a refuting observable, it
 picks one of minimal length and, among those, the one whose serialised
 event sequence is lexicographically smallest.  The choice is stable
 across runs and makes expected counterexamples exact test anchors.
+The search needs only the specification's observables: they are
+prefix-closed, so an implementation observable outside them is exactly
+a refuting one, and the first observation of a path that leaves them
+ends the shortest refuting trace along that path.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ def check_wmtr(p: ClientProgram, spec: ObjectDef, impl: ObjectDef,
     }
     if not diff:
         return Verdict("holds-within-bound", None, stats)
-    trace = _minimal_refuting_trace(ts_impl, diff)
+    trace = _minimal_refuting_trace(ts_impl, obs_spec)
     return Verdict("refuted", Counterexample(observable_of(trace), trace), stats)
 
 
@@ -83,16 +87,16 @@ def refute_object_refinement(spec: ObjectDef, impl: ObjectDef,
                          {"model": cfg.model.value, "clients": per_client})
 
 
-def _minimal_refuting_trace(ts: TraceSet, targets) -> Trace:
-    """Minimal trace whose observable lies in `targets`: shortest, then
-    lexicographically smallest serialised event sequence.  Searched in
-    best-first order over (state, observable-so-far) pairs, so the first
-    target reached is the canonical one.  An event stands in a priority
-    as its rank among the sorted serialisations of the graph's events,
-    which orders as the serialisation does, and a trace as a link to
-    the trace one event shorter."""
-    targets = frozenset(targets)
-    prefixes = {o[:j] for o in targets for j in range(len(o) + 1)}
+def _minimal_refuting_trace(ts: TraceSet, allowed) -> Trace:
+    """Minimal trace whose observable leaves `allowed`, a prefix-closed
+    set of observables that holds `()`: shortest, then lexicographically
+    smallest serialised event sequence.  Searched in best-first order
+    over (state, observable-so-far) pairs, a path ending at the first
+    observation that leaves `allowed`, so the first such end popped is
+    the canonical trace.  An event stands in a priority as its rank
+    among the sorted serialisations of the graph's events, which orders
+    as the serialisation does, and a trace as a link to the trace one
+    event shorter."""
     lines = sorted({event_to_json(e) for burst in ts.bursts for e in burst})
     rank = {js: r for r, js in enumerate(lines)}
     # per burst id: each event with its rank and its observation
@@ -102,40 +106,33 @@ def _minimal_refuting_trace(ts: TraceSet, targets) -> Trace:
     succ, burst_id, start, stop = ts.succ, ts.burst_id, ts.start, ts.stop
     ctr = 0
     # a trace is None when empty, else (the trace without its last
-    # event, that event)
+    # event, that event); a path that left `allowed` has state None
     heap = [((0, ()), ctr, ts.root, (), None)]
     best = {(ts.root, ()): (0, ())}
     while heap:
         prio, _, s, obs, trace = heapq.heappop(heap)
-        if obs in targets:
+        if s is None:
             events = []
             while trace is not None:
                 trace, e = trace
                 events.append(e)
             return tuple(reversed(events))
-        if best.get((s, obs), prio) < prio:
+        if best[s, obs] < prio:
             continue
         for k in range(start[s], stop[s]):
-            obs2, trace2, seq2 = obs, trace, prio[1]
-            dead = False
+            obs2, trace2, seq2, s2 = obs, trace, prio[1], succ[k]
             for e, r, o in steps[burst_id[k]]:
                 trace2 = (trace2, e)
                 seq2 = seq2 + (r,)
                 if o is not None:
                     obs2 = obs2 + (o,)
-                    if obs2 in targets:
-                        ctr += 1
-                        heapq.heappush(heap, ((len(seq2), seq2), ctr,
-                                              None, obs2, trace2))
-                    if obs2 not in prefixes:
-                        dead = True
+                    if obs2 not in allowed:
+                        s2 = None
                         break
-            if dead:
-                continue
             prio2 = (len(seq2), seq2)
-            key = (succ[k], obs2)
+            key = (s2, obs2)
             if key not in best or prio2 < best[key]:
                 best[key] = prio2
                 ctr += 1
-                heapq.heappush(heap, (prio2, ctr, succ[k], obs2, trace2))
-    raise AssertionError("no trace realises the refuting observable")
+                heapq.heappush(heap, (prio2, ctr, s2, obs2, trace2))
+    raise AssertionError("no trace leaves the allowed observables")

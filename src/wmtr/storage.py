@@ -352,10 +352,11 @@ class RELAXED(Storage):
     so `moves` tables them once per variable and entry; likewise `entry`
     notes once which cores issued a record that not every core holds,
     `attach` works out once per entry, operation and observation where
-    the observation goes, a load's choices are tabled per (entry, core),
-    and what `fence` and `invoke` make of an entry per (entry, core,
-    program records only).  Every table lives on the instance and goes
-    with the build."""
+    the observation goes, and a load's choices are tabled per (entry,
+    core); `fence` and `invoke` work out the moved entry afresh, and only
+    for the variables where `pending` (`pending_prog`) says the core owes
+    a record.  Every table lives on the instance and goes with the
+    build."""
 
     def __init__(self, cores, initials, buffer, bursts, shift=0):
         super().__init__(cores, initials, buffer, bursts, shift)
@@ -371,7 +372,6 @@ class RELAXED(Storage):
         self.pending: List[int] = []
         self.pending_prog: List[int] = []
         self.picks: Dict[tuple, tuple] = {}
-        self.published: Dict[tuple, int] = {}
         self.entry(((), (-1,) * len(cores)))
         self.shifts: Dict[str, int] = {}
         for var in sorted(initials):
@@ -495,13 +495,10 @@ class RELAXED(Storage):
         for shift, _ in self.fields:
             eid = s >> shift & mask
             if table[eid] >> k & 1:
-                e2 = self.published.get((eid, k, prog))
-                if e2 is None:
-                    recs, posv = self.entries.values[eid]
-                    last = max(pos for pos, r in enumerate(recs) if r[1] == k
-                               and (not prog or r[2] == "prog"))
-                    e2 = self.published[eid, k, prog] = self.entry(
-                        (recs, tuple(max(p, last) for p in posv)))
+                recs, posv = self.entries.values[eid]
+                last = max(pos for pos, r in enumerate(recs) if r[1] == k
+                           and (not prog or r[2] == "prog"))
+                e2 = self.entry((recs, tuple(max(p, last) for p in posv)))
                 s += (e2 - eid) << shift
         return s
 

@@ -527,20 +527,24 @@ class TestErrors:
         assert (code, out) == (3, "")
         assert err.startswith("inconclusive: ") and "holds 4 bits" in err
 
-    # an input too deep for the recursion limit: `if`s nested 500 deep
-    # (the parser recurses per block) and an expression of 1,000 terms
-    # (its step label is rendered recursively)
-    @pytest.mark.parametrize("body", [
-        "if (x = 0) { " * 500 + "x := 1; " + "} " * 500,
-        "x := " + " + ".join(["1"] * 1000) + ";",
+    # input past the parser's limits, reported at its first `{` or
+    # operator past them: `if`s nested 500 deep, where the thread body is
+    # the first level and the 100th `if` opens the 101st (its `{` in
+    # column 24 + 13 * 99), and an expression of 1,000 terms, where the
+    # 200th `+` would add the 201st (column 20 + 4 * 199)
+    @pytest.mark.parametrize("body, where", [
+        ("if (x = 0) { " * 500 + "x := 1; " + "} " * 500,
+         "2:1311: blocks nested more than 100 deep"),
+        ("x := " + " + ".join(["1"] * 1000) + ";",
+         "2:816: an expression of more than 200 terms"),
     ], ids=["nested-if", "long-expression"])
-    def test_deep_input_is_inconclusive(self, body, capsys, tmp_path):
+    def test_deep_input_is_a_parse_error(self, body, where, capsys,
+                                         tmp_path):
         src = tmp_path / "deep.wm"
         src.write_text(f"global x = 0;\nthread T0 {{ {body} }}\n")
         code, out, err = run(capsys, "explore", "--model", "sc",
                              "--client", str(src))
-        assert (code, out) == (3, "")
-        assert err.startswith("inconclusive: ") and "Traceback" not in err
+        assert (code, out, err) == (2, "", f"error: {where}\n")
 
     def test_burst_overflow_is_inconclusive(self, capsys, monkeypatch):
         """So does a burst id that outgrows the graph's burst column; with

@@ -212,11 +212,30 @@ class TestInterning:
         assert Inv(self.OP, 2) != Res(self.OP, 2)
         assert len({Inv(self.OP), Inv(self.OP, None), OpObs(self.OP)}) == 2
 
-    def test_making_an_event_again_adds_nothing(self):
-        ProgObs(self.STEP, "x", 3)
+    # the positional call is the table lookup; every other form runs the
+    # dataclass's `__init__` and then finds the instance in the table
+    @pytest.mark.parametrize("make", [
+        lambda: ProgObs(StepId("T2", "x:=1", 1), "x", 3),
+        lambda: ProgObs(step=TestInterning.STEP, var="x", value=3),
+        lambda: OpId(call="acquire", instance=0, thread="T1"),
+        lambda: Inv(TestInterning.OP, arg=1),
+        lambda: Res(TestInterning.OP),
+        lambda: ProgStep(TestInterning.STEP),
+        lambda: dataclasses.replace(Inv(TestInterning.OP, 1)),
+        lambda: dataclasses.replace(ProgStep(TestInterning.STEP, None),
+                                    write=None),
+    ], ids=["positional", "keywords", "reordered", "mixed", "default",
+            "default-step", "replace", "replace-default"])
+    def test_making_an_event_again_adds_nothing(self, make):
+        positional = {
+            "ProgObs": ProgObs(self.STEP, "x", 3),
+            "OpId": OpId("T1", "acquire", 0), "Inv": Inv(self.OP, 1),
+            "Res": Res(self.OP, None), "ProgStep": ProgStep(self.STEP, None),
+        }
         before = table_sizes()
-        ProgObs(StepId("T2", "x:=1", 1), "x", 3)
+        e = make()
         assert table_sizes() == before
+        assert e is positional[type(e).__name__]
 
     @pytest.mark.parametrize("make", [
         copy.copy, copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e)),

@@ -122,6 +122,26 @@ class TestParse:
             parse(text)
         assert str(e.value) == message
 
+    # the limits themselves: blocks nested 100 deep, the body's own
+    # included, and an expression of 200 terms parse and compile (and a
+    # client's walk runs) in a thread and in an operation; one level or
+    # one term more is refused
+    @pytest.mark.parametrize("wrap", [
+        lambda body: f"global x = 0;\nthread T0 {{ {body} }}",
+        lambda body: f"object impl {{\n  var x = 0;\n  op f() {{ {body} }}\n}}",
+    ], ids=["thread", "operation"])
+    def test_input_at_the_limits_parses(self, wrap):
+        nested = "if (x = 0) { " * 99 + "x := 1; " + "} " * 99
+        terms = "x := " + " + ".join(["x"] * 200) + ";"
+        for body in (nested, terms):
+            made = parse(wrap(body))
+            if isinstance(made, ClientProgram):
+                events_of_program(made, empty_object(), bound=1, values=1)
+        for body in ("if (x = 0) { " + nested + "} ",
+                     terms[:-1] + " - 1;"):
+            with pytest.raises(ParseError, match="more than"):
+                parse(wrap(body))
+
     def test_return_outside_op_rejected(self):
         with pytest.raises(ParseError, match="operation bodies"):
             parse("thread T {\n  return 1;\n}")

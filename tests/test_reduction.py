@@ -380,9 +380,12 @@ def test_merging_agrees_on_register_objects(case):
     pairs.append(assert_reduction_agrees(p, o, cfg(Model.RELAXED, values=1),
                                          "impl"))
     for first, second in pairs:
-        last = {max(first.observables())}
-        assert (refine._minimal_refuting_trace(first, last)
-                == refine._minimal_refuting_trace(second, last))
+        t = max(first.observables())
+        if t == ():
+            continue  # nothing to search for
+        allowed = {o for o in first.observables() if o[:len(t)] != t}
+        assert (refine._minimal_refuting_trace(first, allowed)
+                == refine._minimal_refuting_trace(second, allowed))
 
 
 @pytest.mark.parametrize("build", sorted(FRAME_BUILDS))

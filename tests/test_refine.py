@@ -34,7 +34,9 @@ def minimize(t, p, spec, impl, cfg):
     target = observable_of(t)
     if target in explore(p, spec, cfg).observables():
         raise ValueError("trace's observable behaviour does not refute")
-    return _minimal_refuting_trace(ts_impl, {target})
+    allowed = {o for o in ts_impl.observables()
+               if o[:len(target)] != target}
+    return _minimal_refuting_trace(ts_impl, allowed)
 
 
 @pytest.fixture(scope="module")
@@ -302,3 +304,26 @@ def test_random_refutations_get_the_canonical_counterexample(client):
                                          len(v.counterexample.trace))
         assert v.counterexample.trace == canonical, model
         event(f"{model.value}: refuted, compared")
+
+
+@pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+def test_canonical_counterexample_stops_at_the_first_refuting_observation(
+        model):
+    """Both threads take the racy lock and publish it in `g`; T0 then
+    sets `h`, so the refuting observable in which both publish 1 is
+    extended by a longer refuting one.  The search ends at the first
+    observation outside the specification's observables, which gives
+    the least refuting trace of all."""
+    p = parse("global g = 0;\nglobal h = 0;\n"
+              "thread T0 { r0 := call tryAcquire(); g := r0; h := 1; }\n"
+              "thread T1 { r0 := call tryAcquire(); g := r0; }")
+    spec, impl = load("spinlock_spec.wm"), parse(RACY_IMPL)
+    cfg = ExploreConfig(model=model, values=1)
+    v = check_wmtr(p, spec, impl, cfg)
+    ts_impl = explore(p, impl, cfg)
+    bad = ts_impl.observables() - explore(p, spec, cfg).observables()
+    o = v.counterexample.observable
+    assert o == (("T0", "g", 1), ("T1", "g", 1))
+    assert any(len(d) > len(o) and d[:len(o)] == o for d in bad)
+    assert v.counterexample.trace == least_refuting_trace(
+        ts_impl, bad, len(v.counterexample.trace))
