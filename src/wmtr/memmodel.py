@@ -36,16 +36,20 @@ plus the changes to its fields, each worked out once per value of the
 fields it reads: a silent RELAXED propagation is an int add, and the
 build's state table maps ints to ints.
 
-Successors are generated on the same factoring.  A step table keyed on
-(thread, own-state id) holds the shared variables the thread's next
-instruction, or the next instruction of its implementation call, reads
-and, per tuple of their values, the outcome, which `program.step` works
-out on a table miss only: once per thread state and read values,
-wherever the other threads stand; a step that reads nothing has one
-outcome, which the table holds bare.  Expressions are evaluated in full,
-so which variables a step reads depends on the key alone, and a gated
+Successors are generated on the same factoring.  One step table, keyed
+on (thread, own-state id), serves every thread step of every kind of
+object: a client instruction, the next instruction of an implementation
+call, a specification call and a chaos call.  It holds what the step
+reads and, per tuple of the values read, its outcomes, worked out on a
+table miss only: once per thread state and read values, wherever the
+other threads stand; a step that reads nothing has its outcomes held
+bare.  A client or implementation instruction reads shared variables,
+which `program.step` names as it runs; expressions are evaluated in
+full, so which variables it reads depends on the key alone, and a gated
 instruction (a TAS or fence: its core's writes must first be
 visible everywhere) reads through `latest`, the value a TAS acts on.
+A specification call reads the valuation id, its body running once per
+key and valuation; a chaos call reads nothing, one outcome per output.
 A state reads the variables of its entry and settles only what depends
 on the rest of it: whether the storage takes the write, what the
 core's `fence` makes of the state, what the thread's invocation does,
@@ -54,9 +58,7 @@ Every shared write, a TAS's included, is prepared once by the storage's
 `writer`, which fixes where the write goes (the ref an implementation
 store's or TAS's successor records) and what it emits.  An outcome's
 change to a state is one int, fixed when the outcome is made: the
-thread's field moved from its own-state id to the new one.  The
-responses of a chaos call are tabled per key too, and a specification
-body runs once per key and valuation.
+thread's field moved from its own-state id to the new one.
 
 The graph a build returns is stored as flat array columns, one entry
 per edge: the successor's id (`array('i')`) and the id of the edge's
@@ -125,7 +127,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -137,7 +139,7 @@ from .program import (
     settled, step, validate,
 )
 from . import storage
-from .storage import _MISS, RELAXED, SC, TSO, Eager, Interned, _tset
+from .storage import RELAXED, SC, TSO, Eager, Interned, _tset
 
 
 class Model(str, Enum):
@@ -212,15 +214,14 @@ _LOCAL, _WRITE, _FENCE, _CALL, _RET = range(5)
 
 
 class _Step:
-    """The outcome of a thread's next instruction for given read values,
-    or of one output of a chaos call: its burst, with what its write
-    emits, `delta`, the change it makes to a state (the thread's
-    own-state field moved to its state after the step), and, by kind,
-    the storage call's argument after the state (_WRITE: the prepared
-    write, _FENCE: a TAS's prepared write or None, _RET: `mem.attach`'s
-    after the core).  `bid` is the id of the burst, and
-    for _RET `emitted` that of the burst with the observation emitted at
-    once, each worked out when an edge first needs it."""
+    """An outcome of a thread's next step for given read values: its
+    burst, with what its write emits, `delta`, the change it makes to a
+    state (the thread's own-state field moved to its state after the
+    step), and, by kind, the storage call's argument after the state
+    (_WRITE: the prepared write, _FENCE: a TAS's prepared write or None,
+    _RET: `mem.attach`'s after the core).  `bid` is the id of the burst,
+    and for _RET `emitted` that of the burst with the observation emitted
+    at once, each worked out when an edge first needs it."""
     __slots__ = ("kind", "burst", "delta", "arg", "bid", "emitted")
 
     def __init__(self, kind: int, burst: tuple, delta: int, arg=None):
@@ -233,8 +234,8 @@ class _Step:
 class _Engine:
     """What every kind of object shares: client steps, the storage, the
     step table and `_take`.  A subclass, one per kind, gives the slot a
-    thread holds while in a call (`call_slot`), that thread's edges
-    (`call_actions`) and whatever else its kind needs."""
+    thread holds while in a call (`call_slot`), the outcomes of that
+    thread's steps (`_interpret`) and whatever else its kind needs."""
     fields = 0  # the state's fields between the threads' and the storage's
 
     def __init__(self, p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig,
@@ -267,12 +268,11 @@ class _Engine:
         # the choices of what a load reads
         self.read, self.latest = self.mem.read, self.mem.latest
         self.views = self.mem.views
-        # the step table, keyed (thread, own-state id), of a thread outside
-        # a call or in an implementation call: (the storage's load function,
-        # the shared variables its next step reads, {their values: _Step,
-        # or None when blocked}), or, when it reads none, its one _Step or
-        # None
-        self.steps: Dict[Tuple[str, int], tuple] = {}
+        # the step table, keyed (thread, own-state id): [the load function,
+        # what the thread's next step reads, {their values: its tuple of
+        # _Steps}], or, when it reads nothing, its tuple of _Steps; a
+        # tuple is empty when the step blocks
+        self.steps: Dict[Tuple[str, int], object] = {}
 
     def initials(self) -> dict:  # the storage's variables
         return dict(self.p.globals)
@@ -300,50 +300,46 @@ class _Engine:
         for th, values, shift in self.slots:
             x = st >> shift & mask
             ts = values[x]
-            if ts.call is not None:
-                self.call_actions(out, st, th, x, ts)
-            elif ts.pc:  # else the thread has run to its end
+            if ts.pc or ts.call is not None:  # else it has run to its end
                 self.step_actions(out, st, th, x, ts)
         out.extend(self.mem.moves(st))
         return out
 
     def step_actions(self, out, st, th, x, ts):
-        """Add to `out` the edges of `th`'s next instruction, or of the
-        next instruction of its implementation call, unless it is
-        blocked: one per choice of what its loads read, each from the
-        state with the core moved to what it reads.  Looked up in the
-        step table, interpreted on a miss."""
+        """Add to `out` the edges of `th`'s next step, one per outcome
+        and, for a step that loads shared variables, per choice of what
+        the loads read, each from the state with the core moved to what
+        it reads.  Looked up in the step table, interpreted on a miss."""
         key = (th, x)
-        entry = self.steps.get(key, _MISS)
-        if entry is _MISS:
-            load, step, seen = self._interpret(st, th, ts)
-            entry = self.steps[key] = ((load, tuple(seen),
-                                        {tuple(seen.values()): step})
-                                       if seen else step)
-        if entry.__class__ is not tuple:  # it reads nothing: one outcome
-            if entry is not None:
-                a = self._take(st, th, entry)
+        entry = self.steps.get(key)
+        if entry is None:
+            load, steps, seen = self._interpret(st, th, ts)
+            entry = self.steps[key] = ([load, tuple(seen),
+                                        {tuple(seen.values()): steps}]
+                                       if seen else steps)
+        if entry.__class__ is tuple:  # it reads nothing
+            for step in entry:
+                a = self._take(st, th, step)
                 if a is not None:
                     out.append(a)
             return
         load, reads, outcomes = entry
         core = self.coremap[th]
         for s in self.views(st, core, reads) if load is self.read else (st,):
-            step = outcomes.get(tuple([load(s, core, v) for v in reads]),
-                                _MISS)
-            if step is _MISS:
-                _, step, seen = self._interpret(s, th, ts)
-                outcomes[tuple(seen.values())] = step
-            if step is not None:
+            steps = outcomes.get(tuple([load(s, core, v) for v in reads]))
+            if steps is None:
+                _, steps, seen = self._interpret(s, th, ts)
+                outcomes[tuple(seen.values())] = steps
+            for step in steps:
                 a = self._take(s, th, step)
                 if a is not None:
                     out.append(a)
 
     def _interpret(self, st, th, ts):
         """Run `th`'s next instruction, or the next instruction of its
-        implementation call, in `st`: the load function, its _Step (None
-        when blocked or stuck) and the shared variables it read with their
-        values, which depend on `ts` alone."""
+        implementation call, in `st`: the load function, its tuple of
+        _Steps (empty when blocked or stuck) and the shared variables it
+        read with their values, which depend on `ts` alone."""
         code, pc, ctrs, regs, outcome = self._running(th, ts)
         load = self.latest if code[pc][0] in GATED else self.read
         core = self.coremap[th]
@@ -355,9 +351,9 @@ class _Engine:
 
         r = step(code, pc, ctrs, regs, view, self.cfg.values, self.cfg.unroll)
         if r is None:
-            return load, None, seen
+            return load, (), seen
         ins, pc, ctrs, regs, v = r
-        return (load, outcome(th, ts, ins, settled(code, pc), ctrs, regs, v),
+        return (load, (outcome(th, ts, ins, settled(code, pc), ctrs, regs, v),),
                 seen)
 
     def _running(self, th, ts):
@@ -446,8 +442,6 @@ class _Impl(_Engine):
     def call_slot(self, opid, arg, reg):
         op = self.obj.ops[opid.call]
         return self.run_merged(op, start_frame(opid, op, arg, reg)), None
-
-    call_actions = _Engine.step_actions
 
     def run_merged(self, op: OpDef, f: OpFrame) -> OpFrame:
         """`f` once it ran the instructions of `op.merged` that follow,
@@ -539,9 +533,10 @@ class _Spec(_Engine):
         super().__init__(*args)
         self.vshift = self.top
         self.valuations = Interned("specification valuations")
-        # keyed (thread, own-state id, valuation id): the call's edge as
-        # (burst id, change to the state), or None when blocked
-        self.spec_calls: Dict[tuple, Optional[tuple]] = {}
+        # what a call reads, the valuation id: a function of the state
+        # alone, and not a method, so the step table holds no engine
+        self.valuation = (lambda st, core, var, shift=self.top,
+                          mask=self.mask: st >> shift & mask)
 
     def root(self) -> int:
         objst = tuple(sorted(self.obj.shared.items()))
@@ -559,30 +554,26 @@ class _Spec(_Engine):
     def call_slot(self, opid, arg, reg):
         return opid, arg, reg
 
-    def call_actions(self, out, st, th, x, ts):
-        """Add to `out` the edge of `th`'s call unless its body blocks.
-        The body runs once per own state and valuation."""
-        key = (th, x, st >> self.vshift & self.mask)
-        edge = self.spec_calls.get(key, _MISS)
-        if edge is _MISS:
-            edge = self.spec_calls[key] = self._spec_call(th, ts, key[2])
-        if edge is not None:
-            out.append((edge[0], st + edge[1]))
-
-    def _spec_call(self, th, ts, objst):
-        """Run `th`'s call against valuation `objst`: (burst id, change to
-        the state) of its response and observation, or None."""
+    def _interpret(self, st, th, ts):
+        """A call runs its body against the valuation, its one read: one
+        _Step, its response observed and the valuation changed, or none
+        when a guard blocks."""
+        if ts.call is None:
+            return super()._interpret(st, th, ts)
+        objst = self.valuation(st, None, None)
+        seen = {"valuation": objst}
         opid, arg, ret_reg = ts.call
         r = run_spec_body(self.obj.ops[opid.call],
                           dict(self.valuations.values[objst]), arg,
                           self.cfg.values)
         if r is None:
-            return None
+            return self.valuation, (), seen
         valuation, outv = r
-        return (self.bursts.id((Res(opid, outv), OpObs(opid, outv))),
-                self._delta(th, ts, _returned(ts, ret_reg, outv))
-                + ((self.valuations.id(tuple(sorted(valuation.items())))
-                    - objst) << self.vshift))
+        d = (self._delta(th, ts, _returned(ts, ret_reg, outv))
+             + ((self.valuations.id(tuple(sorted(valuation.items()))) - objst)
+                << self.vshift))
+        return (self.valuation,
+                (_Step(_LOCAL, (Res(opid, outv), OpObs(opid, outv)), d),), seen)
 
 
 class _Chaos(_Engine):
@@ -596,21 +587,15 @@ class _Chaos(_Engine):
         self.covert = covert_ops(self.p, self.obj)
         self.outputs = {name: chaos_outputs(op, self.cfg.values)
                         for name, op in self.obj.ops.items()}
-        # keyed (thread, own-state id): [_Step per output]
-        self.responses: Dict[Tuple[str, int], List[_Step]] = {}
 
     def call_slot(self, opid, arg, reg):
         return opid, reg
 
-    def call_actions(self, out, st, th, x, ts):
-        key = (th, x)
-        steps = self.responses.get(key)
-        if steps is None:
-            steps = self.responses[key] = self._responses(th, ts)
-        for step in steps:
-            a = self._take(st, th, step)
-            if a is not None:
-                out.append(a)
+    def _interpret(self, st, th, ts):
+        """A call reads nothing: a _Step per output (`_responses`)."""
+        if ts.call is None:
+            return super()._interpret(st, th, ts)
+        return None, self._responses(th, ts), {}
 
     def _responses(self, th, ts):
         """A _Step per output of `th`'s call, in output order: a covert
@@ -628,7 +613,7 @@ class _Chaos(_Engine):
             else:
                 w = self.mem.writer(self.coremap[th], vvar, 0, "virt", opid, obs)
                 out.append(_Step(_WRITE, (res,) + w.emits, d, w))
-        return out
+        return tuple(out)
 
 
 ENGINES = {"impl": _Impl, "spec": _Spec, "chaos": _Chaos}
@@ -661,8 +646,6 @@ class TraceSet:
     burst_id: array
     start: array
     stop: array
-    _topo: Optional[list] = field(default=None, repr=False)
-    _obs: Optional[frozenset] = field(default=None, repr=False)
 
     @property
     def states(self) -> int:
@@ -674,8 +657,6 @@ class TraceSet:
 
     def topo(self) -> list:
         """States in a root-first topological order."""
-        if self._topo is not None:
-            return self._topo
         succ, start, stop = self.succ, self.start, self.stop
         root = self.root
         order, seen = [], bytearray(len(start))
@@ -692,7 +673,6 @@ class TraceSet:
                 order.append(node)
                 stack.pop()
         order.reverse()
-        self._topo = order
         return order
 
     def __contains__(self, trace) -> bool:
@@ -733,8 +713,6 @@ class TraceSet:
         burst id).  A mask is dropped once its state's edges are followed.
         Every prefix is interned on some path, at a state or at a cut
         inside a burst, so the trie holds exactly the observables."""
-        if self._obs is not None:
-            return self._obs
         succ, burst_id, start, stop = self.succ, self.burst_id, self.start, self.stop
         # per burst id: its program observations
         proj = [tuple((e.step.thread, e.var, e.value) for e in burst
@@ -771,8 +749,7 @@ class TraceSet:
                     reach[succ[k]] |= after
                 else:
                     reach[succ[k]] |= mask
-        self._obs = frozenset(prefixes)
-        return self._obs
+        return frozenset(prefixes)
 
     def empirical_pairs(self) -> frozenset:
         """(a, b) iff b occurs and a precedes b in every trace where b

@@ -364,20 +364,17 @@ class _Parser:
         globals_ = self.declarations("global")
         threads: Dict[str, Tuple[Stmt, ...]] = {}
         coremap: Dict[str, str] = {}
-        t = self.peek()
-        if not self.at("thread"):
-            raise ParseError(f"expected 'thread', found {t.text or 'end of input'!r}",
-                             t.line, t.col)
-        while self.at("thread"):
-            self.next()
+        while True:  # one thread at least
+            self.expect("thread")
             tname = self.fresh_name(threads, "thread")
             core = tname
             if self.at("core"):
                 self.next()
                 core = self.expect("IDENT").text
-            body = self.block(in_op=False)
-            threads[tname] = body
+            threads[tname] = self.block(in_op=False)
             coremap[tname] = core
+            if not self.at("thread"):
+                break
         self.expect("EOF")
         return ClientProgram(globals_, threads, coremap)
 
@@ -421,9 +418,7 @@ class _Parser:
         t = self.peek()
         if t.kind == "await":
             self.next()
-            self.expect("(")
-            c = self.cond()
-            self.expect(")")
+            c = self.test()
             self.expect(";")
             return Await(c)
         if t.kind == "fence":
@@ -432,9 +427,7 @@ class _Parser:
             return Fence()
         if t.kind == "if":
             self.next()
-            self.expect("(")
-            c = self.cond()
-            self.expect(")")
+            c = self.test()
             then = self.block(in_op)
             orelse: Tuple[Stmt, ...] = ()
             if self.at("else"):
@@ -443,11 +436,7 @@ class _Parser:
             return If(c, then, orelse)
         if t.kind == "while":
             self.next()
-            self.expect("(")
-            c = self.cond()
-            self.expect(")")
-            body = self.block(in_op)
-            return While(c, body)
+            return While(self.test(), self.block(in_op))
         if t.kind == "return":
             if not in_op:
                 raise ParseError("'return' is only allowed in operation bodies",
@@ -496,6 +485,13 @@ class _Parser:
         self.expect(")")
         self.expect(";")
         return Call(name, arg, result)
+
+    def test(self) -> Cmp:
+        """The parenthesised condition of an await, if or while."""
+        self.expect("(")
+        c = self.cond()
+        self.expect(")")
+        return c
 
     def cond(self) -> Cmp:
         left = self.expr()
@@ -642,9 +638,13 @@ def _scan_stmts(stmts, declared, assigned, errors, calls, where, in_spec):
         elif isinstance(s, Fence):
             pass
         elif isinstance(s, Return):
+            if calls is not None:
+                errors.append(f"{where}: 'return' is only allowed in operation bodies")
             if s.expr is not None:
                 check_expr(s.expr)
         elif isinstance(s, Tas):
+            if calls is not None:
+                errors.append(f"{where}: TAS is only allowed in operation bodies")
             if in_spec:
                 errors.append(f"{where}: primitive not allowed in specification")
             if s.var not in declared:

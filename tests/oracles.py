@@ -433,7 +433,11 @@ class BookSpec(memmodel._Engine):
     may not overlap an unobserved operation of another core.
     A thread in a call holds (opid, arg, reg).  The valuation and the
     book, of (opid, out, core) entries, are interned, their ids held in
-    the two fields above the threads'."""
+    the two fields above the threads'.  A call's edge depends on the book
+    as well as the valuation, so the engine tables its calls itself
+    (`spec_calls`, keyed on the valuation, and the book changes each
+    call's _Step holds) and hands the steps of a thread outside a call to
+    the base's step table."""
     fields = 2
 
     def __init__(self, *args):
@@ -487,10 +491,13 @@ class BookSpec(memmodel._Engine):
                 for j, (opid, outv, _) in enumerate(book)]
         return steps
 
-    def call_actions(self, out, st, th, x, ts):
-        """Add to `out` the edge of `th`'s call unless its body blocks.
+    def step_actions(self, out, st, th, x, ts):
+        """Add to `out` the edges of `th`'s next step: a step outside a
+        call is the base's; a call's edge is added unless its body blocks.
         The body runs once per own state and valuation; each state then
         only adds the response to its book."""
+        if ts.call is None:
+            return super().step_actions(out, st, th, x, ts)
         key = (th, x, st >> self.vshift & self.mask)
         step = self.spec_calls.get(key, _MISS)
         if step is _MISS:

@@ -1824,9 +1824,9 @@ class _Forgetful(dict):
         pass
 
 
-# the tables each kind of engine fills as it builds, at the least
-STEP_TABLES = {"impl": {"steps"}, "chaos": {"steps", "responses"},
-               "spec": {"steps", "spec_calls"}}
+# the tables each kind of engine fills as it builds, at the least: one
+# step table holds every thread step, whatever the kind of object
+STEP_TABLES = {"impl": {"steps"}, "chaos": {"steps"}, "spec": {"steps"}}
 
 
 def _build_interpreting_every_step(p, obj, c, mode):
@@ -1929,9 +1929,10 @@ def _interpretations(p, obj, c, mode):
         def _interpret(self, st, *rest):
             th, ts = rest[-2:]
             load, step, seen = super()._interpret(st, *rest)
-            read = tuple(seen.items())
-            steps.add((th, ts, read))
-            steps_in_tuples.add((self.at, th, read))
+            if load is not None:  # not a chaos call, recorded below
+                read = tuple(seen.items())
+                steps.add((th, ts, read))
+                steps_in_tuples.add((self.at, th, read))
             return load, step, seen
 
         def _responses(self, *rest):  # called in chaos mode only

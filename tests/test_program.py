@@ -156,6 +156,27 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("object neither { }")
 
+    # a missing token, a statement that is none and a condition with no
+    # comparison, in each place a condition stands, are each reported
+    # where they stand
+    @pytest.mark.parametrize("text,message", [
+        ("global x = ;", "1:12: expected 'INT', found ';'"),
+        ("object spec { op f() { return 1 } }",
+         "1:33: expected ';', found '}'"),
+        ("thread T { 5; }", "1:12: expected a statement, found '5'"),
+        ("global x = 0;\nthread T { await (x); }",
+         "2:20: expected '=' or '!=', found ')'"),
+        ("global x = 0; thread T { if (x) { } }",
+         "1:31: expected '=' or '!=', found ')'"),
+        ("global x = 0; thread T { while (x) { } }",
+         "1:34: expected '=' or '!=', found ')'"),
+    ], ids=["expected-int", "expected-semicolon", "statement", "await-cond",
+            "if-cond", "while-cond"])
+    def test_parse_error_message(self, text, message):
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert str(e.value) == message
+
 
 # --- a printer whose output parses back to the same tree ---
 
@@ -394,6 +415,19 @@ class TestValidate:
         o = parse("object impl {\n  var s = 0;\n  op put(v) {\n    s := v;\n  }\n}")
         p = parse("global g = 2;\nthread T {\n  call put(g);\n}")
         assert any("must be literals" in e for e in validate(p, o))
+
+    # a thread body built without the parser is held to the parser's
+    # rules: a return or a TAS is reported in its words, not left for
+    # the exploration to trip on
+    @pytest.mark.parametrize("body,message", [
+        ((Return(None),), "'return' is only allowed in operation bodies"),
+        ((Tas("rt", "x", 0, 1),), "TAS is only allowed in operation bodies"),
+        ((Assign("r1", Lit(1)), Return(Name("r1"))),
+         "'return' is only allowed in operation bodies"),
+    ], ids=["return", "tas", "assign-then-return"])
+    def test_thread_body_statements_of_operations_rejected(self, body, message):
+        p = ClientProgram({"x": 0}, {"T": body}, {"T": "T"})
+        assert validate(p, empty_object()) == [f"thread T: {message}"]
 
 
 class TestLabels:
