@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -34,7 +35,6 @@ SEED = 0  # the case order of each pass, the same on both sides
 def worker(tree: Path, workload: str) -> int:
     """Serve passes: one line in, "seconds failed" out, until stdin ends.
     The first line out is the warm-up's failure count."""
-    import random
     proto = os.fdopen(os.dup(1), "w")
     sys.stdout = sys.stderr  # the protocol alone goes to the parent
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]

@@ -535,7 +535,7 @@ class _Spec(_Engine):
         self.valuations = Interned("specification valuations")
         # what a call reads, the valuation id: a function of the state
         # alone, and not a method, so the step table holds no engine
-        self.valuation = (lambda st, core, var, shift=self.top,
+        self.valuation = (lambda st, core, var, shift=self.vshift,
                           mask=self.mask: st >> shift & mask)
 
     def root(self) -> int:
