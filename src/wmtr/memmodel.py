@@ -60,8 +60,13 @@ store's or TAS's successor records) and what it emits.  An outcome's
 change to a state is one int, fixed when the outcome is made: the
 thread's field moved from its own-state id to the new one.
 
-The graph a build returns is stored as flat array columns, one entry
-per edge: the successor's id (`array('i')`) and the id of the edge's
+The build is a depth-first search that numbers the states in
+post-order (Tarjan, SIAM J. Comput. 1972): a state gets its id once
+every successor has one, so every edge leads to a lower id, the root's
+is the highest, and each pass over the graph walks the ids downward,
+with no search of its own.  The graph it returns is stored as flat
+array columns, one entry per edge, each state's edges together, in id
+order: the successor's id (`array('i')`) and the id of the edge's
 burst (`array('H')`) in a per-build table of distinct bursts (few: fig5
 x spinlock_impl under RELAXED has 22 non-empty ones on 258,573 edges; a
 burst id past `storage.BURST_BITS` bits is an `OverflowError`).  The
@@ -628,14 +633,14 @@ class TraceSet:
     Traces are exactly: every prefix of every event sequence along every
     path from the root, including cuts inside a single action's burst.
 
-    States are int ids, numbered 0..n-1 in the order the build first
-    generated them; `root` is 0.  The graph is stored as flat arrays:
-    the edges of state s are the indices k in range(start[s], stop[s]),
-    and edge k leads to state succ[k] with the burst bursts[burst_id[k]].
-    `bursts` is the build's table of distinct bursts, id 0 being the
-    empty burst of a silent step.  Each state's edges are contiguous, in
-    the order the engine generated them; the states themselves are laid
-    out in the order the build expanded them, not in id order.
+    States are int ids, numbered 0..n-1 in post-order: the build gives a
+    state its id once every successor has one, so every edge leads to a
+    lower id, `root` is n-1, and ids downward are a topological order.
+    The graph is stored as flat arrays: the edges of state s are the
+    indices k in range(offsets[s], offsets[s + 1]), in the order the
+    engine generated them, and edge k leads to state succ[k] with the
+    burst bursts[burst_id[k]].  `bursts` is the build's table of
+    distinct bursts, id 0 being the empty burst of a silent step.
 
     `graph` is a read-only view of the arrays as a mapping from each id
     to its edges, a tuple of (burst, successor id)."""
@@ -644,42 +649,25 @@ class TraceSet:
     bursts: List[tuple]
     succ: array
     burst_id: array
-    start: array
-    stop: array
+    offsets: array
 
     @property
     def states(self) -> int:
-        return len(self.start)
+        return len(self.offsets) - 1
 
     @property
     def graph(self) -> GraphView:
         return GraphView(self)
 
-    def topo(self) -> list:
-        """States in a root-first topological order."""
-        succ, start, stop = self.succ, self.start, self.stop
-        root = self.root
-        order, seen = [], bytearray(len(start))
-        seen[root] = 1
-        stack = [(root, iter(succ[start[root]:stop[root]]))]
-        while stack:
-            node, it = stack[-1]
-            for nxt in it:
-                if not seen[nxt]:
-                    seen[nxt] = 1
-                    stack.append((nxt, iter(succ[start[nxt]:stop[nxt]])))
-                    break
-            else:
-                order.append(node)
-                stack.pop()
-        order.reverse()
-        return order
+    def topo(self) -> range:
+        """States in a root-first topological order: ids downward."""
+        return range(self.root, -1, -1)
 
     def __contains__(self, trace) -> bool:
         """Reachability in the product of the graph with trace positions;
         a burst longer than the rest of the trace accepts on a prefix."""
         bursts, succ, burst_id = self.bursts, self.succ, self.burst_id
-        start, stop = self.start, self.stop
+        offsets = self.offsets
         trace = tuple(trace)
         end = len(trace)
         seen = {(self.root, 0)}
@@ -688,7 +676,7 @@ class TraceSet:
             s, k = stack.pop()
             if k == end:
                 return True
-            for x in range(start[s], stop[s]):
+            for x in range(offsets[s], offsets[s + 1]):
                 burst = bursts[burst_id[x]]
                 n = len(burst)
                 if trace[k:k + n] == burst:
@@ -702,7 +690,7 @@ class TraceSet:
 
     def observables(self) -> frozenset:
         """All observable behaviours (sequences of program observations
-        `(thread, var, value)`), in one forward pass in topological order.
+        `(thread, var, value)`), in one forward pass, ids downward.
 
         Each observation prefix gets an id in a trie when first seen:
         `prefixes[i]` is the prefix with id i, and `child` maps (id,
@@ -713,7 +701,7 @@ class TraceSet:
         burst id).  A mask is dropped once its state's edges are followed.
         Every prefix is interned on some path, at a state or at a cut
         inside a burst, so the trie holds exactly the observables."""
-        succ, burst_id, start, stop = self.succ, self.burst_id, self.start, self.stop
+        succ, burst_id, offsets = self.succ, self.burst_id, self.offsets
         # per burst id: its program observations
         proj = [tuple((e.step.thread, e.var, e.value) for e in burst
                       if isinstance(e, ProgObs)) for burst in self.bursts]
@@ -736,11 +724,10 @@ class TraceSet:
                 out |= 1 << i
             return out
 
-        reach = [0] * len(start)
-        reach[self.root] = 1
-        for s in self.topo():
+        reach = [0] * self.root + [1]  # the root's id is the highest
+        for s in range(self.root, -1, -1):
             mask, reach[s] = reach[s], 0
-            for k in range(start[s], stop[s]):
+            for k in range(offsets[s], offsets[s + 1]):
                 b = burst_id[k]
                 if proj[b]:
                     after = memo.get((mask, b))
@@ -759,7 +746,7 @@ class TraceSet:
         event of the burst table, `reach[s]` holds the events on every
         path to state s and `before[x]` those before event x on every
         path reaching it."""
-        succ, burst_id, start, stop = self.succ, self.burst_id, self.start, self.stop
+        succ, burst_id, offsets = self.succ, self.burst_id, self.offsets
         events: List[Event] = []
         index: Dict[Event, int] = {}
         coded = []  # burst id -> its events' bit numbers
@@ -771,11 +758,10 @@ class TraceSet:
             coded.append(tuple(index[e] for e in burst))
         # each event lies on some edge, so the loop below sets every entry
         before: List[Optional[int]] = [None] * len(events)
-        reach: List[Optional[int]] = [None] * len(start)
-        reach[self.root] = 0
-        for s in self.topo():
+        reach: List[Optional[int]] = [None] * self.root + [0]
+        for s in range(self.root, -1, -1):
             base = reach[s]
-            for k in range(start[s], stop[s]):
+            for k in range(offsets[s], offsets[s + 1]):
                 here = base
                 for x in coded[burst_id[k]]:
                     prior = before[x]
@@ -806,17 +792,17 @@ class GraphView(Mapping):
 
     def __getitem__(self, s: int) -> tuple:
         ts = self._ts
-        if not (isinstance(s, int) and 0 <= s < len(ts.start)):
+        if not (isinstance(s, int) and 0 <= s < ts.states):
             raise KeyError(s)
         bursts, succ, burst_id = ts.bursts, ts.succ, ts.burst_id
         return tuple((bursts[burst_id[k]], succ[k])
-                     for k in range(ts.start[s], ts.stop[s]))
+                     for k in range(ts.offsets[s], ts.offsets[s + 1]))
 
     def __len__(self) -> int:
-        return len(self._ts.start)
+        return self._ts.states
 
     def __iter__(self):
-        return iter(range(len(self._ts.start)))
+        return iter(range(self._ts.states))
 
 
 # --- public entry points ---
@@ -831,33 +817,43 @@ def _build(p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig,
     eng = ENGINES[mode](p, obj, cfg,
                         Eager if not reduce and cfg.model is Model.RELAXED
                         else DISCIPLINES[cfg.model])
+    # A depth-first search that expands a state when it first sees it and
+    # gives it its id, writing its edges, once every successor has one.
     # Each state is hashed once per edge that reaches it, here; the graph
     # and every pass over it work on the int ids, and the engine hands out
-    # the burst ids.
+    # the burst ids.  s is the state being expanded, `js` the ids of its
+    # successors so far and `stack` the frames of the states on the path
+    # to it.  A state on the path holds the complement of its depth as
+    # its id, and `mark` is the one a new successor of s gets, so a
+    # successor holding another negative id is on the path: a cycle.
     root = eng.root()
-    ids: Dict[int, int] = {root: 0}
-    succ, burst_id = array("i"), array("H")
-    start, stop = array("i", [0]), array("i", [0])
-    stack = [(0, root)]
     actions = eng.actions
+    ids: Dict[int, int] = {root: ~0}
     setdefault = ids.setdefault
-    to_succ, to_burst = succ.append, burst_id.append
-    n = 1  # the states so far, and the id of the next
-    while stack:
-        i, s = stack.pop()
-        start[i] = len(succ)
-        for b, s2 in actions(s):
-            j = setdefault(s2, n)
-            if j == n:
-                n += 1
-                stack.append((j, s2))
-                start.append(0)
-                stop.append(0)
-            to_succ(j)
-            to_burst(b)
-        stop[i] = len(succ)
-    return TraceSet(0, eng.universe, eng.bursts.values, succ, burst_id,
-                    start, stop)
+    succ, burst_id, offsets = array("i"), array("H"), array("i", [0])
+    s, acts, js, mark = root, actions(root), [], ~1
+    it, stack = iter(acts), []
+    while True:
+        for _, s2 in it:
+            j = setdefault(s2, mark)
+            if j < 0:
+                if j != mark:
+                    raise AssertionError("the exploration graph has a cycle")
+                stack.append((s, acts, it, js, mark))
+                s, acts, js, mark = s2, actions(s2), [], mark - 1
+                it = iter(acts)
+                break
+            js.append(j)
+        else:
+            j = ids[s] = len(offsets) - 1
+            succ.fromlist(js)
+            burst_id.fromlist([b for b, _ in acts])
+            offsets.append(len(succ))
+            if not stack:
+                return TraceSet(j, eng.universe, eng.bursts.values, succ,
+                                burst_id, offsets)
+            s, acts, it, js, mark = stack.pop()
+            js.append(j)
 
 
 def explore(p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig) -> TraceSet:

@@ -230,9 +230,9 @@ class ObjectDef:
                                    "never runs")
 
 
-def empty_object(kind: str = "impl") -> ObjectDef:
-    """Object with no operations, for clients that make no calls."""
-    return ObjectDef(kind, {}, {})
+def empty_object() -> ObjectDef:
+    """Implementation with no operations, for clients that make no calls."""
+    return ObjectDef("impl", {}, {})
 
 
 # --- lexer ---
@@ -656,14 +656,19 @@ def _scan_stmts(stmts, declared, assigned, errors, calls, where, in_spec):
 
 def validate(p: ClientProgram, obj: ObjectDef) -> List[str]:
     """Static checks; returns a list of error messages, empty when ok.
-    The checks of the client alone and of the object alone ran when each
-    was made; those that need both run here."""
+    The checks of the client's code alone and of the object alone ran
+    when each was made; the core map's and those that need both run
+    here."""
     errors: List[str] = []
     overlap = set(p.globals) & set(obj.shared)
     if overlap:
         errors.append("program globals and object variables must be disjoint: "
                       + ", ".join(sorted(overlap)))
+    errors += [f"core map names unknown thread {th!r}"
+               for th in p.coremap if th not in p.threads]
     for th, (scanned, calls) in p.scan.items():
+        if th not in p.coremap:
+            errors.append(f"thread {th}: no core")
         errors += scanned
         for s in calls:
             op = obj.ops.get(s.op)

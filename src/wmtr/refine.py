@@ -103,7 +103,7 @@ def _minimal_refuting_trace(ts: TraceSet, allowed) -> Trace:
     steps = [tuple((e, rank[event_to_json(e)],
                     (e.step.thread, e.var, e.value) if isinstance(e, ProgObs)
                     else None) for e in burst) for burst in ts.bursts]
-    succ, burst_id, start, stop = ts.succ, ts.burst_id, ts.start, ts.stop
+    succ, burst_id, offsets = ts.succ, ts.burst_id, ts.offsets
     ctr = 0
     # a trace is None when empty, else (the trace without its last
     # event, that event); a path that left `allowed` has state None
@@ -119,7 +119,7 @@ def _minimal_refuting_trace(ts: TraceSet, allowed) -> Trace:
             return tuple(reversed(events))
         if best[s, obs] < prio:
             continue
-        for k in range(start[s], stop[s]):
+        for k in range(offsets[s], offsets[s + 1]):
             obs2, trace2, seq2, s2 = obs, trace, prio[1], succ[k]
             for e, r, o in steps[burst_id[k]]:
                 trace2 = (trace2, e)

@@ -17,6 +17,11 @@ way, and some test compares the two or builds on it:
                           straight from its definition.
   materialize, sample     the explicit trace set of an exploration graph,
                           and random walks through it.
+  preorder                an exploration graph renumbered as the build
+                          numbered it before it went to post-order: ids
+                          in the order states are first seen, so every
+                          graph and burst digest pinned before then
+                          still holds.
   least_refuting_trace    the least trace of an exploration graph, by
                           (length, event JSON), whose observable is in a
                           given set: the canonical counterexample of
@@ -44,6 +49,7 @@ way, and some test compares the two or builds on it:
 import random
 from contextlib import contextmanager
 from itertools import chain
+from types import SimpleNamespace
 from unittest import mock
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -254,6 +260,29 @@ def sample(ts, n: int, seed: int = 0) -> List[Trace]:
             events = events[:rng.randrange(len(events)) + 1]
         out.append(tuple(events))
     return out
+
+
+def preorder(ts) -> SimpleNamespace:
+    """`ts`'s graph and burst table as the build numbered them before it
+    numbered states in post-order: ids in the order states are first
+    seen, the root's being 0 and the state pushed last expanded first,
+    and bursts in the order edges first carry them, the empty burst's
+    being 0.
+    Takes anything with a `root` and an `id -> ((burst, successor id),
+    ...)` mapping as its `graph`; returns the same, with `bursts`."""
+    g = ts.graph
+    ids, order, stack = {ts.root: 0}, [ts.root], [ts.root]
+    bursts = {(): 0}
+    while stack:
+        for burst, s2 in g[stack.pop()]:
+            bursts.setdefault(burst, len(bursts))
+            if s2 not in ids:
+                ids[s2] = len(order)
+                order.append(s2)
+                stack.append(s2)
+    graph = {i: tuple((burst, ids[s2]) for burst, s2 in g[s])
+             for i, s in enumerate(order)}
+    return SimpleNamespace(root=0, graph=graph, bursts=list(bursts))
 
 
 # --- independent SC oracle ---

@@ -34,7 +34,8 @@ from conftest import (
 )
 from oracles import (
     empirical_pairs_oracle, from_traces, least_refuting_trace, materialize,
-    book_specs, observables_oracle, oracle_sc, sample, stepwise_frames,
+    book_specs, observables_oracle, oracle_sc, preorder, sample,
+    stepwise_frames,
 )
 
 
@@ -85,11 +86,11 @@ def chaos_graph():
 
 
 def graph_digest(ts):
-    """SHA-256 of the canonical serialisation of `ts.graph`, for a trace
-    set or anything else with an `id -> ((burst, successor id), ...)`
-    mapping as its `graph`: for every id in order, its edges in order,
-    each as its burst's event JSON and the successor id.  Any moved id or
-    burst changes the digest."""
+    """SHA-256 of the canonical serialisation of `ts.graph` renumbered by
+    `preorder`, for a trace set or anything else with a `root` and an
+    `id -> ((burst, successor id), ...)` mapping as its `graph`: for
+    every id in order, its edges in order, each as its burst's event JSON
+    and the successor id.  Any moved id or burst changes the digest."""
     memo = {}
 
     def enc(e):
@@ -98,7 +99,7 @@ def graph_digest(ts):
             s = memo[e] = event_to_json(e)
         return s
 
-    g = ts.graph
+    g = preorder(ts).graph
     doc = [(i, [([enc(e) for e in burst], succ) for burst, succ in g[i]])
            for i in range(len(g))]
     return hashlib.sha256(
@@ -116,8 +117,9 @@ def contract_digest(ts):
 
 
 def burst_digest(ts):
-    """SHA-256 of `ts.bursts`: each burst's event JSON, in table order."""
-    doc = [[event_to_json(e) for e in burst] for burst in ts.bursts]
+    """SHA-256 of the burst table of `ts` renumbered by `preorder`: each
+    burst's event JSON, in table order."""
+    doc = [[event_to_json(e) for e in burst] for burst in preorder(ts).bursts]
     return hashlib.sha256(
         json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
 
@@ -1310,10 +1312,10 @@ class TestStateIds:
         edges = [burst for acts in ts.graph.values() for burst, _ in acts]
         assert (ts.states, len(edges), sum(1 for b in edges if not b)) == \
             (46979, 258573, 180501)
-        assert ts.root == 0
+        assert ts.root == ts.states - 1
         assert sorted(ts.graph) == list(range(ts.states))
-        assert all(0 <= s2 < ts.states
-                   for acts in ts.graph.values() for _, s2 in acts)
+        assert all(0 <= s2 < s
+                   for s, acts in ts.graph.items() for _, s2 in acts)
 
     # fig5 x RELAXED is left out: the oracle alone takes about ten seconds
     # there, and the anchor above pins that graph
@@ -1324,6 +1326,57 @@ class TestStateIds:
         p, o = load(client, obj)
         ts = _build(p, o, cfg(model), "chaos")
         assert ts.empirical_pairs() == empirical_pairs_oracle(ts)
+
+
+@settings(max_examples=20, deadline=None)
+@given(object_clients(), st.sampled_from(["own", "chaos"]), st.booleans())
+def test_every_edge_leads_to_a_lower_id(case, mode, reduce):
+    """The build numbers states in post-order, so the root has the
+    highest id and ids downward are the topological order every pass
+    walks, for an implementation, a specification and the chaos object,
+    on either RELAXED storage."""
+    obj, text = case
+    p, o = parse(text), parse(corpus_text(obj))
+    for model in Model:
+        ts = _build(p, o, cfg(model, values=1),
+                    o.kind if mode == "own" else mode, reduce=reduce)
+        assert ts.root == ts.states - 1
+        assert all(s2 < s for s, acts in ts.graph.items() for _, s2 in acts)
+        assert list(ts.topo()) == list(range(ts.states - 1, -1, -1))
+
+
+# an engine's edges, as state -> successors, and whether they close a cycle
+STUB_GRAPHS = {
+    "self-loop": ({0: [0]}, True),
+    "through-the-root": ({0: [1], 1: [2], 2: [0]}, True),
+    "below-the-root": ({0: [1, 2], 1: [2], 2: [1]}, True),
+    "diamond": ({0: [1, 2], 1: [2], 2: []}, False),
+}
+
+
+@pytest.mark.parametrize("edges,cyclic", STUB_GRAPHS.values(),
+                         ids=list(STUB_GRAPHS))
+def test_a_cycle_stops_the_build(edges, cyclic, monkeypatch):
+    """Every pass assumes the graph has no cycle, so a build whose
+    engine closes one fails instead of returning it; a state reached
+    again after it got its id is no cycle."""
+    class Stub(memmodel._Impl):
+        def root(self):
+            return 0
+
+        def actions(self, st):
+            return [(0, s2) for s2 in edges[st]]
+
+    monkeypatch.setitem(memmodel.ENGINES, "impl", Stub)
+    p, o = parse(writes_client(1)), empty_object()
+    if cyclic:
+        with pytest.raises(AssertionError,
+                           match="the exploration graph has a cycle"):
+            _build(p, o, cfg(Model.SC), "impl")
+    else:
+        ts = _build(p, o, cfg(Model.SC), "impl")
+        assert dict(ts.graph) == {0: (), 1: (((), 0),),
+                                  2: (((), 1), ((), 0))}
 
 
 ATTACH_OBJECT = """object impl {
@@ -1523,7 +1576,7 @@ class TestGraphIdentity:
         acts = ts.graph[s]
         swapped = dict(ts.graph)
         swapped[s] = acts[1:] + acts[:1]
-        assert graph_digest(SimpleNamespace(graph=swapped)) != \
+        assert graph_digest(SimpleNamespace(root=ts.root, graph=swapped)) != \
             CHAOS_DIGESTS["fig2_client.wm", "fig2_object.wm"]
 
 
@@ -1811,8 +1864,8 @@ def test_a_cut_between_two_observations_is_observable():
     """No engine burst carries two program observations, so only this
     hand-built graph pins the cut between them."""
     x1, y1 = (ProgObs(StepId("T", f"{v}:=1", 0), v, 1) for v in "xy")
-    ts = TraceSet(0, frozenset(), [(), (x1, y1)], array("i", [1]),
-                  array("i", [1]), array("i", [0, 1]), array("i", [1, 1]))
+    ts = TraceSet(1, frozenset(), [(), (x1, y1)], array("i", [0]),
+                  array("i", [1]), array("i", [0, 0, 1]))
     want = {(), (("T", "x", 1),), (("T", "x", 1), ("T", "y", 1))}
     assert ts.observables() == observables_oracle(ts) == want
 

@@ -12,6 +12,7 @@ from conftest import (
 )
 from wmtr import program
 from wmtr.events import Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId
+from wmtr.memmodel import ExploreConfig, Model, explore
 from wmtr.program import (
     RETURN, Assign, Await, BinOp, Call, ClientProgram, Cmp, Expr, Fence, If,
     Lit, Name, ObjectDef, ParseError, Return, Stmt, Tas, While, empty_object,
@@ -428,6 +429,20 @@ class TestValidate:
     def test_thread_body_statements_of_operations_rejected(self, body, message):
         p = ClientProgram({"x": 0}, {"T": body}, {"T": "T"})
         assert validate(p, empty_object()) == [f"thread T: {message}"]
+
+    # the parser puts every thread on a core and names no other thread;
+    # a program built without it is held to the same core map
+    @pytest.mark.parametrize("coremap,messages", [
+        ({}, ["thread T: no core"]),
+        ({"T": "c0", "U": "c1"}, ["core map names unknown thread 'U'"]),
+        ({"U": "c0"}, ["core map names unknown thread 'U'",
+                       "thread T: no core"]),
+    ], ids=["missing", "unknown", "renamed"])
+    def test_core_map_must_name_exactly_the_threads(self, coremap, messages):
+        p = ClientProgram({"x": 0}, {"T": (Assign("x", Lit(1)),)}, coremap)
+        assert validate(p, empty_object()) == messages
+        with pytest.raises(ValueError, match=re.escape(messages[0])):
+            explore(p, empty_object(), ExploreConfig(Model.SC))
 
 
 class TestLabels:
