@@ -10,9 +10,10 @@ Subcommands:
 Exit codes: 0 on success (property holds), 1 when a check fails or a
 refutation is found, 2 on usage, parse, or validation errors, 3 when
 the run is inconclusive (a state or burst id outgrew the field that
-holds it), 141 (128 + SIGPIPE) when the reader of standard output
-closed it early.  Input that nests blocks more than 100 deep or has an
-expression of more than 200 terms is a parse error, exit 2.
+holds it, or the run ran out of memory), 141 (128 + SIGPIPE) when the
+reader of standard output closed it early.  Input that nests blocks
+more than 100 deep or has an expression of more than 200 terms is a
+parse error, exit 2.
 """
 
 from __future__ import annotations
@@ -69,7 +70,9 @@ def _load_object(path: Optional[str], kind: Optional[str] = None) -> ObjectDef:
     if not isinstance(obj, ObjectDef):
         raise ValueError(f"{path} is a client, expected an object definition")
     if kind is not None and obj.kind != kind:
-        raise ValueError(f"{path} is an {obj.kind} object, expected {kind}")
+        article = "an" if obj.kind == "impl" else "a"
+        raise ValueError(f"{path} is {article} {obj.kind} object, "
+                         f"expected {kind}")
     return obj
 
 
@@ -240,8 +243,9 @@ def main(argv=None) -> int:
     except (ParseError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except OverflowError as e:
-        print(f"inconclusive: {e}", file=sys.stderr)
+    except (OverflowError, MemoryError) as e:
+        why = "out of memory" if isinstance(e, MemoryError) else e
+        print(f"inconclusive: {why}", file=sys.stderr)
         return 3
 
 

@@ -8,7 +8,9 @@ class once from `ENGINES`, by where the object's observations are
 placed: `_Impl` runs an implementation instruction by instruction,
 `_Spec` a specification atomically, each response observed in its own
 edge, and `_Chaos` is the object-free object of the enforced-order
-extraction.
+extraction.  The base class runs the client's code; a kind gives two
+hooks, `call_slot`, the slot a thread holds once its call starts, and
+`_in_call`, what a thread in a call does next.
 
 States are collapse-compressed and packed: each thread's distinct
 states are stored once, in a table of its own, and so are a
@@ -136,7 +138,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .events import Event, Inv, OpId, OpObs, ProgObs, ProgStep, Res, StepId
+from .events import (Event, Inv, OpId, OpObs, ProgObs, ProgStep, Res,
+                     StepId, observable_of)
 from .porder import EnforcedOrder
 from .program import (
     CALL, FENCE, GATED, RETURN, SET, STORE, TAS, ClientProgram, ObjectDef,
@@ -238,9 +241,10 @@ class _Step:
 
 class _Engine:
     """What every kind of object shares: client steps, the storage, the
-    step table and `_take`.  A subclass, one per kind, gives the slot a
-    thread holds while in a call (`call_slot`), the outcomes of that
-    thread's steps (`_interpret`) and whatever else its kind needs."""
+    step table and `_take`.  A subclass, one per kind, gives two hooks:
+    `call_slot`, the slot a thread holds once its call starts, and
+    `_in_call`, the outcomes of that thread's next step, as `_interpret`
+    returns them; and whatever else its kind needs."""
     fields = 0  # the state's fields between the threads' and the storage's
 
     def __init__(self, p: ClientProgram, obj: ObjectDef, cfg: ExploreConfig,
@@ -341,11 +345,20 @@ class _Engine:
                     out.append(a)
 
     def _interpret(self, st, th, ts):
-        """Run `th`'s next instruction, or the next instruction of its
-        implementation call, in `st`: the load function, its tuple of
-        _Steps (empty when blocked or stuck) and the shared variables it
+        """What `th`'s next step in `st` does, as `_run` returns it: a
+        client instruction runs here, a step in a call is the kind's
+        `_in_call`."""
+        if ts.call is not None:
+            return self._in_call(st, th, ts)
+        return self._run(st, th, ts, self.p.code[th], ts.pc, ts.ctrs, ts.regs,
+                         self._client_outcome)
+
+    def _run(self, st, th, ts, code, pc, ctrs, regs, outcome):
+        """Run the instruction of `code` at `pc`, with loop counters `ctrs`
+        and registers `regs`, for `th` in `st`: the load function, its
+        tuple of _Steps (empty when blocked or stuck; `outcome` gives the
+        _Step of an instruction that ran) and the shared variables it
         read with their values, which depend on `ts` alone."""
-        code, pc, ctrs, regs, outcome = self._running(th, ts)
         load = self.latest if code[pc][0] in GATED else self.read
         core = self.coremap[th]
         seen: Dict[str, int] = {}
@@ -360,11 +373,6 @@ class _Engine:
         ins, pc, ctrs, regs, v = r
         return (load, (outcome(th, ts, ins, settled(code, pc), ctrs, regs, v),),
                 seen)
-
-    def _running(self, th, ts):
-        """What `th` runs next: code, pc, loop counters and registers,
-        and the function giving the _Step of an instruction that ran."""
-        return self.p.code[th], ts.pc, ts.ctrs, ts.regs, self._client_outcome
 
     def _client_outcome(self, th, ts, ins, pc, ctrs, regs, v):
         """The _Step of a client instruction that ran, going on at `pc`."""
@@ -465,12 +473,11 @@ class _Impl(_Engine):
             pc = settled(code, pc)
         return f._replace(pc=pc, ctrs=ctrs, regs=regs)
 
-    def _running(self, th, ts):
-        if ts.call is None:
-            return super()._running(th, ts)
-        f, _ = ts.call
-        return (self.obj.ops[f.opid.call].code, f.pc, f.ctrs, f.regs,
-                self._impl_outcome)
+    def _in_call(self, st, th, ts):
+        """The frame's next instruction runs as a client's does."""
+        f = ts.call[0]
+        return self._run(st, th, ts, self.obj.ops[f.opid.call].code, f.pc,
+                         f.ctrs, f.regs, self._impl_outcome)
 
     def _impl_outcome(self, th, ts, ins, pc, ctrs, regs, v):
         """The _Step of an implementation instruction that ran, going on at
@@ -559,12 +566,10 @@ class _Spec(_Engine):
     def call_slot(self, opid, arg, reg):
         return opid, arg, reg
 
-    def _interpret(self, st, th, ts):
+    def _in_call(self, st, th, ts):
         """A call runs its body against the valuation, its one read: one
         _Step, its response observed and the valuation changed, or none
         when a guard blocks."""
-        if ts.call is None:
-            return super()._interpret(st, th, ts)
         objst = self.valuation(st, None, None)
         seen = {"valuation": objst}
         opid, arg, ret_reg = ts.call
@@ -596,16 +601,11 @@ class _Chaos(_Engine):
     def call_slot(self, opid, arg, reg):
         return opid, reg
 
-    def _interpret(self, st, th, ts):
-        """A call reads nothing: a _Step per output (`_responses`)."""
-        if ts.call is None:
-            return super()._interpret(st, th, ts)
-        return None, self._responses(th, ts), {}
-
-    def _responses(self, th, ts):
-        """A _Step per output of `th`'s call, in output order: a covert
-        operation responds and is observed at once, any other responds
-        with a virtual write that carries its observation."""
+    def _in_call(self, st, th, ts):
+        """A call reads nothing: a _Step per output of `th`'s call, in
+        output order.  A covert operation responds and is observed at
+        once, any other responds with a virtual write that carries its
+        observation."""
         opid, ret_reg = ts.call
         vvar = f"#{opid.thread}.{opid.call}.{opid.instance}"
         out = []
@@ -618,7 +618,7 @@ class _Chaos(_Engine):
             else:
                 w = self.mem.writer(self.coremap[th], vvar, 0, "virt", opid, obs)
                 out.append(_Step(_WRITE, (res,) + w.emits, d, w))
-        return tuple(out)
+        return None, tuple(out), {}
 
 
 ENGINES = {"impl": _Impl, "spec": _Spec, "chaos": _Chaos}
@@ -703,8 +703,7 @@ class TraceSet:
         inside a burst, so the trie holds exactly the observables."""
         succ, burst_id, offsets = self.succ, self.burst_id, self.offsets
         # per burst id: its program observations
-        proj = [tuple((e.step.thread, e.var, e.value) for e in burst
-                      if isinstance(e, ProgObs)) for burst in self.bursts]
+        proj = [observable_of(burst) for burst in self.bursts]
         prefixes: List[tuple] = [()]
         child: Dict[tuple, int] = {}
         memo: Dict[tuple, int] = {}

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
-from .events import Event, Observable, ProgObs, Trace, event_to_json, observable_of
+from .events import Observable, Trace, event_to_json, observable_of
 from .memmodel import ExploreConfig, TraceSet, explore
 from .program import ClientProgram, ObjectDef
 
@@ -94,45 +94,37 @@ def _minimal_refuting_trace(ts: TraceSet, allowed) -> Trace:
     over (state, observable-so-far) pairs, a path ending at the first
     observation that leaves `allowed`, so the first such end popped is
     the canonical trace.  An event stands in a priority as its rank
-    among the sorted serialisations of the graph's events, which orders
-    as the serialisation does, and a trace as a link to the trace one
-    event shorter."""
-    lines = sorted({event_to_json(e) for burst in ts.bursts for e in burst})
-    rank = {js: r for r, js in enumerate(lines)}
-    # per burst id: each event with its rank and its observation
-    steps = [tuple((e, rank[event_to_json(e)],
-                    (e.step.thread, e.var, e.value) if isinstance(e, ProgObs)
-                    else None) for e in burst) for burst in ts.bursts]
+    among the graph's events sorted by serialisation, which orders as
+    the serialisation does, so equal priorities are equal traces and
+    the trace is read off the priority."""
+    events = sorted({e for burst in ts.bursts for e in burst},
+                    key=event_to_json)
+    rank = {e: r for r, e in enumerate(events)}
+    # per burst id: each event's rank and its observation, if any
+    steps = [tuple((rank[e], observable_of((e,))) for e in burst)
+             for burst in ts.bursts]
     succ, burst_id, offsets = ts.succ, ts.burst_id, ts.offsets
-    ctr = 0
-    # a trace is None when empty, else (the trace without its last
-    # event, that event); a path that left `allowed` has state None
-    heap = [((0, ()), ctr, ts.root, (), None)]
+    # a path that left `allowed` ends at state -1
+    heap = [((0, ()), ts.root, ())]
     best = {(ts.root, ()): (0, ())}
     while heap:
-        prio, _, s, obs, trace = heapq.heappop(heap)
-        if s is None:
-            events = []
-            while trace is not None:
-                trace, e = trace
-                events.append(e)
-            return tuple(reversed(events))
+        prio, s, obs = heapq.heappop(heap)
+        if s < 0:
+            return tuple(events[r] for r in prio[1])
         if best[s, obs] < prio:
             continue
         for k in range(offsets[s], offsets[s + 1]):
-            obs2, trace2, seq2, s2 = obs, trace, prio[1], succ[k]
-            for e, r, o in steps[burst_id[k]]:
-                trace2 = (trace2, e)
+            obs2, seq2, s2 = obs, prio[1], succ[k]
+            for r, o in steps[burst_id[k]]:
                 seq2 = seq2 + (r,)
-                if o is not None:
-                    obs2 = obs2 + (o,)
+                if o:
+                    obs2 = obs2 + o
                     if obs2 not in allowed:
-                        s2 = None
+                        s2 = -1
                         break
             prio2 = (len(seq2), seq2)
             key = (s2, obs2)
             if key not in best or prio2 < best[key]:
                 best[key] = prio2
-                ctr += 1
-                heapq.heappush(heap, (prio2, ctr, s2, obs2, trace2))
+                heapq.heappush(heap, (prio2, s2, obs2))
     raise AssertionError("no trace leaves the allowed observables")

@@ -466,7 +466,8 @@ class BookSpec(memmodel._Engine):
     as well as the valuation, so the engine tables its calls itself
     (`spec_calls`, keyed on the valuation, and the book changes each
     call's _Step holds) and hands the steps of a thread outside a call to
-    the base's step table."""
+    the base's step table; a thread in a call never reaches the base's
+    `_interpret`, so the engine needs no `_in_call`."""
     fields = 2
 
     def __init__(self, *args):

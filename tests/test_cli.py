@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from wmtr import storage
+from wmtr import memmodel, storage
 from wmtr.cli import main
 from conftest import (
     CORPUS, ORDER_PAIRS, check_wellformed, order_from_lines, trace_from_lines,
@@ -424,6 +424,12 @@ class TestExploreAndDot:
         code, out, err = run(capsys, *argv, "--spec", C("spinlock_impl.wm"))
         assert (code, out) == (2, "")
         assert err.endswith("is an impl object, expected spec\n")
+        code, out, err = run(capsys, "check", "--model", "sc",
+                             "--client", C("fig6_client.wm"),
+                             "--spec", C("spinlock_spec.wm"),
+                             "--impl", C("spinlock_spec.wm"))
+        assert (code, out) == (2, "")
+        assert err.endswith("is a spec object, expected impl\n")
 
     def test_dot_output(self, capsys):
         code, out, _ = run(capsys, "dot", "--model", "relaxed", "--values", "1",
@@ -526,6 +532,23 @@ class TestErrors:
                              "--impl", C("spinlock_impl.wm"))
         assert (code, out) == (3, "")
         assert err.startswith("inconclusive: ") and "holds 4 bits" in err
+
+    @pytest.mark.parametrize("command", ["explore", "check", "refute"])
+    def test_out_of_memory_is_inconclusive(self, command, capsys,
+                                           monkeypatch):
+        """A build that runs out of memory ends the run as inconclusive,
+        exit 3, with one line on stderr and no traceback."""
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(memmodel, "_build", out_of_memory)
+        argv = [command, "--model", "relaxed",
+                "--client", C("fig5_client.wm"),
+                "--impl", C("spinlock_impl.wm")]
+        if command != "explore":
+            argv += ["--spec", C("spinlock_spec.wm")]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (3, "", "inconclusive: out of memory\n")
 
     # input past the parser's limits, reported at its first `{` or
     # operator past them: `if`s nested 500 deep, where the thread body is

@@ -1988,11 +1988,12 @@ def _interpretations(p, obj, c, mode):
                 steps_in_tuples.add((self.at, th, read))
             return load, step, seen
 
-        def _responses(self, *rest):  # called in chaos mode only
-            th, ts = rest[-2:]
-            calls.add((th, ts))
-            calls_in_tuples.add((self.at, th))
-            return super()._responses(*rest)
+        def _in_call(self, *rest):
+            if mode == "chaos":
+                th, ts = rest[-2:]
+                calls.add((th, ts))
+                calls_in_tuples.add((self.at, th))
+            return super()._in_call(*rest)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setitem(memmodel.ENGINES, mode, Recording)
@@ -2013,7 +2014,7 @@ def test_a_thread_step_is_interpreted_once_per_own_state(model, mode,
     c = cfg(model, values=2)
     steps, steps_in_tuples, calls, calls_in_tuples = _interpretations(
         p, o, c, mode)
-    counts = {"step": 0, "responses": 0}
+    counts = {"step": 0, "in_call": 0}
 
     def counted(name, f):
         def run(*args):
@@ -2022,12 +2023,12 @@ def test_a_thread_step_is_interpreted_once_per_own_state(model, mode,
         return run
 
     monkeypatch.setattr(memmodel, "step", counted("step", memmodel.step))
-    monkeypatch.setattr(memmodel._Chaos, "_responses",
-                        counted("responses", memmodel._Chaos._responses))
+    monkeypatch.setattr(memmodel._Chaos, "_in_call",
+                        counted("in_call", memmodel._Chaos._in_call))
     _build(p, o, c, mode)
     assert counts["step"] == len(steps) < len(steps_in_tuples)
     if mode == "chaos":
-        assert counts["responses"] == len(calls) < len(calls_in_tuples)
+        assert counts["in_call"] == len(calls) < len(calls_in_tuples)
 
 
 def _orders_and_events(text):
