@@ -31,6 +31,9 @@ CHECKS = [
      {"sc": True, "tso": True}),
     ("fig6_client.wm", "spinlock_spec.wm", "spinlock_impl.wm",
      {"sc": True, "tso": True, "relaxed": False}),
+    # fig6 widened to three threads: the first scale refutation
+    ("scale/inc3.wm", "spinlock_spec.wm", "spinlock_impl.wm",
+     {"sc": True, "tso": True, "relaxed": False}),
 ]
 
 ORDERS = [

@@ -284,7 +284,14 @@ class _Engine:
         self.steps: Dict[Tuple[str, int], object] = {}
 
     def initials(self) -> dict:  # the storage's variables
-        return dict(self.p.globals)
+        return self.in_domain(self.p.globals)
+
+    def in_domain(self, declared: dict) -> dict:
+        """Declared initial values wrapped into the domain 0..values, as
+        every value a step makes is, so a TAS's test reads them as an
+        expression does."""
+        n = self.cfg.values + 1
+        return {var: v % n for var, v in declared.items()}
 
     def root(self) -> int:
         code = self.p.code
@@ -450,7 +457,7 @@ class _Impl(_Engine):
     ref is the storage's, fixed when the write is prepared."""
 
     def initials(self) -> dict:
-        return {**self.p.globals, **self.obj.shared}
+        return self.in_domain({**self.p.globals, **self.obj.shared})
 
     def call_slot(self, opid, arg, reg):
         op = self.obj.ops[opid.call]
@@ -551,7 +558,7 @@ class _Spec(_Engine):
                           mask=self.mask: st >> shift & mask)
 
     def root(self) -> int:
-        objst = tuple(sorted(self.obj.shared.items()))
+        objst = tuple(sorted(self.in_domain(self.obj.shared).items()))
         return super().root() | self.valuations.id(objst) << self.vshift
 
     def invoke(self, st: int, thread: str) -> Optional[int]:

@@ -32,6 +32,11 @@ also order each operation's own events in stage order (inv, then res,
 then obs), which empirical orders of real trace sets always do;
 `test_porder` keeps a small relation witnessing that the laws alone do
 not entail it.
+
+A law's result (`LawCheck`) and the report of all of them
+(`AxiomReport`) are `NamedTuple`s, plain values built whole; an
+`EnforcedOrder` stays a dataclass, whose maps are cached on the
+instance when first read.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from typing import Dict, FrozenSet, NamedTuple, Optional, Set, Tuple
 
 from .events import (
     Event,
@@ -123,15 +128,13 @@ LAW_OBS_SERIALISES = "order-into-observation-serialises"
 LAW_CROSS_OP = "cross-operation-order-serialises"
 
 
-@dataclass(frozen=True)
-class LawCheck:
+class LawCheck(NamedTuple):
     name: str
     holds: bool
     witness: Optional[Pair] = None
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     checks: Tuple[LawCheck, ...]
 
     @property
@@ -145,8 +148,7 @@ class AxiomReport:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
-class _Instance:
+class _Instance(NamedTuple):
     invs: Tuple[Event, ...]
     ress: Tuple[Event, ...]
     obss: Tuple[Event, ...]

@@ -65,6 +65,15 @@ checks (`ObjectDef.errors`).  Neither depends on the other side or on
 the memory model, so every build of the same client or object reads
 them; `validate` checks only what needs both: disjoint names, and
 each call against its operation.
+
+The syntax nodes (`Lit` to `Tas`) are `NamedTuple`s: immutable values
+whose equality, hashing and printing a tuple gives without generating
+methods.  Two tuple facts stay harmless while no code leans on them:
+`Fence()` is the empty tuple, false, and a node equals the plain tuple
+of its items (`Lit(1) == (1,)`), so nothing tests a node's truth or
+compares one with a plain tuple.  `ClientProgram`, `OpDef` and
+`ObjectDef` stay dataclasses: their static facts are filled in after
+construction and left out of their comparison.
 """
 
 from __future__ import annotations
@@ -79,18 +88,15 @@ from .storage import _tget, _tset
 # --- abstract syntax ---
 
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(NamedTuple):
     value: int
 
 
-@dataclass(frozen=True)
-class Name:
+class Name(NamedTuple):
     ident: str
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # "+" or "-"
     left: "Expr"
     right: "Expr"
@@ -99,56 +105,47 @@ class BinOp:
 Expr = Union[Lit, Name, BinOp]
 
 
-@dataclass(frozen=True)
-class Cmp:
+class Cmp(NamedTuple):
     op: str  # "=" or "!="
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
-class Assign:
+class Assign(NamedTuple):
     target: str
     expr: Expr
 
 
-@dataclass(frozen=True)
-class Await:
+class Await(NamedTuple):
     cond: Cmp
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     op: str
     arg: Optional[Expr] = None
     result: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class If:
+class If(NamedTuple):
     cond: Cmp
     then: Tuple["Stmt", ...]
     orelse: Tuple["Stmt", ...] = ()
 
 
-@dataclass(frozen=True)
-class While:
+class While(NamedTuple):
     cond: Cmp
     body: Tuple["Stmt", ...]
 
 
-@dataclass(frozen=True)
-class Fence:
+class Fence(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class Return:
+class Return(NamedTuple):
     expr: Optional[Expr] = None
 
 
-@dataclass(frozen=True)
-class Tas:
+class Tas(NamedTuple):
     result: str
     var: str
     test: int
@@ -333,6 +330,16 @@ class _Parser:
     def at(self, kind: str) -> bool:
         return self.toks[self.i].kind == kind
 
+    def number(self) -> int:
+        """The next token's value, which must be an integer literal that
+        Python converts (at most 4,300 digits by default)."""
+        t = self.expect("INT")
+        try:
+            return int(t.text)
+        except ValueError:
+            raise ParseError(f"an integer literal of {len(t.text)} digits "
+                             "is too long", t.line, t.col) from None
+
     def fresh_name(self, seen, what: str) -> str:
         """The next identifier, which must not be in `seen`; a duplicate
         is reported at its own position."""
@@ -349,7 +356,7 @@ class _Parser:
             self.next()
             name = self.fresh_name(out, keyword)
             self.expect("=")
-            out[name] = int(self.expect("INT").text)
+            out[name] = self.number()
             self.expect(";")
         return out
 
@@ -464,9 +471,9 @@ class _Parser:
                 self.expect("(")
                 var = self.expect("IDENT").text
                 self.expect(",")
-                test = int(self.expect("INT").text)
+                test = self.number()
                 self.expect(",")
-                swap = int(self.expect("INT").text)
+                swap = self.number()
                 self.expect(")")
                 self.expect(";")
                 return Tas(target, var, test, swap)
@@ -517,8 +524,7 @@ class _Parser:
     def atom(self) -> Expr:
         t = self.peek()
         if t.kind == "INT":
-            self.next()
-            return Lit(int(t.text))
+            return Lit(self.number())
         if t.kind == "IDENT":
             self.next()
             return Name(t.text)

@@ -17,30 +17,30 @@ The search needs only the specification's observables: they are
 prefix-closed, so an implementation observable outside them is exactly
 a refuting one, and the first observation of a path that leaves them
 ends the shortest refuting trace along that path.
+
+A `Verdict` and its `Counterexample` are `NamedTuple`s, plain values
+built whole: a verdict always comes with its stats.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 from .events import Observable, Trace, event_to_json, observable_of
 from .memmodel import ExploreConfig, TraceSet, explore
 from .program import ClientProgram, ObjectDef
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     observable: Observable  # behaviour the specification cannot produce
     trace: Trace            # minimal implementation trace realising it
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     verdict: str  # "holds-within-bound" | "refuted"
     counterexample: Optional[Counterexample]
-    stats: Dict[str, object] = field(default_factory=dict)
+    stats: Dict[str, object]
 
     @property
     def holds(self) -> bool:

@@ -366,7 +366,7 @@ def _call_structure(events) -> Dict[str, list]:
 
 
 def spec_histories(spec: ObjectDef, events, coremap: Dict[str, str],
-                   bound: Optional[int] = None, values: int = 3,
+                   values: int = 3,
                    covert: Optional[frozenset] = None) -> FrozenSet[History]:
     """Prefix-closed set of object histories the specification admits for
     the given invocation structure: an observation may trail its
@@ -383,11 +383,13 @@ def spec_histories(spec: ObjectDef, events, coremap: Dict[str, str],
             tuple(sorted(spec.shared.items())), ())
     memo: dict = {}
 
-    def hist(st) -> frozenset:
+    def edges(st) -> list:
+        """The steps from `st`, each (its events, the next state), worked
+        out once per state."""
         if st in memo:
             return memo[st]
         nxt, pend, val, book = st
-        out = {()}
+        out = []
         cores_busy = [coremap[threads[j]] for j, p in enumerate(pend)
                       if p is not None]
         cores_busy += [c for (_, _, c) in book]
@@ -396,10 +398,9 @@ def spec_histories(spec: ObjectDef, events, coremap: Dict[str, str],
             if pend[i] is None and nxt[i] < len(calls[th]):
                 if all(c == core for c in cores_busy):
                     opid, arg = calls[th][nxt[i]]
-                    st2 = (_rep(nxt, i, nxt[i] + 1), _rep(pend, i, (opid, arg)),
-                           val, book)
-                    for t in hist(st2):
-                        out.add((Inv(opid, arg),) + t)
+                    out.append(((Inv(opid, arg),),
+                                (_rep(nxt, i, nxt[i] + 1),
+                                 _rep(pend, i, (opid, arg)), val, book)))
             if pend[i] is not None:
                 opid, arg = pend[i]
                 r = run_spec_body(spec.ops[opid.call], dict(val), arg, values)
@@ -407,27 +408,33 @@ def spec_histories(spec: ObjectDef, events, coremap: Dict[str, str],
                     st_new, outv = r
                     val2 = tuple(sorted(st_new.items()))
                     if opid.call in covert:
-                        burst = (Res(opid, outv), OpObs(opid, outv))
-                        st2 = (nxt, _rep(pend, i, None), val2, book)
-                        out.add(burst[:1])
-                        for t in hist(st2):
-                            out.add(burst + t)
+                        out.append(((Res(opid, outv), OpObs(opid, outv)),
+                                    (nxt, _rep(pend, i, None), val2, book)))
                     else:
-                        st2 = (nxt, _rep(pend, i, None), val2,
-                               book + ((opid, outv, core),))
-                        for t in hist(st2):
-                            out.add((Res(opid, outv),) + t)
+                        out.append(((Res(opid, outv),),
+                                    (nxt, _rep(pend, i, None), val2,
+                                     book + ((opid, outv, core),))))
         for j, (opid, outv, core) in enumerate(book):
-            st2 = (nxt, pend, val, book[:j] + book[j + 1:])
-            for t in hist(st2):
-                out.add((OpObs(opid, outv),) + t)
-        memo[st] = frozenset(out)
-        return memo[st]
+            out.append(((OpObs(opid, outv),),
+                        (nxt, pend, val, book[:j] + book[j + 1:])))
+        memo[st] = out
+        return out
 
-    result = hist(init)
-    if bound is not None:
-        result = frozenset(h for h in result if len(h) <= bound)
-    return result
+    # every prefix of the events of every path from the initial state;
+    # the steps from a state start with distinct events, so each history
+    # ends one path, or one path but for an observation covert with its
+    # response, and is built once
+    result = [()]
+    stack = [(init, ())]
+    while stack:
+        st, h = stack.pop()
+        for evs, st2 in edges(st):
+            h2 = h + evs
+            if len(evs) > 1:
+                result.append(h2[:-1])
+            result.append(h2)
+            stack.append((st2, h2))
+    return frozenset(result)
 
 
 def _rep(t: tuple, i: int, v):
@@ -484,7 +491,7 @@ class BookSpec(memmodel._Engine):
         self.book_moves: Dict[int, list] = {}
 
     def root(self) -> int:
-        objst = tuple(sorted(self.obj.shared.items()))
+        objst = tuple(sorted(self.in_domain(self.obj.shared).items()))
         return (super().root() | self.valuations.id(objst) << self.vshift
                 | self.books.id(()) << self.bshift)
 

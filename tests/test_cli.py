@@ -569,6 +569,18 @@ class TestErrors:
                              "--client", str(src))
         assert (code, out, err) == (2, "", f"error: {where}\n")
 
+    def test_overlong_literal_is_a_parse_error(self, capsys, tmp_path):
+        """A literal past Python's int-string conversion limit is refused
+        where it stands, with no traceback."""
+        src = tmp_path / "long.wm"
+        src.write_text("global x = 0;\nthread T0 { x := " + "9" * 5000
+                       + "; }\n")
+        code, out, err = run(capsys, "explore", "--model", "sc",
+                             "--client", str(src))
+        assert (code, out, err) == (
+            2, "", "error: 2:18: an integer literal of 5000 digits is too "
+                   "long\n")
+
     def test_burst_overflow_is_inconclusive(self, capsys, monkeypatch):
         """So does a burst id that outgrows the graph's burst column; with
         2-bit ids the fig5 build outgrows them at once."""

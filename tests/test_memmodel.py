@@ -1055,12 +1055,46 @@ LITMUS = {
 }
 
 
+@pytest.mark.parametrize("model,states", [(Model.SC, 2421),
+                                          (Model.TSO, 17356)])
+def test_iriw2_scale(model, states):
+    """IRIW with each variable written twice, at values 2: the figures of
+    its header comment.  RELAXED is left out, its observables too many
+    to hold as a set."""
+    p = parse(corpus_text("litmus/iriw2.wm"))
+    ts = explore(p, empty_object(), cfg(model, values=2))
+    assert (ts.states, len(ts.observables())) == (states, 39927)
+
+
 def outcome_allowed(ts, outcome):
     """Whether some observable ends with the value of `outcome` as the
     last observation of each of its globals."""
     return any(all(last.get(g) == v for g, v in outcome.items())
                for last in ({var: val for _, var, val in o}
                             for o in ts.observables()))
+
+
+GET_CLIENT = "global y = 0;\nthread T1 { r := call get(); y := r; }"
+# `get` reads x = 5, which is 1 at values 3, through a TAS and a test
+GET_BY = {
+    "tas": "object impl {\n  var x = 5;\n"
+           "  op get() { rt := TAS(x, 1, 0); return rt; }\n}",
+    "test": "object impl {\n  var x = 5;\n"
+            "  op get() { if (x = 1) { return 1; } else { return 0; } }\n}",
+}
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_declared_initial_values_are_wrapped_into_the_domain(model):
+    p, c = parse(GET_CLIENT), cfg(model, values=3)
+    for name, text in GET_BY.items():
+        ys = {val for o in explore(p, parse(text), c).observables()
+              for _, var, val in o if var == "y"}
+        assert ys == {1}, name
+    spec = parse(GET_BY["test"].replace("impl", "spec"))
+    eng = memmodel.ENGINES["spec"](p, spec, c, memmodel.DISCIPLINES[model])
+    eng.root()
+    assert eng.valuations.values == [(("x", 1),)]
 
 
 @pytest.mark.parametrize("name", sorted(LITMUS))

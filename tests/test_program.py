@@ -143,6 +143,22 @@ class TestParse:
             with pytest.raises(ParseError, match="more than"):
                 parse(wrap(body))
 
+    # a literal past Python's int-string conversion limit (4,300 digits by
+    # default) is refused at the literal, wherever a literal may stand;
+    # one of 4,300 digits parses
+    @pytest.mark.parametrize("text,message", [
+        ("global x = {};\nthread T {{ x := 1; }}", "1:12"),
+        ("global x = 0;\nthread T {{ x := x + {}; }}", "2:21"),
+        ("object impl {{\n  var x = 0;\n"
+         "  op f() {{ r := TAS(x, 1, {}); return r; }}\n}}", "3:27"),
+    ], ids=["declaration", "expression", "tas"])
+    def test_overlong_literal_is_a_parse_error(self, text, message):
+        parse(text.format("7" * 4300))
+        with pytest.raises(ParseError) as e:
+            parse(text.format("7" * 4301))
+        assert str(e.value) == (f"{message}: an integer literal of 4301 "
+                                "digits is too long")
+
     def test_return_outside_op_rejected(self):
         with pytest.raises(ParseError, match="operation bodies"):
             parse("thread T {\n  return 1;\n}")

@@ -1,6 +1,7 @@
 """Refinement verdicts on the lock corpus, and counterexample shape."""
 
 import ast
+import hashlib
 import re
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import event, example, given, settings
 
 from wmtr import memmodel, program
-from wmtr.events import observable_of
+from wmtr.events import observable_of, trace_to_lines
 from wmtr.memmodel import ExploreConfig, Model, explore
 from wmtr.refine import (
     _minimal_refuting_trace, check_wmtr, refute_object_refinement,
@@ -78,6 +79,29 @@ class TestRefuted:
                        ExploreConfig(model=Model.RELAXED))
         assert v.verdict == "refuted"
         assert v.counterexample.observable == (("T1", "y", 1), ("T2", "y", 1))
+
+    # per model: whether it holds, implementation states, refuting
+    # observables; the figures of the file's header comment
+    INC3 = {Model.SC: (True, 1252, 0), Model.TSO: (True, 1837, 0),
+            Model.RELAXED: (False, 20654, 54)}
+
+    @pytest.mark.parametrize("model", list(Model))
+    def test_inc3_scale_client(self, corpus, model):
+        """Three lock-protected increments: the first scale client that
+        refutes, under RELAXED, with an 11-event canonical counterexample
+        in which T1's and T2's increments both write 1."""
+        v = check_wmtr(load("scale/inc3.wm"), corpus["spec"], corpus["impl"],
+                       ExploreConfig(model=model))
+        assert (v.holds, v.stats["impl_states"],
+                v.stats["refuting_observables"]) == self.INC3[model]
+        if not v.holds:
+            t = v.counterexample.trace
+            assert len(t) == 11
+            assert v.counterexample.observable == (("T1", "y", 1),
+                                                   ("T2", "y", 1))
+            assert hashlib.sha256(trace_to_lines(t).encode()).hexdigest() == (
+                "5458e5be5c38f93e0f7a42f9122f31b5"
+                "48a1cdcd25c30e551ffbccdd1facc542")
 
     def test_refute_over_client_list_stops_at_first(self, corpus):
         name, v = refute_object_refinement(
