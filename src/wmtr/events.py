@@ -42,9 +42,6 @@ ThreadId = str
 Value = Optional[int]  # None encodes the no-value element
 
 
-_TABLES: Dict[str, dict] = {}  # per class name: its instances by fields
-
-
 def _reduce(e):  # copies and pickles rebuild through the table
     return type(e), tuple(getattr(e, name) for name in e.__match_args__)
 
@@ -62,7 +59,7 @@ class _Interned(type):
 
     def __init__(cls, name, bases, ns):
         super().__init__(name, bases, ns)
-        cls._table = _TABLES[name] = {}
+        cls._table = {}
         cls.__reduce__ = _reduce
 
     def __call__(cls, *args, **kwargs):
@@ -71,11 +68,6 @@ class _Interned(type):
             e = super().__call__(*args, **kwargs)
             e = cls._table.setdefault(_reduce(e)[1], e)
         return e
-
-
-def table_sizes() -> Dict[str, int]:
-    """The number of distinct instances of each class made so far."""
-    return {name: len(table) for name, table in _TABLES.items()}
 
 
 @dataclass(frozen=True, slots=True, eq=False)

@@ -670,31 +670,6 @@ class TraceSet:
         """States in a root-first topological order: ids downward."""
         return range(self.root, -1, -1)
 
-    def __contains__(self, trace) -> bool:
-        """Reachability in the product of the graph with trace positions;
-        a burst longer than the rest of the trace accepts on a prefix."""
-        bursts, succ, burst_id = self.bursts, self.succ, self.burst_id
-        offsets = self.offsets
-        trace = tuple(trace)
-        end = len(trace)
-        seen = {(self.root, 0)}
-        stack = [(self.root, 0)]
-        while stack:
-            s, k = stack.pop()
-            if k == end:
-                return True
-            for x in range(offsets[s], offsets[s + 1]):
-                burst = bursts[burst_id[x]]
-                n = len(burst)
-                if trace[k:k + n] == burst:
-                    nxt = (succ[x], k + n)
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-                elif end - k < n and burst[:end - k] == trace[k:]:
-                    return True
-        return False
-
     def observables(self) -> frozenset:
         """All observable behaviours (sequences of program observations
         `(thread, var, value)`), in one forward pass, ids downward.

@@ -331,19 +331,18 @@ class RELAXED(Storage):
     stand in for coverage, since core k holds, having received or
     superseded it, exactly each record at a position up to posv[k].  A
     record is the tuple
-      (val, core_rank, kind, carrier_code, obs_code)
-    where carrier and observation are interned in `codes` (code 0 is
-    None), and it keeps only what a later step reads: a program record
-    no carrier, since `attach` looks only for an operation's, and a
-    record that emitted its observation no observation code; an
-    observation is decoded when its record emits it.  `entry` drops the
-    front records that lie before every core's position and owe no
-    observation, and shifts the positions down by as many (live-data
-    reduction).  The ref of a write is its variable: an operation's last
-    write is the last record of that variable that carries the
-    operation's code, since only one invocation carries its code, and
-    `attach` finds none once that record is dropped, which every core
-    held, and emits at once.
+      (val, core_rank, carrier, obs)
+    and it keeps only what a later step reads: its carrier is the
+    `OpId` of the operation that wrote it, None for a program write,
+    since `attach` looks only for an operation's, and its observation is
+    the event it owes, None once emitted.  A TAS is recorded as an
+    object store.  `entry` drops the front records that lie before every
+    core's position and owe no observation, and shifts the positions
+    down by as many (live-data reduction).  The ref of a write is its
+    variable: an operation's last write is the last record of that
+    variable that the operation carries, since only one invocation
+    carries its `OpId`, and `attach` finds none once that record is
+    dropped, which every core held, and emits at once.
 
     The variables of `initials` get their fields when the instance is
     made, any other (a chaos call's virtual variable) when a write to it
@@ -361,10 +360,8 @@ class RELAXED(Storage):
     def __init__(self, cores, initials, buffer, bursts, shift=0):
         super().__init__(cores, initials, buffer, bursts, shift)
         self.rank = {c: k for k, c in enumerate(cores)}
-        self.codes = Interned("carriers and observations")
-        self.codes.id(None)
         self.entries = Interned("RELAXED entries")
-        # keyed (entry id, operation code, observation): what `attach`
+        # keyed (entry id, operation, observation): what `attach`
         # makes of the entry, an entry id or None
         self.attached: Dict[tuple, Optional[int]] = {}
         # per entry id: bit k set iff core k issued a record (a program
@@ -390,7 +387,7 @@ class RELAXED(Storage):
         dropped, interned on first sight."""
         recs, posv = e
         n, low = 0, min(posv, default=-1)
-        while n < low and not recs[n][4]:
+        while n < low and recs[n][3] is None:
             n += 1
         if n:
             e = (recs[n:], tuple(p - n for p in posv))
@@ -398,9 +395,9 @@ class RELAXED(Storage):
         if eid == len(self.pending):
             recs, posv = e
             pending = pending_prog = 0
-            for _, c, kind, _, _ in recs[min(posv, default=-1) + 1:]:
+            for _, c, carrier, _ in recs[min(posv, default=-1) + 1:]:
                 pending |= 1 << c
-                if kind == "prog":
+                if carrier is None:
                     pending_prog |= 1 << c
             self.pending.append(pending)
             self.pending_prog.append(pending_prog)
@@ -434,61 +431,56 @@ class RELAXED(Storage):
         return out
 
     def writer(self, core, var, val, kind, carrier, obs):
-        codes = self.codes
         return Write(self._slot(var), (
-            self.rank[core], val, kind,
-            codes.id(None if kind == "prog" else carrier), codes.id(obs)),
-            var)
+            (val, self.rank[core], None if kind == "prog" else carrier, obs),
+            kind == "tas"), var)
 
-    def _write(self, eid, k, val, kind, ca, ob):
+    def _write(self, eid, rec, tas):
         recs, posv = self.entries.values[eid]
         pos = len(recs)
-        if kind == "tas":
-            # every core jumps to the new record, recorded as an object
-            # store: once every core holds a store's record, the two are
-            # the same record
-            return self.entry((recs + ((val, k, "obj", ca, ob),),
-                               (pos,) * len(posv)))
+        if tas:
+            # every core jumps to the new record: once every core holds a
+            # store's record, a TAS and a store are the same record
+            return self.entry((recs + (rec,), (pos,) * len(posv)))
         # the issuing core jumps to its record, superseding those it lacks
-        return self.entry((recs + ((val, k, kind, ca, ob),),
-                           posv[:k] + (pos,) + posv[k + 1:]))
+        k = rec[1]
+        return self.entry((recs + (rec,), posv[:k] + (pos,) + posv[k + 1:]))
 
     def attach(self, s, core, var, opid, obs):
         if var is None:
             return None
         shift = self.shifts[var]
         eid = s >> shift & self.mask
-        code = self.codes.ids[opid]
-        e2 = self.attached.get((eid, code, obs), _MISS)
+        e2 = self.attached.get((eid, opid, obs), _MISS)
         if e2 is _MISS:
-            e2 = self.attached[eid, code, obs] = self._attach(eid, code, obs)
+            e2 = self.attached[eid, opid, obs] = self._attach(eid, opid, obs)
         return None if e2 is None else s + ((e2 - eid) << shift)
 
-    def _attach(self, eid, code, obs) -> Optional[int]:
-        """The id of entry `eid` with `obs` on the last record carrying
-        `code`, or None when every core holds that record or none is
+    def _attach(self, eid, opid, obs) -> Optional[int]:
+        """The id of entry `eid` with `obs` on the last record `opid`
+        carries, or None when every core holds that record or none is
         left."""
         recs, posv = self.entries.values[eid]
         pos = len(recs) - 1
-        while pos >= 0 and recs[pos][3] != code:  # its last record of var
+        while pos >= 0 and recs[pos][2] is not opid:  # its last record of var
             pos -= 1
         if pos <= min(posv):  # every core holds it, or it was dropped
             return None
-        return self.entry((recs[:pos] + (recs[pos][:4] + (self.codes.id(obs),),)
+        return self.entry((recs[:pos] + (recs[pos][:3] + (obs,),)
                            + recs[pos + 1:], posv))
 
     def _emit(self, recs, posv, pos) -> tuple:
         """(burst id, entry id') of the emission of record `pos`'s
         observation, which moves every core to at least that record."""
-        v, c, kd, ca, ob = recs[pos]
-        recs = recs[:pos] + ((v, c, kd, ca, 0),) + recs[pos + 1:]
-        return (self.bursts.id((self.codes.values[ob],)),
+        v, c, carrier, obs = recs[pos]
+        recs = recs[:pos] + ((v, c, carrier, None),) + recs[pos + 1:]
+        return (self.bursts.id((obs,)),
                 self.entry((recs, tuple(max(p, pos) for p in posv))))
 
     def _moves(self, eid: int) -> list:
         recs, posv = self.entries.values[eid]
         return [self._emit(recs, posv, pos) for pos in range(len(recs))
-                if recs[pos][4]]
+                if recs[pos][3] is not None]
 
     def _publish(self, s, core, table, prog: bool):
         k, mask = self.rank[core], self.mask
@@ -497,7 +489,7 @@ class RELAXED(Storage):
             if table[eid] >> k & 1:
                 recs, posv = self.entries.values[eid]
                 last = max(pos for pos, r in enumerate(recs) if r[1] == k
-                           and (not prog or r[2] == "prog"))
+                           and (not prog or r[2] is None))
                 e2 = self.entry((recs, tuple(max(p, last) for p in posv)))
                 s += (e2 - eid) << shift
         return s
@@ -530,7 +522,7 @@ class Eager(RELAXED):
         recs, posv = self.entries.values[eid]
         low = min(posv, default=-1)
         out = [self._emit(recs, posv, pos) for pos in range(low + 1)
-               if recs[pos][4]]
+               if recs[pos][3] is not None]
         for pos in range(low + 1, len(recs)):
             out += [(0, self.entry((recs, posv[:k] + (pos,) + posv[k + 1:])))
                     for k, p in enumerate(posv) if p == pos - 1]

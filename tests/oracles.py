@@ -17,6 +17,8 @@ way, and some test compares the two or builds on it:
                           straight from its definition.
   materialize, sample     the explicit trace set of an exploration graph,
                           and random walks through it.
+  accepts                 whether a trace is a trace of an exploration
+                          graph, without materializing its trace set.
   preorder                an exploration graph renumbered as the build
                           numbered it before it went to post-order: ids
                           in the order states are first seen, so every
@@ -192,6 +194,29 @@ def materialize(ts, max_traces: int = 200_000) -> frozenset:
         suffix[s] = frozenset(acc)
         held += len(acc)
     return suffix[ts.root]
+
+
+def accepts(ts, trace) -> bool:
+    """Whether `trace` is a trace of `ts`: reachability in the product of
+    the graph with positions in the trace, where a burst longer than the
+    rest of the trace accepts on a prefix."""
+    trace = tuple(trace)
+    end = len(trace)
+    seen = {(ts.root, 0)}
+    stack = [(ts.root, 0)]
+    while stack:
+        s, k = stack.pop()
+        if k == end:
+            return True
+        for burst, s2 in ts.graph[s]:
+            n = len(burst)
+            if trace[k:k + n] == burst:
+                if (s2, k + n) not in seen:
+                    seen.add((s2, k + n))
+                    stack.append((s2, k + n))
+            elif end - k < n and burst[:end - k] == trace[k:]:
+                return True
+    return False
 
 
 def least_refuting_trace(ts, bad, n: int) -> Optional[Trace]:

@@ -21,9 +21,15 @@ from wmtr.events import (
     event_to_json,
     observable_of,
     pretty,
-    table_sizes,
     trace_to_lines,
 )
+
+INTERNED = (OpId, StepId, ProgStep, ProgObs, Inv, Res, OpObs)
+
+
+def table_sizes():
+    """The number of distinct instances of each event class made so far."""
+    return {cls.__name__: len(cls._table) for cls in INTERNED}
 
 
 class TestWellformed:

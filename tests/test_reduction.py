@@ -131,6 +131,22 @@ def test_settled_records_are_dropped_and_attach_emits_at_once(discipline):
     assert mem.attach(s, "c0", "x", opid, OpObs(opid, None)) is None
 
 
+def test_a_record_names_its_carrier_and_observation():
+    """A record is (value, core rank, carrier, observation): a program
+    write's carrier is None, an operation store's is its `OpId` itself,
+    and `attach` puts the very `OpObs` it is given on the store's
+    record."""
+    mem, s = on_demand(("c0", "x", 1, "prog", None), ("c1", "x", 2, "obj", None))
+    recs, _ = mem._get(s, "x")
+    assert [len(r) for r in recs] == [4, 4]
+    prog, store = recs
+    assert prog[2] is None
+    assert store[2] is carrier(1)
+    obs = OpObs(carrier(1), None)
+    recs, _ = mem._get(mem.attach(s, "c1", "x", carrier(1), obs), "x")
+    assert recs[1][3] is obs
+
+
 # --- on-demand and eager builds agree ---
 
 def assert_reduction_agrees(p, o, c, mode):
