@@ -33,8 +33,8 @@ from conftest import (
     writes_client,
 )
 from oracles import (
-    accepts, empirical_pairs_oracle, from_traces, least_refuting_trace, materialize,
-    book_specs, observables_oracle, oracle_sc, preorder, sample,
+    accepts, empirical_pairs_oracle, from_traces, least_refuting_trace,
+    materialize, book_specs, observables_oracle, oracle_sc, preorder, sample,
     stepwise_frames,
 )
 
